@@ -27,23 +27,9 @@ func BenchmarkDelegateOverhead(b *testing.B) {
 		b.StopTimer()
 		rt.EndIsolation()
 	})
-	b.Run("writable-nobatch", func(b *testing.B) {
-		b.ReportAllocs()
-		rt := prometheus.Init(prometheus.WithDelegates(4), prometheus.WithDelegateBatch(1))
-		defer rt.Terminate()
-		w := prometheus.NewWritable(rt, 0)
-		rt.BeginIsolation()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Delegate(func(c *prometheus.Ctx, p *int) { *p++ })
-		}
-		b.StopTimer()
-		rt.EndIsolation()
-	})
 	b.Run("writable-spread-4", func(b *testing.B) {
 		// Round-robins four wrappers, so consecutive delegations hit
-		// different delegates and the batch buffer sees constant target
-		// switches — the worst case for batching.
+		// different delegates.
 		b.ReportAllocs()
 		rt := prometheus.Init(prometheus.WithDelegates(4))
 		defer rt.Terminate()

@@ -9,20 +9,22 @@ import (
 	"repro/internal/core"
 )
 
-// The chaos suite drives injected panics through every engine mode and
+// The chaos suite drives injected panics through every configuration and
 // asserts the three containment guarantees end to end: the process
 // survives and every barrier closes, the poisoning point is deterministic
 // across repeated runs, and sets that did not fault execute exactly what
 // they execute in a fault-free run.
 
-// chaosModes is the flat/recursive × stealing on/off matrix.
+// chaosModes is the lane width × placement matrix.
 var chaosModes = []struct {
 	name string
 	opts []Option
 }{
+	{"flat-static", []Option{WithDelegates(4)}},
 	{"flat-nosteal", []Option{WithDelegates(4), WithPolicy(LeastLoaded)}},
 	{"flat-steal", []Option{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(2)}},
-	{"rec-nosteal", []Option{WithDelegates(4), Recursive()}},
+	{"rec-static", []Option{WithDelegates(4), Recursive()}},
+	{"rec-nosteal", []Option{WithDelegates(4), Recursive(), WithPolicy(LeastLoaded)}},
 	{"rec-steal", []Option{WithDelegates(4), Recursive(), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(2)}},
 }
 
@@ -87,11 +89,14 @@ func logsEqual(a, b []uint64) bool {
 // across 6 runs (exactly the prefix before the fault) and every other
 // set's log identical to the fault-free run.
 func TestChaosDeterministicPoisoning(t *testing.T) {
+	sequential := runSkewed(t, []Option{Sequential()})
 	for _, mode := range chaosModes {
 		t.Run(mode.name, func(t *testing.T) {
 			baseline := runSkewed(t, mode.opts)
-			if n := len(baseline[chaosHotSet]); n != chaosOps {
-				t.Fatalf("fault-free run logged %d ops on the hot set, want %d", n, chaosOps)
+			for set, log := range sequential {
+				if !logsEqual(baseline[set], log) {
+					t.Fatalf("fault-free run diverged from sequential on set %d", set)
+				}
 			}
 			var first map[uint64][]uint64
 			for run := 0; run < 6; run++ {

@@ -3,11 +3,10 @@
 // BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead, and
 // BenchmarkRecursiveSkewed variants, and compares them against the
 // numbers recorded in one or more PR benchmark baselines (-baseline may
-// be repeated: BENCH_PR1.json carries the flat path's
-// delegate_overhead_variants_after table, BENCH_PR3.json the recursive
-// engine's recursive_overhead_variants_after table, BENCH_PR4.json the
-// recursive-stealing skewed workload's recursive_skewed_variants_after
-// table). It exits nonzero when a variant regresses by more than
+// be repeated: BENCH_PR1.json carries the program-context delegation
+// table delegate_overhead_variants_after, BENCH_PR3.json the nested
+// delegation table recursive_overhead_variants_after, BENCH_PR4.json the
+// skewed stealing workload's recursive_skewed_variants_after table). It exits nonzero when a variant regresses by more than
 // -max-regress-pct, or when a variant's allocs/op exceed the baseline's.
 //
 // Raw ns/op is not portable across machines, so -normalize names a canary
@@ -16,7 +15,7 @@
 // as a ratio to its own table's canary, current vs baseline, which cancels
 // the host's clock out of the gate while still catching hot-path
 // regressions. Each benchmark table normalizes against the canary variant
-// of the same benchmark, so the flat and recursive gates stay independent.
+// of the same benchmark, so the two gates stay independent.
 // Without -normalize the comparison is absolute, for runs on the machine
 // that produced the baselines.
 //

@@ -58,58 +58,85 @@
 // detection of §3.3: serializer-consistency tagging and the
 // read-only/private state machine, which panic with *Error on violation.
 //
-// # Performance
+// # The delegation engine
 //
 // The whole bet of the model is that delegation overhead is small enough
 // for fine-grained operations to win (paper §4–5), so the hot path — a
 // steady-state Delegate with Checked and Trace off — performs zero heap
-// allocations and O(1) work:
+// allocations and O(1) work. There is one engine, and every configuration
+// runs on it (internal/core/delegate.go):
 //
-//   - Invocation records travel by value through bounded SPSC rings of
-//     sequence-stamped slots (internal/spsc, after FastForward, Giacomoni
-//     et al. PPoPP 2008): no per-operation allocation, no GC pressure, and
-//     producer and consumer never touch each other's cursor in steady
-//     state.
+//   - Lanes. Every delegate owns one inbound lane per producer context: one
+//     lane — the paper's private communication queue — when only the
+//     program context delegates, one per context under Recursive. A lane is
+//     a bounded SPSC ring of sequence-stamped value slots (internal/spsc,
+//     after FastForward, Giacomoni et al. PPoPP 2008) backed by an
+//     unbounded spill list that engages only on overflow. Invocation
+//     records travel by value: no per-operation allocation, no GC pressure,
+//     and producer and consumer never touch each other's cursor in steady
+//     state. The program context, which no delegate can be waiting on,
+//     blocks on a full ring and gets bounded-queue backpressure; a
+//     delegating delegate never blocks — it spills — because it may be
+//     delegating to a set it itself owns, or around a cycle. Spill nodes
+//     are recycled through a per-lane freelist backed by a pool shared
+//     across the runtime's lanes, so sustained spilling settles at zero
+//     steady-state allocations too.
 //
-//   - Wrappers dispatch through a static per-type trampoline plus two
-//     payload words (the wrapper pointer and the callback's funcval
-//     pointer) instead of constructing closures; the callback you pass to
-//     Delegate is invoked on the executing context without any per-call
-//     closure allocation. Alloc-regression tests (alloc_test.go) pin this
-//     at exactly 0 allocs/op.
+//   - Trampolines. Wrappers (Writable, ReadOnly, Reducible, Ctx.Delegate)
+//     dispatch through a static per-type trampoline plus two payload words
+//     (the wrapper pointer and the callback's funcval pointer) instead of
+//     constructing closures; the callback you pass is invoked on the
+//     executing context without any per-call allocation. Alloc-regression
+//     tests (alloc_test.go) pin every path at exactly 0 allocs/op.
 //
-//   - Scheduling queries are O(1): each ring publishes padded monotonic
-//     pushed/popped counters, so the LeastLoaded policy's queue-depth scan
-//     costs one load per delegate rather than a walk over every slot.
+//   - Wake-up. Each delegate keeps a pending-lane bitmask: a producer
+//     publishes work with one conditional atomic OR plus a load-only wake
+//     check, and an idle delegate inspects O(1) words before it parks.
 //
-//   - The program context batches runs of consecutive delegations bound
-//     for the same busy delegate (WithDelegateBatch, default 8) and
-//     delivers them with a single consumer wake-up. Operations are never
-//     buffered while the target delegate has no backlog, and the buffer is
-//     flushed when the delegate drains, on every target switch, when the
-//     batch fills, and at every synchronization point — a buffered
-//     operation waits at most until the program context's next delegation
-//     or runtime call.
+//   - Batched drain. A delegate claims its pending lanes with one Swap and
+//     drains each in runs of up to 64 records executed back to back,
+//     publishing its progress once per run rather than once per operation.
+//     A backlogged delegate therefore drains at memcpy-plus-call speed,
+//     which also keeps the producer out of its ring-full slow path.
 //
-//   - Delegates consume in batches too: each wake pops a run of ring slots
-//     (up to 64) and executes them back to back, publishing consumer
-//     progress and the producer wake-up once per run rather than once per
-//     operation. A backlogged delegate therefore drains at memcpy-plus-call
-//     speed, which also keeps the producer out of its queue-full slow path.
+//   - One ledger. Producer p counts every message it pushes into delegate
+//     d's lane (a padded single-writer counter) and d publishes, per lane,
+//     how many it has finished. Lanes are FIFO, so "executed >= position"
+//     proves that message and everything before it ran. Sent minus executed
+//     is a delegate's occupancy — queued plus in-flight work — and the one
+//     number behind first-touch placement, stealing, the adaptive
+//     threshold's sampler, and Runtime.QueueDepths. The EndIsolation
+//     barrier is the only place the two sides are summed: it sends each
+//     delegate a synchronization object and repeats until the totals agree
+//     across a quiet round (under Recursive executing an operation may
+//     enqueue more work, so one drain round is never proof of completion).
 //
-// # Load balancing
+//   - Reclaim. Writable.Call during an isolation epoch reclaims the object
+//     with the paper's synchronization object: one message down the owner's
+//     lane, skipped when that delegate has been sent nothing since its last
+//     synchronization. Under Recursive a single lane cannot witness nested
+//     work, so the reclaim is the quiescence barrier.
 //
-// The LeastLoaded policy assigns a serialization set to the delegate with
-// the shortest queue at the set's first delegation of the epoch, and the
-// set then stays sticky to that delegate — per-set program order depends on
-// it. When dependence chains have very uneven lengths, that one-shot choice
-// can strand most of an epoch's work on one delegate while the others idle.
-// WithStealing adds an occupancy-aware rebalancer: when a set's owner has
-// WithStealThreshold or more outstanding operations and the set itself is
-// quiescent (every operation previously delegated to it has finished
-// executing — a safe handoff boundary), the next delegation hands the whole
-// set to the least-occupied delegate, provided that delegate is idle or at
-// most a quarter as loaded as the victim.
+// # Placement and load balancing
+//
+// Under StaticMod (the paper's policy) a set's id modulo the virtual
+// delegates picks a slot of a fixed assignment table; slots given to the
+// program context by WithProgramShare run inline, under either policy.
+//
+// The LeastLoaded policy places a serialization set at its first
+// delegation of the epoch on the delegate with the smallest occupancy —
+// never the delegating delegate's own, which would turn the set's
+// operations into self-delegations their producer may be blocked waiting
+// on — and the set then stays sticky to that delegate: per-set program
+// order depends on it. When dependence chains have very uneven lengths,
+// that one-shot choice can strand most of an epoch's work on one delegate
+// while the others idle. WithStealing adds an occupancy-aware rebalancer
+// (internal/core/owners.go): when a set's owner has WithStealThreshold or
+// more outstanding operations and the set itself is quiescent (every
+// operation previously delegated to it has finished executing — a safe
+// handoff boundary), the next delegation hands the whole set to the
+// least-occupied delegate, provided that delegate is idle or at most a
+// quarter as loaded as the victim.
 //
 // Whole sets — never individual invocations — are the steal unit. Moving a
 // single queued invocation would let two contexts interleave one set's
@@ -119,174 +146,109 @@
 // before anything after it is enqueued on the new one. Determinism is
 // unchanged — only placement (which delegate runs a set), never order
 // (which operations run and in what sequence per set), responds to load.
-// The safety check is O(1), riding the same published counters as the
-// scheduler: each delegate exposes an executed count, the program context
-// tracks per-delegate sent counts, and a set is quiescent exactly when its
-// newest operation's position is at or below its owner's executed count.
 //
-// # Recursive delegation
+// The quiescence check reads the ledger. The owner table records, per
+// producer, the lane position of the set's newest operation; the set may
+// move only when every recorded position is covered by the owner's
+// matching per-lane executed counter (with the program context as the only
+// producer that is one comparison). The handoff takes no lock and needs no
+// acknowledgment from the victim: its executed publishes ARE the
+// acknowledgment. Since only the set's single producer routes operations
+// to it, the migration is a single-writer update observed through atomics.
+// Recorded positions are relative to ONE owner's counters, so the
+// migration rebases them: every recorded position is zeroed (the proof at
+// the handoff boundary makes them moot — left stale they would be compared
+// against the new owner's unrelated counters) and the acting producer's is
+// fenced at the thief's current lane depth before the new owner is
+// published. A per-set stamp counts handoffs for tests and debugging; no
+// protocol step reads it.
 //
-// Recursive() enables the extension the paper names as future work (§4):
-// delegated operations may delegate further operations via Ctx.Delegate,
-// which is how divide-and-conquer programs (quicksort, FPM, Barnes-Hut)
-// are expressed without fork/join scaffolding. The recursive engine is
-// built to the same performance standard as the flat path:
-//
-//   - Every delegate owns one inbound lane per producer context (program
-//     plus every delegate). A lane is a bounded lap-stamped value ring —
-//     the same slot machinery as the flat path's SPSC queue — backed by an
-//     unbounded spill list that engages only on overflow. Steady state, a
-//     recursive delegation writes its invocation record by value into ring
-//     memory: zero allocations, no lane nodes, no closure. The spill tier
-//     is what makes the bounded ring safe: a delegate may delegate to a
-//     set it itself owns (or around a delegation cycle), so a delegate
-//     producer never blocks — it spills — while the program context, which
-//     no delegate can be waiting on, blocks on a full ring and gets
-//     bounded-queue backpressure instead.
-//
-//   - The trampoline fast path extends end to end: Ctx.Delegate and the
-//     root wrappers (Writable, ReadOnly, Reducible) all route through
-//     static trampolines into the lanes (core.DelegateFromCall), so
-//     recursive mode no longer pays a per-call closure.
-//
-//   - Each delegate keeps a pending-lane bitmask instead of polling all
-//     lanes round-robin: a producer publishes work with one conditional
-//     atomic OR plus a wake check, and an idle delegate inspects O(1)
-//     words. Claimed lanes drain in batched runs (the consumer mirror of
-//     the flat path's PopBatch drain), publishing the executed counter
-//     once per run.
-//
-//   - Quiescence bookkeeping is contention-free: each producer context
-//     counts what it enqueued in a padded single-writer counter and each
-//     delegate counts what it executed; only the EndIsolation barrier
-//     aggregates the two sides, repeating sync rounds until the sums agree
-//     across a quiet round (executing an operation may enqueue more work,
-//     so one drain round is never proof of completion).
-//
-// Per-set program order is preserved per producer — FIFO through ring and
-// spill alike — and determinism requires each set to have one producer
-// context per isolation epoch, which Checked() enforces with a sharded
-// producer table. Stats reports RecursiveOps and Spills alongside the
-// drain counters. Spill nodes are recycled through a per-lane freelist
-// backed by a pool shared across a runtime's lanes, so sustained spilling
-// (delegation cycles, self-delegation) settles at zero steady-state
-// allocations too.
-//
-// # Recursive whole-set stealing: the multi-producer quiescent handoff
-//
-// Combining Recursive with WithPolicy(LeastLoaded)+WithStealing enables
-// rebalancing in recursive mode, where the flat protocol's safety
-// argument no longer suffices: a flat set has one producer (the program
-// context), so "newest position <= owner's executed count" is one
-// comparison — but a recursive set's operations arrive from many producer
-// contexts, each through its own SPSC lane, and an executed counter that
-// ignored one producer's lane could declare a set quiescent while that
-// lane still carries its operations. Quiescence must therefore cover
-// EVERY producer's sent counter: each producer counts the messages it
-// pushes into each delegate's lane, the owner table records, per
-// producer, the lane position of the set's newest operation, and each
-// delegate publishes per-lane executed counters at its drain-run
-// boundaries. A set may move only when every recorded position is covered
-// by the owner's matching per-lane executed counter.
-//
-// The handoff itself takes no lock and needs no victim-side
-// acknowledgment handshake: the victim's per-lane executed publishes at
-// drain-run boundaries ARE the acknowledgment — lanes are FIFO, so an
-// executed count at or past a position proves that operation and its
-// whole lane prefix have finished — and the per-set epoch stamp (bumped
-// once per handoff, after the new owner is published) counts migrations
-// for tests and debugging; no protocol step depends on reading it.
-// Since only the set's single producer routes
-// operations to it, the migration is a single-writer update observed
-// through those atomics. Recorded positions are relative to ONE owner's
-// counters, so the migration rebases them: former producers' entries are
-// zeroed (the quiescence proof at the handoff boundary makes them moot —
-// left stale they would be compared against the new owner's unrelated
-// counters) and the acting producer's entry is fenced at the thief's
-// current lane depth before the new owner is published.
-//
-// Migrating a set also moves the PRODUCER ROLE of its operations: nested
-// sets they delegate to start receiving through the thief's lanes, which
-// is only safe once everything the set already fed them through the
-// victim's lanes has executed. PR 4 enforced that with a global veto —
-// every lane the victim feeds as a producer fully drained, any set's
-// traffic — which was safe but conservative enough to leave a liveness
-// hole. The condition is now precise, carried by a per-set outbound
-// ledger: while one of a set's operations executes, the drain loop stamps
-// that set as the delegate's producing set, and every nested delegation
-// the operation issues records its lane position into the set's entry
-// (outPos[target] = the newest position of the set's own traffic in the
-// target's lane). A set may migrate exactly when its OWN recorded
-// positions are covered by the targets' per-lane executed counters; other
-// sets' in-flight lanes no longer block it. The ledger rides the existing
-// machinery: one plain producing-set stamp per executed operation, one
-// atomic store per nested delegation (against a one-slot entry cache, so
-// runs of one set's operations resolve the entry once), zero allocations
-// — the ledger is not built at all unless stealing is enabled, so the
-// static recursive hot path is untouched. Cost budget: the stealing-off
-// paths stay exactly at PR 3's 0 allocs/op gates, and the stealing-on
-// delegation adds two atomic stores and a three-field cache check
-// (alloc_test.go and cmd/benchgate hold both).
+// Under Recursive, migrating a set also moves the PRODUCER ROLE of its
+// operations: nested sets they delegate to start receiving through the
+// thief's lanes, which is only safe once everything the set already fed
+// them through the victim's lanes has executed. That condition is carried
+// by a per-set outbound ledger: while one of a set's operations executes,
+// the drain loop stamps that set as the delegate's producing set, and
+// every nested delegation the operation issues records its lane position
+// into the set's entry. A set may migrate exactly when its OWN recorded
+// positions are covered by the targets' executed counters; other sets'
+// in-flight lanes never block it. The cost is one plain stamp per executed
+// operation and one atomic store per nested delegation against a one-slot
+// entry cache, zero allocations.
 //
 // Two placement rules keep the engine from manufacturing hazards the
 // program didn't write: a set is never handed to its own producer's
-// context (that would silently turn its operations into self-delegations
-// the producer may be blocked waiting on), and when a producer handover
-// nevertheless lands a set on its own producer's delegate — the producing
-// set migrated onto the delegate where the nested set lives — the set is
-// force-evacuated to the least-occupied peer under the same quiescence +
-// outbound-coverage conditions an ordinary steal needs. The precision of
-// the ledger is what makes the evacuation live: under the global veto an
-// unrelated in-flight stream could veto it forever while the set's
-// operations self-enqueued, and a program blocking mid-operation on its
-// own nested delegations would livelock (the regression stress proves the
-// hang under the legacy veto, which survives as an internal
-// negative-control knob). When only the set's own coverage is missing,
-// the producer waits for it on the spot — event-driven off the ledger,
-// bounded, never on traffic only the victim itself could drain — because
-// for a program about to block, that delegation is the engine's last
-// scheduling decision. recRoute verifies the handover property per nested
-// set; Checked mode turns a violation into a panic, and re-asserts ledger
-// coverage immediately before every owner publish as a cross-check. The
-// producer discipline sharpens accordingly: under stealing, a set must
-// receive its delegations from the operations of a single producing set
-// (or from the program context) per epoch — one producing SET, not merely
-// one context — so that a migration of the producing set moves all of the
-// nested set's delegations together.
+// context, and when a producer handover nevertheless lands a set on its
+// own producer's delegate — the producing set migrated onto the delegate
+// where the nested set lives — the set is force-evacuated to the
+// least-occupied peer under the same quiescence and outbound-coverage
+// conditions an ordinary steal needs. The precision of the ledger is what
+// makes the evacuation live: a rule that waited for all of the victim's
+// outbound lanes would let an unrelated in-flight stream veto it forever
+// while the set's operations self-enqueued, and a program blocking
+// mid-operation on its own nested delegations would livelock. When only
+// the set's own coverage is missing, the producer waits for it on the spot
+// — event-driven off the ledger, bounded, never on traffic only the victim
+// itself could drain — because for a program about to block, that
+// delegation is the engine's last scheduling decision. Checked mode turns
+// a handover at a non-quiescent point into a panic, and re-asserts ledger
+// coverage immediately before every owner publish. The producer discipline
+// sharpens accordingly: under dynamic placement a set must receive its
+// delegations from the operations of a single producing set (or from the
+// program context) per epoch — one producing SET, not merely one context —
+// so that a migration of the producing set moves all of the nested set's
+// delegations together.
 //
-// On top of the handoff protocol sit two placement heuristics: hot-set
-// seeded placement — BeginIsolation ranks the closing epoch's sets by
-// delegated-op count (near-free from the owner table) and pre-places the
-// top few round-robin across delegates, instead of letting first-touch
-// assignment pile them onto whichever delegate looked emptiest at the
+// On top of the handoff sit two placement heuristics: hot-set seeding —
+// BeginIsolation ranks the closing epoch's sets by delegated-op count and
+// pre-places the top few round-robin across delegates, instead of letting
+// first touch pile them onto whichever delegate looked emptiest at the
 // epoch's first instant — and an in-epoch adaptive steal policy, an EWMA
-// of the max/min delegate-occupancy ratio sampled at drain-run boundaries
-// (with a final sample as each delegate parks, so a spun-down pool's
-// stale extremes do not freeze the signal) that pulls the
-// capacity-derived threshold toward its clamp floor and relaxes the
-// thief-eligibility ratio (4x at balance, clamped [2,8]) in skewed
-// epochs, and keeps ownership sticky in balanced ones. Both reset to
-// their configured base at every BeginIsolation — the adaptation is
-// in-epoch by contract — and an explicit WithStealThreshold pins both.
-// Stats reports Steals, Handoffs, ForcedEvacs, OutboundVetoes,
-// OutboundTracked, ThresholdAdjusts, and HotSetsPlaced for all of it.
+// of the max/min delegate-occupancy ratio sampled at drain boundaries
+// (with a final sample as each delegate parks, so a spun-down pool's stale
+// extremes do not freeze the signal) that pulls the capacity-derived
+// threshold toward its clamp floor and relaxes the thief-eligibility ratio
+// (4x at balance, clamped [2,8]) in skewed epochs, and keeps ownership
+// sticky in balanced ones. Both reset to their configured base at every
+// BeginIsolation — the adaptation is in-epoch by contract — and an
+// explicit WithStealThreshold pins both. Stats reports Steals, ForcedEvacs,
+// OutboundVetoes, OutboundTracked, ThresholdAdjusts, and HotSetsPlaced for
+// all of it.
+//
+// # Recursive delegation
+//
+// Recursive() permits the extension the paper names as future work (§4):
+// delegated operations may delegate further operations via Ctx.Delegate,
+// which is how divide-and-conquer programs (quicksort, FPM, Barnes-Hut)
+// are expressed without fork/join scaffolding. It is a permission, not a
+// second engine: it widens every delegate's lane set from one lane to one
+// per context (MaxDelegates x (MaxDelegates+1) rings), makes a reclaim the
+// quiescence barrier, and composes with either placement policy, with or
+// without stealing. WithProgramShare is rejected with it: every set must
+// be delegate-owned, so ordering never depends on which context produced
+// an operation.
+//
+// Per-set program order is preserved per producer — FIFO through ring and
+// spill alike — and determinism requires each set to have one producer
+// context per isolation epoch (one producing set under LeastLoaded, see
+// above), which Checked() enforces. Stats reports RecursiveOps (messages
+// through the lanes, all producers) and Spills alongside the drain
+// counters.
 //
 // BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead, BenchmarkSPSC,
 // BenchmarkLane, BenchmarkCoreDelegateSkewed and BenchmarkRecursiveSkewed
-// measure these paths; Runtime.Stats reports delegation, batching,
-// stealing, handoff, drain, recursive, spill, and per-phase time
-// counters.
+// measure these paths, and bench/ measures the whole stack end to end.
 //
 // # Fault containment
 //
 // A panic in a delegated operation does not kill the process and does not
-// wedge a barrier. Both engines run invocations inside recover()-protected
-// execution spans; a recovered panic is recorded (value plus the stack of
-// the original failure site) and the faulted operation is counted as
-// executed, so every ledger the scheduling protocols rest on — flat
-// occupancy, recursive per-lane coverage, barrier quiescence sums, the
-// whole-set handoff proofs of the two stealing sections above — keeps
-// advancing and the delegate goroutine stays alive.
+// wedge a barrier. The drain loop runs invocations inside
+// recover()-protected execution spans; a recovered panic is recorded (value
+// plus the stack of the original failure site) and the faulted operation is
+// counted as executed, so everything the scheduling protocols read off the
+// ledger — occupancy, per-lane coverage, barrier quiescence sums, the
+// whole-set handoff proofs of the section above — keeps advancing and the
+// delegate goroutine stays alive.
 //
 // Determinism is preserved by set poisoning. The faulting operation's
 // serialization set is poisoned for the remainder of the isolation epoch:
@@ -319,10 +281,10 @@
 // than through ad-hoc waits on delegated effects. The barrier watchdog
 // (Config.Watchdog; on by default under Checked) turns any such hang —
 // or an engine liveness bug — into a panic with a dump of per-delegate
-// queue depths and ledger positions after a configurable no-progress
+// pending lanes and ledger positions after a configurable no-progress
 // bound. The chaos-injection harness (internal/chaos) drives all of this
 // under test: deterministic and seeded-probabilistic panics injected
-// across every engine mode, asserting survival, byte-identical poisoning
+// across every configuration, asserting survival, byte-identical poisoning
 // points, and untouched sibling sets.
 //
 // The fault-free cost is one nil pointer load on the delegation path and
@@ -429,20 +391,19 @@
 // follows directly from the epoch discipline: an isolation-epoch boundary
 // is the only point in this model where resizing is safe, because it is
 // the only point where anything global is known. Between boundaries,
-// operations for a set may be in flight in a delegate's queue, a steal
-// handshake may be mid-transfer, and the recursive engine's per-producer
-// lanes may hold unacknowledged sends — moving a set or retiring a
+// operations for a set may be in flight in a delegate's lanes and a
+// whole-set handoff may be mid-transfer — moving a set or retiring a
 // delegate in that state would either reorder a set's operations
 // (breaking the one invariant the model promises) or strand them. At the
-// boundary, the barrier has proven every queue drained and every
-// delegation ledger balanced, so set-to-delegate placement is pure data:
+// boundary, the barrier has proven every lane drained and the delegation
+// ledger balanced, so set-to-delegate placement is pure data:
 // it can be rewritten wholesale, exactly as the epoch machinery already
 // rewrites it for adaptive thresholds and hot-set seeding.
 //
 // Mechanically, [Runtime.Resize] and [Runtime.Reconfigure] only record a
 // desired [RuntimeConfig]; the next BeginIsolation applies it. Capacity
-// and occupancy are split: every delegate structure (queues, lane
-// matrices, counters) is pre-allocated for WithMaxDelegates at New, and
+// and occupancy are split: every delegate structure (lanes, ledger
+// counters) is pre-allocated for WithMaxDelegates at New, and
 // resizing only moves the active prefix — so context numbering, reducible
 // views, and trace buffers stay valid across any resize, and the hot path
 // pays nothing (the steal threshold and active count are single atomic
@@ -452,12 +413,12 @@
 // into the surviving prefix before the delegate parks, because a set left
 // on a retired delegate would silently stop executing — its operations
 // would queue forever on a goroutine that exited. The evacuation argument
-// is the same quiescence argument as the steal handshake's, but simpler:
-// at the boundary the closing delegate's queue is provably empty and its
-// lanes balanced, so reassignment is a table write with no in-flight
-// operations to race. Checked mode asserts exactly this — a parked
-// delegate with a non-empty queue or an unbalanced lane ledger panics
-// ("traffic survived a retired delegate"). Parked delegates keep their
+// is the same quiescence argument as the whole-set handoff's, but simpler:
+// at the boundary the closing delegate's lanes are provably empty and
+// their ledgers balanced, so reassignment is a table write with no
+// in-flight operations to race. Checked mode asserts exactly this — a
+// parked delegate with an unbalanced lane ledger panics ("traffic survived
+// a retired delegate"). Parked delegates keep their
 // structures (counters frozen, so all-capacity ledger sums still
 // balance) and are respawned on the next scale-up, seeding their
 // execution counters from the frozen values.

@@ -21,12 +21,6 @@ const DefaultWatchdog = 30 * time.Second
 // steady-state memory.
 const DefaultFaultRecordBound = 1024
 
-// DefaultDelegateBatch is the default size of the program context's
-// delegation buffer. Small on purpose: the buffer amortizes the wake-signal
-// atomic across a burst, and a handful of operations already captures most
-// of that win while bounding how long a buffered operation can wait.
-const DefaultDelegateBatch = 8
-
 // MinStealThreshold/MaxStealThreshold clamp the adaptive StealThreshold
 // default. When the option is unset, the victim backlog at which the
 // occupancy-aware rebalancer engages is derived from the queue capacity
@@ -43,30 +37,29 @@ const (
 
 // Thief-eligibility ratio clamps. A steal requires the thief to be idle or
 // at most 1/R as loaded as the victim; R defaults to defaultStealRatio and,
-// under AdaptiveSteal, tracks the same imbalance EWMA as the threshold —
-// skewed epochs relax it toward minStealRatio so help arrives even when no
-// peer is dramatically idler, balanced epochs tighten it toward
-// maxStealRatio-bounded stickiness. An explicit WithStealThreshold pins
-// both the threshold and the ratio (AdaptiveSteal off).
+// while the threshold is adaptive, tracks the same imbalance EWMA — skewed
+// epochs relax it toward minStealRatio so help arrives even when no peer is
+// dramatically idler, balanced epochs tighten it toward
+// maxStealRatio-bounded stickiness. An explicit StealThreshold pins both
+// the threshold and the ratio.
 const (
 	defaultStealRatio = 4
 	minStealRatio     = 2
 	maxStealRatio     = 8
 )
 
-// drainBatchSize bounds the delegate-side drain buffer: after each blocking
-// pop, the delegate PopBatches up to this many further invocations and
-// executes them without re-arming the wake machinery. 64 invocation-sized
-// records is 4KB per delegate — enough to amortize the popped-counter and
-// producer-signal stores across deep backlogs without hoarding a large
-// resident buffer.
+// drainBatchSize bounds the delegate-side drain buffer: a delegate pops up
+// to this many invocations from a claimed lane and executes them back to
+// back, publishing its progress once per run. 64 invocation-sized records
+// is 4KB per delegate — enough to amortize the ledger and producer-signal
+// stores across deep backlogs without hoarding a large resident buffer.
 const drainBatchSize = 64
 
-// spinBeforeParkRec bounds a recursive delegate's busy-wait over its
-// pending-lane bitmask before it parks on its wake channel. The re-check
-// is O(words), far cheaper than the old all-lanes poll, so the loop can
-// afford the same order of spin as the SPSC queues.
-const spinBeforeParkRec = 128
+// spinBeforePark bounds a delegate's busy-wait over its pending-lane
+// bitmask before it parks on its wake channel. An idle poll is one load per
+// word, as cheap as polling a ring slot, so the loop spins as long as the
+// SPSC rings' blocking calls do.
+const spinBeforePark = 256
 
 // SchedPolicy selects how serialization sets are assigned to delegate
 // contexts.
@@ -79,8 +72,9 @@ const (
 	StaticMod SchedPolicy = iota
 	// LeastLoaded is the dynamic-scheduling extension the paper names as
 	// future work: the first operation of a set in an epoch is assigned to
-	// the delegate with the shortest queue, and the set stays sticky to that
-	// delegate for the rest of the epoch (preserving per-set ordering).
+	// the delegate with the smallest backlog (queued plus in-flight
+	// operations), and the set stays sticky to that delegate for the rest
+	// of the epoch (preserving per-set ordering).
 	LeastLoaded
 )
 
@@ -107,13 +101,13 @@ type Config struct {
 	Delegates int
 
 	// MaxDelegates is the pool capacity ceiling for live reconfiguration:
-	// every per-delegate structure (queues, lanes, ledgers, trace buffers,
+	// every per-delegate structure (lanes, ledgers, trace buffers,
 	// per-context views) is pre-allocated for MaxDelegates at New, and
 	// Resize/Reconfigure may activate any pool size up to it without
 	// reallocating — which is what keeps NumContexts immutable and the
 	// per-context arrays the wrappers sized at construction valid for the
 	// runtime's whole life. Defaults to Delegates (a fixed pool, no
-	// reconfiguration headroom). In recursive mode the lane matrix costs
+	// reconfiguration headroom). With Recursive the lane matrix costs
 	// O(MaxDelegates^2) rings, so size the ceiling to the largest pool the
 	// process will actually use.
 	MaxDelegates int
@@ -126,23 +120,20 @@ type Config struct {
 
 	// ProgramShare is the number of virtual delegates assigned to the
 	// program context itself (the paper's assignment ratio): operations in
-	// those sets execute inline in the program thread. Default 0.
+	// those sets execute inline in the program thread, under either policy.
+	// Default 0. Incompatible with Recursive.
 	ProgramShare int
 
-	// QueueCapacity is the per-delegate communication-queue capacity. In
-	// recursive mode it sizes each producer lane's bounded ring (overflow
-	// beyond it goes to the lane's unbounded spill list). Default
+	// QueueCapacity is the capacity of each communication lane's bounded
+	// ring (one lane per delegate, one per delegate and producer with
+	// Recursive). The program context blocks on a full ring; a delegate
+	// producer overflows into the lane's unbounded spill list. Default
 	// spsc.DefaultCapacity.
 	QueueCapacity int
 
-	// DelegateBatch bounds the program context's delegation buffer: runs of
-	// up to DelegateBatch consecutive operations bound for the same delegate
-	// are written to its ring as one batch with a single wake-up signal.
-	// The buffer is bypassed while the target delegate is idle (an idle
-	// delegate needs the operation now, not amortization) and flushed on
-	// every target switch, synchronization, barrier, and epoch transition.
-	// Default DefaultDelegateBatch; 1 disables batching. Ignored in
-	// Sequential and Recursive modes.
+	// DelegateBatch is inert: the program-context batch buffer it sized is
+	// gone. The field stays declared only because bench/ (which this
+	// repository's benchmark rules freeze) still names it.
 	DelegateBatch int
 
 	// Sequential enables the paper's debug mode (§3.3): every delegation
@@ -167,27 +158,21 @@ type Config struct {
 	// occupancy, provided that delegate is idle or at most a quarter as
 	// loaded as the victim. Whole sets — never individual invocations — are
 	// the steal unit, so per-set program order is preserved by construction.
-	// Requires Policy == LeastLoaded — in recursive mode too, where the
-	// handoff additionally waits for every producer's lane position on the
-	// set to be covered by the owner's per-lane executed counters (see
-	// internal/core/recsteal.go).
+	// Requires Policy == LeastLoaded. With several producer contexts
+	// (Recursive) the handoff waits for every producer's lane position on
+	// the set to be covered by the owner's per-lane executed counters (see
+	// internal/core/owners.go).
 	Stealing bool
 
 	// StealThreshold is the victim backlog (outstanding operations) at which
 	// stealing engages. When unset it is derived from the queue capacity
 	// (QueueCapacity/4, clamped to [MinStealThreshold, MaxStealThreshold])
-	// and then adapts *within* each epoch to the observed max/min
-	// delegate-occupancy ratio (AdaptiveSteal). An explicit setting is
-	// fixed for the run. Ignored unless Stealing is set.
+	// and then adapts *within* each epoch: the effective threshold tracks an
+	// EWMA of the max/min delegate-occupancy ratio sampled at drain-run
+	// boundaries, clamped to [MinStealThreshold, MaxStealThreshold] — skewed
+	// epochs rebalance eagerly, balanced epochs keep ownership sticky. An
+	// explicit setting is fixed for the run. Ignored unless Stealing is set.
 	StealThreshold int
-
-	// AdaptiveSteal marks the StealThreshold as runtime-adaptive: the
-	// effective threshold tracks an EWMA of the max/min delegate-occupancy
-	// ratio sampled at drain-run boundaries, clamped to [MinStealThreshold,
-	// MaxStealThreshold] — skewed epochs rebalance eagerly, balanced epochs
-	// keep ownership sticky. Set by withDefaults when StealThreshold was
-	// left unset; an explicit threshold disables adaptation.
-	AdaptiveSteal bool
 
 	// Trace enables execution tracing: every delegated-operation execution,
 	// synchronization, epoch transition, and whole-set steal is recorded
@@ -195,25 +180,12 @@ type Config struct {
 	// Runtime.TraceEvents.
 	Trace bool
 
-	// LegacyOutboundVeto restores PR 4's conservative outbound-drain
-	// condition for recursive whole-set migration: a set may leave its
-	// owner only when EVERY lane the owner feeds as a producer is fully
-	// drained, regardless of which set's operations pushed into it. The
-	// default (false) uses the precise per-set outbound ledger instead —
-	// only the migrating set's own recorded outbound traffic must be
-	// covered. The legacy veto is strictly stronger, so it is safe but has
-	// a documented liveness hole: a set force-evacuated off its own
-	// producer's delegate can be vetoed forever by unrelated in-flight
-	// lanes, and a program that blocks mid-operation on its own nested
-	// delegations then livelocks. Kept as a debugging/negative-control
-	// knob (the livelock regression stress runs under it to prove the
-	// hang); not exposed as a public Option.
-	LegacyOutboundVeto bool
-
-	// Recursive enables recursive delegation (the paper's named future-work
+	// Recursive permits recursive delegation (the paper's named future-work
 	// extension): delegated operations may delegate further operations
-	// through their execution context. Requires StaticMod and a zero
-	// ProgramShare; see internal/core/recursive.go for the semantics.
+	// through their execution context. It widens every delegate's lane set
+	// from one lane to one per context and makes SyncContext/SyncSet the
+	// quiescence barrier (a reclaim must also cover nested work). Requires
+	// a zero ProgramShare; see internal/core/delegate.go for the semantics.
 	Recursive bool
 
 	// FaultInjector, when non-nil, is invoked on the executing delegate
@@ -222,8 +194,8 @@ type Config struct {
 	// pool tasks). A panic thrown by the hook is contained exactly like a
 	// panic in the operation itself — the seam the chaos-injection harness
 	// (internal/chaos) drives. Internal testing knob, deliberately not
-	// exposed as a public Option; a nil hook costs the drain loops one
-	// hoisted nil check.
+	// exposed as a public Option; a nil hook costs the drain loop one nil
+	// check per run.
 	FaultInjector func(ctx int, set uint64)
 
 	// FaultRecordBound caps how many contained-panic records the runtime
@@ -239,7 +211,7 @@ type Config struct {
 	// Watchdog bounds how long a blocking synchronization (SyncContext,
 	// barrier/EndIsolation, Terminate) will wait while no delegate
 	// publishes any progress before panicking with a dump of per-delegate
-	// queue depths and ledger positions — turning a wedged barrier into an
+	// pending lanes and ledger positions — turning a wedged barrier into an
 	// actionable report instead of a silent hang. Progress is measured by
 	// the published executed/drain counters, so a single legitimate
 	// operation that runs longer than the bound is indistinguishable from a
@@ -278,13 +250,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = spsc.DefaultCapacity
 	}
-	if c.DelegateBatch <= 0 {
-		c.DelegateBatch = DefaultDelegateBatch
-	}
 	if c.StealThreshold <= 0 {
 		// Adaptive default: scale with the queue depth the backlog is
-		// measured against (QueueCapacity was defaulted above), then let
-		// the in-epoch imbalance EWMA move it inside the clamp band.
+		// measured against (QueueCapacity was defaulted above); New marks
+		// the runtime adaptive and the in-epoch imbalance EWMA then moves
+		// the effective value inside the clamp band.
 		c.StealThreshold = c.QueueCapacity / 4
 		if c.StealThreshold < MinStealThreshold {
 			c.StealThreshold = MinStealThreshold
@@ -292,7 +262,6 @@ func (c Config) withDefaults() Config {
 		if c.StealThreshold > MaxStealThreshold {
 			c.StealThreshold = MaxStealThreshold
 		}
-		c.AdaptiveSteal = true
 	}
 	if c.FaultRecordBound <= 0 {
 		c.FaultRecordBound = DefaultFaultRecordBound
@@ -316,17 +285,8 @@ func (c Config) validate() {
 	if c.Stealing && c.Policy != LeastLoaded {
 		panic("prometheus: Stealing requires the LeastLoaded policy")
 	}
-	if c.Recursive {
-		if c.ProgramShare != 0 {
-			panic("prometheus: ProgramShare is incompatible with Recursive (sets must be delegate-owned)")
-		}
-		// Without stealing, recursive placement is the paper's static
-		// assignment; with stealing, placement is dynamic (static seed +
-		// occupancy-aware whole-set handoff), which is what LeastLoaded
-		// names. Any other pairing would misdescribe what runs.
-		if !c.Stealing && c.Policy != StaticMod {
-			panic("prometheus: Recursive requires the StaticMod policy (or LeastLoaded with Stealing)")
-		}
+	if c.Recursive && c.ProgramShare != 0 {
+		panic("prometheus: ProgramShare is incompatible with Recursive (sets must be delegate-owned)")
 	}
 }
 
@@ -343,9 +303,9 @@ type RuntimeConfig struct {
 	Delegates int
 
 	// StealThreshold rebases the victim-backlog threshold at which the
-	// occupancy-aware rebalancer engages. Under AdaptiveSteal this moves
-	// the base the in-epoch EWMA scales from; with an explicit threshold
-	// it replaces it outright. 0 keeps the current base.
+	// occupancy-aware rebalancer engages. While the threshold is adaptive
+	// this moves the base the in-epoch EWMA scales from; with an explicit
+	// threshold it replaces it outright. 0 keeps the current base.
 	StealThreshold int
 }
 

@@ -2,12 +2,11 @@ package core
 
 import "testing"
 
-// TestConfigValidationMatrix covers every policy/mode combination against
-// the validation rules: Stealing needs the LeastLoaded policy (in
-// recursive mode too — the whole-set handoff protocol is what makes the
-// pairing legal now); recursive mode without stealing keeps the paper's
-// static assignment; Sequential debug mode accepts everything and runs
-// inline.
+// TestConfigValidationMatrix covers every policy/permission combination
+// against the validation rules: Stealing needs the LeastLoaded policy, and
+// that is the only pairing rule — Recursive composes with either policy,
+// with or without stealing. Sequential debug mode accepts everything and
+// runs inline.
 func TestConfigValidationMatrix(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -21,7 +20,7 @@ func TestConfigValidationMatrix(t *testing.T) {
 		{"static+steal", StaticMod, false, true, true},
 		{"least-loaded+steal", LeastLoaded, false, true, false},
 		{"recursive+static", StaticMod, true, false, false},
-		{"recursive+least-loaded", LeastLoaded, true, false, true},
+		{"recursive+least-loaded", LeastLoaded, true, false, false},
 		{"recursive+static+steal", StaticMod, true, true, true},
 		{"recursive+least-loaded+steal", LeastLoaded, true, true, false},
 	}

@@ -1,0 +1,673 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+
+	"repro/internal/spsc"
+)
+
+// The delegation engine: lanes, the ledger, the drain loop, the barrier.
+//
+// Plumbing. SPSC queues admit a single producer, so each delegate owns one
+// inbound lane per producer context. Without Config.Recursive the program
+// context is the only producer and a delegate has exactly one lane — the
+// paper's private communication queue; with it every delegate may delegate
+// too and the pool carries a (MaxDelegates+1)-wide lane matrix. Lanes are
+// bounded lap-stamped value rings (spsc.Lane) backed by an unbounded spill
+// list that engages only on overflow: a purely bounded lane would
+// self-deadlock when a delegate delegates to a set it itself owns (or
+// around a delegation cycle), because only blocked contexts could drain
+// it. Delegate producers therefore never block — they spill — while the
+// program context, which no delegate's progress can depend on, uses the
+// blocking push and gets bounded-queue backpressure. In steady state every
+// delegation writes its invocation record by value into ring memory: no
+// allocation, no node chasing.
+//
+// Consumption. Each delegate keeps a pending-lane bitmask (bit p set =
+// lane p may hold work). A producer publishes work with one conditional
+// atomic OR plus a load-only wake check; the delegate claims the raised
+// lanes of a word with a single Swap and drains each claimed lane in runs
+// of up to drainBatchSize invocations executed back to back, publishing
+// its progress once per run instead of once per operation. An idle
+// delegate loads O(1) words instead of polling its lanes.
+//
+// Ledger. Producer p counts every message it pushes into delegate d's lane
+// p (d.sent[p], single writer, padded) and d publishes how many of that
+// lane's messages it has finished (d.exec[p]). Lanes are FIFO, so
+// exec[p] >= position proves everything at or before that position ran.
+// The one ledger answers every scheduling question: occupancy (sent minus
+// exec: queued plus in-flight work) for placement, stealing, the imbalance
+// sampler and QueueDepths; per-set quiescence for whole-set handoff
+// (owners.go); and the barrier's termination test.
+//
+// Ordering. Per-set program order is preserved per producer: operations a
+// producer sends to one set stay in order (one lane, FIFO across ring and
+// spill). For the execution to stay deterministic under Recursive, a
+// serialization set must receive delegations from only one producer
+// context per isolation epoch — the natural structure of
+// divide-and-conquer programs, enforced in Checked mode (owners.go).
+
+// Wake-state values for the delegate parking protocol.
+const (
+	delegateAwake    int32 = iota // running (or about to re-check)
+	delegateSleeping              // parked on its wake channel
+)
+
+// counter is a cache-line-padded single-writer counter, so concurrent
+// producers never contend on a shared line.
+type counter struct {
+	n atomic.Uint64
+	_ [56]byte
+}
+
+// inc bumps the counter without an RMW — the owner is the only writer —
+// and returns the new value.
+func (c *counter) inc() uint64 {
+	n := c.n.Load() + 1
+	c.n.Store(n)
+	return n
+}
+
+// delegate is one delegate context: its inbound lanes, its half of the
+// ledger, and the parking state of its drain goroutine.
+type delegate struct {
+	id    int                      // context id (1-based)
+	lanes []*spsc.Lane[Invocation] // indexed by producer context id
+
+	// pending is the lane-readiness bitmask, one bit per producer lane
+	// (64 lanes per word). Bit p is set by producer p after a push and
+	// cleared wholesale by the delegate when it claims a word's lanes for
+	// draining; because the delegate drains a claimed lane until empty and
+	// every push is followed by the OR, no work is ever stranded behind a
+	// cleared bit.
+	pending []atomic.Uint64
+	// sleep/wake park the delegate when every pending word is zero.
+	sleep atomic.Int32
+	wake  chan struct{}
+
+	// sent[p] counts every message (method, sync, terminate) producer p has
+	// pushed into lane p — bumped BEFORE the push. exec[p] publishes how
+	// many of them this delegate has finished executing, stored at drain-run
+	// boundaries and before every sync/terminate signal. A delegate parked
+	// by a scale-down keeps its counters; the respawned loop resumes them.
+	sent []counter
+	exec []atomic.Uint64
+
+	// Everything above is read by producers on every delegation and
+	// written (if at all) only when the delegate parks; everything below is
+	// written by the delegate's own goroutine as it drains. The pad keeps
+	// the two groups on different cache lines.
+	_ [64]byte
+
+	// drainBatches/drainedOps count the batched lane drains; aggregated
+	// into Stats by the program context.
+	drainBatches atomic.Uint64
+	drainedOps   atomic.Uint64
+
+	// Coverage-waiter list: producers parked in waitOutboundCoverage until
+	// THIS delegate's exec counters advance. covWaiters counts parked
+	// producers — the drain loop checks it with one atomic load per drain
+	// run and broadcasts only when it is nonzero. covCh is the broadcast:
+	// closed-and-replaced under covMu at each signalled publish (a waiter
+	// that subscribed to an already-rotated channel finds it closed and
+	// simply re-checks).
+	covWaiters atomic.Int32
+	covMu      sync.Mutex
+	covCh      chan struct{}
+
+	// Outbound-attribution state for the per-set handoff ledger
+	// (owners.go), touched only by this delegate's goroutine — plain
+	// fields. prodSet is the serialization set of the method invocation
+	// currently executing (noSetID for pool tasks): any nested delegation
+	// it issues is that set's own outbound traffic. prodCachedSet/
+	// prodEntry/prodTable are a one-slot entry cache keyed on (owner table,
+	// set), invalidated by an epoch's table swap through the pointer.
+	prodSet       uint64
+	prodCachedSet uint64
+	prodEntry     *setEntry
+	prodTable     *ownerTable
+}
+
+// newDelegate builds delegate id with one lane per producer context.
+func newDelegate(id, producers, capacity int, pool *spsc.NodePool[Invocation]) *delegate {
+	d := &delegate{
+		id:      id,
+		pending: make([]atomic.Uint64, (producers+63)/64),
+		wake:    make(chan struct{}, 1),
+		sent:    make([]counter, producers),
+		exec:    make([]atomic.Uint64, producers),
+		covCh:   make(chan struct{}),
+		prodSet: noSetID, // nothing executing yet: attribute to no set
+	}
+	for p := 0; p < producers; p++ {
+		d.lanes = append(d.lanes, spsc.NewLanePooled[Invocation](capacity, pool))
+	}
+	return d
+}
+
+// occupancy returns the delegate's backlog: messages routed to any of its
+// lanes that it has not finished executing — queued plus in-flight. Readers
+// are arbitrary contexts racing both counters, so per lane the executed
+// side is loaded FIRST: executed(t1) <= sent(t1) <= sent(t2) (both are
+// monotone and sent is bumped before the push), so the difference cannot
+// underflow however far the lane moves between the two loads.
+func (d *delegate) occupancy() uint64 {
+	var occ uint64
+	for p := range d.sent {
+		exec := d.exec[p].Load()
+		occ += d.sent[p].n.Load() - exec
+	}
+	return occ
+}
+
+// notify publishes lane `producer` as pending and wakes the delegate if it
+// is parked. The OR is skipped when the bit is already set (the common
+// case on a busy lane — one shared load instead of an RMW): bit p has a
+// single setter, so observing it set means the delegate has not claimed
+// the word since, and its claim-then-drain-to-empty discipline will find
+// the value just pushed. The wake check must still run — a parked
+// delegate and a set bit can coexist only in the instant between a push
+// and this call, and the sleep-flag handshake (seq-cst store/load on both
+// sides) closes it.
+func (d *delegate) notify(producer int) {
+	w := &d.pending[producer>>6]
+	bit := uint64(1) << (producer & 63)
+	if w.Load()&bit == 0 {
+		w.Or(bit)
+	}
+	if d.sleep.Load() == delegateSleeping {
+		select {
+		case d.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// anyPending reports whether any lane bit is raised (the pre-park re-check).
+func (d *delegate) anyPending() bool {
+	for i := range d.pending {
+		if d.pending[i].Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// covSubscribe registers the calling producer as a coverage waiter and
+// returns the broadcast channel to park on. The order is load-bearing for
+// the lost-wakeup proof: the waiter count is raised BEFORE the caller
+// re-checks coverage, so a drain loop whose exec publish the re-check
+// missed is guaranteed to observe the waiter and rotate the channel.
+func (d *delegate) covSubscribe() chan struct{} {
+	d.covWaiters.Add(1)
+	d.covMu.Lock()
+	ch := d.covCh
+	d.covMu.Unlock()
+	return ch
+}
+
+// covUnsubscribe deregisters a coverage waiter.
+func (d *delegate) covUnsubscribe() { d.covWaiters.Add(-1) }
+
+// covSignal wakes every parked coverage waiter by rotating the broadcast
+// channel. Called from this delegate's drain loop after an exec publish,
+// only when covWaiters is nonzero.
+func (d *delegate) covSignal() {
+	d.covMu.Lock()
+	close(d.covCh)
+	d.covCh = make(chan struct{})
+	d.covMu.Unlock()
+}
+
+// Delegate assigns fn to the serialization set's context and returns that
+// context id. Operations mapped to the program context (or every operation
+// in Sequential mode) run inline, preserving per-set program order.
+func (rt *Runtime) Delegate(set uint64, fn func(ctx int)) int {
+	if rt.terminated {
+		panic("prometheus: Delegate after Terminate")
+	}
+	return rt.delegate(ProgramContext, set, Invocation{kind: kindMethod, set: set, fn: rt.traceExec(set, fn)})
+}
+
+// DelegateCall is the zero-allocation delegation fast path: instead of a
+// closure it takes a static trampoline plus two payload words, written by
+// value into the program context's ring lane on the set's owner. Wrapper
+// layers bind one trampoline per wrapper type, so a steady-state
+// DelegateCall performs no heap allocation and O(1) work. Only tracing
+// falls back to the closure path (off the measured configuration, as in
+// the paper's evaluation).
+func (rt *Runtime) DelegateCall(set uint64, tr Trampoline, p1, p2 unsafe.Pointer) int {
+	if rt.terminated {
+		panic("prometheus: Delegate after Terminate")
+	}
+	if rt.traceSt != nil {
+		return rt.Delegate(set, func(ctx int) { tr(ctx, p1, p2) })
+	}
+	return rt.delegate(ProgramContext, set, Invocation{kind: kindMethod, set: set, tramp: tr, p1: p1, p2: p2})
+}
+
+// DelegateFrom routes a delegation issued by an arbitrary execution context
+// (recursive delegation). producer must be the context id actually running
+// the call. Requires Config.Recursive (or Sequential debug mode).
+func (rt *Runtime) DelegateFrom(producer int, set uint64, fn func(ctx int)) int {
+	rt.requireRecursive()
+	return rt.delegate(producer, set, Invocation{kind: kindMethod, set: set, fn: rt.traceExec(set, fn)})
+}
+
+// DelegateFromCall is the zero-allocation counterpart of DelegateFrom: the
+// trampoline fast path for delegations issued from inside delegated
+// operations. Tracing falls back to the closure path.
+func (rt *Runtime) DelegateFromCall(producer int, set uint64, tr Trampoline, p1, p2 unsafe.Pointer) int {
+	if rt.traceSt != nil {
+		return rt.DelegateFrom(producer, set, func(ctx int) { tr(ctx, p1, p2) })
+	}
+	rt.requireRecursive()
+	return rt.delegate(producer, set, Invocation{kind: kindMethod, set: set, tramp: tr, p1: p1, p2: p2})
+}
+
+func (rt *Runtime) requireRecursive() {
+	if !rt.cfg.Recursive && !rt.cfg.Sequential {
+		panic("prometheus: recursive delegation requires the Recursive option")
+	}
+}
+
+// delegate routes one method invocation from producer context `producer`
+// to the owner of its set — the single delegation path of every
+// configuration. The steady-state cost is one padded-counter bump, one
+// ring write, one pending-bit load (or OR), and one sleep-flag load — no
+// allocation, no contended atomics.
+func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
+	if rt.cfg.Sequential {
+		rt.stats.InlineExecs++
+		inv.invoke(ProgramContext)
+		return ProgramContext
+	}
+	if rt.cfg.Checked && set == noSetID {
+		// The engine reserves this one id as the pool-task sentinel: a user
+		// set named by it would never be poisoned or dropped after a fault
+		// and would have its nested delegations left out of the outbound
+		// ledger. Turn that into the diagnostic every other discipline
+		// violation gets.
+		panic("prometheus: serialization set id ^uint64(0) is reserved by the engine (pool-task sentinel); use any other id")
+	}
+	if fs := rt.faults.Load(); fs != nil && rt.maybeDrop(fs, set) {
+		// The set is poisoned this epoch: drop-but-count, touching no
+		// ledger (the operation never enters one).
+		return rt.ContextFor(set)
+	}
+	owner, e := rt.route(producer, set)
+	if owner == ProgramContext {
+		// A ProgramShare slot. Only the program context can get here
+		// (ProgramShare is rejected with Recursive), so inline execution
+		// keeps the set's program order.
+		rt.stats.InlineExecs++
+		inv.invoke(ProgramContext)
+		return ProgramContext
+	}
+	if producer == ProgramContext {
+		rt.stats.Delegations++
+	}
+	d := rt.delegates[owner-1]
+	pos := d.sent[producer].inc()
+	if e != nil {
+		rt.notePosition(e, producer, owner, pos)
+	}
+	lane := d.lanes[producer]
+	if producer == ProgramContext {
+		// The program context is never inside a delegation cycle, so it
+		// can block on a full ring: bounded-queue backpressure instead of
+		// unbounded spill growth when the program outruns the delegates.
+		lane.PushBlocking(inv)
+	} else {
+		// Delegate producers must never block (self-delegation, cycles);
+		// ring overflow goes to the lane's spill list.
+		lane.Push(inv)
+	}
+	d.notify(producer)
+	return owner
+}
+
+// send delivers a control or pool-task message from the program context
+// straight to a delegate's program lane, counted in the ledger like every
+// other message: a lane message missing from sent would let exec overtake
+// a producer's recorded positions and make an in-flight set look quiescent.
+func (rt *Runtime) send(d *delegate, inv Invocation) {
+	d.sent[ProgramContext].inc()
+	d.lanes[ProgramContext].PushBlocking(inv)
+	d.notify(ProgramContext)
+}
+
+// delegateLoop is the body of a delegate context (paper §4: repeatedly read
+// invocation objects from the communication queue and execute them): claim
+// pending lanes with one Swap per raised word, drain each claimed lane in
+// batched runs, park when every word stays zero.
+func (rt *Runtime) delegateLoop(d *delegate) {
+	defer rt.wg.Done()
+	buf := make([]Invocation, drainBatchSize)
+	spin, sampleTick := 0, 0
+	for {
+		progress := false
+		for w := range d.pending {
+			if d.pending[w].Load() == 0 {
+				continue // idle polls stay load-only: no RMW stealing the producers' line
+			}
+			claimed := d.pending[w].Swap(0)
+			for claimed != 0 {
+				p := w<<6 | bits.TrailingZeros64(claimed)
+				claimed &= claimed - 1
+				drained, terminate := rt.drainLane(d, p, buf)
+				if terminate {
+					return
+				}
+				progress = progress || drained
+			}
+		}
+		if progress {
+			if rt.adaptive {
+				// Every imbalanceSampleStride-th drain pass: feed the
+				// pool-wide occupancy spread into the in-epoch threshold EWMA.
+				if sampleTick++; sampleTick >= imbalanceSampleStride {
+					sampleTick = 0
+					rt.sampleImbalance()
+				}
+			}
+			spin = 0
+			continue
+		}
+		spin++
+		if spin < spinBeforePark {
+			if spin%4 == 0 {
+				if rt.adaptive {
+					// An idle delegate is the min-occupancy extreme the
+					// imbalance EWMA exists to detect, and it has nothing
+					// better to do: sample eagerly here so skew is noticed
+					// while the busy path samples only every stride-th pass.
+					rt.sampleImbalance()
+				}
+				if spin%16 == 0 {
+					runtime.Gosched()
+				}
+			}
+			continue
+		}
+		// Park until a producer raises a bit. Re-check after arming the
+		// sleep flag to avoid a lost wakeup (producers load the flag after
+		// their OR).
+		d.sleep.Store(delegateSleeping)
+		if d.anyPending() {
+			d.sleep.Store(delegateAwake)
+			spin = 0
+			continue
+		}
+		if rt.adaptive {
+			// Final sample at the park boundary: a parked delegate
+			// contributes nothing to the EWMA while it sleeps, so without
+			// this the pool-wide ratio freezes on whatever the spin-down
+			// loop last observed. One fresh read of every occupancy with
+			// this delegate now at zero resets that sample.
+			rt.sampleImbalance()
+		}
+		<-d.wake
+		d.sleep.Store(delegateAwake)
+		spin, sampleTick = 0, 0
+	}
+}
+
+// drainLane empties one claimed lane in batched runs: values are popped
+// drainBatchSize at a time and executed back to back, with exec[p]
+// published once per run rather than once per operation. A producer that
+// observes exec[p] >= its recorded position knows that message, and the
+// FIFO lane prefix before it, has finished. It returns whether anything
+// was drained, and whether a termination object was served (the loop must
+// exit). Draining to empty is what makes the claimed-then-cleared pending
+// bit safe: any value pushed after the final empty observation re-raises
+// the bit.
+//
+// Execution runs in recover()-protected spans (execSpan) — one deferred
+// recover per run when fault-free, re-entered after each contained panic
+// so the delegate survives and the run's tail still executes against the
+// fresh fault state.
+func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, terminate bool) {
+	lane, le := d.lanes[p], &d.exec[p]
+	// Single writer: this delegate. Re-read per call, so a loop respawned
+	// by a scale-up resumes the count its parked predecessor published.
+	base := le.Load()
+	for {
+		n := lane.PopBatch(buf)
+		if n == 0 {
+			return drained, false
+		}
+		drained = true
+		d.drainBatches.Add(1)
+		d.drainedOps.Add(uint64(n))
+		for i := 0; i < n; {
+			next, term := rt.execSpan(d, buf[:n], i, le, base, rt.faults.Load())
+			if term {
+				clear(buf[:n])
+				return true, true
+			}
+			i = next
+		}
+		base += uint64(n)
+		le.Store(base)
+		if d.covWaiters.Load() != 0 {
+			// A producer is parked in waitOutboundCoverage on this
+			// delegate's exec advancing; the store above may be the
+			// coverage it needs. One atomic load on the waiter-free path.
+			d.covSignal()
+		}
+		// Drop payload references so executed invocations don't pin their
+		// closures and payloads until the buffer is refilled.
+		clear(buf[:n])
+	}
+}
+
+// execSpan executes run[start:] of one lane under a single deferred
+// recover; base is the lane's exec count before the run. A recovered panic
+// records the fault (poisoning the set), counts the faulted operation as
+// executed, and publishes exec before returning, so quiescence proofs,
+// handoff coverage checks and barriers advance past the faulted operation
+// and the publish carries the happens-before edge that makes the poison
+// deterministic for every observer of those proofs. Operations of a
+// poisoned set are skipped-but-counted; a poisoned set is never stolen
+// (maybeSteal), so its backlog always drains on the owner that wrote the
+// poison and the skip point stays exact. fs is reloaded by the caller at
+// each span entry — once per run on the fault-free path — so a fault
+// anywhere in the run poisons the remainder of its set's operations in the
+// SAME run.
+func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic.Uint64, base uint64, fs *faultState) (next int, terminated bool) {
+	i := start
+	defer func() {
+		if v := recover(); v != nil {
+			rt.recordPanic(d.id, run[i].set, v)
+			le.Store(base + uint64(i) + 1)
+			next, terminated = i+1, false
+		}
+	}()
+	inject := rt.cfg.FaultInjector
+	for ; i < len(run); i++ {
+		inv := &run[i]
+		switch inv.kind {
+		case kindMethod:
+			if fs != nil && inv.set != noSetID && fs.lookup(inv.set) != nil {
+				fs.dropped.Add(1)
+				continue
+			}
+			// Stamp the producing set before running the operation: nested
+			// delegations it issues charge their lane positions to this
+			// set's outbound ledger (noteOutbound). One plain store; only
+			// this goroutine reads it back.
+			d.prodSet = inv.set
+			if inject != nil {
+				inject(d.id, inv.set)
+			}
+			inv.invoke(d.id)
+		case kindSync, kindTerminate:
+			// Publish progress before signaling: an observer of done must
+			// see every earlier message counted.
+			le.Store(base + uint64(i) + 1)
+			close(inv.done)
+			if inv.kind == kindTerminate {
+				return i, true
+			}
+		}
+	}
+	return len(run), false
+}
+
+// sentSum and execSum aggregate the two sides of the ledger over the whole
+// pool CAPACITY: a delegate parked by a scale-down keeps frozen counters
+// that balanced at park time and stay balanced.
+func (rt *Runtime) sentSum() (sum uint64) {
+	for _, d := range rt.delegates {
+		for p := range d.sent {
+			sum += d.sent[p].n.Load()
+		}
+	}
+	return sum
+}
+
+func (rt *Runtime) execSum() (sum uint64) {
+	for _, d := range rt.delegates {
+		for p := range d.exec {
+			sum += d.exec[p].Load()
+		}
+	}
+	return sum
+}
+
+// clean reports whether delegate i+1 has been sent nothing down the
+// program lane since the program context last synchronized with it.
+func (rt *Runtime) clean(i int) bool {
+	return rt.delegates[i].sent[ProgramContext].n.Load() == rt.synced[i]
+}
+
+// quiesce waits until every delegate has drained every lane and no
+// operation remains in flight. A round sends a synchronization object down
+// the program lane of each active delegate and waits for all of them; the
+// rounds repeat until the two sides of the ledger agree across a full
+// quiet round, because under Recursive executing an operation may enqueue
+// more work anywhere. Without Recursive the program context is the only
+// producer: a sync object sits behind everything a delegate was ever sent,
+// clean delegates are skipped, and the first round always balances.
+func (rt *Runtime) quiesce() {
+	active := rt.delegates[:rt.cfg.Delegates]
+	for {
+		// Only the ACTIVE prefix is synced: a delegate parked by a
+		// scale-down has no drain loop to serve the object.
+		dones := make([]chan struct{}, 0, len(active))
+		for i, d := range active {
+			if !rt.cfg.Recursive && rt.clean(i) {
+				continue
+			}
+			done := make(chan struct{})
+			rt.send(d, Invocation{kind: kindSync, done: done})
+			dones = append(dones, done)
+		}
+		before := rt.sentSum()
+		for _, done := range dones {
+			rt.waitDone(done)
+		}
+		for i, d := range active {
+			rt.synced[i] = d.sent[ProgramContext].n.Load()
+		}
+		if rt.execSum() == before && rt.sentSum() == before {
+			return
+		}
+	}
+}
+
+// barrier waits for every delegate to finish everything delegated so far.
+func (rt *Runtime) barrier() {
+	if rt.cfg.Sequential {
+		return
+	}
+	rt.stats.Barriers++
+	rt.quiesce()
+}
+
+// SyncContext blocks until the given delegate context has executed every
+// invocation enqueued before this call (paper: synchronization objects). It
+// is how the program context reclaims ownership of a data domain. Syncing
+// the program context is a no-op, and so is syncing a delegate that has
+// been sent nothing since its last synchronization.
+//
+// Under Recursive a single-lane sync cannot witness work other contexts
+// produced — a reclaim must also cover the nested operations of what it
+// reclaims — so the call is the quiescence barrier.
+func (rt *Runtime) SyncContext(ctx int) {
+	if ctx == ProgramContext || rt.cfg.Sequential {
+		return
+	}
+	if rt.cfg.Recursive {
+		rt.stats.Syncs++
+		rt.quiesce()
+		return
+	}
+	if ctx < 1 || ctx > rt.cfg.Delegates {
+		panic(fmt.Sprintf("prometheus: SyncContext(%d) out of range", ctx))
+	}
+	if rt.clean(ctx - 1) {
+		return
+	}
+	rt.stats.Syncs++
+	d := rt.delegates[ctx-1]
+	done := make(chan struct{})
+	rt.send(d, Invocation{kind: kindSync, done: done})
+	rt.waitDone(done)
+	rt.synced[ctx-1] = d.sent[ProgramContext].n.Load()
+}
+
+// SyncSet blocks until all outstanding operations in the given serialization
+// set have completed. Syncing the current owner suffices under stealing: a
+// handoff only happens at a quiescent boundary, so any operation that ran
+// on a previous owner had completed before the current owner received its
+// first one.
+func (rt *Runtime) SyncSet(set uint64) {
+	if tbl := rt.owners.Load(); tbl != nil && !rt.cfg.Recursive && tbl.lookup(set) == nil {
+		return // sticky placement, never delegated this epoch: no owner, nothing to wait for
+	}
+	rt.SyncContext(rt.ContextFor(set))
+}
+
+// Sleep quiesces the delegate contexts during a long aggregation epoch
+// (paper: sleep()). Delegates with empty lanes park automatically in this
+// implementation, so Sleep reduces to a barrier that guarantees they have
+// all drained and parked.
+func (rt *Runtime) Sleep() {
+	if rt.inIsolation {
+		panic("prometheus: Sleep during isolation epoch")
+	}
+	rt.barrier()
+}
+
+// RunParallel executes the given tasks on the delegate pool, round-robin,
+// and waits for completion. The runtime uses it for parallel reductions
+// (paper §2.2: N/2 combine operations per step run concurrently). ctx ids
+// are passed through so tasks can address per-context state. Must be called
+// during an aggregation epoch. In Sequential mode tasks run inline, in
+// order.
+func (rt *Runtime) RunParallel(tasks []func(ctx int)) {
+	if rt.inIsolation {
+		panic("prometheus: RunParallel during isolation epoch")
+	}
+	if rt.cfg.Sequential {
+		for _, t := range tasks {
+			t(ProgramContext)
+		}
+		return
+	}
+	for i, t := range tasks {
+		// noSetID: a pool task belongs to no serialization set — it must not
+		// collide with a user set in the poison table when it faults, and
+		// nested delegations it issues must not be charged to whatever set
+		// the delegate executed last.
+		rt.send(rt.delegates[i%rt.cfg.Delegates], Invocation{kind: kindMethod, set: noSetID, fn: t})
+	}
+	rt.barrier()
+}

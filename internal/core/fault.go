@@ -10,12 +10,12 @@ import (
 // Fault containment. A panicking delegated operation must not kill the
 // process (the serving-tier north star: one bad request cannot take the
 // runtime down) and must not wedge a barrier (quiescence is proved by
-// executed counters only the faulting delegate publishes). Both engines
-// therefore run invocations inside recover()-protected execution spans
-// (execSpan / recExecSpan): a recovered panic is recorded here, the faulted
-// operation is COUNTED AS EXECUTED so every ledger the scheduling protocols
-// rest on — flat occupancy, recursive laneExec coverage, barrier sums —
-// keeps advancing, and the delegate goroutine stays alive.
+// executed counters only the faulting delegate publishes). The drain loop
+// therefore runs invocations inside recover()-protected execution spans
+// (execSpan): a recovered panic is recorded here, the faulted operation is
+// COUNTED AS EXECUTED so everything the scheduling protocols read off the
+// ledger — occupancy, handoff coverage, barrier sums — keeps advancing,
+// and the delegate goroutine stays alive.
 //
 // Determinism is preserved by set poisoning: the faulting operation's
 // serialization set is poisoned for the remainder of the isolation epoch,
@@ -25,14 +25,14 @@ import (
 // The skip is enforced twice: at delegation time by the producer (the
 // cheap, common case) and at drain time by the owner (which closes the
 // producer-visibility race: the owner wrote the poison itself, and a
-// poisoned set is never stolen — see maybeSteal / maybeStealRec — so its
-// backlog always drains on the context that can see the poison).
+// poisoned set is never stolen — see maybeSteal — so its backlog always
+// drains on the context that can see the poison).
 //
 // All fault state is lazily allocated: a fault-free runtime carries one nil
 // atomic pointer, the delegation hot path pays one atomic load, and the
-// drain loops pay one load per drain run — nothing else, which is what
-// keeps the 0 allocs/op gates and the PR1/PR3/PR4 benchmark baselines
-// intact with containment compiled in unconditionally.
+// drain loop pays one load per drain run — nothing else, which is what
+// keeps the 0 allocs/op gates and the benchmark baselines intact with
+// containment compiled in unconditionally.
 
 // NoSet is the serialization-set id reported for faults in operations that
 // belong to no set — RunParallel pool tasks. It aliases the engine's
@@ -153,7 +153,7 @@ func (rt *Runtime) ensureFaults() *faultState {
 	return rt.faults.Load()
 }
 
-// recordPanic is the containment point both engines' recover handlers call:
+// recordPanic is the containment point execSpan's recover handler calls:
 // capture the stack (still inside the unwinding deferred call, so the
 // panicking frames are on it), append the fault record, poison the set, and
 // emit the trace event. The caller publishes its executed counters AFTER
@@ -185,10 +185,11 @@ func (rt *Runtime) recordPanic(ctx int, set uint64, v any) {
 			m[set] = f
 			fs.poisoned.Store(&m)
 			fs.poisonedSets.Add(1)
-			if rec := rt.rec; rec != nil && rec.steal != nil {
+			if tbl := rt.owners.Load(); tbl != nil {
 				// Mirror the poison into the owner-table entry so the
-				// recursive rebalancer's no-steal check is one atomic load.
-				if e := rec.steal.owners.Load().lookup(set); e != nil {
+				// rebalancer's no-steal check and the hot-set seeder's
+				// exclusion are one atomic load.
+				if e := tbl.lookup(set); e != nil {
 					e.poison.Store(f)
 				}
 			}
@@ -210,13 +211,6 @@ func (rt *Runtime) maybeDrop(fs *faultState, set uint64) bool {
 	f := fs.lookup(set)
 	if f == nil {
 		return false
-	}
-	if rt.setOwner != nil {
-		// Cache the poison on the flat owner entry: the rebalancer's and the
-		// hot-set seeder's exclusion checks become one nil compare.
-		if e, ok := rt.setOwner[set]; ok && e.poison == nil {
-			e.poison = f
-		}
 	}
 	if rt.cfg.Checked {
 		panic(fmt.Sprintf(

@@ -108,7 +108,7 @@ func TestSetFaultsIndexEviction(t *testing.T) {
 // covSignal wakes it (close-and-replace, so late subscribers get a fresh
 // channel).
 func TestCovSignalWakesWaiter(t *testing.T) {
-	d := &recDelegate{covCh: make(chan struct{})}
+	d := &delegate{covCh: make(chan struct{})}
 	ch := d.covSubscribe()
 	if got := d.covWaiters.Load(); got != 1 {
 		t.Fatalf("covWaiters = %d after subscribe, want 1", got)
@@ -153,10 +153,10 @@ func TestEvacWaitDeadline(t *testing.T) {
 	rt.BeginIsolation()
 	// A hand-built entry claiming uncovered outbound traffic into delegate
 	// 2's lane for victim 1; nothing will ever drain it.
-	e := &recSetEntry{outPos: make([]atomic.Uint64, 2)}
+	e := &setEntry{outPos: make([]atomic.Uint64, 2)}
 	e.outPos[1].Store(5)
 	start := time.Now()
-	if rt.waitRecOutboundCoverage(e, 1) {
+	if rt.waitOutboundCoverage(e, 1) {
 		t.Error("coverage reported for traffic nothing executed")
 	}
 	if elapsed := time.Since(start); elapsed < evacWaitBudget/2 || elapsed > 10*evacWaitBudget {

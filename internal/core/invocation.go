@@ -15,14 +15,15 @@ const (
 
 // noSetID marks a method invocation that belongs to no serialization set —
 // pool tasks handed out by RunParallel, which execute on delegate contexts
-// but were never routed through a set. Under recursive stealing the drain
-// loop stamps the executing invocation's set as the producing set of any
-// nested delegations it issues (the outbound-attribution half of the
-// per-set handoff ledger, recsteal.go); noSetID is what keeps a task's
-// delegations from being charged to whatever set the delegate ran last.
-// The engine reserves this one id — a user delegation to set ^uint64(0)
-// would have its outbound traffic dropped from the ledger — and Checked
-// mode rejects it with a panic (recEnqueue).
+// but were never routed through a set. A faulting pool task poisons
+// nothing, and because the drain loop stamps the executing invocation's
+// set as the producing set of any nested delegations it issues (the
+// outbound-attribution half of the per-set handoff ledger, owners.go),
+// noSetID is also what keeps a task's delegations from being charged to
+// whatever set the delegate ran last. The engine reserves this one id — a
+// user set named ^uint64(0) would never be poisoned and would have its
+// outbound traffic dropped from the ledger — and Checked mode rejects it
+// with a panic in every configuration (Runtime.delegate).
 const noSetID = ^uint64(0)
 
 // Trampoline is the statically-dispatched form of a delegated operation:
@@ -40,7 +41,7 @@ type Trampoline func(ctx int, p1, p2 unsafe.Pointer)
 // enqueueing one allocates nothing. For kindMethod it carries either a
 // static trampoline with two payload words (the zero-allocation fast path)
 // or a delegated closure (the flexible fallback used by RunParallel,
-// tracing, and recursive lanes), plus the serialization-set id it was
+// tracing, and the closure API), plus the serialization-set id it was
 // mapped to; for kindSync and kindTerminate the delegate signals done and
 // (for terminate) exits.
 type Invocation struct {

@@ -5,15 +5,16 @@ import (
 	"time"
 )
 
-// Livelock regression stress for the per-set outbound ledger (PR 5's
-// tentpole). The shape is the ROADMAP's documented residual liveness
-// window, built deterministically:
+// Livelock regression stress for the per-set outbound ledger. The shape is
+// a residual liveness window of whole-set migration, built
+// deterministically (Delegates=3; sets 2, 3 and 5 are pre-placed, set 0 is
+// first-touched while every delegate is idle and lands on delegate 1):
 //
-//   - set 0 (static home delegate 1) gets one executed operation from the
-//     program context, so it has history and a recorded producer;
+//   - set 0 gets one executed operation from the program context, so it has
+//     history and a recorded producer;
 //   - delegate 3 is pinned by a gated operation (set 2), and the parent
 //     operation (set 3, running ON delegate 1) first delegates to set 5
-//     (static home delegate 3), planting outbound traffic in delegate 3's
+//     (homed on delegate 3), planting outbound traffic in delegate 3's
 //     lane 1 that stays un-executed while the gate holds;
 //   - the parent then delegates to set 0 from context 1 — a producer
 //     handover that lands the set on its own producer's delegate. The
@@ -21,49 +22,42 @@ import (
 //     placements the program didn't write);
 //   - the parent blocks mid-operation until the set-0 operation runs.
 //
-// Under the legacy all-lanes outbound veto (PR 4 semantics,
-// Config.LegacyOutboundVeto) the evacuation is vetoed by the UNRELATED
-// set-5 traffic still parked behind the gate, the set-0 operation
-// self-enqueues into delegate 1's own lane, and the parent blocks forever
-// on work only delegate 1 could drain: a permanent livelock, with no
-// further delegation ever arriving to retry the evacuation. The precise
-// per-set ledger checks only set 0's OWN outbound traffic (none), so the
-// evacuation fires before the push, the operation lands on idle delegate
-// 2, and the program completes.
-//
-// The negative control intentionally leaks its deadlocked runtime (the
-// blocked goroutines all wait on channels, so the leak is cheap); it is
-// the proof that the regression test would catch a reintroduced veto.
-
-// livelockShape runs the scenario and reports whether it completed within
-// timeout. On completion the runtime is verified and torn down; on timeout
-// everything is leaked deliberately (it is deadlocked by construction).
-func livelockShape(t *testing.T, cfg Config, timeout time.Duration) (finished bool, rt *Runtime) {
-	t.Helper()
-	rt = New(cfg)
+// A migration rule that demanded ALL of the victim's outbound lanes drained
+// would veto the evacuation on the UNRELATED set-5 traffic still parked
+// behind the gate, the set-0 operation would self-enqueue into delegate 1's
+// own lane, and the parent would block forever on work only delegate 1
+// could drain, with no further delegation ever arriving to retry the
+// evacuation. The per-set ledger checks only set 0's OWN outbound traffic
+// (none), so the evacuation fires before the push, the operation lands on
+// idle delegate 2, and the program completes.
+func TestRecursiveSelfDelegationLivelockClosed(t *testing.T) {
+	rt := New(recStealCfg(3, MaxStealThreshold)) // no occupancy steals: isolate the forced path
 	gateRelease := make(chan struct{})
 	parentDone := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		rt.BeginIsolation()
+		place(rt, 2, 3)
+		place(rt, 5, 3)
+		place(rt, 3, 1)
 
-		// History for set 0 on its static home (delegate 1), produced by
-		// the program context.
-		rt.Delegate(0, func(int) {})
-		d1 := rt.rec.delegates[0]
-		for d1.laneExec[ProgramContext].Load() < 1 {
+		// History for set 0 on delegate 1, produced by the program context.
+		if got := rt.Delegate(0, func(int) {}); got != 1 {
+			t.Errorf("set 0 first-touched onto delegate %d, want 1", got)
+		}
+		for rt.delegates[0].exec[ProgramContext].Load() < 1 {
 			time.Sleep(50 * time.Microsecond)
 		}
 
-		// Pin delegate 3 behind a gate (set 2 -> delegate 3).
+		// Pin delegate 3 behind a gate.
 		gateStarted := make(chan struct{})
 		rt.Delegate(2, func(int) { close(gateStarted); <-gateRelease })
 		<-gateStarted
 
-		// Parent operation on delegate 1 (set 3 -> delegate 1).
+		// Parent operation on delegate 1.
 		rt.Delegate(3, func(ctx int) {
-			// Unrelated outbound traffic: set 5 -> delegate 3, parked
-			// behind the gate. This is what the legacy veto trips on.
+			// Unrelated outbound traffic, parked behind the gate.
 			rt.DelegateFrom(ctx, 5, func(int) {})
 			// Producer handover of set 0 onto its own producer's delegate;
 			// then block mid-operation on the nested delegation.
@@ -77,59 +71,17 @@ func livelockShape(t *testing.T, cfg Config, timeout time.Duration) (finished bo
 		close(gateRelease) // unpin delegate 3 so the barrier can pass
 		rt.EndIsolation()
 		rt.Terminate()
-		close(done)
 	}()
 	select {
 	case <-done:
-		return true, rt
-	case <-time.After(timeout):
-		return false, rt
+	case <-time.After(60 * time.Second):
+		// Everything is leaked deliberately: it is deadlocked by construction.
+		t.Fatal("self-delegation scenario livelocked under the per-set outbound ledger")
 	}
-}
-
-// TestRecursiveSelfDelegationLivelockClosed: with the precise per-set
-// outbound ledger the scenario completes — the forced evacuation fires at
-// the delegation despite unrelated in-flight outbound lanes.
-func TestRecursiveSelfDelegationLivelockClosed(t *testing.T) {
-	cfg := recStealCfg(3, MaxStealThreshold) // no occupancy steals: isolate the forced path
-	finished, rt := livelockShape(t, cfg, 60*time.Second)
-	if !finished {
-		t.Fatal("self-delegation scenario livelocked under the precise per-set outbound ledger")
-	}
-	if got := recOwner(rt, 0); got == 1 {
+	if got := ownerOf(rt, 0); got == 1 {
 		t.Fatalf("set 0 still owned by its producer's delegate 1 after the forced evacuation")
 	}
-	var evacs uint64
-	for i := range rt.rec.steal.forcedEvacs {
-		evacs += rt.rec.steal.forcedEvacs[i].n.Load()
-	}
-	if evacs == 0 {
+	if rt.Stats().ForcedEvacs == 0 {
 		t.Fatal("scenario completed without a forced evacuation (shape no longer exercises the window)")
 	}
-}
-
-// TestRecursiveSelfDelegationLivelockLegacyVetoHangs is the negative
-// control: under PR 4's conservative all-lanes veto the same shape must
-// deadlock — proving the regression test actually pins the bug the
-// precise ledger fixes. The watchdog is short because the hang is
-// structural, not a race: the one evacuation attempt is vetoed while the
-// gate is provably held, and no later delegation ever retries it.
-func TestRecursiveSelfDelegationLivelockLegacyVetoHangs(t *testing.T) {
-	cfg := recStealCfg(3, MaxStealThreshold)
-	cfg.LegacyOutboundVeto = true
-	finished, rt := livelockShape(t, cfg, 2*time.Second)
-	if finished {
-		t.Fatal("legacy all-lanes veto no longer livelocks the self-delegation shape; the negative control is dead — rewrite it")
-	}
-	// The vetoed evacuation must be visible in the outbound-veto ledger
-	// counters (atomics, safe to read while the runtime is wedged).
-	var vetoes uint64
-	for i := range rt.rec.steal.outVetoes {
-		vetoes += rt.rec.steal.outVetoes[i].n.Load()
-	}
-	if vetoes == 0 {
-		t.Fatal("legacy run hung without recording an outbound veto")
-	}
-	// rt and its goroutines are deliberately leaked: every one of them is
-	// parked on a channel inside the deadlock under test.
 }

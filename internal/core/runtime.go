@@ -1,16 +1,22 @@
 // Package core implements the Prometheus runtime for the serialization-sets
 // execution model (Allen, Sridharan & Sohi, PPoPP 2009): a program context
-// that delegates operations, a pool of delegate contexts each fed by a
-// private FastForward-style SPSC queue, virtual-delegate assignment, epoch
+// that delegates operations, a pool of delegate contexts each fed by
+// private FastForward-style SPSC lanes, virtual-delegate assignment, epoch
 // management, ownership synchronization, and per-phase instrumentation.
 //
 // The delegation hot path is built to cost zero heap allocations and O(1)
 // work in steady state: invocation records travel by value through
 // sequence-stamped rings (no per-operation allocation), wrapper layers
-// delegate through static trampolines (no per-call closure), scheduling
-// queries read O(1) queue-depth counters, and a small program-context
-// buffer batches runs of operations bound for the same delegate so the
-// wake-signal cost is amortized across the run.
+// delegate through static trampolines (no per-call closure), and scheduling
+// queries read single-writer ledger counters.
+//
+// There is one engine. This file holds the runtime object, the epoch
+// protocol and live reconfiguration; delegate.go the delegation path, the
+// drain loop and the barrier; owners.go placement, the owner table and the
+// whole-set rebalancer. Config.Recursive is a permission, not a mode: it
+// widens each delegate's lane set from one (the program context's) to one
+// per context, and strengthens a reclaim from a single-lane sync to the
+// quiescence barrier.
 //
 // This package is the engine; the exported user-facing API (wrappers,
 // serializers, reducibles) lives in the repository root package prometheus.
@@ -21,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/spsc"
 )
@@ -33,42 +38,28 @@ func timeNow() time.Time { return time.Now() }
 // are numbered 1..Delegates.
 const ProgramContext = 0
 
-type delegate struct {
-	id    int // context id (1-based)
-	queue *spsc.Queue[Invocation]
-
-	// executed publishes how many method invocations this delegate has
-	// finished running (the counter is stored after each invoke returns).
-	// Together with the program context's sent counter it gives the
-	// delegate's true occupancy — queued plus in-flight work — and is the
-	// safety condition for set handoff: a set whose last delegated operation
-	// has position <= executed has nothing pending or running here, so
-	// re-owning it cannot reorder the set.
-	executed atomic.Uint64
-
-	// drainBatches/drainedOps count the batched drains (PopBatch runs) this
-	// delegate performed; aggregated into Stats by the program context.
-	drainBatches atomic.Uint64
-	drainedOps   atomic.Uint64
-}
-
 // Runtime orchestrates parallel execution of delegated operations. All
 // methods must be called from the program context (the goroutine that called
-// New), except none: delegated closures interact with the runtime only
-// through the context id they are handed.
+// New) unless documented otherwise; delegated closures interact with the
+// runtime only through the context id they are handed.
 type Runtime struct {
 	// cfg is the effective configuration. All fields are immutable after
 	// New EXCEPT Delegates, which the program context rewrites at the
 	// epoch boundary that applies a Reconfigure (applyReconfig). Plain
 	// reads of cfg.Delegates are sound only on the program context or
-	// inside delegated operations (the lane/queue push-pop atomics carry
-	// the happens-before edge from the post-barrier write to any op
-	// delegated after it); any other reader — idle drain-loop samplers,
-	// metrics scrapes — must use the atomic active counter instead.
+	// inside delegated operations (the lane push-pop atomics carry the
+	// happens-before edge from the post-barrier write to any op delegated
+	// after it); any other reader — idle drain-loop samplers, metrics
+	// scrapes — must use the atomic active counter instead.
 	cfg Config
 
+	// adaptive is set when Stealing is on and StealThreshold was left
+	// unset: the effective threshold and thief ratio then track the
+	// in-epoch imbalance EWMA instead of staying at the configured base.
+	adaptive bool
+
 	// delegates holds the FULL pre-allocated pool: MaxDelegates structs
-	// and queues built at New, goroutines spawned only for the active
+	// with their lanes built at New, goroutines spawned only for the active
 	// prefix [0, cfg.Delegates). The slice itself is never reallocated or
 	// resliced, which is what lets any goroutine range a prefix of it.
 	delegates []*delegate
@@ -77,15 +68,13 @@ type Runtime struct {
 	// active mirrors cfg.Delegates behind an atomic, for readers with no
 	// happens-before edge to the program context's epoch-boundary write
 	// (imbalance samplers in idle spin loops, QueueDepths on metrics
-	// scrapes, recursive re-home decisions on delegate producers). 0 in
-	// Sequential mode.
+	// scrapes, placement scans on delegate producers). 0 in Sequential mode.
 	active atomic.Int32
 
-	// Runtime-mutable configuration, cc-relay style: Reconfigure
-	// validates and Stores the desired state into pendingCfg from any
-	// goroutine; the program context Swaps it out and applies it at the
-	// next BeginIsolation, then publishes the effective state through
-	// runtimeCfg (the Get side).
+	// Runtime-mutable configuration: Reconfigure validates and Stores the
+	// desired state into pendingCfg from any goroutine; the program context
+	// Swaps it out and applies it at the next BeginIsolation, then
+	// publishes the effective state through runtimeCfg (the Get side).
 	pendingCfg atomic.Pointer[RuntimeConfig]
 	runtimeCfg atomic.Pointer[RuntimeConfig]
 
@@ -102,45 +91,25 @@ type Runtime struct {
 	inIsolation bool
 	terminated  bool
 
-	// dirty[d] is true when delegate d (1-based index d-1) has been sent or
-	// buffered work since the last barrier; lets barriers and syncs skip
-	// idle queues.
-	dirty []bool
+	// synced[d] is delegate d+1's program-lane position as of the program
+	// context's last completed synchronization with it; the delegate is
+	// clean — skipped by syncs and non-recursive barriers — while its sent
+	// counter still equals it. Program-context private.
+	synced []uint64
 
-	// batch is the program context's delegation buffer (nil when batching
-	// is disabled): up to len(batch) consecutive invocations bound for
-	// delegate batchCtx, delivered with a single PushBatch. Flushed on
-	// target switch, buffer full, synchronization, barrier, epoch
-	// transition, and termination — so no operation outlives the program
-	// context's next blocking interaction with the runtime.
-	batch    []Invocation
-	batchLen int
-	batchCtx int
-	// lastCtx is the destination of the most recent delegation; buffering
-	// only engages on the second consecutive delegation to the same busy
-	// delegate, so alternating-target streams stay on the direct push path
-	// instead of paying a buffer write plus a one-element flush per op.
-	lastCtx int
+	// owners is the dynamic set->entry table of the current epoch (nil
+	// under StaticMod). An atomic pointer so BeginIsolation can swap in a
+	// freshly seeded table without racing late snapshot readers.
+	owners atomic.Pointer[ownerTable]
+	// producers enforces one producer context per set under Recursive with
+	// static placement (Checked mode only; nil otherwise).
+	producers *producerTable
+	// prod[p] holds producer context p's rebalancer counters.
+	prod []producerStats
 
-	// setOwner gives the sticky set->context assignment for the LeastLoaded
-	// policy within the current epoch. Entries are pointers so the steady
-	// state — re-reading an owned set's entry and bumping its lastPos —
-	// performs one map read and no map write per delegation.
-	setOwner map[uint64]*setEntry
-
-	// sent[d] counts the method invocations the program context has routed
-	// to delegate d+1 (buffered delegations count at buffer time: they are
-	// committed to that queue). sent minus the delegate's executed counter
-	// is its occupancy; per-set positions recorded against sent implement
-	// the safe-handoff check. Program-context private.
-	sent []uint64
-
-	// rec holds the recursive-delegation state (nil unless Config.Recursive).
-	rec *recState
-
-	// adaptiveThr is the effective StealThreshold under AdaptiveSteal,
-	// re-derived by drain-loop samplers from imbalanceEWMA (recsteal.go);
-	// it starts at the configured base. imbalanceEWMA tracks the max/min
+	// adaptiveThr is the effective StealThreshold when adaptive,
+	// re-derived by drain-loop samplers from imbalanceEWMA (owners.go); it
+	// starts at the configured base. imbalanceEWMA tracks the max/min
 	// delegate-occupancy ratio in ewmaFP fixed point; thresholdAdjusts
 	// counts effective-threshold changes (Stats.ThresholdAdjusts).
 	adaptiveThr      atomic.Int64
@@ -160,44 +129,23 @@ type Runtime struct {
 	clock phaseClock
 }
 
-// setEntry is the owner-table record of one serialization set under the
-// LeastLoaded policy: the sticky owning context and the per-owner position
-// (that context's sent count) of the set's newest delegated operation. A set
-// is quiescent on its owner — and therefore safe to hand off — once the
-// owner's executed counter has reached lastPos. ops counts the set's
-// delegations this epoch; BeginIsolation ranks the closing epoch's sets by
-// it to pre-place the hottest ones (hot-set seeding, stealing only).
-type setEntry struct {
-	ctx     int
-	lastPos uint64
-	ops     uint64
-	// poison caches the fault that poisoned this set (fault.go) — nil
-	// unless one occurred, so the fault-free entry stays three words and
-	// the rebalancer's and hot-seeder's exclusion checks are a nil compare.
-	// Program-context-private like the rest of the entry; the global
-	// copy-on-write poison table is the source of truth.
-	poison *PanicFault
-}
-
 // New creates and starts a runtime (paper: initialize()). The calling
 // goroutine becomes the program context.
 func New(cfg Config) *Runtime {
+	adaptive := cfg.Stealing && cfg.StealThreshold <= 0
 	cfg = cfg.withDefaults()
 	cfg.validate()
 	rt := &Runtime{
-		cfg:   cfg,
-		vmap:  buildAssignment(cfg),
-		dirty: make([]bool, cfg.MaxDelegates),
-		clock: newPhaseClock(),
+		cfg:      cfg,
+		adaptive: adaptive,
+		vmap:     buildAssignment(cfg),
+		synced:   make([]uint64, cfg.MaxDelegates),
+		clock:    newPhaseClock(),
 	}
 	rt.baseThr.Store(int64(cfg.StealThreshold))
 	rt.adaptiveThr.Store(int64(cfg.StealThreshold))
 	rt.imbalanceEWMA.Store(ewmaFP) // ratio 1.0: assume balance until sampled
 	rt.runtimeCfg.Store(&RuntimeConfig{Delegates: cfg.Delegates, StealThreshold: cfg.StealThreshold})
-	if cfg.Policy == LeastLoaded && !cfg.Recursive {
-		rt.setOwner = make(map[uint64]*setEntry)
-		rt.sent = make([]uint64, cfg.MaxDelegates)
-	}
 	if cfg.Trace {
 		rt.traceSt = newTraceState(cfg.MaxDelegates + 1)
 	}
@@ -205,25 +153,36 @@ func New(cfg Config) *Runtime {
 		return rt // no delegate goroutines at all in debug mode
 	}
 	rt.active.Store(int32(cfg.Delegates))
+	// Build the FULL pool up front — structs, lanes and ledgers for
+	// MaxDelegates — but spawn drain goroutines only for the initial active
+	// prefix. A later Resize activates pre-built delegates (or parks active
+	// ones) without reallocating any structure a running drain loop or
+	// producer indexes into, so NumContexts and every per-context array
+	// sized from it stay valid for the runtime's whole life. With Recursive
+	// every context is a producer and the lanes form a
+	// MaxDelegates x (MaxDelegates+1) matrix (documented on MaxDelegates).
+	producers := 1
 	if cfg.Recursive {
-		rt.initRecursive()
-		return rt
+		producers = cfg.MaxDelegates + 1
 	}
-	if cfg.DelegateBatch > 1 {
-		rt.batch = make([]Invocation, cfg.DelegateBatch)
+	rt.prod = make([]producerStats, producers)
+	if cfg.Policy == LeastLoaded {
+		rt.owners.Store(newOwnerTable(0))
+	} else if cfg.Checked && cfg.Recursive {
+		rt.producers = newProducerTable()
 	}
-	// Build the FULL pool up front — structs and queues for MaxDelegates —
-	// but spawn drain goroutines only for the initial active prefix. A
-	// later Resize activates pre-built delegates (or parks active ones)
-	// without allocating, so NumContexts and every per-context array sized
-	// from it stay valid for the runtime's whole life.
+	// One spill-node pool shared by every lane of this runtime, so spill
+	// pressure that moves between lanes keeps recycling nodes.
+	pool := spsc.NewNodePool[Invocation]()
 	for i := 0; i < cfg.MaxDelegates; i++ {
-		d := &delegate{id: i + 1, queue: spsc.NewQueue[Invocation](cfg.QueueCapacity)}
-		rt.delegates = append(rt.delegates, d)
+		rt.delegates = append(rt.delegates, newDelegate(i+1, producers, cfg.QueueCapacity, pool))
 	}
-	for i := 0; i < cfg.Delegates; i++ {
+	// The pool is complete BEFORE any drain loop starts: an idle delegate
+	// reaches its first imbalance sample without ever synchronizing with
+	// this goroutine (the go statement is the happens-before edge).
+	for _, d := range rt.delegates[:cfg.Delegates] {
 		rt.wg.Add(1)
-		go rt.delegateLoop(rt.delegates[i])
+		go rt.delegateLoop(d)
 	}
 	return rt
 }
@@ -241,138 +200,6 @@ func buildAssignment(cfg Config) []int {
 		}
 	}
 	return vmap
-}
-
-// delegateLoop is the body of a delegate context: repeatedly read invocation
-// objects from the communication queue and execute them (paper §4).
-//
-// The loop is the consumer half of the batching story: one blocking Pop per
-// wake, then runs of up to drainBatchSize invocations popped with PopBatch
-// and executed back to back — without re-arming the park/wake machinery or
-// paying the per-operation popped-counter publish — until the backlog is
-// drained. A saturated delegate therefore touches the shared counters twice
-// per run instead of twice per operation, mirroring PushBatch on the
-// producer side.
-func (rt *Runtime) delegateLoop(d *delegate) {
-	defer rt.wg.Done()
-	buf := make([]Invocation, drainBatchSize)
-	// Seed the local executed count from the published counter: a delegate
-	// respawned by a scale-up resumes the monotone sequence its previous
-	// incarnation parked at, so every occupancy and quiescence proof built
-	// on sent-vs-executed stays exact across park/respawn cycles.
-	executed := d.executed.Load()
-	adaptive := rt.cfg.Stealing && rt.cfg.AdaptiveSteal
-	inject := rt.cfg.FaultInjector
-	sampleTick := 0
-	for {
-		inv, ok := d.queue.Pop()
-		if !ok { // queue closed and drained
-			return
-		}
-		buf[0] = inv
-		if !rt.executeAll(d, buf, 1, &executed, inject) {
-			return
-		}
-		clear(buf[:1])
-		for {
-			n := d.queue.PopBatch(buf)
-			if n == 0 {
-				break
-			}
-			d.drainBatches.Add(1)
-			d.drainedOps.Add(uint64(n))
-			if !rt.executeAll(d, buf, n, &executed, inject) {
-				clear(buf[:n])
-				return
-			}
-			// Drop payload references so executed invocations don't pin
-			// their closures and payloads until the buffer is refilled.
-			clear(buf[:n])
-			if adaptive {
-				// Every imbalanceSampleStride-th drain-run boundary: feed the
-				// queue-depth spread across the pool into the in-epoch
-				// steal-threshold EWMA.
-				if sampleTick++; sampleTick >= imbalanceSampleStride {
-					sampleTick = 0
-					rt.sampleImbalanceFlat()
-				}
-			}
-		}
-	}
-}
-
-// executeAll runs buf[:n] on d in recover()-protected spans, re-entering
-// after each contained panic so the delegate survives the fault and the
-// rest of the batch still runs. The fault state is reloaded at each span
-// entry — once on the fault-free path — so a fault anywhere in the batch
-// poisons the remainder of its set's operations in the SAME batch, keeping
-// the deterministic-skip point exact. Returns false when a termination
-// object was served.
-func (rt *Runtime) executeAll(d *delegate, buf []Invocation, n int, executed *uint64, inject func(int, uint64)) bool {
-	i := 0
-	for i < n {
-		fs := rt.faults.Load()
-		next, term := rt.execSpan(d, buf, i, n, executed, fs, inject)
-		if term {
-			return false
-		}
-		i = next
-	}
-	return true
-}
-
-// execSpan runs buf[start:n] under one deferred recover — the whole batch
-// in the fault-free case, so panic isolation costs one defer per drain run,
-// not per operation. The executed counter is stored — not added — because
-// the delegate is its only writer; the store after invoke returns is what
-// makes the occupancy and safe-handoff reads on the program context sound:
-// observing executed >= p proves every method invocation up to position p
-// has completed, and the acquire load orders its effects before anything
-// the observer publishes afterwards (in particular a handed-off set's next
-// operation).
-//
-// A recovered panic records the fault (poisoning the set) and then counts
-// the faulted operation as executed, so quiescence proofs and barriers
-// never wedge on it; the counter publish after recordPanic is the
-// happens-before edge that makes the poison visible to any context that
-// later proves the operation executed. Operations of a poisoned set are
-// skipped-but-counted here too — the owner wrote the poison itself (a
-// poisoned set is never stolen), so the drain-side check deterministically
-// catches everything a racing producer already had in flight.
-func (rt *Runtime) execSpan(d *delegate, buf []Invocation, start, n int, executed *uint64, fs *faultState, inject func(int, uint64)) (next int, terminated bool) {
-	i := start
-	defer func() {
-		if v := recover(); v != nil {
-			rt.recordPanic(d.id, buf[i].set, v)
-			*executed++
-			d.executed.Store(*executed)
-			next, terminated = i+1, false
-		}
-	}()
-	for ; i < n; i++ {
-		inv := &buf[i]
-		switch inv.kind {
-		case kindMethod:
-			if fs != nil && inv.set != noSetID && fs.lookup(inv.set) != nil {
-				fs.dropped.Add(1)
-				*executed++
-				d.executed.Store(*executed)
-				continue
-			}
-			if inject != nil {
-				inject(d.id, inv.set)
-			}
-			inv.invoke(d.id)
-			*executed++
-			d.executed.Store(*executed)
-		case kindSync:
-			close(inv.done)
-		case kindTerminate:
-			close(inv.done)
-			return i, true
-		}
-	}
-	return n, false
 }
 
 // Config returns the effective configuration.
@@ -405,7 +232,6 @@ func (rt *Runtime) BeginIsolation() {
 	if rt.inIsolation {
 		panic("prometheus: nested BeginIsolation")
 	}
-	rt.flushBatch()
 	rt.epoch++
 	rt.inIsolation = true
 	rt.stats.Epochs++
@@ -413,37 +239,30 @@ func (rt *Runtime) BeginIsolation() {
 		rt.epochStart = timeNow()
 	}
 	rt.applyReconfig()
-	if rt.cfg.AdaptiveSteal {
+	if rt.adaptive {
 		// The imbalance EWMA and the threshold/ratio it derives are
-		// documented as IN-epoch adaptation, and the samples they were
-		// built from describe the closing epoch's placement — including
-		// delegates that have since drained and parked, whose stale
-		// minima would otherwise keep a spun-down pool's skew (or
-		// balance) alive into a workload that no longer has it. A new
-		// epoch starts from the configured base and re-learns its own
-		// spread within a few drain runs. The base is read through baseThr
-		// (not cfg) so a Reconfigure'd threshold — applied just above —
-		// takes effect this epoch.
+		// IN-epoch adaptation, and the samples they were built from
+		// describe the closing epoch's placement — including delegates that
+		// have since drained and parked, whose stale minima would otherwise
+		// keep a spun-down pool's skew (or balance) alive into a workload
+		// that no longer has it. A new epoch starts from the base (read
+		// through baseThr so a threshold Reconfigure'd just above takes
+		// effect this epoch) and re-learns its own spread within a few
+		// drain runs.
 		rt.imbalanceEWMA.Store(ewmaFP)
 		rt.adaptiveThr.Store(rt.baseThr.Load())
 	}
-	if rt.setOwner != nil && len(rt.setOwner) > 0 {
-		rt.seedHotSets() // new epoch, new partition (pre-placed hot sets)
+	if rt.producers != nil {
+		rt.producers.reset()
 	}
-	if rt.rec != nil {
-		if rt.rec.producers != nil {
-			rt.rec.producers.reset()
-		}
-		if rt.rec.steal != nil {
-			// Producers are sized to the pool CAPACITY (every context that
-			// could ever produce), independent of the active count.
-			rt.stats.HotSetsPlaced += uint64(rt.rec.steal.reseed(rt.cfg.Delegates, len(rt.rec.enq)))
-		}
+	if tbl := rt.owners.Load(); tbl != nil {
+		// New epoch, new partition (with the hottest sets pre-placed).
+		rt.stats.HotSetsPlaced += uint64(rt.reseed(tbl))
 	}
 	if fs := rt.faults.Load(); fs != nil {
 		// Poisoning is epoch-scoped: the new epoch starts with a clean
-		// slate (fault records persist). Cleared AFTER the owner tables were
-		// rebuilt above, so the hot-set seeders could still exclude the
+		// slate (fault records persist). Cleared AFTER the owner table was
+		// rebuilt above, so the hot-set seeder could still exclude the
 		// closing epoch's poisoned sets.
 		fs.resetPoison()
 	}
@@ -467,7 +286,7 @@ func (rt *Runtime) EndIsolation() {
 // Resize requests the delegate pool be resized to n active delegates. The
 // request is validated immediately and recorded; the PROGRAM CONTEXT
 // applies it at the next BeginIsolation — the engine's quiescent point,
-// where the epoch barrier has proven no operation in flight, every owner
+// where the epoch barrier has proven no operation in flight, the owner
 // table is about to rebuild, and hot sets re-place across whatever pool
 // opens the epoch. Safe from any goroutine; concurrent requests follow
 // last-store-wins (Get/Store semantics on the runtime config pointer).
@@ -498,7 +317,7 @@ func (rt *Runtime) RuntimeConfig() RuntimeConfig { return *rt.runtimeCfg.Load() 
 // applyReconfig applies a pending Reconfigure at the epoch boundary.
 // Called by BeginIsolation on the program context, BEFORE the adaptive
 // threshold reset (so a rebased threshold seeds this epoch's EWMA) and
-// before the owner tables rebuild and hot sets re-place (so placement
+// before the owner table rebuilds and hot sets re-place (so placement
 // state is constructed for the NEW pool, never patched afterwards).
 //
 // Scale-up activates pre-built delegates: spawn their drain goroutines,
@@ -508,7 +327,7 @@ func (rt *Runtime) RuntimeConfig() RuntimeConfig { return *rt.runtimeCfg.Load() 
 // delegate — the same whole-set handoff boundary the stealer uses, applied
 // to all sets at once — so the retiring delegates' sets are re-placed by
 // the very table rebuild this epoch performs anyway, and the retirees park
-// permanently with provably empty queues and balanced lane ledgers.
+// permanently with provably balanced lane ledgers.
 func (rt *Runtime) applyReconfig() {
 	rc := rt.pendingCfg.Swap(nil)
 	if rc == nil {
@@ -536,11 +355,7 @@ func (rt *Runtime) resizePool(n, old int) {
 	// Prove the OLD pool quiescent first. BeginIsolation does not imply a
 	// barrier on its own (aggregation-epoch delegations may still be in
 	// flight); the resize point must be one.
-	if rt.rec != nil {
-		rt.recBarrier()
-	} else {
-		rt.barrier()
-	}
+	rt.barrier()
 	// Count the sets a scale-down evacuates off retiring delegates. The
 	// barrier proved them quiescent everywhere, so "evacuation" is exact
 	// re-placement by the epoch's table rebuild — nothing is copied or
@@ -548,14 +363,8 @@ func (rt *Runtime) resizePool(n, old int) {
 	// placement state the shrink displaced.
 	evacuated := 0
 	if n < old {
-		if rt.setOwner != nil {
-			for _, e := range rt.setOwner {
-				if e.ctx > n {
-					evacuated++
-				}
-			}
-		} else if rt.rec != nil && rt.rec.steal != nil {
-			rt.rec.steal.owners.Load().forEach(func(_ uint64, e *recSetEntry) {
+		if tbl := rt.owners.Load(); tbl != nil {
+			tbl.forEach(func(_ uint64, e *setEntry) {
 				if int(e.owner.Load()) > n {
 					evacuated++
 				}
@@ -572,21 +381,15 @@ func (rt *Runtime) resizePool(n, old int) {
 		}
 		rt.parkDelegates(n, old)
 	}
-	// The assignment table, owner tables, and hot-set seeding all derive
+	// The assignment table, owner table, and hot-set seeding all derive
 	// from cfg.Delegates: rewrite it, publish the atomic mirror, and
 	// rebuild the static table before any of them run for this epoch.
 	rt.cfg.Delegates = n
 	rt.active.Store(int32(n))
 	rt.vmap = buildAssignment(rt.cfg)
-	if n > old {
-		for i := old; i < n; i++ {
-			rt.wg.Add(1)
-			if rt.rec != nil {
-				go rt.recLoop(rt.rec.delegates[i])
-			} else {
-				go rt.delegateLoop(rt.delegates[i])
-			}
-		}
+	for i := old; i < n; i++ {
+		rt.wg.Add(1)
+		go rt.delegateLoop(rt.delegates[i])
 	}
 	rt.stats.Resizes++
 	rt.stats.ResizeEvacuatedSets += uint64(evacuated)
@@ -596,579 +399,29 @@ func (rt *Runtime) resizePool(n, old int) {
 }
 
 // parkDelegates retires delegates n..old-1: each is sent a termination
-// object and its goroutine exits once served. Queues and lane state are
-// NOT torn down — a later scale-up respawns the loop over the same
-// structures, resuming the published counters where they stopped. In
-// Checked mode the quiescence the caller's barrier proved is re-asserted
-// per retiree: an empty queue in flat mode, balanced per-lane sent/exec
-// ledgers in recursive mode — no lane traffic survives a retired delegate.
+// object and its goroutine exits once served. Lanes and ledgers are NOT
+// torn down — a later scale-up respawns the loop over the same structures,
+// resuming the published counters where they stopped. The caller has
+// proven the pool quiescent; Checked mode re-asserts it per retiree — no
+// lane traffic survives a retired delegate.
 func (rt *Runtime) parkDelegates(n, old int) {
-	if rt.rec != nil {
-		rec := rt.rec
-		for i := n; i < old; i++ {
-			d := rec.delegates[i]
-			done := make(chan struct{})
-			rt.recSend(d, Invocation{kind: kindTerminate, done: done})
-			rt.waitDone(done)
-			if rt.cfg.Checked && rec.steal != nil {
-				for p := range d.laneExec {
-					sent := rec.steal.laneSent[i][p].n.Load()
-					exec := d.laneExec[p].Load()
-					if sent != exec {
-						panic(fmt.Sprintf(
-							"prometheus: resize: retiring delegate %d parked with lane %d unbalanced (sent=%d exec=%d) — traffic survived a retired delegate",
-							d.id, p, sent, exec))
-					}
-				}
-			}
-		}
-		return
-	}
 	for i := n; i < old; i++ {
 		d := rt.delegates[i]
-		if rt.cfg.Checked && d.queue.Len() != 0 {
-			panic(fmt.Sprintf(
-				"prometheus: resize: retiring delegate %d has %d queued operations after the resize barrier",
-				d.id, d.queue.Len()))
-		}
 		done := make(chan struct{})
-		d.queue.Push(Invocation{kind: kindTerminate, done: done})
+		rt.send(d, Invocation{kind: kindTerminate, done: done})
 		rt.waitDone(done)
-		rt.dirty[i] = false
-	}
-}
-
-// seedHotSets replaces the flat owner table for a new epoch. Under
-// stealing, the closing epoch's hottest sets (by delegated-op count) are
-// pre-placed round-robin across delegates instead of letting first-touch
-// assignment pile them onto whichever delegate looked emptiest at epoch
-// start — at that instant every queue reads zero and ties all resolve to
-// the same context. Seeded entries carry lastPos 0, so they are quiescent
-// and free to migrate immediately if the prediction was wrong.
-func (rt *Runtime) seedHotSets() {
-	var hot []hotSeed
-	if rt.cfg.Stealing {
-		fs := rt.faults.Load()
-		for set, e := range rt.setOwner {
-			if e.poison != nil || (fs != nil && fs.lookup(set) != nil) {
-				continue // poisoned sets are never hot-seeded
-			}
-			if e.ops > 0 {
-				hot = append(hot, hotSeed{set: set, ops: e.ops})
-			}
-		}
-		hot = topHotSeeds(hot, hotSeedCount(rt.cfg.Delegates))
-	}
-	rt.setOwner = make(map[uint64]*setEntry)
-	for i, h := range hot {
-		rt.setOwner[h.set] = &setEntry{ctx: i%rt.cfg.Delegates + 1}
-	}
-	rt.stats.HotSetsPlaced += uint64(len(hot))
-}
-
-// leastLoaded returns the delegate with the fewest pending operations,
-// counting both its queue depth (O(1) from the published counters) and any
-// operations still sitting in the delegation buffer for it.
-func (rt *Runtime) leastLoaded() int {
-	best, bestLen := 1, int(^uint(0)>>1)
-	for _, d := range rt.delegates[:rt.cfg.Delegates] {
-		n := d.queue.Len()
-		if d.id == rt.batchCtx {
-			n += rt.batchLen
-		}
-		if n < bestLen {
-			best, bestLen = d.id, n
-		}
-	}
-	return best
-}
-
-// ContextFor returns the context id that operations in the given
-// serialization set execute on (or would execute on), under the configured
-// policy. It is a pure query: under LeastLoaded an unowned set is not
-// assigned an owner — only a delegation does that (see assign).
-func (rt *Runtime) ContextFor(set uint64) int {
-	if rt.cfg.Sequential {
-		return ProgramContext
-	}
-	if rt.rec != nil {
-		if st := rt.rec.steal; st != nil {
-			if e := st.owners.Load().lookup(set); e != nil {
-				return int(e.owner.Load())
-			}
-		}
-		return rt.vmap[set%uint64(len(rt.vmap))]
-	}
-	if rt.cfg.Policy == LeastLoaded {
-		if e, ok := rt.setOwner[set]; ok {
-			return e.ctx
-		}
-		return rt.leastLoaded()
-	}
-	return rt.vmap[set%uint64(len(rt.vmap))]
-}
-
-// assign maps a set to its execution context on the delegation path,
-// recording the sticky owner on first use under LeastLoaded so the set
-// stays on one delegate for the rest of the epoch. The returned entry is
-// non-nil exactly when the set is owner-tracked; callers that enqueue must
-// then record the operation's position with notePosition. Every other
-// policy defers to the pure ContextFor dispatch.
-func (rt *Runtime) assign(set uint64) (int, *setEntry) {
-	if rt.setOwner != nil && !rt.cfg.Sequential {
-		if e, ok := rt.setOwner[set]; ok {
-			if rt.cfg.Stealing {
-				rt.maybeSteal(set, e)
-			}
-			return e.ctx, e
-		}
-		best := rt.leastLoaded()
-		e := &setEntry{ctx: best}
-		rt.setOwner[set] = e
-		return best, e
-	}
-	return rt.ContextFor(set), nil
-}
-
-// outstanding returns delegate ctx's occupancy: method invocations routed to
-// it (including any still in the delegation buffer) that have not finished
-// executing. O(1) — one program-private counter minus one atomic load.
-func (rt *Runtime) outstanding(ctx int) uint64 {
-	return rt.sent[ctx-1] - rt.delegates[ctx-1].executed.Load()
-}
-
-// maybeSteal is the occupancy-aware rebalancer, run on every delegation to
-// an owned set when Stealing is on. If the set's owner has a backlog of at
-// least StealThreshold and the set itself is quiescent there (its newest
-// operation has executed, so nothing of it is queued or running), the set —
-// the whole set, never an individual invocation — is handed off to the
-// delegate with the smallest occupancy, provided that thief is idle or at
-// most a quarter as loaded as the victim. The handoff point is a quiescent
-// boundary by construction, so per-set program order is preserved: every
-// operation delegated before the steal has completed on the victim before
-// the first operation after it is enqueued on the thief.
-//
-// The common case — owner below threshold — costs one atomic load and a
-// compare; the O(Delegates) occupancy scan runs only on a loaded owner.
-func (rt *Runtime) maybeSteal(set uint64, e *setEntry) {
-	v := e.ctx
-	vOut := rt.outstanding(v)
-	if vOut < uint64(rt.stealThreshold()) {
-		return
-	}
-	if e.lastPos > rt.delegates[v-1].executed.Load() {
-		return // the set has work queued or in flight on its owner
-	}
-	if e.poison != nil {
-		return // poisoned sets are never stolen
-	}
-	if fs := rt.faults.Load(); fs != nil {
-		// Re-check the global table AFTER the quiescence read: the producer's
-		// delegation-time drop check may have raced the fault, but observing
-		// the faulted operation executed (the line above) happens-after the
-		// poison store (execSpan publishes the counter after recordPanic), so
-		// this lookup deterministically sees it — a poisoned set can never be
-		// stolen, and its backlog always drains on the owner that wrote the
-		// poison.
-		if f := fs.lookup(set); f != nil {
-			e.poison = f
-			return
-		}
-	}
-	thief, tOut := 0, ^uint64(0)
-	for _, d := range rt.delegates[:rt.cfg.Delegates] {
-		if d.id == v {
+		rt.synced[i] = d.sent[ProgramContext].n.Load()
+		if !rt.cfg.Checked {
 			continue
 		}
-		if o := rt.outstanding(d.id); o < tOut {
-			thief, tOut = d.id, o
-		}
-	}
-	if thief == 0 || tOut*rt.stealRatio() > vOut {
-		return // no peer meaningfully less occupied than the victim
-	}
-	e.ctx = thief
-	rt.stats.Steals++
-	if ts := rt.traceSt; ts != nil {
-		now := timeNow()
-		ts.record(ProgramContext, TraceSteal, set, now, now)
-	}
-}
-
-// evacWaitBudget bounds the parked forced-evacuation wait: the total time a
-// producer stays subscribed to target delegates' coverage broadcasts before
-// falling back to retry-per-delegation. The bound exists because the wait
-// parks this delegate's drain loop: two delegates each waiting on coverage
-// only the other can publish would otherwise block forever — a hazard only a
-// program already blocking mid-operation in two places can construct, but
-// one the engine must not convert from unlikely to permanent. Generous
-// relative to a drain-run's latency (microseconds), tiny relative to the
-// serving tier's drain deadline.
-const evacWaitBudget = 50 * time.Millisecond
-
-// waitRecOutboundCoverage is the liveness half of the forced evacuation: a
-// set owned by its own producer's delegate must leave NOW — the delegation
-// being routed may be the one the producing operation blocks on, so there
-// may never be another retry. With the precise ledger the missing coverage
-// is a concrete, observable event: the target delegates executing the
-// set's recorded outbound positions, which they do independently of this
-// (stuck) context. Wait for it, event-driven off the ledger, instead of
-// returning and hoping for another delegation.
-//
-// Two cases cannot be waited out and return false immediately: traffic the
-// set recorded into the victim's OWN lane (only v drains it, and v is the
-// context running this wait), and legacy-veto mode (the global condition
-// carries no per-set signal — any stream through the victim keeps it
-// false, which is exactly the livelock the ledger exists to close).
-func (rt *Runtime) waitRecOutboundCoverage(e *recSetEntry, v int) bool {
-	if rt.cfg.LegacyOutboundVeto {
-		return false
-	}
-	rec := rt.rec
-	if e.outPos[v-1].Load() > rec.delegates[v-1].laneExec[v].Load() {
-		return false // self-lane traffic: waiting would deadlock v on itself
-	}
-	// Park on the target delegates' coverage broadcasts instead of
-	// Gosched-spinning: a draining server's forced evacuation must not burn
-	// a core while an overloaded peer works through the backlog. One
-	// subscription per uncovered target, re-checked between subscribe and
-	// park so a publish racing the subscription cannot be lost (the drain
-	// loop re-reads covWaiters AFTER its laneExec store; seq-cst atomics
-	// order waiter-Add < recheck-load on this side against exec-store <
-	// waiter-load on that side, so one of the two always observes the other).
-	var deadline *time.Timer
-	for {
-		target := -1
-		for dx := range e.outPos {
-			if e.outPos[dx].Load() > rec.delegates[dx].laneExec[v].Load() {
-				target = dx
-				break
+		for p := range d.exec {
+			if sent, exec := d.sent[p].n.Load(), d.exec[p].Load(); sent != exec {
+				panic(fmt.Sprintf(
+					"prometheus: retiring delegate %d parked with lane %d unbalanced (sent=%d exec=%d) — traffic survived a retired delegate",
+					d.id, p, sent, exec))
 			}
 		}
-		if target < 0 {
-			if deadline != nil {
-				deadline.Stop()
-			}
-			return true
-		}
-		d := rec.delegates[target]
-		ch := d.covSubscribe()
-		if e.outPos[target].Load() <= d.laneExec[v].Load() {
-			d.covUnsubscribe() // covered while subscribing; move on
-			continue
-		}
-		if deadline == nil {
-			deadline = time.NewTimer(evacWaitBudget)
-		}
-		select {
-		case <-ch:
-			d.covUnsubscribe()
-		case <-deadline.C:
-			d.covUnsubscribe()
-			return false
-		}
 	}
-}
-
-// notePosition records the just-enqueued operation's position against its
-// set's owner entry (no-op for untracked sets). Buffered operations count at
-// buffer time — they are committed to that delegate's queue — so a set with
-// operations still in the delegation buffer can never look quiescent.
-func (rt *Runtime) notePosition(e *setEntry, ctx int) {
-	if e != nil {
-		e.lastPos = rt.sent[ctx-1]
-		e.ops++
-	}
-}
-
-// enqueue delivers a method invocation to delegate ctx, routing it through
-// the delegation buffer when batching is enabled.
-func (rt *Runtime) enqueue(ctx int, inv Invocation) {
-	rt.dirty[ctx-1] = true
-	if rt.sent != nil {
-		rt.sent[ctx-1]++
-	}
-	d := rt.delegates[ctx-1]
-	if rt.batch == nil {
-		d.queue.Push(inv)
-		return
-	}
-	if rt.batchLen > 0 && rt.batchCtx != ctx {
-		rt.flushBatch()
-	}
-	if ctx != rt.lastCtx || (rt.batchLen == 0 && d.queue.Len() == 0) {
-		// No same-target run is forming, or the delegate is hungry: hand
-		// the operation over immediately rather than trading latency for
-		// signal amortization — batching only pays while a run of
-		// operations streams to a consumer with a backlog.
-		rt.lastCtx = ctx
-		d.queue.Push(inv)
-		return
-	}
-	rt.batchCtx = ctx
-	rt.batch[rt.batchLen] = inv
-	rt.batchLen++
-	// Flush on a full buffer, and whenever the delegate is observed to
-	// have drained its backlog — a hungry consumer needs the buffered run
-	// now, not amortization. A delegate that drains after the last
-	// delegation can still leave the tail buffered until the program's
-	// next runtime call; every blocking runtime operation flushes first,
-	// so the model's synchronization semantics never see the buffer.
-	if rt.batchLen == len(rt.batch) || d.queue.Len() == 0 {
-		rt.flushBatch()
-	}
-}
-
-// flushBatch delivers the buffered invocations with a single consumer
-// wake-up. Cheap no-op when the buffer is empty.
-func (rt *Runtime) flushBatch() {
-	if rt.batchLen == 0 {
-		return
-	}
-	d := rt.delegates[rt.batchCtx-1]
-	d.queue.PushBatch(rt.batch[:rt.batchLen])
-	rt.stats.BatchFlushes++
-	rt.stats.BatchedOps += uint64(rt.batchLen)
-	// Drop payload references so delivered invocations don't pin their
-	// closures and payloads past the flush.
-	clear(rt.batch[:rt.batchLen])
-	rt.batchLen = 0
-}
-
-// Delegate assigns fn to the serialization set's context and returns that
-// context id. Operations mapped to the program context (or every operation
-// in Sequential mode) run inline, preserving per-set program order.
-func (rt *Runtime) Delegate(set uint64, fn func(ctx int)) int {
-	if rt.terminated {
-		panic("prometheus: Delegate after Terminate")
-	}
-	fn = rt.traceExec(set, fn)
-	if rt.rec != nil {
-		rt.stats.Delegations++
-		return rt.delegateFrom(ProgramContext, set, fn)
-	}
-	if fs := rt.faults.Load(); fs != nil && rt.maybeDrop(fs, set) {
-		return rt.ContextFor(set) // dropped: the set is poisoned this epoch
-	}
-	ctx, e := rt.assign(set)
-	if ctx == ProgramContext {
-		rt.stats.InlineExecs++
-		fn(ProgramContext)
-		return ctx
-	}
-	rt.stats.Delegations++
-	rt.enqueue(ctx, Invocation{kind: kindMethod, set: set, fn: fn})
-	rt.notePosition(e, ctx)
-	return ctx
-}
-
-// DelegateCall is the zero-allocation delegation fast path: instead of a
-// closure it takes a static trampoline plus two payload words, written by
-// value into the communication ring. Wrapper layers bind one trampoline per
-// wrapper type, so a steady-state DelegateCall performs no heap allocation
-// and O(1) work — in recursive mode too, where the record is written into
-// the program context's ring lane on the set's owner. Only tracing falls
-// back to the closure path (off the measured configuration, as in the
-// paper's evaluation).
-func (rt *Runtime) DelegateCall(set uint64, tr Trampoline, p1, p2 unsafe.Pointer) int {
-	if rt.terminated {
-		panic("prometheus: Delegate after Terminate")
-	}
-	if rt.traceSt != nil {
-		return rt.Delegate(set, func(ctx int) { tr(ctx, p1, p2) })
-	}
-	if rt.cfg.Sequential {
-		rt.stats.InlineExecs++
-		tr(ProgramContext, p1, p2)
-		return ProgramContext
-	}
-	if rt.rec != nil {
-		rt.stats.Delegations++
-		return rt.recEnqueue(ProgramContext, set,
-			Invocation{kind: kindMethod, set: set, tramp: tr, p1: p1, p2: p2})
-	}
-	if fs := rt.faults.Load(); fs != nil && rt.maybeDrop(fs, set) {
-		return rt.ContextFor(set) // dropped: the set is poisoned this epoch
-	}
-	ctx, e := rt.assign(set)
-	if ctx == ProgramContext {
-		rt.stats.InlineExecs++
-		tr(ProgramContext, p1, p2)
-		return ctx
-	}
-	rt.stats.Delegations++
-	rt.enqueue(ctx, Invocation{kind: kindMethod, set: set, tramp: tr, p1: p1, p2: p2})
-	rt.notePosition(e, ctx)
-	return ctx
-}
-
-// DelegateFrom routes a delegation issued by an arbitrary execution context
-// (recursive delegation). producer must be the context id actually running
-// the call. Requires Config.Recursive (or Sequential debug mode).
-func (rt *Runtime) DelegateFrom(producer int, set uint64, fn func(ctx int)) int {
-	if rt.cfg.Sequential {
-		rt.stats.InlineExecs++
-		fn(ProgramContext)
-		return ProgramContext
-	}
-	if rt.rec == nil {
-		panic("prometheus: recursive delegation requires the Recursive option")
-	}
-	return rt.delegateFrom(producer, set, rt.traceExec(set, fn))
-}
-
-// DelegateFromCall is the zero-allocation counterpart of DelegateFrom: the
-// recursive-mode trampoline fast path for delegations issued from inside
-// delegated operations. Like DelegateCall it takes a static trampoline
-// plus two payload words and writes the invocation record by value into
-// the producer's ring lane on the set's owner — no closure, no heap
-// allocation, no contended counter. producer must be the context id
-// actually running the call. Tracing falls back to the closure path.
-func (rt *Runtime) DelegateFromCall(producer int, set uint64, tr Trampoline, p1, p2 unsafe.Pointer) int {
-	if rt.cfg.Sequential {
-		rt.stats.InlineExecs++
-		tr(ProgramContext, p1, p2)
-		return ProgramContext
-	}
-	if rt.rec == nil {
-		panic("prometheus: recursive delegation requires the Recursive option")
-	}
-	if rt.traceSt != nil {
-		return rt.delegateFrom(producer, set, rt.traceExec(set, func(ctx int) { tr(ctx, p1, p2) }))
-	}
-	return rt.recEnqueue(producer, set,
-		Invocation{kind: kindMethod, set: set, tramp: tr, p1: p1, p2: p2})
-}
-
-// Recursive reports whether recursive delegation is enabled.
-func (rt *Runtime) Recursive() bool { return rt.rec != nil }
-
-// SyncContext blocks until the given delegate context has executed every
-// invocation enqueued before this call (paper: synchronization objects). It
-// is how the program context reclaims ownership of a data domain. Syncing
-// the program context is a no-op.
-func (rt *Runtime) SyncContext(ctx int) {
-	if ctx == ProgramContext || rt.cfg.Sequential {
-		return
-	}
-	if rt.rec != nil {
-		// Under recursion a single-lane sync cannot witness work produced
-		// by other contexts; fall back to the quiescence barrier.
-		rt.stats.Syncs++
-		rt.recBarrier()
-		return
-	}
-	if ctx < 1 || ctx > rt.cfg.Delegates {
-		panic(fmt.Sprintf("prometheus: SyncContext(%d) out of range", ctx))
-	}
-	rt.flushBatch()
-	if !rt.dirty[ctx-1] {
-		return
-	}
-	rt.stats.Syncs++
-	done := make(chan struct{})
-	rt.delegates[ctx-1].queue.Push(Invocation{kind: kindSync, done: done})
-	rt.waitDone(done)
-	rt.dirty[ctx-1] = false
-}
-
-// SyncSet blocks until all outstanding operations in the given serialization
-// set have completed. Under the LeastLoaded policy, a set that was never
-// delegated this epoch has no owner and nothing to wait for.
-func (rt *Runtime) SyncSet(set uint64) {
-	if rt.setOwner != nil {
-		// Under stealing, syncing the current owner suffices: a handoff only
-		// happens at a quiescent boundary, so any operation that ran on a
-		// previous owner had already completed before the current owner
-		// received its first one.
-		if e, ok := rt.setOwner[set]; ok {
-			rt.SyncContext(e.ctx)
-		}
-		return
-	}
-	rt.SyncContext(rt.ContextFor(set))
-}
-
-// barrier waits for every delegate to drain its queue.
-func (rt *Runtime) barrier() {
-	if rt.cfg.Sequential {
-		return
-	}
-	rt.stats.Barriers++
-	if rt.rec != nil {
-		rt.recBarrier()
-		return
-	}
-	rt.flushBatch()
-	dones := make([]chan struct{}, 0, rt.cfg.Delegates)
-	for i, d := range rt.delegates[:rt.cfg.Delegates] {
-		if !rt.dirty[i] {
-			continue
-		}
-		done := make(chan struct{})
-		d.queue.Push(Invocation{kind: kindSync, done: done})
-		dones = append(dones, done)
-	}
-	for _, done := range dones {
-		rt.waitDone(done)
-	}
-	for i := range rt.dirty {
-		rt.dirty[i] = false
-	}
-}
-
-// Sleep quiesces the delegate contexts during a long aggregation epoch
-// (paper: sleep()). Delegates with empty queues park automatically in this
-// implementation, so Sleep reduces to a barrier that guarantees they have
-// all drained and parked.
-func (rt *Runtime) Sleep() {
-	if rt.inIsolation {
-		panic("prometheus: Sleep during isolation epoch")
-	}
-	rt.barrier()
-}
-
-// RunParallel executes the given tasks on the delegate pool, round-robin,
-// and waits for completion. The runtime uses it for parallel reductions
-// (paper §2.2: N/2 combine operations per step run concurrently). ctx ids
-// are passed through so tasks can address per-context state. Must be called
-// during an aggregation epoch. In Sequential mode tasks run inline, in
-// order.
-func (rt *Runtime) RunParallel(tasks []func(ctx int)) {
-	if rt.inIsolation {
-		panic("prometheus: RunParallel during isolation epoch")
-	}
-	if rt.cfg.Sequential || (len(rt.delegates) == 0 && rt.rec == nil) {
-		for _, t := range tasks {
-			t(ProgramContext)
-		}
-		return
-	}
-	if rt.rec != nil {
-		for i, t := range tasks {
-			d := rt.rec.delegates[i%rt.cfg.Delegates]
-			rt.rec.enq[ProgramContext].add(1)
-			// noSetID: a pool task belongs to no serialization set, so
-			// nested delegations it issues must not be charged to whatever
-			// set the delegate executed last (outbound attribution,
-			// recsteal.go).
-			rt.recSend(d, Invocation{kind: kindMethod, set: noSetID, fn: t})
-		}
-		rt.recBarrier()
-		return
-	}
-	rt.flushBatch()
-	for i, t := range tasks {
-		d := rt.delegates[i%rt.cfg.Delegates]
-		rt.dirty[d.id-1] = true
-		if rt.sent != nil {
-			rt.sent[d.id-1]++ // method invocations count toward occupancy
-		}
-		// noSetID: a pool task belongs to no serialization set — it must
-		// not collide with user set 0 in the poison table when it faults.
-		d.queue.Push(Invocation{kind: kindMethod, set: noSetID, fn: t})
-	}
-	rt.barrier()
 }
 
 // EnterReduction switches phase accounting to reduction time; the matching
@@ -1180,33 +433,26 @@ func (rt *Runtime) EnterReduction() { rt.clock.switchTo(PhaseReduction, &rt.stat
 func (rt *Runtime) ExitReduction() { rt.clock.switchTo(PhaseAggregation, &rt.stats) }
 
 // Stats returns a snapshot of the runtime counters with the current phase's
-// elapsed time folded in and the delegate-side drain counters aggregated.
+// elapsed time folded in and the delegate- and producer-side counters
+// aggregated.
 func (rt *Runtime) Stats() Stats {
 	st := rt.stats
 	for _, d := range rt.delegates {
 		st.DrainBatches += d.drainBatches.Load()
 		st.DrainedOps += d.drainedOps.Load()
-	}
-	if rt.rec != nil {
-		st.RecursiveOps = rt.rec.enqSum()
-		for _, d := range rt.rec.delegates {
-			st.DrainBatches += d.drainBatches.Load()
-			st.DrainedOps += d.drainedOps.Load()
-			for _, lane := range d.lanes {
-				st.Spills += lane.Spills()
-			}
-		}
-		if steal := rt.rec.steal; steal != nil {
-			for i := range steal.migrations {
-				n := steal.migrations[i].n.Load()
-				st.Steals += n
-				st.Handoffs += n
-				st.ForcedEvacs += steal.forcedEvacs[i].n.Load()
-				st.OutboundVetoes += steal.outVetoes[i].n.Load()
-				st.OutboundTracked += steal.outStamps[i].n.Load()
-			}
+		for _, lane := range d.lanes {
+			st.Spills += lane.Spills()
 		}
 	}
+	st.RecursiveOps = rt.sentSum()
+	for i := range rt.prod {
+		p := &rt.prod[i]
+		st.Steals += p.migrations.Load()
+		st.ForcedEvacs += p.forcedEvacs.Load()
+		st.OutboundVetoes += p.outVetoes.Load()
+		st.OutboundTracked += p.outStamps.Load()
+	}
+	st.Handoffs = st.Steals
 	st.ThresholdAdjusts = rt.thresholdAdjusts.Load()
 	if fs := rt.faults.Load(); fs != nil {
 		st.Panics = fs.panics.Load()
@@ -1219,9 +465,9 @@ func (rt *Runtime) Stats() Stats {
 	return st
 }
 
-// Terminate shuts the runtime down (paper: terminate()). It sends
-// termination objects to all delegates, waits for them to finish outstanding
-// work, and reclaims the goroutines. The runtime is unusable afterwards.
+// Terminate shuts the runtime down (paper: terminate()). It waits for the
+// delegates to finish outstanding work, sends each a termination object,
+// and reclaims the goroutines. The runtime is unusable afterwards.
 func (rt *Runtime) Terminate() {
 	if rt.terminated {
 		return
@@ -1230,29 +476,10 @@ func (rt *Runtime) Terminate() {
 		rt.EndIsolation()
 	}
 	rt.terminated = true
-	if rt.rec != nil {
-		rt.recTerminate()
+	if !rt.cfg.Sequential {
+		rt.quiesce()
+		rt.parkDelegates(0, rt.cfg.Delegates)
 		rt.wg.Wait()
-		rt.clock.switchTo(PhaseAggregation, &rt.stats)
-		return
 	}
-	rt.flushBatch()
-	active := rt.cfg.Delegates
-	if active > len(rt.delegates) {
-		active = len(rt.delegates) // Sequential: no pool was built
-	}
-	for _, d := range rt.delegates[:active] {
-		done := make(chan struct{})
-		d.queue.Push(Invocation{kind: kindTerminate, done: done})
-		rt.waitDone(done)
-		d.queue.Close()
-	}
-	// Delegates parked by a scale-down have no goroutine to serve a
-	// termination object; their queues are provably empty (resize barrier +
-	// Checked assertion), so they only need closing.
-	for _, d := range rt.delegates[active:] {
-		d.queue.Close()
-	}
-	rt.wg.Wait()
 	rt.clock.switchTo(PhaseAggregation, &rt.stats)
 }

@@ -13,6 +13,37 @@ func newTestRuntime(t *testing.T, cfg Config) *Runtime {
 	return rt
 }
 
+// ownerOf reads a set's dynamic owner (0 when the owner table holds no
+// entry for it).
+func ownerOf(rt *Runtime, set uint64) int {
+	if e := rt.owners.Load().lookup(set); e != nil {
+		return int(e.owner.Load())
+	}
+	return 0
+}
+
+// place pre-places set on a delegate the way hot-set seeding does: an
+// entry with no history, so tests can build a placement first touch would
+// not. Like any seeded entry it may be stolen at its first delegation.
+func place(rt *Runtime, set uint64, owner int) {
+	rt.owners.Load().insert(set, rt.newSetEntry(owner))
+}
+
+// waitExec polls delegate ctx's published exec counter for producer's lane
+// until it covers lane position pos (the condition the rebalancer's
+// safe-handoff check reads).
+func waitExec(t *testing.T, rt *Runtime, ctx, producer int, pos uint64) {
+	t.Helper()
+	le := &rt.delegates[ctx-1].exec[producer]
+	deadline := time.Now().Add(5 * time.Second)
+	for le.Load() < pos {
+		if time.Now().After(deadline) {
+			t.Fatalf("delegate %d lane %d never reached executed=%d (at %d)", ctx, producer, pos, le.Load())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Delegates < 1 {
@@ -124,29 +155,61 @@ func TestSyncSetLeastLoadedUnknownSetNoop(t *testing.T) {
 	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded})
 	rt.BeginIsolation()
 	rt.SyncSet(999) // never delegated: must not deadlock or assign
-	if _, ok := rt.setOwner[999]; ok {
+	if ownerOf(rt, 999) != 0 {
 		t.Fatal("SyncSet should not assign an owner")
 	}
 	rt.EndIsolation()
 }
 
+// TestLeastLoadedSticky: first touch places a set, and without Stealing it
+// stays put for the epoch however the load moves — with Recursive too
+// (LeastLoaded without Stealing is a legal pairing there), for sets
+// first-touched by the program context and by a delegate alike.
 func TestLeastLoadedSticky(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 4, Policy: LeastLoaded})
-	rt.BeginIsolation()
-	first := rt.ContextFor(5)
-	for i := 0; i < 10; i++ {
-		rt.Delegate(5, func(int) { time.Sleep(time.Millisecond) })
-		if got := rt.ContextFor(5); got != first {
-			t.Fatalf("LeastLoaded moved set mid-epoch: %d -> %d", first, got)
+	for _, recursive := range []bool{false, true} {
+		name := "one-lane"
+		if recursive {
+			name = "recursive"
 		}
+		t.Run(name, func(t *testing.T) {
+			rt := newTestRuntime(t, Config{Delegates: 4, Policy: LeastLoaded, Recursive: recursive})
+			rt.BeginIsolation()
+			first := rt.ContextFor(5)
+			for i := 0; i < 10; i++ {
+				rt.Delegate(5, func(int) { time.Sleep(time.Millisecond) })
+				if got := rt.ContextFor(5); got != first {
+					t.Fatalf("LeastLoaded moved set mid-epoch: %d -> %d", first, got)
+				}
+			}
+			if recursive {
+				// A nested set, first-touched from delegate context `first`:
+				// placed off its producer's own delegate, then sticky while
+				// its owner backs up and two other delegates sit idle.
+				var routed [10]int
+				rt.Delegate(5, func(ctx int) {
+					for i := range routed {
+						routed[i] = rt.DelegateFrom(ctx, 6, func(int) { time.Sleep(100 * time.Microsecond) })
+					}
+				})
+				rt.SyncContext(first)
+				for _, got := range routed {
+					if got == first || got != routed[0] {
+						t.Fatalf("nested set routed to %v from context %d, want one delegate other than the producer's", routed, first)
+					}
+				}
+			}
+			rt.EndIsolation()
+			if st := rt.Stats(); st.Steals != 0 {
+				t.Fatalf("Steals = %d without Stealing", st.Steals)
+			}
+			// New epoch may choose a different owner; the table must reset.
+			rt.BeginIsolation()
+			if rt.owners.Load().len() != 0 {
+				t.Fatal("owner table not cleared at epoch start")
+			}
+			rt.EndIsolation()
+		})
 	}
-	rt.EndIsolation()
-	// New epoch may choose a different owner; the map must reset.
-	rt.BeginIsolation()
-	if len(rt.setOwner) != 0 {
-		t.Fatal("setOwner not cleared at epoch start")
-	}
-	rt.EndIsolation()
 }
 
 func TestEndIsolationIsBarrier(t *testing.T) {
@@ -190,18 +253,45 @@ func TestSequentialModeInline(t *testing.T) {
 	}
 }
 
+// TestProgramShareRunsInline: a set whose static slot is the program
+// context runs inline when the program context delegates it, under either
+// policy, in program order, counted in InlineExecs and never in the owner
+// table; its neighbours are still delegated.
 func TestProgramShareRunsInline(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, ProgramShare: 1, VirtualDelegates: 3})
-	rt.BeginIsolation()
-	ran := false
-	// Virtual delegate 0 is the program context; set 0 maps there.
-	if ctx := rt.Delegate(0, func(ctx int) { ran = ctx == ProgramContext }); ctx != ProgramContext {
-		t.Fatalf("set 0 assigned to ctx %d, want program context", ctx)
+	for _, policy := range []SchedPolicy{StaticMod, LeastLoaded} {
+		t.Run(policy.String(), func(t *testing.T) {
+			rt := newTestRuntime(t, Config{Delegates: 2, ProgramShare: 1, VirtualDelegates: 3, Policy: policy})
+			rt.BeginIsolation()
+			// Virtual delegate 0 is the program context; set 0 maps there.
+			var order []int
+			const ops = 50
+			for i := 0; i < ops; i++ {
+				ran := false
+				ctx := rt.Delegate(0, func(ctx int) {
+					ran = ctx == ProgramContext
+					order = append(order, i)
+				})
+				if ctx != ProgramContext || !ran {
+					t.Fatalf("op %d of set 0 went to ctx %d (ran inline: %v), want the program context", i, ctx, ran)
+				}
+				if ctx := rt.Delegate(1, func(int) {}); ctx == ProgramContext {
+					t.Fatal("set 1 ran inline: only set 0's slot is the program's share")
+				}
+			}
+			rt.EndIsolation()
+			for i, v := range order {
+				if v != i {
+					t.Fatalf("inline execution broke program order at %d: %v", i, order)
+				}
+			}
+			if st := rt.Stats(); st.InlineExecs != ops || st.Delegations != ops {
+				t.Fatalf("InlineExecs/Delegations = %d/%d, want %d/%d", st.InlineExecs, st.Delegations, ops, ops)
+			}
+			if policy == LeastLoaded && ownerOf(rt, 0) != 0 {
+				t.Fatal("a program-share set was given a delegate owner")
+			}
+		})
 	}
-	if !ran {
-		t.Fatal("program-share delegation did not run inline")
-	}
-	rt.EndIsolation()
 }
 
 func TestEpochCounting(t *testing.T) {
@@ -370,9 +460,81 @@ func TestSyncSkipsCleanDelegates(t *testing.T) {
 	rt.EndIsolation()
 	before := rt.Stats().Syncs
 	rt.BeginIsolation()
-	rt.SyncSet(1) // nothing delegated this epoch; dirty bit cleared by barrier
+	rt.SyncSet(1) // nothing delegated this epoch; the barrier left the delegate clean
 	rt.EndIsolation()
 	if got := rt.Stats().Syncs; got != before {
 		t.Errorf("Syncs = %d, want %d (clean delegate should be skipped)", got, before)
+	}
+}
+
+// TestSyncContextIsSingleTarget: without Recursive a SyncContext is the
+// paper's synchronization object — one message down one delegate's lane —
+// not a barrier: it returns while another delegate is still blocked.
+func TestSyncContextIsSingleTarget(t *testing.T) {
+	rt := newTestRuntime(t, Config{Delegates: 2, VirtualDelegates: 2})
+	rt.BeginIsolation()
+	release := startGated(rt, 1) // set 1 -> delegate 2, blocked
+	var ran atomic.Bool
+	if ctx := rt.Delegate(0, func(int) { ran.Store(true) }); ctx != 1 {
+		t.Fatalf("set 0 on delegate %d, want 1", ctx)
+	}
+	synced := make(chan struct{})
+	go func() {
+		defer close(synced)
+		rt.SyncContext(1)
+	}()
+	select {
+	case <-synced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SyncContext(1) waited on delegate 2's blocked operation")
+	}
+	if !ran.Load() {
+		t.Fatal("SyncContext(1) returned before delegate 1's operation ran")
+	}
+	if st := rt.Stats(); st.Syncs != 1 || st.Barriers != 0 {
+		t.Fatalf("Syncs/Barriers = %d/%d, want 1/0", st.Syncs, st.Barriers)
+	}
+	release()
+	rt.EndIsolation()
+}
+
+// TestQueueDepthsCountInFlight: a delegate's reported depth is its ledger
+// occupancy — everything routed to it that has not FINISHED — so the
+// operation it is running, and a drain run it has already popped, still
+// count. Placement and the autoscaler read the same number.
+func TestQueueDepthsCountInFlight(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"static":             {Delegates: 2},
+		"stealing":           stealCfg(2, MaxStealThreshold),
+		"recursive":          {Delegates: 2, Recursive: true},
+		"recursive+stealing": recStealCfg(2, MaxStealThreshold),
+	} {
+		t.Run(name, func(t *testing.T) {
+			rt := newTestRuntime(t, cfg)
+			rt.BeginIsolation()
+			release := startGated(rt, 7) // running, not queued
+			owner := rt.ContextFor(7)
+			const queued = 5
+			for i := 0; i < queued; i++ {
+				rt.Delegate(7, func(int) {})
+			}
+			depths := rt.QueueDepths(nil)
+			if len(depths) != 2 {
+				t.Fatalf("QueueDepths reported %d delegates, want 2", len(depths))
+			}
+			if got := depths[owner-1]; got != queued+1 {
+				t.Errorf("depth of delegate %d = %d with 1 operation running and %d queued, want %d", owner, got, queued, queued+1)
+			}
+			if got := depths[2-owner]; got != 0 {
+				t.Errorf("idle delegate reports depth %d", got)
+			}
+			release()
+			rt.EndIsolation()
+			for i, d := range rt.QueueDepths(nil) {
+				if d != 0 {
+					t.Errorf("delegate %d reports depth %d after the barrier", i+1, d)
+				}
+			}
+		})
 	}
 }

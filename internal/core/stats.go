@@ -28,7 +28,7 @@ func (p Phase) String() string {
 
 // Stats accumulates runtime counters and the per-phase wall-clock breakdown
 // used to regenerate Figure 5a. Most fields are maintained by the program
-// context; the drain, recursive, spill, handoff, and threshold counters are
+// context; the drain, lane, spill, handoff, and threshold counters are
 // aggregated from per-delegate (and per-producer, and per-lane) atomics
 // when a snapshot is taken, so a Stats() call may observe work mid-flight.
 type Stats struct {
@@ -37,15 +37,15 @@ type Stats struct {
 	Syncs        uint64 // ownership reclaims (synchronization objects)
 	Barriers     uint64 // full-runtime barriers (EndIsolation, Sleep)
 	Epochs       uint64 // isolation epochs begun
-	BatchFlushes uint64 // delegation-buffer flushes (batches delivered)
-	BatchedOps   uint64 // delegations delivered through the batch buffer
-	Steals       uint64 // serialization sets handed off by the occupancy-aware rebalancer (flat and recursive)
-	Handoffs     uint64 // recursive-mode whole-set handoffs (the multi-producer quiescent protocol; a subset of Steals)
-	ForcedEvacs  uint64 // recursive handoffs forced off a set's own producer's delegate (self-delegation hazard; a subset of Handoffs)
+	BatchFlushes uint64 // always zero: the batch buffer is gone; declared only because the frozen bench/ reads it
+	BatchedOps   uint64 // always zero, kept for the same reason
+	Steals       uint64 // serialization sets handed off, whole, by the occupancy-aware rebalancer
+	Handoffs     uint64 // equal to Steals: every steal is a quiescent whole-set handoff
+	ForcedEvacs  uint64 // handoffs forced off a set's own producer's delegate (self-delegation hazard; a subset of Steals)
 	DrainBatches uint64 // delegate-side batched drains (PopBatch runs executed)
 	DrainedOps   uint64 // invocations delivered through batched drains
-	RecursiveOps uint64 // invocations enqueued through recursive lanes (all producers)
-	Spills       uint64 // recursive-lane ring overflows absorbed by spill lists
+	RecursiveOps uint64 // messages pushed into delegate lanes by all producer contexts (operations, pool tasks, sync objects)
+	Spills       uint64 // lane ring overflows absorbed by spill lists (delegate producers only)
 
 	ThresholdAdjusts uint64 // in-epoch adaptive StealThreshold changes (imbalance-EWMA driven)
 	HotSetsPlaced    uint64 // hot sets pre-placed round-robin at BeginIsolation from prior-epoch op counts
@@ -58,11 +58,11 @@ type Stats struct {
 	Resizes             uint64
 	ResizeEvacuatedSets uint64
 
-	// Per-set outbound-ledger counters (recursive stealing). OutboundVetoes
+	// Per-set outbound-ledger counters (stealing with Recursive). OutboundVetoes
 	// counts migration attempts blocked because the candidate set's own
 	// recorded outbound traffic was not yet covered by the target lanes'
 	// executed counters; OutboundTracked counts ledger writes (one per
-	// nested delegation issued by a set's operation under stealing) — the
+	// nested delegation issued by an owner-tracked set's operation) — the
 	// ledger's write volume, for sizing its hot-path cost.
 	OutboundVetoes  uint64
 	OutboundTracked uint64

@@ -8,28 +8,31 @@ import (
 	"repro/internal/spsc"
 )
 
-// waitExecuted polls delegate ctx's published progress until it reaches n
-// method invocations (the condition the rebalancer's safe-handoff check
-// reads).
-func waitExecuted(t *testing.T, rt *Runtime, ctx int, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.delegates[ctx-1].executed.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("delegate %d never reached executed=%d (at %d)",
-				ctx, n, rt.delegates[ctx-1].executed.Load())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 func stealCfg(delegates, threshold int) Config {
 	return Config{
 		Delegates:      delegates,
 		Policy:         LeastLoaded,
 		Stealing:       true,
 		StealThreshold: threshold,
-		DelegateBatch:  1, // direct pushes so queue/occupancy states are exact
+	}
+}
+
+func recStealCfg(delegates, threshold int) Config {
+	cfg := stealCfg(delegates, threshold)
+	cfg.Recursive = true
+	return cfg
+}
+
+// bothWidths runs a rebalancer shape driven from the program context on a
+// one-lane pool and on the Recursive lane matrix: with the program context
+// as the only producer the two must behave identically.
+func bothWidths(t *testing.T, delegates, threshold int, shape func(t *testing.T, rt *Runtime)) {
+	for _, cfg := range []Config{stealCfg(delegates, threshold), recStealCfg(delegates, threshold)} {
+		name := "one-lane"
+		if cfg.Recursive {
+			name = "recursive"
+		}
+		t.Run(name, func(t *testing.T) { shape(t, newTestRuntime(t, cfg)) })
 	}
 }
 
@@ -38,42 +41,42 @@ func stealCfg(delegates, threshold int) Config {
 // whose own operations have all completed — gets its next delegation. The
 // rebalancer must hand that set, whole, to the idle delegate 2.
 func TestStealHandsOffQuiescentSet(t *testing.T) {
-	rt := newTestRuntime(t, stealCfg(2, 1))
-	rt.BeginIsolation()
-	defer rt.EndIsolation()
+	bothWidths(t, 2, 1, func(t *testing.T, rt *Runtime) {
+		rt.BeginIsolation()
+		defer rt.EndIsolation()
 
-	// Set 100's first op gates delegate 1 (ties in leastLoaded resolve to
-	// the lowest id, and startGated returns only once the op is running).
-	release1 := startGated(rt, 100)
-	// Set 200's first op also lands on delegate 1: the gated op has been
-	// popped, so both queues look empty and the tie resolves to 1 again.
-	var b1 atomic.Bool
-	if ctx := rt.Delegate(200, func(int) { b1.Store(true) }); ctx != 1 {
-		t.Fatalf("set 200 seeded on delegate %d, want 1", ctx)
-	}
-	release1()
-	waitExecuted(t, rt, 1, 2) // both set-100 and set-200 ops done
+		// Set 200 runs one op to completion on delegate 1 (every delegate
+		// idle: first touch resolves the tie to the lowest id).
+		if ctx := rt.Delegate(200, func(int) {}); ctx != 1 {
+			t.Fatalf("set 200 first-touched onto delegate %d, want 1", ctx)
+		}
+		waitExec(t, rt, 1, ProgramContext, 1)
 
-	// Re-load delegate 1 with set 100 work so it is a steal victim
-	// (occupancy 1 >= threshold 1) while set 200 is quiescent.
-	release2 := startGated(rt, 100)
-	ctx := rt.Delegate(200, func(int) {})
-	release2()
-	if ctx != 2 {
-		t.Fatalf("quiescent set 200 delegated to %d, want stolen to idle delegate 2", ctx)
-	}
-	if e := rt.setOwner[200]; e.ctx != 2 {
-		t.Fatalf("owner table has set 200 on %d, want 2", e.ctx)
-	}
-	if st := rt.Stats(); st.Steals != 1 {
-		t.Fatalf("Steals = %d, want 1", st.Steals)
-	}
-	// Sticky after the handoff: once the thief is below threshold again, the
-	// next delegation stays with it.
-	waitExecuted(t, rt, 2, 1)
-	if ctx := rt.Delegate(200, func(int) {}); ctx != 2 {
-		t.Fatalf("post-steal delegation went to %d, want sticky thief 2", ctx)
-	}
+		// Pin delegate 1 with set 100 (idle pool again: same tie) so it is a
+		// steal victim — occupancy 1 >= threshold 1 — while set 200 is
+		// quiescent there.
+		release := startGated(rt, 100)
+		ctx := rt.Delegate(200, func(int) {})
+		release()
+		if ctx != 2 {
+			t.Fatalf("quiescent set 200 delegated to %d, want stolen to idle delegate 2", ctx)
+		}
+		if got := ownerOf(rt, 200); got != 2 {
+			t.Fatalf("owner table has set 200 on %d, want 2", got)
+		}
+		if st := rt.Stats(); st.Steals != 1 || st.Handoffs != 1 {
+			t.Fatalf("Steals/Handoffs = %d/%d, want 1/1", st.Steals, st.Handoffs)
+		}
+		if stamp := rt.owners.Load().lookup(200).stamp.Load(); stamp != 1 {
+			t.Fatalf("handoff stamp = %d, want 1", stamp)
+		}
+		// Sticky after the handoff: once the thief is below threshold again,
+		// the next delegation stays with it.
+		waitExec(t, rt, 2, ProgramContext, 1)
+		if ctx := rt.Delegate(200, func(int) {}); ctx != 2 {
+			t.Fatalf("post-steal delegation went to %d, want sticky thief 2", ctx)
+		}
+	})
 }
 
 // TestNoStealWhileSetInFlight pins the safety half: a set with an operation
@@ -81,26 +84,29 @@ func TestStealHandsOffQuiescentSet(t *testing.T) {
 // how loaded the owner is — moving it would let the set's operations run out
 // of program order.
 func TestNoStealWhileSetInFlight(t *testing.T) {
-	rt := newTestRuntime(t, stealCfg(2, 1))
-	rt.BeginIsolation()
-	defer rt.EndIsolation()
+	bothWidths(t, 2, 1, func(t *testing.T, rt *Runtime) {
+		rt.BeginIsolation()
+		defer rt.EndIsolation()
 
-	release := startGated(rt, 100)
-	var order []int
-	rt.Delegate(200, func(int) { order = append(order, 1) }) // queued behind the gate
-	// Owner occupancy is 2 (>= threshold), delegate 2 is idle, but set 200's
-	// op is still queued on delegate 1: the delegation must follow it there.
-	if ctx := rt.Delegate(200, func(int) { order = append(order, 2) }); ctx != 1 {
-		t.Fatalf("in-flight set delegated to %d, want owner 1", ctx)
-	}
-	if st := rt.Stats(); st.Steals != 0 {
-		t.Fatalf("Steals = %d, want 0 (set was in flight)", st.Steals)
-	}
-	release()
-	rt.barrier()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("per-set order = %v, want [1 2]", order)
-	}
+		release := startGated(rt, 200) // set 200's own first op pins delegate 1
+		var order []int
+		// Owner occupancy is at or above threshold and delegate 2 is idle, but
+		// set 200 has work running (then queued) on delegate 1: every
+		// delegation must follow it there.
+		for i := 1; i <= 2; i++ {
+			if ctx := rt.Delegate(200, func(int) { order = append(order, i) }); ctx != 1 {
+				t.Fatalf("in-flight set delegated to %d, want owner 1", ctx)
+			}
+		}
+		if st := rt.Stats(); st.Steals != 0 {
+			t.Fatalf("Steals = %d, want 0 (set was in flight)", st.Steals)
+		}
+		release()
+		rt.barrier()
+		if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+			t.Fatalf("per-set order = %v, want [1 2]", order)
+		}
+	})
 }
 
 // TestNoStealBelowThreshold: a lightly loaded owner keeps its sets even with
@@ -110,15 +116,13 @@ func TestNoStealBelowThreshold(t *testing.T) {
 	rt.BeginIsolation()
 	defer rt.EndIsolation()
 
-	release1 := startGated(rt, 100)
 	rt.Delegate(200, func(int) {})
-	release1()
-	waitExecuted(t, rt, 1, 2)
-	release2 := startGated(rt, 100)
+	waitExec(t, rt, 1, ProgramContext, 1)
+	release := startGated(rt, 100)
 	if ctx := rt.Delegate(200, func(int) {}); ctx != 1 {
 		t.Fatalf("set 200 moved to %d below threshold, want 1", ctx)
 	}
-	release2()
+	release()
 	if st := rt.Stats(); st.Steals != 0 {
 		t.Fatalf("Steals = %d, want 0", st.Steals)
 	}
@@ -132,37 +136,33 @@ func TestNoStealWithoutUnderloadedThief(t *testing.T) {
 	rt.BeginIsolation()
 	defer rt.EndIsolation()
 
-	// Gate delegate 1, seed set 200 behind its gate (tie resolves to 1),
-	// then gate delegate 2 — with one op queued on 1, the tie breaks to 2 —
-	// and pile a backlog of set-300 work behind that second gate.
+	// Set 200 completes one op on delegate 1; then gate delegate 1 (set 100,
+	// idle-pool tie) and delegate 2 (set 300: the only idle delegate), and
+	// pile a backlog of set-300 work behind that second gate.
+	rt.Delegate(200, func(int) {})
+	waitExec(t, rt, 1, ProgramContext, 1)
 	release1 := startGated(rt, 100)
-	rt.Delegate(200, func(int) {}) // queue(1) = 1
 	release2 := startGated(rt, 300)
-	if got := rt.setOwner[300].ctx; got != 2 {
-		t.Fatalf("set 300 seeded on %d, want 2", got)
+	if got := ownerOf(rt, 300); got != 2 {
+		t.Fatalf("set 300 first-touched onto %d, want 2", got)
 	}
 	for i := 0; i < 4; i++ {
 		rt.Delegate(300, func(int) {})
 	}
-	release1()
-	waitExecuted(t, rt, 1, 2) // gate + set-200 op done: set 200 quiescent
-	// Reload delegate 1 so it is a victim with occupancy 1.
-	release3 := startGated(rt, 100)
-	// The only candidate thief holds ~5 outstanding ops behind its gate:
-	// 5*4 > 1, so no steal even though set 200 is quiescent and its owner
-	// is at threshold.
+	// Set 200 is quiescent and its owner is at threshold (occupancy 1), but
+	// the only candidate thief holds 5 outstanding ops: 5*4 > 1, so no steal.
 	if ctx := rt.Delegate(200, func(int) {}); ctx != 1 {
 		t.Fatalf("set 200 stolen to %d despite loaded thief, want 1", ctx)
 	}
 	if st := rt.Stats(); st.Steals != 0 {
 		t.Fatalf("Steals = %d, want 0", st.Steals)
 	}
-	release3()
+	release1()
 	release2()
 }
 
 // TestStealingConfigValidation: the rebalancer needs the LeastLoaded owner
-// table and a single delegation producer.
+// table, with or without Recursive.
 func TestStealingConfigValidation(t *testing.T) {
 	expectPanic := func(name string, cfg Config) {
 		t.Helper()
@@ -210,48 +210,47 @@ func TestStealThresholdDefault(t *testing.T) {
 	}
 }
 
-// TestStealStress repeats the gated handoff dance many times with work on
-// both sets, checking per-set program order end to end. Run under -race this
-// exercises the executed-counter synchronization between victim, program
-// context, and thief on every iteration (the CI stealing-stress job).
+// TestStealStress repeats the gated handoff dance many times, checking
+// per-set program order end to end. Each iteration pins whichever delegate
+// currently owns set 200, so every iteration hands the set back across. Run
+// under -race this exercises the exec-counter synchronization between
+// victim, program context, and thief (the CI engine-stress job).
 func TestStealStress(t *testing.T) {
-	rt := newTestRuntime(t, stealCfg(2, 1))
-	var log100, log200 []int
-	n100, n200 := 0, 0
-	rt.BeginIsolation()
-	for iter := 0; iter < 50; iter++ {
-		release := startGated(rt, 100)
-		for j := 0; j < 4; j++ {
-			v := n200
-			n200++
-			rt.Delegate(200, func(int) { log200 = append(log200, v) })
+	bothWidths(t, 2, 1, func(t *testing.T, rt *Runtime) {
+		var log200 []int
+		var gateOps atomic.Int64
+		rt.BeginIsolation()
+		place(rt, 101, 1) // the gate sets, one per delegate
+		place(rt, 102, 2)
+		place(rt, 200, 1)
+		const iters = 50
+		for iter := 0; iter < iters; iter++ {
+			gate := uint64(100 + ownerOf(rt, 200))
+			release := startGated(rt, gate)
+			for j := 0; j < 4; j++ {
+				v := 4*iter + j
+				rt.Delegate(200, func(int) { log200 = append(log200, v) })
+			}
+			rt.Delegate(gate, func(int) { gateOps.Add(1) })
+			release()
+			// Quiesce both delegates so every iteration starts from a clean
+			// occupancy state and the next gated op re-creates the imbalance.
+			rt.barrier()
 		}
-		v := n100
-		n100++
-		rt.Delegate(100, func(int) { log100 = append(log100, v) })
-		release()
-		// Quiesce both delegates so every iteration starts from a clean
-		// occupancy state and the next gated op re-creates the imbalance.
-		rt.barrier()
-	}
-	rt.EndIsolation()
-	if len(log100) != n100 || len(log200) != n200 {
-		t.Fatalf("lost operations: |log100|=%d want %d, |log200|=%d want %d",
-			len(log100), n100, len(log200), n200)
-	}
-	for i, v := range log200 {
-		if v != i {
-			t.Fatalf("set 200 order broken at %d: got %d", i, v)
+		rt.EndIsolation()
+		if len(log200) != 4*iters || gateOps.Load() != iters {
+			t.Fatalf("lost operations: |log200|=%d want %d, gate ops %d want %d",
+				len(log200), 4*iters, gateOps.Load(), iters)
 		}
-	}
-	for i, v := range log100 {
-		if v != i {
-			t.Fatalf("set 100 order broken at %d: got %d", i, v)
+		for i, v := range log200 {
+			if v != i {
+				t.Fatalf("set 200 order broken at %d: got %d", i, v)
+			}
 		}
-	}
-	if st := rt.Stats(); st.Steals == 0 {
-		t.Fatal("stress run never performed a steal")
-	}
+		if st := rt.Stats(); st.Steals < iters/2 {
+			t.Fatalf("Steals = %d, want the set handed across on (nearly) every one of %d iterations", st.Steals, iters)
+		}
+	})
 }
 
 // BenchmarkCoreDelegateSkewed is the paper's core imbalance scenario:
@@ -291,12 +290,12 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 			rt := New(Config{Delegates: delegates, Policy: LeastLoaded, Stealing: stealing})
 			rt.BeginIsolation()
 			// Install the skewed sticky ownership the uneven earlier chains
-			// would have left behind (lastPos 0: those chains completed).
+			// would have left behind (no positions: those chains completed).
 			for s := 0; s < hotSets; s++ {
-				rt.setOwner[uint64(s)] = &setEntry{ctx: 1}
+				place(rt, uint64(s), 1)
 			}
 			for s := 0; s < coldSets; s++ {
-				rt.setOwner[uint64(hotSets+s)] = &setEntry{ctx: 2 + s%(delegates-1)}
+				place(rt, uint64(hotSets+s), 2+s%(delegates-1))
 			}
 			b.StartTimer()
 			hot, cold := 0, 0
@@ -325,7 +324,7 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 // TestDrainBatchesCount: a backlog released at once must be consumed through
 // the batched drain path, visible in the DrainedOps counter.
 func TestDrainBatchesCount(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: 1})
+	rt := newTestRuntime(t, Config{Delegates: 1})
 	rt.BeginIsolation()
 	release := startGated(rt, 0)
 	var ran atomic.Int64

@@ -407,12 +407,6 @@ func (s *Server) router(ready chan struct{}) {
 	opts := []prometheus.Option{
 		prometheus.WithPolicy(prometheus.LeastLoaded),
 		prometheus.WithStealing(),
-		// Delegation batching is off: the batch buffer flushes on the
-		// program context's NEXT runtime call, and this router parks in a
-		// select between deliveries — a buffered tail would strand its
-		// requests (handlers waiting on done channels) until the next
-		// rotation. The jobs channel already amortizes the handoff.
-		prometheus.WithDelegateBatch(1),
 	}
 	if s.cfg.Delegates > 0 {
 		opts = append(opts, prometheus.WithDelegates(s.cfg.Delegates))

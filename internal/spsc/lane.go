@@ -6,14 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Lane is the SPSC queue variant behind recursive delegation: a bounded
-// lap-stamped value ring (same slot machinery as Queue) backed by an
-// unbounded linked-list spill that absorbs overflow, so the producer-side
-// Push NEVER blocks. Recursive mode needs that property for deadlock
-// freedom: a delegate may delegate to a set it itself owns — or to a peer
-// that is simultaneously delegating back — and a bounded queue's blocking
-// push could then wait on a lane only the blocked context (or a blocked
-// cycle of contexts) could drain. In steady state the ring absorbs all
+// Lane is the runtime's communication lane: a bounded lap-stamped value ring
+// (same slot machinery as Queue) backed by an unbounded linked-list spill
+// that absorbs overflow, so the producer-side Push NEVER blocks. Recursive
+// delegation needs that property for deadlock freedom: a delegate may
+// delegate to a set it itself owns — or to a peer that is simultaneously
+// delegating back — and a bounded queue's blocking push could then wait on
+// a lane only the blocked context (or a blocked cycle of contexts) could
+// drain. In steady state the ring absorbs all
 // traffic and a push writes the invocation record by value with zero heap
 // allocations; overflow pays a node allocation only until the spill-node
 // freelist warms up (see the recycling note below).
@@ -24,7 +24,13 @@ import (
 // the entire spill list — only then may the ring be used again. The
 // consumer always drains ring before spill, which is correct because the
 // resume rule makes "ring values present are older than spill values
-// present" an invariant.
+// present" an invariant — provided the consumer looks at the spill list
+// FIRST: a spill node it observes was linked after every older ring value
+// became visible, and none newer can enter the ring while that node is
+// unpopped, so draining the ring after the observation yields exactly the
+// values older than the node. Reading the spill list after finding the ring
+// empty would instead race a producer that refilled the ring and spilled
+// again in between, and deliver the new spill run ahead of the ring.
 //
 // PushBlocking is the complementary producer call for contexts that are
 // never part of a delegation cycle (the program context, which no delegate
@@ -37,7 +43,7 @@ import (
 //
 // Unlike Queue, a Lane publishes no pushed/popped counters and performs no
 // consumer-side wake signaling: readiness tracking and consumer parking
-// belong to the recursive delegate's pending-lane bitmask (one word for
+// belong to the delegate's pending-lane bitmask (one word for
 // all lanes, maintained by the runtime), which replaces per-lane O(lanes)
 // polling with an O(1) check. The lane only keeps the producer-side park
 // machinery that PushBlocking needs.
@@ -93,7 +99,7 @@ type Lane[T any] struct {
 }
 
 // freelistSize is the per-lane spill-node freelist capacity. 64 node
-// pointers (512B) covers the spill bursts the recursive engine produces in
+// pointers (512B) covers the spill bursts recursive delegation produces in
 // practice — a burst deeper than the freelist falls back to the shared
 // NodePool, and only with no pool attached does it reach the allocator.
 const freelistSize = 64
@@ -282,6 +288,7 @@ func (l *Lane[T]) PushBlocking(v T) {
 // for why that order is FIFO. Consumer method.
 func (l *Lane[T]) TryPop() (T, bool) {
 	var zero T
+	next := l.spillHead.next.Load() // before the ring: see the type comment
 	s := &l.slots[l.head&l.mask]
 	if s.seq.Load() == l.fullStamp(l.head) {
 		v := s.val
@@ -291,7 +298,7 @@ func (l *Lane[T]) TryPop() (T, bool) {
 		l.signalProducer()
 		return v, true
 	}
-	if next := l.spillHead.next.Load(); next != nil {
+	if next != nil {
 		v := next.val
 		next.val = zero
 		old := l.spillHead
@@ -312,6 +319,9 @@ func (l *Lane[T]) TryPop() (T, bool) {
 // spill-popped counter is published once per run. Consumer method.
 func (l *Lane[T]) PopBatch(dst []T) int {
 	var zero T
+	// Look at the spill list before the ring (see the type comment): a run
+	// that is only linked after this load waits for the next call.
+	spilled := l.spillHead.next.Load() != nil
 	n := 0
 	for n < len(dst) {
 		s := &l.slots[l.head&l.mask]
@@ -325,7 +335,7 @@ func (l *Lane[T]) PopBatch(dst []T) int {
 		n++
 	}
 	m := 0
-	for n < len(dst) {
+	for spilled && n < len(dst) {
 		next := l.spillHead.next.Load()
 		if next == nil {
 			break

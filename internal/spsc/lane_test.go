@@ -1,6 +1,8 @@
 package spsc
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -220,4 +222,52 @@ func BenchmarkLane(b *testing.B) {
 			l.TryPop()
 		}
 	})
+}
+
+// TestLaneFIFOAcrossRespill regresses an ordering hole in the ring/spill
+// hand-over: a consumer that found the ring empty and only then looked at
+// the spill list could be overtaken by a producer that refilled the ring
+// and spilled again in between, and delivered the new spill run ahead of
+// the ring values before it. The window is a few instructions wide, so the
+// test is statistical: it oversubscribes the CPUs with producer/consumer
+// pairs on 4-slot rings (which leave and re-enter spill mode constantly)
+// and waits for preemption to land in it — about one run in six caught the
+// old code on a 2-CPU host, and the CI engine-stress job repeats it.
+func TestLaneFIFOAcrossRespill(t *testing.T) {
+	const pairs, n = 16, 200000
+	bad := make(chan [2]int, pairs)
+	var wg sync.WaitGroup
+	for p := 0; p < pairs; p++ {
+		l := NewLanePooled[int](4, NewNodePool[int]())
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				l.Push(i)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			buf := make([]int, 64)
+			for want := 0; want < n; {
+				k := l.PopBatch(buf)
+				if k == 0 {
+					runtime.Gosched()
+					continue
+				}
+				for _, v := range buf[:k] {
+					if v != want {
+						bad <- [2]int{want, v}
+						return
+					}
+					want++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(bad)
+	for b := range bad {
+		t.Errorf("lane delivered %d where %d was next", b[1], b[0])
+	}
 }

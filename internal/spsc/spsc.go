@@ -1,8 +1,10 @@
 // Package spsc implements the lock-free single-producer single-consumer
-// queues the Prometheus runtime uses between the program context and each
+// queues the Prometheus runtime uses between a producer context and a
 // delegate context, in the spirit of FastForward (Giacomoni et al., PPoPP
-// 2008): the program→delegate handoff should cost no more than the cache
-// transfers of the data itself.
+// 2008): the producer→delegate handoff should cost no more than the cache
+// transfers of the data itself. The runtime's communication lanes are Lane
+// (lane.go), which shares the slot machinery described here; Queue, the
+// self-contained blocking form, has no caller in the runtime any more.
 //
 // Queue is a bounded ring of sequence-stamped value slots (a Vyukov-style
 // ring specialized to one producer and one consumer). Each slot carries a
@@ -25,18 +27,14 @@
 //
 // The queue additionally publishes cache-line-padded monotonic pushed/popped
 // counters, giving O(1) Len and Empty that are safe to call from any
-// goroutine — the load-balancing scheduler polls queue depths on set
-// assignment, which must not cost O(capacity) per delegation.
+// goroutine.
 //
 // PushBatch writes a batch of values with a single wake signal at the end,
-// amortizing the producer→consumer signaling across the batch; the runtime's
-// program-context delegation buffer uses it to flush runs of operations
-// bound for the same delegate. PopBatch is its consumer-side mirror: it
-// removes a run of readable slots with a single popped-counter publish and a
-// single producer wake at the end, so a delegate draining a backlog pays the
-// shared-line stores once per run rather than once per operation. The
-// runtime's delegate drain loop pops one value (blocking) per wake and then
-// PopBatches the rest of the backlog.
+// amortizing the producer→consumer signaling across the batch. PopBatch is
+// its consumer-side mirror: it removes a run of readable slots with a single
+// popped-counter publish and a single producer wake at the end, so a
+// consumer draining a backlog pays the shared-line stores once per run
+// rather than once per operation.
 //
 // Blocking behaviour is hybrid: callers spin for a bounded number of
 // iterations (the analogue of the paper's PAUSE-instruction spin loop) and
@@ -84,8 +82,9 @@ type slot[T any] struct {
 	val T
 }
 
-// Queue is a bounded lock-free SPSC queue of T values. The zero value is not
-// usable; construct with NewQueue. Exactly one goroutine may call the
+// Queue is a bounded lock-free SPSC queue of T values. The runtime no longer
+// uses it; it stays declared because bench/ (frozen by the benchmark rules)
+// measures it. The zero value is not usable; construct with NewQueue. Exactly one goroutine may call the
 // producer methods (Push, TryPush, PushBatch, Close) and exactly one may
 // call the consumer methods (Pop, TryPop, PopBatch). Len, Empty, Cap and
 // Closed are safe from any goroutine.

@@ -21,13 +21,16 @@ import (
 // and the wait is also what creates the quiescent boundaries.
 //
 // The mechanics here are load-bearing for every user: the marker
-// accounting, the done-counter reset, and the choice of hot/cold set ids
-// against the static assignment table (hot sets must pile onto one
-// delegate; neither list may include the producer's own set) decide
-// whether handoffs can fire at all and whether the wait can deadlock.
+// accounting, the done-counter reset, and the placement of the hot sets
+// (they must pile onto one delegate; neither list may include the
+// producer's own set) decide whether handoffs can fire at all and whether
+// the wait can deadlock. Under StaticMod the caller picks set ids that
+// share a slot of the assignment table; under LeastLoaded, where a set is
+// homed at first touch on the least-occupied delegate, Run co-homes the hot
+// sets itself before the first wave (cohome).
 type SkewedRecursive struct {
-	Hot    []uint64 // hot sets (90% of operations), statically co-homed
-	Cold   []uint64 // cold sets, statically spread
+	Hot    []uint64 // hot sets (90% of operations), co-homed on one delegate
+	Cold   []uint64 // cold sets, spread over the others
 	Waves  int
 	RunLen int // consecutive operations per hot set; one cold op follows each run
 }
@@ -41,6 +44,7 @@ func (s SkewedRecursive) OpsPerWave() int { return len(s.Hot) * (s.RunLen + 1) }
 // closure to record per-operation data. seq increments across the whole
 // run in delegation order, the order per-set logs must replay.
 func (s SkewedRecursive) Run(c *prometheus.Ctx, makeOp func(set uint64, seq int32) func(*prometheus.Ctx)) {
+	s.cohome(c)
 	var done atomic.Int64
 	seq := int32(0)
 	opsPerWave := s.OpsPerWave()
@@ -63,5 +67,40 @@ func (s SkewedRecursive) Run(c *prometheus.Ctx, makeOp func(set uint64, seq int3
 			runtime.Gosched()
 		}
 		done.Store(0)
+	}
+}
+
+// cohome gives the shape its skew under first-touch placement: it parks a
+// backlog deeper than len(Hot) on every delegate but the producer's own
+// and one other — one cold set each, behind an operation that holds until
+// released — then touches every hot set, so all of them are homed on the
+// one delegate left idle, and drains the lot before the first wave. With
+// fewer cold sets than Delegates-2 some hot sets land on the delegates left
+// over. Under StaticMod the operations simply run where the table says.
+func (s SkewedRecursive) cohome(c *prometheus.Ctx) {
+	var release atomic.Bool
+	var done atomic.Int64
+	hold := func(*prometheus.Ctx) {
+		for !release.Load() {
+			runtime.Gosched()
+		}
+		done.Add(1)
+	}
+	tick := func(*prometheus.Ctx) { done.Add(1) }
+	sent := int64(0)
+	for _, cold := range s.Cold[:min(len(s.Cold), max(0, c.Runtime().ActiveDelegates()-2))] {
+		c.Delegate(cold, hold)
+		for range s.Hot {
+			c.Delegate(cold, tick)
+		}
+		sent += int64(1 + len(s.Hot))
+	}
+	for _, h := range s.Hot {
+		c.Delegate(h, tick)
+		sent++
+	}
+	release.Store(true)
+	for done.Load() < sent {
+		runtime.Gosched()
 	}
 }

@@ -79,9 +79,9 @@ func WithDelegates(n int) Option { return func(c *core.Config) { c.Delegates = n
 // WithMaxDelegates sets the pool capacity ceiling for Resize/Reconfigure
 // (default: the initial delegate count, i.e. a fixed pool). All pool
 // structures are pre-allocated to this capacity at Init so a live resize
-// never reallocates anything a running delegate indexes into; in recursive
-// mode the lane matrix costs O(MaxDelegates²) rings, so size the ceiling
-// to plausible load, not to the machine.
+// never reallocates anything a running delegate indexes into; with
+// Recursive the lane matrix costs O(MaxDelegates²) rings, so size the
+// ceiling to plausible load, not to the machine.
 func WithMaxDelegates(n int) Option { return func(c *core.Config) { c.MaxDelegates = n } }
 
 // WithVirtualDelegates sets the size of the static assignment table (§4).
@@ -91,20 +91,11 @@ func WithVirtualDelegates(n int) Option { return func(c *core.Config) { c.Virtua
 // (the paper's assignment ratio); their operations execute inline.
 func WithProgramShare(n int) Option { return func(c *core.Config) { c.ProgramShare = n } }
 
-// WithQueueCapacity sets the per-delegate communication queue capacity; in
-// recursive mode it sizes each producer lane's bounded ring (overflow
-// spills to an unbounded list, so small rings stay deadlock-free).
+// WithQueueCapacity sets the capacity of each communication lane's bounded
+// ring: one lane per delegate, one per delegate and producer context with
+// Recursive. The program context blocks on a full ring; a delegating
+// delegate spills to an unbounded list, so small rings stay deadlock-free.
 func WithQueueCapacity(n int) Option { return func(c *core.Config) { c.QueueCapacity = n } }
-
-// WithDelegateBatch bounds the program context's delegation buffer: runs of
-// up to n consecutive delegations bound for the same busy delegate are
-// written to its queue as one batch with a single wake-up signal. n = 1
-// disables batching. Operations are never buffered while the target
-// delegate has no backlog, the buffer flushes as soon as the delegate is
-// observed drained, and every synchronization point (sync, barrier, epoch
-// transition, termination) flushes first — so a buffered operation waits at
-// most until the program context's next delegation or runtime call.
-func WithDelegateBatch(n int) Option { return func(c *core.Config) { c.DelegateBatch = n } }
 
 // WithPolicy selects the delegate-assignment policy.
 func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy = p } }
@@ -120,15 +111,13 @@ func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy =
 // determinism guarantee is unchanged; only the placement of whole sets
 // responds to load. Requires WithPolicy(LeastLoaded).
 //
-// In recursive mode (Recursive + WithPolicy(LeastLoaded)) the same
-// contract holds across many producer contexts: a set migrates only when
-// every producer's newest operation on it has executed on the owner AND
-// every nested delegation the set's own operations issued has drained —
-// tracked precisely per set by an outbound ledger, so other sets'
-// in-flight traffic never blocks a migration (the multi-producer
-// quiescent handoff; see doc.go). Placement seeds from the static
-// assignment table, the previous epoch's hottest sets are pre-placed
-// round-robin at BeginIsolation, and the steal threshold and
+// With Recursive the same contract holds across many producer contexts: a
+// set migrates only when every producer's newest operation on it has
+// executed on the owner AND every nested delegation the set's own
+// operations issued has drained — tracked precisely per set by an outbound
+// ledger, so other sets' in-flight traffic never blocks a migration (the
+// quiescent handoff; see doc.go). The previous epoch's hottest sets are
+// pre-placed round-robin at BeginIsolation, and the steal threshold and
 // thief-eligibility ratio adapt within each epoch to the observed
 // delegate-occupancy imbalance unless pinned with WithStealThreshold.
 func WithStealing() Option { return func(c *core.Config) { c.Stealing = true } }
@@ -174,8 +163,10 @@ func WithTrace() Option { return func(c *core.Config) { c.Trace = true } }
 // (under stealing, the engine may hand that producer role over at
 // quiescent points — the guarantee is unchanged). Incompatible with
 // WithProgramShare. Placement uses the paper's static policy by default;
-// combine with WithPolicy(LeastLoaded) and WithStealing for the
-// occupancy-aware whole-set rebalancer.
+// it composes with WithPolicy(LeastLoaded), and with WithStealing for the
+// occupancy-aware whole-set rebalancer. Reclaiming a Writable during an
+// isolation epoch waits for the whole runtime to quiesce, because the
+// reclaim must also cover nested work.
 func Recursive() Option { return func(c *core.Config) { c.Recursive = true } }
 
 // Runtime is the serialization-sets runtime. Create one with Init; the
@@ -328,10 +319,11 @@ func (rt *Runtime) PoisonedCount() int { return rt.core.PoisonedCount() }
 // every metrics scrape to feed its queue-depth histograms.
 func (rt *Runtime) QueueDepths(dst []uint64) []uint64 { return rt.core.QueueDepths(dst) }
 
-// SchedDump renders the engine's scheduler ledgers — per-delegate queue
-// depths and executed counters — as a human-readable report, the same dump
-// the barrier watchdog attaches to a wedge panic. A draining server logs it
-// when its drain deadline expires to identify stragglers. Program context.
+// SchedDump renders the engine's scheduler ledgers — per delegate, its
+// pending lanes and each lane's sent/executed position — as a
+// human-readable report, the same dump the barrier watchdog attaches to a
+// wedge panic. A draining server logs it when its drain deadline expires to
+// identify stragglers. Safe from any goroutine.
 func (rt *Runtime) SchedDump() string { return rt.core.DumpSchedState() }
 
 // joinFaults renders engine fault records as the public error surface.

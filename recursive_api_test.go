@@ -50,7 +50,7 @@ func TestRecursiveWithReducible(t *testing.T) {
 func TestRecursiveIncompatibleOptionsPanic(t *testing.T) {
 	for _, opts := range [][]Option{
 		{Recursive(), WithProgramShare(1)},
-		{Recursive(), WithPolicy(LeastLoaded)},
+		{Recursive(), WithStealing()},
 	} {
 		func() {
 			defer func() {

@@ -229,16 +229,16 @@ func TestRecursiveStealingFPMDeterminism(t *testing.T) {
 
 // TestRecursiveStealingSkewedDeterminism is the shape the rebalancer
 // exists for — a delegate-context producer streams a 90/10-skewed workload
-// (workload.SkewedRecursive) whose hot sets all seed on one delegate — and
+// (workload.SkewedRecursive) whose hot sets all start on one delegate — and
 // the test that proves steals actually fire while per-set op order stays
 // byte-identical across runs. Wave throttling (marker waits between waves)
 // creates the quiescent boundaries the protocol migrates at; the spin in
 // each operation keeps the victim observably occupied when the next
 // delegation routes.
 func TestRecursiveStealingSkewedDeterminism(t *testing.T) {
-	// Delegates=4, VirtualDelegates=16: set s<16 seeds on delegate s%4+1.
-	// Root set 1 -> delegate 2 (the producer); hot sets {0,4,8} all seed on
-	// delegate 1; cold sets {2,6} on delegate 3.
+	// Delegates=4: the root set is first-touched onto delegate 1 (the
+	// producer); the shape parks the cold sets {2,6} on delegates 2 and 3
+	// while it homes the hot sets {0,4,8}, so all three start on delegate 4.
 	shape := workload.SkewedRecursive{
 		Hot:    []uint64{0, 4, 8},
 		Cold:   []uint64{2, 6},

@@ -12,8 +12,8 @@ import (
 // operation logs byte-identical to the same workload on a fixed-size pool
 // and to the Sequential() debug run. Placement may differ — that is the
 // point of resizing — but per-set program order is the model's invariant
-// and survives every epoch-boundary reconfiguration. Both engines run the
-// stress; the scale-down legs exercise the evacuation path (asserted via
+// and survives every epoch-boundary reconfiguration. Both lane widths run
+// the stress; the scale-down legs exercise the evacuation path (asserted via
 // Stats.ResizeEvacuatedSets) and the skew keeps the rebalancer firing
 // (asserted via Stats.Steals). CI repeats this file under -race -count=3.
 
@@ -94,72 +94,43 @@ func elasticOpts(extra ...Option) []Option {
 	}, extra...)
 }
 
-func TestResizeDeterminismFlat(t *testing.T) {
+func TestResizeDeterminism(t *testing.T) {
 	want, _ := runElasticBankWorkload(nil, Sequential())
-	fixed, _ := runElasticBankWorkload(nil, elasticOpts()...)
-	if !bytes.Equal(fixed, want) {
-		t.Fatalf("fixed-size control diverged from sequential:\n got: %s\nwant: %s",
-			firstDiffLine(fixed, want), firstDiffLine(want, fixed))
+	for _, width := range laneWidths {
+		t.Run(width.name, func(t *testing.T) {
+			fixed, _ := runElasticBankWorkload(nil, elasticOpts(width.opts...)...)
+			if !bytes.Equal(fixed, want) {
+				t.Fatalf("fixed-size control diverged from sequential:\n got: %s\nwant: %s",
+					firstDiffLine(fixed, want), firstDiffLine(want, fixed))
+			}
+			var steals, evacs, resizes uint64
+			const runs = 4
+			for i := 0; i < runs; i++ {
+				got, st := runElasticBankWorkload(elasticSchedule(), elasticOpts(width.opts...)...)
+				if !bytes.Equal(got, fixed) {
+					t.Fatalf("resized run %d diverged from fixed-size run:\n got: %s\nwant: %s",
+						i, firstDiffLine(got, fixed), firstDiffLine(fixed, got))
+				}
+				if st.Resizes != 4 {
+					t.Fatalf("run %d applied %d resizes, want 4", i, st.Resizes)
+				}
+				steals += st.Steals
+				evacs += st.ResizeEvacuatedSets
+				resizes += st.Resizes
+			}
+			if steals == 0 {
+				t.Fatal("skewed elastic workload fired no steals")
+			}
+			if evacs == 0 {
+				t.Fatal("scale-downs evacuated no sets")
+			}
+			t.Logf("%d runs byte-identical (%d resizes, %d steals, %d sets evacuated)",
+				runs, resizes, steals, evacs)
+		})
 	}
-	var steals, evacs, resizes uint64
-	const runs = 4
-	for i := 0; i < runs; i++ {
-		got, st := runElasticBankWorkload(elasticSchedule(), elasticOpts()...)
-		if !bytes.Equal(got, fixed) {
-			t.Fatalf("resized run %d diverged from fixed-size run:\n got: %s\nwant: %s",
-				i, firstDiffLine(got, fixed), firstDiffLine(fixed, got))
-		}
-		if st.Resizes != 4 {
-			t.Fatalf("run %d applied %d resizes, want 4", i, st.Resizes)
-		}
-		steals += st.Steals
-		evacs += st.ResizeEvacuatedSets
-		resizes += st.Resizes
-	}
-	if steals == 0 {
-		t.Fatal("skewed elastic workload fired no steals")
-	}
-	if evacs == 0 {
-		t.Fatal("scale-downs evacuated no sets")
-	}
-	t.Logf("flat: %d runs byte-identical (%d resizes, %d steals, %d sets evacuated)",
-		runs, resizes, steals, evacs)
 }
 
-func TestResizeDeterminismRecursive(t *testing.T) {
-	recOpts := func() []Option {
-		return elasticOpts(Recursive())
-	}
-	want, _ := runElasticBankWorkload(nil, Sequential())
-	fixed, _ := runElasticBankWorkload(nil, recOpts()...)
-	if !bytes.Equal(fixed, want) {
-		t.Fatalf("recursive fixed-size control diverged from sequential:\n got: %s\nwant: %s",
-			firstDiffLine(fixed, want), firstDiffLine(want, fixed))
-	}
-	var steals, evacs uint64
-	const runs = 4
-	for i := 0; i < runs; i++ {
-		got, st := runElasticBankWorkload(elasticSchedule(), recOpts()...)
-		if !bytes.Equal(got, fixed) {
-			t.Fatalf("recursive resized run %d diverged from fixed-size run:\n got: %s\nwant: %s",
-				i, firstDiffLine(got, fixed), firstDiffLine(fixed, got))
-		}
-		if st.Resizes != 4 {
-			t.Fatalf("run %d applied %d resizes, want 4", i, st.Resizes)
-		}
-		steals += st.Steals
-		evacs += st.ResizeEvacuatedSets
-	}
-	if steals == 0 {
-		t.Fatal("recursive elastic workload fired no steals")
-	}
-	if evacs == 0 {
-		t.Fatal("recursive scale-downs evacuated no sets")
-	}
-	t.Logf("recursive: %d runs byte-identical (%d steals, %d sets evacuated)", runs, steals, evacs)
-}
-
-// TestResizeDeterminismNested drives the recursive engine through resizes
+// TestResizeDeterminismNested drives recursive delegation through resizes
 // while every group op issues NESTED delegations — the lane-matrix case a
 // scale-down must evacuate without reordering: child-set logs record
 // (group op, child op) pairs and must match the fixed-size run exactly.

@@ -10,9 +10,9 @@ import (
 
 // This file is the determinism stress suite pinning the paper's central
 // invariant — operations in one serialization set execute in program order,
-// so parallel runs are bit-identical — under the two features most likely to
-// perturb ordering: the program-side delegation batch buffer and the
-// occupancy-aware set stealing. The workloads mirror examples/bank and
+// so parallel runs are bit-identical — under the feature most likely to
+// perturb ordering: occupancy-aware set stealing, on the one-lane pool and
+// on the Recursive lane matrix alike. The workloads mirror examples/bank and
 // examples/reverse_index, skewed so that a few sets carry most of the work
 // (the uneven-chain scenario stealing exists for). Every delegated operation
 // records itself in per-set logs; the logs from repeated parallel runs must
@@ -21,16 +21,27 @@ import (
 // Which delegate executes a set is allowed to vary run to run (stealing is a
 // placement decision); the per-set operation ORDER is not.
 
-// stealStressOpts is the runtime shape under test: stealing plus delegation
-// batching, with an eager threshold so handoffs actually fire.
-func stealStressOpts() []Option {
-	return []Option{
+// stealStressOpts is the runtime shape under test: stealing with an eager
+// threshold so handoffs actually fire.
+func stealStressOpts(extra ...Option) []Option {
+	return append([]Option{
 		WithDelegates(4),
 		WithPolicy(LeastLoaded),
 		WithStealing(),
 		WithStealThreshold(2),
-		WithDelegateBatch(8),
-	}
+	}, extra...)
+}
+
+// laneWidths is the table every non-nested determinism shape runs over: the
+// same program must produce the same per-set order whether only the program
+// context may delegate (one lane per delegate) or every context may
+// (Recursive: the lane matrix, the quiescence barrier as reclaim).
+var laneWidths = []struct {
+	name string
+	opts []Option
+}{
+	{"one-lane", nil},
+	{"recursive", []Option{Recursive()}},
 }
 
 // runBankWorkload replays a deterministic transaction log against per-account
@@ -169,19 +180,24 @@ func assertByteIdenticalRuns(t *testing.T, name string,
 	run func(opts ...Option) ([]byte, Stats)) {
 	t.Helper()
 	want, _ := run(Sequential())
-	var steals, drained uint64
-	const runs = 6
-	for i := 0; i < runs; i++ {
-		got, st := run(stealStressOpts()...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s run %d: per-set operation order diverged from sequential\n got: %s\nwant: %s",
-				name, i, firstDiffLine(got, want), firstDiffLine(want, got))
+	for _, width := range laneWidths {
+		var steals, drained uint64
+		const runs = 6
+		for i := 0; i < runs; i++ {
+			got, st := run(stealStressOpts(width.opts...)...)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s run %d: per-set operation order diverged from sequential\n got: %s\nwant: %s",
+					name, width.name, i, firstDiffLine(got, want), firstDiffLine(want, got))
+			}
+			steals += st.Steals
+			drained += st.DrainedOps
 		}
-		steals += st.Steals
-		drained += st.DrainedOps
+		if steals == 0 {
+			t.Fatalf("%s/%s: skewed workload fired no steals", name, width.name)
+		}
+		t.Logf("%s/%s: %d runs byte-identical (%d steals, %d batch-drained ops total)",
+			name, width.name, runs, steals, drained)
 	}
-	t.Logf("%s: %d runs byte-identical (%d steals, %d batch-drained ops total)",
-		name, runs, steals, drained)
 }
 
 // firstDiffLine trims a mismatching encoding to its first differing line so
@@ -213,7 +229,7 @@ func TestDeterminismMatrixUnderStealing(t *testing.T) {
 	shapes := [][]Option{
 		{WithDelegates(2), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(1)},
 		{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing()},
-		{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), WithDelegateBatch(16)},
+		{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), WithQueueCapacity(16)},
 		{WithDelegates(8), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(2), WithQueueCapacity(4)},
 	}
 	r := rand.New(rand.NewSource(4242))

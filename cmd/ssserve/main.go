@@ -160,8 +160,8 @@ func main() {
 	}
 
 	// Drain order: stop accepting and wait for inflight HTTP handlers
-	// first (they need the router alive to answer), then drain the router
-	// itself — final barrier, sweep, terminate.
+	// first (they need the serving tier alive to answer), then drain the
+	// tier itself — final barrier, sweep, terminate.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout+time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

@@ -315,40 +315,43 @@
 // while every other key keeps serving.
 //
 // The architecture honors the model's central discipline — the program
-// context is the sole caller of Runtime methods — by making the router
-// goroutine the program context: HTTP handler goroutines pass jobs over
-// one bounded channel and park on per-job done channels; the router
-// delegates each job to its key's set and rotates isolation epochs on a
-// timer. Rotation is the serving repair loop: the barrier proves the pool
-// quiescent, jobs whose delegations were dropped on a poison seam are
-// swept to definitive 500s (after the barrier the sweep is exact, not
-// heuristic), the Stats snapshot republishes for the metrics scrape, and
-// BeginIsolation clears the poison so faulted keys heal. Admission
-// control (inflight budget, bounded queue) and per-key token buckets
-// repel overload on the handler goroutines before the router is touched;
-// graceful drain stops admission, serves everything accepted, and reports
-// stragglers with Runtime.SchedDump. Histogram (fixed-bucket, atomic,
-// allocation-free Observe) carries the per-set latency and queue-depth
-// metrics; Runtime.QueueDepths exposes per-delegate backlogs to the
-// scrape. The serving stress tests assert per-key ordering under skewed
-// concurrent load, drain completeness (no accepted request unanswered),
-// and poisoned-session isolation at the HTTP surface.
+// context is the sole caller of Runtime methods — by making the program
+// context a role held under one mutex, not a goroutine: a handler
+// goroutine that passed admission takes the role, delegates its own job
+// to its key's set, releases the role and parks on the job's done channel
+// (two goroutine hand-offs per request); the rotation timer, a retry
+// timer's re-delivery and the final drain take the same role for their
+// steps. The mutex orders successive holders, so the engine sees one
+// producer and per-key order is role-acquisition order. Rotation is the
+// serving repair loop: the barrier proves the pool quiescent, jobs whose
+// delegations were dropped on a poison seam are swept to definitive 500s
+// (after the barrier the sweep is exact, not heuristic), the Stats
+// snapshot republishes for the metrics scrape, and BeginIsolation clears
+// the poison so faulted keys heal. The inflight budget and per-key token
+// buckets repel overload before the role is touched, and a role holder
+// blocks on the bounded program lane when a delegate falls behind;
+// graceful drain closes admission, serves everything accepted, and
+// reports stragglers with Runtime.SchedDump. Histogram (fixed-bucket,
+// atomic, allocation-free Observe) carries the per-set latency metrics;
+// Runtime.QueueDepths exposes per-delegate backlogs to the scrape. The
+// stress tests assert per-key ordering under skewed concurrent load,
+// drain completeness, and poisoned-session isolation at the HTTP surface.
 //
-// Between the router and the work it runs sits the robustness layer. A
-// pluggable Backend abstraction executes requests — in-process handlers,
-// HTTP upstream proxies, or a rotation Pool of either in which every
-// member is health-gated by its own circuit breaker (consecutive
+// Between the role holder and the work it delegates sits the robustness
+// layer. A pluggable Backend abstraction executes requests — in-process
+// handlers, HTTP upstream proxies, or a rotation Pool of either in which
+// every member is health-gated by its own circuit breaker (consecutive
 // failures open it, a cooldown later exactly one half-open probe decides
 // reclose-or-reopen). Per-request deadlines are fixed once at admission
 // and enforced at every seam where the tier holds the request: on
-// delivery at the router, at the queue front when slower epoch-mates
+// delivery under the role, at the queue front when slower epoch-mates
 // consumed the budget, inside the backend via context deadline, and at
 // the epoch-rotation sweep — so an expired request always resolves to a
 // definitive 504 and never parks a connection, with the sweep as the
 // backstop that makes the guarantee unconditional. Idempotent requests
 // that hit a backend failure retry with capped, deterministically
-// jittered exponential backoff, re-entering the router so attempts stay
-// serialized with the key's other requests; and a slow-key watchdog
+// jittered exponential backoff, re-delivered under the role so attempts
+// stay serialized with the key's other requests; and a slow-key watchdog
 // degrades a persistently slow key to 503 sheds for the remainder of the
 // epoch (healed at rotation, the same discipline as poison). The
 // adversarial load harness (internal/loadgen, cmd/ssload) closes the
@@ -367,7 +370,7 @@
 // rotation instant a consistent cut of all session state — no request is
 // half-applied anywhere, and per-key causal order means the cut contains
 // every effect of each acknowledged request or none of its successors.
-// So the router captures dirty sessions at the barrier and hands them to
+// So the rotation captures dirty sessions at the barrier and hands them to
 // a write-behind snapshot writer (checksummed records, write-temp-sync-
 // rename commit, generational GC), swapping in the next epoch's journal
 // at the same instant so the closing journal is provably a subset of the
@@ -423,11 +426,11 @@
 // balance) and are respawned on the next scale-up, seeding their
 // execution counters from the frozen values.
 //
-// The serving tier turns this into autoscaling: the router samples queue
-// occupancy just before each rotation's barrier (the closing epoch's
-// backlog is the demand signal), folds it into an EWMA, and steps the
-// pool by one delegate when occupancy leaves the [0.5, 2.0]
-// ops-per-delegate band, clamped to [MinDelegates, MaxDelegates] with a
+// The serving tier turns this into autoscaling: each rotation samples
+// occupancy (requests admitted and unanswered per active delegate) just
+// before its barrier (the closing epoch's backlog is the demand signal),
+// folds it into an EWMA, and steps the pool by one delegate when
+// occupancy leaves the [0.5, 2.0] ops-per-delegate band, clamped to [MinDelegates, MaxDelegates] with a
 // cooldown in rotations so one burst cannot slam the pool to a rail.
 // POST /admin/resize records a manual target that wins over the
 // autoscaler's next decision; both apply at the rotation, so a resize is

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -709,32 +709,31 @@ type hotSeed struct {
 	producer int32
 }
 
+// hotter orders seeds hottest first, ties by ascending set id.
+func (h hotSeed) hotter(o hotSeed) bool { return h.ops > o.ops || h.ops == o.ops && h.set < o.set }
+
 // rankHotSets returns the top-k sets of the closing epoch by delegated-op
 // count, hottest first, ties by ascending set id: two per delegate spreads
 // the head of the distribution without pinning the long tail to stale
 // placements. The input is every set the epoch touched (possibly very
-// many; only the output is small), so this stays O(N log N) on the program
-// context's epoch-transition path.
+// many) and only the output is small, so this is one pass keeping the k
+// best in order: nearly every set costs one comparison with the coldest.
 func rankHotSets(owners *ownerTable, k int) []hotSeed {
-	var all []hotSeed
+	top := make([]hotSeed, 0, k+1)
 	owners.forEach(func(set uint64, e *setEntry) {
-		if e.poison.Load() != nil {
+		h := hotSeed{set, e.ops.Load(), e.producer.Load()}
+		if h.ops == 0 || e.poison.Load() != nil {
 			return // poisoned sets are never hot-seeded into the next epoch
 		}
-		if n := e.ops.Load(); n > 0 {
-			all = append(all, hotSeed{set, n, e.producer.Load()})
+		i := len(top)
+		for i > 0 && h.hotter(top[i-1]) {
+			i--
+		}
+		if i < k {
+			top = slices.Insert(top, i, h)[:min(len(top)+1, k)]
 		}
 	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].ops != all[j].ops {
-			return all[i].ops > all[j].ops
-		}
-		return all[i].set < all[j].set
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return top
 }
 
 // In-epoch adaptive steal threshold. The capacity-derived default only

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,6 +197,53 @@ func TestHotSetSeeding(t *testing.T) {
 			t.Fatalf("HotSetsPlaced = %d, want 3", st.HotSetsPlaced)
 		}
 	})
+}
+
+// rankHotSetsBySort is the reference rankHotSets is checked against: rank
+// every eligible set, cut to k.
+func rankHotSetsBySort(owners *ownerTable, k int) []hotSeed {
+	var all []hotSeed
+	owners.forEach(func(set uint64, e *setEntry) {
+		if n := e.ops.Load(); n > 0 && e.poison.Load() == nil {
+			all = append(all, hotSeed{set, n, e.producer.Load()})
+		}
+	})
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].ops != all[j].ops {
+			return all[i].ops > all[j].ops
+		}
+		return all[i].set < all[j].set
+	})
+	return all[:max(0, min(k, len(all)))]
+}
+
+// TestRankHotSetsMatchesSort: the single-pass bounded top-k selects the
+// same seeds in the same order as ranking everything — placement
+// determinism depends on it — on random tables full of ties, with untouched
+// and poisoned sets mixed in, for k below, at and above the table size.
+func TestRankHotSetsMatchesSort(t *testing.T) {
+	rt := newTestRuntime(t, stealCfg(2, MaxStealThreshold))
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 5, 300} {
+		for trial := 0; trial < 20; trial++ {
+			tbl := newOwnerTable(n)
+			for i := 0; i < n; i++ {
+				e := rt.newSetEntry(1 + i%2)
+				e.ops.Store(uint64(rng.Intn(4))) // 0 = untouched; few values, so mostly ties
+				e.producer.Store(int32(rng.Intn(3)))
+				if rng.Intn(10) == 0 {
+					e.poison.Store(&PanicFault{})
+				}
+				tbl.insert(rng.Uint64(), e)
+			}
+			for _, k := range []int{0, 1, 2, 8, n + 3} {
+				got, want := rankHotSets(tbl, k), rankHotSetsBySort(tbl, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d:\n got %v\nwant %v", n, k, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestHotSetSeedingTopK: only the top 2*Delegates sets are pre-placed; the

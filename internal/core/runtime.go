@@ -38,10 +38,11 @@ func timeNow() time.Time { return time.Now() }
 // are numbered 1..Delegates.
 const ProgramContext = 0
 
-// Runtime orchestrates parallel execution of delegated operations. All
-// methods must be called from the program context (the goroutine that called
-// New) unless documented otherwise; delegated closures interact with the
-// runtime only through the context id they are handed.
+// Runtime orchestrates parallel execution of delegated operations. Unless
+// documented otherwise its methods are for the holder of the program-context
+// role — the goroutine that called New, or one it was passed to across a
+// happens-before edge: the program lane needs one producer at a time, not one
+// goroutine. Delegated closures see only the context id they are handed.
 type Runtime struct {
 	// cfg is the effective configuration. All fields are immutable after
 	// New EXCEPT Delegates, which the program context rewrites at the
@@ -130,7 +131,7 @@ type Runtime struct {
 }
 
 // New creates and starts a runtime (paper: initialize()). The calling
-// goroutine becomes the program context.
+// goroutine holds the program-context role first.
 func New(cfg Config) *Runtime {
 	adaptive := cfg.Stealing && cfg.StealThreshold <= 0
 	cfg = cfg.withDefaults()

@@ -25,7 +25,7 @@ import (
 // backend produced a definitive answer (any status — an upstream 404 is a
 // healthy backend answering), a non-nil error means the backend itself
 // failed (connect error, 5xx, timeout, injected chaos). Errors feed the
-// pool's circuit breaker and the router's retry ladder; panics remain the
+// pool's circuit breaker and the tier's retry ladder; panics remain the
 // handler-bug seam and are contained by the engine as before.
 type Backend interface {
 	// Name identifies the backend in metrics and health reports.
@@ -55,11 +55,12 @@ func (e *BackendError) Error() string {
 func (e *BackendError) Unwrap() error { return e.Err }
 
 // HandlerBackend adapts a Handler to the Backend interface: the in-process
-// backend. The request's deadline context is attached to the *http.Request
+// backend. A deadline on ctx is attached to a copy of the *http.Request
 // (r.Context().Deadline()), so a cooperative handler can bound its own
-// work; a handler that ignores it runs to completion and the deadline is
-// instead enforced on the requests queued behind it (queue-front shedding)
-// and by the slow-key watchdog.
+// work; with none to carry the handler gets the request as it came. A
+// handler that ignores the deadline runs to completion and it is enforced
+// on the requests queued behind it (queue-front shedding) and by the
+// slow-key watchdog instead.
 type HandlerBackend struct {
 	name string
 	h    Handler
@@ -73,7 +74,10 @@ func NewHandlerBackend(name string, h Handler) *HandlerBackend {
 func (hb *HandlerBackend) Name() string { return hb.name }
 
 func (hb *HandlerBackend) Serve(ctx context.Context, s *Session, r *http.Request) (int, string, error) {
-	status, body := hb.h(s, r.WithContext(ctx))
+	if _, ok := ctx.Deadline(); ok {
+		r = r.WithContext(ctx)
+	}
+	status, body := hb.h(s, r)
 	return status, body, nil
 }
 
@@ -88,7 +92,7 @@ func (hb *HandlerBackend) Serve(ctx context.Context, s *Session, r *http.Request
 // status is a definitive answer relayed to the client.
 //
 // The body is read once and cached on the request (r.GetBody), so a
-// retried attempt — the router re-delegates idempotent requests through
+// retried attempt — a retry re-delegates an idempotent request through
 // the same job — replays the same bytes instead of finding a drained
 // reader. A body over the cap is a definitive 413, not a backend failure:
 // retrying would re-send the same oversized payload.
@@ -99,7 +103,7 @@ type HTTPBackend struct {
 }
 
 // maxProxyBody bounds how much of an upstream response body is relayed,
-// so one misbehaving upstream cannot balloon router memory.
+// so one misbehaving upstream cannot balloon the tier's memory.
 const maxProxyBody = 1 << 20
 
 // NewHTTPBackend builds an upstream proxy backend. client may be nil for
@@ -270,7 +274,7 @@ type statesProvider interface {
 // Pool routes each call to one healthy backend, in the style of an
 // upstream keypool: round-robin rotation across backends whose circuit
 // breaker admits traffic. One call tries ONE backend — on failure the
-// breaker records it and the error returns to the router, whose retry
+// breaker records it and the error returns to the tier, whose retry
 // ladder re-delegates the request through the key's serialization set, so
 // failover between backends never reorders a key's requests. When every
 // backend is gated the call fails fast with ErrNoBackend (also retryable:

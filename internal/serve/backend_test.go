@@ -185,6 +185,37 @@ func TestPoolAllGated(t *testing.T) {
 	}
 }
 
+// TestHandlerBackendCopiesRequestOnlyForADeadline: with no deadline to
+// carry the handler gets the caller's request itself (no per-call copy) and
+// its context; with one it gets a copy whose context has the deadline,
+// and the caller's request is left alone.
+func TestHandlerBackendCopiesRequestOnlyForADeadline(t *testing.T) {
+	var got *http.Request
+	hb := NewHandlerBackend("inner", func(_ *Session, r *http.Request) (int, string) {
+		got = r
+		return http.StatusOK, ""
+	})
+	type ctxKey struct{}
+	r := httptest.NewRequest("GET", "/", nil)
+	r = r.WithContext(context.WithValue(r.Context(), ctxKey{}, "the caller's"))
+
+	hb.Serve(context.Background(), &Session{}, r)
+	if got != r {
+		t.Error("no deadline: the handler got a copy of the request")
+	}
+
+	deadline := time.Now().Add(time.Hour)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	hb.Serve(ctx, &Session{}, r)
+	if d, ok := got.Context().Deadline(); got == r || !ok || !d.Equal(deadline) {
+		t.Errorf("deadline: handler request copied=%v, context deadline %v %v, want a copy carrying %v", got != r, d, ok, deadline)
+	}
+	if _, ok := r.Context().Deadline(); ok || r.Context().Value(ctxKey{}) != "the caller's" {
+		t.Error("the caller's request context was modified")
+	}
+}
+
 func TestChaosBackendInjectors(t *testing.T) {
 	inner := NewHandlerBackend("inner", func(s *Session, r *http.Request) (int, string) {
 		return http.StatusOK, "ok"

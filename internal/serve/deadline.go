@@ -15,8 +15,8 @@ import (
 // Config.RequestTimeout. The deadline is enforced at every point where the
 // serving tier — not user code — holds the request:
 //
-//   - at delivery (the router dequeued it after the budget expired:
-//     resolve 504 without delegating),
+//   - at delivery (the budget expired while the caller waited for the
+//     role: resolve 504 without delegating),
 //   - at the queue front (the delegate reached it after its set's earlier
 //     work — a latency spike upstream, a slow epoch-mate — consumed the
 //     budget: resolve 504 without running the backend),
@@ -38,8 +38,8 @@ import (
 // A backend failure (error return, not a panic) on an idempotent request
 // is retried with capped exponential backoff plus deterministic jitter —
 // but never inline on the delegate, which would hold the set hostage for
-// the backoff duration. Instead the delegate arms a timer and the job
-// re-enters the router's jobs channel when it fires: the retry is
+// the backoff duration. Instead the delegate arms a timer, which takes
+// the role when it fires and delivers the job again: the retry is
 // re-delegated through the key's serialization set like a fresh arrival,
 // so per-key order is preserved across attempts by the same mechanism
 // that ordered the first attempt. The budget bounds the ladder: a retry
@@ -56,7 +56,7 @@ import (
 // chance — and the shed is counted and exposed so a persistently-degraded
 // key is visible to operators.
 
-// retryable reports whether a failed attempt should re-enter the router:
+// retryable reports whether a failed attempt should be delivered again:
 // the request must be idempotent, the attempt budget must remain, and the
 // backoff must land inside the request's deadline (otherwise the retry
 // would only burn a delegation to discover the 504).
@@ -112,7 +112,7 @@ func jitterMix(set, attempt uint64) uint64 {
 }
 
 // slowTable tracks per-set service times for the watchdog. Delegates feed
-// it after every backend call (observe); the router consults it at
+// it after every backend call (observe); the role holder consults it at
 // delivery (degraded) and clears it at every rotation (heal) — the same
 // epoch-scoped repair discipline as poisoning. Lock-sharded like the rate
 // limiter: delegates for different sets collide only on a shard mutex.
@@ -170,8 +170,7 @@ func (t *slowTable) observe(set uint64, d time.Duration) bool {
 	return false
 }
 
-// degraded reports whether set is currently shed; called by the router at
-// delivery.
+// degraded reports whether set is currently shed; called at delivery.
 func (t *slowTable) degraded(set uint64) bool {
 	sh := &t.shards[set%slowShards]
 	sh.mu.Lock()

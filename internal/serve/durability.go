@@ -10,8 +10,8 @@ package serve
 //   - The EndIsolation barrier at every epoch rotation proves the delegate
 //     pool quiescent — no handler is mutating any Session — so the window
 //     between EndIsolation and BeginIsolation is a consistent cut across
-//     every key at once. Session capture happens there, on the router, at
-//     the same point the stats snapshot republishes. The router only
+//     every key at once. Session capture happens there, under the role, at
+//     the same point the stats snapshot republishes. The rotation only
 //     ENCODES (cost proportional to live state); committing the snapshot
 //     to storage happens write-behind on a dedicated writer goroutine with
 //     a latest-wins pending slot, so a slow disk delays durability, never
@@ -23,7 +23,7 @@ package serve
 //     request is acknowledged, so under Config.Fsync == FsyncAlways an
 //     acknowledged response is durable by the time the client sees it.
 //
-//   - The journal SWAPS generations at capture time, on the router, inside
+//   - The journal SWAPS generations at capture time, under the role, inside
 //     the same quiescent window (the pool is parked, so no append can race
 //     the swap). That ordering is what makes recovery's replay rule sound:
 //     wal-(N-1) closes before any post-capture-N request executes, so
@@ -47,14 +47,14 @@ import (
 )
 
 // snapCapture is one epoch-consistent capture handed to the write-behind
-// writer: the generation the router assigned and every session encoded.
+// writer: the generation the rotation assigned and every session encoded.
 type snapCapture struct {
 	gen     uint64
 	records [][]byte
 }
 
-// recoveryInfo is what startup recovery rebuilt, frozen before the router
-// starts and exposed on /healthz and /metrics.
+// recoveryInfo is what startup recovery rebuilt, frozen before New
+// returns and exposed on /healthz and /metrics.
 type recoveryInfo struct {
 	sessions         int // sessions in the rebuilt table
 	snapshotGen      uint64
@@ -65,7 +65,7 @@ type recoveryInfo struct {
 }
 
 // initDurability runs recovery and opens the first generation. Called
-// from New before the router starts — the session table must be complete
+// from New before anything can take the role — the session table must be complete
 // before admission opens, and a storage dir that cannot take a boot
 // snapshot is a refused start, not a silent in-memory fallback.
 func (s *Server) initDurability() error {
@@ -121,7 +121,7 @@ func (s *Server) initDurability() error {
 // Recovered reports what startup recovery rebuilt: the session count and
 // how many torn or corrupt journal records were truncated to get there.
 // Zero values without Config.StateFS. Safe from any goroutine (the info
-// freezes before the router starts).
+// freezes before New returns).
 func (s *Server) Recovered() (sessions, truncated int) {
 	return s.recovered.sessions, s.recovered.truncatedRecords
 }
@@ -147,10 +147,9 @@ func (s *Server) snapshotWriter() {
 	}
 }
 
-// rotateDurable is the rotation hook: called on the router between
-// EndIsolation and BeginIsolation (the consistent cut). No-op unless a
-// request executed since the last capture — an idle server writes
-// nothing. Program context only.
+// rotateDurable is the rotation hook: called between EndIsolation and
+// BeginIsolation (the consistent cut). No-op unless a request executed
+// since the last capture — an idle server writes nothing. Holds the role.
 func (s *Server) rotateDurable() {
 	if s.store == nil || !s.dirty.Swap(false) {
 		return
@@ -227,7 +226,7 @@ func (s *Server) journalSession(sess *Session) {
 // drainDurable is the shutdown path: stop the writer, then commit a final
 // synchronous snapshot of the drained (quiescent, post-barrier) table and
 // close the journal. A clean drain is therefore lossless under every
-// fsync policy. Program context only.
+// fsync policy. Holds the role.
 func (s *Server) drainDurable() {
 	if s.store == nil {
 		return
@@ -280,8 +279,8 @@ func encodeSession(sess *Session) []byte {
 	return buf
 }
 
-// encodeSessions encodes the whole table, one record per session.
-// Program context only (reads router-private state).
+// encodeSessions encodes the whole table, one record per session. The
+// caller holds the role (the table is role-private).
 func encodeSessions(sessions map[uint64]*Session) [][]byte {
 	records := make([][]byte, 0, len(sessions))
 	for _, sess := range sessions {

@@ -10,7 +10,7 @@ import (
 )
 
 // Handler returns the server's HTTP surface: every path serves requests
-// through the session-affinity router except /metrics (Prometheus text
+// through the session-affinity request path except /metrics (Prometheus text
 // exposition), /healthz (503 while draining, 200 otherwise), and
 // /admin/resize (manual pool resize).
 func (s *Server) Handler() http.Handler {
@@ -23,8 +23,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleResize accepts POST /admin/resize?n=<target>: the target is
-// validated against the pool capacity, recorded for the router, and
-// applied at the next epoch rotation — 202, not 200, because the resize is
+// validated against the pool capacity, recorded, and applied under the
+// role at the next epoch rotation — 202, not 200, because the resize is
 // deferred to the runtime's quiescent point by design. A manual target
 // wins over the autoscaler's next decision and resets its cooldown;
 // repeated posts before a rotation follow last-write-wins, matching the
@@ -65,7 +65,7 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := http.StatusOK
 	state := "ok"
-	if s.draining.Load() {
+	if s.inflight.Load()&drainingBit != 0 {
 		status = http.StatusServiceUnavailable
 		state = "draining"
 	}
@@ -94,27 +94,43 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// ServeHTTP is the request path: admission gates on the handler
-// goroutine (cheap rejects that never touch the router), then one bounded
-// channel send and one channel wait. The gates run in rejection-cost
+// admit reserves one slot of the inflight budget, or says why not. The
+// draining bit and the count share one word and a refusal writes nothing:
+// the count holds admitted requests only, and none joins it once Drain
+// has set the bit.
+func (s *Server) admit() (refusal string) {
+	for {
+		switch v := s.inflight.Load(); {
+		case v&drainingBit != 0:
+			return "draining"
+		case v >= int64(s.cfg.MaxInflight):
+			return "over capacity"
+		case s.inflight.CompareAndSwap(v, v+1):
+			return ""
+		}
+	}
+}
+
+// release returns an admitted request's slot once it has been answered;
+// the one that empties a draining server wakes Drain.
+func (s *Server) release() {
+	if s.inflight.Add(-1) == drainingBit {
+		close(s.idle)
+	}
+}
+
+// ServeHTTP is the request path: admission gates (cheap rejects that
+// never touch the role), then the caller takes the role to delegate its
+// own job and waits for the answer. The gates run in rejection-cost
 // order — inflight budget, token bucket, poison check — so overload is
 // repelled before per-key state is consulted.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Admission handshake: raise inflight BEFORE loading the draining
-	// flag, mirroring drainRouter's store-then-wait (see its comment for
-	// the ordering argument). Every exit path decrements.
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.draining.Load() {
+	if refusal := s.admit(); refusal != "" {
 		s.metrics.admissionRejects.Add(1)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+		http.Error(w, refusal, http.StatusServiceUnavailable)
 		return
 	}
-	if s.inflight.Load() > int64(s.cfg.MaxInflight) {
-		s.metrics.admissionRejects.Add(1)
-		http.Error(w, "over capacity", http.StatusServiceUnavailable)
-		return
-	}
+	defer s.release()
 
 	key := s.cfg.KeyFunc(r)
 	set := prometheus.StringSet(key)
@@ -127,7 +143,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if s.rt.Poisoned(set) {
 		// Fast path: the key faulted earlier this epoch. Fail with the
-		// fault attached, without a round trip through the router.
+		// fault attached, without taking the role.
 		s.metrics.poisonRejects.Add(1)
 		s.failPoisoned(w, key, set)
 		return
@@ -140,16 +156,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// from this one allowance.
 		j.deadline = j.start.Add(s.cfg.RequestTimeout)
 	}
-	s.metrics.depth.Observe(int64(len(s.jobs)))
-	select {
-	case s.jobs <- j:
-	default:
-		// Backpressure: the router is behind (or parked on a rotation
-		// barrier). Reject rather than buffer without bound.
-		s.metrics.admissionRejects.Add(1)
-		http.Error(w, "queue full", http.StatusServiceUnavailable)
-		return
-	}
+	s.enter(j)
 	<-j.done
 
 	lat := time.Since(j.start)
@@ -182,7 +189,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "key %q degraded: persistently slow; shed until the next epoch rotation\n", key)
 	default: // outcomeDropped
 		// The key was poisoned before this request's operation could run;
-		// the operation was deterministically dropped (router fast path or
+		// the operation was deterministically dropped (delivery fast path or
 		// engine seam + epoch sweep).
 		s.metrics.faultResponses.Add(1)
 		s.failPoisoned(w, key, set)

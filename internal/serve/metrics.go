@@ -19,11 +19,6 @@ var latencyBounds = []int64{
 	25000, 50000, 100000, 250000, 500000, 1000000,
 }
 
-// depthBounds bucket the jobs-channel occupancy observed at admission —
-// the serving tier's queue-depth distribution, the early-warning signal
-// that the router (or a rotation barrier) is falling behind.
-var depthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
-
 // metrics is the serving tier's metric set. Hot-path updates (observe,
 // the counters) are single atomic operations on pre-allocated
 // histograms — zero allocations per request. Latency is sharded by
@@ -32,11 +27,10 @@ var depthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 // concentrates in one shard's histogram.
 type metrics struct {
 	latency []*prometheus.Histogram // per set-shard, microseconds
-	depth   *prometheus.Histogram   // jobs-channel occupancy at admission
 
 	served           atomic.Uint64 // requests answered by their backend
 	droppedJobs      atomic.Uint64 // jobs resolved dropped (poison fast path or epoch sweep)
-	admissionRejects atomic.Uint64 // 503s: inflight budget, queue full, draining
+	admissionRejects atomic.Uint64 // 503s: inflight budget, draining
 	rateRejects      atomic.Uint64 // 429s: per-set token bucket
 	poisonRejects    atomic.Uint64 // fast-path 500s: key already poisoned at admission
 	faultResponses   atomic.Uint64 // 500s after delegation: faulted or dropped
@@ -60,10 +54,7 @@ type metrics struct {
 }
 
 func newMetrics(shards int) *metrics {
-	m := &metrics{
-		latency: make([]*prometheus.Histogram, shards),
-		depth:   prometheus.NewHistogram(depthBounds...),
-	}
+	m := &metrics{latency: make([]*prometheus.Histogram, shards)}
 	for i := range m.latency {
 		m.latency[i] = prometheus.NewHistogram(latencyBounds...)
 	}
@@ -77,7 +68,7 @@ func (m *metrics) observe(set uint64, lat time.Duration) {
 
 // handleMetrics renders the Prometheus text exposition format by hand
 // (text/plain; version 0.0.4) — counters, per-shard latency histograms
-// with quantile estimates, the queue-depth histogram, per-delegate
+// with quantile estimates, per-delegate
 // backlog gauges, and the engine counters from the last epoch-rotation
 // snapshot. Scrape-path cost is irrelevant; only Observe is hot.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -89,7 +80,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	counter("ss_requests_served_total", "Requests answered by their handler.", m.served.Load())
 	counter("ss_requests_dropped_total", "Requests resolved dropped on a poisoned set.", m.droppedJobs.Load())
-	counter("ss_admission_rejects_total", "Requests rejected 503 at admission (budget, queue, draining).", m.admissionRejects.Load())
+	counter("ss_admission_rejects_total", "Requests rejected 503 at admission (budget, draining).", m.admissionRejects.Load())
 	counter("ss_ratelimit_rejects_total", "Requests rejected 429 by the per-set token bucket.", m.rateRejects.Load())
 	counter("ss_poisoned_rejects_total", "Requests rejected 500 at admission on an already-poisoned key.", m.poisonRejects.Load())
 	counter("ss_fault_responses_total", "Requests answered 500 after delegation (faulted or dropped).", m.faultResponses.Load())
@@ -122,16 +113,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	histogram := func(name, help, labels string, h *prometheus.Histogram) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 		brace := func(extra string) string {
-			switch {
-			case labels == "" && extra == "":
-				return ""
-			case labels == "":
-				return "{" + extra + "}"
-			case extra == "":
+			if extra == "" {
 				return "{" + labels + "}"
-			default:
-				return "{" + labels + "," + extra + "}"
 			}
+			return "{" + labels + "," + extra + "}"
 		}
 		bounds := h.Bounds()
 		counts := h.Buckets(make([]uint64, 0, len(bounds)+1))
@@ -153,7 +138,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			"Request latency from admission to response decision, by set shard.",
 			fmt.Sprintf("shard=\"%d\"", i), h)
 	}
-	histogram("ss_jobs_queue_depth", "Router jobs-channel occupancy observed at admission.", "", m.depth)
 
 	fmt.Fprintf(&b, "# HELP ss_delegate_backlog Outstanding operations per delegate context.\n# TYPE ss_delegate_backlog gauge\n")
 	for i, d := range s.rt.QueueDepths(make([]uint64, 0, 16)) {

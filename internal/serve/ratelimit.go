@@ -8,15 +8,14 @@ import (
 // limiter is the per-set token-bucket rate limiter: each serialization
 // set (request key) owns an independent bucket, so one hot key exhausts
 // its own budget without starving siblings — the rate-limit analogue of
-// the router's per-key serialization. Buckets refill lazily on access
+// the tier's per-key serialization. Buckets refill lazily on access
 // (no background goroutine) and live in a lock-sharded map: the request
 // path takes exactly one shard mutex, and keys only collide on a shard
 // lock, never on a bucket.
 //
 // Bucket lifetime is bounded by the idle sweep: a long-lived server sees
 // unbounded key cardinality (session ids churn forever), and a map that
-// only grows is a slow memory leak. The router calls sweep at every epoch
-// rotation; a bucket idle long enough to have refilled to capacity is
+// only grows is a slow memory leak. Every epoch rotation calls sweep; a bucket idle long enough to have refilled to capacity is
 // indistinguishable from a fresh one — a new key starts with a full
 // bucket — so evicting exactly those buckets is semantically free: no
 // request is admitted or rejected differently than if the bucket had been
@@ -80,7 +79,7 @@ func (l *limiter) allow(set uint64) bool {
 // count. Recreating such a bucket on the key's next request yields the
 // exact same admission decisions as having kept it, so the sweep changes
 // no rate-limiting behavior; it only bounds the map under unbounded key
-// cardinality. Called by the router at epoch rotations: O(live buckets),
+// cardinality. Called at epoch rotations: O(live buckets),
 // off the request path, one shard locked at a time.
 func (l *limiter) sweep(now time.Time) int {
 	evicted := 0

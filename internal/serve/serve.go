@@ -11,23 +11,30 @@
 // requests fail fast with the fault attached) and every other key keeps
 // serving.
 //
-// The router goroutine owns the runtime — it is the program context, the
-// only goroutine that calls Runtime methods other than the any-goroutine
-// query surface (Poisoned, SetErr, QueueDepths, Stats snapshots). HTTP
-// handler goroutines talk to it through one bounded jobs channel and wait
-// on a per-job done channel:
+// The program context is a role, not a goroutine: whoever holds
+// Server.role is the runtime's one producer and the only caller of Runtime
+// methods outside the any-goroutine query surface (Poisoned, SetErr,
+// backlogs, Stats snapshots). A request's own goroutine takes the role
+// after the admission gates, delegates its job, releases the role and
+// waits on the job's done channel — two goroutine hand-offs per request:
 //
-//	handler goroutine             router (program ctx)          delegate
+//	handler goroutine (holds the role to delegate)        delegate
 //	  admission / rate gates
-//	  jobs <- job ───────────────▶ DelegateTo(set, run) ───────▶ handler fn
-//	  <-job.done ◀──────────────────────────────────────────────  finish
+//	  role.Lock → deliver → DelegateTo(set, run) ───────▶ handler fn
+//	  role.Unlock; <-job.done ◀──────────────────────────  finish
+//
+// The rotation timer, a retry timer's re-delivery, and Drain's final
+// barrier each take the same role for their step. The mutex is the
+// happens-before edge between successive holders, so the engine still sees
+// one program context (its program lane stays single-producer), and per-key
+// order is role-acquisition order.
 //
 // Request lifecycle around faults. The delegated closure finishes the job
 // from a deferred call, so a panicking handler still completes its own
 // request (defers run during unwinding, before the engine's containment
-// recover). A delegation raced by a poison landing between the router's
-// check and the drain seam is dropped-but-counted by the engine and its
-// done channel would never close; the router sweeps those at the next
+// recover). A delegation raced by a poison landing between the role
+// holder's check and the drain seam is dropped-but-counted by the engine
+// and its done channel would never close; those are swept at the next
 // epoch rotation — after the EndIsolation barrier, every job the epoch
 // delegated has either finished or was deterministically dropped, so the
 // sweep is exact, not heuristic.
@@ -37,21 +44,23 @@
 // swept to definitive answers, the stats snapshot is republished,
 // BeginIsolation clears the poison table so a faulted key starts serving
 // again (its fault records remain queryable), the slow-key watchdog
-// heals, and the rate limiter evicts idle buckets. The rotation barrier
-// briefly parks the router, so admission backpressure (bounded jobs
-// channel, inflight budget) is what bounds the latency blip: everything
-// accepted before the barrier is already in delegate queues, which the
-// barrier itself drains.
+// heals, and the rate limiter evicts idle buckets. A rotation holds the
+// role across its barrier, so callers wait on the mutex meanwhile; what
+// bounds that blip, and overload generally, is the inflight budget
+// (requests past it are refused before they touch the role) and the
+// bounded program lane a role holder blocks on when a delegate falls
+// behind — everything delegated before the barrier is already in delegate
+// queues, which the barrier itself drains.
 //
-// Between the router and the work it runs sits the robustness layer
-// (backend.go, breaker.go, deadline.go): a pluggable Backend interface
-// (in-process handlers, HTTP upstream proxies, chaos wrappers) optionally
-// gated per backend by a circuit breaker behind a rotation Pool;
+// Between the role holder and the work it delegates sits the robustness
+// layer (backend.go, breaker.go, deadline.go): a pluggable Backend
+// interface (in-process handlers, HTTP upstream proxies, chaos wrappers)
+// optionally gated per backend by a circuit breaker behind a rotation Pool;
 // per-request deadlines fixed at admission and enforced wherever the tier
 // holds the request (delivery, queue front, backend context, epoch
 // sweep — an expired request resolves to a definitive 504, never a parked
 // done-channel); retry with capped jittered backoff for idempotent
-// requests, re-delegated through the router so per-key order holds across
+// requests, re-delegated under the role so per-key order holds across
 // attempts; and a slow-key watchdog that degrades a persistently-slow key
 // to 503 sheds instead of letting it starve its set's epoch-mates.
 package serve
@@ -61,6 +70,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -86,10 +97,12 @@ type Session struct {
 // Runtime methods, and may panic: a panic is contained by the engine,
 // fails this request with the fault attached, and poisons the key for the
 // rest of the epoch while every other key keeps serving. When
-// Config.RequestTimeout is set, r.Context() carries the request's
-// deadline; a cooperative handler bounds its own work with it (an
+// Config.RequestTimeout is set, r is a copy of the request whose
+// r.Context() carries the request's deadline (and not the client's
+// cancellation); a cooperative handler bounds its own work with it (an
 // uncooperative one is handled by queue-front shedding and the slow-key
-// watchdog instead — see deadline.go).
+// watchdog instead — see deadline.go). Without a RequestTimeout r is the
+// caller's own request, r.Context() included.
 type Handler func(s *Session, r *http.Request) (status int, body string)
 
 // Config parameterizes a Server.
@@ -105,8 +118,8 @@ type Config struct {
 	// /admin/resize may go below it — the floor bounds the feedback loop,
 	// not the operator.
 	MinDelegates int
-	// Autoscale enables the rotation-driven autoscaler: at each epoch
-	// rotation the router folds mean delegate occupancy into an EWMA and
+	// Autoscale enables the rotation-driven autoscaler: each epoch
+	// rotation folds mean delegate occupancy into an EWMA and
 	// steps the pool ±1 delegate when it leaves the target band, clamped
 	// to [MinDelegates, MaxDelegates], with AutoscaleCooldown rotations
 	// between steps. Requires MaxDelegates.
@@ -119,14 +132,11 @@ type Config struct {
 	// under shard set%Shards, bounding metric cardinality under unbounded
 	// keys. Default 8.
 	Shards int
-	// MaxInflight is the admission budget: requests admitted past the
-	// gates and not yet answered. Above it requests are rejected with 503
-	// before touching the runtime. Default 1024.
+	// MaxInflight is the admission budget: requests admitted and not yet
+	// answered. At it requests are rejected with 503 before touching the
+	// role or the runtime — with the bounded program lane a role holder
+	// blocks on, this is what bounds the tier under overload. Default 1024.
 	MaxInflight int
-	// QueueDepth bounds the handler→router jobs channel; a full channel
-	// rejects with 503 (backpressure, never unbounded buffering).
-	// Default MaxInflight.
-	QueueDepth int
 	// Rate and Burst configure the per-set token bucket, in
 	// requests/second and requests. Rate 0 disables rate limiting.
 	Rate  float64
@@ -145,8 +155,8 @@ type Config struct {
 	// deadline on its context. 0 disables deadlines.
 	RequestTimeout time.Duration
 	// RetryMax caps retry attempts for idempotent requests after backend
-	// failures (0 = no retries). Retries re-enter the router and are
-	// re-delegated through the key's serialization set, preserving per-key
+	// failures (0 = no retries). A retry's timer takes the role and
+	// re-delegates through the key's serialization set, preserving per-key
 	// order across attempts.
 	RetryMax int
 	// RetryBase and RetryCap shape the capped exponential backoff between
@@ -225,9 +235,6 @@ func (c *Config) withDefaults() error {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 1024
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = c.MaxInflight
-	}
 	if c.EpochInterval <= 0 {
 		c.EpochInterval = 100 * time.Millisecond
 	}
@@ -266,14 +273,14 @@ func defaultKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// Job outcomes, CAS-guarded: exactly one of the delegated operation, the
-// router's fast-path finishes (poisoned, degraded, expired at delivery),
+// Job outcomes, CAS-guarded: exactly one of the delegated operation,
+// delivery's fast-path finishes (poisoned, degraded, expired at delivery),
 // and the epoch sweep wins, and the winner closes done.
 const (
 	outcomePending uint32 = iota
 	outcomeServed         // backend produced a definitive answer (status/body are valid, including 502 on a non-retryable backend failure)
 	outcomeFaulted        // handler panicked; fault contained, set poisoned
-	outcomeDropped        // delegation dropped on a poisoned set (router fast path or engine seam + sweep)
+	outcomeDropped        // delegation dropped on a poisoned set (delivery fast path or engine seam + sweep)
 	outcomeExpired        // request budget expired before the backend could answer (504)
 	outcomeShed           // slow-key watchdog degraded the key (503)
 )
@@ -290,11 +297,11 @@ type job struct {
 	deadline time.Time // zero = no budget (Config.RequestTimeout off)
 
 	// attempt counts backend attempts already made. Written by the
-	// delegate arming a retry, read by the router at redelivery; the retry
-	// timer's channel send carries the happens-before edge.
+	// delegate arming a retry, read at redelivery; starting the retry timer
+	// carries the happens-before edge.
 	attempt int
 	// retryArmed marks a job owned by its retry timer: not finished, not
-	// in flight, waiting to re-enter the jobs channel. The epoch sweep
+	// in flight, waiting for the timer to re-deliver it. The epoch sweep
 	// skips armed jobs (their delegation completed — the barrier proved
 	// it — and the timer will re-deliver them); delivery clears the flag.
 	retryArmed atomic.Bool
@@ -318,53 +325,55 @@ type Server struct {
 	limiter *limiter
 	slow    *slowTable // nil unless Config.SlowThreshold set
 
-	jobs     chan *job
+	// inflight is the admission word: the number of requests admitted and
+	// not yet answered, plus drainingBit once Drain has closed admission.
+	// One word, moved by CAS, so a refused request never touches it and
+	// the count Drain waits on is exact. idle is closed by the request
+	// that takes the count to zero after admission closed.
 	inflight atomic.Int64
-	draining atomic.Bool
+	idle     chan struct{}
 
-	// Router-private state (program context only).
+	// role is the program context: its holder is the runtime's one
+	// producer. This group is touched only while holding it (rt and w are
+	// set once in New; the any-goroutine queries of rt need no role).
+	role      sync.Mutex
 	rt        *prometheus.Runtime
-	w         *prometheus.Writable[routerState]
+	w         *prometheus.Writable[struct{}] // stateless: it only addresses the delegation API
 	sessions  map[uint64]*Session
-	epochJobs []*job
+	epochJobs []*job      // delegated this epoch and still pending (see trackJob)
+	rotTimer  *time.Timer // fires tick every Config.EpochInterval
+	stopped   bool        // Drain or kill ran: no more rotations or deliveries
+	occEWMA   float64     // autoscaler: smoothed occupancy
+	cooldown  int         // autoscaler: rotations until the next decision
+	snapGen   uint64      // durability: snapshot generation counter
 
-	// statsSnap republishes the router's Stats() snapshot at each
+	// statsSnap republishes the role holder's Stats() snapshot at each
 	// rotation so the any-goroutine metrics scrape never calls Stats
 	// itself (Stats reads program-private counters).
 	statsSnap atomic.Pointer[prometheus.Stats]
 
-	// Autoscaler state. occEWMA and cooldown are router-private;
 	// resizeTarget carries a manual /admin/resize target (0 = none) from
-	// the handler to the router, which applies it at the next rotation —
-	// engine reconfiguration stays on the program context's schedule even
-	// when the request arrives on an arbitrary goroutine.
-	occEWMA      float64
-	cooldown     int
+	// the handler to the next rotation, which applies it — engine
+	// reconfiguration stays on the program context's schedule even when
+	// the request arrives on an arbitrary goroutine.
 	resizeTarget atomic.Int64
-	depthBuf     []uint64 // router-private QueueDepths scratch
 
 	// Durability (see durability.go; all nil/zero without Config.StateFS).
 	store      *durable.Store
-	journal    atomic.Pointer[durable.Journal] // swapped by the router at capture
-	snapGen    uint64                          // generation counter (router, then drain)
+	journal    atomic.Pointer[durable.Journal] // swapped under the role at capture
 	dirty      atomic.Bool                     // a request executed since the last capture
-	snapCh     chan snapCapture                // router → write-behind committer, capacity 1
+	snapCh     chan snapCapture                // rotation → write-behind committer, capacity 1
 	writerDone chan struct{}
-	recovered  recoveryInfo // frozen before the router starts
-
-	drainCh  chan chan struct{}
-	routerWG chan struct{}
-	killCh   chan struct{} // test hook: abrupt router death, no drain, no flush
+	recovered  recoveryInfo // frozen before New returns
 }
 
-// routerState is the Writable payload. Per-key state lives in Session
-// objects the router threads through delegated closures; the wrapper
-// exists to address the delegation API, so its object is empty.
-type routerState struct{}
+// drainingBit is set in Server.inflight once admission has closed.
+const drainingBit = 1 << 62
 
-// New validates cfg, starts the router goroutine (which owns the runtime:
-// the goroutine that calls Init is the program context), and returns once
-// the first isolation epoch is open and the server is accepting work.
+// New validates cfg, rebuilds durable state, starts the runtime with an
+// isolation epoch open and the rotation timer armed, and returns a server
+// that is accepting work. It holds the role while it builds, so the first
+// rotation or request to take it sees a complete server.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -372,11 +381,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		metrics:  newMetrics(cfg.Shards),
-		jobs:     make(chan *job, cfg.QueueDepth),
 		sessions: make(map[uint64]*Session),
-		drainCh:  make(chan chan struct{}),
-		routerWG: make(chan struct{}),
-		killCh:   make(chan struct{}),
+		idle:     make(chan struct{}),
 	}
 	if cfg.Rate > 0 {
 		s.limiter = newLimiter(cfg.Rate, cfg.Burst)
@@ -385,81 +391,79 @@ func New(cfg Config) (*Server, error) {
 		s.slow = newSlowTable(cfg.SlowThreshold, cfg.SlowTrips)
 	}
 	if cfg.StateFS != nil {
-		// Recovery runs here, before the router exists: the session table
-		// must be rebuilt before the first request can be admitted, and a
-		// state store that cannot take a boot snapshot refuses to start.
+		// Recovery runs first: the session table must be rebuilt before the
+		// first request can be admitted, and a state store that cannot take
+		// a boot snapshot refuses to start.
 		if err := s.initDurability(); err != nil {
 			return nil, err
 		}
 	}
-	ready := make(chan struct{})
-	go s.router(ready)
-	<-ready
-	return s, nil
-}
-
-// router is the program context: it creates the runtime, keeps an
-// isolation epoch open, delegates jobs, rotates epochs on a timer, and
-// performs the final drain. It is the only goroutine that calls Runtime
-// methods outside the documented any-goroutine query surface.
-func (s *Server) router(ready chan struct{}) {
-	defer close(s.routerWG)
 	opts := []prometheus.Option{
 		prometheus.WithPolicy(prometheus.LeastLoaded),
 		prometheus.WithStealing(),
 	}
-	if s.cfg.Delegates > 0 {
-		opts = append(opts, prometheus.WithDelegates(s.cfg.Delegates))
+	if cfg.Delegates > 0 {
+		opts = append(opts, prometheus.WithDelegates(cfg.Delegates))
 	}
-	if s.cfg.MaxDelegates > 0 {
-		opts = append(opts, prometheus.WithMaxDelegates(s.cfg.MaxDelegates))
+	if cfg.MaxDelegates > 0 {
+		opts = append(opts, prometheus.WithMaxDelegates(cfg.MaxDelegates))
 	}
+	s.role.Lock()
+	defer s.role.Unlock()
 	s.rt = prometheus.Init(opts...)
-	s.w = prometheus.NewWritableSer(s.rt, routerState{}, prometheus.NullSerializer[routerState]())
+	s.w = prometheus.NewWritableSer(s.rt, struct{}{}, prometheus.NullSerializer[struct{}]())
 	s.rt.BeginIsolation()
-	st := s.rt.Stats()
-	s.statsSnap.Store(&st)
-	close(ready)
-
-	tick := time.NewTicker(s.cfg.EpochInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case j := <-s.jobs:
-			s.deliver(j)
-		case <-tick.C:
-			s.rotate()
-		case ack := <-s.drainCh:
-			s.drainRouter()
-			close(ack)
-			return
-		case <-s.killCh:
-			// Test hook: die the way a SIGKILL would — no drain, no final
-			// snapshot, no journal flush, runtime abandoned. What the
-			// durability layer already pushed to its FS is all a successor
-			// recovers; the journal's user-space buffer dies with us.
-			return
-		}
-	}
+	s.publishStats()
+	s.rotTimer = time.AfterFunc(cfg.EpochInterval, s.tick)
+	return s, nil
 }
 
-// kill abruptly stops the router for crash-recovery tests. Unlike Drain it
-// resolves nothing: inflight requests park forever, buffered journal bytes
-// are lost, the runtime leaks. Call only from tests, at a quiescent point.
+// tick is the rotation timer's body: take the role, re-arm, rotate. It
+// re-arms before rotating so the period is EpochInterval, not EpochInterval
+// plus the rotation. Callers cannot starve it: a sync.Mutex waiter that
+// has waited a millisecond is handed the lock ahead of new arrivals.
+func (s *Server) tick() {
+	s.role.Lock()
+	defer s.role.Unlock()
+	if s.stopped {
+		return
+	}
+	s.rotTimer.Reset(s.cfg.EpochInterval)
+	s.rotate()
+}
+
+// kill abruptly stops the server for crash-recovery tests, the way a
+// SIGKILL would: no drain, no final snapshot, no journal flush, runtime
+// abandoned. Inflight requests park forever, and what the durability layer
+// already pushed to its FS is all a successor recovers. Call only from
+// tests.
 func (s *Server) kill() {
-	close(s.killCh)
-	<-s.routerWG
+	s.role.Lock()
+	s.rotTimer.Stop()
+	s.stopped = true
+	s.role.Unlock()
+}
+
+// enter takes the role for one delivery: a request's own goroutine after
+// admission, or a retry timer.
+func (s *Server) enter(j *job) {
+	s.role.Lock()
+	s.deliver(j)
+	s.role.Unlock()
 }
 
 // deliver routes one job: deadline and degradation fast paths, poisoned
 // fast path, session lookup, delegation. Handles both fresh arrivals and
 // retry re-entries (retryArmed is cleared here — from this point the job
-// is in flight again). Program context only.
+// is in flight again). Holds the role.
 func (s *Server) deliver(j *job) {
+	if s.stopped {
+		return // only after kill: Drain stops once nothing is left to deliver
+	}
 	j.retryArmed.Store(false)
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		// The budget expired while the job sat in the channel (or while a
-		// retry backoff ran): resolve the 504 without paying a delegation.
+		// The budget expired while the caller waited for the role (or while
+		// a retry backoff ran): resolve the 504 without paying a delegation.
 		if j.finish(outcomeExpired) {
 			s.metrics.expired.Add(1)
 		}
@@ -486,10 +490,27 @@ func (s *Server) deliver(j *job) {
 		sess = &Session{Key: j.key, Set: j.set, Data: make(map[string]string)}
 		s.sessions[j.set] = sess
 	}
-	s.epochJobs = append(s.epochJobs, j)
-	s.w.DelegateTo(j.set, func(_ *prometheus.Ctx, _ *routerState) {
+	s.trackJob(j)
+	s.w.DelegateTo(j.set, func(*prometheus.Ctx, *struct{}) {
 		s.execute(j, sess)
 	})
+}
+
+// trackJob records a job about to be delegated, for the epoch sweep. The
+// sweep only ever acts on jobs still pending, so when the slice is about
+// to grow the resolved ones are compacted out first: it holds what is in
+// flight, not a whole epoch of answered requests and their bodies. The
+// slice doubles only while more than half of it is pending, which keeps
+// the compaction amortized O(1) per job. Holds the role.
+func (s *Server) trackJob(j *job) {
+	if len(s.epochJobs) == cap(s.epochJobs) {
+		live := slices.DeleteFunc(s.epochJobs, func(p *job) bool { return p.outcome.Load() != outcomePending })
+		if len(live) >= cap(live)/2 {
+			live = slices.Grow(live, cap(live)+1)
+		}
+		s.epochJobs = live
+	}
+	s.epochJobs = append(s.epochJobs, j)
 }
 
 // execute runs one job's backend attempt on a delegate context. It owns
@@ -499,7 +520,7 @@ func (s *Server) deliver(j *job) {
 // (handler panic — the deferred check fires during unwinding, before the
 // engine's containment recover, so the request completes AND the panic
 // still poisons the set), or none of these because a retry timer was
-// armed and the job will re-enter the router.
+// armed and the job will be delivered again.
 func (s *Server) execute(j *job, sess *Session) {
 	start := time.Now()
 	if !j.deadline.IsZero() && start.After(j.deadline) {
@@ -559,15 +580,15 @@ func (s *Server) execute(j *job, sess *Session) {
 	backoff := s.backoffFor(j)
 	if s.retryable(j, backoff) {
 		// Arm the retry OFF the delegate: backing off inline would hold the
-		// set hostage. The timer re-enters the jobs channel, the router
-		// re-delegates through the same set, and per-key order holds across
-		// attempts by construction. retryArmed must be set before the timer
+		// set hostage. The timer takes the role and re-delegates through
+		// the same set, and per-key order holds across attempts by
+		// construction. retryArmed must be set before the timer
 		// exists so the epoch sweep (which runs after the barrier proved
 		// this operation finished) observes it.
 		j.attempt++
 		j.retryArmed.Store(true)
 		s.metrics.retries.Add(1)
-		time.AfterFunc(backoff, func() { s.jobs <- j })
+		time.AfterFunc(backoff, func() { s.enter(j) })
 		return
 	}
 	// Out of budget, attempts, or idempotency: render the failure.
@@ -587,14 +608,13 @@ func (s *Server) execute(j *job, sess *Session) {
 // stats snapshot republishes, and BeginIsolation clears the poison table
 // so faulted keys resume serving. Rotation is also the tier's maintenance
 // cadence: the slow-key watchdog heals, and the rate limiter evicts idle
-// buckets. Program context only.
+// buckets. Holds the role.
 func (s *Server) rotate() {
 	// Occupancy is sampled BEFORE the barrier: the closing epoch's backlog
 	// is the load signal, and the barrier is about to drain it to zero.
 	occ := s.sampleOccupancy()
 	s.rt.EndIsolation()
 	s.sweepEpochJobs()
-	s.epochJobs = s.epochJobs[:0]
 	if s.slow != nil {
 		s.slow.heal()
 	}
@@ -609,6 +629,11 @@ func (s *Server) rotate() {
 	// boundary that applies it, so `ss_delegates` moves on this rotation.
 	s.maybeResize(occ)
 	s.rt.BeginIsolation()
+	s.publishStats()
+}
+
+// publishStats republishes the runtime counters for Stats. Holds the role.
+func (s *Server) publishStats() {
 	st := s.rt.Stats()
 	s.statsSnap.Store(&st)
 }
@@ -629,19 +654,16 @@ const (
 )
 
 // sampleOccupancy returns the closing epoch's mean per-delegate load:
-// outstanding delegated operations plus jobs still waiting in the channel,
-// over the active pool. Program context, pre-barrier.
+// requests admitted and not yet answered — queued on or running on a
+// delegate, waiting for the role this rotation holds (the admitted but not
+// yet delegated), or backing off before a retry — over the active pool.
+// The admission count already holds all of them. Pre-barrier.
 func (s *Server) sampleOccupancy() float64 {
 	n := s.rt.ActiveDelegates()
 	if n == 0 {
 		return 0
 	}
-	s.depthBuf = s.rt.QueueDepths(s.depthBuf[:0])
-	var sum uint64
-	for _, d := range s.depthBuf {
-		sum += d
-	}
-	return (float64(sum) + float64(len(s.jobs))) / float64(n)
+	return float64(s.inflight.Load()&^drainingBit) / float64(n)
 }
 
 // maybeResize is the rotation-driven scaling decision: a manual
@@ -649,7 +671,7 @@ func (s *Server) sampleOccupancy() float64 {
 // with Autoscale on, the occupancy EWMA is stepped and compared against
 // the band. Resizes are single steps with a cooldown measured in
 // rotations — the engine applies them at epoch boundaries, so each step's
-// effect is observable before the next decision. Program context only.
+// effect is observable before the next decision. Holds the role.
 func (s *Server) maybeResize(occ float64) {
 	if tgt := s.resizeTarget.Swap(0); tgt > 0 {
 		if err := s.rt.Resize(int(tgt)); err != nil {
@@ -685,7 +707,8 @@ func (s *Server) maybeResize(occ float64) {
 	s.cooldown = s.cfg.AutoscaleCooldown
 }
 
-// sweepEpochJobs resolves every job the closed epoch left pending. Runs
+// sweepEpochJobs resolves every job the closed epoch left pending and
+// forgets the epoch's jobs. Runs
 // after the EndIsolation barrier, which proves each delegated operation
 // either executed or was deterministically dropped on a poison seam — so
 // a still-pending job here is either (a) dropped (500), or (b) armed for
@@ -693,7 +716,7 @@ func (s *Server) maybeResize(occ float64) {
 // outcome, and its timer owns re-delivery). A dropped job whose budget
 // has also expired resolves 504, not 500: the deadline is the promise the
 // tier made first, and "definitive 504 at the epoch sweep, never a parked
-// done-channel" is the deadline contract's backstop. Program context only.
+// done-channel" is the deadline contract's backstop. Holds the role.
 func (s *Server) sweepEpochJobs() {
 	now := time.Now()
 	for _, j := range s.epochJobs {
@@ -710,77 +733,48 @@ func (s *Server) sweepEpochJobs() {
 			s.metrics.droppedJobs.Add(1)
 		}
 	}
+	clear(s.epochJobs)
+	s.epochJobs = s.epochJobs[:0]
 }
 
-// drainRouter is the router's shutdown path: keep serving until every
-// admitted request is answered (admission is already closed, so inflight
-// only shrinks), then barrier, sweep, and terminate. The admission
-// handshake makes the inflight wait sound: a handler that passed the
-// draining check raised the inflight counter BEFORE loading the flag
-// (sequentially-consistent order: its Add precedes its false Load, which
-// precedes Drain's Store, which precedes every Load below), so no request
-// can slip in behind an observed zero. If stragglers outlast
-// Config.DrainTimeout their count and the scheduler-ledger dump are
-// logged — the dump reads program-private counters, which is why this
-// wait runs on the router and not in Drain — and the wait then CONTINUES:
-// abandoning it would drop accepted requests, the one thing drain exists
-// to prevent. A handler operation that never returns therefore wedges the
-// drain (as it would wedge the shutdown barrier); the straggler report is
-// the diagnosis, and the Watchdog option turns the wedge itself into one.
-func (s *Server) drainRouter() {
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
-	warned := false
-	tick := time.NewTicker(s.cfg.EpochInterval)
-	defer tick.Stop()
-	for s.inflight.Load() > 0 {
-		if !warned && time.Now().After(deadline) {
-			warned = true
+// Drain gracefully stops the server: admission closes (new requests get
+// 503), every admitted request is served to completion — rotations keep
+// sweeping poison-dropped jobs and retry timers keep firing meanwhile —
+// then the final barrier, sweep and snapshot run under the role and the
+// runtime terminates. Closing admission and counting a request are moves
+// of one word (see admit), so no request slips in behind an observed zero
+// and a refused one is never counted. If stragglers outlast
+// Config.DrainTimeout their count and the scheduler-ledger dump are logged
+// and the wait CONTINUES: abandoning it would drop accepted requests, the
+// one thing drain exists to prevent. A handler operation that never
+// returns therefore wedges the drain (as it would wedge the shutdown
+// barrier); the straggler report is the diagnosis, and the Watchdog option
+// turns the wedge itself into one. Call after the HTTP listener has
+// stopped accepting new connections; call once.
+func (s *Server) Drain() error {
+	if s.inflight.Add(drainingBit) != drainingBit {
+		late := time.NewTimer(s.cfg.DrainTimeout)
+		defer late.Stop()
+		select {
+		case <-s.idle:
+		case <-late.C:
 			s.cfg.Logf("serve: drain timeout: %d requests still inflight\n%s",
-				s.inflight.Load(), s.rt.SchedDump())
-		}
-		select {
-		case j := <-s.jobs:
-			s.deliver(j)
-		case <-tick.C:
-			// Keep rotating while waiting: the epoch sweep is what resolves
-			// jobs whose delegations were dropped on a poison seam, and a
-			// handler parked on one of those counts as inflight.
-			s.rotate()
-		case <-time.After(time.Millisecond):
+				s.inflight.Load()&^drainingBit, s.rt.SchedDump())
+			<-s.idle
 		}
 	}
-	for {
-		select {
-		case j := <-s.jobs:
-			s.deliver(j)
-			continue
-		default:
-		}
-		break
-	}
+	s.role.Lock()
+	defer s.role.Unlock()
+	s.rotTimer.Stop()
+	s.stopped = true
 	s.rt.EndIsolation()
 	s.sweepEpochJobs()
-	s.epochJobs = nil
-	st := s.rt.Stats()
-	s.statsSnap.Store(&st)
+	s.publishStats()
 	// Final barrier passed: the table is quiescent forever. Persist it
 	// synchronously — a clean drain is lossless under every fsync policy.
 	s.drainDurable()
 	s.rt.Terminate()
-}
-
-// Drain gracefully stops the server: admission closes (new requests get
-// 503), every admitted request is served to completion, the router runs
-// its final barrier — sweeping any poison-dropped jobs — and terminates
-// the runtime. Call after the HTTP listener has stopped accepting new
-// connections; call once.
-func (s *Server) Drain() error {
-	s.draining.Store(true)
-	ack := make(chan struct{})
-	s.drainCh <- ack
-	<-ack
-	<-s.routerWG
-	if n := s.inflight.Load(); n > 0 {
+	if n := s.inflight.Load() &^ drainingBit; n != 0 {
 		return fmt.Errorf("serve: drained with %d requests unanswered", n)
 	}
 	return nil

@@ -303,7 +303,7 @@ func TestAdmissionAndRateLimiting(t *testing.T) {
 
 // TestMetricsExposition smoke-tests the hand-written Prometheus text
 // format: drive traffic (including a fault), scrape, and check the
-// per-shard latency histograms, queue-depth histogram, and counters all
+// per-shard latency histograms, backlog gauges, and counters all
 // render.
 func TestMetricsExposition(t *testing.T) {
 	s := newTestServer(t, Config{EpochInterval: 5 * time.Millisecond, Shards: 4})
@@ -324,7 +324,6 @@ func TestMetricsExposition(t *testing.T) {
 		"ss_requests_served_total",
 		"ss_request_latency_microseconds_bucket{shard=\"0\",le=\"50\"}",
 		"ss_request_latency_microseconds_quantile{shard=\"3\",q=\"0.99\"}",
-		"ss_jobs_queue_depth_bucket{le=\"+Inf\"}",
 		"ss_delegate_backlog{delegate=\"1\"}",
 		"ss_runtime_panics_total 1",
 		"ss_runtime_epochs_total",

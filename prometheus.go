@@ -169,9 +169,11 @@ func WithTrace() Option { return func(c *core.Config) { c.Trace = true } }
 // reclaim must also cover nested work.
 func Recursive() Option { return func(c *core.Config) { c.Recursive = true } }
 
-// Runtime is the serialization-sets runtime. Create one with Init; the
-// creating goroutine is the program context and is the only goroutine that
-// may call Runtime methods. Delegated closures receive a *Ctx instead.
+// Runtime is the serialization-sets runtime. Create one with Init. Methods
+// not marked safe from any goroutine are for the holder of the
+// program-context role: the creating goroutine, or one handed the role
+// across a happens-before edge (the serving tier passes it under a mutex).
+// Delegated closures receive a *Ctx instead.
 type Runtime struct {
 	core     *core.Runtime
 	ctxs     []Ctx // one per context id; handed to delegated closures
@@ -316,7 +318,7 @@ func (rt *Runtime) PoisonedCount() int { return rt.core.PoisonedCount() }
 // routed to it that have not finished executing) to dst and returns the
 // extended slice, one entry per delegate. Safe from any goroutine and
 // allocation-free when dst has capacity — the serving tier samples it on
-// every metrics scrape to feed its queue-depth histograms.
+// every metrics scrape.
 func (rt *Runtime) QueueDepths(dst []uint64) []uint64 { return rt.core.QueueDepths(dst) }
 
 // SchedDump renders the engine's scheduler ledgers — per delegate, its
@@ -349,8 +351,8 @@ func joinFaults(faults []core.PanicFault) error {
 }
 
 // Histogram is a fixed-bucket histogram over int64 samples with lock-free
-// atomic counters — the serving tier's latency and queue-depth metric
-// primitive. Observe is safe from any goroutine, zero-allocation, and O(
+// atomic counters — the serving tier's latency metric primitive.
+// Observe is safe from any goroutine, zero-allocation, and O(
 // buckets) with no locks or compare-and-swap loops, so it sits on the
 // request hot path; readers (Quantile, Buckets, Count) take a per-bucket
 // snapshot that may be slightly torn against concurrent writers — fine for

@@ -370,11 +370,15 @@
 // rotation instant a consistent cut of all session state — no request is
 // half-applied anywhere, and per-key causal order means the cut contains
 // every effect of each acknowledged request or none of its successors.
-// So the rotation captures dirty sessions at the barrier and hands them to
-// a write-behind snapshot writer (checksummed records, write-temp-sync-
-// rename commit, generational GC), swapping in the next epoch's journal
-// at the same instant so the closing journal is provably a subset of the
-// snapshot being written. Between rotations each executed request
+// So the rotation captures, at the barrier, the sessions written since its
+// last hand-off — each execution context lists the sessions it wrote, so
+// the role-held work follows what changed, not the table — and hands that
+// delta to a write-behind snapshot writer, which folds it into its own
+// encoded copy of the table and commits the whole table (checksummed
+// records, write-temp-sync-rename commit, generational GC). A hand-off the
+// writer is too busy to take stays listed and rides the next rotation. The
+// next epoch's journal is swapped in at the same instant, so the closing
+// journal is provably a subset of the snapshot being written. Between rotations each executed request
 // appends its session's post-state to the journal before its response is
 // released; the fsync policy (per-request, per-rotation, or never)
 // buys the operator an explicit acked-loss bound under kill -9. Boot

@@ -15,12 +15,16 @@
 //  1. Skewed load: concurrent clients hammer two hot keys and a spread of
 //     cold ones; each response returns the session's sequence number and
 //     every client asserts it only ever sees its key's sequence increase.
+//
 //  2. Chaos: one request for the key "unlucky" panics inside its handler.
 //     The panic is contained — that request and the key's follow-ups this
 //     epoch fail fast with the fault attached, siblings keep serving, and
 //     the next epoch rotation heals the key.
+//
 //  3. Graceful drain: the server stops admitting, serves everything
 //     already accepted, runs the final epoch barrier, and terminates.
+//
+// Run it:
 //
 //	go run ./examples/serving
 package main

@@ -13,12 +13,12 @@ import "time"
 type TraceKind uint8
 
 const (
-	TraceExec  TraceKind = iota // a delegated operation ran on Ctx
-	TraceSync                   // a synchronization object was served
-	TraceEpoch                  // isolation epoch [Start, End) on the program context
-	TraceSteal                  // Set was handed off by the rebalancer; Ctx is the producer that migrated it
-	TracePanic                  // a delegated operation of Set panicked on Ctx and was contained (Epoch carries the isolation epoch)
-	TraceResize                 // the delegate pool was resized at an epoch boundary; Set carries the new active size, Epoch the epoch it opens
+	TraceExec   TraceKind = iota // a delegated operation ran on Ctx
+	TraceSync                    // a synchronization object was served
+	TraceEpoch                   // isolation epoch [Start, End) on the program context
+	TraceSteal                   // Set was handed off by the rebalancer; Ctx is the producer that migrated it
+	TracePanic                   // a delegated operation of Set panicked on Ctx and was contained (Epoch carries the isolation epoch)
+	TraceResize                  // the delegate pool was resized at an epoch boundary; Set carries the new active size, Epoch the epoch it opens
 )
 
 func (k TraceKind) String() string {

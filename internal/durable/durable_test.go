@@ -122,6 +122,84 @@ func TestSnapshotCommitAndRecover(t *testing.T) {
 	}
 }
 
+// writeSizesFS records the size of every write to a snapshot temp file.
+type writeSizesFS struct {
+	FS
+	sizes []int
+}
+
+type sizedFile struct {
+	File
+	fs *writeSizesFS
+}
+
+func (f sizedFile) Write(p []byte) (int, error) {
+	f.fs.sizes = append(f.fs.sizes, len(p))
+	return f.File.Write(p)
+}
+
+func (w *writeSizesFS) Create(name string) (File, error) {
+	f, err := w.FS.Create(name)
+	return sizedFile{f, w}, err
+}
+
+// TestCommitSnapshotFramesThroughOneReusedBuffer: a snapshot larger than
+// commitChunk goes out in chunk-sized writes through a buffer the store
+// keeps — a record larger than a chunk included — the file is the one a
+// single write would have produced, and the second commit allocates no
+// second buffer.
+func TestCommitSnapshotFramesThroughOneReusedBuffer(t *testing.T) {
+	fs := &writeSizesFS{FS: NewMemFS()}
+	st := NewStore(fs)
+	var records [][]byte
+	for i := 0; i < 5000; i++ {
+		records = append(records, []byte(fmt.Sprintf("record-%d-%s", i, bytes.Repeat([]byte{'x'}, i%90))))
+	}
+	records = append(records, bytes.Repeat([]byte{'L'}, commitChunk+1234), []byte("after the large one"))
+	want := len(appendRecord(nil, make([]byte, len(snapMagic)+1+16))) + len(appendRecord(nil, make([]byte, len(snapTrailer)+8)))
+	for _, r := range records {
+		want += frameOverhead + len(r)
+	}
+
+	info, err := st.CommitSnapshot(1, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i, n := range fs.sizes {
+		total += n
+		if n > commitChunk && n != frameOverhead+commitChunk+1234 {
+			t.Errorf("write %d is %d bytes: over commitChunk (%d) and not the one oversized record", i, n, commitChunk)
+		}
+	}
+	if len(fs.sizes) < 4 || total != want || info.Bytes != want {
+		t.Fatalf("%d writes, %d bytes, info %+v; want several writes and %d bytes", len(fs.sizes), total, info, want)
+	}
+	rec, err := st.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotGen != 1 || len(rec.SnapshotRecords) != len(records) {
+		t.Fatalf("recovered generation %d with %d records, want 1 with %d", rec.SnapshotGen, len(rec.SnapshotRecords), len(records))
+	}
+	for i := range records {
+		if !bytes.Equal(rec.SnapshotRecords[i], records[i]) {
+			t.Fatalf("record %d differs after recovery", i)
+		}
+	}
+
+	buf := &st.commitBuf[:1][0]
+	if _, err := st.CommitSnapshot(2, records[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if &st.commitBuf[:1][0] != buf {
+		t.Error("the second commit framed into a new buffer")
+	}
+	if rec, err := st.Recover(); err != nil || rec.SnapshotGen != 2 || len(rec.SnapshotRecords) != 100 {
+		t.Fatalf("after the second commit: %+v, %v", rec, err)
+	}
+}
+
 func TestRecoverFallsBackPastCorruptSnapshot(t *testing.T) {
 	fs := NewMemFS()
 	st := NewStore(fs)

@@ -93,6 +93,8 @@ func (p FsyncPolicy) String() string {
 // before anything else.
 type Store struct {
 	fs FS
+	// commitBuf is CommitSnapshot's framing buffer, reused across commits.
+	commitBuf []byte
 }
 
 // NewStore wraps fs. The FS is the pluggable seam: NewDirFS for a real
@@ -153,35 +155,22 @@ type SnapshotInfo struct {
 // one generation older than the oldest kept snapshot (journals the replay
 // rule could still name — wal-(G-1) for any recoverable snapshot G — are
 // retained; anything older can never be replayed again).
+//
+// The file image is framed through one buffer the store keeps and reuses,
+// written out whenever commitChunk bytes have gathered, so a commit
+// allocates nothing proportional to the table and the store holds no copy
+// of it. That rests on the single-committer discipline above: commits never
+// overlap (the serving tier's boot commit precedes its writer goroutine,
+// its drain commit follows the writer's exit). records is only read, and
+// not retained.
 func (s *Store) CommitSnapshot(gen uint64, records [][]byte) (SnapshotInfo, error) {
-	hdr := make([]byte, 0, len(snapMagic)+1+16)
-	hdr = append(hdr, snapMagic...)
-	hdr = append(hdr, snapVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, gen)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(records)))
-
-	size := frameOverhead + len(hdr)
-	for _, r := range records {
-		size += frameOverhead + len(r)
-	}
-	size += frameOverhead + len(snapTrailer) + 8
-
-	buf := make([]byte, 0, size)
-	buf = appendRecord(buf, hdr)
-	for _, r := range records {
-		buf = appendRecord(buf, r)
-	}
-	tr := make([]byte, 0, len(snapTrailer)+8)
-	tr = append(tr, snapTrailer...)
-	tr = binary.LittleEndian.AppendUint64(tr, uint64(len(records)))
-	buf = appendRecord(buf, tr)
-
 	tmp := snapName(gen) + snapTmp
 	f, err := s.fs.Create(tmp)
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("durable: snapshot %d: create: %w", gen, err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	size, err := s.writeSnapshot(f, gen, records)
+	if err != nil {
 		f.Close()
 		s.fs.Remove(tmp)
 		return SnapshotInfo{}, fmt.Errorf("durable: snapshot %d: write: %w", gen, err)
@@ -200,7 +189,48 @@ func (s *Store) CommitSnapshot(gen uint64, records [][]byte) (SnapshotInfo, erro
 		return SnapshotInfo{}, fmt.Errorf("durable: snapshot %d: commit rename: %w", gen, err)
 	}
 	s.gc()
-	return SnapshotInfo{Gen: gen, Bytes: len(buf), Records: len(records)}, nil
+	return SnapshotInfo{Gen: gen, Bytes: size, Records: len(records)}, nil
+}
+
+// commitChunk is how much framed snapshot gathers in the store's buffer
+// before it is written to the file: large enough that a write call's fixed
+// cost is nothing beside its copy, small enough that the buffer is no
+// second copy of the table.
+const commitChunk = 64 << 10
+
+// writeSnapshot frames generation gen — header, records, trailer — into f
+// through s.commitBuf and returns the bytes written.
+func (s *Store) writeSnapshot(f File, gen uint64, records [][]byte) (int, error) {
+	var hdr [len(snapMagic) + 1 + 16]byte
+	n := copy(hdr[:], snapMagic)
+	hdr[n] = snapVersion
+	binary.LittleEndian.PutUint64(hdr[n+1:], gen)
+	binary.LittleEndian.PutUint64(hdr[n+9:], uint64(len(records)))
+	var tr [len(snapTrailer) + 8]byte
+	n = copy(tr[:], snapTrailer)
+	binary.LittleEndian.PutUint64(tr[n:], uint64(len(records)))
+
+	size := 0
+	buf := appendRecord(s.commitBuf[:0], hdr[:])
+	for i := 0; i <= len(records); i++ {
+		r := tr[:] // after the last record, the trailer is framed like one more
+		if i < len(records) {
+			r = records[i]
+		}
+		if len(buf)+frameOverhead+len(r) > commitChunk {
+			if _, err := f.Write(buf); err != nil {
+				return 0, err
+			}
+			size += len(buf)
+			buf = buf[:0]
+		}
+		buf = appendRecord(buf, r)
+	}
+	s.commitBuf = buf
+	if _, err := f.Write(buf); err != nil {
+		return 0, err
+	}
+	return size + len(buf), nil
 }
 
 // gc removes all but the two newest committed snapshot generations, every

@@ -25,7 +25,7 @@ import (
 //     instead of feeding the retry ladder),
 //   - at the epoch sweep (the delegation was dropped on a poison seam and
 //     the budget has expired: the post-barrier sweep resolves 504, the
-//     "definitive answer, never a parked done-channel" guarantee).
+//     "definitive answer, never a parked caller" guarantee).
 //
 // What the deadline cannot do is preempt a non-cooperative in-process
 // handler mid-run — Go has no goroutine cancellation — so a handler that

@@ -353,4 +353,3 @@ func TestRotationSwapFailureStillSyncsOldJournal(t *testing.T) {
 		t.Fatalf("epoch records lost when the journal swap failed: next seq %s, want 4", got)
 	}
 }
-

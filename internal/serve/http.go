@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -149,7 +150,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := &job{key: key, set: set, r: r, done: make(chan struct{}), start: time.Now()}
+	j := s.jobs.Get().(*job)
+	j.key, j.set, j.r, j.start = key, set, r, time.Now()
 	if s.cfg.RequestTimeout > 0 {
 		// The request's budget is fixed here, at admission: every queue it
 		// waits in, every backend attempt, and every retry backoff spends
@@ -159,13 +161,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.enter(j)
 	<-j.done
 
-	lat := time.Since(j.start)
-	s.metrics.observe(set, lat)
-	switch j.outcome.Load() {
+	// The signal is consumed: the answer is read out and the job goes back
+	// to the pool before the response is written.
+	s.metrics.observe(set, time.Since(j.start))
+	outcome, status, body := j.state.Load()&outcomeMask, j.status, j.body
+	s.recycle(j)
+	switch outcome {
 	case outcomeServed:
 		s.metrics.served.Add(1)
-		w.WriteHeader(j.status)
-		fmt.Fprint(w, j.body)
+		w.WriteHeader(status)
+		io.WriteString(w, body)
 	case outcomeFaulted:
 		// This request's own operation panicked. The engine records the
 		// fault just after our deferred finish ran, so give the record a

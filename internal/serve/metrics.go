@@ -44,7 +44,7 @@ type metrics struct {
 	// Durability (zero unless Config.StateFS is set — see durability.go).
 	snapshots        atomic.Uint64 // snapshot generations committed
 	snapshotFailures atomic.Uint64 // commits that failed (previous generation retained)
-	snapshotSkipped  atomic.Uint64 // captures dropped because the writer was busy
+	snapshotSkipped  atomic.Uint64 // hand-offs deferred because the writer was busy (the lists stay; the next rotation hands over both intervals)
 	snapLastBytes    atomic.Uint64 // size of the last committed snapshot
 	snapLastRecords  atomic.Uint64 // sessions in the last committed snapshot
 	snapLastMicros   atomic.Uint64 // commit duration of the last snapshot
@@ -94,7 +94,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.store != nil {
 		counter("ss_snapshots_total", "Session snapshot generations committed.", m.snapshots.Load())
 		counter("ss_snapshot_failures_total", "Snapshot commits that failed (previous generation retained).", m.snapshotFailures.Load())
-		counter("ss_snapshot_skipped_total", "Epoch captures dropped because the snapshot writer was busy.", m.snapshotSkipped.Load())
+		counter("ss_snapshot_skipped_total", "Epoch captures deferred to the next rotation because the snapshot writer was busy.", m.snapshotSkipped.Load())
 		counter("ss_journal_records_total", "Session records appended to the intra-epoch journal.", m.journalRecords.Load())
 		counter("ss_journal_failures_total", "Journal appends or generation swaps that failed.", m.journalFailures.Load())
 		counter("ss_journal_syncs_total", "Explicit journal fsyncs (per append under always, per rotation under rotation).", m.journalSyncs.Load())

@@ -16,12 +16,13 @@
 // methods outside the any-goroutine query surface (Poisoned, SetErr,
 // backlogs, Stats snapshots). A request's own goroutine takes the role
 // after the admission gates, delegates its job, releases the role and
-// waits on the job's done channel — two goroutine hand-offs per request:
+// waits for the job's done signal — two goroutine hand-offs per request:
 //
 //	handler goroutine (holds the role to delegate)        delegate
-//	  admission / rate gates
-//	  role.Lock → deliver → DelegateTo(set, run) ───────▶ handler fn
+//	  admission / rate gates; job from the pool
+//	  role.Lock → deliver → DelegateTo(set, job.run) ───▶ handler fn
 //	  role.Unlock; <-job.done ◀──────────────────────────  finish
+//	  read the answer; job back to the pool
 //
 // The rotation timer, a retry timer's re-delivery, and Drain's final
 // barrier each take the same role for their step. The mutex is the
@@ -29,12 +30,30 @@
 // one program context (its program lane stays single-producer), and per-key
 // order is role-acquisition order.
 //
-// Request lifecycle around faults. The delegated closure finishes the job
+// A job's life. The tier's own request path allocates nothing in steady
+// state: a job comes from a sync.Pool carrying its done signal (a
+// capacity-1 channel) and its delegation callback, both built once. One
+// request is one incarnation of the job, and the incarnation number shares
+// an atomic word with the incarnation's outcome. Whoever resolves the
+// request CASes that word from (incarnation, pending) to (incarnation,
+// outcome) — delivery's fast paths, the delegated operation, or the epoch
+// sweep; exactly one wins — and the winner sends the one signal. From
+// delivery until that send the job belongs to whichever of the role holder,
+// the delegate running it, or its retry timer has it (an armed retry is
+// unfinished, so it is never in the pool); after the send nothing but the
+// waiting handler goroutine may touch it. That goroutine consumes the
+// signal, reads the answer out, advances the incarnation and puts the job
+// back. The epoch's bookkeeping (epochJobs) holds (job, incarnation) pairs,
+// so a pair left behind by an answered request names nothing once the job
+// has moved on: the sweep and the compaction compare the whole word and
+// never resolve, or keep alive, some later request's job.
+//
+// Request lifecycle around faults. The delegated operation finishes the job
 // from a deferred call, so a panicking handler still completes its own
 // request (defers run during unwinding, before the engine's containment
 // recover). A delegation raced by a poison landing between the role
 // holder's check and the drain seam is dropped-but-counted by the engine
-// and its done channel would never close; those are swept at the next
+// and its done signal would never come; those are swept at the next
 // epoch rotation — after the EndIsolation barrier, every job the epoch
 // delegated has either finished or was deterministically dropped, so the
 // sweep is exact, not heuristic.
@@ -59,7 +78,7 @@
 // per-request deadlines fixed at admission and enforced wherever the tier
 // holds the request (delivery, queue front, backend context, epoch
 // sweep — an expired request resolves to a definitive 504, never a parked
-// done-channel); retry with capped jittered backoff for idempotent
+// caller); retry with capped jittered backoff for idempotent
 // requests, re-delegated under the role so per-key order holds across
 // attempts; and a slow-key watchdog that degrades a persistently-slow key
 // to 503 sheds instead of letting it starve its set's epoch-mates.
@@ -90,6 +109,13 @@ type Session struct {
 
 	// Data is scratch state for handlers (a tiny per-key KV).
 	Data map[string]string
+
+	// Durable-capture bookkeeping (see durability.go). stamp is the capture
+	// interval this session was last listed in, written by whichever context
+	// runs the key's set; slot is its index+1 in the snapshot writer's
+	// table, assigned under the role at its first capture (0 = none yet).
+	stamp uint32
+	slot  uint32
 }
 
 // Handler executes one request against its key's session, on a delegate
@@ -275,26 +301,48 @@ func defaultKey(r *http.Request) string {
 
 // Job outcomes, CAS-guarded: exactly one of the delegated operation,
 // delivery's fast-path finishes (poisoned, degraded, expired at delivery),
-// and the epoch sweep wins, and the winner closes done.
+// and the epoch sweep wins, and the winner signals done.
 const (
-	outcomePending uint32 = iota
+	outcomePending uint64 = iota
 	outcomeServed         // backend produced a definitive answer (status/body are valid, including 502 on a non-retryable backend failure)
 	outcomeFaulted        // handler panicked; fault contained, set poisoned
 	outcomeDropped        // delegation dropped on a poisoned set (delivery fast path or engine seam + sweep)
 	outcomeExpired        // request budget expired before the backend could answer (504)
 	outcomeShed           // slow-key watchdog degraded the key (503)
+
+	// A job's state word is incarnation<<outcomeBits | outcome.
+	outcomeBits = 3
+	outcomeMask = 1<<outcomeBits - 1
 )
 
+// job is one request's passage through the tier. Jobs are pooled
+// (Server.jobs): ServeHTTP takes one, fills the request fields, and recycles
+// it after reading the answer, so the done signal and the delegation
+// callback are built once per pooled job, not once per request.
 type job struct {
 	key      string
 	set      uint64
 	r        *http.Request
+	sess     *Session // the key's session, set by delivery before delegating
 	status   int
 	body     string
-	outcome  atomic.Uint32
-	done     chan struct{}
 	start    time.Time
 	deadline time.Time // zero = no budget (Config.RequestTimeout off)
+
+	// state holds the job's incarnation and this incarnation's outcome in
+	// one word, so resolving a job and checking that it is still the request
+	// the resolver tracked are one CAS: a stale (job, incarnation) left in
+	// Server.epochJobs can neither finish nor be mistaken for the request
+	// that reused the job. recycle advances the incarnation.
+	state atomic.Uint64
+	// done carries one signal per incarnation: the finish CAS has one
+	// winner, the winner sends once, and the waiter consumes the signal
+	// before it recycles the job — capacity 1, never closed, empty in the
+	// pool.
+	done chan struct{}
+	// run is the delegated operation, s.execute(c, j), built once when the
+	// pool makes the job.
+	run func(*prometheus.Ctx, *struct{})
 
 	// attempt counts backend attempts already made. Written by the
 	// delegate arming a retry, read at redelivery; starting the retry timer
@@ -304,17 +352,55 @@ type job struct {
 	// in flight, waiting for the timer to re-deliver it. The epoch sweep
 	// skips armed jobs (their delegation completed — the barrier proved
 	// it — and the timer will re-deliver them); delivery clears the flag.
+	// An armed job is unfinished, so it is never in the pool.
 	retryArmed atomic.Bool
 }
 
-// finish resolves the job to outcome o exactly once; the winning caller
-// closes done and wakes the handler goroutine.
-func (j *job) finish(o uint32) bool {
-	if j.outcome.CompareAndSwap(outcomePending, o) {
-		close(j.done)
+// finish resolves the job's current incarnation to outcome o exactly once;
+// the winning caller signals done and wakes the handler goroutine, which
+// may recycle the job at once — the caller must not touch j afterwards.
+// For the paths that own the job: delivery, and the delegated operation.
+func (j *job) finish(o uint64) bool {
+	return j.finishAt(j.state.Load()>>outcomeBits, o)
+}
+
+// finishAt is finish for a holder of a possibly stale reference (the epoch
+// sweep): it resolves the job only if it is still pending in incarnation
+// inc.
+func (j *job) finishAt(inc, o uint64) bool {
+	if j.state.CompareAndSwap(inc<<outcomeBits, inc<<outcomeBits|o) {
+		j.done <- struct{}{}
 		return true
 	}
 	return false
+}
+
+// trackedJob is an epochJobs entry: a job and the incarnation that was
+// delegated. The entry is live while the job's state word equals
+// inc<<outcomeBits (that incarnation, still pending).
+type trackedJob struct {
+	j   *job
+	inc uint64
+}
+
+func (t trackedJob) pending() bool { return t.j.state.Load() == t.inc<<outcomeBits }
+
+// newJob is the job pool's constructor.
+func (s *Server) newJob() any {
+	j := &job{done: make(chan struct{}, 1)}
+	j.run = func(c *prometheus.Ctx, _ *struct{}) { s.execute(c, j) }
+	return j
+}
+
+// recycle returns an answered job to the pool. Advancing the incarnation
+// first is what retires every reference the epoch's bookkeeping still
+// holds; the request fields are dropped so the pool pins no request.
+func (s *Server) recycle(j *job) {
+	j.state.Store((j.state.Load()>>outcomeBits + 1) << outcomeBits)
+	j.key, j.r, j.sess, j.body = "", nil, nil, ""
+	j.status, j.attempt = 0, 0
+	j.deadline = time.Time{}
+	s.jobs.Put(j)
 }
 
 // Server is the serving tier instance. Create with New, expose Handler()
@@ -333,6 +419,9 @@ type Server struct {
 	inflight atomic.Int64
 	idle     chan struct{}
 
+	// jobs pools request jobs (see job); New is s.newJob.
+	jobs sync.Pool
+
 	// role is the program context: its holder is the runtime's one
 	// producer. This group is touched only while holding it (rt and w are
 	// set once in New; the any-goroutine queries of rt need no role).
@@ -340,12 +429,12 @@ type Server struct {
 	rt        *prometheus.Runtime
 	w         *prometheus.Writable[struct{}] // stateless: it only addresses the delegation API
 	sessions  map[uint64]*Session
-	epochJobs []*job      // delegated this epoch and still pending (see trackJob)
-	rotTimer  *time.Timer // fires tick every Config.EpochInterval
-	stopped   bool        // Drain or kill ran: no more rotations or deliveries
-	occEWMA   float64     // autoscaler: smoothed occupancy
-	cooldown  int         // autoscaler: rotations until the next decision
-	snapGen   uint64      // durability: snapshot generation counter
+	epochJobs []trackedJob // delegated this epoch and still pending (see trackJob)
+	rotTimer  *time.Timer  // fires tick every Config.EpochInterval
+	stopped   bool         // Drain or kill ran: no more rotations or deliveries
+	occEWMA   float64      // autoscaler: smoothed occupancy
+	cooldown  int          // autoscaler: rotations until the next decision
+	snapGen   uint64       // durability: snapshot generation counter
 
 	// statsSnap republishes the role holder's Stats() snapshot at each
 	// rotation so the any-goroutine metrics scrape never calls Stats
@@ -359,12 +448,21 @@ type Server struct {
 	resizeTarget atomic.Int64
 
 	// Durability (see durability.go; all nil/zero without Config.StateFS).
+	// ctxs, stamp and slots follow the capture discipline described there:
+	// touched under the role in the quiescent window, and between windows
+	// ctxs[i] by execution context i alone and stamp read-only.
 	store      *durable.Store
 	journal    atomic.Pointer[durable.Journal] // swapped under the role at capture
-	dirty      atomic.Bool                     // a request executed since the last capture
-	snapCh     chan snapCapture                // rotation → write-behind committer, capacity 1
+	ctxs       []ctxState                      // per execution context, sized NumContexts
+	stamp      uint32                          // current capture interval (see Session.stamp)
+	slots      uint32                          // writer-table slots assigned so far
+	recordHint int                             // mean bytes per listed session at the last hand-off
+	snapCh     chan snapDelta                  // rotation → write-behind writer, capacity 1
 	writerDone chan struct{}
 	recovered  recoveryInfo // frozen before New returns
+	// cutHook, when a test sets it (under the role), runs at every
+	// hand-off with the generation being captured. Holds the role.
+	cutHook func(gen uint64)
 }
 
 // drainingBit is set in Server.inflight once admission has closed.
@@ -384,6 +482,7 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[uint64]*Session),
 		idle:     make(chan struct{}),
 	}
+	s.jobs.New = s.newJob
 	if cfg.Rate > 0 {
 		s.limiter = newLimiter(cfg.Rate, cfg.Burst)
 	}
@@ -411,6 +510,7 @@ func New(cfg Config) (*Server, error) {
 	s.role.Lock()
 	defer s.role.Unlock()
 	s.rt = prometheus.Init(opts...)
+	s.ctxs = make([]ctxState, s.rt.NumContexts())
 	s.w = prometheus.NewWritableSer(s.rt, struct{}{}, prometheus.NullSerializer[struct{}]())
 	s.rt.BeginIsolation()
 	s.publishStats()
@@ -489,28 +589,34 @@ func (s *Server) deliver(j *job) {
 	if sess == nil {
 		sess = &Session{Key: j.key, Set: j.set, Data: make(map[string]string)}
 		s.sessions[j.set] = sess
+		if s.store != nil {
+			// A new session is part of the live table from here on, executed
+			// or not: list it on the role holder's own context.
+			s.markWritten(s.rt.ProgramCtx().ID(), sess)
+		}
 	}
+	j.sess = sess
 	s.trackJob(j)
-	s.w.DelegateTo(j.set, func(*prometheus.Ctx, *struct{}) {
-		s.execute(j, sess)
-	})
+	s.w.DelegateTo(j.set, j.run)
 }
 
 // trackJob records a job about to be delegated, for the epoch sweep. The
 // sweep only ever acts on jobs still pending, so when the slice is about
 // to grow the resolved ones are compacted out first: it holds what is in
-// flight, not a whole epoch of answered requests and their bodies. The
-// slice doubles only while more than half of it is pending, which keeps
-// the compaction amortized O(1) per job. Holds the role.
+// flight, not a whole epoch of answered requests. An entry whose job was
+// answered and recycled into another request is resolved too — the
+// incarnation in the entry no longer matches. The slice doubles only while
+// more than half of it is pending, which keeps the compaction amortized
+// O(1) per job. Holds the role.
 func (s *Server) trackJob(j *job) {
 	if len(s.epochJobs) == cap(s.epochJobs) {
-		live := slices.DeleteFunc(s.epochJobs, func(p *job) bool { return p.outcome.Load() != outcomePending })
+		live := slices.DeleteFunc(s.epochJobs, func(t trackedJob) bool { return !t.pending() })
 		if len(live) >= cap(live)/2 {
 			live = slices.Grow(live, cap(live)+1)
 		}
 		s.epochJobs = live
 	}
-	s.epochJobs = append(s.epochJobs, j)
+	s.epochJobs = append(s.epochJobs, trackedJob{j, j.state.Load() >> outcomeBits})
 }
 
 // execute runs one job's backend attempt on a delegate context. It owns
@@ -521,8 +627,13 @@ func (s *Server) trackJob(j *job) {
 // engine's containment recover, so the request completes AND the panic
 // still poisons the set), or none of these because a retry timer was
 // armed and the job will be delivered again.
-func (s *Server) execute(j *job, sess *Session) {
-	start := time.Now()
+func (s *Server) execute(c *prometheus.Ctx, j *job) {
+	sess := j.sess
+	// The clock is read only for who needs it: the deadline, the watchdog.
+	var start time.Time
+	if !j.deadline.IsZero() || s.slow != nil {
+		start = time.Now()
+	}
 	if !j.deadline.IsZero() && start.After(j.deadline) {
 		// Queue-front shed: the set's earlier work (a latency spike, a slow
 		// epoch-mate) consumed this request's budget before its turn came.
@@ -546,9 +657,13 @@ func (s *Server) execute(j *job, sess *Session) {
 		defer cancel()
 	}
 	sess.Seq++
+	if s.store != nil {
+		// Listed where Seq moves, before the backend can panic: the next
+		// capture must see every session whose in-memory state changed.
+		s.markWritten(c.ID(), sess)
+	}
 	status, body, err := s.cfg.Backend.Serve(ctx, sess, j.r)
-	elapsed := time.Since(start)
-	if s.slow != nil && s.slow.observe(j.set, elapsed) {
+	if s.slow != nil && s.slow.observe(j.set, time.Since(start)) {
 		s.metrics.degradedKeys.Add(1)
 	}
 	if s.store != nil {
@@ -557,8 +672,7 @@ func (s *Server) execute(j *job, sess *Session) {
 		// A panicking handler unwinds past this point, journaling nothing —
 		// a faulted operation contributes no durable state, matching the
 		// engine's "no partial side effects" containment contract.
-		s.journalSession(sess)
-		s.dirty.Store(true)
+		s.journalSession(c.ID(), sess)
 	}
 	if err == nil {
 		j.status, j.body = status, body
@@ -604,7 +718,7 @@ func (s *Server) execute(j *job, sess *Session) {
 
 // rotate closes the epoch and opens the next: the barrier proves the pool
 // quiescent, the sweep resolves jobs whose delegations were dropped on a
-// poison seam (their done channels would otherwise never close), the
+// poison seam (their done signals would otherwise never come), the
 // stats snapshot republishes, and BeginIsolation clears the poison table
 // so faulted keys resume serving. Rotation is also the tier's maintenance
 // cadence: the slow-key watchdog heals, and the rate limiter evicts idle
@@ -716,20 +830,25 @@ func (s *Server) maybeResize(occ float64) {
 // outcome, and its timer owns re-delivery). A dropped job whose budget
 // has also expired resolves 504, not 500: the deadline is the promise the
 // tier made first, and "definitive 504 at the epoch sweep, never a parked
-// done-channel" is the deadline contract's backstop. Holds the role.
+// caller" is the deadline contract's backstop. Holds the role.
 func (s *Server) sweepEpochJobs() {
 	now := time.Now()
-	for _, j := range s.epochJobs {
-		if j.retryArmed.Load() {
+	for _, t := range s.epochJobs {
+		// Only a still-pending entry names a request: after the barrier
+		// nothing but this sweep can resolve it (a retry timer needs the
+		// role), so its fields are stable to read. Anything else — answered,
+		// or answered and recycled into a later request — is not ours.
+		j := t.j
+		if !t.pending() || j.retryArmed.Load() {
 			continue
 		}
 		if !j.deadline.IsZero() && now.After(j.deadline) {
-			if j.finish(outcomeExpired) {
+			if j.finishAt(t.inc, outcomeExpired) {
 				s.metrics.expired.Add(1)
 			}
 			continue
 		}
-		if j.finish(outcomeDropped) {
+		if j.finishAt(t.inc, outcomeDropped) {
 			s.metrics.droppedJobs.Add(1)
 		}
 	}

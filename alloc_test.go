@@ -178,7 +178,7 @@ func TestRecursiveRootDelegateZeroAlloc(t *testing.T) {
 }
 
 func TestRecursiveNestedDelegateZeroAlloc(t *testing.T) {
-	// The recursive engine's defining path: DelegateFromCall issued from
+	// The path Recursive exists to permit: DelegateFromCall issued from
 	// inside a delegated operation, plus the delegate-side batched lane
 	// drain executing the burst. Each measured run waits (via a marker
 	// counter) until the whole burst has drained, so AllocsPerRun — which

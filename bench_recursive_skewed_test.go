@@ -1,7 +1,7 @@
 package prometheus_test
 
-// BenchmarkRecursiveSkewed is the recursive engine's imbalance scenario —
-// the workload shape PR 4's whole-set stealing exists for. A delegate-
+// BenchmarkRecursiveSkewed is the imbalance scenario for nested
+// delegation — the workload shape whole-set stealing exists for. A delegate-
 // context producer streams a 90/10-skewed stream: 90% of operations land
 // on four hot sets that all seed on delegate 1 under the static
 // assignment, the rest on cold sets spread across the other delegates.
@@ -21,10 +21,9 @@ package prometheus_test
 // the in-epoch adaptive threshold has to pull the capacity-derived
 // threshold (64) down to where the wave occupancy triggers handoffs
 // before any steal can fire, so the EWMA machinery is on the measured
-// path. cmd/benchgate gates these variants against BENCH_PR4.json,
-// normalized by the nosteal variant: the numbers are dominated by sleeps
-// whose effective duration varies by host, but the steal/nosteal ratio —
-// the win itself — does not.
+// path. Read the variants as a ratio, steal over nosteal: the numbers are
+// dominated by sleeps whose effective duration varies by host. A probe to
+// read with benchstat over many runs, not a gate.
 
 import (
 	"testing"

@@ -7,9 +7,10 @@ package prometheus_test
 // the timed region closes with EndIsolation's quiescence barrier), because
 // recursive lanes have no external backpressure observer: timing only the
 // push side would reward an engine that defers all real work to the
-// barrier. Run with -benchmem; the steady-state paths are required to
-// report 0 allocs/op (see alloc_test.go for the hard gate), and
-// cmd/benchgate gates these variants against BENCH_PR3.json.
+// barrier. A developer's probe, read with benchstat; bench/'s delegate-rec
+// workload is the gated number for this path. Run with -benchmem; the
+// steady-state paths are required to report 0 allocs/op, which
+// alloc_test.go enforces exactly.
 //
 // The nested variants issue delegations from inside a delegated operation
 // in waves sized well below the lane capacity, waiting for marker
@@ -64,7 +65,7 @@ func nestedWaves(c *prometheus.Ctx, n, fan int, sets []uint64) {
 }
 
 func BenchmarkRecursiveOverhead(b *testing.B) {
-	// Root: the program context delegating into the recursive engine, one
+	// Root: the program context delegating into a Recursive runtime, one
 	// serialization set — the entry every recursive program pays first.
 	b.Run("root", func(b *testing.B) {
 		b.ReportAllocs()
@@ -97,8 +98,8 @@ func BenchmarkRecursiveOverhead(b *testing.B) {
 		rt.EndIsolation()
 		b.StopTimer()
 	})
-	// Nested: delegate-context producers, the recursive engine's defining
-	// path. One root operation issues b.N delegations over three child
+	// Nested: delegate-context producers, the path Recursive exists to
+	// permit. One root operation issues b.N delegations over three child
 	// sets mapped to the other three delegates (StaticMod, 16 virtual
 	// delegates: the root wrapper's set 0 owns delegate 1; sets
 	// 1001/1002/1003 map to delegates 2/3/4).
@@ -131,21 +132,5 @@ func BenchmarkRecursiveOverhead(b *testing.B) {
 		})
 		rt.EndIsolation()
 		b.StopTimer()
-	})
-	// Canary for benchgate normalization: the same wrapper fast path with
-	// the engine swapped out for inline execution — pure single-thread
-	// machine speed, no queues, no goroutines.
-	b.Run("sequential-inline", func(b *testing.B) {
-		b.ReportAllocs()
-		rt := prometheus.Init(prometheus.Sequential(), prometheus.Recursive())
-		defer rt.Terminate()
-		w := prometheus.NewWritable(rt, 0)
-		rt.BeginIsolation()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Delegate(func(c *prometheus.Ctx, p *int) { *p++ })
-		}
-		b.StopTimer()
-		rt.EndIsolation()
 	})
 }

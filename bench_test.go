@@ -11,12 +11,17 @@ package prometheus_test
 //	BenchmarkFig6/<app>/d<N>               - Figure 6 delegate-count sweep
 //	BenchmarkAblation/*                    - design-choice studies
 //
-// The ssbench command prints the same data as formatted tables; these
-// benches integrate with standard Go tooling (-bench, -benchmem,
-// benchstat). Inputs are the Small class so `go test -bench=.` stays
-// minutes-scale; ssbench defaults to Medium.
+// These are the developer's probe, read with standard Go tooling (-bench,
+// -benchmem, -count and benchstat), and the one way to regenerate the
+// figures' data beyond what the ledger prints: bash bench/run.sh is the
+// ledger and the only performance gate, and a traced apps-m run there
+// already reports Figure 4's column for the host it runs on, at nproc-1
+// delegates (apps.<app>.speedup, apps.hmean_speedup), and Figure 5a's
+// isolation share. Inputs are the Small class so `go test -bench=.` stays
+// minutes-scale.
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -101,7 +106,7 @@ func BenchmarkFig5a(b *testing.B) {
 }
 
 // BenchmarkFig5b measures SS at 15 delegates across input size classes
-// (S and M here; ssbench -experiment fig5b adds L).
+// (S and M; L is minutes per run).
 func BenchmarkFig5b(b *testing.B) {
 	for _, app := range harness.Apps {
 		app := app
@@ -125,7 +130,7 @@ func BenchmarkFig6(b *testing.B) {
 		app := app
 		for _, d := range []int{1, 2, 4, 8, 15} {
 			d := d
-			b.Run(app.Name+"/d"+itoa(d), func(b *testing.B) {
+			b.Run(app.Name+"/d"+strconv.Itoa(d), func(b *testing.B) {
 				inst := load(b, app, workload.Small)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -157,7 +162,7 @@ func BenchmarkAblation(b *testing.B) {
 	})
 	for _, share := range []int{0, 1, 2} {
 		share := share
-		b.Run("program-share/"+itoa(share), func(b *testing.B) {
+		b.Run("program-share/"+strconv.Itoa(share), func(b *testing.B) {
 			inst := load(b, fm, workload.Small)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -167,7 +172,7 @@ func BenchmarkAblation(b *testing.B) {
 	}
 	for _, cap := range []int{8, 1024, 16384} {
 		cap := cap
-		b.Run("queue-capacity/"+itoa(cap), func(b *testing.B) {
+		b.Run("queue-capacity/"+strconv.Itoa(cap), func(b *testing.B) {
 			inst := load(b, fm, workload.Small)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -192,22 +197,10 @@ func BenchmarkAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkRuntime measures the core runtime primitives in isolation:
-// delegation throughput (the paper's overhead discussion, §5) and epoch
-// transition cost.
+// BenchmarkRuntime measures the runtime primitives around a delegation:
+// the epoch transition and the delegate-then-reclaim round trip (the
+// delegation itself is BenchmarkDelegateOverhead).
 func BenchmarkRuntime(b *testing.B) {
-	b.Run("delegate-throughput", func(b *testing.B) {
-		rt := prometheus.Init(prometheus.WithDelegates(4))
-		defer rt.Terminate()
-		w := prometheus.NewWritable(rt, 0)
-		rt.BeginIsolation()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Delegate(func(c *prometheus.Ctx, p *int) { *p++ })
-		}
-		b.StopTimer()
-		rt.EndIsolation()
-	})
 	b.Run("epoch-transition", func(b *testing.B) {
 		rt := prometheus.Init(prometheus.WithDelegates(4))
 		defer rt.Terminate()
@@ -230,18 +223,4 @@ func BenchmarkRuntime(b *testing.B) {
 		b.StopTimer()
 		rt.EndIsolation()
 	})
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

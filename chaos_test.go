@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -329,6 +330,71 @@ func TestChaosSeededSurvival(t *testing.T) {
 				if !logsEqual(a[set], b[set]) {
 					t.Fatalf("set %d diverged between identical seeded runs:\n%v\n%v", set, a[set], b[set])
 				}
+			}
+		})
+	}
+}
+
+// chaosSkewed is a 90/10 hot/cold nested shape that is fault-tolerant by
+// construction: the program context streams the hot runs (bounded by lane
+// backpressure), each hot operation issues one fire-and-forget nested
+// delegation to a cold set, and the only waits are the epoch barriers,
+// which containment guarantees close no matter which operations were
+// dropped. (A workload that spin-waits inside an operation for a marker
+// delegated to a set that may be poisoned would hang: doc.go "Fault
+// containment".) Two epochs, so poisoning clearing at the boundary is on
+// the path.
+func chaosSkewed(opts []Option) Stats {
+	rt := Init(opts...)
+	defer rt.Terminate()
+	hot := []uint64{0, 4, 8, 12} // delegate 1 under StaticMod's vmap
+	cold := []uint64{2, 6, 3, 7} // spread; produced only by the hot ops' delegate
+	w := NewWritable(rt, 0)
+	for epoch := 0; epoch < 2; epoch++ {
+		rt.BeginIsolation()
+		for i := 0; i < 400; i++ {
+			h := hot[i%len(hot)]
+			c := cold[i%len(cold)]
+			w.DelegateTo(h, func(cx *Ctx, _ *int) {
+				time.Sleep(5 * time.Microsecond)
+				cx.Delegate(c, func(*Ctx) {})
+			})
+		}
+		rt.EndIsolation()
+	}
+	return rt.Stats()
+}
+
+// TestChaosWorkloadSurvives: seeded probabilistic faults hit operations
+// that themselves delegate, across two epochs. Every rate must run to
+// completion in every Recursive mode — a wedged barrier would hang the
+// test — with no panic in the control row and some in the faulty ones.
+func TestChaosWorkloadSurvives(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    float64
+	}{
+		{"control", 0},
+		{"low", 0.005},
+		{"high", 0.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, mode := range chaosModes {
+				if !strings.HasPrefix(mode.name, "rec") {
+					continue // Ctx.Delegate requires Recursive
+				}
+				t.Run(mode.name, func(t *testing.T) {
+					st := chaosSkewed(append(append([]Option{}, mode.opts...), withInjector(chaos.Seeded(11, tc.p))))
+					if st.Epochs != 2 {
+						t.Errorf("closed %d epochs, want 2", st.Epochs)
+					}
+					if tc.p == 0 && st.Panics != 0 {
+						t.Errorf("control row contained %d panics, want 0", st.Panics)
+					}
+					if tc.p > 0 && st.Panics == 0 {
+						t.Errorf("p=%g row contained no panics", tc.p)
+					}
+				})
 			}
 		})
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	prometheus "repro"
 	"repro/internal/harness"
 	"repro/internal/workload"
 	"repro/trace"
@@ -39,10 +38,6 @@ func main() {
 		os.Exit(2)
 	}
 	inst := app.Load(size)
-	if inst.SSTraced == nil {
-		fmt.Fprintf(os.Stderr, "sstrace: %s has no traced runner\n", *appFlag)
-		os.Exit(1)
-	}
 	fmt.Printf("tracing %s (size %s, %d delegates): %s\n", app.Name, size, *delegates, inst.Desc)
 	events, st := inst.SSTraced(*delegates)
 	fmt.Printf("phases: aggregation=%v isolation=%v reduction=%v\n\n",
@@ -51,5 +46,4 @@ func main() {
 	report.WriteReport(os.Stdout)
 	fmt.Println()
 	trace.Timeline(os.Stdout, events, *width)
-	_ = prometheus.TraceExec // keep the dependency explicit for godoc cross-reference
 }

@@ -235,9 +235,21 @@
 // through the lanes, all producers) and Spills alongside the drain
 // counters.
 //
-// BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead, BenchmarkSPSC,
-// BenchmarkLane, BenchmarkCoreDelegateSkewed and BenchmarkRecursiveSkewed
-// measure these paths, and bench/ measures the whole stack end to end.
+// Measuring. bash bench/run.sh is the ledger and the only performance
+// gate: five workloads end to end against the bounds in BENCHMARK.json,
+// per-layer rows with --workload W --trace 1. What CI enforces of the hot
+// path is the exact 0 allocs/op tests. The Benchmark* functions are a
+// developer's probe, read with go test -bench and benchstat:
+//
+//   - Fig 4 and Fig 5a on this host: the traced apps-m rows
+//     apps.<app>.speedup, apps.hmean_speedup, apps.<app>.isolation_share.
+//   - Fig 5b, Fig 6 and the policy / program-share / queue-capacity /
+//     kmeans ablations: go test -run=NONE -bench 'Fig5b|Fig6|Ablation' .
+//   - Delegation cost: BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead,
+//     BenchmarkSPSC, BenchmarkLane.
+//   - Stealing under skew: BenchmarkRecursiveSkewed,
+//     BenchmarkCoreDelegateSkewed.
+//   - Per-delegate utilisation of one program: cmd/sstrace.
 //
 // # Fault containment
 //

@@ -8,8 +8,9 @@ import (
 
 // Elastic-runtime unit tests: epoch-boundary resize semantics, scale-down
 // evacuation accounting, validation of Reconfigure targets, and the
-// runtime-config Get/Store surface — in both engines, Checked mode on, so
-// the "no lane traffic survives a retired delegate" assertions are armed.
+// runtime-config Get/Store surface — with and without Recursive, Checked
+// mode on, so the "no lane traffic survives a retired delegate" assertions
+// are armed.
 
 func TestReconfigureValidation(t *testing.T) {
 	rt := newTestRuntime(t, Config{

@@ -266,7 +266,7 @@ func TestStealStress(t *testing.T) {
 // single-CPU host — delegates overlap their blocked time. The "cpu" variants
 // are pure compute: on a multi-core host they show the same shape; on one
 // CPU total work is serialized regardless of placement, so expect them flat
-// there (see BENCH_PR2.json).
+// there.
 func BenchmarkCoreDelegateSkewed(b *testing.B) {
 	const (
 		delegates = 4

@@ -38,10 +38,10 @@ func attachSSHooks(inst *Instance, runOn func(rt *prometheus.Runtime) prometheus
 }
 
 // Apps is the benchmark registry, mirroring the rows of the paper's
-// Table 2.
+// Table 2; each entry's comment names the suite the program comes from.
 var Apps = []App{
 	{
-		Name: "barneshut", Source: "Lonestar", Desc: "N-body simulation",
+		Name: "barneshut", // Lonestar: N-body simulation
 		Load: func(size workload.SizeClass) *Instance {
 			in := barneshut.Load(size)
 			inst := &Instance{
@@ -57,7 +57,7 @@ var Apps = []App{
 		},
 	},
 	{
-		Name: "blackscholes", Source: "PARSEC", Desc: "Financial analysis",
+		Name: "blackscholes", // PARSEC: Financial analysis
 		Load: func(size workload.SizeClass) *Instance {
 			in := blackscholes.Load(size)
 			inst := &Instance{
@@ -73,7 +73,7 @@ var Apps = []App{
 		},
 	},
 	{
-		Name: "dedup", Source: "PARSEC", Desc: "Enterprise storage",
+		Name: "dedup", // PARSEC: Enterprise storage
 		Load: func(size workload.SizeClass) *Instance {
 			in := dedup.Load(size)
 			inst := &Instance{
@@ -89,7 +89,7 @@ var Apps = []App{
 		},
 	},
 	{
-		Name: "freqmine", Source: "PARSEC", Desc: "Data mining",
+		Name: "freqmine", // PARSEC: Data mining
 		Load: func(size workload.SizeClass) *Instance {
 			in := freqmine.Load(size)
 			inst := &Instance{
@@ -105,7 +105,7 @@ var Apps = []App{
 		},
 	},
 	{
-		Name: "histogram", Source: "Phoenix", Desc: "Image analysis",
+		Name: "histogram", // Phoenix: Image analysis
 		Load: func(size workload.SizeClass) *Instance {
 			in := histogram.Load(size)
 			inst := &Instance{
@@ -121,7 +121,7 @@ var Apps = []App{
 		},
 	},
 	{
-		Name: "kmeans", Source: "NU-MineBench", Desc: "Data mining",
+		Name: "kmeans", // NU-MineBench: Data mining
 		Load: func(size workload.SizeClass) *Instance {
 			in := kmeans.Load(size)
 			inst := &Instance{
@@ -143,7 +143,7 @@ var Apps = []App{
 		},
 	},
 	{
-		Name: "reverse_index", Source: "Phoenix", Desc: "HTML analysis",
+		Name: "reverse_index", // Phoenix: HTML analysis
 		Load: func(size workload.SizeClass) *Instance {
 			in := reverseindex.Load(size)
 			inst := &Instance{
@@ -159,7 +159,7 @@ var Apps = []App{
 		},
 	},
 	{
-		Name: "word_count", Source: "Phoenix", Desc: "Text processing",
+		Name: "word_count", // Phoenix: Text processing
 		Load: func(size workload.SizeClass) *Instance {
 			in := wordcount.Load(size)
 			inst := &Instance{

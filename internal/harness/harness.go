@@ -1,15 +1,12 @@
-// Package harness runs the paper's evaluation: it owns the benchmark
-// registry, the machine-configuration table, timing and speedup math, and a
-// formatter per table/figure (Table 2/3, Figures 4, 5a, 5b, 6, plus the
-// ablation suite). The cmd/ssbench binary and the repository-root
-// bench_test.go are thin wrappers over this package.
+// Package harness is the registry of the paper's eight evaluation programs
+// (Table 2): each App loads an input once and hands back runners for its
+// sequential, conventional-parallel and serialization-sets implementations.
+// The repository-root bench_test.go (BenchmarkFig4/5a/5b/6/Ablation) and
+// cmd/sstrace drive the programs through it; HarmonicMean is Figure 4's
+// aggregate, which bench/ reports as apps.hmean_speedup.
 package harness
 
 import (
-	"fmt"
-	"sort"
-	"time"
-
 	prometheus "repro"
 	"repro/internal/workload"
 )
@@ -17,7 +14,7 @@ import (
 // Instance is one loaded benchmark input with runners for each
 // implementation. Load once, run many times.
 type Instance struct {
-	// Desc is the input description printed in Table 2.
+	// Desc describes the generated input (sizes, counts).
 	Desc string
 	// Seq runs the sequential reference implementation.
 	Seq func()
@@ -28,80 +25,20 @@ type Instance struct {
 	// of delegate contexts and returns the runtime stats.
 	SS func(delegates int) prometheus.Stats
 	// Variants holds named alternative SS formulations used by the
-	// ablation experiments (e.g. kmeans "naive").
+	// ablation benchmarks (e.g. kmeans "naive").
 	Variants map[string]func(delegates int) prometheus.Stats
 	// SSOpt runs SS with extra runtime options (scheduling-policy and
-	// queue-capacity ablations). Nil when the app has no such hook.
+	// queue-capacity ablations).
 	SSOpt func(delegates int, opts ...prometheus.Option) prometheus.Stats
 	// SSTraced runs SS with execution tracing and returns the trace
-	// (cmd/sstrace). Nil when the app has no such hook.
+	// (cmd/sstrace).
 	SSTraced func(delegates int) ([]prometheus.TraceEvent, prometheus.Stats)
 }
 
 // App is a registered benchmark.
 type App struct {
-	Name   string
-	Source string // suite of the original benchmark (Table 2)
-	Desc   string // domain description (Table 2)
-	Load   func(size workload.SizeClass) *Instance
-}
-
-// MachineConfig emulates one machine of the paper's Table 3 as a
-// total-execution-context count: the CP version gets Contexts workers, the
-// SS version Contexts-1 delegates plus the program context.
-type MachineConfig struct {
-	Name     string
-	Contexts int
-	// Paper describes the hardware; kept for the Table 3 printout.
-	Paper string
-}
-
-// Machines mirrors Table 3.
-var Machines = []MachineConfig{
-	{Name: "barcelona-4", Contexts: 4, Paper: "AMD Phenom 9850, 1x4 cores, 2.5 GHz"},
-	{Name: "ultrasparc-8", Contexts: 8, Paper: "Sun Fire V880, 8x1 cores, 900 MHz"},
-	{Name: "barcelona-16", Contexts: 16, Paper: "AMD Opteron 8350, 4x4 cores, 2.0 GHz"},
-	{Name: "niagara-32", Contexts: 32, Paper: "Sun Fire T2000, 8 cores x 4 threads, 1.0 GHz"},
-}
-
-// MachineByName finds a configuration.
-func MachineByName(name string) (MachineConfig, bool) {
-	for _, m := range Machines {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return MachineConfig{}, false
-}
-
-// Time measures one execution of f.
-func Time(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// TimeBest measures f reps times and returns the minimum — the standard
-// way to suppress scheduling noise for throughput benchmarks.
-func TimeBest(reps int, f func()) time.Duration {
-	if reps < 1 {
-		reps = 1
-	}
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		if d := Time(f); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// Speedup is sequential time over parallel time.
-func Speedup(seq, par time.Duration) float64 {
-	if par <= 0 {
-		return 0
-	}
-	return float64(seq) / float64(par)
+	Name string
+	Load func(size workload.SizeClass) *Instance
 }
 
 // HarmonicMean computes the harmonic mean of speedups, the aggregate the
@@ -137,31 +74,4 @@ func AppByName(name string) (App, bool) {
 		}
 	}
 	return App{}, false
-}
-
-// FilterApps returns the registry subset with the given names (all apps for
-// an empty filter). Unknown names are reported as an error.
-func FilterApps(names []string) ([]App, error) {
-	if len(names) == 0 {
-		return Apps, nil
-	}
-	var out []App
-	for _, n := range names {
-		a, ok := AppByName(n)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q (have %v)", n, AppNames())
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// SortedKeys returns map keys in sorted order (deterministic printouts).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -2,38 +2,20 @@ package harness
 
 import (
 	"math"
-	"strings"
+	"slices"
 	"testing"
-	"time"
 
+	prometheus "repro"
 	"repro/internal/workload"
 )
 
-func TestSpeedupAndHarmonicMean(t *testing.T) {
-	if got := Speedup(10*time.Second, 2*time.Second); got != 5 {
-		t.Errorf("Speedup = %f, want 5", got)
-	}
-	if got := Speedup(time.Second, 0); got != 0 {
-		t.Errorf("Speedup by zero = %f, want 0", got)
-	}
+func TestHarmonicMean(t *testing.T) {
 	got := HarmonicMean([]float64{2, 4})
 	if math.Abs(got-8.0/3.0) > 1e-12 {
 		t.Errorf("HarmonicMean(2,4) = %f, want 8/3", got)
 	}
 	if HarmonicMean(nil) != 0 || HarmonicMean([]float64{1, 0}) != 0 {
 		t.Error("HarmonicMean degenerate cases wrong")
-	}
-}
-
-func TestTimeBest(t *testing.T) {
-	n := 0
-	TimeBest(3, func() { n++ })
-	if n != 3 {
-		t.Errorf("TimeBest ran %d times, want 3", n)
-	}
-	TimeBest(0, func() { n++ })
-	if n != 4 {
-		t.Errorf("TimeBest(0) should run once")
 	}
 }
 
@@ -52,56 +34,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestFilterApps(t *testing.T) {
-	all, err := FilterApps(nil)
-	if err != nil || len(all) != len(Apps) {
-		t.Fatalf("empty filter should return all apps")
-	}
-	two, err := FilterApps([]string{"dedup", "kmeans"})
-	if err != nil || len(two) != 2 || two[0].Name != "dedup" {
-		t.Fatalf("filter = %v, %v", two, err)
-	}
-	if _, err := FilterApps([]string{"nope"}); err == nil {
-		t.Fatal("unknown app should error")
-	}
-}
-
-func TestMachinesMirrorTable3(t *testing.T) {
-	wantContexts := map[string]int{
-		"barcelona-4": 4, "ultrasparc-8": 8, "barcelona-16": 16, "niagara-32": 32,
-	}
-	for name, contexts := range wantContexts {
-		m, ok := MachineByName(name)
-		if !ok || m.Contexts != contexts {
-			t.Errorf("machine %s = %+v, %v", name, m, ok)
-		}
-	}
-	if _, ok := MachineByName("cray-1"); ok {
-		t.Error("unknown machine should not resolve")
-	}
-}
-
-func TestTable2Smoke(t *testing.T) {
-	var sb strings.Builder
-	if err := Table2(&sb, Options{Size: workload.Small, Apps: []string{"histogram"}}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "histogram") || !strings.Contains(out, "Phoenix") {
-		t.Fatalf("Table2 output:\n%s", out)
-	}
-}
-
-func TestTable3Smoke(t *testing.T) {
-	var sb strings.Builder
-	Table3(&sb)
-	for _, m := range Machines {
-		if !strings.Contains(sb.String(), m.Name) {
-			t.Errorf("Table3 missing %s", m.Name)
-		}
-	}
-}
-
 // TestInstanceRunnersWork loads the fastest app at size S and exercises all
 // runner hooks once — an integration smoke of the registry plumbing.
 func TestInstanceRunnersWork(t *testing.T) {
@@ -115,11 +47,15 @@ func TestInstanceRunnersWork(t *testing.T) {
 	if st := inst.SS(2); st.Epochs == 0 {
 		t.Error("SS run recorded no epochs")
 	}
-	if inst.SSOpt == nil {
-		t.Fatal("histogram has no SSOpt hook")
-	}
-	if st := inst.SSOpt(2, nil...); st.Epochs == 0 {
+	if st := inst.SSOpt(2, prometheus.WithPolicy(prometheus.LeastLoaded)); st.Epochs == 0 {
 		t.Error("SSOpt run recorded no epochs")
+	}
+	events, st := inst.SSTraced(2)
+	if st.Epochs == 0 {
+		t.Error("SSTraced run recorded no epochs")
+	}
+	if !slices.ContainsFunc(events, func(e prometheus.TraceEvent) bool { return e.Kind == prometheus.TraceExec }) {
+		t.Errorf("SSTraced returned %d events, none an executed operation", len(events))
 	}
 }
 

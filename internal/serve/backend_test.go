@@ -406,12 +406,12 @@ func (f *signalingFailBackend) Serve(ctx context.Context, s *Session, r *http.Re
 }
 
 // TestDrainWithArmedRetry: a retry armed via time.AfterFunc owns its job
-// while the timer runs — not finished, not in flight. Drain must keep the
-// router consuming until the timer re-delivers and the ladder exhausts:
-// the request resolves (502), Drain returns nil, and the late timer send
-// lands in a channel that is still open (the jobs channel is never
-// closed). A drain that raced the timer would either panic on a closed
-// channel or report an unanswered request; this pins that neither happens.
+// while the timer runs — not finished, not in flight, but still admitted.
+// Drain must leave the role free until the timer has re-delivered and the
+// ladder is exhausted: the request resolves (502) and only then does
+// Drain take the role for the final barrier and return nil. A drain that
+// stopped the server under an armed timer would drop the re-delivery and
+// report an unanswered request; this pins that it does not.
 func TestDrainWithArmedRetry(t *testing.T) {
 	fb := &signalingFailBackend{attempts: make(chan struct{}, 16)}
 	s := newTestServer(t, Config{

@@ -8,9 +8,9 @@ import (
 )
 
 // SkewedRecursive is the wave-throttled 90/10-skewed recursive producer
-// shared by BenchmarkRecursiveSkewed, the recursive-stealing determinism
-// stress, and the ssbench A6 ablation — the imbalance shape the recursive
-// whole-set rebalancer exists for. Operations arrive as runs of RunLen
+// shared by BenchmarkRecursiveSkewed and the recursive-stealing
+// determinism stress — the imbalance shape the recursive whole-set
+// rebalancer exists for. Operations arrive as runs of RunLen
 // consecutive delegations per hot set with one cold delegation after each
 // run (dependence chains of uneven length), so a hot set's first
 // delegation of a wave routes while the victim still carries the previous

@@ -22,6 +22,9 @@ var chaosModes = []struct {
 	opts []Option
 }{
 	{"flat-static", []Option{WithDelegates(4)}},
+	// Ten virtual delegates put sets 100 and 101 — the faulting set among
+	// them — on the two ProgramShare slots: context 0 executes them inline.
+	{"flat-static-share", []Option{WithDelegates(4), WithProgramShare(2), WithVirtualDelegates(10)}},
 	{"flat-nosteal", []Option{WithDelegates(4), WithPolicy(LeastLoaded)}},
 	{"flat-steal", []Option{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(2)}},
 	{"rec-static", []Option{WithDelegates(4), Recursive()}},
@@ -164,9 +167,14 @@ func TestChaosErrorSurface(t *testing.T) {
 			if !errors.As(err, &pe) {
 				t.Fatalf("Err() chain has no *PanicError: %v", err)
 			}
-			if pe.Set != chaosHotSet || pe.Ctx < 1 || pe.Epoch != 1 {
-				t.Errorf("PanicError = {Set:%d Ctx:%d Epoch:%d}, want set %d on a delegate in epoch 1",
+			// Context 0 contains faults too: a ProgramShare slot, or a set the
+			// program context took over in the barrier.
+			if pe.Set != chaosHotSet || pe.Ctx < 0 || pe.Ctx >= rt.NumContexts() || pe.Epoch != 1 {
+				t.Errorf("PanicError = {Set:%d Ctx:%d Epoch:%d}, want set %d on a context of this runtime in epoch 1",
 					pe.Set, pe.Ctx, pe.Epoch, chaosHotSet)
+			}
+			if mode.name == "flat-static-share" && pe.Ctx != 0 {
+				t.Errorf("the faulting set is a ProgramShare slot, yet the fault was contained on context %d", pe.Ctx)
 			}
 			if !strings.Contains(string(pe.Stack), "chaos") {
 				t.Error("PanicError.Stack does not reach the original failure site")

@@ -1,7 +1,8 @@
 // Command sstrace runs one benchmark with execution tracing enabled and
 // prints the delegate-utilization report and an ASCII timeline — the
 // profiling view behind the paper's §5 overhead discussion (where time
-// goes: executing delegated operations vs. idling on queues).
+// goes: executing delegated operations vs. idling on queues). The ctx0 row
+// is the program context executing sets it took over at a barrier.
 //
 // Usage:
 //
@@ -40,8 +41,8 @@ func main() {
 	inst := app.Load(size)
 	fmt.Printf("tracing %s (size %s, %d delegates): %s\n", app.Name, size, *delegates, inst.Desc)
 	events, st := inst.SSTraced(*delegates)
-	fmt.Printf("phases: aggregation=%v isolation=%v reduction=%v\n\n",
-		st.Aggregation, st.Isolation, st.Reduction)
+	fmt.Printf("phases: aggregation=%v isolation=%v reduction=%v  helped: ops=%d of %d sheds=%d\n\n",
+		st.Aggregation, st.Isolation, st.Reduction, st.HelpedOps, st.Delegations, st.Sheds)
 	report := trace.Analyze(events)
 	report.WriteReport(os.Stdout)
 	fmt.Println()

@@ -79,23 +79,26 @@ func runProgram(ops []progOp, nObjs int, opts ...Option) ([]int64, []int64) {
 	return final, observed
 }
 
+// determinismShapes is the runtime-shape matrix of the determinism suite
+// (none of them Recursive: recursive_stress_test.go has those).
+var determinismShapes = [][]Option{
+	{Sequential()},
+	{WithDelegates(1)},
+	{WithDelegates(3)},
+	{WithDelegates(8)},
+	{WithDelegates(4), WithProgramShare(2)},
+	{WithDelegates(4), WithVirtualDelegates(5)},
+	{WithDelegates(4), WithPolicy(LeastLoaded)},
+	{WithDelegates(4), WithQueueCapacity(2)}, // tiny queues force blocking paths
+}
+
 func TestDeterminismMatchesSequential(t *testing.T) {
-	shapes := [][]Option{
-		{Sequential()},
-		{WithDelegates(1)},
-		{WithDelegates(3)},
-		{WithDelegates(8)},
-		{WithDelegates(4), WithProgramShare(2)},
-		{WithDelegates(4), WithVirtualDelegates(5)},
-		{WithDelegates(4), WithPolicy(LeastLoaded)},
-		{WithDelegates(4), WithQueueCapacity(2)}, // tiny queues force blocking paths
-	}
 	r := rand.New(rand.NewSource(12345))
 	for trial := 0; trial < 8; trial++ {
 		nObjs := 1 + r.Intn(12)
 		ops := genProgram(r, nObjs, 400)
 		wantFinal, wantObs := runProgram(ops, nObjs, Sequential())
-		for si, shape := range shapes {
+		for si, shape := range determinismShapes {
 			gotFinal, gotObs := runProgram(ops, nObjs, shape...)
 			if !reflect.DeepEqual(gotFinal, wantFinal) {
 				t.Fatalf("trial %d shape %d: final state diverged\n got %v\nwant %v", trial, si, gotFinal, wantFinal)

@@ -19,8 +19,9 @@
 // Potentially independent operations on writable data are delegated
 // (Writable.Delegate). A serializer — a small piece of code run at the
 // delegation point — maps each operation to a serialization set.
-// Operations in the same set execute in program order on a single delegate
-// context; operations in different sets may execute concurrently. Because
+// Operations in the same set execute in program order, one at a time, on
+// the context that owns the set; operations in different sets may execute
+// concurrently. Because
 // every operation has a place in a single logical order, parallel execution
 // is deterministic: there are no data races, and deadlock, livelock and
 // priority inversion cannot occur.
@@ -215,6 +216,33 @@
 // OutboundVetoes, OutboundTracked, ThresholdAdjusts, and HotSetsPlaced for
 // all of it.
 //
+// The program context works while it waits. Every program delegates an
+// epoch far faster than the pool executes it, so at a barrier
+// (EndIsolation, Sleep, RunParallel, the resize barrier, Terminate) the
+// program context would sit parked on the delegates' markers for most of
+// the epoch — on a small machine, one of the CPUs. Instead, once a barrier
+// has been open for 50µs (an epoch of tiny operations ends inside that, on
+// the plain park it always was), it raises a one-word request on the most
+// occupied delegate that still owes its marker. The delegate loads that word once per operation and answers
+// at its next operation boundary: its marker is already behind everything
+// the program sent, so it pops its lane empty, holds the complete remainder
+// of the epoch, keeps the head half and every set that appears in it —
+// never the chain its own next operation belongs to — and hands the rest
+// to the program context's inbox, one lane per delegate: whole sets'
+// remaining chains, in order (RunParallel tasks one by one; a poisoned set
+// never). The program context runs them as context 0 through the very span
+// the drain loop uses, asks again whenever the inbox runs dry, and the
+// barrier closes when every marker is served and the inbox is empty. Order
+// holds as it does under stealing: the unit is the whole set, it moves at
+// an operation boundary, and its only producer — the program context —
+// cannot route to it again before the barrier closes. Only barriers help:
+// a reclaim (Writable.Call, SyncSet) and the wait on a full ring are the
+// plain waits they always were — a set lent across a reclaim would outlive
+// the wait — and never under Recursive, where other contexts may still
+// produce into a lent set. ContextFor and Delegate still name the set's
+// owner: an operation ran there or, during a barrier, on context 0. Stats
+// reports HelpedOps and Sheds.
+//
 // # Recursive delegation
 //
 // Recursive() permits the extension the paper names as future work (§4):
@@ -254,13 +282,15 @@
 // # Fault containment
 //
 // A panic in a delegated operation does not kill the process and does not
-// wedge a barrier. The drain loop runs invocations inside
-// recover()-protected execution spans; a recovered panic is recorded (value
-// plus the stack of the original failure site) and the faulted operation is
-// counted as executed, so everything the scheduling protocols read off the
-// ledger — occupancy, per-lane coverage, barrier quiescence sums, the
-// whole-set handoff proofs of the section above — keeps advancing and the
-// delegate goroutine stays alive.
+// wedge a barrier, whichever context runs it: a delegate, or the program
+// context executing a set it took over in a barrier or a WithProgramShare
+// slot (only Sequential() lets a panic propagate, as a debugger wants).
+// All run invocations inside the same recover()-protected execution span;
+// a recovered panic is recorded (value plus the stack of the original
+// failure site) and the faulted operation is counted as executed, so
+// everything the scheduling protocols read off the ledger — occupancy,
+// per-lane coverage, barrier quiescence sums, the whole-set handoff proofs
+// of the section above — keeps advancing and the goroutine stays alive.
 //
 // Determinism is preserved by set poisoning. The faulting operation's
 // serialization set is poisoned for the remainder of the isolation epoch:
@@ -268,7 +298,8 @@
 // executes exactly its program-order prefix up to the faulting operation
 // and nothing after — the same prefix on every run, because per-set
 // program order is the model's invariant. Poisoned sets are never stolen,
-// force-evacuated, or hot-seeded into the next epoch; the poison is
+// force-evacuated, shed to the program context, or hot-seeded into the next
+// epoch; the poison is
 // written before the faulted operation's counters are published, so any
 // context that proves the set quiescent has already observed it. Dropped
 // operations never run at all — a fault mid-set also deterministically

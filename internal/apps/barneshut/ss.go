@@ -21,6 +21,7 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	accs := make([]nbody.Vec3, len(ptrs))
 	n := len(ptrs)
 	type rng struct{ lo, hi int }
+	// +1: the program context executes chunks too, at each EndIsolation.
 	nChunks := 8 * (rt.NumDelegates() + 1)
 	if nChunks > n && n > 0 {
 		nChunks = n

@@ -22,8 +22,9 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 func runSS(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	n := len(in.Options)
 	out := &Output{Prices: make([]float64, n)}
-	// Several chunks per delegate amortize delegation overhead while
-	// leaving slack for load balancing across virtual delegates.
+	// Several chunks per executing context amortize delegation overhead
+	// while leaving slack for load balancing; the +1 is the program context,
+	// which takes chunks over from the delegates at the EndIsolation barrier.
 	nChunks := 8 * (rt.NumDelegates() + 1)
 	if nChunks > n {
 		nChunks = n

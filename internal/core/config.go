@@ -61,6 +61,11 @@ const drainBatchSize = 64
 // SPSC rings' blocking calls do.
 const spinBeforePark = 256
 
+// helpAfter is how long a barrier stays a plain park before the program
+// context asks for work (waitDone): above an epoch of tiny operations and a
+// hand-over's own cost, far below one coarse operation.
+const helpAfter = 50 * time.Microsecond
+
 // SchedPolicy selects how serialization sets are assigned to delegate
 // contexts.
 type SchedPolicy int

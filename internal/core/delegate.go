@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -11,7 +12,8 @@ import (
 	"repro/internal/spsc"
 )
 
-// The delegation engine: lanes, the ledger, the drain loop, the barrier.
+// The delegation engine: lanes, the ledger, the drain loop, the barrier, and
+// the program context's inbox.
 //
 // Plumbing. SPSC queues admit a single producer, so each delegate owns one
 // inbound lane per producer context. Without Config.Recursive the program
@@ -51,11 +53,22 @@ import (
 // serialization set must receive delegations from only one producer
 // context per isolation epoch — the natural structure of
 // divide-and-conquer programs, enforced in Checked mode (owners.go).
+//
+// Inbox. The program context is context 0 built from the same parts
+// (Runtime.prog): the delegates feed its lanes, one each, when asked (shed),
+// and it drains them with drainLane/execSpan while it waits in a barrier.
 
 // Wake-state values for the delegate parking protocol.
 const (
 	delegateAwake    int32 = iota // running (or about to re-check)
 	delegateSleeping              // parked on its wake channel
+)
+
+// Values of delegate.shedReq.
+const (
+	shedIdle     uint32 = iota
+	shedAsked           // the program context wants work
+	shedDeclined        // asked in this barrier, no whole set to spare: ask someone else
 )
 
 // counter is a cache-line-padded single-writer counter, so concurrent
@@ -89,6 +102,9 @@ type delegate struct {
 	// sleep/wake park the delegate when every pending word is zero.
 	sleep atomic.Int32
 	wake  chan struct{}
+	// shedReq is the program context's request for work: raised only inside
+	// a barrier, after this delegate's marker was pushed; polled per operation.
+	shedReq atomic.Uint32
 
 	// sent[p] counts every message (method, sync, terminate) producer p has
 	// pushed into lane p — bumped BEFORE the push. exec[p] publishes how
@@ -108,6 +124,13 @@ type delegate struct {
 	// into Stats by the program context.
 	drainBatches atomic.Uint64
 	drainedOps   atomic.Uint64
+
+	// Shedding state, private to the drain goroutine and reused across
+	// barriers: the split buffer and the sets kept in one split; sheds
+	// counts hand-overs (Stats.Sheds).
+	held     []Invocation
+	headSets map[uint64]struct{}
+	sheds    atomic.Uint64
 
 	// Coverage-waiter list: producers parked in waitOutboundCoverage until
 	// THIS delegate's exec counters advance. covWaiters counts parked
@@ -136,13 +159,14 @@ type delegate struct {
 // newDelegate builds delegate id with one lane per producer context.
 func newDelegate(id, producers, capacity int, pool *spsc.NodePool[Invocation]) *delegate {
 	d := &delegate{
-		id:      id,
-		pending: make([]atomic.Uint64, (producers+63)/64),
-		wake:    make(chan struct{}, 1),
-		sent:    make([]counter, producers),
-		exec:    make([]atomic.Uint64, producers),
-		covCh:   make(chan struct{}),
-		prodSet: noSetID, // nothing executing yet: attribute to no set
+		id:       id,
+		pending:  make([]atomic.Uint64, (producers+63)/64),
+		wake:     make(chan struct{}, 1),
+		sent:     make([]counter, producers),
+		exec:     make([]atomic.Uint64, producers),
+		covCh:    make(chan struct{}),
+		headSets: make(map[uint64]struct{}),
+		prodSet:  noSetID, // nothing executing yet: attribute to no set
 	}
 	for p := 0; p < producers; p++ {
 		d.lanes = append(d.lanes, spsc.NewLanePooled[Invocation](capacity, pool))
@@ -304,9 +328,16 @@ func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
 	if owner == ProgramContext {
 		// A ProgramShare slot. Only the program context can get here
 		// (ProgramShare is rejected with Recursive), so inline execution
-		// keeps the set's program order.
+		// keeps the set's program order — under the drain loop's span, so a
+		// panic is contained and poisons the set instead of unwinding into
+		// the caller. Lane 0 of the program context (itself as producer) is
+		// never used as a lane; its exec word only absorbs the span's publish.
 		rt.stats.InlineExecs++
-		inv.invoke(ProgramContext)
+		p := rt.prog
+		rt.inline[0] = inv
+		rt.execSpan(p, rt.inline[:], 0, &p.exec[ProgramContext], 0, rt.faults.Load())
+		rt.inline[0] = Invocation{}
+		p.prodSet = noSetID
 		return ProgramContext
 	}
 	if producer == ProgramContext {
@@ -431,7 +462,7 @@ func (rt *Runtime) delegateLoop(d *delegate) {
 // Execution runs in recover()-protected spans (execSpan) — one deferred
 // recover per run when fault-free, re-entered after each contained panic
 // so the delegate survives and the run's tail still executes against the
-// fresh fault state.
+// fresh fault state, or after a shed request, over what the delegate kept.
 func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, terminate bool) {
 	lane, le := d.lanes[p], &d.exec[p]
 	// Single writer: this delegate. Re-read per call, so a loop respawned
@@ -445,15 +476,23 @@ func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, ter
 		drained = true
 		d.drainBatches.Add(1)
 		d.drainedOps.Add(uint64(n))
-		for i := 0; i < n; {
-			next, term := rt.execSpan(d, buf[:n], i, le, base, rt.faults.Load())
-			if term {
+		run := buf[:n]
+		for i := 0; i < len(run); {
+			if d.shedReq.Load() == shedAsked {
+				// run[:i] has executed; continue with what shed keeps.
+				run, base = rt.shed(d, lane, le, run[i:], base+uint64(i))
 				clear(buf[:n])
+				i = 0
+				continue
+			}
+			next, term := rt.execSpan(d, run, i, le, base, rt.faults.Load())
+			if term {
+				clear(run)
 				return true, true
 			}
 			i = next
 		}
-		base += uint64(n)
+		base += uint64(len(run))
 		le.Store(base)
 		if d.covWaiters.Load() != 0 {
 			// A producer is parked in waitOutboundCoverage on this
@@ -463,7 +502,7 @@ func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, ter
 		}
 		// Drop payload references so executed invocations don't pin their
 		// closures and payloads until the buffer is refilled.
-		clear(buf[:n])
+		clear(run)
 	}
 }
 
@@ -475,11 +514,13 @@ func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, ter
 // and the publish carries the happens-before edge that makes the poison
 // deterministic for every observer of those proofs. Operations of a
 // poisoned set are skipped-but-counted; a poisoned set is never stolen
-// (maybeSteal), so its backlog always drains on the owner that wrote the
-// poison and the skip point stays exact. fs is reloaded by the caller at
-// each span entry — once per run on the fault-free path — so a fault
-// anywhere in the run poisons the remainder of its set's operations in the
-// SAME run.
+// (maybeSteal) and never shed, so its backlog always drains on the context
+// that wrote the poison and the skip point stays exact. fs is reloaded by
+// the caller at each span entry — once per run on the fault-free path — so
+// a fault anywhere in the run poisons the remainder of its set's operations
+// in the SAME run. d is the executing context: a delegate, or Runtime.prog
+// running its inbox or a ProgramShare slot. The span also ends, before
+// run[next], when d is asked for work: the caller sheds and re-enters.
 func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic.Uint64, base uint64, fs *faultState) (next int, terminated bool) {
 	i := start
 	defer func() {
@@ -494,14 +535,18 @@ func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic
 		inv := &run[i]
 		switch inv.kind {
 		case kindMethod:
+			if d.shedReq.Load() == shedAsked {
+				return i, false
+			}
 			if fs != nil && inv.set != noSetID && fs.lookup(inv.set) != nil {
 				fs.dropped.Add(1)
 				continue
 			}
 			// Stamp the producing set before running the operation: nested
 			// delegations it issues charge their lane positions to this
-			// set's outbound ledger (noteOutbound). One plain store; only
-			// this goroutine reads it back.
+			// set's outbound ledger (noteOutbound), and Owned checks read
+			// it as the executing set. One plain store; only this goroutine
+			// reads it back.
 			d.prodSet = inv.set
 			if inject != nil {
 				inject(d.id, inv.set)
@@ -518,6 +563,113 @@ func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic
 		}
 	}
 	return len(run), false
+}
+
+// shed answers the program context's request for work, at an operation
+// boundary: rest is the unexecuted tail of the current run, base the lane's
+// exec count before rest[0]. The request is only raised inside a barrier,
+// after this delegate's marker was pushed and with the program context —
+// the lane's only producer — blocked, so the delegate can pop its lane
+// empty and hold the complete remainder of the epoch, marker last. It keeps
+// the head half and every set that appears in it and hands over the rest
+// through its inbox lane: whole sets' remaining chains, in order (pool
+// tasks one by one; a poisoned set stays where its poison was written). It
+// returns what it kept and the new base, and wakes the program context: to
+// run what it got or, declined, to ask another delegate.
+//
+// Invariants. (1) Per-set order, exactly once: a chain moves whole at an
+// operation boundary, and its only producer cannot route to the set again
+// until the barrier closes, which waits for the inbox. (2) Every lane keeps
+// one producer and one consumer; nothing is un-pushed. (3) The ledger stays
+// balanced: shed messages count in exec as they leave, and the inbox keeps
+// its own sent/exec pair.
+func (rt *Runtime) shed(d *delegate, lane *spsc.Lane[Invocation], le *atomic.Uint64, rest []Invocation, base uint64) ([]Invocation, uint64) {
+	// rest may be the tail of d.held itself: append moves it down in place.
+	old := len(d.held)
+	h := append(d.held[:0], rest...)
+	for {
+		h = slices.Grow(h, drainBatchSize)
+		n := lane.PopBatch(h[len(h):cap(h)])
+		if n == 0 {
+			break
+		}
+		h = h[:len(h)+n]
+		d.drainBatches.Add(1)
+		d.drainedOps.Add(uint64(n))
+	}
+	head := len(h) / 2 // of what it holds, its marker included
+	clear(d.headSets)
+	fs := rt.faults.Load()
+	inbox := rt.prog
+	kept, seen := 0, 0
+	for i := range h {
+		inv := &h[i]
+		keep := true
+		if inv.kind == kindMethod {
+			seen++
+			switch {
+			case seen <= head:
+				if inv.set != noSetID {
+					d.headSets[inv.set] = struct{}{}
+				}
+			case inv.set == noSetID:
+				keep = false
+			default:
+				_, inHead := d.headSets[inv.set]
+				keep = inHead || fs != nil && fs.lookup(inv.set) != nil
+			}
+		}
+		if keep {
+			h[kept] = *inv
+			kept++
+			continue
+		}
+		inbox.sent[d.id].inc()
+		inbox.lanes[d.id].Push(*inv)
+	}
+	answer := shedDeclined
+	if n := len(h) - kept; n > 0 {
+		base += uint64(n)
+		le.Store(base)
+		d.sheds.Add(1)
+		answer = shedIdle
+	}
+	d.shedReq.Store(answer)
+	inbox.notify(d.id)
+	clear(h[kept:max(len(h), old)])
+	d.held = h[:kept]
+	return d.held, base
+}
+
+// runInbox executes, as context 0, everything shed so far: the delegate
+// loop's claim-and-drain pass over the program context's own lanes.
+func (rt *Runtime) runInbox() {
+	p := rt.prog
+	for w := range p.pending {
+		if p.pending[w].Load() == 0 {
+			continue
+		}
+		for claimed := p.pending[w].Swap(0); claimed != 0; claimed &= claimed - 1 {
+			rt.drainLane(p, w<<6|bits.TrailingZeros64(claimed), rt.progBuf)
+		}
+	}
+	p.prodSet = noSetID // nothing executing: Owned checks see no set
+}
+
+// askForWork raises the request on the most occupied active delegate that
+// has not declined in this barrier; a marker plus one operation is nothing
+// to spare.
+func (rt *Runtime) askForWork() {
+	var best *delegate
+	most := uint64(2)
+	for _, d := range rt.delegates[:rt.cfg.Delegates] {
+		if occ := d.occupancy(); occ > most && d.shedReq.Load() != shedDeclined {
+			best, most = d, occ
+		}
+	}
+	if best != nil {
+		best.shedReq.Store(shedAsked)
+	}
 }
 
 // sentSum and execSum aggregate the two sides of the ledger over the whole
@@ -557,6 +709,8 @@ func (rt *Runtime) clean(i int) bool {
 // clean delegates are skipped, and the first round always balances.
 func (rt *Runtime) quiesce() {
 	active := rt.delegates[:rt.cfg.Delegates]
+	// Not under Recursive: other contexts may still produce into a lent set.
+	help := !rt.cfg.Recursive
 	for {
 		// Only the ACTIVE prefix is synced: a delegate parked by a
 		// scale-down has no drain loop to serve the object.
@@ -571,7 +725,18 @@ func (rt *Runtime) quiesce() {
 		}
 		before := rt.sentSum()
 		for _, done := range dones {
-			rt.waitDone(done)
+			rt.waitDone(done, help)
+		}
+		if help && len(dones) > 0 {
+			// A delegate pushes what it sheds before it serves its marker: run
+			// what is left; no request may be seen raised outside a barrier.
+			rt.runInbox()
+			for _, d := range active {
+				if d.shedReq.Load() != shedIdle {
+					d.shedReq.Store(shedIdle)
+				}
+			}
+			rt.helping = false
 		}
 		for i, d := range active {
 			rt.synced[i] = d.sent[ProgramContext].n.Load()
@@ -619,7 +784,7 @@ func (rt *Runtime) SyncContext(ctx int) {
 	d := rt.delegates[ctx-1]
 	done := make(chan struct{})
 	rt.send(d, Invocation{kind: kindSync, done: done})
-	rt.waitDone(done)
+	rt.waitDone(done, false)
 	rt.synced[ctx-1] = d.sent[ProgramContext].n.Load()
 }
 

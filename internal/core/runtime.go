@@ -66,6 +66,17 @@ type Runtime struct {
 	delegates []*delegate
 	wg        sync.WaitGroup
 
+	// prog is the program context as an executing context: context 0 built
+	// like a delegate, its lanes (indexed by producer context id) the inbox
+	// the delegates shed into (delegate.go); nil in Sequential mode. progBuf
+	// is its drain buffer, inline carries a ProgramShare slot's operation,
+	// helpTimer and helping time a barrier's patient start (waitDone).
+	prog      *delegate
+	progBuf   []Invocation
+	inline    [1]Invocation
+	helpTimer *time.Timer
+	helping   bool
+
 	// active mirrors cfg.Delegates behind an atomic, for readers with no
 	// happens-before edge to the program context's epoch-boundary write
 	// (imbalance samplers in idle spin loops, QueueDepths on metrics
@@ -178,6 +189,10 @@ func New(cfg Config) *Runtime {
 	for i := 0; i < cfg.MaxDelegates; i++ {
 		rt.delegates = append(rt.delegates, newDelegate(i+1, producers, cfg.QueueCapacity, pool))
 	}
+	rt.prog = newDelegate(ProgramContext, cfg.MaxDelegates+1, cfg.QueueCapacity, pool)
+	rt.progBuf = make([]Invocation, drainBatchSize)
+	rt.helpTimer = time.NewTimer(helpAfter)
+	rt.helpTimer.Stop()
 	// The pool is complete BEFORE any drain loop starts: an idle delegate
 	// reaches its first imbalance sample without ever synchronizing with
 	// this goroutine (the go statement is the happens-before edge).
@@ -213,6 +228,19 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // construction (reducible views, Ctx tables) stay valid across every
 // Resize. Use ActiveDelegates for the live pool size.
 func (rt *Runtime) NumContexts() int { return rt.cfg.MaxDelegates + 1 }
+
+// ExecutingSet returns the serialization set of the operation context ctx
+// is executing (the drain loop's stamp), or NoSet for a pool task or nothing
+// delegated. The stamp is a plain field: only ctx's own goroutine may ask.
+func (rt *Runtime) ExecutingSet(ctx int) uint64 {
+	switch {
+	case rt.cfg.Sequential:
+		return noSetID // everything runs on context 0: the context alone decides
+	case ctx == ProgramContext:
+		return rt.prog.prodSet
+	}
+	return rt.delegates[ctx-1].prodSet
+}
 
 // ActiveDelegates returns the number of currently-active delegate contexts
 // (0 in Sequential mode). Safe from any goroutine.
@@ -410,7 +438,7 @@ func (rt *Runtime) parkDelegates(n, old int) {
 		d := rt.delegates[i]
 		done := make(chan struct{})
 		rt.send(d, Invocation{kind: kindTerminate, done: done})
-		rt.waitDone(done)
+		rt.waitDone(done, false)
 		rt.synced[i] = d.sent[ProgramContext].n.Load()
 		if !rt.cfg.Checked {
 			continue
@@ -444,8 +472,12 @@ func (rt *Runtime) Stats() Stats {
 		for _, lane := range d.lanes {
 			st.Spills += lane.Spills()
 		}
+		st.Sheds += d.sheds.Load()
 	}
 	st.RecursiveOps = rt.sentSum()
+	if rt.prog != nil {
+		st.HelpedOps = rt.prog.drainedOps.Load() // everything it ever popped from its inbox
+	}
 	for i := range rt.prod {
 		p := &rt.prod[i]
 		st.Steals += p.migrations.Load()

@@ -47,6 +47,9 @@ type Stats struct {
 	RecursiveOps uint64 // messages pushed into delegate lanes by all producer contexts (operations, pool tasks, sync objects)
 	Spills       uint64 // lane ring overflows absorbed by spill lists (delegate producers only)
 
+	HelpedOps uint64 // operations the program context executed itself while it waited in a barrier
+	Sheds     uint64 // hand-overs of whole sets from a delegate that brought them (delegate.go, shed)
+
 	ThresholdAdjusts uint64 // in-epoch adaptive StealThreshold changes (imbalance-EWMA driven)
 	HotSetsPlaced    uint64 // hot sets pre-placed round-robin at BeginIsolation from prior-epoch op counts
 

@@ -195,6 +195,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ss_runtime_dropped_ops_total", "Delegations dropped on poisoned sets by the engine.", st.DroppedOps)
 	counter("ss_runtime_dropped_faults_total", "Fault records evicted by the bounded retention ring.", st.DroppedFaults)
 	counter("ss_runtime_steals_total", "Whole-set handoffs by the occupancy-aware rebalancer.", st.Steals)
+	counter("ss_runtime_helped_ops_total", "Delegated operations the program context executed itself while it waited in a barrier.", st.HelpedOps)
+	counter("ss_runtime_sheds_total", "Hand-overs of whole sets from a busy delegate to the waiting program context.", st.Sheds)
 	counter("ss_runtime_epochs_total", "Isolation epochs begun (the rotation cadence).", st.Epochs)
 	counter("ss_runtime_delegations_total", "Operations delegated to the pool.", st.Delegations)
 	counter("ss_resize_total", "Delegate-pool resizes applied at epoch boundaries.", st.Resizes)

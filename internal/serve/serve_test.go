@@ -327,6 +327,8 @@ func TestMetricsExposition(t *testing.T) {
 		"ss_delegate_backlog{delegate=\"1\"}",
 		"ss_runtime_panics_total 1",
 		"ss_runtime_epochs_total",
+		"ss_runtime_helped_ops_total",
+		"ss_runtime_sheds_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -1,6 +1,10 @@
 package prometheus
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/core"
+)
 
 // Owned is the library's smart pointer (paper §3.1: "a set of smart
 // pointer types that can track ownership of pointed-to objects, and detect
@@ -10,17 +14,21 @@ import "sync/atomic"
 // interfere; routing such pointers through Owned extends the dynamic
 // checks to the pointed-to data.
 //
-// Use records the accessing context; the first access in an isolation
-// epoch claims ownership for that epoch, and any later access from a
-// different context panics with ErrPartitionViolation. Outside isolation
-// epochs access is unrestricted. The claim check is lock-free (a single
-// CAS) so it is cheap enough to leave enabled in delegated code.
+// The owner is a serialization set or a context. The first access in an
+// isolation epoch claims ownership for that epoch; a later access is
+// accepted from the same set — its operations are serialized wherever they
+// run, and the runtime moves whole sets between contexts (WithStealing, and
+// every barrier) — or from the same context, and any other panics with
+// ErrPartitionViolation. Outside isolation epochs access is unrestricted.
+// The claim check is lock-free (a single CAS) so it is cheap enough to
+// leave enabled in delegated code.
 type Owned[T any] struct {
 	rt  *Runtime
 	obj T
-	// claim packs (epoch << 8 | ctx+1) of the claiming access; 0 = never
-	// claimed. Context ids fit in 8 bits (delegate pools are machine-
-	// sized); epochs in the remaining 56.
+	// claim packs the claiming access: epoch<<32 | a 24-bit hash of the
+	// executing set<<8 | ctx+1; 0 = never claimed. Context ids fit in 8
+	// bits (delegate pools are machine-sized); set hash 0 means no set's
+	// operation was executing, so only the context can match it.
 	claim atomic.Uint64
 }
 
@@ -40,29 +48,36 @@ func (o *Owned[T]) Use(c *Ctx) *T {
 	if !rt.core.InIsolation() {
 		return &o.obj
 	}
-	tag := rt.core.Epoch()<<8 | uint64(c.id) + 1
+	epoch := rt.core.Epoch() << 32
+	tag := epoch | uint64(c.id) + 1
+	if set := rt.core.ExecutingSet(c.id); set != core.NoSet {
+		tag |= (Mix64(set)>>40 | 1) << 8
+	}
 	for {
 		cur := o.claim.Load()
-		if cur>>8 != rt.core.Epoch() {
+		if cur>>32 != epoch>>32 {
 			// Unclaimed this epoch: try to claim.
 			if o.claim.CompareAndSwap(cur, tag) {
 				return &o.obj
 			}
 			continue
 		}
-		if cur != tag {
+		const ctxBits, setBits = 0xff, 0xffffff << 8
+		sameCtx := (cur^tag)&ctxBits == 0
+		sameSet := cur&setBits != 0 && (cur^tag)&setBits == 0
+		if !sameCtx && !sameSet {
 			raise(ErrPartitionViolation,
-				"owned pointer accessed by context %d after being owned by context %d this epoch",
+				"owned pointer accessed by context %d after being owned by context %d this epoch (a different serialization set)",
 				c.id, int(cur&0xff)-1)
 		}
 		return &o.obj
 	}
 }
 
-// Owner returns the context id holding the object this epoch, or -1.
+// Owner returns the context id that claimed the object this epoch, or -1.
 func (o *Owned[T]) Owner() int {
 	cur := o.claim.Load()
-	if cur == 0 || cur>>8 != o.rt.core.Epoch() || !o.rt.core.InIsolation() {
+	if cur == 0 || cur>>32 != o.rt.core.Epoch()&0xffffffff || !o.rt.core.InIsolation() {
 		return -1
 	}
 	return int(cur&0xff) - 1

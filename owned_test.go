@@ -1,6 +1,9 @@
 package prometheus
 
 import (
+	"errors"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -81,4 +84,82 @@ func TestOwnedAggregationUnrestricted(t *testing.T) {
 	if shared.Owner() != -1 {
 		t.Fatal("no ownership outside isolation")
 	}
+}
+
+// TestOwnedFollowsMigratedSet: ownership belongs to the serialization set,
+// so a set that moves between contexts inside one epoch keeps its claim —
+// under WithStealing (a whole-set handoff between delegates) and in a
+// helped barrier (the program context takes the set over).
+func TestOwnedFollowsMigratedSet(t *testing.T) {
+	t.Run("stealing", func(t *testing.T) {
+		rt := newRT(t, WithDelegates(2), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(1))
+		shared := NewOwned(rt, 0)
+		x, pin := NewWritable(rt, []int{}), NewWritable(rt, 0)
+		use := func(c *Ctx, ran *[]int) {
+			*shared.Use(c)++
+			*ran = append(*ran, c.ID())
+		}
+		rt.BeginIsolation()
+		x.Delegate(use) // first touch, idle pool: delegate 1
+		x.Sync()        // the set is quiescent there
+		gate := make(chan struct{})
+		pin.Delegate(func(*Ctx, *int) { <-gate }) // same tie: delegate 1 is now a steal victim
+		x.Delegate(use)                           // handed off, whole, to idle delegate 2
+		close(gate)
+		rt.EndIsolation()
+		x.Call(func(ran *[]int) {
+			if len(*ran) != 2 || (*ran)[0] == (*ran)[1] {
+				t.Fatalf("the set ran on contexts %v, want two different delegates", *ran)
+			}
+		})
+		if err := rt.Err(); err != nil {
+			t.Fatalf("a migrated set lost its claim: %v", err)
+		}
+		if st := rt.Stats(); st.Steals != 1 {
+			t.Fatalf("Steals = %d, want 1", st.Steals)
+		}
+	})
+	t.Run("helped-barrier", func(t *testing.T) {
+		rt := newRT(t, WithDelegates(1))
+		shared := NewOwned(rt, 0)
+		x := NewWritable(rt, []int{})
+		use := func(c *Ctx, ran *[]int) {
+			*shared.Use(c)++
+			*ran = append(*ran, c.ID())
+		}
+		others := make([]*Writable[int], 40)
+		for i := range others {
+			others[i] = NewWritable(rt, 0)
+		}
+		rt.BeginIsolation()
+		x.Delegate(use) // runs on the delegate
+		others[0].Delegate(func(c *Ctx, _ *int) { holdUntilAsked(rt, c) })
+		DoAll(others[1:], func(*Ctx, *int) {})
+		x.Delegate(use) // the last operation delegated: tail half, moves to context 0
+		rt.EndIsolation()
+		x.Call(func(ran *[]int) {
+			if !reflect.DeepEqual(*ran, []int{1, 0}) {
+				t.Fatalf("the set ran on contexts %v, want delegate 1 then the program context", *ran)
+			}
+		})
+		if err := rt.Err(); err != nil {
+			t.Fatalf("a set the program context took over lost its claim: %v", err)
+		}
+	})
+	// The other half: a different set on a different context is still a
+	// violation, wherever the claiming set went.
+	t.Run("other-set-detected", func(t *testing.T) {
+		rt := newRT(t, WithDelegates(2), WithVirtualDelegates(2))
+		shared := NewOwned(rt, 0)
+		a, b := NewWritable(rt, 0), NewWritable(rt, 0)
+		rt.BeginIsolation()
+		a.DelegateTo(0, func(c *Ctx, _ *int) { shared.Use(c) })
+		a.Sync()
+		b.DelegateTo(1, func(c *Ctx, _ *int) { shared.Use(c) })
+		rt.EndIsolation()
+		var e *Error
+		if err := rt.SetErr(1); !errors.As(err, &e) || !strings.Contains(err.Error(), "owned pointer accessed by context") {
+			t.Fatalf("SetErr(second set) = %v, want a contained partition violation", err)
+		}
+	})
 }

@@ -52,9 +52,8 @@ func TestAnalyzeCountsOpsAndEpochs(t *testing.T) {
 	}
 	var busy time.Duration
 	for _, c := range r.Contexts {
-		if c.Ctx == 0 {
-			continue // program context only executes with ProgramShare
-		}
+		// Context 0 has a row whenever the program context took sets over
+		// in the barrier; its operations are the same 200µs ones.
 		busy += c.Busy
 		if c.MeanOp < 150*time.Microsecond {
 			t.Fatalf("ctx %d mean op %v, want >= ~200µs", c.Ctx, c.MeanOp)

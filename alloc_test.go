@@ -118,7 +118,7 @@ func TestStealingDelegateZeroAlloc(t *testing.T) {
 	// steady-state allocations.
 	rt := prometheus.Init(prometheus.WithDelegates(2),
 		prometheus.WithPolicy(prometheus.LeastLoaded),
-		prometheus.WithStealing(), prometheus.WithStealThreshold(1))
+		prometheus.WithStealing(), prometheus.StealAt(1))
 	defer rt.Terminate()
 	w := prometheus.NewWritable(rt, 0)
 	rt.BeginIsolation()
@@ -137,7 +137,7 @@ func TestStealRebalanceZeroAlloc(t *testing.T) {
 	// an existing owner-table entry, never a map insert or heap allocation.
 	rt := prometheus.Init(prometheus.WithDelegates(2),
 		prometheus.WithPolicy(prometheus.LeastLoaded),
-		prometheus.WithStealing(), prometheus.WithStealThreshold(2))
+		prometheus.WithStealing(), prometheus.StealAt(2))
 	defer rt.Terminate()
 	objs := make([]*prometheus.Writable[int], 8)
 	for i := range objs {
@@ -221,7 +221,7 @@ func TestRecursiveStealingDelegateZeroAlloc(t *testing.T) {
 	// ids are >= 256 on purpose so any interface boxing would show up.
 	rt := prometheus.Init(prometheus.WithDelegates(2), prometheus.Recursive(),
 		prometheus.WithPolicy(prometheus.LeastLoaded),
-		prometheus.WithStealing(), prometheus.WithStealThreshold(1))
+		prometheus.WithStealing(), prometheus.StealAt(1))
 	defer rt.Terminate()
 	ws := make([]*prometheus.Writable[int], 4)
 	for i := range ws {

@@ -17,13 +17,10 @@ package prometheus_test
 // occupancy — which is also the natural shape of a real recursive
 // producer that needs back-pressure.
 //
-// The "steal" variant runs the full subsystem as configured by default:
-// the in-epoch adaptive threshold has to pull the capacity-derived
-// threshold (64) down to where the wave occupancy triggers handoffs
-// before any steal can fire, so the EWMA machinery is on the measured
-// path. Read the variants as a ratio, steal over nosteal: the numbers are
-// dominated by sleeps whose effective duration varies by host. A probe to
-// read with benchstat over many runs, not a gate.
+// The "steal" variant is WithStealing() as a caller gets it: the trigger's
+// two constants, nothing pinned. Read the variants as a ratio, steal over
+// nosteal: the numbers are dominated by sleeps whose effective duration
+// varies by host. A probe to read with benchstat over many runs, not a gate.
 
 import (
 	"testing"
@@ -50,7 +47,7 @@ func BenchmarkRecursiveSkewed(b *testing.B) {
 	blockingOp := func(*prometheus.Ctx) { time.Sleep(20 * time.Microsecond) }
 	sharedOp := func(uint64, int32) func(*prometheus.Ctx) { return blockingOp }
 	run := func(b *testing.B, opts ...prometheus.Option) {
-		var steals, adjusts uint64
+		var steals uint64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			all := append([]prometheus.Option{prometheus.WithDelegates(4), prometheus.Recursive()}, opts...)
@@ -61,22 +58,11 @@ func BenchmarkRecursiveSkewed(b *testing.B) {
 			w.DelegateTo(1, func(c *prometheus.Ctx, _ *int) { shape.Run(c, sharedOp) })
 			rt.EndIsolation() // barrier: include completing the backlog
 			b.StopTimer()
-			st := rt.Stats()
-			steals += st.Steals
-			adjusts += st.ThresholdAdjusts
+			steals += rt.Stats().Steals
 			rt.Terminate()
 		}
 		b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
-		b.ReportMetric(float64(adjusts)/float64(b.N), "thradjusts/op")
 	}
 	b.Run("nosteal", func(b *testing.B) { run(b) })
-	b.Run("steal", func(b *testing.B) {
-		run(b, prometheus.WithPolicy(prometheus.LeastLoaded), prometheus.WithStealing())
-	})
-	// Explicit eager threshold: isolates the handoff protocol's benefit
-	// from the adaptive threshold's convergence time.
-	b.Run("steal-thr4", func(b *testing.B) {
-		run(b, prometheus.WithPolicy(prometheus.LeastLoaded), prometheus.WithStealing(),
-			prometheus.WithStealThreshold(4))
-	})
+	b.Run("steal", func(b *testing.B) { run(b, prometheus.WithStealing()) })
 }

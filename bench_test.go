@@ -150,14 +150,14 @@ func BenchmarkAblation(b *testing.B) {
 		inst := load(b, fm, workload.Small)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			inst.SSOpt(15, prometheus.WithPolicy(prometheus.StaticMod))
+			inst.SS(15, prometheus.WithPolicy(prometheus.StaticMod))
 		}
 	})
 	b.Run("policy/least-loaded", func(b *testing.B) {
 		inst := load(b, fm, workload.Small)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			inst.SSOpt(15, prometheus.WithPolicy(prometheus.LeastLoaded))
+			inst.SS(15, prometheus.WithPolicy(prometheus.LeastLoaded))
 		}
 	})
 	for _, share := range []int{0, 1, 2} {
@@ -166,7 +166,7 @@ func BenchmarkAblation(b *testing.B) {
 			inst := load(b, fm, workload.Small)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst.SSOpt(15, prometheus.WithProgramShare(share))
+				inst.SS(15, prometheus.WithProgramShare(share))
 			}
 		})
 	}
@@ -176,7 +176,7 @@ func BenchmarkAblation(b *testing.B) {
 			inst := load(b, fm, workload.Small)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst.SSOpt(15, prometheus.WithQueueCapacity(cap))
+				inst.SS(15, prometheus.WithQueueCapacity(cap))
 			}
 		})
 	}

@@ -26,10 +26,11 @@ var chaosModes = []struct {
 	// them — on the two ProgramShare slots: context 0 executes them inline.
 	{"flat-static-share", []Option{WithDelegates(4), WithProgramShare(2), WithVirtualDelegates(10)}},
 	{"flat-nosteal", []Option{WithDelegates(4), WithPolicy(LeastLoaded)}},
-	{"flat-steal", []Option{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(2)}},
+	{"flat-steal", []Option{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), StealAt(2)}},
+	{"flat-steal-unpinned", []Option{WithDelegates(4), WithStealing()}}, // what internal/serve runs
 	{"rec-static", []Option{WithDelegates(4), Recursive()}},
 	{"rec-nosteal", []Option{WithDelegates(4), Recursive(), WithPolicy(LeastLoaded)}},
-	{"rec-steal", []Option{WithDelegates(4), Recursive(), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(2)}},
+	{"rec-steal", []Option{WithDelegates(4), Recursive(), WithPolicy(LeastLoaded), WithStealing(), StealAt(2)}},
 }
 
 // withInjector installs a chaos hook through the internal Config knob.

@@ -19,8 +19,8 @@
 // The session key comes from the X-Session-Key header or the key query
 // parameter. On SIGTERM/SIGINT the server drains: the listener stops
 // accepting, admitted requests are served to completion, the final epoch
-// barrier runs, and stragglers past -drain-timeout are reported with the
-// runtime's scheduler dump.
+// barrier runs, and stragglers past the drain deadline (5s) are reported
+// with the runtime's scheduler dump.
 package main
 
 import (
@@ -42,84 +42,50 @@ import (
 )
 
 func main() {
-	var (
-		addr          = flag.String("addr", ":8080", "listen address")
-		delegates     = flag.Int("delegates", 0, "delegate contexts (0 = GOMAXPROCS-1)")
-		shards        = flag.Int("shards", 8, "latency-metric set shards")
-		maxInflight   = flag.Int("max-inflight", 1024, "admission budget (503 above it)")
-		rate          = flag.Float64("rate", 0, "per-key token-bucket rate, requests/sec (0 = off)")
-		burst         = flag.Float64("burst", 10, "per-key token-bucket burst")
-		epochInterval = flag.Duration("epoch-interval", 100*time.Millisecond, "isolation-epoch rotation period")
-		drainTimeout  = flag.Duration("drain-timeout", 5*time.Second, "graceful-drain straggler deadline")
+	// Flags bind into the configuration they fill. What has no flag keeps
+	// serve's default, except what ssserve itself picks: the bucket depth for
+	// -rate and the drain deadline the listener shutdown below is sized from.
+	cfg := serve.Config{Burst: 10, DrainTimeout: 5 * time.Second, Fsync: durable.FsyncRotation, Logf: log.Printf}
+	var bo buildOpts
+	addr := flag.String("addr", ":8080", "listen address")
+	flag.IntVar(&cfg.Delegates, "delegates", 0, "delegate contexts (0 = GOMAXPROCS-1)")
+	flag.IntVar(&cfg.MaxInflight, "max-inflight", 1024, "admission budget (503 above it)")
+	flag.Float64Var(&cfg.Rate, "rate", 0, "per-key token-bucket rate, requests/sec (0 = off)")
+	flag.DurationVar(&cfg.EpochInterval, "epoch-interval", 100*time.Millisecond, "isolation-epoch rotation period")
 
-		// Elastic pool.
-		maxDelegates = flag.Int("max-delegates", 0, "delegate pool capacity; enables /admin/resize and live resizing (0 = fixed pool)")
-		minDelegates = flag.Int("min-delegates", 1, "autoscaler floor (manual resizes may go below)")
-		autoscale    = flag.Bool("autoscale", false, "scale the pool at epoch rotations from queue occupancy (requires -max-delegates)")
-		cooldown     = flag.Int("autoscale-cooldown", 3, "rotations between autoscaler steps")
+	// Elastic pool.
+	flag.IntVar(&cfg.MaxDelegates, "max-delegates", 0, "delegate pool capacity; enables /admin/resize and live resizing (0 = fixed pool)")
+	flag.BoolVar(&cfg.Autoscale, "autoscale", false, "scale the pool at epoch rotations from queue occupancy (requires -max-delegates)")
 
-		// Durable sessions.
-		stateDir  = flag.String("state-dir", "", "session state directory: snapshots + journal, recovered at boot (empty = sessions die with the process)")
-		fsyncMode = flag.String("fsync", "rotation", "journal fsync policy: off (buffered), rotation (sync per epoch, <=1 epoch acked loss), always (sync per request, zero acked loss)")
-		journal   = flag.Bool("journal", true, "intra-epoch journal (false = snapshot-only durability, <=1 epoch loss regardless of -fsync)")
+	// Durable sessions.
+	stateDir := flag.String("state-dir", "", "session state directory: snapshots + journal, recovered at boot (empty = sessions die with the process)")
+	flag.Func("fsync", "journal fsync `policy`: off (buffered), rotation (sync per epoch, <=1 epoch acked loss; the default), always (sync per request, zero acked loss)",
+		func(s string) (err error) { cfg.Fsync, err = durable.ParseFsync(s); return err })
+	journal := flag.Bool("journal", true, "intra-epoch journal (false = snapshot-only durability, <=1 epoch loss regardless of -fsync)")
 
-		// Robustness layer.
-		reqTimeout    = flag.Duration("request-timeout", 0, "per-request budget, fixed at admission (0 = no deadlines)")
-		retries       = flag.Int("retries", 0, "max retry attempts for idempotent requests")
-		retryBase     = flag.Duration("retry-base", 2*time.Millisecond, "retry backoff base (doubles per attempt, jittered)")
-		slowThreshold = flag.Duration("slow-threshold", 0, "slow-key watchdog service-time threshold (0 = off)")
-		slowTrips     = flag.Int("slow-trips", 3, "consecutive slow services that degrade a key")
-		backends      = flag.String("backends", "", "comma-separated upstream base URLs; requests proxy to a breaker-gated pool instead of the in-process handler")
-		breakerThresh = flag.Int("breaker-threshold", 5, "consecutive failures that open a backend's breaker")
-		breakerCool   = flag.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
+	// Robustness layer.
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request budget, fixed at admission (0 = no deadlines)")
+	flag.IntVar(&cfg.RetryMax, "retries", 0, "max retry attempts for idempotent requests")
+	flag.DurationVar(&cfg.SlowThreshold, "slow-threshold", 0, "slow-key watchdog service-time threshold (0 = off)")
+	flag.StringVar(&bo.upstreams, "backends", "", "comma-separated upstream base URLs; requests proxy to a breaker-gated pool instead of the in-process handler")
+	flag.IntVar(&bo.breakerThresh, "breaker-threshold", 5, "consecutive failures that open a backend's breaker")
+	flag.DurationVar(&bo.breakerCool, "breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
 
-		// Chaos injection (deterministic; for harness runs, not production).
-		flakyBackend = flag.Bool("flaky-backend", false, "serve from a 2-backend in-process pool whose second member carries the chaos profile below")
-		chaosSeed    = flag.Uint64("chaos-seed", 1, "chaos determinism seed")
-		chaosErrRate = flag.Float64("chaos-error-rate", 0, "seeded per-op backend error probability on the flaky backend")
-		chaosSpikeN  = flag.Int("chaos-spike-every", 0, "inject a latency spike every Nth op per key on the flaky backend (0 = off)")
-		chaosSpike   = flag.Duration("chaos-spike", 200*time.Millisecond, "latency-spike duration")
-		chaosFlap    = flag.String("chaos-flap", "", "flap window FROM:TO in flaky-backend op counts, e.g. 100:160 (hard-down between them)")
-	)
+	// Chaos injection (deterministic; for harness runs, not production).
+	flag.BoolVar(&bo.flaky, "flaky-backend", false, "serve from a 2-backend in-process pool whose second member carries the chaos profile below")
+	flag.Uint64Var(&bo.seed, "chaos-seed", 1, "chaos determinism seed")
+	flag.Float64Var(&bo.errRate, "chaos-error-rate", 0, "seeded per-op backend error probability on the flaky backend")
+	flag.IntVar(&bo.spikeEvery, "chaos-spike-every", 0, "inject a latency spike every Nth op per key on the flaky backend (0 = off)")
+	flag.DurationVar(&bo.spike, "chaos-spike", 200*time.Millisecond, "latency-spike duration")
+	flag.StringVar(&bo.flap, "chaos-flap", "", "flap window FROM:TO in flaky-backend op counts, e.g. 100:160 (hard-down between them)")
 	flag.Parse()
 
-	backend, err := buildBackend(buildOpts{
-		upstreams:     *backends,
-		flaky:         *flakyBackend,
-		breakerThresh: *breakerThresh,
-		breakerCool:   *breakerCool,
-		seed:          *chaosSeed,
-		errRate:       *chaosErrRate,
-		spikeEvery:    *chaosSpikeN,
-		spike:         *chaosSpike,
-		flap:          *chaosFlap,
-	})
+	backend, err := buildBackend(bo)
 	if err != nil {
 		log.Fatalf("ssserve: %v", err)
 	}
-
-	cfg := serve.Config{
-		Delegates:         *delegates,
-		MaxDelegates:      *maxDelegates,
-		MinDelegates:      *minDelegates,
-		Autoscale:         *autoscale,
-		AutoscaleCooldown: *cooldown,
-		Shards:            *shards,
-		MaxInflight:       *maxInflight,
-		Rate:              *rate,
-		Burst:             *burst,
-		EpochInterval:     *epochInterval,
-		DrainTimeout:      *drainTimeout,
-		RequestTimeout:    *reqTimeout,
-		RetryMax:          *retries,
-		RetryBase:         *retryBase,
-		SlowThreshold:     *slowThreshold,
-		SlowTrips:         *slowTrips,
-		Logf:              log.Printf,
-	}
-	if backend != nil {
-		cfg.Backend = backend
-	} else {
+	cfg.Backend = backend
+	if backend == nil {
 		cfg.Handler = handle
 	}
 	if *stateDir != "" {
@@ -127,12 +93,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("ssserve: %v", err)
 		}
-		pol, err := durable.ParseFsync(*fsyncMode)
-		if err != nil {
-			log.Fatalf("ssserve: %v", err)
-		}
 		cfg.StateFS = fs
-		cfg.Fsync = pol
 		cfg.NoJournal = !*journal
 	}
 	srv, err := serve.New(cfg)
@@ -142,7 +103,7 @@ func main() {
 	if *stateDir != "" {
 		sessions, truncated := srv.Recovered()
 		log.Printf("ssserve: recovered %d sessions from %s (fsync=%s, %d journal records truncated)",
-			sessions, *stateDir, *fsyncMode, truncated)
+			sessions, *stateDir, cfg.Fsync, truncated)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -162,7 +123,7 @@ func main() {
 	// Drain order: stop accepting and wait for inflight HTTP handlers
 	// first (they need the serving tier alive to answer), then drain the
 	// tier itself — final barrier, sweep, terminate.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout+time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout+time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("ssserve: listener shutdown: %v", err)

@@ -105,12 +105,12 @@
 //     how many it has finished. Lanes are FIFO, so "executed >= position"
 //     proves that message and everything before it ran. Sent minus executed
 //     is a delegate's occupancy — queued plus in-flight work — and the one
-//     number behind first-touch placement, stealing, the adaptive
-//     threshold's sampler, and Runtime.QueueDepths. The EndIsolation
-//     barrier is the only place the two sides are summed: it sends each
-//     delegate a synchronization object and repeats until the totals agree
-//     across a quiet round (under Recursive executing an operation may
-//     enqueue more work, so one drain round is never proof of completion).
+//     number behind first-touch placement, stealing and
+//     Runtime.QueueDepths. The EndIsolation barrier is the only place the
+//     two sides are summed: it sends each delegate a synchronization object
+//     and repeats until the totals agree across a quiet round (under
+//     Recursive executing an operation may enqueue more work, so one drain
+//     round is never proof of completion).
 //
 //   - Reclaim. Writable.Call during an isolation epoch reclaims the object
 //     with the paper's synchronization object: one message down the owner's
@@ -131,13 +131,17 @@
 // on — and the set then stays sticky to that delegate: per-set program
 // order depends on it. When dependence chains have very uneven lengths,
 // that one-shot choice can strand most of an epoch's work on one delegate
-// while the others idle. WithStealing adds an occupancy-aware rebalancer
-// (internal/core/owners.go): when a set's owner has WithStealThreshold or
-// more outstanding operations and the set itself is quiescent (every
-// operation previously delegated to it has finished executing — a safe
-// handoff boundary), the next delegation hands the whole set to the
-// least-occupied delegate, provided that delegate is idle or at most a
-// quarter as loaded as the victim.
+// while the others idle. WithStealing selects LeastLoaded and adds an
+// occupancy-aware rebalancer (internal/core/owners.go) with one trigger
+// rule and two constants: when a set's owner has four or more outstanding
+// operations and the set itself is quiescent (every operation previously
+// delegated to it has finished executing — a safe handoff boundary), the
+// next delegation hands the whole set to the least-occupied delegate,
+// provided that delegate is idle or at most a quarter as loaded as the
+// victim. Four is above transient two-or-three-deep pipelining and early
+// enough to matter inside a 256-slot lane; a quarter keeps a balanced pool
+// sticky. Neither is tunable (BenchmarkRecursiveSkewed is the evidence for
+// them), and a one-delegate pool never steals: there is no peer.
 //
 // Whole sets — never individual invocations — are the steal unit. Moving a
 // single queued invocation would let two contexts interleave one set's
@@ -200,21 +204,12 @@
 // so that a migration of the producing set moves all of the nested set's
 // delegations together.
 //
-// On top of the handoff sit two placement heuristics: hot-set seeding —
+// On top of the handoff sits one placement heuristic, hot-set seeding:
 // BeginIsolation ranks the closing epoch's sets by delegated-op count and
 // pre-places the top few round-robin across delegates, instead of letting
 // first touch pile them onto whichever delegate looked emptiest at the
-// epoch's first instant — and an in-epoch adaptive steal policy, an EWMA
-// of the max/min delegate-occupancy ratio sampled at drain boundaries
-// (with a final sample as each delegate parks, so a spun-down pool's stale
-// extremes do not freeze the signal) that pulls the capacity-derived
-// threshold toward its clamp floor and relaxes the thief-eligibility ratio
-// (4x at balance, clamped [2,8]) in skewed epochs, and keeps ownership
-// sticky in balanced ones. Both reset to their configured base at every
-// BeginIsolation — the adaptation is in-epoch by contract — and an
-// explicit WithStealThreshold pins both. Stats reports Steals, ForcedEvacs,
-// OutboundVetoes, OutboundTracked, ThresholdAdjusts, and HotSetsPlaced for
-// all of it.
+// epoch's first instant. Stats reports Steals, ForcedEvacs, OutboundVetoes,
+// OutboundTracked and HotSetsPlaced for all of it.
 //
 // The program context works while it waits. Every program delegates an
 // epoch far faster than the pool executes it, so at a barrier
@@ -325,19 +320,23 @@
 // (Config.Watchdog; on by default under Checked) turns any such hang —
 // or an engine liveness bug — into a panic with a dump of per-delegate
 // pending lanes and ledger positions after a configurable no-progress
-// bound. The chaos-injection harness (internal/chaos) drives all of this
-// under test: deterministic and seeded-probabilistic panics injected
-// across every configuration, asserting survival, byte-identical poisoning
-// points, and untouched sibling sets.
+// bound. Delegates publish progress once per drain run, so the bound must
+// exceed the longest run, not merely the longest operation: up to 64
+// back-to-back operations of one lane, and up to a full lane more on a
+// delegate a barrier asked for work. The chaos-injection harness
+// (internal/chaos) drives all of this under test: deterministic and
+// seeded-probabilistic panics injected across every configuration,
+// asserting survival, byte-identical poisoning points, and untouched
+// sibling sets.
 //
 // The fault-free cost is one nil pointer load on the delegation path and
 // one per drain run — all poison state is allocated lazily on the first
 // contained panic, and the alloc gates pin the armed hot path at 0
 // allocs/op.
 //
-// Fault records are retained in a bounded ring (WithFaultRecordBound,
-// default 1024): a runtime that serves for weeks must not let every
-// contained panic pin its captured stack forever. Evicted records are
+// Fault records are retained in a bounded ring (the most recent 1024,
+// core.DefaultFaultRecordBound): a runtime that serves for weeks must not
+// let every contained panic pin its captured stack forever. Evicted records are
 // counted in Stats.DroppedFaults; the Panics counter and the poisoning
 // discipline are unaffected, and Err/SetErr describe the most recent
 // faults. SetErr is indexed per set — O(faults on that set) — because the
@@ -448,7 +447,7 @@
 // boundary, the barrier has proven every lane drained and the delegation
 // ledger balanced, so set-to-delegate placement is pure data:
 // it can be rewritten wholesale, exactly as the epoch machinery already
-// rewrites it for adaptive thresholds and hot-set seeding.
+// rewrites it for hot-set seeding.
 //
 // Mechanically, [Runtime.Resize] and [Runtime.Reconfigure] only record a
 // desired [RuntimeConfig]; the next BeginIsolation applies it. Capacity
@@ -456,9 +455,9 @@
 // counters) is pre-allocated for WithMaxDelegates at New, and
 // resizing only moves the active prefix — so context numbering, reducible
 // views, and trace buffers stay valid across any resize, and the hot path
-// pays nothing (the steal threshold and active count are single atomic
-// loads that exist anyway). Scale-up spawns goroutines for the new
-// prefix, rebuilds the placement tables, and re-seeds hot sets. Scale-down
+// pays nothing (the active count is a single atomic load that exists
+// anyway). Scale-up spawns goroutines for the new prefix, rebuilds the
+// placement tables, and re-seeds hot sets. Scale-down
 // must also evacuate: every set owned by a closing delegate is reassigned
 // into the surviving prefix before the delegate parks, because a set left
 // on a retired delegate would silently stop executing — its operations
@@ -476,9 +475,10 @@
 // The serving tier turns this into autoscaling: each rotation samples
 // occupancy (requests admitted and unanswered per active delegate) just
 // before its barrier (the closing epoch's backlog is the demand signal),
-// folds it into an EWMA, and steps the pool by one delegate when
-// occupancy leaves the [0.5, 2.0] ops-per-delegate band, clamped to [MinDelegates, MaxDelegates] with a
-// cooldown in rotations so one burst cannot slam the pool to a rail.
+// smooths it with a moving average, and steps the pool by one delegate
+// when occupancy leaves the [0.5, 2.0] ops-per-delegate band, clamped to
+// [MinDelegates, MaxDelegates] with a cooldown in rotations so one burst
+// cannot slam the pool to a rail.
 // POST /admin/resize records a manual target that wins over the
 // autoscaler's next decision; both apply at the rotation, so a resize is
 // invisible to request ordering by construction. The resize determinism

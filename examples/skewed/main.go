@@ -8,10 +8,9 @@
 // delegate, while the rest spread across the others. Each operation blocks
 // briefly (a stand-in for I/O-bound work), so placement shows up directly
 // in wall clock: statically, one delegate serializes ~90% of the sleeps
-// while its peers idle; with the occupancy-aware rebalancer
-// (WithPolicy(LeastLoaded) + WithStealing) the hot sets migrate to idle
-// delegates at their first quiescent boundary and the blocked time
-// overlaps. Per-set operation order — the model's determinism guarantee —
+// while its peers idle; with the occupancy-aware rebalancer (WithStealing)
+// the hot sets migrate to idle delegates at their first quiescent boundary
+// and the blocked time overlaps. Per-set operation order — the model's determinism guarantee —
 // is identical either way; only placement responds to load.
 //
 // The production is wave-throttled: a delegate-context producer never
@@ -92,9 +91,9 @@ func run(label string, opts ...prometheus.Option) time.Duration {
 	elapsed := time.Since(start)
 
 	st := rt.Stats()
-	fmt.Printf("%-10s %8.2f ms   handoffs=%d forced-evacs=%d outbound-vetoes=%d thr-adjusts=%d spills=%d\n",
+	fmt.Printf("%-10s %8.2f ms   steals=%d forced-evacs=%d outbound-vetoes=%d spills=%d\n",
 		label, 1e3*elapsed.Seconds(),
-		st.Handoffs, st.ForcedEvacs, st.OutboundVetoes, st.ThresholdAdjusts, st.Spills)
+		st.Steals, st.ForcedEvacs, st.OutboundVetoes, st.Spills)
 	return elapsed
 }
 
@@ -102,10 +101,7 @@ func main() {
 	fmt.Printf("recursive 90/10 skew: %d delegates, %d waves x %d ops (hot sets co-homed on delegate 1)\n\n",
 		delegates, waves, len(hotSets)*(runLen+1))
 	static := run("static")
-	steal := run("steal",
-		prometheus.WithPolicy(prometheus.LeastLoaded),
-		prometheus.WithStealing(),
-	)
+	steal := run("steal", prometheus.WithStealing())
 	fmt.Printf("\nstealing delta: %+.1f%% wall clock\n",
 		100*(steal.Seconds()-static.Seconds())/static.Seconds())
 }

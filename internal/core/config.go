@@ -21,31 +21,13 @@ const DefaultWatchdog = 30 * time.Second
 // steady-state memory.
 const DefaultFaultRecordBound = 1024
 
-// MinStealThreshold/MaxStealThreshold clamp the adaptive StealThreshold
-// default. When the option is unset, the victim backlog at which the
-// occupancy-aware rebalancer engages is derived from the queue capacity
-// (QueueCapacity/4): a deep ring tolerates a deeper backlog before a
-// handoff pays, a shallow ring saturates — and starts blocking the
-// producer — after only a few operations. The clamp keeps the derived
-// value above transient two-or-three-deep pipelining (never below 4) and
-// below the point where a victim must be hundreds of operations behind
-// before anyone helps (never above 64).
+// The steal trigger's two constants (maybeSteal): a set leaves its owner
+// when the owner's occupancy is at least stealThreshold and the
+// least-occupied peer's times stealRatio is at most the owner's. doc.go,
+// "Placement and load balancing", has why four and four.
 const (
-	MinStealThreshold = 4
-	MaxStealThreshold = 64
-)
-
-// Thief-eligibility ratio clamps. A steal requires the thief to be idle or
-// at most 1/R as loaded as the victim; R defaults to defaultStealRatio and,
-// while the threshold is adaptive, tracks the same imbalance EWMA — skewed
-// epochs relax it toward minStealRatio so help arrives even when no peer is
-// dramatically idler, balanced epochs tighten it toward
-// maxStealRatio-bounded stickiness. An explicit StealThreshold pins both
-// the threshold and the ratio.
-const (
-	defaultStealRatio = 4
-	minStealRatio     = 2
-	maxStealRatio     = 8
+	stealThreshold = 4
+	stealRatio     = 4
 )
 
 // drainBatchSize bounds the delegate-side drain buffer: a delegate pops up
@@ -156,27 +138,17 @@ type Config struct {
 	Policy SchedPolicy
 
 	// Stealing enables the occupancy-aware work-stealing extension to the
-	// LeastLoaded policy: when a set's sticky owner has at least
-	// StealThreshold outstanding operations and the set itself is quiescent
-	// (every operation previously delegated to it has executed), the next
-	// delegation hands the whole set off to the delegate with the smallest
-	// occupancy, provided that delegate is idle or at most a quarter as
-	// loaded as the victim. Whole sets — never individual invocations — are
-	// the steal unit, so per-set program order is preserved by construction.
-	// Requires Policy == LeastLoaded. With several producer contexts
-	// (Recursive) the handoff waits for every producer's lane position on
-	// the set to be covered by the owner's per-lane executed counters (see
-	// internal/core/owners.go).
+	// LeastLoaded policy (which it selects): a quiescent set whose owner is
+	// backed up is handed, whole, to a much less occupied delegate at its
+	// next delegation (maybeSteal has the rule, owners.go the protocol).
+	// Whole sets — never individual invocations — are the steal unit, so
+	// per-set program order is preserved by construction.
 	Stealing bool
 
-	// StealThreshold is the victim backlog (outstanding operations) at which
-	// stealing engages. When unset it is derived from the queue capacity
-	// (QueueCapacity/4, clamped to [MinStealThreshold, MaxStealThreshold])
-	// and then adapts *within* each epoch: the effective threshold tracks an
-	// EWMA of the max/min delegate-occupancy ratio sampled at drain-run
-	// boundaries, clamped to [MinStealThreshold, MaxStealThreshold] — skewed
-	// epochs rebalance eagerly, balanced epochs keep ownership sticky. An
-	// explicit setting is fixed for the run. Ignored unless Stealing is set.
+	// StealThreshold overrides the victim occupancy at which stealing
+	// engages; zero selects the constant. Internal testing knob like
+	// FaultInjector, not exposed as a public Option: the determinism suites
+	// set 1 or 2 to force steals on tiny programs and 64 to suppress them.
 	StealThreshold int
 
 	// Trace enables execution tracing: every delegated-operation execution,
@@ -218,11 +190,14 @@ type Config struct {
 	// publishes any progress before panicking with a dump of per-delegate
 	// pending lanes and ledger positions — turning a wedged barrier into an
 	// actionable report instead of a silent hang. Progress is measured by
-	// the published executed/drain counters, so a single legitimate
-	// operation that runs longer than the bound is indistinguishable from a
-	// wedge: size it above the longest operation the program runs. Zero
-	// selects the default (DefaultWatchdog when Checked is on, disabled
-	// otherwise); negative disables it explicitly.
+	// the published executed/drain counters, which move when a drain run is
+	// popped and when it is published, not per operation: size it above the
+	// longest drain run, or a legitimate one is indistinguishable from a
+	// wedge. A run is up to drainBatchSize (64) back-to-back operations of
+	// one lane, plus — on a delegate a barrier asked for work (shed; not
+	// under Recursive) — everything it still held, up to a full lane
+	// (QueueCapacity) more. Zero selects the default (DefaultWatchdog when
+	// Checked is on, disabled otherwise); negative disables it explicitly.
 	Watchdog time.Duration
 }
 
@@ -255,18 +230,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = spsc.DefaultCapacity
 	}
+	if c.Stealing {
+		c.Policy = LeastLoaded // whole-set handoff needs the owner table
+	}
 	if c.StealThreshold <= 0 {
-		// Adaptive default: scale with the queue depth the backlog is
-		// measured against (QueueCapacity was defaulted above); New marks
-		// the runtime adaptive and the in-epoch imbalance EWMA then moves
-		// the effective value inside the clamp band.
-		c.StealThreshold = c.QueueCapacity / 4
-		if c.StealThreshold < MinStealThreshold {
-			c.StealThreshold = MinStealThreshold
-		}
-		if c.StealThreshold > MaxStealThreshold {
-			c.StealThreshold = MaxStealThreshold
-		}
+		c.StealThreshold = stealThreshold
 	}
 	if c.FaultRecordBound <= 0 {
 		c.FaultRecordBound = DefaultFaultRecordBound
@@ -284,13 +252,7 @@ func (c Config) withDefaults() Config {
 // Sequential debug mode ignores scheduling options instead of rejecting
 // them, so a program can flip one switch to debug any configuration.
 func (c Config) validate() {
-	if c.Sequential {
-		return
-	}
-	if c.Stealing && c.Policy != LeastLoaded {
-		panic("prometheus: Stealing requires the LeastLoaded policy")
-	}
-	if c.Recursive && c.ProgramShare != 0 {
+	if !c.Sequential && c.Recursive && c.ProgramShare != 0 {
 		panic("prometheus: ProgramShare is incompatible with Recursive (sets must be delegate-owned)")
 	}
 }
@@ -306,12 +268,6 @@ type RuntimeConfig struct {
 	// Delegates is the desired active pool size, in [1, MaxDelegates].
 	// 0 keeps the current size.
 	Delegates int
-
-	// StealThreshold rebases the victim-backlog threshold at which the
-	// occupancy-aware rebalancer engages. While the threshold is adaptive
-	// this moves the base the in-epoch EWMA scales from; with an explicit
-	// threshold it replaces it outright. 0 keeps the current base.
-	StealThreshold int
 }
 
 // validateReconfig rejects a RuntimeConfig the pool cannot honor,
@@ -334,9 +290,6 @@ func (c Config) validateReconfig(rc RuntimeConfig) error {
 		return fmt.Errorf(
 			"prometheus: Reconfigure: %d delegates (+%d program share) exceeds VirtualDelegates=%d — the static assignment table cannot spread fewer virtual delegates than contexts; raise WithVirtualDelegates",
 			rc.Delegates, c.ProgramShare, c.VirtualDelegates)
-	}
-	if rc.StealThreshold < 0 {
-		return fmt.Errorf("prometheus: Reconfigure: negative StealThreshold %d", rc.StealThreshold)
 	}
 	return nil
 }

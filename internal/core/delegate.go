@@ -43,9 +43,9 @@ import (
 // lane's messages it has finished (d.exec[p]). Lanes are FIFO, so
 // exec[p] >= position proves everything at or before that position ran.
 // The one ledger answers every scheduling question: occupancy (sent minus
-// exec: queued plus in-flight work) for placement, stealing, the imbalance
-// sampler and QueueDepths; per-set quiescence for whole-set handoff
-// (owners.go); and the barrier's termination test.
+// exec: queued plus in-flight work) for placement, stealing and QueueDepths;
+// per-set quiescence for whole-set handoff (owners.go); and the barrier's
+// termination test.
 //
 // Ordering. Per-set program order is preserved per producer: operations a
 // producer sends to one set stay in order (one lane, FIFO across ring and
@@ -380,7 +380,7 @@ func (rt *Runtime) send(d *delegate, inv Invocation) {
 func (rt *Runtime) delegateLoop(d *delegate) {
 	defer rt.wg.Done()
 	buf := make([]Invocation, drainBatchSize)
-	spin, sampleTick := 0, 0
+	spin := 0
 	for {
 		progress := false
 		for w := range d.pending {
@@ -399,30 +399,13 @@ func (rt *Runtime) delegateLoop(d *delegate) {
 			}
 		}
 		if progress {
-			if rt.adaptive {
-				// Every imbalanceSampleStride-th drain pass: feed the
-				// pool-wide occupancy spread into the in-epoch threshold EWMA.
-				if sampleTick++; sampleTick >= imbalanceSampleStride {
-					sampleTick = 0
-					rt.sampleImbalance()
-				}
-			}
 			spin = 0
 			continue
 		}
 		spin++
 		if spin < spinBeforePark {
-			if spin%4 == 0 {
-				if rt.adaptive {
-					// An idle delegate is the min-occupancy extreme the
-					// imbalance EWMA exists to detect, and it has nothing
-					// better to do: sample eagerly here so skew is noticed
-					// while the busy path samples only every stride-th pass.
-					rt.sampleImbalance()
-				}
-				if spin%16 == 0 {
-					runtime.Gosched()
-				}
+			if spin%16 == 0 {
+				runtime.Gosched()
 			}
 			continue
 		}
@@ -435,17 +418,9 @@ func (rt *Runtime) delegateLoop(d *delegate) {
 			spin = 0
 			continue
 		}
-		if rt.adaptive {
-			// Final sample at the park boundary: a parked delegate
-			// contributes nothing to the EWMA while it sleeps, so without
-			// this the pool-wide ratio freezes on whatever the spin-down
-			// loop last observed. One fresh read of every occupancy with
-			// this delegate now at zero resets that sample.
-			rt.sampleImbalance()
-		}
 		<-d.wake
 		d.sleep.Store(delegateAwake)
-		spin, sampleTick = 0, 0
+		spin = 0
 	}
 }
 

@@ -316,15 +316,22 @@ func TestWatchdogFires(t *testing.T) {
 }
 
 // TestWatchdogQuietWhenProgressing: a workload that keeps publishing
-// progress never trips the watchdog, even when the bound is far shorter
-// than the total run.
+// progress never trips the watchdog, even when the bound is shorter than
+// the total run.
 func TestWatchdogQuietWhenProgressing(t *testing.T) {
+	// Progress is published per drain run, so the bound is sized to a run
+	// of drainBatchSize operations (with 3x slack for a loaded host under
+	// -race), and each set's chain alone outlasts it. Recursive, because only
+	// there can a barrier outlast a bound sized that way: a one-lane delegate
+	// asked for work executes all it still holds as a single run.
+	const op = time.Millisecond
 	cfg := faultCfg()
-	cfg.Watchdog = 20 * time.Millisecond
+	cfg.Recursive = true
+	cfg.Watchdog = 3 * drainBatchSize * op
 	rt := newTestRuntime(t, cfg)
 	rt.BeginIsolation()
-	for i := 0; i < 50; i++ {
-		rt.Delegate(uint64(i%4), func(int) { time.Sleep(time.Millisecond) })
+	for i := 0; i < 4*4*drainBatchSize; i++ {
+		rt.Delegate(uint64(i%4), func(int) { time.Sleep(op) })
 	}
 	rt.EndIsolation() // the barrier outlives the bound; progress keeps it quiet
 }

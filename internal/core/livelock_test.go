@@ -31,7 +31,7 @@ import (
 // (none), so the evacuation fires before the push, the operation lands on
 // idle delegate 2, and the program completes.
 func TestRecursiveSelfDelegationLivelockClosed(t *testing.T) {
-	rt := New(recStealCfg(3, MaxStealThreshold)) // no occupancy steals: isolate the forced path
+	rt := New(recStealCfg(3, noStealThreshold)) // no occupancy steals: isolate the forced path
 	gateRelease := make(chan struct{})
 	parentDone := make(chan struct{})
 	done := make(chan struct{})

@@ -279,7 +279,7 @@ func (t *ownerTable) forEach(fn func(set uint64, e *setEntry)) {
 // so concurrent producers never share a line; aggregated into Stats.
 // Single writer each: the goroutine running that context.
 type producerStats struct {
-	migrations  atomic.Uint64 // whole-set handoffs performed (Stats.Steals, Stats.Handoffs)
+	migrations  atomic.Uint64 // whole-set handoffs performed (Stats.Steals)
 	forcedEvacs atomic.Uint64 // of those, forced off the set's own producer's delegate
 	outVetoes   atomic.Uint64 // migration attempts vetoed by missing outbound coverage
 	outStamps   atomic.Uint64 // outbound-ledger writes recorded while this context executed
@@ -547,7 +547,7 @@ func (rt *Runtime) maybeSteal(producer int, set uint64, e *setEntry) {
 	forced := v == producer // self-owned: evacuate, don't wait for load
 	var vOut uint64
 	if !forced {
-		if vOut = vd.occupancy(); vOut < uint64(rt.stealThreshold()) {
+		if vOut = vd.occupancy(); vOut < uint64(rt.cfg.StealThreshold) {
 			return
 		}
 	}
@@ -562,7 +562,7 @@ func (rt *Runtime) maybeSteal(producer int, set uint64, e *setEntry) {
 	// Never hand a set to its own producer's context: that would silently
 	// turn its operations into self-delegations.
 	thief, tOut := rt.leastOccupied(v, producer)
-	if thief == 0 || (!forced && tOut*rt.stealRatio() > vOut) {
+	if thief == 0 || (!forced && tOut*stealRatio > vOut) {
 		return // no peer meaningfully less occupied than the victim
 	}
 	if rt.cfg.Checked && (!e.quiescentOn(vd) || !rt.outboundCovered(e, v)) {
@@ -734,115 +734,4 @@ func rankHotSets(owners *ownerTable, k int) []hotSeed {
 		}
 	})
 	return top
-}
-
-// In-epoch adaptive steal threshold. The capacity-derived default only
-// adapts across configurations; within an epoch the right threshold
-// depends on how skewed the epoch actually is. Delegates sample the
-// max/min delegate-occupancy ratio at drain-pass boundaries into an EWMA
-// (fixed-point, alpha 1/8), and the effective threshold is the base scaled
-// down by that ratio, clamped to the [MinStealThreshold, MaxStealThreshold]
-// band: a balanced epoch (ratio ~1) keeps ownership sticky, a skewed one
-// (loaded max, idle min) pulls the threshold toward MinStealThreshold so
-// help arrives early. Multiple delegates race the read-modify-write;
-// losing an update only delays convergence, so no CAS loop is needed.
-
-// ewmaFP is the fixed-point scale of the imbalance EWMA (ratio 1.0 == 16).
-const ewmaFP = 16
-
-// imbalanceSampleStride is how many drain passes a delegate completes
-// between imbalance samples. Sampling is O(delegates·producers) loads plus
-// RMWs on shared EWMA words, so doing it at EVERY pass would put cross-core
-// cache-line ping-pong inside the hottest consumer loops; one sample every
-// stride passes feeds the EWMA the same signal (occupancy spread changes
-// over many runs, not one) at a fraction of the cost. Idle delegates sample
-// eagerly while spinning down instead, which keeps skew detection fast.
-const imbalanceSampleStride = 8
-
-// stealThreshold returns the effective threshold for this delegation: the
-// adaptive value when the threshold was derived, the configured one when it
-// was explicit.
-func (rt *Runtime) stealThreshold() int {
-	if rt.adaptive {
-		return int(rt.adaptiveThr.Load())
-	}
-	return int(rt.baseThr.Load())
-}
-
-// stealRatio returns the thief-eligibility ratio R for this delegation: a
-// steal fires only when the thief's occupancy times R is at most the
-// victim's. At balance (EWMA ~1) it is exactly defaultStealRatio; observed
-// skew relaxes it toward minStealRatio so a moderately-loaded peer can
-// still help a drowning victim, and the clamp ceiling bounds how sticky a
-// transiently-low EWMA can make ownership. An explicit StealThreshold pins
-// both the threshold and the ratio.
-func (rt *Runtime) stealRatio() uint64 {
-	if !rt.adaptive {
-		return defaultStealRatio
-	}
-	r := int64(defaultStealRatio*ewmaFP) / rt.imbalanceEWMA.Load()
-	if r < minStealRatio {
-		r = minStealRatio
-	}
-	if r > maxStealRatio {
-		r = maxStealRatio
-	}
-	return uint64(r)
-}
-
-// noteImbalance folds one max/min occupancy observation into the EWMA and
-// re-derives the effective threshold.
-func (rt *Runtime) noteImbalance(maxOcc, minOcc uint64) {
-	ratio := int64(((maxOcc + 1) * ewmaFP) / (minOcc + 1))
-	old := rt.imbalanceEWMA.Load()
-	ewma := old + (ratio-old)/8
-	if ewma == old && ratio != old {
-		// Fixed-point floor stalled the EWMA short of the target; step by
-		// one so persistent small imbalances still converge.
-		if ratio > old {
-			ewma++
-		} else {
-			ewma--
-		}
-	}
-	if ewma < 1 {
-		ewma = 1 // divide guard: racy lost updates must never zero the EWMA
-	}
-	if ewma != old {
-		// Guarded like adaptiveThr below: in a balanced steady state every
-		// sampler would otherwise re-store the same value, dirtying the
-		// shared line the idle-delegate samplers all read.
-		rt.imbalanceEWMA.Store(ewma)
-	}
-	// At balance (ewma == ewmaFP) this is exactly the configured base —
-	// the capacity-derived default the config docs promise — and skew only
-	// ever scales it DOWN from there toward the clamp floor.
-	thr := rt.baseThr.Load() * ewmaFP / ewma
-	if thr < MinStealThreshold {
-		thr = MinStealThreshold
-	}
-	if thr > MaxStealThreshold {
-		thr = MaxStealThreshold
-	}
-	if rt.adaptiveThr.Load() != thr {
-		rt.adaptiveThr.Store(thr)
-		rt.thresholdAdjusts.Add(1)
-	}
-}
-
-// sampleImbalance reads every active delegate's ledger occupancy and feeds
-// the spread into the EWMA. Called from delegate drain loops, only when
-// the threshold is adaptive.
-func (rt *Runtime) sampleImbalance() {
-	maxOcc, minOcc := uint64(0), ^uint64(0)
-	for _, d := range rt.delegates[:int(rt.active.Load())] {
-		n := d.occupancy()
-		if n > maxOcc {
-			maxOcc = n
-		}
-		if n < minOcc {
-			minOcc = n
-		}
-	}
-	rt.noteImbalance(maxOcc, minOcc)
 }

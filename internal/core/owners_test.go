@@ -11,8 +11,7 @@ import (
 
 // Unit tests for placement and the whole-set handoff protocol (owners.go):
 // the owner table, the multi-producer quiescence check against the
-// sent/exec ledger, the in-epoch adaptive threshold, and hot-set seeded
-// placement. The shapes are built by hand (gated operations pin a delegate
+// sent/exec ledger, the steal trigger, and hot-set seeded placement. The shapes are built by hand (gated operations pin a delegate
 // with an observable backlog, place() homes a set where first touch would
 // not) so every assertion is structural, not timing-dependent. The
 // single-producer shapes live in steal_test.go.
@@ -56,8 +55,8 @@ func TestRecursiveNoStealWhileInFlight(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("per-set order = %v, want [1 2]", order)
 	}
-	if st := rt.Stats(); st.Handoffs != 0 {
-		t.Fatalf("Handoffs = %d, want 0 (set was in flight)", st.Handoffs)
+	if st := rt.Stats(); st.Steals != 0 {
+		t.Fatalf("Steals = %d, want 0 (set was in flight)", st.Steals)
 	}
 }
 
@@ -101,70 +100,65 @@ func TestRecursiveStealMultiProducerHandoff(t *testing.T) {
 		t.Fatalf("per-set order across handoff = %v, want [1 2]", order)
 	}
 	st := rt.Stats()
-	if st.Handoffs != 1 || st.Steals != 1 {
-		t.Fatalf("Handoffs/Steals = %d/%d, want 1/1", st.Handoffs, st.Steals)
+	if st.Steals != 1 {
+		t.Fatalf("Steals = %d, want 1", st.Steals)
 	}
 }
 
-// waitParked returns once every active delegate has parked. An idle
-// delegate samples the pool's imbalance while it spins down and once more
-// as it parks; tests that drive the EWMA by hand wait that out first.
-func waitParked(t *testing.T, rt *Runtime) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for _, d := range rt.delegates[:rt.ActiveDelegates()] {
-		for d.sleep.Load() != delegateSleeping {
-			if time.Now().After(deadline) {
-				t.Fatalf("delegate %d never parked", d.id)
+// TestStealTrigger: the one rule, at its two constants — a quiescent set
+// leaves an owner with at least stealThreshold outstanding operations for a
+// peer whose occupancy times stealRatio is at most the owner's.
+func TestStealTrigger(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		victim, thief int
+		want          int // where set 200's next delegation lands
+	}{
+		{"victim 4, thief idle", 4, 0, 2},
+		{"victim 4, thief 1", 4, 1, 2},
+		{"victim 3: below threshold", 3, 0, 1},
+		{"victim 4, thief 2: no gap", 4, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newTestRuntime(t, Config{Delegates: 2, Stealing: true})
+			rt.BeginIsolation()
+			defer rt.EndIsolation() // runs after the gates below open
+			place(rt, 200, 1)
+			place(rt, 100, 1)
+			place(rt, 300, 2)
+			rt.Delegate(200, func(int) {})
+			waitExec(t, rt, 1, ProgramContext, 1) // set 200 quiescent on delegate 1
+			// Occupancy n: one gated operation running, n-1 queued behind it.
+			load := func(set uint64, n int) (release func()) {
+				if n == 0 {
+					return func() {}
+				}
+				release = startGated(rt, set)
+				for i := 1; i < n; i++ {
+					rt.Delegate(set, func(int) {})
+				}
+				return release
 			}
-			time.Sleep(100 * time.Microsecond)
-		}
+			defer load(100, tc.victim)()
+			defer load(300, tc.thief)()
+			if ctx := rt.Delegate(200, func(int) {}); ctx != tc.want {
+				t.Fatalf("set 200 delegated to %d, want %d", ctx, tc.want)
+			}
+			if got, want := rt.Stats().Steals, uint64(tc.want-1); got != want {
+				t.Fatalf("Steals = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
-// TestAdaptiveThresholdTracksImbalance drives the EWMA directly: sustained
-// skew must pull the effective threshold down to the clamp floor, renewed
-// balance must push it back up, and every change must be counted.
-func TestAdaptiveThresholdTracksImbalance(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded, Stealing: true})
-	if !rt.adaptive {
-		t.Fatal("derived StealThreshold did not mark the runtime adaptive")
-	}
-	waitParked(t, rt)
-	base := rt.cfg.StealThreshold
-	if got := rt.stealThreshold(); got != base {
-		t.Fatalf("initial effective threshold = %d, want base %d", got, base)
-	}
-	for i := 0; i < 200; i++ {
-		rt.noteImbalance(256, 0) // heavy skew
-	}
-	if got := rt.stealThreshold(); got != MinStealThreshold {
-		t.Fatalf("threshold under sustained skew = %d, want clamp floor %d", got, MinStealThreshold)
-	}
-	for i := 0; i < 400; i++ {
-		rt.noteImbalance(3, 3) // balanced pool
-	}
-	if got := rt.stealThreshold(); got <= MinStealThreshold {
-		t.Fatalf("threshold after re-balancing = %d, want > %d", got, MinStealThreshold)
-	}
-	if got := rt.stealThreshold(); got > MaxStealThreshold {
-		t.Fatalf("threshold = %d escaped the [%d,%d] band", got, MinStealThreshold, MaxStealThreshold)
-	}
-	if st := rt.Stats(); st.ThresholdAdjusts == 0 {
-		t.Fatal("ThresholdAdjusts = 0 after threshold movement")
-	}
-}
-
-// TestExplicitThresholdNotAdaptive: an explicit WithStealThreshold stays
-// fixed no matter what the samplers observe.
+// TestExplicitThresholdNotAdaptive: Config.StealThreshold, the suites' seam,
+// is what the trigger compares against as given; zero selects the constant.
 func TestExplicitThresholdNotAdaptive(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded, Stealing: true, StealThreshold: 7})
-	if rt.adaptive {
-		t.Fatal("explicit StealThreshold marked the runtime adaptive")
+	if got := (Config{Stealing: true}).withDefaults().StealThreshold; got != stealThreshold {
+		t.Fatalf("default threshold = %d, want the constant %d", got, stealThreshold)
 	}
-	rt.noteImbalance(1000, 0)
-	if got := rt.stealThreshold(); got != 7 {
-		t.Fatalf("explicit threshold moved to %d, want 7", got)
+	if got := (Config{Stealing: true, StealThreshold: 7}).withDefaults().StealThreshold; got != 7 {
+		t.Fatalf("explicit threshold = %d, want 7", got)
 	}
 }
 
@@ -172,7 +166,7 @@ func TestExplicitThresholdNotAdaptive(t *testing.T) {
 // round-robin (hottest first, ties by id) when the next epoch opens, with
 // no positions recorded, and the count is reported.
 func TestHotSetSeeding(t *testing.T) {
-	bothWidths(t, 2, MaxStealThreshold, func(t *testing.T, rt *Runtime) { // high threshold: no migrations
+	bothWidths(t, 2, noStealThreshold, func(t *testing.T, rt *Runtime) { // high threshold: no migrations
 		rt.BeginIsolation()
 		for i, n := range map[uint64]int{5: 10, 6: 4, 7: 1} {
 			for j := 0; j < n; j++ {
@@ -222,7 +216,7 @@ func rankHotSetsBySort(owners *ownerTable, k int) []hotSeed {
 // determinism depends on it — on random tables full of ties, with untouched
 // and poisoned sets mixed in, for k below, at and above the table size.
 func TestRankHotSetsMatchesSort(t *testing.T) {
-	rt := newTestRuntime(t, stealCfg(2, MaxStealThreshold))
+	rt := newTestRuntime(t, stealCfg(2, noStealThreshold))
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 5, 300} {
 		for trial := 0; trial < 20; trial++ {
@@ -249,7 +243,7 @@ func TestRankHotSetsMatchesSort(t *testing.T) {
 // TestHotSetSeedingTopK: only the top 2*Delegates sets are pre-placed; the
 // rest enter the new epoch untracked and are placed at first touch.
 func TestHotSetSeedingTopK(t *testing.T) {
-	bothWidths(t, 2, MaxStealThreshold, func(t *testing.T, rt *Runtime) {
+	bothWidths(t, 2, noStealThreshold, func(t *testing.T, rt *Runtime) {
 		rt.BeginIsolation()
 		for s := uint64(0); s < 10; s++ {
 			for j := 0; j <= int(s); j++ {
@@ -359,8 +353,8 @@ func TestRecursiveStealingOrderStress(t *testing.T) {
 			t.Fatalf("set 0 order broken at %d: got %d", i, v)
 		}
 	}
-	if st := rt.Stats(); st.Handoffs < iters/2 {
-		t.Fatalf("Handoffs = %d, want the set handed across on (nearly) every one of %d iterations", st.Handoffs, iters)
+	if st := rt.Stats(); st.Steals < iters/2 {
+		t.Fatalf("Steals = %d, want the set handed across on (nearly) every one of %d iterations", st.Steals, iters)
 	}
 }
 
@@ -417,8 +411,8 @@ func TestRecursivePreciseOutboundVeto(t *testing.T) {
 	}
 	release1()
 	st := rt.Stats()
-	if st.Handoffs != 0 {
-		t.Fatalf("Handoffs = %d, want 0 (outbound uncovered)", st.Handoffs)
+	if st.Steals != 0 {
+		t.Fatalf("Steals = %d, want 0 (outbound uncovered)", st.Steals)
 	}
 	if st.OutboundVetoes == 0 {
 		t.Fatal("OutboundVetoes = 0 after a vetoed migration")
@@ -447,62 +441,8 @@ func TestRecursivePreciseOutboundVeto(t *testing.T) {
 	if got := e.outPos[2].Load(); got != 0 {
 		t.Fatalf("outbound ledger not rebased at migration: outPos[2] = %d, want 0", got)
 	}
-	if st := rt.Stats(); st.Handoffs != 1 {
-		t.Fatalf("Handoffs = %d, want 1", st.Handoffs)
-	}
-}
-
-// TestAdaptiveStealRatio: the thief-eligibility ratio tracks the imbalance
-// EWMA — defaultStealRatio at balance, relaxed to the floor under
-// sustained skew, clamped at the ceiling for transient sub-balance EWMA
-// values — and an explicit WithStealThreshold pins it.
-func TestAdaptiveStealRatio(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded, Stealing: true})
-	waitParked(t, rt)
-	if got := rt.stealRatio(); got != defaultStealRatio {
-		t.Fatalf("ratio at balance = %d, want %d", got, defaultStealRatio)
-	}
-	for i := 0; i < 200; i++ {
-		rt.noteImbalance(256, 0)
-	}
-	if got := rt.stealRatio(); got != minStealRatio {
-		t.Fatalf("ratio under sustained skew = %d, want floor %d", got, minStealRatio)
-	}
-	rt.imbalanceEWMA.Store(1) // racy-lost-update floor: must clamp, not explode
-	if got := rt.stealRatio(); got != maxStealRatio {
-		t.Fatalf("ratio at EWMA floor = %d, want ceiling %d", got, maxStealRatio)
-	}
-	pinned := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded, Stealing: true, StealThreshold: 7})
-	pinned.noteImbalance(1000, 0)
-	if got := pinned.stealRatio(); got != defaultStealRatio {
-		t.Fatalf("explicit threshold did not pin the ratio: got %d, want %d", got, defaultStealRatio)
-	}
-}
-
-// TestAdaptiveThresholdResetsAtEpoch regresses the stale-sample bug: a
-// spun-down epoch's skew (sampled into the EWMA by delegates that have
-// since parked) must not leak into the next epoch's effective threshold or
-// ratio. BeginIsolation resets both to the configured base.
-func TestAdaptiveThresholdResetsAtEpoch(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded, Stealing: true})
-	waitParked(t, rt)
-	base := rt.cfg.StealThreshold
-	for i := 0; i < 200; i++ {
-		rt.noteImbalance(256, 0)
-	}
-	if got := rt.stealThreshold(); got != MinStealThreshold {
-		t.Fatalf("threshold under sustained skew = %d, want clamp floor %d", got, MinStealThreshold)
-	}
-	rt.BeginIsolation()
-	defer rt.EndIsolation()
-	if got := rt.stealThreshold(); got != base {
-		t.Fatalf("threshold after epoch reset = %d, want base %d", got, base)
-	}
-	if got := rt.imbalanceEWMA.Load(); got != ewmaFP {
-		t.Fatalf("imbalance EWMA after epoch reset = %d, want %d (balance)", got, ewmaFP)
-	}
-	if got := rt.stealRatio(); got != defaultStealRatio {
-		t.Fatalf("ratio after epoch reset = %d, want %d", got, defaultStealRatio)
+	if st := rt.Stats(); st.Steals != 1 {
+		t.Fatalf("Steals = %d, want 1", st.Steals)
 	}
 }
 
@@ -514,7 +454,7 @@ func TestAdaptiveThresholdResetsAtEpoch(t *testing.T) {
 // idle: by occupancy alone set 200 would tie onto delegate 1, where its
 // producer (set 100's operation) is running.
 func TestRecursiveFirstTouchOffOwnProducer(t *testing.T) {
-	rt := newTestRuntime(t, recStealCfg(2, MaxStealThreshold))
+	rt := newTestRuntime(t, recStealCfg(2, noStealThreshold))
 	rt.BeginIsolation()
 
 	var routed atomic.Int64
@@ -549,9 +489,9 @@ func TestReservedSetIDChecked(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"static":               {Delegates: 2},
 		"least-loaded":         {Delegates: 2, Policy: LeastLoaded},
-		"stealing":             stealCfg(2, MaxStealThreshold),
+		"stealing":             stealCfg(2, noStealThreshold),
 		"recursive":            {Delegates: 2, Recursive: true},
-		"recursive+stealing":   recStealCfg(2, MaxStealThreshold),
+		"recursive+stealing":   recStealCfg(2, noStealThreshold),
 		"static+program-share": {Delegates: 2, ProgramShare: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -578,7 +518,7 @@ func TestReservedSetIDChecked(t *testing.T) {
 // operations may block waiting on the set's, and the owner would then
 // never drain its own lane.
 func TestRecursiveHandoverOffOwnProducer(t *testing.T) {
-	rt := newTestRuntime(t, recStealCfg(2, MaxStealThreshold)) // no occupancy steals
+	rt := newTestRuntime(t, recStealCfg(2, noStealThreshold)) // no occupancy steals
 	rt.BeginIsolation()
 
 	var order []int
@@ -607,8 +547,8 @@ func TestRecursiveHandoverOffOwnProducer(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("per-set order across forced re-home = %v, want [1 2]", order)
 	}
-	if st := rt.Stats(); st.Handoffs != 1 {
-		t.Fatalf("Handoffs = %d, want 1 (forced re-home is a migration)", st.Handoffs)
+	if st := rt.Stats(); st.Steals != 1 {
+		t.Fatalf("Steals = %d, want 1 (forced re-home is a migration)", st.Steals)
 	}
 }
 

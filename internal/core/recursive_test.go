@@ -125,7 +125,6 @@ func TestRecursiveTreeSum(t *testing.T) {
 func TestRecursiveConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Delegates: 2, Recursive: true, ProgramShare: 1},
-		{Delegates: 2, Recursive: true, Stealing: true},
 	} {
 		func() {
 			defer func() {

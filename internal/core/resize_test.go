@@ -29,7 +29,6 @@ func TestReconfigureValidation(t *testing.T) {
 		{"grow-within-capacity", RuntimeConfig{Delegates: 4}, ""},
 		{"negative", RuntimeConfig{Delegates: -1}, "not a valid pool size"},
 		{"beyond-capacity", RuntimeConfig{Delegates: 5}, "MaxDelegates"},
-		{"negative-threshold", RuntimeConfig{StealThreshold: -3}, "StealThreshold"},
 	}
 	for _, tc := range cases {
 		err := rt.Reconfigure(tc.rc)
@@ -215,40 +214,6 @@ func TestResizeRecursiveUpDown(t *testing.T) {
 				t.Fatalf("set %d position %d = op %d: per-set program order broken across resizes", s, i, v)
 			}
 		}
-	}
-}
-
-func TestReconfigureStealThresholdRebase(t *testing.T) {
-	rt := newTestRuntime(t, Config{
-		Delegates:      2,
-		Policy:         LeastLoaded,
-		Stealing:       true,
-		StealThreshold: 8,
-	})
-	if got := rt.RuntimeConfig(); got.StealThreshold != 8 || got.Delegates != 2 {
-		t.Fatalf("initial RuntimeConfig = %+v", got)
-	}
-	if err := rt.Reconfigure(RuntimeConfig{StealThreshold: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// Not yet applied.
-	if got := rt.RuntimeConfig().StealThreshold; got != 8 {
-		t.Fatalf("threshold rebased before epoch boundary: %d", got)
-	}
-	rt.BeginIsolation()
-	rt.EndIsolation()
-	got := rt.RuntimeConfig()
-	if got.StealThreshold != 3 {
-		t.Fatalf("after boundary StealThreshold = %d, want 3", got.StealThreshold)
-	}
-	if got.Delegates != 2 {
-		t.Fatalf("threshold-only Reconfigure changed pool size to %d", got.Delegates)
-	}
-	if st := rt.Stats(); st.Resizes != 0 {
-		t.Fatalf("threshold-only Reconfigure counted as a resize (%d)", st.Resizes)
-	}
-	if thr := rt.stealThreshold(); thr != 3 {
-		t.Fatalf("effective stealThreshold = %d, want 3", thr)
 	}
 }
 

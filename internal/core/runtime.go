@@ -50,14 +50,9 @@ type Runtime struct {
 	// reads of cfg.Delegates are sound only on the program context or
 	// inside delegated operations (the lane push-pop atomics carry the
 	// happens-before edge from the post-barrier write to any op delegated
-	// after it); any other reader — idle drain-loop samplers, metrics
-	// scrapes — must use the atomic active counter instead.
+	// after it); any other reader — a metrics scrape — must use the atomic
+	// active counter instead.
 	cfg Config
-
-	// adaptive is set when Stealing is on and StealThreshold was left
-	// unset: the effective threshold and thief ratio then track the
-	// in-epoch imbalance EWMA instead of staying at the configured base.
-	adaptive bool
 
 	// delegates holds the FULL pre-allocated pool: MaxDelegates structs
 	// with their lanes built at New, goroutines spawned only for the active
@@ -79,8 +74,8 @@ type Runtime struct {
 
 	// active mirrors cfg.Delegates behind an atomic, for readers with no
 	// happens-before edge to the program context's epoch-boundary write
-	// (imbalance samplers in idle spin loops, QueueDepths on metrics
-	// scrapes, placement scans on delegate producers). 0 in Sequential mode.
+	// (QueueDepths on metrics scrapes, placement scans on delegate
+	// producers). 0 in Sequential mode.
 	active atomic.Int32
 
 	// Runtime-mutable configuration: Reconfigure validates and Stores the
@@ -89,12 +84,6 @@ type Runtime struct {
 	// publishes the effective state through runtimeCfg (the Get side).
 	pendingCfg atomic.Pointer[RuntimeConfig]
 	runtimeCfg atomic.Pointer[RuntimeConfig]
-
-	// baseThr is the current StealThreshold base — cfg.StealThreshold
-	// until a Reconfigure rebases it. Atomic because the drain-loop
-	// samplers (noteImbalance) read it concurrently with the program
-	// context's epoch-boundary rebase.
-	baseThr atomic.Int64
 
 	// vmap maps virtual delegate -> context id (ProgramContext or 1..D).
 	vmap []int
@@ -119,15 +108,6 @@ type Runtime struct {
 	// prod[p] holds producer context p's rebalancer counters.
 	prod []producerStats
 
-	// adaptiveThr is the effective StealThreshold when adaptive,
-	// re-derived by drain-loop samplers from imbalanceEWMA (owners.go); it
-	// starts at the configured base. imbalanceEWMA tracks the max/min
-	// delegate-occupancy ratio in ewmaFP fixed point; thresholdAdjusts
-	// counts effective-threshold changes (Stats.ThresholdAdjusts).
-	adaptiveThr      atomic.Int64
-	imbalanceEWMA    atomic.Int64
-	thresholdAdjusts atomic.Uint64
-
 	// faults is the fault-containment record (fault.go): nil until the
 	// first contained panic, so the fault-free hot path pays one atomic
 	// load and no allocation.
@@ -144,20 +124,15 @@ type Runtime struct {
 // New creates and starts a runtime (paper: initialize()). The calling
 // goroutine holds the program-context role first.
 func New(cfg Config) *Runtime {
-	adaptive := cfg.Stealing && cfg.StealThreshold <= 0
 	cfg = cfg.withDefaults()
 	cfg.validate()
 	rt := &Runtime{
-		cfg:      cfg,
-		adaptive: adaptive,
-		vmap:     buildAssignment(cfg),
-		synced:   make([]uint64, cfg.MaxDelegates),
-		clock:    newPhaseClock(),
+		cfg:    cfg,
+		vmap:   buildAssignment(cfg),
+		synced: make([]uint64, cfg.MaxDelegates),
+		clock:  newPhaseClock(),
 	}
-	rt.baseThr.Store(int64(cfg.StealThreshold))
-	rt.adaptiveThr.Store(int64(cfg.StealThreshold))
-	rt.imbalanceEWMA.Store(ewmaFP) // ratio 1.0: assume balance until sampled
-	rt.runtimeCfg.Store(&RuntimeConfig{Delegates: cfg.Delegates, StealThreshold: cfg.StealThreshold})
+	rt.runtimeCfg.Store(&RuntimeConfig{Delegates: cfg.Delegates})
 	if cfg.Trace {
 		rt.traceSt = newTraceState(cfg.MaxDelegates + 1)
 	}
@@ -193,9 +168,6 @@ func New(cfg Config) *Runtime {
 	rt.progBuf = make([]Invocation, drainBatchSize)
 	rt.helpTimer = time.NewTimer(helpAfter)
 	rt.helpTimer.Stop()
-	// The pool is complete BEFORE any drain loop starts: an idle delegate
-	// reaches its first imbalance sample without ever synchronizing with
-	// this goroutine (the go statement is the happens-before edge).
 	for _, d := range rt.delegates[:cfg.Delegates] {
 		rt.wg.Add(1)
 		go rt.delegateLoop(d)
@@ -268,19 +240,6 @@ func (rt *Runtime) BeginIsolation() {
 		rt.epochStart = timeNow()
 	}
 	rt.applyReconfig()
-	if rt.adaptive {
-		// The imbalance EWMA and the threshold/ratio it derives are
-		// IN-epoch adaptation, and the samples they were built from
-		// describe the closing epoch's placement — including delegates that
-		// have since drained and parked, whose stale minima would otherwise
-		// keep a spun-down pool's skew (or balance) alive into a workload
-		// that no longer has it. A new epoch starts from the base (read
-		// through baseThr so a threshold Reconfigure'd just above takes
-		// effect this epoch) and re-learns its own spread within a few
-		// drain runs.
-		rt.imbalanceEWMA.Store(ewmaFP)
-		rt.adaptiveThr.Store(rt.baseThr.Load())
-	}
 	if rt.producers != nil {
 		rt.producers.reset()
 	}
@@ -323,11 +282,11 @@ func (rt *Runtime) Resize(n int) error {
 	return rt.Reconfigure(RuntimeConfig{Delegates: n})
 }
 
-// Reconfigure records a runtime-mutable configuration change (pool size,
-// steal-threshold base) to be applied at the next epoch boundary. Zero
-// fields keep their current setting. Safe from any goroutine. Returns a
-// descriptive error — never a deferred panic — when the target is outside
-// what the pre-allocated pool can honor.
+// Reconfigure records a runtime-mutable configuration change (the pool
+// size) to be applied at the next epoch boundary. Zero fields keep their
+// current setting. Safe from any goroutine. Returns a descriptive error —
+// never a deferred panic — when the target is outside what the
+// pre-allocated pool can honor.
 func (rt *Runtime) Reconfigure(rc RuntimeConfig) error {
 	if err := rt.cfg.validateReconfig(rc); err != nil {
 		return err
@@ -344,10 +303,9 @@ func (rt *Runtime) Reconfigure(rc RuntimeConfig) error {
 func (rt *Runtime) RuntimeConfig() RuntimeConfig { return *rt.runtimeCfg.Load() }
 
 // applyReconfig applies a pending Reconfigure at the epoch boundary.
-// Called by BeginIsolation on the program context, BEFORE the adaptive
-// threshold reset (so a rebased threshold seeds this epoch's EWMA) and
-// before the owner table rebuilds and hot sets re-place (so placement
-// state is constructed for the NEW pool, never patched afterwards).
+// Called by BeginIsolation on the program context, before the owner table
+// rebuilds and hot sets re-place (so placement state is constructed for the
+// NEW pool, never patched afterwards).
 //
 // Scale-up activates pre-built delegates: spawn their drain goroutines,
 // widen the assignment table, and let this epoch's seeding spread hot sets
@@ -362,9 +320,6 @@ func (rt *Runtime) applyReconfig() {
 	if rc == nil {
 		return
 	}
-	if rc.StealThreshold > 0 {
-		rt.baseThr.Store(int64(rc.StealThreshold))
-	}
 	n := rc.Delegates
 	if n == 0 {
 		n = rt.cfg.Delegates
@@ -373,8 +328,7 @@ func (rt *Runtime) applyReconfig() {
 	if n != old {
 		rt.resizePool(n, old)
 	}
-	eff := RuntimeConfig{Delegates: n, StealThreshold: int(rt.baseThr.Load())}
-	rt.runtimeCfg.Store(&eff)
+	rt.runtimeCfg.Store(&RuntimeConfig{Delegates: n})
 }
 
 // resizePool performs the pool-size half of applyReconfig: barrier, count
@@ -485,8 +439,6 @@ func (rt *Runtime) Stats() Stats {
 		st.OutboundVetoes += p.outVetoes.Load()
 		st.OutboundTracked += p.outStamps.Load()
 	}
-	st.Handoffs = st.Steals
-	st.ThresholdAdjusts = rt.thresholdAdjusts.Load()
 	if fs := rt.faults.Load(); fs != nil {
 		st.Panics = fs.panics.Load()
 		st.PoisonedSets = fs.poisonedSets.Load()

@@ -370,7 +370,7 @@ func TestRunParallel(t *testing.T) {
 	for i := range tasks {
 		i := i
 		tasks[i] = func(ctx int) {
-			if ctx < 1 || ctx > 4 {
+			if ctx < 0 || ctx > 4 { // 0: shed to the helping program context
 				t.Errorf("RunParallel task on ctx %d", ctx)
 			}
 			sum.Add(int64(i))
@@ -505,9 +505,9 @@ func TestSyncContextIsSingleTarget(t *testing.T) {
 func TestQueueDepthsCountInFlight(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"static":             {Delegates: 2},
-		"stealing":           stealCfg(2, MaxStealThreshold),
+		"stealing":           stealCfg(2, noStealThreshold),
 		"recursive":          {Delegates: 2, Recursive: true},
-		"recursive+stealing": recStealCfg(2, MaxStealThreshold),
+		"recursive+stealing": recStealCfg(2, noStealThreshold),
 	} {
 		t.Run(name, func(t *testing.T) {
 			rt := newTestRuntime(t, cfg)

@@ -28,9 +28,9 @@ func (p Phase) String() string {
 
 // Stats accumulates runtime counters and the per-phase wall-clock breakdown
 // used to regenerate Figure 5a. Most fields are maintained by the program
-// context; the drain, lane, spill, handoff, and threshold counters are
-// aggregated from per-delegate (and per-producer, and per-lane) atomics
-// when a snapshot is taken, so a Stats() call may observe work mid-flight.
+// context; the drain, lane, spill and handoff counters are aggregated from
+// per-delegate (and per-producer, and per-lane) atomics when a snapshot is
+// taken, so a Stats() call may observe work mid-flight.
 type Stats struct {
 	Delegations  uint64 // operations sent to delegate contexts
 	InlineExecs  uint64 // operations executed inline in the program context
@@ -40,7 +40,6 @@ type Stats struct {
 	BatchFlushes uint64 // always zero: the batch buffer is gone; declared only because the frozen bench/ reads it
 	BatchedOps   uint64 // always zero, kept for the same reason
 	Steals       uint64 // serialization sets handed off, whole, by the occupancy-aware rebalancer
-	Handoffs     uint64 // equal to Steals: every steal is a quiescent whole-set handoff
 	ForcedEvacs  uint64 // handoffs forced off a set's own producer's delegate (self-delegation hazard; a subset of Steals)
 	DrainBatches uint64 // delegate-side batched drains (PopBatch runs executed)
 	DrainedOps   uint64 // invocations delivered through batched drains
@@ -50,8 +49,7 @@ type Stats struct {
 	HelpedOps uint64 // operations the program context executed itself while it waited in a barrier
 	Sheds     uint64 // hand-overs of whole sets from a delegate that brought them (delegate.go, shed)
 
-	ThresholdAdjusts uint64 // in-epoch adaptive StealThreshold changes (imbalance-EWMA driven)
-	HotSetsPlaced    uint64 // hot sets pre-placed round-robin at BeginIsolation from prior-epoch op counts
+	HotSetsPlaced uint64 // hot sets pre-placed round-robin at BeginIsolation from prior-epoch op counts
 
 	// Elastic-runtime counters (program context, written at the epoch
 	// boundary that applies a reconfiguration). Resizes counts applied

@@ -15,7 +15,9 @@ import (
 // delegate publishes any progress for a full Config.Watchdog bound while a
 // synchronization is outstanding, panic with a dump of per-delegate pending
 // lanes and ledger positions so the liveness bug arrives as an actionable
-// report instead of a CI timeout.
+// report instead of a CI timeout. Progress is published per drain run, not
+// per operation (progressSum), so the bound must exceed the longest run:
+// Config.Watchdog has the sizing rule.
 
 // waitDone blocks until done closes. With the watchdog enabled it
 // periodically snapshots the pool-wide progress sum; two consecutive

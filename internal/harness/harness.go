@@ -22,14 +22,12 @@ type Instance struct {
 	// number of worker threads.
 	CP func(workers int)
 	// SS runs the serialization-sets implementation with the given number
-	// of delegate contexts and returns the runtime stats.
-	SS func(delegates int) prometheus.Stats
+	// of delegate contexts and any extra runtime options (the policy and
+	// queue-capacity ablations), and returns the runtime stats.
+	SS func(delegates int, opts ...prometheus.Option) prometheus.Stats
 	// Variants holds named alternative SS formulations used by the
 	// ablation benchmarks (e.g. kmeans "naive").
 	Variants map[string]func(delegates int) prometheus.Stats
-	// SSOpt runs SS with extra runtime options (scheduling-policy and
-	// queue-capacity ablations).
-	SSOpt func(delegates int, opts ...prometheus.Option) prometheus.Stats
 	// SSTraced runs SS with execution tracing and returns the trace
 	// (cmd/sstrace).
 	SSTraced func(delegates int) ([]prometheus.TraceEvent, prometheus.Stats)

@@ -497,10 +497,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	opts := []prometheus.Option{
-		prometheus.WithPolicy(prometheus.LeastLoaded),
-		prometheus.WithStealing(),
-	}
+	opts := []prometheus.Option{prometheus.WithStealing()}
 	if cfg.Delegates > 0 {
 		opts = append(opts, prometheus.WithDelegates(cfg.Delegates))
 	}

@@ -100,16 +100,15 @@ func WithQueueCapacity(n int) Option { return func(c *core.Config) { c.QueueCapa
 // WithPolicy selects the delegate-assignment policy.
 func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy = p } }
 
-// WithStealing enables the occupancy-aware work-stealing extension to the
-// LeastLoaded policy. When a set's sticky owner has at least StealThreshold
-// outstanding operations and every operation previously delegated to that
-// set has finished executing (the set is quiescent — a safe handoff
+// WithStealing enables the occupancy-aware work-stealing extension, on
+// LeastLoaded placement (which it selects). When a set's sticky owner has at
+// least four outstanding operations and every operation previously delegated
+// to that set has finished executing (the set is quiescent — a safe handoff
 // boundary), the next delegation hands the whole set to the delegate with
 // the smallest occupancy, provided it is idle or at most a quarter as loaded
 // as the victim. Sets — never individual invocations — are the steal unit,
 // so operations within a set still execute in program order and the model's
-// determinism guarantee is unchanged; only the placement of whole sets
-// responds to load. Requires WithPolicy(LeastLoaded).
+// determinism guarantee is unchanged; only placement responds to load.
 //
 // With Recursive the same contract holds across many producer contexts: a
 // set migrates only when every producer's newest operation on it has
@@ -117,32 +116,8 @@ func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy =
 // operations issued has drained — tracked precisely per set by an outbound
 // ledger, so other sets' in-flight traffic never blocks a migration (the
 // quiescent handoff; see doc.go). The previous epoch's hottest sets are
-// pre-placed round-robin at BeginIsolation, and the steal threshold and
-// thief-eligibility ratio adapt within each epoch to the observed
-// delegate-occupancy imbalance unless pinned with WithStealThreshold.
+// pre-placed round-robin at BeginIsolation.
 func WithStealing() Option { return func(c *core.Config) { c.Stealing = true } }
-
-// WithStealThreshold pins the victim backlog (outstanding operations) at
-// which stealing engages. When unset the threshold starts from the queue
-// capacity (QueueCapacity/4, clamped to [core.MinStealThreshold,
-// core.MaxStealThreshold]) and then adapts within each epoch: delegates
-// feed the max/min occupancy ratio they observe at drain-run boundaries
-// into an EWMA, and a skewed epoch pulls the effective threshold toward
-// the clamp floor — and relaxes the thief-eligibility ratio (4x at
-// balance, clamped [2,8]) — while a balanced one keeps ownership sticky;
-// both reset to their base at every BeginIsolation. An explicit threshold
-// pins the threshold AND the ratio for the run. Lower explicit values
-// rebalance skew sooner; higher ones keep ownership stickier under
-// transient pipelining. Ignored without WithStealing.
-func WithStealThreshold(n int) Option { return func(c *core.Config) { c.StealThreshold = n } }
-
-// WithFaultRecordBound caps how many contained-panic records the runtime
-// retains for Err/SetErr (default core.DefaultFaultRecordBound). Once the
-// bound is reached the oldest record is evicted and Stats.DroppedFaults
-// counts it; the Panics counter and set poisoning are unaffected. A
-// long-lived serving runtime needs the bound — without it every contained
-// panic pins its captured stack forever.
-func WithFaultRecordBound(n int) Option { return func(c *core.Config) { c.FaultRecordBound = n } }
 
 // Sequential builds the runtime in the paper's debug mode (§3.3): all
 // delegations execute inline, in program order, with checks still active.
@@ -241,9 +216,8 @@ type RuntimeConfig = core.RuntimeConfig
 // wins.
 func (rt *Runtime) Resize(n int) error { return rt.core.Resize(n) }
 
-// Reconfigure records a runtime-mutable configuration change (pool size,
-// steal-threshold base) to apply at the next epoch boundary. Safe from any
-// goroutine.
+// Reconfigure records a runtime-mutable configuration change (the pool
+// size) to apply at the next epoch boundary. Safe from any goroutine.
 func (rt *Runtime) Reconfigure(rc RuntimeConfig) error { return rt.core.Reconfigure(rc) }
 
 // CurrentConfig returns the effective runtime-mutable configuration (a
@@ -291,8 +265,8 @@ const NoSet = core.NoSet
 // the rest of its isolation epoch — the set executed exactly its prefix up
 // to the fault, everything after was deterministically dropped — so Err is
 // how a program that survived an epoch finds out it did not finish it. Only
-// the most recent WithFaultRecordBound faults are retained; Stats.DroppedFaults
-// counts evictions. Safe from any goroutine.
+// the most recent core.DefaultFaultRecordBound faults are retained;
+// Stats.DroppedFaults counts evictions. Safe from any goroutine.
 func (rt *Runtime) Err() error { return joinFaults(rt.core.Faults()) }
 
 // SetErr reports the contained panics recorded against one serialization

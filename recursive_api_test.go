@@ -50,7 +50,6 @@ func TestRecursiveWithReducible(t *testing.T) {
 func TestRecursiveIncompatibleOptionsPanic(t *testing.T) {
 	for _, opts := range [][]Option{
 		{Recursive(), WithProgramShare(1)},
-		{Recursive(), WithStealing()},
 	} {
 		func() {
 			defer func() {

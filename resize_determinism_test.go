@@ -89,7 +89,7 @@ func elasticOpts(extra ...Option) []Option {
 		WithMaxDelegates(6),
 		WithPolicy(LeastLoaded),
 		WithStealing(),
-		WithStealThreshold(2),
+		StealAt(2),
 		Checked(),
 	}, extra...)
 }
@@ -188,7 +188,7 @@ func TestResizeDeterminismNested(t *testing.T) {
 
 	recOpts := []Option{
 		WithDelegates(2), WithMaxDelegates(5), Recursive(),
-		WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(1), Checked(),
+		WithPolicy(LeastLoaded), WithStealing(), StealAt(1), Checked(),
 	}
 	fixed, _ := run(nil, recOpts...)
 	sched := resizeSchedule{2: 5, 6: 2, 9: 4}

@@ -28,7 +28,7 @@ func stealStressOpts(extra ...Option) []Option {
 		WithDelegates(4),
 		WithPolicy(LeastLoaded),
 		WithStealing(),
-		WithStealThreshold(2),
+		StealAt(2),
 	}, extra...)
 }
 
@@ -180,11 +180,21 @@ func assertByteIdenticalRuns(t *testing.T, name string,
 	run func(opts ...Option) ([]byte, Stats)) {
 	t.Helper()
 	want, _ := run(Sequential())
-	for _, width := range laneWidths {
+	// The eager shape at both lane widths, and WithStealing() alone: the
+	// trigger at its constants, the configuration internal/serve runs.
+	type shape struct {
+		name string
+		opts []Option
+	}
+	shapes := []shape{{"unpinned", []Option{WithDelegates(4), WithStealing()}}}
+	for _, w := range laneWidths {
+		shapes = append(shapes, shape{w.name, stealStressOpts(w.opts...)})
+	}
+	for _, width := range shapes {
 		var steals, drained uint64
 		const runs = 6
 		for i := 0; i < runs; i++ {
-			got, st := run(stealStressOpts(width.opts...)...)
+			got, st := run(width.opts...)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s/%s run %d: per-set operation order diverged from sequential\n got: %s\nwant: %s",
 					name, width.name, i, firstDiffLine(got, want), firstDiffLine(want, got))
@@ -227,10 +237,11 @@ func TestReverseIndexDeterministicUnderStealing(t *testing.T) {
 // op/epoch interleavings, not just the two curated workloads.
 func TestDeterminismMatrixUnderStealing(t *testing.T) {
 	shapes := [][]Option{
-		{WithDelegates(2), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(1)},
+		{WithDelegates(2), WithPolicy(LeastLoaded), WithStealing(), StealAt(1)},
 		{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing()},
+		{WithDelegates(4), WithStealing()}, // the policy follows from stealing
 		{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), WithQueueCapacity(16)},
-		{WithDelegates(8), WithPolicy(LeastLoaded), WithStealing(), WithStealThreshold(2), WithQueueCapacity(4)},
+		{WithDelegates(8), WithPolicy(LeastLoaded), WithStealing(), StealAt(2), WithQueueCapacity(4)},
 	}
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 6; trial++ {

@@ -41,9 +41,9 @@ func main() {
 	inst := app.Load(size)
 	fmt.Printf("tracing %s (size %s, %d delegates): %s\n", app.Name, size, *delegates, inst.Desc)
 	events, st := inst.SSTraced(*delegates)
-	fmt.Printf("phases: aggregation=%v isolation=%v reduction=%v  helped: ops=%d of %d sheds=%d\n\n",
-		st.Aggregation, st.Isolation, st.Reduction, st.HelpedOps, st.Delegations, st.Sheds)
 	report := trace.Analyze(events)
+	fmt.Printf("phases: aggregation=%v isolation=%v reduction=%v  reduction: tasks=%d  helped: ops=%d of %d sheds=%d\n\n",
+		st.Aggregation, st.Isolation, st.Reduction, report.Tasks, st.HelpedOps, st.Delegations, st.Sheds)
 	report.WriteReport(os.Stdout)
 	fmt.Println()
 	trace.Timeline(os.Stdout, events, *width)

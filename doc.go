@@ -193,9 +193,9 @@
 // while the set's operations self-enqueued, and a program blocking
 // mid-operation on its own nested delegations would livelock. When only
 // the set's own coverage is missing, the producer waits for it on the spot
-// — event-driven off the ledger, bounded, never on traffic only the victim
-// itself could drain — because for a program about to block, that
-// delegation is the engine's last scheduling decision. Checked mode turns
+// — a bounded poll of the ledger, never on traffic only the victim itself
+// could drain — because for a program about to block, that delegation is
+// the engine's last scheduling decision. Checked mode turns
 // a handover at a non-quiescent point into a panic, and re-asserts ledger
 // coverage immediately before every owner publish. The producer discipline
 // sharpens accordingly: under dynamic placement a set must receive its
@@ -208,7 +208,8 @@
 // BeginIsolation ranks the closing epoch's sets by delegated-op count and
 // pre-places the top few round-robin across delegates, instead of letting
 // first touch pile them onto whichever delegate looked emptiest at the
-// epoch's first instant. Stats reports Steals, ForcedEvacs, OutboundVetoes,
+// epoch's first instant (a one-delegate pool has nothing to spread and
+// skips the ranking). Stats reports Steals, ForcedEvacs, OutboundVetoes,
 // OutboundTracked and HotSetsPlaced for all of it.
 //
 // The program context works while it waits. Every program delegates an
@@ -272,7 +273,11 @@
 //     BenchmarkSPSC, BenchmarkLane.
 //   - Stealing under skew: BenchmarkRecursiveSkewed,
 //     BenchmarkCoreDelegateSkewed.
-//   - Per-delegate utilisation of one program: cmd/sstrace.
+//   - Per-context utilisation of one program: cmd/sstrace. WithTrace
+//     records every executed operation on whichever context runs it — a
+//     delegate, the program context helping at a barrier or running a
+//     WithProgramShare slot — and pool tasks as set NoSet, at the one place
+//     they all pass; delegation itself is the untraced path.
 //
 // # Fault containment
 //

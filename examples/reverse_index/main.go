@@ -18,7 +18,6 @@ import (
 	prometheus "repro"
 	"repro/coll"
 	"repro/internal/apps/reverseindex"
-	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
@@ -29,7 +28,7 @@ func main() {
 	// A small synthetic HTML tree stands in for the paper's on-disk corpus.
 	cfg := workload.HTMLSize(workload.Small)
 	cfg.Files, cfg.Dirs, cfg.URLPool = 200, 15, 60
-	fs := vfs.FromHTMLTree(workload.GenerateHTMLTree(cfg))
+	fs := reverseindex.FromHTMLTree(workload.GenerateHTMLTree(cfg))
 	fmt.Println("corpus:", fs.Stats())
 
 	type fileSet = map[string]struct{}
@@ -41,9 +40,9 @@ func main() {
 	})
 
 	rt.BeginIsolation()
-	fs.Walk(func(f *vfs.File) { // find_files: program-context recursion
+	fs.Walk(func(f *reverseindex.File) { // find_files: program-context recursion
 		w := prometheus.NewWritable(rt, f)
-		w.Delegate(func(c *prometheus.Ctx, file **vfs.File) { // find_links
+		w.Delegate(func(c *prometheus.Ctx, file **reverseindex.File) { // find_links
 			path := (*file).Path
 			reverseindex.ExtractLinks((*file).Content, func(url string) {
 				linkMap.Update(c, url, func(s fileSet) fileSet {

@@ -1,13 +1,14 @@
-// Package chunker implements content-defined chunking for the dedup
-// benchmark, in the style of the PARSEC dedup kernel: a rolling hash over a
-// fixed window declares a chunk boundary whenever the hash matches a magic
-// value modulo a divisor, so boundaries depend only on content (insertions
-// shift boundaries locally instead of re-aligning the whole stream).
+package dedup
+
+// The content-defined chunking stage, in the style of the PARSEC dedup
+// kernel: a rolling hash over a fixed window declares a chunk boundary
+// whenever the hash matches a magic value modulo a divisor, so boundaries
+// depend only on content (insertions shift boundaries locally instead of
+// re-aligning the whole stream).
 //
 // The rolling hash is a buzhash (cyclic polynomial): per-byte update is two
 // rotates and two table lookups, and the window contribution of the oldest
 // byte cancels exactly.
-package chunker
 
 // Parameters of the chunker. With divisor 1<<12 the mean chunk is ~4 KB,
 // bracketed by the min/max bounds like PARSEC's dedup.

@@ -35,7 +35,7 @@ func RunCP(in *Input, workers int) *Output {
 		compressed []byte
 	}
 
-	chunks := split(in.Data)
+	chunks := Split(in.Data)
 	out := &Output{Chunks: len(chunks)}
 
 	// Stage 1 -> 2: fingerprint workers.

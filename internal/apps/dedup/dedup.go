@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/chunker"
 	"repro/internal/workload"
 )
 
@@ -124,6 +123,3 @@ func Decode(archive []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// split performs the content-defined chunking stage.
-func split(data []byte) []chunker.Chunk { return chunker.Split(data) }

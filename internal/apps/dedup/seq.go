@@ -5,7 +5,7 @@ import "crypto/sha1"
 // RunSeq is the sequential reference: chunk, fingerprint, deduplicate and
 // compress in stream order.
 func RunSeq(in *Input) *Output {
-	chunks := split(in.Data)
+	chunks := Split(in.Data)
 	table := map[fingerprint]int{} // fingerprint -> unique index
 	out := &Output{Chunks: len(chunks)}
 	for _, c := range chunks {

@@ -36,7 +36,7 @@ func RunSS(in *Input, delegates int) (*Output, prometheus.Stats) {
 
 // RunSSOn runs with a caller-supplied runtime.
 func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
-	chunks := split(in.Data)
+	chunks := Split(in.Data)
 	objs := make([]*prometheus.Writable[chunkObj], len(chunks))
 	for i, c := range chunks {
 		objs[i] = prometheus.NewWritable(rt, chunkObj{data: c.Data, uniqueIdx: -1})

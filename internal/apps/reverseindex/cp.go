@@ -14,8 +14,8 @@ func RunCP(in *Input, workers int) *Output {
 		workers = 1
 	}
 	// Phase 1: locate all files (sequential; nothing else may start).
-	var files []*vfsFile
-	in.FS.Walk(func(f *vfsFile) { files = append(files, f) })
+	var files []*File
+	in.FS.Walk(func(f *File) { files = append(files, f) })
 
 	// Phase 2: parallel link extraction over static partitions.
 	parts := make([]map[string]fileSet, workers)

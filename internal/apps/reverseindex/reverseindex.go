@@ -13,17 +13,13 @@ package reverseindex
 import (
 	"sort"
 
-	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
 // Input is the in-memory directory tree.
 type Input struct {
-	FS *vfs.FS
+	FS *FS
 }
-
-// vfsFile shortens the substrate's file type in the drivers.
-type vfsFile = vfs.File
 
 // Output maps each link URL to the sorted list of file paths containing it.
 type Output struct {
@@ -32,7 +28,7 @@ type Output struct {
 
 // Load generates the input for a size class.
 func Load(size workload.SizeClass) *Input {
-	return &Input{FS: vfs.FromHTMLTree(workload.GenerateHTMLTree(workload.HTMLSize(size)))}
+	return &Input{FS: FromHTMLTree(workload.GenerateHTMLTree(workload.HTMLSize(size)))}
 }
 
 // extractLinks scans HTML content for anchor targets and calls emit for

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
@@ -12,7 +11,7 @@ func smallInput() *Input {
 	cfg := workload.HTMLSize(workload.Small)
 	cfg.Files = 120
 	cfg.Dirs = 10
-	return &Input{FS: vfs.FromHTMLTree(workload.GenerateHTMLTree(cfg))}
+	return &Input{FS: FromHTMLTree(workload.GenerateHTMLTree(cfg))}
 }
 
 func TestExtractLinks(t *testing.T) {
@@ -42,7 +41,7 @@ func TestSeqBuildsIndex(t *testing.T) {
 	}
 	// Every listed file must actually contain the link.
 	contents := map[string][]byte{}
-	in.FS.Walk(func(f *vfsFile) { contents[f.Path] = f.Content })
+	in.FS.Walk(func(f *File) { contents[f.Path] = f.Content })
 	for url, files := range out.Index {
 		if len(files) == 0 {
 			t.Fatalf("link %s has no files", url)

@@ -5,7 +5,7 @@ package reverseindex
 func RunSeq(in *Input) *Output {
 	index := map[string][]string{}
 	seen := map[string]fileSet{}
-	in.FS.Walk(func(f *vfsFile) {
+	in.FS.Walk(func(f *File) {
 		extractLinks(f.Content, func(url string) {
 			set, ok := seen[url]
 			if !ok {

@@ -24,11 +24,11 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	linkMap := coll.NewMap[string, fileSet](rt, mergeFileSets)
 	rt.BeginIsolation()
 	// find_files: the recursion itself is program-context work.
-	in.FS.Walk(func(f *vfsFile) {
+	in.FS.Walk(func(f *File) {
 		// Each file is a fresh writable object; delegating find_links on it
 		// exposes per-file independence (Figure 3, point F).
 		w := prometheus.NewWritable(rt, f)
-		w.Delegate(func(c *prometheus.Ctx, file **vfsFile) {
+		w.Delegate(func(c *prometheus.Ctx, file **File) {
 			ff := *file
 			extractLinks(ff.Content, func(url string) {
 				linkMap.Update(c, url, func(s fileSet) fileSet {

@@ -1,9 +1,10 @@
-// Package vfs provides the in-memory file system used by reverse_index.
-// The paper's benchmark reads a 100 MB–1 GB directory tree of HTML files
-// from disk; a hermetic in-memory tree exercises the same program structure
-// (recursive directory traversal interleaved with per-file work) without
-// I/O noise or external data, and makes the benchmark deterministic.
-package vfs
+package reverseindex
+
+// The in-memory file system the program walks. The paper's benchmark reads
+// a 100 MB–1 GB directory tree of HTML files from disk; a hermetic in-memory
+// tree exercises the same program structure (recursive directory traversal
+// interleaved with per-file work) without I/O noise or external data, and
+// makes the benchmark deterministic.
 
 import (
 	"fmt"

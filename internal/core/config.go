@@ -151,9 +151,9 @@ type Config struct {
 	// set 1 or 2 to force steals on tiny programs and 64 to suppress them.
 	StealThreshold int
 
-	// Trace enables execution tracing: every delegated-operation execution,
-	// synchronization, epoch transition, and whole-set steal is recorded
-	// with timestamps into per-context buffers, retrievable via
+	// Trace enables execution tracing: every executed operation (pool tasks
+	// included), epoch, whole-set steal, contained panic and resize is
+	// recorded with timestamps into per-context buffers, retrievable via
 	// Runtime.TraceEvents.
 	Trace bool
 

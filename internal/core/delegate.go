@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -132,17 +131,6 @@ type delegate struct {
 	headSets map[uint64]struct{}
 	sheds    atomic.Uint64
 
-	// Coverage-waiter list: producers parked in waitOutboundCoverage until
-	// THIS delegate's exec counters advance. covWaiters counts parked
-	// producers — the drain loop checks it with one atomic load per drain
-	// run and broadcasts only when it is nonzero. covCh is the broadcast:
-	// closed-and-replaced under covMu at each signalled publish (a waiter
-	// that subscribed to an already-rotated channel finds it closed and
-	// simply re-checks).
-	covWaiters atomic.Int32
-	covMu      sync.Mutex
-	covCh      chan struct{}
-
 	// Outbound-attribution state for the per-set handoff ledger
 	// (owners.go), touched only by this delegate's goroutine — plain
 	// fields. prodSet is the serialization set of the method invocation
@@ -164,7 +152,6 @@ func newDelegate(id, producers, capacity int, pool *spsc.NodePool[Invocation]) *
 		wake:     make(chan struct{}, 1),
 		sent:     make([]counter, producers),
 		exec:     make([]atomic.Uint64, producers),
-		covCh:    make(chan struct{}),
 		headSets: make(map[uint64]struct{}),
 		prodSet:  noSetID, // nothing executing yet: attribute to no set
 	}
@@ -222,32 +209,6 @@ func (d *delegate) anyPending() bool {
 	return false
 }
 
-// covSubscribe registers the calling producer as a coverage waiter and
-// returns the broadcast channel to park on. The order is load-bearing for
-// the lost-wakeup proof: the waiter count is raised BEFORE the caller
-// re-checks coverage, so a drain loop whose exec publish the re-check
-// missed is guaranteed to observe the waiter and rotate the channel.
-func (d *delegate) covSubscribe() chan struct{} {
-	d.covWaiters.Add(1)
-	d.covMu.Lock()
-	ch := d.covCh
-	d.covMu.Unlock()
-	return ch
-}
-
-// covUnsubscribe deregisters a coverage waiter.
-func (d *delegate) covUnsubscribe() { d.covWaiters.Add(-1) }
-
-// covSignal wakes every parked coverage waiter by rotating the broadcast
-// channel. Called from this delegate's drain loop after an exec publish,
-// only when covWaiters is nonzero.
-func (d *delegate) covSignal() {
-	d.covMu.Lock()
-	close(d.covCh)
-	d.covCh = make(chan struct{})
-	d.covMu.Unlock()
-}
-
 // Delegate assigns fn to the serialization set's context and returns that
 // context id. Operations mapped to the program context (or every operation
 // in Sequential mode) run inline, preserving per-set program order.
@@ -255,22 +216,17 @@ func (rt *Runtime) Delegate(set uint64, fn func(ctx int)) int {
 	if rt.terminated {
 		panic("prometheus: Delegate after Terminate")
 	}
-	return rt.delegate(ProgramContext, set, Invocation{kind: kindMethod, set: set, fn: rt.traceExec(set, fn)})
+	return rt.delegate(ProgramContext, set, closureCall(set, fn))
 }
 
 // DelegateCall is the zero-allocation delegation fast path: instead of a
 // closure it takes a static trampoline plus two payload words, written by
 // value into the program context's ring lane on the set's owner. Wrapper
 // layers bind one trampoline per wrapper type, so a steady-state
-// DelegateCall performs no heap allocation and O(1) work. Only tracing
-// falls back to the closure path (off the measured configuration, as in
-// the paper's evaluation).
+// DelegateCall performs no heap allocation and O(1) work, traced or not.
 func (rt *Runtime) DelegateCall(set uint64, tr Trampoline, p1, p2 unsafe.Pointer) int {
 	if rt.terminated {
 		panic("prometheus: Delegate after Terminate")
-	}
-	if rt.traceSt != nil {
-		return rt.Delegate(set, func(ctx int) { tr(ctx, p1, p2) })
 	}
 	return rt.delegate(ProgramContext, set, Invocation{kind: kindMethod, set: set, tramp: tr, p1: p1, p2: p2})
 }
@@ -280,16 +236,13 @@ func (rt *Runtime) DelegateCall(set uint64, tr Trampoline, p1, p2 unsafe.Pointer
 // the call. Requires Config.Recursive (or Sequential debug mode).
 func (rt *Runtime) DelegateFrom(producer int, set uint64, fn func(ctx int)) int {
 	rt.requireRecursive()
-	return rt.delegate(producer, set, Invocation{kind: kindMethod, set: set, fn: rt.traceExec(set, fn)})
+	return rt.delegate(producer, set, closureCall(set, fn))
 }
 
 // DelegateFromCall is the zero-allocation counterpart of DelegateFrom: the
 // trampoline fast path for delegations issued from inside delegated
-// operations. Tracing falls back to the closure path.
+// operations.
 func (rt *Runtime) DelegateFromCall(producer int, set uint64, tr Trampoline, p1, p2 unsafe.Pointer) int {
-	if rt.traceSt != nil {
-		return rt.DelegateFrom(producer, set, func(ctx int) { tr(ctx, p1, p2) })
-	}
 	rt.requireRecursive()
 	return rt.delegate(producer, set, Invocation{kind: kindMethod, set: set, tramp: tr, p1: p1, p2: p2})
 }
@@ -308,7 +261,11 @@ func (rt *Runtime) requireRecursive() {
 func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
 	if rt.cfg.Sequential {
 		rt.stats.InlineExecs++
-		inv.invoke(ProgramContext)
+		if ts := rt.traceSt; ts != nil {
+			ts.invoke(&inv, ProgramContext)
+		} else {
+			inv.invoke(ProgramContext)
+		}
 		return ProgramContext
 	}
 	if rt.cfg.Checked && set == noSetID {
@@ -469,12 +426,6 @@ func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, ter
 		}
 		base += uint64(len(run))
 		le.Store(base)
-		if d.covWaiters.Load() != 0 {
-			// A producer is parked in waitOutboundCoverage on this
-			// delegate's exec advancing; the store above may be the
-			// coverage it needs. One atomic load on the waiter-free path.
-			d.covSignal()
-		}
 		// Drop payload references so executed invocations don't pin their
 		// closures and payloads until the buffer is refilled.
 		clear(run)
@@ -505,7 +456,7 @@ func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic
 			next, terminated = i+1, false
 		}
 	}()
-	inject := rt.cfg.FaultInjector
+	inject, ts := rt.cfg.FaultInjector, rt.traceSt
 	for ; i < len(run); i++ {
 		inv := &run[i]
 		switch inv.kind {
@@ -525,6 +476,12 @@ func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic
 			d.prodSet = inv.set
 			if inject != nil {
 				inject(d.id, inv.set)
+			}
+			if ts != nil {
+				// Every executed operation on every context passes here, so a
+				// trace describes the measured path.
+				ts.invoke(inv, d.id)
+				continue
 			}
 			inv.invoke(d.id)
 		case kindSync, kindTerminate:
@@ -807,7 +764,7 @@ func (rt *Runtime) RunParallel(tasks []func(ctx int)) {
 		// collide with a user set in the poison table when it faults, and
 		// nested delegations it issues must not be charged to whatever set
 		// the delegate executed last.
-		rt.send(rt.delegates[i%rt.cfg.Delegates], Invocation{kind: kindMethod, set: noSetID, fn: t})
+		rt.send(rt.delegates[i%rt.cfg.Delegates], closureCall(noSetID, t))
 	}
 	rt.barrier()
 }

@@ -46,26 +46,50 @@ func TestDelegateCallSequentialInline(t *testing.T) {
 	}
 }
 
-func TestDelegateCallTraceFallback(t *testing.T) {
-	// With tracing on, DelegateCall routes through the closure path so the
-	// execution is recorded like any other delegated operation.
-	rt := newTestRuntime(t, Config{Delegates: 1, Trace: true})
+// nestedCall is nestTramp's payload: the outer operation delegates one
+// countTramp operation to set 2 from whatever context runs it.
+type nestedCall struct {
+	rt  *Runtime
+	sum *atomic.Int64
+	inc *int64
+}
+
+func nestTramp(ctx int, p1, _ unsafe.Pointer) {
+	c := (*nestedCall)(p1)
+	c.rt.DelegateFromCall(ctx, 2, countTramp, unsafe.Pointer(c.sum), unsafe.Pointer(c.inc))
+}
+
+// TestDelegateCallTraced: tracing observes the delegation path, it does not
+// reroute it. A traced DelegateCall / DelegateFromCall records one TraceExec
+// per operation and builds no closure — what is left to allocate is the
+// amortized growth of the event buffers and the epoch's own barrier.
+func TestDelegateCallTraced(t *testing.T) {
+	rt := newTestRuntime(t, Config{Delegates: 2, Recursive: true, Trace: true})
 	var sum atomic.Int64
 	inc := int64(1)
-	rt.BeginIsolation()
-	rt.DelegateCall(0, countTramp, unsafe.Pointer(&sum), unsafe.Pointer(&inc))
-	rt.EndIsolation()
-	if sum.Load() != 1 {
-		t.Fatal("traced DelegateCall did not execute")
+	c := &nestedCall{rt: rt, sum: &sum, inc: &inc}
+	const n, epochs = 2000, 3 // AllocsPerRun adds a warm-up run
+	perEpoch := testing.AllocsPerRun(epochs-1, func() {
+		rt.BeginIsolation()
+		for i := 0; i < n; i++ {
+			rt.DelegateCall(1, nestTramp, unsafe.Pointer(c), nil)
+		}
+		rt.EndIsolation()
+	})
+	if got := sum.Load(); got != n*epochs {
+		t.Fatalf("sum = %d, want %d", got, n*epochs)
 	}
-	execs := 0
+	bySet := map[uint64]int{}
 	for _, ev := range rt.TraceEvents() {
 		if ev.Kind == TraceExec {
-			execs++
+			bySet[ev.Set]++
 		}
 	}
-	if execs != 1 {
-		t.Fatalf("trace recorded %d execs, want 1", execs)
+	if bySet[1] != n*epochs || bySet[2] != n*epochs || len(bySet) != 2 {
+		t.Fatalf("exec events by set = %v, want %d each for sets 1 and 2", bySet, n*epochs)
+	}
+	if perOp := perEpoch / (2 * n); perOp >= 0.5 {
+		t.Fatalf("traced delegation allocates %.2f objects per operation, want none per operation", perOp)
 	}
 }
 
@@ -133,4 +157,13 @@ func BenchmarkCoreDelegate(b *testing.B) {
 			rt.DelegateCall(1, countTramp, unsafe.Pointer(&sink), unsafe.Pointer(&inc))
 		})
 	})
+}
+
+// TestInvocationFillsRingSlot: spsc stores a record beside an 8-byte
+// sequence stamp, and the consumer's readability check is meant to ride the
+// cache line that delivers the record — so a slot must stay 64 bytes.
+func TestInvocationFillsRingSlot(t *testing.T) {
+	if got := unsafe.Sizeof(Invocation{}); got != 56 {
+		t.Fatalf("Invocation is %d bytes, want 56 (a 64-byte ring slot with its stamp)", got)
+	}
 }

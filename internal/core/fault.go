@@ -198,7 +198,7 @@ func (rt *Runtime) recordPanic(ctx int, set uint64, v any) {
 	fs.mu.Unlock()
 	fs.panics.Add(1)
 	if ts := rt.traceSt; ts != nil {
-		ts.recordPanicEvent(ctx, set, rt.epoch, timeNow())
+		ts.instant(ctx, TracePanic, set, rt.epoch)
 	}
 }
 

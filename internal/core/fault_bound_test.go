@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,49 +102,9 @@ func TestSetFaultsIndexEviction(t *testing.T) {
 	}
 }
 
-// TestCovSignalWakesWaiter is the coverage-wait parking unit test: a
-// subscribed waiter parks on the broadcast channel and a publisher's
-// covSignal wakes it (close-and-replace, so late subscribers get a fresh
-// channel).
-func TestCovSignalWakesWaiter(t *testing.T) {
-	d := &delegate{covCh: make(chan struct{})}
-	ch := d.covSubscribe()
-	if got := d.covWaiters.Load(); got != 1 {
-		t.Fatalf("covWaiters = %d after subscribe, want 1", got)
-	}
-	var woke sync.WaitGroup
-	woke.Add(1)
-	go func() {
-		defer woke.Done()
-		<-ch
-		d.covUnsubscribe()
-	}()
-	if d.covWaiters.Load() != 0 {
-		d.covSignal()
-	}
-	done := make(chan struct{})
-	go func() { woke.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never woke after covSignal")
-	}
-	if got := d.covWaiters.Load(); got != 0 {
-		t.Errorf("covWaiters = %d after unsubscribe, want 0", got)
-	}
-	// The replaced channel must be open for the next round of waiters.
-	select {
-	case <-d.covSubscribe():
-		t.Error("fresh broadcast channel is already closed")
-	default:
-		d.covUnsubscribe()
-	}
-}
-
 // TestEvacWaitDeadline pins the mutual-wait escape hatch: a forced
 // evacuation waiting on outbound coverage that never arrives must give up
-// within the evacWaitBudget deadline (parked, not spinning) rather than
-// block its delegate forever.
+// within the evacWaitBudget deadline rather than block its delegate forever.
 func TestEvacWaitDeadline(t *testing.T) {
 	rt := newTestRuntime(t, Config{
 		Delegates: 2, Recursive: true, Policy: LeastLoaded, Stealing: true,
@@ -161,6 +120,36 @@ func TestEvacWaitDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < evacWaitBudget/2 || elapsed > 10*evacWaitBudget {
 		t.Errorf("wait returned after %v, want roughly the %v budget", elapsed, evacWaitBudget)
+	}
+	rt.EndIsolation()
+}
+
+// TestEvacWaitCoverageArrives is the other half of the wait's contract:
+// coverage that shows up in the ledger mid-wait ends it, with true, without
+// waiting out the budget. The uncovered traffic is a real operation in
+// delegate 2's lane for producer 1 (the victim), parked on a gate released
+// after 2 ms.
+func TestEvacWaitCoverageArrives(t *testing.T) {
+	rt := newTestRuntime(t, Config{
+		Delegates: 2, Recursive: true, Policy: LeastLoaded, Stealing: true,
+	})
+	rt.BeginIsolation()
+	gate := make(chan struct{})
+	d2 := rt.delegates[1]
+	e := &setEntry{outPos: make([]atomic.Uint64, 2)}
+	e.outPos[1].Store(d2.sent[1].inc())
+	d2.lanes[1].Push(closureCall(noSetID, func(int) { <-gate }))
+	d2.notify(1)
+	const release = 2 * time.Millisecond
+	start := time.Now()
+	time.AfterFunc(release, func() { close(gate) })
+	if !rt.waitOutboundCoverage(e, 1) {
+		t.Fatal("coverage that arrived mid-wait was not seen")
+	}
+	// No tight upper bound: at GOMAXPROCS=1 under the race detector the
+	// poller's own wake-up can trail the release by tens of milliseconds.
+	if elapsed := time.Since(start); elapsed < release || elapsed > 10*evacWaitBudget {
+		t.Errorf("wait returned after %v, want it to end with the release at %v", elapsed, release)
 	}
 	rt.EndIsolation()
 }

@@ -38,28 +38,33 @@ type Trampoline func(ctx int, p1, p2 unsafe.Pointer)
 
 // Invocation is the unit of communication between the program context and a
 // delegate context. It is carried by value in the communication rings, so
-// enqueueing one allocates nothing. For kindMethod it carries either a
-// static trampoline with two payload words (the zero-allocation fast path)
-// or a delegated closure (the flexible fallback used by RunParallel,
-// tracing, and the closure API), plus the serialization-set id it was
-// mapped to; for kindSync and kindTerminate the delegate signals done and
-// (for terminate) exits.
+// enqueueing one allocates nothing. For kindMethod it carries a static
+// trampoline with two payload words, plus the serialization-set id it was
+// mapped to — a closure (the closure API, RunParallel tasks) is closureTramp
+// with the closure's funcval pointer as payload; for kindSync and
+// kindTerminate the delegate signals done and (for terminate) exits.
 type Invocation struct {
 	kind  invocationKind
 	set   uint64
-	fn    func(ctx int)
 	tramp Trampoline
 	p1    unsafe.Pointer
 	p2    unsafe.Pointer
 	done  chan struct{}
+	_     [8]byte // 56 bytes: with its sequence stamp a ring slot (spsc) is exactly one cache line
 }
 
-// invoke runs a kindMethod invocation on the given context, dispatching
-// through the trampoline when one is present.
-func (inv *Invocation) invoke(ctx int) {
-	if inv.tramp != nil {
-		inv.tramp(ctx, inv.p1, inv.p2)
-	} else {
-		inv.fn(ctx)
-	}
+// invoke runs a kindMethod invocation on the given context.
+func (inv *Invocation) invoke(ctx int) { inv.tramp(ctx, inv.p1, inv.p2) }
+
+// closureTramp runs a func(ctx int) carried as its funcval pointer: a Go
+// func value is one pointer word, so the closure the caller already built
+// rides in the payload slot (kept alive by the GC like any payload) and
+// delegating it allocates nothing further.
+func closureTramp(ctx int, p1, _ unsafe.Pointer) {
+	(*(*func(int))(unsafe.Pointer(&p1)))(ctx)
+}
+
+// closureCall is the method invocation that runs fn for set.
+func closureCall(set uint64, fn func(ctx int)) Invocation {
+	return Invocation{kind: kindMethod, set: set, tramp: closureTramp, p1: *(*unsafe.Pointer)(unsafe.Pointer(&fn))}
 }

@@ -12,7 +12,8 @@ import (
 // occupancy-aware rebalancer.
 //
 // Under StaticMod a set's owner is its slot of the static assignment table
-// and nothing here runs except the Checked-mode producer registry. Under
+// and nothing here runs except the Checked-mode producer registry (an owner
+// table used for its entries' producer field alone). Under
 // LeastLoaded a set is placed on first touch — on the least-occupied active
 // delegate other than its producer's own — stays sticky for the epoch, and
 // with Stealing may be handed off, whole, at a quiescent boundary. The
@@ -89,7 +90,7 @@ import (
 //     same quiescence + outbound-coverage conditions as an ordinary steal;
 //     when only coverage is missing — and the uncovered lanes target OTHER
 //     delegates, which drain independently — the producer waits for
-//     coverage on the spot (bounded, event-driven off the ledger:
+//     coverage on the spot (a bounded poll of the ledger:
 //     waitOutboundCoverage) instead of retrying on a future delegation
 //     that a blocking program may never issue.
 
@@ -288,62 +289,21 @@ type producerStats struct {
 
 func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
-// producerShards is the stripe count of the checked-mode producer table;
-// a power of two so shard selection is a mask.
-const producerShards = 64
-
-// producerTable is the sharded set→producer registry behind Checked mode
-// under Recursive with static placement, where no owner-table entry exists
-// to carry the producer: one producer context per serialization set per
-// isolation epoch. Delegations race in from every context, so the set id
-// is scrambled and striped over independently-locked maps.
-type producerTable struct {
-	shards [producerShards]producerShard
-}
-
-type producerShard struct {
-	mu sync.Mutex
-	m  map[uint64]int
-	// Pad to a full cache line (8B mutex + 8B map header + 48B) so
-	// adjacent shards' locks never share one.
-	_ [48]byte
-}
-
-func newProducerTable() *producerTable {
-	t := &producerTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]int)
+// checkProducer is Checked mode's one-producer-per-set rule where no owner
+// table carries the producer (Recursive with static placement): the first
+// context to delegate to a set this epoch is recorded in the registry's
+// entry, and any other panics.
+func (rt *Runtime) checkProducer(reg *ownerTable, set uint64, producer int) {
+	e := reg.lookup(set)
+	if e == nil {
+		e = &setEntry{}
+		e.producer.Store(int32(producer))
+		e = reg.insert(set, e)
 	}
-	return t
-}
-
-// check records producer as the set's producer for this epoch and panics
-// if another context already claimed it.
-func (t *producerTable) check(set uint64, producer int) {
-	// Fibonacci-style scramble spreads consecutive set ids over shards.
-	sh := &t.shards[(set*0x9e3779b97f4a7c15)>>(64-6)&(producerShards-1)]
-	sh.mu.Lock()
-	prev, ok := sh.m[set]
-	if !ok {
-		sh.m[set] = producer
-	}
-	sh.mu.Unlock()
-	if ok && prev != producer {
+	if prev := int(e.producer.Load()); prev != producer {
 		panic(fmt.Sprintf(
 			"prometheus: serializer violation: set %d delegated from context %d after context %d in one epoch (recursive delegation requires one producer per set)",
 			set, producer, prev))
-	}
-}
-
-// reset clears the registry at an epoch boundary.
-func (t *producerTable) reset() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		if len(sh.m) > 0 {
-			sh.m = make(map[uint64]int)
-		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -379,8 +339,8 @@ func (rt *Runtime) route(producer int, set uint64) (int, *setEntry) {
 	if tbl == nil || home == ProgramContext {
 		// Static placement, or a ProgramShare slot (inline in the program
 		// context under either policy).
-		if rt.producers != nil {
-			rt.producers.check(set, producer)
+		if reg := rt.producers.Load(); reg != nil {
+			rt.checkProducer(reg, set, producer)
 		}
 		return home, nil
 	}
@@ -597,74 +557,43 @@ func (rt *Runtime) maybeSteal(producer int, set uint64, e *setEntry) {
 		bump(&stats.forcedEvacs)
 	}
 	if ts := rt.traceSt; ts != nil {
-		// A steal is a scheduling decision, not a span: record it as an
-		// instant on the producer's (this goroutine's) buffer.
-		now := timeNow()
-		ts.record(producer, TraceSteal, set, now, now)
+		ts.instant(producer, TraceSteal, set, 0) // on the producer's (this goroutine's) buffer
 	}
 }
 
-// evacWaitBudget bounds the parked forced-evacuation wait: the total time a
-// producer stays subscribed to target delegates' coverage broadcasts before
-// falling back to retry-per-delegation. The bound exists because the wait
-// parks this delegate's drain loop: two delegates each waiting on coverage
-// only the other can publish would otherwise block forever — a hazard only a
-// program already blocking mid-operation in two places can construct, but
-// one the engine must not convert from unlikely to permanent.
-const evacWaitBudget = 50 * time.Millisecond
+// evacWaitBudget bounds the forced-evacuation wait: how long a producer
+// polls the target delegates' coverage before falling back to
+// retry-per-delegation. The bound exists because the wait holds this
+// delegate's drain loop: two delegates each waiting on coverage only the
+// other can publish would otherwise block forever — a hazard only a program
+// already blocking mid-operation in two places can construct, but one the
+// engine must not convert from unlikely to permanent. evacPoll is the pause
+// between reads of the ledger: the wait is rare and its targets drain on
+// their own goroutines, so it sleeps rather than spin against them.
+const (
+	evacWaitBudget = 50 * time.Millisecond
+	evacPoll       = 20 * time.Microsecond
+)
 
 // waitOutboundCoverage is the liveness half of the forced evacuation: a
 // set owned by its own producer's delegate must leave NOW — the delegation
 // being routed may be the one the producing operation blocks on, so there
 // may never be another retry. The missing coverage is a concrete,
 // observable event: the target delegates executing the set's recorded
-// outbound positions, which they do independently of this (stuck) context.
+// outbound positions, which they do independently of this (stuck) context,
+// so the producer polls the ledger until it shows or the budget runs out.
 // Traffic the set recorded into the victim's OWN lane cannot be waited out
 // (only v drains it, and v is the context running this wait).
 func (rt *Runtime) waitOutboundCoverage(e *setEntry, v int) bool {
 	if e.outPos[v-1].Load() > rt.delegates[v-1].exec[v].Load() {
 		return false
 	}
-	// Park on the target delegates' coverage broadcasts instead of
-	// Gosched-spinning. One subscription per uncovered target, re-checked
-	// between subscribe and park so a publish racing the subscription
-	// cannot be lost (the drain loop re-reads covWaiters AFTER its exec
-	// store; seq-cst atomics order waiter-Add < recheck-load on this side
-	// against exec-store < waiter-load on that side, so one of the two
-	// always observes the other).
-	var deadline *time.Timer
-	defer func() {
-		if deadline != nil {
-			deadline.Stop()
-		}
-	}()
-	for {
-		var d *delegate
-		for dx := range e.outPos {
-			if e.outPos[dx].Load() > rt.delegates[dx].exec[v].Load() {
-				d = rt.delegates[dx]
-				break
-			}
-		}
-		if d == nil {
-			return true
-		}
-		ch := d.covSubscribe()
-		if e.outPos[d.id-1].Load() <= d.exec[v].Load() {
-			d.covUnsubscribe() // covered while subscribing; move on
-			continue
-		}
-		if deadline == nil {
-			deadline = time.NewTimer(evacWaitBudget)
-		}
-		select {
-		case <-ch:
-			d.covUnsubscribe()
-		case <-deadline.C:
-			d.covUnsubscribe()
+	for deadline := time.Now().Add(evacWaitBudget); !rt.outboundCovered(e, v); time.Sleep(evacPoll) {
+		if time.Now().After(deadline) {
 			return false
 		}
 	}
+	return true
 }
 
 // reseed installs a fresh owner table for a new isolation epoch. Under
@@ -676,7 +605,8 @@ func (rt *Runtime) waitOutboundCoverage(e *setEntry, v int) bool {
 // positions, so they are quiescent and free to migrate immediately if the
 // prediction was wrong. A set is never seeded onto its previous epoch's
 // producer (the same rule first touch and the thief scan apply). Returns
-// how many sets were pre-placed. Program context only, between epochs.
+// how many sets were pre-placed (none on a one-delegate pool). Program
+// context only, between epochs.
 func (rt *Runtime) reseed(prev *ownerTable) int {
 	n := prev.len()
 	if n == 0 {
@@ -684,7 +614,9 @@ func (rt *Runtime) reseed(prev *ownerTable) int {
 	}
 	next := newOwnerTable(n)
 	var hot []hotSeed
-	if rt.cfg.Stealing {
+	if rt.cfg.Stealing && rt.cfg.Delegates > 1 {
+		// With one delegate every set lands on it anyway: ranking the whole
+		// closing epoch to pre-place two of them there is wasted work.
 		hot = rankHotSets(prev, 2*rt.cfg.Delegates)
 	}
 	slot, delegates := 0, rt.cfg.Delegates

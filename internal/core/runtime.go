@@ -31,9 +31,6 @@ import (
 	"repro/internal/spsc"
 )
 
-// timeNow is a seam kept trivial; trace timestamps flow through it.
-func timeNow() time.Time { return time.Now() }
-
 // ProgramContext is the context id of the program thread. Delegate contexts
 // are numbered 1..Delegates.
 const ProgramContext = 0
@@ -102,9 +99,10 @@ type Runtime struct {
 	// under StaticMod). An atomic pointer so BeginIsolation can swap in a
 	// freshly seeded table without racing late snapshot readers.
 	owners atomic.Pointer[ownerTable]
-	// producers enforces one producer context per set under Recursive with
-	// static placement (Checked mode only; nil otherwise).
-	producers *producerTable
+	// producers is the Checked-mode registry of one producer context per set
+	// under Recursive with static placement: an owner table whose entries are
+	// used for their producer field alone (nil otherwise).
+	producers atomic.Pointer[ownerTable]
 	// prod[p] holds producer context p's rebalancer counters.
 	prod []producerStats
 
@@ -156,7 +154,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Policy == LeastLoaded {
 		rt.owners.Store(newOwnerTable(0))
 	} else if cfg.Checked && cfg.Recursive {
-		rt.producers = newProducerTable()
+		rt.producers.Store(newOwnerTable(0))
 	}
 	// One spill-node pool shared by every lane of this runtime, so spill
 	// pressure that moves between lanes keeps recycling nodes.
@@ -237,11 +235,11 @@ func (rt *Runtime) BeginIsolation() {
 	rt.inIsolation = true
 	rt.stats.Epochs++
 	if rt.traceSt != nil {
-		rt.epochStart = timeNow()
+		rt.epochStart = time.Now()
 	}
 	rt.applyReconfig()
-	if rt.producers != nil {
-		rt.producers.reset()
+	if reg := rt.producers.Load(); reg != nil {
+		rt.producers.Store(newOwnerTable(reg.len())) // one producer per set per epoch
 	}
 	if tbl := rt.owners.Load(); tbl != nil {
 		// New epoch, new partition (with the hottest sets pre-placed).
@@ -266,7 +264,7 @@ func (rt *Runtime) EndIsolation() {
 	rt.barrier()
 	rt.inIsolation = false
 	if rt.traceSt != nil {
-		rt.traceSt.record(ProgramContext, TraceEpoch, uint64(rt.epoch), rt.epochStart, timeNow())
+		rt.traceSt.record(ProgramContext, TraceEpoch, uint64(rt.epoch), rt.epochStart, time.Now())
 	}
 	rt.clock.switchTo(PhaseAggregation, &rt.stats)
 }
@@ -377,7 +375,7 @@ func (rt *Runtime) resizePool(n, old int) {
 	rt.stats.Resizes++
 	rt.stats.ResizeEvacuatedSets += uint64(evacuated)
 	if ts := rt.traceSt; ts != nil {
-		ts.recordResizeEvent(uint64(n), rt.epoch, timeNow())
+		ts.instant(ProgramContext, TraceResize, uint64(n), rt.epoch)
 	}
 }
 

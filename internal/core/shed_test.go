@@ -376,7 +376,14 @@ func TestShedWatchdog(t *testing.T) {
 		rt := newTestRuntime(t, Config{Delegates: 1, Watchdog: 20 * time.Millisecond})
 		long := func(int) { time.Sleep(90 * time.Millisecond) }
 		rt.BeginIsolation()
-		rt.Delegate(100, holdUntilAsked(rt, 1))
+		// The delegate is inside the holding operation before anything else is
+		// delegated: asked any earlier it would split before running it, hold
+		// with no request standing, and start its long operation only after
+		// the program context has finished its own — past the bound.
+		started := make(chan struct{})
+		hold := holdUntilAsked(rt, 1)
+		rt.Delegate(100, func(ctx int) { close(started); hold(ctx) })
+		<-started
 		rt.Delegate(1, long) // the delegate's next operation: stays
 		rt.Delegate(2, long) // the tail half: the program context runs it
 		rt.EndIsolation()
@@ -386,17 +393,19 @@ func TestShedWatchdog(t *testing.T) {
 	})
 	t.Run("wedge", func(t *testing.T) {
 		rt := New(Config{Delegates: 1, Watchdog: 50 * time.Millisecond})
-		gate := make(chan struct{})
+		rt.BeginIsolation()
+		// The delegate is wedged inside set 1's operation before the rest is
+		// delegated (asked any earlier it would hand set 2 over): it has
+		// claimed its lane once, so the later pushes re-raise the pending bit.
+		release := startGated(rt, 1)
 		defer func() {
-			close(gate)
+			release()
 			rt.Terminate()
 		}()
-		rt.BeginIsolation()
-		rt.Delegate(1, func(int) { <-gate })
 		rt.Delegate(2, func(int) {})
 		defer func() {
 			msg, _ := recover().(string)
-			for _, want := range []string{"watchdog", "program context: helped=0 inbox=0", "delegate 1: pending=0000000000000000 shedreq=1", " 0:3/0"} {
+			for _, want := range []string{"watchdog", "program context: helped=0 inbox=0", "delegate 1: pending=0000000000000001 shedreq=1", " 0:3/0"} {
 				if !strings.Contains(msg, want) {
 					t.Errorf("watchdog message missing %q:\n%s", want, msg)
 				}

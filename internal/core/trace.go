@@ -3,18 +3,20 @@ package core
 import "time"
 
 // Execution tracing. With Config.Trace enabled, the runtime records one
-// event per delegated-operation execution, per synchronization, and per
-// epoch transition into per-context buffers (single writer each, so the
-// hot path takes no locks). The trace package turns the merged event list
-// into utilization reports and timelines; it is the profiling story behind
-// the paper's §5 overhead discussion.
+// event per executed operation — where every operation runs, execSpan, so
+// on delegates, the helping program context and ProgramShare slots alike,
+// pool tasks included (Set == NoSet) — and one per epoch, steal, contained
+// panic and resize, into per-context buffers (single writer each, so the
+// hot path takes no locks). A traced run delegates exactly as an untraced
+// one does. The trace package turns the merged event list into utilization
+// reports and timelines; it is the profiling story behind the paper's §5
+// overhead discussion.
 
 // TraceKind classifies trace events.
 type TraceKind uint8
 
 const (
 	TraceExec   TraceKind = iota // a delegated operation ran on Ctx
-	TraceSync                    // a synchronization object was served
 	TraceEpoch                   // isolation epoch [Start, End) on the program context
 	TraceSteal                   // Set was handed off by the rebalancer; Ctx is the producer that migrated it
 	TracePanic                   // a delegated operation of Set panicked on Ctx and was contained (Epoch carries the isolation epoch)
@@ -25,8 +27,6 @@ func (k TraceKind) String() string {
 	switch k {
 	case TraceExec:
 		return "exec"
-	case TraceSync:
-		return "sync"
 	case TraceEpoch:
 		return "epoch"
 	case TraceSteal:
@@ -73,37 +73,21 @@ func (ts *traceState) record(ctx int, kind TraceKind, set uint64, start, end tim
 	})
 }
 
-// recordPanicEvent appends a TracePanic instant to ctx's buffer. Called by
-// the faulting delegate's own goroutine (recordPanic), honoring the
-// single-writer-per-buffer discipline.
-func (ts *traceState) recordPanicEvent(ctx int, set, epoch uint64, at time.Time) {
-	off := at.Sub(ts.origin)
-	ts.bufs[ctx] = append(ts.bufs[ctx], TraceEvent{
-		Ctx: ctx, Kind: TracePanic, Set: set, Epoch: epoch, Start: off, End: off,
-	})
+// invoke runs inv on ctx and records the execution as a TraceExec span; an
+// operation that panics leaves a TracePanic instead (recordPanic). Only the
+// goroutine running ctx may call it.
+func (ts *traceState) invoke(inv *Invocation, ctx int) {
+	start := time.Now()
+	inv.invoke(ctx)
+	ts.record(ctx, TraceExec, inv.set, start, time.Now())
 }
 
-// recordResizeEvent appends a TraceResize instant to the program context's
-// buffer. Called by the program context inside applyReconfig, so the
-// single-writer discipline holds; Set carries the new active pool size.
-func (ts *traceState) recordResizeEvent(newSize, epoch uint64, at time.Time) {
-	off := at.Sub(ts.origin)
-	ts.bufs[ProgramContext] = append(ts.bufs[ProgramContext], TraceEvent{
-		Ctx: ProgramContext, Kind: TraceResize, Set: newSize, Epoch: epoch, Start: off, End: off,
-	})
-}
-
-// traceExec wraps fn with exec-event recording when tracing is on.
-func (rt *Runtime) traceExec(set uint64, fn func(ctx int)) func(ctx int) {
-	ts := rt.traceSt
-	if ts == nil {
-		return fn
-	}
-	return func(ctx int) {
-		start := time.Now()
-		fn(ctx)
-		ts.record(ctx, TraceExec, set, start, time.Now())
-	}
+// instant appends a zero-length event — a steal, a contained panic, a
+// resize: decisions, not spans — to ctx's buffer, stamped now. Only the
+// goroutine running ctx may call it.
+func (ts *traceState) instant(ctx int, kind TraceKind, set, epoch uint64) {
+	off := time.Since(ts.origin)
+	ts.bufs[ctx] = append(ts.bufs[ctx], TraceEvent{Ctx: ctx, Kind: kind, Set: set, Epoch: epoch, Start: off, End: off})
 }
 
 // TraceEvents returns the merged event list. Must be called from the
@@ -123,12 +107,4 @@ func (rt *Runtime) TraceEvents() []TraceEvent {
 		all = append(all, buf...)
 	}
 	return all
-}
-
-// TraceOrigin returns the trace clock's zero point.
-func (rt *Runtime) TraceOrigin() time.Time {
-	if rt.traceSt == nil {
-		return time.Time{}
-	}
-	return rt.traceSt.origin
 }

@@ -114,6 +114,36 @@ func TestResizeEndpointFixedPool(t *testing.T) {
 	}
 }
 
+// TestAutoscaleStep drives the decision function alone — no server, no
+// clock: the band's two edges, the cooldown, the floor and the ceiling.
+// Alpha is 0.5, so from a resting EWMA one sample moves it halfway.
+func TestAutoscaleStep(t *testing.T) {
+	const min, max, cooldownLen = 1, 4, 3
+	for _, c := range []struct {
+		name                     string
+		ewma, occ                float64
+		cooldown, active         int
+		wantEWMA                 float64
+		wantCooldown, wantTarget int
+	}{
+		{"band-high steps up", 2, 4, 0, 2, 3, cooldownLen, 3},
+		{"the band's low edge itself holds", 1, 0, 0, 2, 0.5, 0, 2},
+		{"below the band steps down", 0.5, 0, 0, 2, 0.25, cooldownLen, 1},
+		{"inside the band holds", 1, 1.5, 0, 2, 1.25, 0, 2},
+		{"cooldown only counts down, EWMA still steps", 2, 6, 2, 2, 4, 1, 2},
+		{"last cooldown rotation decides nothing", 2, 6, 1, 2, 4, 0, 2},
+		{"ceiling holds under load", 4, 8, 0, max, 6, 0, max},
+		{"floor holds when idle", 0, 0, 0, min, 0, 0, min},
+	} {
+		ewma, cooldown, target := autoscaleStep(c.ewma, c.occ, c.cooldown, c.active, min, max, cooldownLen)
+		if ewma != c.wantEWMA || cooldown != c.wantCooldown || target != c.wantTarget {
+			t.Errorf("%s: autoscaleStep(ewma %v, occ %v, cooldown %d, active %d) = (%v, %d, %d), want (%v, %d, %d)",
+				c.name, c.ewma, c.occ, c.cooldown, c.active, ewma, cooldown, target,
+				c.wantEWMA, c.wantCooldown, c.wantTarget)
+		}
+	}
+}
+
 // TestAutoscaleUpAndDown is the acceptance drill: phase-shifted load
 // (burst, then quiet) against an autoscaled pool. The burst's backlog must
 // scale the pool up; the quiet phase must scale it back to the floor; and

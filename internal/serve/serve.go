@@ -777,12 +777,29 @@ func (s *Server) sampleOccupancy() float64 {
 	return float64(s.inflight.Load()&^drainingBit) / float64(n)
 }
 
-// maybeResize is the rotation-driven scaling decision: a manual
+// autoscaleStep is the autoscaler's decision, a pure function of its state
+// and one occupancy sample: step the occupancy EWMA; inside a cooldown only
+// count it down; otherwise move one delegate toward the band — up above
+// autoscaleHighOcc, down below autoscaleLowOcc, within [min, max] — and start
+// a cooldown of cooldownLen rotations when that changes the pool. Resizes
+// are single steps — the engine applies them at epoch boundaries, so each
+// step's effect is observable before the next decision.
+func autoscaleStep(ewma, occ float64, cooldown, active, min, max, cooldownLen int) (ewma2 float64, cooldown2, target int) {
+	ewma += autoscaleAlpha * (occ - ewma)
+	switch {
+	case cooldown > 0:
+		return ewma, cooldown - 1, active
+	case ewma > autoscaleHighOcc && active < max:
+		return ewma, cooldownLen, active + 1
+	case ewma < autoscaleLowOcc && active > min:
+		return ewma, cooldownLen, active - 1
+	}
+	return ewma, 0, active
+}
+
+// maybeResize applies the rotation's scaling decision: a manual
 // /admin/resize target always wins and resets the cooldown; otherwise,
-// with Autoscale on, the occupancy EWMA is stepped and compared against
-// the band. Resizes are single steps with a cooldown measured in
-// rotations — the engine applies them at epoch boundaries, so each step's
-// effect is observable before the next decision. Holds the role.
+// with Autoscale on, autoscaleStep decides. Holds the role.
 func (s *Server) maybeResize(occ float64) {
 	if tgt := s.resizeTarget.Swap(0); tgt > 0 {
 		if err := s.rt.Resize(int(tgt)); err != nil {
@@ -795,27 +812,17 @@ func (s *Server) maybeResize(occ float64) {
 	if !s.cfg.Autoscale {
 		return
 	}
-	s.occEWMA += autoscaleAlpha * (occ - s.occEWMA)
-	if s.cooldown > 0 {
-		s.cooldown--
-		return
-	}
 	active := s.rt.ActiveDelegates()
-	target := active
-	switch {
-	case s.occEWMA > autoscaleHighOcc && active < s.cfg.MaxDelegates:
-		target = active + 1
-	case s.occEWMA < autoscaleLowOcc && active > s.cfg.MinDelegates:
-		target = active - 1
+	ewma, cooldown, target := autoscaleStep(s.occEWMA, occ, s.cooldown, active,
+		s.cfg.MinDelegates, s.cfg.MaxDelegates, s.cfg.AutoscaleCooldown)
+	s.occEWMA = ewma
+	if target != active {
+		if err := s.rt.Resize(target); err != nil {
+			s.cfg.Logf("serve: autoscale to %d rejected: %v", target, err)
+			return // no cooldown: decide again at the next rotation
+		}
 	}
-	if target == active {
-		return
-	}
-	if err := s.rt.Resize(target); err != nil {
-		s.cfg.Logf("serve: autoscale to %d rejected: %v", target, err)
-		return
-	}
-	s.cooldown = s.cfg.AutoscaleCooldown
+	s.cooldown = cooldown
 }
 
 // sweepEpochJobs resolves every job the closed epoch left pending and

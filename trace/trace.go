@@ -16,21 +16,25 @@ import (
 // ContextReport summarizes one execution context.
 type ContextReport struct {
 	Ctx       int
-	Ops       int           // delegated operations executed
+	Ops       int           // operations executed, pool tasks included
 	Busy      time.Duration // total exec time
 	Util      float64       // Busy / span
 	MeanOp    time.Duration
-	Sets      int // distinct serialization sets executed
+	Sets      int // distinct serialization sets executed (pool tasks belong to none)
 	LongestOp time.Duration
 }
 
 // Report is the full trace analysis.
 type Report struct {
-	Span     time.Duration // first event start to last event end
-	Epochs   int
-	Ops      int
+	Span   time.Duration // first event start to last event end
+	Epochs int
+	Ops    int
+	// Tasks counts the pool tasks among Ops (RunParallel: a reduction's
+	// combine steps), which arrive as exec events with Set == NoSet.
+	Tasks    int
 	Contexts []ContextReport
-	// SetOps counts operations per serialization set, for skew analysis.
+	// SetOps counts operations per serialization set, for skew analysis;
+	// pool tasks are in no set and stay out of it.
 	SetOps map[uint64]int
 }
 
@@ -67,6 +71,10 @@ func Analyze(events []prometheus.TraceEvent) *Report {
 			c.Busy += d
 			if d > c.LongestOp {
 				c.LongestOp = d
+			}
+			if e.Set == prometheus.NoSet {
+				r.Tasks++
+				continue
 			}
 			perCtxSets[e.Ctx][e.Set] = true
 			r.SetOps[e.Set]++

@@ -116,3 +116,28 @@ func TestSkewDetectsImbalance(t *testing.T) {
 		t.Fatalf("skew = %f, want 1.8", got)
 	}
 }
+
+// TestAnalyzePoolTasks: a pool task (Set == NoSet) is an operation and busy
+// time on its context, and stays out of every per-set figure.
+func TestAnalyzePoolTasks(t *testing.T) {
+	ev := func(ctx int, set uint64, start, end time.Duration) prometheus.TraceEvent {
+		return prometheus.TraceEvent{Ctx: ctx, Kind: prometheus.TraceExec, Set: set, Start: start, End: end}
+	}
+	const us = time.Microsecond
+	r := Analyze([]prometheus.TraceEvent{
+		ev(1, 7, 0, 10*us), ev(1, 7, 10*us, 20*us), ev(2, 9, 0, 10*us),
+		ev(2, prometheus.NoSet, 10*us, 40*us),
+	})
+	if r.Ops != 4 || r.Tasks != 1 {
+		t.Fatalf("ops/tasks = %d/%d, want 4/1", r.Ops, r.Tasks)
+	}
+	if len(r.SetOps) != 2 || r.SetOps[7] != 2 || r.SetOps[9] != 1 {
+		t.Fatalf("SetOps = %v, want sets 7 and 9 only", r.SetOps)
+	}
+	if got, want := r.Skew(), 2/1.5; got != want {
+		t.Fatalf("skew = %v, want %v over the two real sets", got, want)
+	}
+	if c := r.Contexts[1]; c.Ctx != 2 || c.Ops != 2 || c.Busy != 40*us || c.Sets != 1 {
+		t.Fatalf("context 2 = %+v, want 2 ops, 40µs busy, 1 set", c)
+	}
+}

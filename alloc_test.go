@@ -162,7 +162,7 @@ func TestRecursiveRootDelegateZeroAlloc(t *testing.T) {
 	// In recursive mode the root wrappers route through DelegateCall into
 	// the program context's ring lane on the set's owner: a value write
 	// plus single-writer counters, no closure, no lane node. The program
-	// producer uses the blocking push, so a full ring parks rather than
+	// producer uses the blocking push, so a full lane parks rather than
 	// spills and the steady state stays allocation-free.
 	rt := prometheus.Init(prometheus.WithDelegates(2), prometheus.Recursive())
 	defer rt.Terminate()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // This file holds the central model property from paper §2: parallel
@@ -79,6 +80,19 @@ func runProgram(ops []progOp, nObjs int, opts ...Option) ([]int64, []int64) {
 	return final, observed
 }
 
+// tinyQueues is the shape with the smallest lanes: a 32-slot program lane.
+// TestDeterminismThroughFullProgramLane drives it through the program
+// context's park on a full lane.
+var tinyQueues = []Option{WithDelegates(4), WithQueueCapacity(2)}
+
+// programLane is how many delegations a delegate's program lane holds in a
+// runtime built from opts (0 for Sequential).
+func programLane(opts ...Option) int {
+	rt := Init(opts...)
+	defer rt.Terminate()
+	return rt.core.ProgramLaneCap()
+}
+
 // determinismShapes is the runtime-shape matrix of the determinism suite
 // (none of them Recursive: recursive_stress_test.go has those).
 var determinismShapes = [][]Option{
@@ -89,7 +103,7 @@ var determinismShapes = [][]Option{
 	{WithDelegates(4), WithProgramShare(2)},
 	{WithDelegates(4), WithVirtualDelegates(5)},
 	{WithDelegates(4), WithPolicy(LeastLoaded)},
-	{WithDelegates(4), WithQueueCapacity(2)}, // tiny queues force blocking paths
+	tinyQueues,
 }
 
 func TestDeterminismMatchesSequential(t *testing.T) {
@@ -108,6 +122,59 @@ func TestDeterminismMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeterminismThroughFullProgramLane: generated programs delegate a few
+// operations in a row, far fewer than even tinyQueues' program lane holds,
+// so here the first operation holds its delegate while the program context
+// delegates three lanes' worth to the same object. The delegate's backlog
+// settles above the lane and below what the program delegates, so the
+// program context is parked on the full lane; the result is still
+// Sequential's.
+func TestDeterminismThroughFullProgramLane(t *testing.T) {
+	lane := programLane(tinyQueues...)
+	n := 3 * lane
+	run := func(opts ...Option) (final int64, parked bool) {
+		rt := Init(opts...)
+		defer rt.Terminate()
+		w := NewWritable(rt, int64(1))
+		rt.BeginIsolation()
+		w.Delegate(func(c *Ctx, p *int64) {
+			parked = c.ID() == 0 || parkedBehind(rt, c.ID(), lane, n)
+			*p = *p*31 + 7
+		})
+		for i := 1; i < n; i++ {
+			arg := int64(i)
+			w.Delegate(func(c *Ctx, p *int64) { *p = *p*31 + arg })
+		}
+		rt.EndIsolation()
+		return Call(w, func(p *int64) int64 { return *p }), parked
+	}
+	want, _ := run(Sequential())
+	got, parked := run(tinyQueues...)
+	if !parked {
+		t.Fatalf("the program context never parked on a full %d-slot program lane", lane)
+	}
+	if got != want {
+		t.Fatalf("final state %d, Sequential's %d", got, want)
+	}
+}
+
+// parkedBehind, run by an operation on delegate ctx, waits until that
+// delegate's backlog stops growing above lane while fewer than n operations
+// have been delegated to it: the program context is parked on its full lane.
+func parkedBehind(rt *Runtime, ctx, lane, n int) bool {
+	var settled uint64
+	since := time.Now()
+	for end := since.Add(10 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if b := rt.QueueDepths(nil)[ctx-1]; b != settled {
+			settled, since = b, time.Now()
+		}
+		if settled > uint64(lane) && settled < uint64(n) && time.Since(since) > 10*time.Millisecond {
+			return true
+		}
+	}
+	return false
 }
 
 // TestDeterminismRepeatedRunsIdentical re-runs the same parallel program and

@@ -76,7 +76,12 @@
 //     records travel by value: no per-operation allocation, no GC pressure,
 //     and producer and consumer never touch each other's cursor in steady
 //     state. The program context, which no delegate can be waiting on,
-//     blocks on a full ring and gets bounded-queue backpressure; a
+//     blocks on a full lane and gets bounded-queue backpressure. Without
+//     WithStealing its lane on each delegate is 16 rings deep (4,096 slots
+//     at the default), every other lane one ring, so it reaches a barrier
+//     with a whole epoch of coarse operations queued rather than parked in
+//     the push; with it, one ring, so that sets go quiescent while their
+//     owner is backed up and can be stolen. A
 //     delegating delegate never blocks — it spills — because it may be
 //     delegating to a set it itself owns, or around a cycle. Spill nodes
 //     are recycled through a per-lane freelist backed by a pool shared
@@ -139,9 +144,10 @@
 // next delegation hands the whole set to the least-occupied delegate,
 // provided that delegate is idle or at most a quarter as loaded as the
 // victim. Four is above transient two-or-three-deep pipelining and early
-// enough to matter inside a 256-slot lane; a quarter keeps a balanced pool
-// sticky. Neither is tunable (BenchmarkRecursiveSkewed is the evidence for
-// them), and a one-delegate pool never steals: there is no peer.
+// enough to matter inside the one 256-slot ring a stealing runtime's
+// program lane is; a quarter keeps a balanced pool sticky. Neither is
+// tunable (BenchmarkRecursiveSkewed is the evidence for them), and a
+// one-delegate pool never steals: there is no peer.
 //
 // Whole sets — never individual invocations — are the steal unit. Moving a
 // single queued invocation would let two contexts interleave one set's
@@ -213,31 +219,37 @@
 // OutboundTracked and HotSetsPlaced for all of it.
 //
 // The program context works while it waits. Every program delegates an
-// epoch far faster than the pool executes it, so at a barrier
-// (EndIsolation, Sleep, RunParallel, the resize barrier, Terminate) the
-// program context would sit parked on the delegates' markers for most of
-// the epoch — on a small machine, one of the CPUs. Instead, once a barrier
-// has been open for 50µs (an epoch of tiny operations ends inside that, on
-// the plain park it always was), it raises a one-word request on the most
-// occupied delegate that still owes its marker. The delegate loads that word once per operation and answers
-// at its next operation boundary: its marker is already behind everything
-// the program sent, so it pops its lane empty, holds the complete remainder
-// of the epoch, keeps the head half and every set that appears in it —
-// never the chain its own next operation belongs to — and hands the rest
-// to the program context's inbox, one lane per delegate: whole sets'
-// remaining chains, in order (RunParallel tasks one by one; a poisoned set
-// never). The program context runs them as context 0 through the very span
-// the drain loop uses, asks again whenever the inbox runs dry, and the
-// barrier closes when every marker is served and the inbox is empty. Order
-// holds as it does under stealing: the unit is the whole set, it moves at
-// an operation boundary, and its only producer — the program context —
-// cannot route to it again before the barrier closes. Only barriers help:
-// a reclaim (Writable.Call, SyncSet) and the wait on a full ring are the
-// plain waits they always were — a set lent across a reclaim would outlive
-// the wait — and never under Recursive, where other contexts may still
-// produce into a lent set. ContextFor and Delegate still name the set's
-// owner: an operation ran there or, during a barrier, on context 0. Stats
-// reports HelpedOps and Sheds.
+// epoch far faster than the pool executes it, and a program lane deep
+// enough for the whole epoch lets it get to the barrier (EndIsolation,
+// Sleep, RunParallel, the resize barrier, Terminate) with the epoch still
+// queued, where it would sit parked on the delegates' markers — on a small
+// machine, one of the CPUs. Instead, once a barrier has been open for 50µs
+// (an epoch of tiny operations ends inside that, on the plain park it
+// always was), it raises a one-word request on the most occupied delegate
+// that still owes its marker. The delegate loads that word once per
+// operation and answers at its next operation boundary: its marker is
+// already behind everything the program sent, so it pops its lane empty,
+// holds the complete remainder of the epoch, keeps the head half and every
+// set that appears in it — never the chain its own next operation belongs
+// to — and hands the rest to the program context's inbox, one lane per
+// delegate: whole sets' remaining chains, in order (RunParallel tasks one
+// by one; a poisoned set never). The program context runs them as context
+// 0 through the very span the drain loop uses, asks again whenever the
+// inbox runs dry, and the barrier closes when every marker is served and
+// the inbox is empty. Order holds as it does under stealing: the unit is
+// the whole set, it moves at an operation boundary, and its only producer
+// — the program context — cannot route to it again before the barrier
+// closes. Only barriers help: a reclaim (Writable.Call, SyncSet) and the
+// wait on a full program lane are the plain waits they always were — a set
+// lent across a reclaim would outlive the wait — and never under
+// Recursive, where other contexts may still produce into a lent set. An
+// epoch longer than the program lane (4,096 operations per delegate at the
+// default; 256 under WithStealing) still parks the program context in the
+// push until its last lane's worth is queued; only that reaches the
+// barrier to be split. The inbox lanes are as deep as the program lanes,
+// so a hand-over does not spill. ContextFor and Delegate still name the
+// set's owner: an operation ran there or, during a barrier, on context 0.
+// Stats reports HelpedOps and Sheds.
 //
 // # Recursive delegation
 //
@@ -376,13 +388,14 @@
 // snapshot republishes for the metrics scrape, and BeginIsolation clears
 // the poison so faulted keys heal. The inflight budget and per-key token
 // buckets repel overload before the role is touched, and a role holder
-// blocks on the bounded program lane when a delegate falls behind;
-// graceful drain closes admission, serves everything accepted, and
-// reports stragglers with Runtime.SchedDump. Histogram (fixed-bucket,
-// atomic, allocation-free Observe) carries the per-set latency metrics;
-// Runtime.QueueDepths exposes per-delegate backlogs to the scrape. The
-// stress tests assert per-key ordering under skewed concurrent load,
-// drain completeness, and poisoned-session isolation at the HTTP surface.
+// blocks on the bounded program lane (one ring: the tier steals) when a
+// delegate falls behind; graceful drain closes admission, serves
+// everything accepted, and reports stragglers with Runtime.SchedDump.
+// Histogram (fixed-bucket, atomic, allocation-free Observe) carries the
+// per-set latency metrics; Runtime.QueueDepths exposes per-delegate
+// backlogs to the scrape. The stress tests assert per-key ordering under
+// skewed concurrent load, drain completeness, and poisoned-session
+// isolation at the HTTP surface.
 //
 // Between the role holder and the work it delegates sits the robustness
 // layer. A pluggable Backend abstraction executes requests — in-process

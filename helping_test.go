@@ -110,12 +110,13 @@ func TestHelpedBarrierMatchesSequential(t *testing.T) {
 				o(&cfg)
 			}
 			// Two kinds of shape reach the barrier with next to nothing
-			// outstanding, and are not held: a ring shorter than one set's
-			// block keeps the program context in the delegation loop (a held
-			// delegate would stop it there), and an explicit table that puts
-			// the first and the last sets delegated on ProgramShare slots has
-			// it executing inline while the delegates drain.
-			late := cfg.QueueCapacity > 0 && cfg.QueueCapacity < helpOps ||
+			// outstanding, and are not held: a program lane shorter than an
+			// epoch's delegations can fill behind the held delegate and keep
+			// the program context in the delegation loop (a held delegate
+			// would stop it there), and an explicit table that puts the first
+			// and the last sets delegated on ProgramShare slots has it
+			// executing inline while the delegates drain.
+			late := !cfg.Sequential && programLane(opts...) < helpSets*helpOps ||
 				cfg.ProgramShare > 0 && cfg.VirtualDelegates > 0
 			got, st, err := runHelped(opts, !late)
 			if !reflect.DeepEqual(got, want) {

@@ -15,6 +15,7 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/workload"
 )
@@ -40,14 +41,25 @@ func Load(size workload.SizeClass) *Input {
 // fingerprint is a SHA-1 digest.
 type fingerprint [sha1.Size]byte
 
+// writers recycles DEFLATE writers across chunks: a writer carries about
+// 1 MB of tables, so one per chunk per compressing context is the app's
+// largest allocation. A Reset writer is equivalent to a new one (the
+// compress/flate contract), so the output does not depend on reuse.
+var writers = sync.Pool{New: func() any {
+	w, err := flate.NewWriter(nil, flate.DefaultCompression)
+	if err != nil {
+		panic(err) // impossible: level is valid
+	}
+	return w
+}}
+
 // compress DEFLATEs a chunk at the default level; the result is
 // deterministic for a given input.
 func compress(data []byte) []byte {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		panic(err) // impossible: level is valid
-	}
+	w := writers.Get().(*flate.Writer)
+	defer writers.Put(w)
+	w.Reset(&buf)
 	if _, err := w.Write(data); err != nil {
 		panic(err) // bytes.Buffer cannot fail
 	}

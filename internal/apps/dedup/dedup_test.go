@@ -2,6 +2,8 @@ package dedup
 
 import (
 	"bytes"
+	"compress/flate"
+	"math/rand"
 	"testing"
 
 	"repro/internal/workload"
@@ -103,6 +105,48 @@ func TestEmptyInput(t *testing.T) {
 	out, _ := RunSS(in, 2)
 	if out.Chunks != 0 || len(out.Archive) != 0 {
 		t.Fatal("empty input should produce empty archive (SS)")
+	}
+}
+
+// freshCompress is compress with a new writer per call: the reference a
+// recycled writer must match.
+func freshCompress(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCompressPooledMatchesFresh: a recycled writer produces the bytes a new
+// one does, whatever the previous chunk through it was — so the archive is
+// byte-identical to one built with a writer per chunk.
+func TestCompressPooledMatchesFresh(t *testing.T) {
+	random := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(random)
+	shapes := map[string][]byte{
+		"empty":          {},
+		"one-byte":       {'x'},
+		"compressible":   bytes.Repeat([]byte("serialization sets "), 4096),
+		"incompressible": random,
+		"short-random":   random[:100],
+	}
+	names := []string{"compressible", "empty", "incompressible", "one-byte", "short-random", "compressible", "empty"}
+	for round := 0; round < 2; round++ {
+		for _, name := range names {
+			data := shapes[name]
+			if got, want := compress(data), freshCompress(t, data); !bytes.Equal(got, want) {
+				t.Fatalf("round %d %s: pooled writer gave %d bytes, a fresh one %d", round, name, len(got), len(want))
+			}
+		}
 	}
 }
 

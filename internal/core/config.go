@@ -37,6 +37,21 @@ const (
 // stores across deep backlogs without hoarding a large resident buffer.
 const drainBatchSize = 64
 
+// progLaneRings is how many rings deep the program context's lanes are
+// without Stealing: a delegate's program lane, the one the program context
+// pushes into, holds progLaneRings×QueueCapacity invocations, and so does
+// each inbox lane a shed fills (not under Recursive, which never sheds);
+// every other lane is one ring. 4,096 slots at the default hold a whole
+// epoch of the paper's programs at size M (2,500 at most, reverse_index),
+// so the program context reaches the barrier with the epoch queued behind
+// it — where a busy delegate sheds half of it — instead of parking in the
+// blocking push for most of the epoch. The program context still blocks on
+// a full lane: the backpressure bound is exact, only deeper, and no lane
+// allocates after construction. Stealing keeps one ring: a steal needs a
+// set to go quiescent while its owner is backed up, which a program
+// context that queues the epoch whole hardly ever lets happen.
+const progLaneRings = 16
+
 // spinBeforePark bounds a delegate's busy-wait over its pending-lane
 // bitmask before it parks on its wake channel. An idle poll is one load per
 // word, as cheap as polling a ring slot, so the loop spins as long as the
@@ -113,8 +128,10 @@ type Config struct {
 
 	// QueueCapacity is the capacity of each communication lane's bounded
 	// ring (one lane per delegate, one per delegate and producer with
-	// Recursive). The program context blocks on a full ring; a delegate
-	// producer overflows into the lane's unbounded spill list. Default
+	// Recursive). Without Stealing a delegate's program lane, the one the
+	// program context pushes into, is progLaneRings (16) rings instead. The
+	// program context blocks on a full program lane; a delegate producer
+	// overflows into the lane's unbounded spill list. Default
 	// spsc.DefaultCapacity.
 	QueueCapacity int
 
@@ -195,9 +212,10 @@ type Config struct {
 	// longest drain run, or a legitimate one is indistinguishable from a
 	// wedge. A run is up to drainBatchSize (64) back-to-back operations of
 	// one lane, plus — on a delegate a barrier asked for work (shed; not
-	// under Recursive) — everything it still held, up to a full lane
-	// (QueueCapacity) more. Zero selects the default (DefaultWatchdog when
-	// Checked is on, disabled otherwise); negative disables it explicitly.
+	// under Recursive) — everything it still held, up to a full program
+	// lane more (16 rings without Stealing, one with it). Zero selects the
+	// default (DefaultWatchdog when Checked is on, disabled otherwise);
+	// negative disables it explicitly.
 	Watchdog time.Duration
 }
 

@@ -25,9 +25,13 @@ import (
 // around a delegation cycle), because only blocked contexts could drain
 // it. Delegate producers therefore never block — they spill — while the
 // program context, which no delegate's progress can depend on, uses the
-// blocking push and gets bounded-queue backpressure. In steady state every
-// delegation writes its invocation record by value into ring memory: no
-// allocation, no node chasing.
+// blocking push and gets bounded-queue backpressure. Without Stealing its
+// lane on each delegate (lane 0) is progLaneRings rings deep, every other
+// lane one ring: deep enough that the program context reaches a barrier
+// with a whole epoch of coarse operations queued behind it, where a busy
+// delegate can shed them, instead of parked in the push. In steady state
+// every delegation writes its invocation record by value into ring memory:
+// no allocation, no node chasing.
 //
 // Consumption. Each delegate keeps a pending-lane bitmask (bit p set =
 // lane p may hold work). A producer publishes work with one conditional
@@ -144,8 +148,9 @@ type delegate struct {
 	prodTable     *ownerTable
 }
 
-// newDelegate builds delegate id with one lane per producer context.
-func newDelegate(id, producers, capacity int, pool *spsc.NodePool[Invocation]) *delegate {
+// newDelegate builds delegate id with one lane per producer context: lane
+// 0, the program context's, of progCap slots, every other lane of capacity.
+func newDelegate(id, producers, progCap, capacity int, pool *spsc.NodePool[Invocation]) *delegate {
 	d := &delegate{
 		id:       id,
 		pending:  make([]atomic.Uint64, (producers+63)/64),
@@ -156,7 +161,11 @@ func newDelegate(id, producers, capacity int, pool *spsc.NodePool[Invocation]) *
 		prodSet:  noSetID, // nothing executing yet: attribute to no set
 	}
 	for p := 0; p < producers; p++ {
-		d.lanes = append(d.lanes, spsc.NewLanePooled[Invocation](capacity, pool))
+		c := capacity
+		if p == ProgramContext {
+			c = progCap
+		}
+		d.lanes = append(d.lanes, spsc.NewLanePooled[Invocation](c, pool))
 	}
 	return d
 }
@@ -308,8 +317,9 @@ func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
 	lane := d.lanes[producer]
 	if producer == ProgramContext {
 		// The program context is never inside a delegation cycle, so it
-		// can block on a full ring: bounded-queue backpressure instead of
-		// unbounded spill growth when the program outruns the delegates.
+		// can block on a full program lane: bounded-queue backpressure
+		// instead of unbounded spill growth when the program outruns the
+		// delegates.
 		lane.PushBlocking(inv)
 	} else {
 		// Delegate producers must never block (self-delegation, cycles);

@@ -159,10 +159,21 @@ func New(cfg Config) *Runtime {
 	// One spill-node pool shared by every lane of this runtime, so spill
 	// pressure that moves between lanes keeps recycling nodes.
 	pool := spsc.NewNodePool[Invocation]()
-	for i := 0; i < cfg.MaxDelegates; i++ {
-		rt.delegates = append(rt.delegates, newDelegate(i+1, producers, cfg.QueueCapacity, pool))
+	// Without Stealing the program context's lanes are progLaneRings rings:
+	// its program lane on each delegate, and — where barriers shed, not
+	// under Recursive — each inbox lane, which a shed fills with up to half
+	// a program lane. The inbox's own lane 0 is never pushed into.
+	progCap, inboxCap := cfg.QueueCapacity, cfg.QueueCapacity
+	if !cfg.Stealing {
+		progCap = progLaneRings * cfg.QueueCapacity
+		if !cfg.Recursive {
+			inboxCap = progCap
+		}
 	}
-	rt.prog = newDelegate(ProgramContext, cfg.MaxDelegates+1, cfg.QueueCapacity, pool)
+	for i := 0; i < cfg.MaxDelegates; i++ {
+		rt.delegates = append(rt.delegates, newDelegate(i+1, producers, progCap, cfg.QueueCapacity, pool))
+	}
+	rt.prog = newDelegate(ProgramContext, cfg.MaxDelegates+1, cfg.QueueCapacity, inboxCap, pool)
 	rt.progBuf = make([]Invocation, drainBatchSize)
 	rt.helpTimer = time.NewTimer(helpAfter)
 	rt.helpTimer.Stop()
@@ -429,6 +440,9 @@ func (rt *Runtime) Stats() Stats {
 	st.RecursiveOps = rt.sentSum()
 	if rt.prog != nil {
 		st.HelpedOps = rt.prog.drainedOps.Load() // everything it ever popped from its inbox
+		for _, lane := range rt.prog.lanes {
+			st.Spills += lane.Spills() // sheds that overflowed an inbox ring
+		}
 	}
 	for i := range rt.prod {
 		p := &rt.prod[i]

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/spsc"
 )
 
 // Barrier helping: the program context asks the most occupied delegate for
@@ -418,8 +420,11 @@ func TestShedWatchdog(t *testing.T) {
 }
 
 // TestShedBarrierAllocs: once the inbox and the split buffer have grown, a
-// barrier that sheds allocates exactly what a barrier that does not.
+// barrier that sheds allocates exactly what a barrier that does not. The
+// epoch is four default rings deep, so each shed hands over more than a
+// ring: the inbox lane holds it without spilling.
 func TestShedBarrierAllocs(t *testing.T) {
+	const ops = 4 * spsc.DefaultCapacity
 	rt := newTestRuntime(t, Config{Delegates: 1})
 	var sink atomic.Uint64
 	noop := func(int) { sink.Add(1) }
@@ -428,14 +433,14 @@ func TestShedBarrierAllocs(t *testing.T) {
 		return func() {
 			rt.BeginIsolation()
 			rt.Delegate(0, first)
-			for i := uint64(0); i < 64; i++ {
+			for i := uint64(0); i < ops; i++ {
 				rt.Delegate(i%sets, noop)
 			}
 			rt.EndIsolation()
 		}
 	}
 	plain := epoch(noop, 1) // one chain: nothing to hand over
-	shedding := epoch(hold, 64)
+	shedding := epoch(hold, ops)
 	for i := 0; i < 20; i++ {
 		shedding()
 	}
@@ -452,6 +457,9 @@ func TestShedBarrierAllocs(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("a shedding barrier allocates %v, a plain one %v", got, want)
+	}
+	if after.Spills != 0 || after.HelpedOps-mid.HelpedOps < 50*spsc.DefaultCapacity {
+		t.Errorf("Spills = %d, HelpedOps = %d over 51 sheds, want 0 and more than a ring a shed", after.Spills, after.HelpedOps-mid.HelpedOps)
 	}
 }
 

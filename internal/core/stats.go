@@ -44,7 +44,7 @@ type Stats struct {
 	DrainBatches uint64 // delegate-side batched drains (PopBatch runs executed)
 	DrainedOps   uint64 // invocations delivered through batched drains
 	RecursiveOps uint64 // messages pushed into delegate lanes by all producer contexts (operations, pool tasks, sync objects)
-	Spills       uint64 // lane ring overflows absorbed by spill lists (delegate producers only)
+	Spills       uint64 // lane ring overflows absorbed by spill lists (delegate producers only: delegations and sheds)
 
 	HelpedOps uint64 // operations the program context executed itself while it waited in a barrier
 	Sheds     uint64 // hand-overs of whole sets from a delegate that brought them (delegate.go, shed)

@@ -118,6 +118,16 @@ func (rt *Runtime) QueueDepths(dst []uint64) []uint64 {
 	return dst
 }
 
+// ProgramLaneCap returns how many invocations a delegate's program lane
+// holds: how far the program context runs ahead of one delegate before the
+// blocking push parks it. Zero in Sequential mode, which has no lanes.
+func (rt *Runtime) ProgramLaneCap() int {
+	if len(rt.delegates) == 0 {
+		return 0
+	}
+	return rt.delegates[0].lanes[ProgramContext].Cap()
+}
+
 // DumpSchedState renders the scheduler ledgers — the watchdog's wedge
 // report, exported so a draining server can attach the same dump to its
 // straggler log when a drain deadline expires: the pool-wide sent/executed

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/durable"
+	"repro/internal/spsc"
 )
 
 // Tests for what the program-context role makes reachable: many request
@@ -178,14 +179,19 @@ func TestRoleUnderRotationResizeRetryChaos(t *testing.T) {
 }
 
 // TestDrainWithCallersBlockedOnTheRole drains a server whose role is stuck:
-// one delegate sits in a slow handler, its lane has filled, one caller is
-// parked inside the blocking push holding the role, and the rest of the
-// inflight budget waits on the mutex behind it. Nothing admitted may go
-// unanswered: the request in the handler is served, everyone whose budget
-// ran out while they waited gets a 504, everything past MaxInflight and
-// everything after admission closed is a 503, and Drain reports clean.
+// one delegate sits in a slow handler, its program lane has filled, one
+// caller is parked inside the blocking push holding the role, and the rest
+// of the inflight budget waits on the mutex behind it. Nothing admitted may
+// go unanswered: the request in the handler is served, everyone whose
+// budget ran out while they waited gets a 504, everything past MaxInflight
+// and everything after admission closed is a 503, and Drain reports clean.
+// The lane can only fill under a budget above it: the server steals, so
+// its program lane is one default ring, and the budget is sized from it.
+// Were the lane deeper, the backlog would never settle above it below the
+// budget, and the test would fail rather than pass vacuously.
 func TestDrainWithCallersBlockedOnTheRole(t *testing.T) {
-	const budget, timeout = 400, 100 * time.Millisecond
+	lane := spsc.DefaultCapacity
+	budget, timeout := lane+150, 100*time.Millisecond
 	gate := make(chan struct{})
 	s := newTestServer(t, Config{
 		Delegates:      1,
@@ -228,8 +234,8 @@ func TestDrainWithCallersBlockedOnTheRole(t *testing.T) {
 	}
 
 	launch(budget)
-	waitFor("the budget to fill", func() bool { return s.inflight.Load() == budget })
-	// The delegate's backlog stops growing past its 256-slot lane while
+	waitFor("the budget to fill", func() bool { return s.inflight.Load() == int64(budget) })
+	// The delegate's backlog stops growing past its program lane while
 	// admitted callers are still undelivered: the role is held by a caller
 	// parked in the blocking push.
 	var settled int64
@@ -238,9 +244,9 @@ func TestDrainWithCallersBlockedOnTheRole(t *testing.T) {
 		if b := backlog(); b != settled {
 			settled, since = b, time.Now()
 		}
-		return settled > 256 && time.Since(since) > 20*time.Millisecond
+		return settled > int64(lane) && time.Since(since) > 20*time.Millisecond
 	})
-	if settled >= budget {
+	if settled >= int64(budget) {
 		t.Fatalf("backlog %d: every admitted request was delegated, nobody is waiting for the role", settled)
 	}
 	launch(50) // past the budget
@@ -265,7 +271,7 @@ func TestDrainWithCallersBlockedOnTheRole(t *testing.T) {
 	}
 	wg.Wait()
 	ok, expired := codes[http.StatusOK].Load(), codes[http.StatusGatewayTimeout].Load()
-	if ok < 1 || ok+expired != budget {
+	if ok < 1 || ok+expired != int64(budget) {
 		t.Errorf("admitted %d: %d served + %d expired, want all of them and at least the one in the handler", budget, ok, expired)
 	}
 	if got := s.metrics.admissionRejects.Load(); got != 55 {

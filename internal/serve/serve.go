@@ -68,8 +68,9 @@
 // bounds that blip, and overload generally, is the inflight budget
 // (requests past it are refused before they touch the role) and the
 // bounded program lane a role holder blocks on when a delegate falls
-// behind — everything delegated before the barrier is already in delegate
-// queues, which the barrier itself drains.
+// behind: one 256-slot ring, since a stealing runtime keeps the one-ring
+// program lane. Everything delegated before the barrier is already in
+// delegate queues, which the barrier itself drains.
 //
 // Between the role holder and the work it delegates sits the robustness
 // layer (backend.go, breaker.go, deadline.go): a pluggable Backend
@@ -161,7 +162,10 @@ type Config struct {
 	// MaxInflight is the admission budget: requests admitted and not yet
 	// answered. At it requests are rejected with 503 before touching the
 	// role or the runtime — with the bounded program lane a role holder
-	// blocks on, this is what bounds the tier under overload. Default 1024.
+	// blocks on, this is what bounds the tier under overload. The default
+	// of 1024 is above the lane's 256 slots, so a delegate that falls
+	// behind parks the role holder before admission refuses anyone.
+	// Default 1024.
 	MaxInflight int
 	// Rate and Burst configure the per-set token bucket, in
 	// requests/second and requests. Rate 0 disables rate limiting.

@@ -55,10 +55,12 @@ const cacheLineSize = 64
 // DefaultCapacity is the queue capacity used when NewQueue is given a
 // non-positive capacity. FastForward queues want enough buffering to absorb
 // bursts of operations mapped to the same serialization set (paper §4);
-// 256 invocation-sized slots (16KB per delegate) absorbs deep bursts while
-// keeping runtime construction cheap — the slots are values now, so ring
-// memory is capacity×64B rather than capacity×8B, and a saturated producer
-// is throttled by the consumer's drain rate, not by extra ring depth.
+// 256 invocation-sized slots (16KB per ring; without stealing the
+// runtime's program lane is sixteen rings, every other lane one) absorbs
+// deep bursts while keeping runtime construction cheap — the slots are
+// values now, so ring memory is capacity×64B rather than capacity×8B, and
+// a saturated producer is throttled by the consumer's drain rate, not by
+// extra ring depth.
 const DefaultCapacity = 256
 
 // spinBeforePark bounds the busy-wait loop before a blocked caller parks on

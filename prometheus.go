@@ -93,8 +93,10 @@ func WithProgramShare(n int) Option { return func(c *core.Config) { c.ProgramSha
 
 // WithQueueCapacity sets the capacity of each communication lane's bounded
 // ring: one lane per delegate, one per delegate and producer context with
-// Recursive. The program context blocks on a full ring; a delegating
-// delegate spills to an unbounded list, so small rings stay deadlock-free.
+// Recursive. Without WithStealing the lane the program context pushes into
+// is 16 rings deep. The program context blocks when its lane is full; a
+// delegating delegate spills to an unbounded list, so small rings stay
+// deadlock-free.
 func WithQueueCapacity(n int) Option { return func(c *core.Config) { c.QueueCapacity = n } }
 
 // WithPolicy selects the delegate-assignment policy.

@@ -162,8 +162,8 @@ func TestRecursiveRootDelegateZeroAlloc(t *testing.T) {
 	// In recursive mode the root wrappers route through DelegateCall into
 	// the program context's ring lane on the set's owner: a value write
 	// plus single-writer counters, no closure, no lane node. The program
-	// producer uses the blocking push, so a full lane parks rather than
-	// spills and the steady state stays allocation-free.
+	// producer waits for room on a full lane rather than spilling, so the
+	// steady state stays allocation-free.
 	rt := prometheus.Init(prometheus.WithDelegates(2), prometheus.Recursive())
 	defer rt.Terminate()
 	w := prometheus.NewWritable(rt, 0)
@@ -235,6 +235,67 @@ func TestRecursiveStealingDelegateZeroAlloc(t *testing.T) {
 	requireZeroAllocs(t, "Recursive stealing Writable.DelegateTo", func() {
 		ws[2].DelegateTo(1002, func(c *prometheus.Ctx, p *int) { *p++ })
 	})
+}
+
+// waitShapes are the two runtimes whose waits differ: one program lane per
+// delegate, where a reclaim is one marker, and Recursive, where a reclaim
+// and a barrier are quiescence rounds over every delegate.
+var waitShapes = []struct {
+	name string
+	opts []prometheus.Option
+}{
+	{"one-lane", []prometheus.Option{prometheus.WithDelegates(2)}},
+	{"recursive", []prometheus.Option{prometheus.WithDelegates(2), prometheus.Recursive()}},
+}
+
+func TestReclaimZeroAlloc(t *testing.T) {
+	// A reclaim sends a marker and waits for the delegate's exec counter to
+	// reach its lane position, parked on the program context's own wake
+	// channel: a delegate-then-reclaim cycle allocates nothing.
+	for _, shape := range waitShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			rt := prometheus.Init(shape.opts...)
+			defer rt.Terminate()
+			w := prometheus.NewWritable(rt, 0)
+			rt.BeginIsolation()
+			defer rt.EndIsolation()
+			inc := func(c *prometheus.Ctx, p *int) { *p++ }
+			read := func(p *int) {}
+			cycle := func() {
+				w.Delegate(inc)
+				w.Call(read)
+			}
+			for i := 0; i < allocWarmup; i++ {
+				cycle()
+			}
+			requireZeroAllocs(t, "Writable.Delegate + Writable.Call", cycle)
+		})
+	}
+}
+
+func TestBarrierZeroAlloc(t *testing.T) {
+	// The EndIsolation barrier marks every delegate in one wait, its
+	// positions kept in a slice the runtime preallocated.
+	for _, shape := range waitShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			rt := prometheus.Init(shape.opts...)
+			defer rt.Terminate()
+			objs := make([]*prometheus.Writable[int], 4)
+			for i := range objs {
+				objs[i] = prometheus.NewWritable(rt, 0)
+			}
+			inc := func(c *prometheus.Ctx, p *int) { *p++ }
+			epoch := func() {
+				rt.BeginIsolation()
+				prometheus.DoAll(objs, inc)
+				rt.EndIsolation()
+			}
+			for i := 0; i < allocWarmup/4; i++ {
+				epoch()
+			}
+			requireZeroAllocs(t, "BeginIsolation + DoAll + EndIsolation", epoch)
+		})
+	}
 }
 
 func TestSequentialInlineZeroAlloc(t *testing.T) {

@@ -76,12 +76,12 @@
 //     records travel by value: no per-operation allocation, no GC pressure,
 //     and producer and consumer never touch each other's cursor in steady
 //     state. The program context, which no delegate can be waiting on,
-//     blocks on a full lane and gets bounded-queue backpressure. Without
-//     WithStealing its lane on each delegate is 16 rings deep (4,096 slots
-//     at the default), every other lane one ring, so it reaches a barrier
-//     with a whole epoch of coarse operations queued rather than parked in
-//     the push; with it, one ring, so that sets go quiescent while their
-//     owner is backed up and can be stolen. A
+//     waits for room on a full lane and gets bounded-queue backpressure.
+//     Without WithStealing its lane on each delegate is 16 rings deep
+//     (4,096 slots at the default), every other lane one ring, so it
+//     reaches a barrier with a whole epoch of coarse operations queued
+//     rather than waiting for room; with it, one ring, so that sets go
+//     quiescent while their owner is backed up and can be stolen. A
 //     delegating delegate never blocks — it spills — because it may be
 //     delegating to a set it itself owns, or around a cycle. Spill nodes
 //     are recycled through a per-lane freelist backed by a pool shared
@@ -121,7 +121,13 @@
 //     with the paper's synchronization object: one message down the owner's
 //     lane, skipped when that delegate has been sent nothing since its last
 //     synchronization. Under Recursive a single lane cannot witness nested
-//     work, so the reclaim is the quiescence barrier.
+//     work, so the reclaim is the quiescence barrier. The object carries
+//     nothing: it is its lane position, served once the delegate's executed
+//     counter reaches it. Every wait of the program context — for such
+//     markers, or for room on a full program lane — re-checks its
+//     predicate, arms a sleep flag and parks on the program context's own
+//     wake channel, which a delegate signals when it serves a marker or
+//     frees slots on that lane: a reclaim allocates nothing.
 //
 // # Placement and load balancing
 //
@@ -240,16 +246,16 @@
 // the whole set, it moves at an operation boundary, and its only producer
 // — the program context — cannot route to it again before the barrier
 // closes. Only barriers help: a reclaim (Writable.Call, SyncSet) and the
-// wait on a full program lane are the plain waits they always were — a set
-// lent across a reclaim would outlive the wait — and never under
-// Recursive, where other contexts may still produce into a lent set. An
-// epoch longer than the program lane (4,096 operations per delegate at the
-// default; 256 under WithStealing) still parks the program context in the
-// push until its last lane's worth is queued; only that reaches the
-// barrier to be split. The inbox lanes are as deep as the program lanes,
-// so a hand-over does not spill. ContextFor and Delegate still name the
-// set's owner: an operation ran there or, during a barrier, on context 0.
-// Stats reports HelpedOps and Sheds.
+// wait for room on a full program lane only park — a set lent across a
+// reclaim would outlive the wait — and never under Recursive, where other
+// contexts may still produce into a lent set. An epoch longer than the
+// program lane (4,096 operations per delegate at the default; 256 under
+// WithStealing) still has the program context wait for room until its last
+// lane's worth is queued; only that reaches the barrier to be split. The
+// inbox lanes are as deep as the program lanes, so a hand-over does not
+// spill. ContextFor and Delegate still name the set's owner: an operation
+// ran there or, during a barrier, on context 0. Stats reports HelpedOps
+// and Sheds.
 //
 // # Recursive delegation
 //
@@ -333,11 +339,12 @@
 // side effects of operations in OTHER sets can hang if those operations
 // are dropped by poisoning — synchronize through the runtime (epoch
 // barriers, SyncSet), which containment guarantees still close, rather
-// than through ad-hoc waits on delegated effects. The barrier watchdog
-// (Config.Watchdog; on by default under Checked) turns any such hang —
-// or an engine liveness bug — into a panic with a dump of per-delegate
-// pending lanes and ledger positions after a configurable no-progress
-// bound. Delegates publish progress once per drain run, so the bound must
+// than through ad-hoc waits on delegated effects. The watchdog
+// (Config.Watchdog; on by default under Checked) watches every wait of the
+// program context — a barrier, a reclaim, room on a full program lane —
+// and turns any such hang, or an engine liveness bug, into a panic with a
+// dump of what the program context waits for, per-delegate pending lanes
+// and ledger positions after a configurable no-progress bound. Delegates publish progress once per drain run, so the bound must
 // exceed the longest run, not merely the longest operation: up to 64
 // back-to-back operations of one lane, and up to a full lane more on a
 // delegate a barrier asked for work. The chaos-injection harness
@@ -467,8 +474,8 @@
 // it can be rewritten wholesale, exactly as the epoch machinery already
 // rewrites it for hot-set seeding.
 //
-// Mechanically, [Runtime.Resize] and [Runtime.Reconfigure] only record a
-// desired [RuntimeConfig]; the next BeginIsolation applies it. Capacity
+// Mechanically, [Runtime.Resize] only validates and records a desired pool
+// size; the next BeginIsolation applies it. Capacity
 // and occupancy are split: every delegate structure (lanes, ledger
 // counters) is pre-allocated for WithMaxDelegates at New, and
 // resizing only moves the active prefix — so context numbering, reducible

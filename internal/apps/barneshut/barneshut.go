@@ -8,30 +8,29 @@
 package barneshut
 
 import (
-	"repro/internal/nbody"
 	"repro/internal/workload"
 )
 
 // Input is the initial body set plus the step count.
 type Input struct {
-	Bodies []nbody.Body
+	Bodies []Body
 	Steps  int
 }
 
 // Output is the final body states.
 type Output struct {
-	Bodies []nbody.Body
+	Bodies []Body
 }
 
 // Load generates the input for a size class.
 func Load(size workload.SizeClass) *Input {
 	cfg := workload.NBodySize(size)
 	gen := workload.GenerateBodies(cfg)
-	bodies := make([]nbody.Body, len(gen))
+	bodies := make([]Body, len(gen))
 	for i, g := range gen {
-		bodies[i] = nbody.Body{
-			Pos:  nbody.Vec3{X: g.PX, Y: g.PY, Z: g.PZ},
-			Vel:  nbody.Vec3{X: g.VX, Y: g.VY, Z: g.VZ},
+		bodies[i] = Body{
+			Pos:  Vec3{X: g.PX, Y: g.PY, Z: g.PZ},
+			Vel:  Vec3{X: g.VX, Y: g.VY, Z: g.VZ},
 			Mass: g.Mass,
 		}
 	}
@@ -40,9 +39,9 @@ func Load(size workload.SizeClass) *Input {
 
 // clone copies the input bodies so repeated runs are independent, and
 // returns pointers for tree construction.
-func clone(in *Input) ([]nbody.Body, []*nbody.Body) {
-	bodies := append([]nbody.Body(nil), in.Bodies...)
-	ptrs := make([]*nbody.Body, len(bodies))
+func clone(in *Input) ([]Body, []*Body) {
+	bodies := append([]Body(nil), in.Bodies...)
+	ptrs := make([]*Body, len(bodies))
 	for i := range bodies {
 		ptrs[i] = &bodies[i]
 	}
@@ -51,15 +50,15 @@ func clone(in *Input) ([]nbody.Body, []*nbody.Body) {
 
 // forceRange computes accelerations for bodies [lo, hi) against the tree,
 // storing into accs.
-func forceRange(root *nbody.Node, ptrs []*nbody.Body, accs []nbody.Vec3, lo, hi int) {
+func forceRange(root *Node, ptrs []*Body, accs []Vec3, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		accs[i] = root.Force(ptrs[i])
 	}
 }
 
 // integrateRange advances bodies [lo, hi).
-func integrateRange(ptrs []*nbody.Body, accs []nbody.Vec3, lo, hi int) {
+func integrateRange(ptrs []*Body, accs []Vec3, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		nbody.Integrate(ptrs[i], accs[i])
+		Integrate(ptrs[i], accs[i])
 	}
 }

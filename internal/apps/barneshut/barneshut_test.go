@@ -4,25 +4,24 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/nbody"
 	"repro/internal/workload"
 )
 
 func smallInput() *Input {
 	cfg := workload.NBodyConfig{Seed: 13, Bodies: 800, Steps: 3}
 	gen := workload.GenerateBodies(cfg)
-	in := &Input{Steps: cfg.Steps, Bodies: make([]nbody.Body, len(gen))}
+	in := &Input{Steps: cfg.Steps, Bodies: make([]Body, len(gen))}
 	for i, g := range gen {
-		in.Bodies[i] = nbody.Body{
-			Pos:  nbody.Vec3{X: g.PX, Y: g.PY, Z: g.PZ},
-			Vel:  nbody.Vec3{X: g.VX, Y: g.VY, Z: g.VZ},
+		in.Bodies[i] = Body{
+			Pos:  Vec3{X: g.PX, Y: g.PY, Z: g.PZ},
+			Vel:  Vec3{X: g.VX, Y: g.VY, Z: g.VZ},
 			Mass: g.Mass,
 		}
 	}
 	return in
 }
 
-func bodiesIdentical(t *testing.T, got, want []nbody.Body, label string) {
+func bodiesIdentical(t *testing.T, got, want []Body, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d bodies, want %d", label, len(got), len(want))
@@ -53,7 +52,7 @@ func TestSeqMovesBodies(t *testing.T) {
 
 func TestSeqDoesNotMutateInput(t *testing.T) {
 	in := smallInput()
-	before := append([]nbody.Body(nil), in.Bodies...)
+	before := append([]Body(nil), in.Bodies...)
 	RunSeq(in)
 	bodiesIdentical(t, in.Bodies, before, "input")
 }
@@ -84,8 +83,8 @@ func TestSSMatchesSeqBitExact(t *testing.T) {
 
 func TestMomentumApproximatelyConserved(t *testing.T) {
 	in := smallInput()
-	momentum := func(bodies []nbody.Body) nbody.Vec3 {
-		var p nbody.Vec3
+	momentum := func(bodies []Body) Vec3 {
+		var p Vec3
 		for i := range bodies {
 			p = p.Add(bodies[i].Vel.Scale(bodies[i].Mass))
 		}

@@ -1,10 +1,6 @@
 package barneshut
 
-import (
-	"sync"
-
-	"repro/internal/nbody"
-)
+import "sync"
 
 // RunCP is the conventional-parallel implementation in the style of the
 // Lonestar pthreads version: per step, a sequential tree build followed by
@@ -14,10 +10,10 @@ func RunCP(in *Input, workers int) *Output {
 		workers = 1
 	}
 	bodies, ptrs := clone(in)
-	accs := make([]nbody.Vec3, len(ptrs))
+	accs := make([]Vec3, len(ptrs))
 	n := len(ptrs)
 	for step := 0; step < in.Steps; step++ {
-		root := nbody.BuildTree(ptrs)
+		root := BuildTree(ptrs)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo, hi := n*w/workers, n*(w+1)/workers

@@ -1,10 +1,10 @@
-// Package nbody implements the Barnes–Hut N-body kernel (octree
-// construction, multipole-approximate force evaluation, leapfrog
-// integration) used by the barnes-hut benchmark. The structure follows the
+package barneshut
+
+// The Barnes–Hut N-body kernel: octree construction, multipole-approximate
+// force evaluation and leapfrog integration. The structure follows the
 // Lonestar benchmark the paper ports: per step, a sequential tree build
 // followed by a parallel force/update phase over the bodies, with the tree
 // read-only during the parallel phase.
-package nbody
 
 import "math"
 

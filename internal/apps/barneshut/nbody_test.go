@@ -1,4 +1,4 @@
-package nbody
+package barneshut
 
 import (
 	"math"

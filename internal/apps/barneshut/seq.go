@@ -1,13 +1,11 @@
 package barneshut
 
-import "repro/internal/nbody"
-
 // RunSeq is the sequential reference implementation.
 func RunSeq(in *Input) *Output {
 	bodies, ptrs := clone(in)
-	accs := make([]nbody.Vec3, len(ptrs))
+	accs := make([]Vec3, len(ptrs))
 	for step := 0; step < in.Steps; step++ {
-		root := nbody.BuildTree(ptrs)
+		root := BuildTree(ptrs)
 		forceRange(root, ptrs, accs, 0, len(ptrs))
 		integrateRange(ptrs, accs, 0, len(ptrs))
 	}

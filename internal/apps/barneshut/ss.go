@@ -1,9 +1,6 @@
 package barneshut
 
-import (
-	prometheus "repro"
-	"repro/internal/nbody"
-)
+import prometheus "repro"
 
 // RunSS is the serialization-sets implementation: body chunks are writable
 // domains delegated each step while the freshly built octree is a read-only
@@ -18,7 +15,7 @@ func RunSS(in *Input, delegates int) (*Output, prometheus.Stats) {
 // RunSSOn runs with a caller-supplied runtime.
 func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	bodies, ptrs := clone(in)
-	accs := make([]nbody.Vec3, len(ptrs))
+	accs := make([]Vec3, len(ptrs))
 	n := len(ptrs)
 	type rng struct{ lo, hi int }
 	// +1: the program context executes chunks too, at each EndIsolation.
@@ -33,11 +30,11 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 			ws = append(ws, prometheus.NewWritable(rt, rng{lo, hi}))
 		}
 	}
-	treeRO := prometheus.NewReadOnly[*nbody.Node](rt, nil)
+	treeRO := prometheus.NewReadOnly[*Node](rt, nil)
 	for step := 0; step < in.Steps; step++ {
 		// Aggregation: rebuild the tree (the read-only domain mutates only
 		// between isolation epochs).
-		*treeRO.Mut() = nbody.BuildTree(ptrs)
+		*treeRO.Mut() = BuildTree(ptrs)
 		rt.BeginIsolation()
 		root := *treeRO.Get()
 		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
@@ -44,9 +43,9 @@ const drainBatchSize = 64
 // every other lane is one ring. 4,096 slots at the default hold a whole
 // epoch of the paper's programs at size M (2,500 at most, reverse_index),
 // so the program context reaches the barrier with the epoch queued behind
-// it — where a busy delegate sheds half of it — instead of parking in the
-// blocking push for most of the epoch. The program context still blocks on
-// a full lane: the backpressure bound is exact, only deeper, and no lane
+// it — where a busy delegate sheds half of it — instead of waiting for
+// room for most of the epoch. The program context still waits on a full
+// lane: the backpressure bound is exact, only deeper, and no lane
 // allocates after construction. Stealing keeps one ring: a steal needs a
 // set to go quiescent while its owner is backed up, which a program
 // context that queues the epoch whole hardly ever lets happen.
@@ -59,8 +58,9 @@ const progLaneRings = 16
 const spinBeforePark = 256
 
 // helpAfter is how long a barrier stays a plain park before the program
-// context asks for work (waitDone): above an epoch of tiny operations and a
-// hand-over's own cost, far below one coarse operation.
+// context asks for work (the first deadline of its wait): above an epoch of
+// tiny operations and a hand-over's own cost, far below one coarse
+// operation.
 const helpAfter = 50 * time.Microsecond
 
 // SchedPolicy selects how serialization sets are assigned to delegate
@@ -96,19 +96,17 @@ func (p SchedPolicy) String() string {
 // context share.
 type Config struct {
 	// Delegates is the number of delegate contexts (paper: delegate
-	// threads). Default: GOMAXPROCS-1, minimum 1. Under live
-	// reconfiguration this is only the INITIAL pool size: Resize /
-	// Reconfigure may move the active count anywhere in [1, MaxDelegates]
-	// at epoch boundaries.
+	// threads). Default: GOMAXPROCS-1, minimum 1. This is only the INITIAL
+	// pool size: Resize may move the active count anywhere in
+	// [1, MaxDelegates] at epoch boundaries.
 	Delegates int
 
-	// MaxDelegates is the pool capacity ceiling for live reconfiguration:
-	// every per-delegate structure (lanes, ledgers, trace buffers,
-	// per-context views) is pre-allocated for MaxDelegates at New, and
-	// Resize/Reconfigure may activate any pool size up to it without
-	// reallocating — which is what keeps NumContexts immutable and the
-	// per-context arrays the wrappers sized at construction valid for the
-	// runtime's whole life. Defaults to Delegates (a fixed pool, no
+	// MaxDelegates is the pool capacity ceiling for Resize: every
+	// per-delegate structure (lanes, ledgers, trace buffers, per-context
+	// views) is pre-allocated for MaxDelegates at New, and Resize may
+	// activate any pool size up to it without reallocating — which is what
+	// keeps NumContexts immutable and the per-context arrays the wrappers
+	// sized at construction valid for the runtime's whole life. Defaults to Delegates (a fixed pool, no
 	// reconfiguration headroom). With Recursive the lane matrix costs
 	// O(MaxDelegates^2) rings, so size the ceiling to the largest pool the
 	// process will actually use.
@@ -202,11 +200,12 @@ type Config struct {
 	// eviction. Default DefaultFaultRecordBound.
 	FaultRecordBound int
 
-	// Watchdog bounds how long a blocking synchronization (SyncContext,
-	// barrier/EndIsolation, Terminate) will wait while no delegate
-	// publishes any progress before panicking with a dump of per-delegate
-	// pending lanes and ledger positions — turning a wedged barrier into an
-	// actionable report instead of a silent hang. Progress is measured by
+	// Watchdog bounds how long the program context will wait — for a
+	// reclaim (SyncContext), a barrier (EndIsolation, Terminate) or room on
+	// a full program lane — while no delegate publishes any progress before
+	// panicking with a dump of what it waits for, per-delegate pending lanes
+	// and ledger positions — turning a wedged wait into an actionable
+	// report instead of a silent hang. Progress is measured by
 	// the published executed/drain counters, which move when a drain run is
 	// popped and when it is published, not per operation: size it above the
 	// longest drain run, or a legitimate one is indistinguishable from a
@@ -235,10 +234,10 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VirtualDelegates <= 0 {
 		// Size the default table for the capacity ceiling, not the initial
-		// pool: a Reconfigure up to MaxDelegates must not find fewer virtual
+		// pool: a Resize up to MaxDelegates must not find fewer virtual
 		// delegates than contexts. An EXPLICIT VirtualDelegates below the
 		// ceiling stays as given (clamped only to the initial pool) — it is
-		// a deliberate bound, and Reconfigure targets above it are rejected
+		// a deliberate bound, and Resize targets above it are rejected
 		// with a descriptive error instead of being silently clamped.
 		c.VirtualDelegates = 4 * (c.MaxDelegates + c.ProgramShare)
 	}
@@ -273,41 +272,4 @@ func (c Config) validate() {
 	if !c.Sequential && c.Recursive && c.ProgramShare != 0 {
 		panic("prometheus: ProgramShare is incompatible with Recursive (sets must be delegate-owned)")
 	}
-}
-
-// RuntimeConfig is the runtime-mutable slice of the configuration — the
-// knobs Reconfigure may change at an epoch boundary, as opposed to the
-// immutable-per-run Config the pool structures were built from. It is held
-// behind an atomic pointer with Get/Store semantics: Reconfigure validates
-// and stores the desired state from any goroutine, and the program context
-// applies it at the next BeginIsolation (the engine's only quiescent
-// point). The zero value of each field means "keep the current setting".
-type RuntimeConfig struct {
-	// Delegates is the desired active pool size, in [1, MaxDelegates].
-	// 0 keeps the current size.
-	Delegates int
-}
-
-// validateReconfig rejects a RuntimeConfig the pool cannot honor,
-// descriptively: the reconfiguration surface is driven by operators (admin
-// endpoints, autoscalers), so a bad target must come back as an error at
-// the call site, not a panic deep in placement at the next epoch.
-func (c Config) validateReconfig(rc RuntimeConfig) error {
-	if c.Sequential {
-		return fmt.Errorf("prometheus: Reconfigure: Sequential mode has no delegate pool to resize")
-	}
-	if rc.Delegates < 0 {
-		return fmt.Errorf("prometheus: Reconfigure: %d delegates is not a valid pool size", rc.Delegates)
-	}
-	if rc.Delegates > c.MaxDelegates {
-		return fmt.Errorf(
-			"prometheus: Reconfigure: %d delegates exceeds the pool capacity MaxDelegates=%d (pool structures are pre-allocated at New; raise WithMaxDelegates)",
-			rc.Delegates, c.MaxDelegates)
-	}
-	if rc.Delegates > 0 && rc.Delegates+c.ProgramShare > c.VirtualDelegates {
-		return fmt.Errorf(
-			"prometheus: Reconfigure: %d delegates (+%d program share) exceeds VirtualDelegates=%d — the static assignment table cannot spread fewer virtual delegates than contexts; raise WithVirtualDelegates",
-			rc.Delegates, c.ProgramShare, c.VirtualDelegates)
-	}
-	return nil
 }

@@ -24,14 +24,14 @@ import (
 // self-deadlock when a delegate delegates to a set it itself owns (or
 // around a delegation cycle), because only blocked contexts could drain
 // it. Delegate producers therefore never block — they spill — while the
-// program context, which no delegate's progress can depend on, uses the
-// blocking push and gets bounded-queue backpressure. Without Stealing its
-// lane on each delegate (lane 0) is progLaneRings rings deep, every other
-// lane one ring: deep enough that the program context reaches a barrier
-// with a whole epoch of coarse operations queued behind it, where a busy
-// delegate can shed them, instead of parked in the push. In steady state
-// every delegation writes its invocation record by value into ring memory:
-// no allocation, no node chasing.
+// program context, which no delegate's progress can depend on, waits for
+// room on a full lane (wait) and gets bounded-queue backpressure. Without
+// Stealing its lane on each delegate (lane 0) is progLaneRings rings deep,
+// every other lane one ring: deep enough that the program context reaches
+// a barrier with a whole epoch of coarse operations queued behind it, where
+// a busy delegate can shed them, instead of waiting for room. In steady
+// state every delegation writes its invocation record by value into ring
+// memory: no allocation, no node chasing.
 //
 // Consumption. Each delegate keeps a pending-lane bitmask (bit p set =
 // lane p may hold work). A producer publishes work with one conditional
@@ -60,6 +60,9 @@ import (
 // Inbox. The program context is context 0 built from the same parts
 // (Runtime.prog): the delegates feed its lanes, one each, when asked (shed),
 // and it drains them with drainLane/execSpan while it waits in a barrier.
+// Its sleep flag and wake channel are where it parks in every wait
+// (watchdog.go): delegates rouse it when they serve a marker, free slots on
+// the program lane it waits on, or shed into its inbox.
 
 // Wake-state values for the delegate parking protocol.
 const (
@@ -200,6 +203,13 @@ func (d *delegate) notify(producer int) {
 	if w.Load()&bit == 0 {
 		w.Or(bit)
 	}
+	d.rouse()
+}
+
+// rouse wakes d if it is parked: notify's wake check, which also wakes the
+// program context with no lane to raise — after a marker was served or
+// program-lane slots were freed.
+func (d *delegate) rouse() {
 	if d.sleep.Load() == delegateSleeping {
 		select {
 		case d.wake <- struct{}{}:
@@ -314,30 +324,47 @@ func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
 	if e != nil {
 		rt.notePosition(e, producer, owner, pos)
 	}
-	lane := d.lanes[producer]
 	if producer == ProgramContext {
-		// The program context is never inside a delegation cycle, so it
-		// can block on a full program lane: bounded-queue backpressure
-		// instead of unbounded spill growth when the program outruns the
-		// delegates.
-		lane.PushBlocking(inv)
+		rt.pushProgram(d, inv)
 	} else {
 		// Delegate producers must never block (self-delegation, cycles);
 		// ring overflow goes to the lane's spill list.
-		lane.Push(inv)
+		d.lanes[producer].Push(inv)
 	}
 	d.notify(producer)
 	return owner
+}
+
+// pushProgram puts inv on d's program lane. The program context is never
+// inside a delegation cycle, so on a full lane it waits for room:
+// bounded-queue backpressure instead of unbounded spill growth when the
+// program outruns the delegates, and the push never spills.
+func (rt *Runtime) pushProgram(d *delegate, inv Invocation) {
+	lane := d.lanes[ProgramContext]
+	if lane.Full() {
+		rt.wait(d, false)
+	}
+	lane.Push(inv)
 }
 
 // send delivers a control or pool-task message from the program context
 // straight to a delegate's program lane, counted in the ledger like every
 // other message: a lane message missing from sent would let exec overtake
 // a producer's recorded positions and make an in-flight set look quiescent.
-func (rt *Runtime) send(d *delegate, inv Invocation) {
-	d.sent[ProgramContext].inc()
-	d.lanes[ProgramContext].PushBlocking(inv)
+// It returns the message's lane position.
+func (rt *Runtime) send(d *delegate, inv Invocation) uint64 {
+	pos := d.sent[ProgramContext].inc()
+	rt.pushProgram(d, inv)
 	d.notify(ProgramContext)
+	return pos
+}
+
+// mark sends delegate i+1 a marker of kind (kindSync or kindTerminate) and
+// records its lane position in marks, for the next wait to wait on.
+func (rt *Runtime) mark(i int, kind invocationKind) uint64 {
+	pos := rt.send(rt.delegates[i], Invocation{kind: kind})
+	rt.marks[i].Store(pos)
+	return pos
 }
 
 // delegateLoop is the body of a delegate context (paper §4: repeatedly read
@@ -414,6 +441,9 @@ func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, ter
 		n := lane.PopBatch(buf)
 		if n == 0 {
 			return drained, false
+		}
+		if p == ProgramContext && rt.roomOn.Load() == int32(d.id) {
+			rt.prog.rouse() // slots freed on the lane the program context waits on
 		}
 		drained = true
 		d.drainBatches.Add(1)
@@ -495,10 +525,10 @@ func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic
 			}
 			inv.invoke(d.id)
 		case kindSync, kindTerminate:
-			// Publish progress before signaling: an observer of done must
-			// see every earlier message counted.
+			// A marker is its lane position: publishing it is the signal,
+			// and it also counts every earlier message.
 			le.Store(base + uint64(i) + 1)
-			close(inv.done)
+			rt.prog.rouse()
 			if inv.kind == kindTerminate {
 				return i, true
 			}
@@ -656,20 +686,14 @@ func (rt *Runtime) quiesce() {
 	for {
 		// Only the ACTIVE prefix is synced: a delegate parked by a
 		// scale-down has no drain loop to serve the object.
-		dones := make([]chan struct{}, 0, len(active))
-		for i, d := range active {
-			if !rt.cfg.Recursive && rt.clean(i) {
-				continue
+		for i := range active {
+			if rt.cfg.Recursive || !rt.clean(i) {
+				rt.mark(i, kindSync)
 			}
-			done := make(chan struct{})
-			rt.send(d, Invocation{kind: kindSync, done: done})
-			dones = append(dones, done)
 		}
 		before := rt.sentSum()
-		for _, done := range dones {
-			rt.waitDone(done, help)
-		}
-		if help && len(dones) > 0 {
+		rt.wait(nil, help)
+		if help {
 			// A delegate pushes what it sheds before it serves its marker: run
 			// what is left; no request may be seen raised outside a barrier.
 			rt.runInbox()
@@ -678,7 +702,6 @@ func (rt *Runtime) quiesce() {
 					d.shedReq.Store(shedIdle)
 				}
 			}
-			rt.helping = false
 		}
 		for i, d := range active {
 			rt.synced[i] = d.sent[ProgramContext].n.Load()
@@ -723,11 +746,9 @@ func (rt *Runtime) SyncContext(ctx int) {
 		return
 	}
 	rt.stats.Syncs++
-	d := rt.delegates[ctx-1]
-	done := make(chan struct{})
-	rt.send(d, Invocation{kind: kindSync, done: done})
-	rt.waitDone(done, false)
-	rt.synced[ctx-1] = d.sent[ProgramContext].n.Load()
+	pos := rt.mark(ctx-1, kindSync)
+	rt.wait(nil, false)
+	rt.synced[ctx-1] = pos
 }
 
 // SyncSet blocks until all outstanding operations in the given serialization

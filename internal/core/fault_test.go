@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -300,9 +301,10 @@ func TestWatchdogFires(t *testing.T) {
 				if !ok {
 					t.Fatalf("recovered %T, want string", v)
 				}
-				// The dump names the wedged lane: the operation and the sync
-				// object behind it sent, nothing executed.
-				for _, want := range []string{"watchdog", "no delegate progress", "2/2 delegates active", " 0:2/0"} {
+				// The dump names the wedged lane — the operation and the sync
+				// object behind it sent, nothing executed — and the marker the
+				// program context waits for on it.
+				for _, want := range []string{"watchdog", "no delegate progress", "2/2 delegates active", " 0:2/0", fmt.Sprintf("waiting=markers %d@2\n", ctx)} {
 					if !strings.Contains(msg, want) {
 						t.Errorf("watchdog message missing %q:\n%s", want, msg)
 					}

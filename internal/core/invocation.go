@@ -41,16 +41,17 @@ type Trampoline func(ctx int, p1, p2 unsafe.Pointer)
 // enqueueing one allocates nothing. For kindMethod it carries a static
 // trampoline with two payload words, plus the serialization-set id it was
 // mapped to — a closure (the closure API, RunParallel tasks) is closureTramp
-// with the closure's funcval pointer as payload; for kindSync and
-// kindTerminate the delegate signals done and (for terminate) exits.
+// with the closure's funcval pointer as payload. kindSync and kindTerminate
+// carry nothing: a marker is its lane position, which the delegate
+// publishes in exec before it wakes the program context and (for
+// terminate) exits.
 type Invocation struct {
 	kind  invocationKind
 	set   uint64
 	tramp Trampoline
 	p1    unsafe.Pointer
 	p2    unsafe.Pointer
-	done  chan struct{}
-	_     [8]byte // 56 bytes: with its sequence stamp a ring slot (spsc) is exactly one cache line
+	_     [16]byte // 56 bytes: with its sequence stamp a ring slot (spsc) is exactly one cache line
 }
 
 // invoke runs a kindMethod invocation on the given context.

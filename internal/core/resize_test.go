@@ -7,12 +7,11 @@ import (
 )
 
 // Elastic-runtime unit tests: epoch-boundary resize semantics, scale-down
-// evacuation accounting, validation of Reconfigure targets, and the
-// runtime-config Get/Store surface — with and without Recursive, Checked
-// mode on, so the "no lane traffic survives a retired delegate" assertions
-// are armed.
+// evacuation accounting and validation of Resize targets — with and
+// without Recursive, Checked mode on, so the "no lane traffic survives a
+// retired delegate" assertions are armed.
 
-func TestReconfigureValidation(t *testing.T) {
+func TestResizeValidation(t *testing.T) {
 	rt := newTestRuntime(t, Config{
 		Delegates:        2,
 		MaxDelegates:     4,
@@ -22,16 +21,16 @@ func TestReconfigureValidation(t *testing.T) {
 	})
 	cases := []struct {
 		name string
-		rc   RuntimeConfig
+		n    int
 		want string // substring of the error; empty = accepted
 	}{
-		{"keep-current", RuntimeConfig{}, ""},
-		{"grow-within-capacity", RuntimeConfig{Delegates: 4}, ""},
-		{"negative", RuntimeConfig{Delegates: -1}, "not a valid pool size"},
-		{"beyond-capacity", RuntimeConfig{Delegates: 5}, "MaxDelegates"},
+		{"zero", 0, "not a valid pool size"},
+		{"grow-within-capacity", 4, ""},
+		{"negative", -1, "not a valid pool size"},
+		{"beyond-capacity", 5, "MaxDelegates"},
 	}
 	for _, tc := range cases {
-		err := rt.Reconfigure(tc.rc)
+		err := rt.Resize(tc.n)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -46,7 +45,7 @@ func TestReconfigureValidation(t *testing.T) {
 
 // TestReconfigureRejectsVirtualDelegateOverflow pins the satellite fix: a
 // target the static assignment table cannot spread must be rejected with a
-// descriptive error at Reconfigure time, not by a panic deep in placement.
+// descriptive error at Resize time, not by a panic deep in placement.
 func TestReconfigureRejectsVirtualDelegateOverflow(t *testing.T) {
 	rt := newTestRuntime(t, Config{
 		Delegates:        2,
@@ -66,7 +65,7 @@ func TestReconfigureRejectsVirtualDelegateOverflow(t *testing.T) {
 	rt.Delegate(1, func(int) { ran.Store(true) })
 	rt.EndIsolation()
 	if !ran.Load() {
-		t.Fatal("delegation did not run after rejected Reconfigure")
+		t.Fatal("delegation did not run after rejected Resize")
 	}
 }
 

@@ -43,7 +43,7 @@ const ProgramContext = 0
 type Runtime struct {
 	// cfg is the effective configuration. All fields are immutable after
 	// New EXCEPT Delegates, which the program context rewrites at the
-	// epoch boundary that applies a Reconfigure (applyReconfig). Plain
+	// epoch boundary that applies a Resize (applyResize). Plain
 	// reads of cfg.Delegates are sound only on the program context or
 	// inside delegated operations (the lane push-pop atomics carry the
 	// happens-before edge from the post-barrier write to any op delegated
@@ -61,13 +61,19 @@ type Runtime struct {
 	// prog is the program context as an executing context: context 0 built
 	// like a delegate, its lanes (indexed by producer context id) the inbox
 	// the delegates shed into (delegate.go); nil in Sequential mode. progBuf
-	// is its drain buffer, inline carries a ProgramShare slot's operation,
-	// helpTimer and helping time a barrier's patient start (waitDone).
-	prog      *delegate
-	progBuf   []Invocation
-	inline    [1]Invocation
-	helpTimer *time.Timer
-	helping   bool
+	// is its drain buffer, inline carries a ProgramShare slot's operation.
+	prog    *delegate
+	progBuf []Invocation
+	inline  [1]Invocation
+
+	// What the program context's one wait (watchdog.go) waits for, published
+	// for DumpSchedState: marks[i] is the program-lane position of a marker
+	// outstanding on delegate i+1 (0: none), roomOn the delegate whose full
+	// program lane it waits on (0: none), which drainLane also reads to
+	// wake it. timer is the wait's one reusable deadline.
+	marks  []atomic.Uint64
+	roomOn atomic.Int32
+	timer  *time.Timer
 
 	// active mirrors cfg.Delegates behind an atomic, for readers with no
 	// happens-before edge to the program context's epoch-boundary write
@@ -75,12 +81,10 @@ type Runtime struct {
 	// producers). 0 in Sequential mode.
 	active atomic.Int32
 
-	// Runtime-mutable configuration: Reconfigure validates and Stores the
-	// desired state into pendingCfg from any goroutine; the program context
-	// Swaps it out and applies it at the next BeginIsolation, then
-	// publishes the effective state through runtimeCfg (the Get side).
-	pendingCfg atomic.Pointer[RuntimeConfig]
-	runtimeCfg atomic.Pointer[RuntimeConfig]
+	// pendingSize is the pool size a Resize asked for (0: none): stored from
+	// any goroutine, swapped out and applied by the program context at the
+	// next BeginIsolation.
+	pendingSize atomic.Int32
 
 	// vmap maps virtual delegate -> context id (ProgramContext or 1..D).
 	vmap []int
@@ -130,7 +134,6 @@ func New(cfg Config) *Runtime {
 		synced: make([]uint64, cfg.MaxDelegates),
 		clock:  newPhaseClock(),
 	}
-	rt.runtimeCfg.Store(&RuntimeConfig{Delegates: cfg.Delegates})
 	if cfg.Trace {
 		rt.traceSt = newTraceState(cfg.MaxDelegates + 1)
 	}
@@ -175,8 +178,9 @@ func New(cfg Config) *Runtime {
 	}
 	rt.prog = newDelegate(ProgramContext, cfg.MaxDelegates+1, cfg.QueueCapacity, inboxCap, pool)
 	rt.progBuf = make([]Invocation, drainBatchSize)
-	rt.helpTimer = time.NewTimer(helpAfter)
-	rt.helpTimer.Stop()
+	rt.marks = make([]atomic.Uint64, cfg.MaxDelegates)
+	rt.timer = time.NewTimer(helpAfter)
+	rt.timer.Stop()
 	for _, d := range rt.delegates[:cfg.Delegates] {
 		rt.wg.Add(1)
 		go rt.delegateLoop(d)
@@ -248,7 +252,7 @@ func (rt *Runtime) BeginIsolation() {
 	if rt.traceSt != nil {
 		rt.epochStart = time.Now()
 	}
-	rt.applyReconfig()
+	rt.applyResize()
 	if reg := rt.producers.Load(); reg != nil {
 		rt.producers.Store(newOwnerTable(reg.len())) // one producer per set per epoch
 	}
@@ -286,35 +290,38 @@ func (rt *Runtime) EndIsolation() {
 // where the epoch barrier has proven no operation in flight, the owner
 // table is about to rebuild, and hot sets re-place across whatever pool
 // opens the epoch. Safe from any goroutine; concurrent requests follow
-// last-store-wins (Get/Store semantics on the runtime config pointer).
+// last-store-wins.
+//
+// A target outside what the pre-allocated pool can honor comes back as a
+// descriptive error, never a deferred panic: the resize surface is driven
+// by operators (admin endpoints, autoscalers), so a bad target must fail at
+// the call site, not deep in placement at the next epoch. Only fields that
+// stay immutable after New are read, so any goroutine may call it.
 func (rt *Runtime) Resize(n int) error {
-	return rt.Reconfigure(RuntimeConfig{Delegates: n})
-}
-
-// Reconfigure records a runtime-mutable configuration change (the pool
-// size) to be applied at the next epoch boundary. Zero fields keep their
-// current setting. Safe from any goroutine. Returns a descriptive error —
-// never a deferred panic — when the target is outside what the
-// pre-allocated pool can honor.
-func (rt *Runtime) Reconfigure(rc RuntimeConfig) error {
-	if err := rt.cfg.validateReconfig(rc); err != nil {
-		return err
+	c := &rt.cfg
+	switch {
+	case c.Sequential:
+		return fmt.Errorf("prometheus: Resize: Sequential mode has no delegate pool to resize")
+	case n < 1:
+		return fmt.Errorf("prometheus: Resize: %d delegates is not a valid pool size", n)
+	case n > c.MaxDelegates:
+		return fmt.Errorf(
+			"prometheus: Resize: %d delegates exceeds the pool capacity MaxDelegates=%d (pool structures are pre-allocated at New; raise WithMaxDelegates)",
+			n, c.MaxDelegates)
+	case n+c.ProgramShare > c.VirtualDelegates:
+		return fmt.Errorf(
+			"prometheus: Resize: %d delegates (+%d program share) exceeds VirtualDelegates=%d — the static assignment table cannot spread fewer virtual delegates than contexts; raise WithVirtualDelegates",
+			n, c.ProgramShare, c.VirtualDelegates)
 	}
-	c := rc
-	rt.pendingCfg.Store(&c)
+	rt.pendingSize.Store(int32(n))
 	return nil
 }
 
-// RuntimeConfig returns the current effective runtime-mutable
-// configuration (the Get side of the atomic config pointer). Safe from any
-// goroutine; a pending Reconfigure is reflected only after the epoch
-// boundary that applies it.
-func (rt *Runtime) RuntimeConfig() RuntimeConfig { return *rt.runtimeCfg.Load() }
-
-// applyReconfig applies a pending Reconfigure at the epoch boundary.
-// Called by BeginIsolation on the program context, before the owner table
-// rebuilds and hot sets re-place (so placement state is constructed for the
-// NEW pool, never patched afterwards).
+// applyResize applies a pending Resize at the epoch boundary: barrier,
+// count evacuees, park or spawn, republish. Called by BeginIsolation on the
+// program context, before the owner table rebuilds and hot sets re-place
+// (so placement state is constructed for the NEW pool, never patched
+// afterwards).
 //
 // Scale-up activates pre-built delegates: spawn their drain goroutines,
 // widen the assignment table, and let this epoch's seeding spread hot sets
@@ -324,26 +331,11 @@ func (rt *Runtime) RuntimeConfig() RuntimeConfig { return *rt.runtimeCfg.Load() 
 // to all sets at once — so the retiring delegates' sets are re-placed by
 // the very table rebuild this epoch performs anyway, and the retirees park
 // permanently with provably balanced lane ledgers.
-func (rt *Runtime) applyReconfig() {
-	rc := rt.pendingCfg.Swap(nil)
-	if rc == nil {
+func (rt *Runtime) applyResize() {
+	n, old := int(rt.pendingSize.Swap(0)), rt.cfg.Delegates
+	if n == 0 || n == old {
 		return
 	}
-	n := rc.Delegates
-	if n == 0 {
-		n = rt.cfg.Delegates
-	}
-	old := rt.cfg.Delegates
-	if n != old {
-		rt.resizePool(n, old)
-	}
-	rt.runtimeCfg.Store(&RuntimeConfig{Delegates: n})
-}
-
-// resizePool performs the pool-size half of applyReconfig: barrier, count
-// evacuees, park or spawn, republish. Program context only, at the top of
-// an isolation epoch.
-func (rt *Runtime) resizePool(n, old int) {
 	// Prove the OLD pool quiescent first. BeginIsolation does not imply a
 	// barrier on its own (aggregation-epoch delegations may still be in
 	// flight); the resize point must be one.
@@ -398,14 +390,13 @@ func (rt *Runtime) resizePool(n, old int) {
 // lane traffic survives a retired delegate.
 func (rt *Runtime) parkDelegates(n, old int) {
 	for i := n; i < old; i++ {
-		d := rt.delegates[i]
-		done := make(chan struct{})
-		rt.send(d, Invocation{kind: kindTerminate, done: done})
-		rt.waitDone(done, false)
-		rt.synced[i] = d.sent[ProgramContext].n.Load()
-		if !rt.cfg.Checked {
-			continue
-		}
+		rt.synced[i] = rt.mark(i, kindTerminate)
+	}
+	rt.wait(nil, false)
+	if !rt.cfg.Checked {
+		return
+	}
+	for _, d := range rt.delegates[n:old] {
 		for p := range d.exec {
 			if sent, exec := d.sent[p].n.Load(), d.exec[p].Load(); sent != exec {
 				panic(fmt.Sprintf(

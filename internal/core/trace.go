@@ -4,7 +4,7 @@ import "time"
 
 // Execution tracing. With Config.Trace enabled, the runtime records one
 // event per executed operation — where every operation runs, execSpan, so
-// on delegates, the helping program context and ProgramShare slots alike,
+// on delegates, the program context in a barrier and ProgramShare slots alike,
 // pool tasks included (Set == NoSet) — and one per epoch, steal, contained
 // panic and resize, into per-context buffers (single writer each, so the
 // hot path takes no locks). A traced run delegates exactly as an untraced

@@ -6,86 +6,133 @@ import (
 	"time"
 )
 
-// Barrier watchdog. Every blocking synchronization the program context
-// performs — SyncContext, barrier (EndIsolation, Sleep, RunParallel),
-// Terminate — waits on a done channel only a delegate can close. Before
-// fault containment a dead or wedged delegate turned that wait into a
+// The program context's one wait, and the watchdog on it. Everything the
+// program context waits for — a reclaim (SyncContext), a barrier
+// (EndIsolation, Sleep, RunParallel, the resize barrier, Terminate), a
+// retiring delegate, room on a full program lane — is a predicate over the
+// ledger or a lane (settled), and one function waits for all of them:
+// re-check the predicate, run the inbox when the wait helps, arm context
+// 0's sleep flag, re-check, park on its wake channel. A delegate wakes it
+// through the same sleep-flag handshake a producer uses on a delegate
+// (rouse) when it serves a marker, frees slots on the lane the program
+// context waits on, or sheds into its inbox.
+//
+// Before fault containment a dead or wedged delegate turned a wait into a
 // silent hang; with containment a wedge should be impossible, and the
 // watchdog is the enforcement of that claim in debug/Checked builds: if no
-// delegate publishes any progress for a full Config.Watchdog bound while a
-// synchronization is outstanding, panic with a dump of per-delegate pending
-// lanes and ledger positions so the liveness bug arrives as an actionable
-// report instead of a CI timeout. Progress is published per drain run, not
-// per operation (progressSum), so the bound must exceed the longest run:
-// Config.Watchdog has the sizing rule.
+// delegate publishes any progress for a full Config.Watchdog bound while
+// the program context waits, panic with a dump of what it waits for and of
+// per-delegate pending lanes and ledger positions, so the liveness bug
+// arrives as an actionable report instead of a CI timeout. Progress is
+// published per drain run, not per operation (progressSum), so the bound
+// must exceed the longest run: Config.Watchdog has the sizing rule.
 
-// waitDone blocks until done closes. With the watchdog enabled it
-// periodically snapshots the pool-wide progress sum; two consecutive
-// identical snapshots a full bound apart with the wait still pending mean
-// the runtime is wedged.
+// wait blocks the program context until settled(room) holds: room on
+// room's program lane when room is set, else every marker recorded in
+// marks served.
 //
 // With help set — a barrier, not under Recursive — the program context
-// works while it waits. For the first helpAfter of a barrier it parks on
-// done as it always did: the park hands its P to a delegate it has just
-// woken, and an epoch of sub-microsecond operations ends inside it. Then it
-// runs its inbox, asks the most occupied delegate for work and parks on
-// done, the inbox's wake channel (delegate.notify's sleep-flag handshake)
-// and the watchdog tick, asking again whenever the inbox runs dry. A reclaim
-// passes help=false: a set lent across a reclaim would outlive the wait.
-func (rt *Runtime) waitDone(done <-chan struct{}, help bool) {
-	wd := rt.cfg.Watchdog
-	if wd <= 0 && !help {
-		<-done
+// works while it waits. For the first helpAfter it only parks: the park
+// hands its P to a delegate it has just woken, and an epoch of
+// sub-microsecond operations ends inside it. Then it runs its inbox, asks
+// the most occupied delegate for work and parks again, asking whenever the
+// inbox wakes it. A reclaim passes help=false: a set lent across a reclaim
+// would outlive the wait.
+//
+// The patient start and the watchdog share the runtime's one timer: the
+// first deadline of a wait with help set ends the patient start, every
+// other one is a watchdog tick, and two progress sums a full bound apart
+// that are equal mean the runtime is wedged.
+func (rt *Runtime) wait(room *delegate, help bool) {
+	if rt.settled(room) {
 		return
 	}
+	if room != nil {
+		rt.roomOn.Store(int32(room.id))
+	}
+	p, wd := rt.prog, rt.cfg.Watchdog
 	var tick <-chan time.Time
-	var timer *time.Timer
 	var last uint64
-	if wd > 0 {
-		timer = time.NewTimer(wd)
-		defer timer.Stop()
-		tick, last = timer.C, rt.progressSum()
+	asking := false
+	switch {
+	case help:
+		rt.timer.Reset(helpAfter)
+		tick = rt.timer.C
+	case wd > 0:
+		rt.timer.Reset(wd)
+		tick, last = rt.timer.C, rt.progressSum()
 	}
-	if help && !rt.helping {
-		rt.helpTimer.Reset(helpAfter)
-		select {
-		case <-done:
-			rt.helpTimer.Stop()
-			return
-		case <-rt.helpTimer.C:
-			rt.helping = true
-		}
-	}
-	p := rt.prog
 	for {
-		if help {
+		if asking {
 			if p.anyPending() {
 				rt.runInbox()
 			}
 			rt.askForWork()
-			p.sleep.Store(delegateSleeping)
-			if p.anyPending() {
-				p.sleep.Store(delegateAwake)
-				continue
+		}
+		p.sleep.Store(delegateSleeping)
+		if rt.settled(room) {
+			p.sleep.Store(delegateAwake)
+			break
+		}
+		if asking && p.anyPending() {
+			p.sleep.Store(delegateAwake)
+			continue
+		}
+		if tick == nil {
+			<-p.wake
+		} else {
+			select {
+			case <-p.wake:
+			case <-tick:
+				switch cur := rt.progressSum(); {
+				case help && !asking: // the patient start is over
+					asking, tick = true, nil
+					if wd > 0 {
+						last, tick = cur, rt.timer.C
+						rt.timer.Reset(wd)
+					}
+				case cur == last:
+					panic(fmt.Sprintf(
+						"prometheus: watchdog: no delegate progress for %v while the program context waits\n%s",
+						wd, rt.DumpSchedState()))
+				default:
+					last = cur
+					rt.timer.Reset(wd)
+				}
 			}
 		}
-		select {
-		case <-done:
-			p.sleep.Store(delegateAwake)
-			return
-		case <-p.wake: // only ever signalled while a helping wait is parked
-			p.sleep.Store(delegateAwake)
-		case <-tick:
-			cur := rt.progressSum()
-			if cur == last {
-				panic(fmt.Sprintf(
-					"prometheus: watchdog: no delegate progress for %v while a synchronization is outstanding\n%s",
-					wd, rt.DumpSchedState()))
-			}
-			last = cur
-			timer.Reset(wd)
+		p.sleep.Store(delegateAwake)
+		if rt.settled(room) { // most wakes are the one awaited
+			break
 		}
 	}
+	if tick != nil {
+		rt.timer.Stop()
+	}
+	if room != nil {
+		rt.roomOn.Store(0)
+	}
+}
+
+// settled is the wait's predicate. With room set, it is room on room's
+// program lane. Otherwise it is every marker in marks served — the
+// delegate's exec on the program lane has reached the marker's position,
+// which execSpan publishes before it wakes the program context — and each
+// marker found served is retired.
+func (rt *Runtime) settled(room *delegate) bool {
+	if room != nil {
+		return !room.lanes[ProgramContext].Full()
+	}
+	for i := range rt.marks {
+		m := &rt.marks[i]
+		if pos := m.Load(); pos != 0 {
+			if rt.delegates[i].exec[ProgramContext].Load() < pos {
+				return false
+			}
+			m.Store(0)
+		}
+	}
+	return true
 }
 
 // progressSum folds every published counter into one number that
@@ -119,8 +166,8 @@ func (rt *Runtime) QueueDepths(dst []uint64) []uint64 {
 }
 
 // ProgramLaneCap returns how many invocations a delegate's program lane
-// holds: how far the program context runs ahead of one delegate before the
-// blocking push parks it. Zero in Sequential mode, which has no lanes.
+// holds: how far the program context runs ahead of one delegate before it
+// waits for room. Zero in Sequential mode, which has no lanes.
 func (rt *Runtime) ProgramLaneCap() int {
 	if len(rt.delegates) == 0 {
 		return 0
@@ -131,15 +178,32 @@ func (rt *Runtime) ProgramLaneCap() int {
 // DumpSchedState renders the scheduler ledgers — the watchdog's wedge
 // report, exported so a draining server can attach the same dump to its
 // straggler log when a drain deadline expires: the pool-wide sent/executed
-// totals and the program context's inbox, then per delegate its
-// pending-lane bitmask, its shed-request word and every lane's sent/exec
-// position. Reads only atomics; safe from any goroutine.
+// totals, the program context's inbox and what it waits for (waiting=room
+// on delegate d's program lane, or its markers not yet served as
+// delegate@position, or nothing), then per delegate its pending-lane
+// bitmask, its shed-request word and every lane's sent/exec position.
+// Reads only atomics; safe from any goroutine.
 func (rt *Runtime) DumpSchedState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine: %d/%d delegates active, sent=%d executed=%d\n",
 		rt.active.Load(), len(rt.delegates), rt.sentSum(), rt.execSum())
 	if p := rt.prog; p != nil {
-		fmt.Fprintf(&b, "  program context: helped=%d inbox=%d\n", p.drainedOps.Load(), p.occupancy())
+		fmt.Fprintf(&b, "  program context: helped=%d inbox=%d waiting=", p.drainedOps.Load(), p.occupancy())
+		if id := rt.roomOn.Load(); id != 0 {
+			fmt.Fprintf(&b, "room on delegate %d", id)
+		} else {
+			sep := "markers"
+			for i := range rt.marks {
+				if pos := rt.marks[i].Load(); pos > rt.delegates[i].exec[ProgramContext].Load() {
+					fmt.Fprintf(&b, "%s %d@%d", sep, i+1, pos)
+					sep = ""
+				}
+			}
+			if sep != "" {
+				b.WriteString("nothing")
+			}
+		}
+		b.WriteByte('\n')
 	}
 	for _, d := range rt.delegates {
 		fmt.Fprintf(&b, "  delegate %d: pending=", d.id)

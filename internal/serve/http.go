@@ -29,7 +29,7 @@ func (s *Server) Handler() http.Handler {
 // deferred to the runtime's quiescent point by design. A manual target
 // wins over the autoscaler's next decision and resets its cooldown;
 // repeated posts before a rotation follow last-write-wins, matching the
-// engine's own Reconfigure semantics.
+// engine's own Resize semantics.
 func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)

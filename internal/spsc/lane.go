@@ -1,7 +1,6 @@
 package spsc
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -32,21 +31,17 @@ import (
 // empty would instead race a producer that refilled the ring and spilled
 // again in between, and deliver the new spill run ahead of the ring.
 //
-// PushBlocking is the complementary producer call for contexts that are
-// never part of a delegation cycle (the program context, which no delegate
-// can block on): it parks on ring-full instead of spilling, giving the
-// natural backpressure a bounded queue provides. A lane whose producer
-// only calls PushBlocking never allocates after construction. The two push
-// styles may not be interleaved while a spill is outstanding; the runtime
-// uses exactly one style per lane (program lanes block, delegate lanes
-// spill), so the case never arises.
+// Full is the producer's room check: a producer that must not spill (the
+// runtime's program context, which no delegate can block on) waits until
+// it reports false and then pushes into the ring, which gives the exact
+// backpressure of a bounded queue; such a lane never allocates after
+// construction.
 //
-// Unlike Queue, a Lane publishes no pushed/popped counters and performs no
-// consumer-side wake signaling: readiness tracking and consumer parking
-// belong to the delegate's pending-lane bitmask (one word for
-// all lanes, maintained by the runtime), which replaces per-lane O(lanes)
-// polling with an O(1) check. The lane only keeps the producer-side park
-// machinery that PushBlocking needs.
+// Unlike Queue, a Lane publishes no pushed/popped counters and parks
+// nobody: readiness tracking and every wait on either side belong to the
+// runtime (the delegate's pending-lane bitmask, one word for all lanes,
+// and its wake handshakes), which replaces per-lane O(lanes) polling with
+// an O(1) check.
 //
 // Spill nodes are recycled: the consumer hands each consumed node back
 // through a small per-lane SPSC freelist ring (nil/non-nil pointer slots
@@ -93,9 +88,6 @@ type Lane[T any] struct {
 	// spillPopped counts spilled values consumed (consumer publishes); the
 	// producer compares it against spillPushed to leave spill mode.
 	spillPopped atomic.Uint64
-	// producerSleep/wakeProducer park a PushBlocking caller on ring-full.
-	producerSleep atomic.Int32
-	wakeProducer  chan struct{}
 }
 
 // freelistSize is the per-lane spill-node freelist capacity. 64 node
@@ -151,14 +143,13 @@ func NewLanePooled[T any](capacity int, pool *NodePool[T]) *Lane[T] {
 	}
 	stub := &unode[T]{}
 	return &Lane[T]{
-		slots:        make([]slot[T], c),
-		mask:         uint64(c - 1),
-		shift:        shift,
-		free:         make([]atomic.Pointer[unode[T]], freelistSize),
-		pool:         pool,
-		spillHead:    stub,
-		spillTail:    stub,
-		wakeProducer: make(chan struct{}, 1),
+		slots:     make([]slot[T], c),
+		mask:      uint64(c - 1),
+		shift:     shift,
+		free:      make([]atomic.Pointer[unode[T]], freelistSize),
+		pool:      pool,
+		spillHead: stub,
+		spillTail: stub,
 	}
 }
 
@@ -246,41 +237,14 @@ func (l *Lane[T]) Push(v T) (spilled bool) {
 	return true
 }
 
-// PushBlocking inserts v, parking while the ring is full, and never
-// spills (unless a spill from a prior Push is still outstanding, in which
-// case FIFO requires joining it). For producers that nothing in the
-// consumer's progress can depend on — the runtime's program context.
+// Full reports whether the ring's next slot is still occupied, so that a
+// Push now would spill. On a lane that has never spilled, a Push after Full
+// reported false lands in the ring. The consumer frees slots with a
+// seq-cst store, so a producer that arms a wake flag before re-checking
+// Full and a consumer that loads the flag after popping cannot both miss.
 // Producer method.
-func (l *Lane[T]) PushBlocking(v T) {
-	if l.spilling {
-		if l.spillPopped.Load() != l.spillPushed.Load() {
-			l.pushSpill(v)
-			return
-		}
-		l.spilling = false
-	}
-	for spin := 0; ; {
-		if l.tryRing(v) {
-			return
-		}
-		spin++
-		if spin < spinBeforePark {
-			if spin%16 == 0 {
-				runtime.Gosched()
-			}
-			continue
-		}
-		// Park until the consumer frees a slot. Re-check after arming the
-		// sleep flag to avoid a lost wakeup.
-		l.producerSleep.Store(sleeping)
-		if l.slots[l.tail&l.mask].seq.Load() == l.freeStamp(l.tail) {
-			l.producerSleep.Store(awake)
-			continue
-		}
-		<-l.wakeProducer
-		l.producerSleep.Store(awake)
-		spin = 0
-	}
+func (l *Lane[T]) Full() bool {
+	return l.slots[l.tail&l.mask].seq.Load() != l.freeStamp(l.tail)
 }
 
 // TryPop removes and returns the oldest value without blocking; ok is
@@ -295,7 +259,6 @@ func (l *Lane[T]) TryPop() (T, bool) {
 		s.val = zero // drop references for GC
 		s.seq.Store(l.freeStamp(l.head + uint64(len(l.slots))))
 		l.head++
-		l.signalProducer()
 		return v, true
 	}
 	if next != nil {
@@ -315,7 +278,7 @@ func (l *Lane[T]) TryPop() (T, bool) {
 // PopBatch removes up to len(dst) values into dst without blocking and
 // returns how many were transferred. Ring slots are re-stamped free as
 // they are read (there is no external Len reader to keep consistent, and a
-// parked PushBlocking producer should resume as soon as possible); the
+// producer waiting on Full should see room as soon as possible); the
 // spill-popped counter is published once per run. Consumer method.
 func (l *Lane[T]) PopBatch(dst []T) int {
 	var zero T
@@ -351,9 +314,6 @@ func (l *Lane[T]) PopBatch(dst []T) int {
 	if m > 0 {
 		l.spillPopped.Store(l.spillPopped.Load() + uint64(m))
 	}
-	if n > 0 {
-		l.signalProducer()
-	}
 	return n
 }
 
@@ -365,13 +325,4 @@ func (l *Lane[T]) PopBatch(dst []T) int {
 func (l *Lane[T]) Empty() bool {
 	return l.slots[l.head&l.mask].seq.Load() != l.fullStamp(l.head) &&
 		l.spillHead.next.Load() == nil
-}
-
-func (l *Lane[T]) signalProducer() {
-	if l.producerSleep.Load() == sleeping {
-		select {
-		case l.wakeProducer <- struct{}{}:
-		default:
-		}
-	}
 }

@@ -154,34 +154,33 @@ func TestLaneConcurrentSpill(t *testing.T) {
 	}
 }
 
-// TestLanePushBlocking: the blocking producer variant never spills; the
-// consumer's slot frees wake it through the park machinery.
-func TestLanePushBlocking(t *testing.T) {
+// TestLaneFull: Full turns true exactly when the ring holds Cap values and
+// false again as soon as one is popped, so a producer that pushes only
+// after Full reports false never spills.
+func TestLaneFull(t *testing.T) {
 	l := NewLane[int](4)
-	const n = 20000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			l.PushBlocking(i)
+	for lap := 0; lap < 3; lap++ {
+		for i := 0; i < l.Cap(); i++ {
+			if l.Full() {
+				t.Fatalf("lap %d: Full with %d of %d slots used", lap, i, l.Cap())
+			}
+			l.Push(i)
 		}
-	}()
-	for i := 0; i < n; i++ {
-		for {
-			v, ok := l.TryPop()
-			if !ok {
-				time.Sleep(time.Microsecond)
-				continue
+		if !l.Full() {
+			t.Fatalf("lap %d: not Full with the ring at capacity", lap)
+		}
+		dst := make([]int, 1)
+		for i := 0; i < l.Cap(); i++ {
+			if l.PopBatch(dst) != 1 || dst[0] != i {
+				t.Fatalf("lap %d: pop %d = %d, want %d", lap, i, dst[0], i)
 			}
-			if v != i {
-				t.Fatalf("pop = %d, want %d", v, i)
+			if l.Full() {
+				t.Fatalf("lap %d: still Full after a pop", lap)
 			}
-			break
 		}
 	}
-	<-done
 	if s := l.Spills(); s != 0 {
-		t.Fatalf("PushBlocking spilled %d values", s)
+		t.Fatalf("Spills = %d, want 0", s)
 	}
 }
 

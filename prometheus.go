@@ -76,7 +76,7 @@ type Option func(*core.Config)
 // threads; default GOMAXPROCS-1).
 func WithDelegates(n int) Option { return func(c *core.Config) { c.Delegates = n } }
 
-// WithMaxDelegates sets the pool capacity ceiling for Resize/Reconfigure
+// WithMaxDelegates sets the pool capacity ceiling for Resize
 // (default: the initial delegate count, i.e. a fixed pool). All pool
 // structures are pre-allocated to this capacity at Init so a live resize
 // never reallocates anything a running delegate indexes into; with
@@ -206,10 +206,6 @@ func (rt *Runtime) NumDelegates() int { return rt.core.NumContexts() - 1 }
 // pool. Safe from any goroutine.
 func (rt *Runtime) ActiveDelegates() int { return rt.core.ActiveDelegates() }
 
-// RuntimeConfig re-exports the runtime-mutable configuration accepted by
-// Reconfigure. Zero fields keep their current setting.
-type RuntimeConfig = core.RuntimeConfig
-
 // Resize requests the delegate pool be resized to n at the next epoch
 // boundary — BeginIsolation is the engine's quiescent point, where owner
 // tables rebuild and hot sets re-place, so a resize there preserves per-set
@@ -217,15 +213,6 @@ type RuntimeConfig = core.RuntimeConfig
 // immediately; safe from any goroutine; last request before the boundary
 // wins.
 func (rt *Runtime) Resize(n int) error { return rt.core.Resize(n) }
-
-// Reconfigure records a runtime-mutable configuration change (the pool
-// size) to apply at the next epoch boundary. Safe from any goroutine.
-func (rt *Runtime) Reconfigure(rc RuntimeConfig) error { return rt.core.Reconfigure(rc) }
-
-// CurrentConfig returns the effective runtime-mutable configuration (a
-// pending Reconfigure shows up only after the epoch boundary applies it).
-// Safe from any goroutine.
-func (rt *Runtime) CurrentConfig() RuntimeConfig { return rt.core.RuntimeConfig() }
 
 // ProgramCtx returns the program context handle, for use with reducibles
 // from the program context.

@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -43,14 +42,13 @@ import (
 
 func main() {
 	// Flags bind into the configuration they fill. What has no flag keeps
-	// serve's default, except what ssserve itself picks: the bucket depth for
-	// -rate and the drain deadline the listener shutdown below is sized from.
-	cfg := serve.Config{Burst: 10, DrainTimeout: 5 * time.Second, Fsync: durable.FsyncRotation, Logf: log.Printf}
+	// serve's default.
+	cfg := serve.Config{Fsync: durable.FsyncRotation, Logf: log.Printf}
 	var bo buildOpts
 	addr := flag.String("addr", ":8080", "listen address")
 	flag.IntVar(&cfg.Delegates, "delegates", 0, "delegate contexts (0 = GOMAXPROCS-1)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 1024, "admission budget (503 above it)")
-	flag.Float64Var(&cfg.Rate, "rate", 0, "per-key token-bucket rate, requests/sec (0 = off)")
+	flag.Float64Var(&cfg.Rate, "rate", 0, "per-key token-bucket rate, requests/sec, bucket depth 10 (0 = off)")
 	flag.DurationVar(&cfg.EpochInterval, "epoch-interval", 100*time.Millisecond, "isolation-epoch rotation period")
 
 	// Elastic pool.
@@ -72,12 +70,7 @@ func main() {
 	flag.DurationVar(&bo.breakerCool, "breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
 
 	// Chaos injection (deterministic; for harness runs, not production).
-	flag.BoolVar(&bo.flaky, "flaky-backend", false, "serve from a 2-backend in-process pool whose second member carries the chaos profile below")
-	flag.Uint64Var(&bo.seed, "chaos-seed", 1, "chaos determinism seed")
-	flag.Float64Var(&bo.errRate, "chaos-error-rate", 0, "seeded per-op backend error probability on the flaky backend")
-	flag.IntVar(&bo.spikeEvery, "chaos-spike-every", 0, "inject a latency spike every Nth op per key on the flaky backend (0 = off)")
-	flag.DurationVar(&bo.spike, "chaos-spike", 200*time.Millisecond, "latency-spike duration")
-	flag.StringVar(&bo.flap, "chaos-flap", "", "flap window FROM:TO in flaky-backend op counts, e.g. 100:160 (hard-down between them)")
+	flag.BoolVar(&bo.flaky, "flaky-backend", false, "serve from a 2-backend in-process pool whose second member is chaos-injected: 5% seeded errors, a 200ms spike every 40th op per key, down over ops [60, 80)")
 	flag.Parse()
 
 	backend, err := buildBackend(bo)
@@ -123,7 +116,7 @@ func main() {
 	// Drain order: stop accepting and wait for inflight HTTP handlers
 	// first (they need the serving tier alive to answer), then drain the
 	// tier itself — final barrier, sweep, terminate.
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout+time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), serve.DrainTimeout+time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("ssserve: listener shutdown: %v", err)
@@ -140,17 +133,16 @@ type buildOpts struct {
 	flaky         bool
 	breakerThresh int
 	breakerCool   time.Duration
-	seed          uint64
-	errRate       float64
-	spikeEvery    int
-	spike         time.Duration
-	flap          string
 }
 
-// buildBackend translates the backend/chaos flags into a serve.Backend:
-// nil (plain in-process handler), a breaker-gated pool of HTTP
-// upstreams, or the two-member in-process pool whose second backend
-// carries the chaos profile — the shape the loadgen smoke job boots.
+// buildBackend translates the backend flags into a serve.Backend: nil
+// (plain in-process handler), a breaker-gated pool of HTTP upstreams, or
+// the two-member in-process pool whose second backend carries the one
+// chaos profile — the shape the loadgen smoke job boots. The profile is
+// seeded, so a run replays: 5% errors, a 200ms latency spike on every 40th
+// operation of each key, and a hard-down flap over the backend's own
+// operations [60, 80), long enough to open a breaker at
+// -breaker-threshold 3.
 func buildBackend(o buildOpts) (serve.Backend, error) {
 	if o.upstreams != "" && o.flaky {
 		return nil, fmt.Errorf("-backends and -flaky-backend are mutually exclusive")
@@ -163,7 +155,7 @@ func buildBackend(o buildOpts) (serve.Backend, error) {
 			if u == "" {
 				continue
 			}
-			hb, err := serve.NewHTTPBackend(fmt.Sprintf("upstream-%d", i), u, nil)
+			hb, err := serve.NewHTTPBackend(fmt.Sprintf("upstream-%d", i), u)
 			if err != nil {
 				return nil, err
 			}
@@ -174,39 +166,17 @@ func buildBackend(o buildOpts) (serve.Backend, error) {
 		}
 		return serve.NewPool(o.breakerThresh, o.breakerCool, members...), nil
 	case o.flaky:
-		flaky := &serve.ChaosBackend{Inner: serve.NewHandlerBackend("flaky", handle)}
-		if o.errRate > 0 {
-			flaky.Errors = chaos.SeededErrors(o.seed, o.errRate)
-		}
-		if o.spikeEvery > 0 {
-			flaky.Latency = chaos.SpikeEvery(uint64(o.spikeEvery), o.spike)
-		}
-		if o.flap != "" {
-			from, to, err := parseFlap(o.flap)
-			if err != nil {
-				return nil, err
-			}
-			flaky.Flap = chaos.FlapBetween(from, to)
+		flaky := &serve.ChaosBackend{
+			Inner:   serve.NewHandlerBackend("flaky", handle),
+			Errors:  chaos.SeededErrors(1, 0.05),
+			Latency: chaos.SpikeEvery(40, 200*time.Millisecond),
+			Flap:    chaos.FlapBetween(60, 80),
 		}
 		return serve.NewPool(o.breakerThresh, o.breakerCool,
 			serve.NewHandlerBackend("steady", handle), flaky), nil
 	default:
 		return nil, nil
 	}
-}
-
-func parseFlap(s string) (from, to uint64, err error) {
-	a, b, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("-chaos-flap %q: want FROM:TO", s)
-	}
-	if from, err = strconv.ParseUint(a, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("-chaos-flap %q: %v", s, err)
-	}
-	if to, err = strconv.ParseUint(b, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("-chaos-flap %q: %v", s, err)
-	}
-	return from, to, nil
 }
 
 // handle is the per-session request handler, executed on a delegate

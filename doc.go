@@ -177,8 +177,7 @@
 // the handoff boundary makes them moot — left stale they would be compared
 // against the new owner's unrelated counters) and the acting producer's is
 // fenced at the thief's current lane depth before the new owner is
-// published. A per-set stamp counts handoffs for tests and debugging; no
-// protocol step reads it.
+// published.
 //
 // Under Recursive, migrating a set also moves the PRODUCER ROLE of its
 // operations: nested sets they delegate to start receiving through the
@@ -502,7 +501,7 @@
 // before its barrier (the closing epoch's backlog is the demand signal),
 // smooths it with a moving average, and steps the pool by one delegate
 // when occupancy leaves the [0.5, 2.0] ops-per-delegate band, clamped to
-// [MinDelegates, MaxDelegates] with a cooldown in rotations so one burst
+// [1, MaxDelegates] with three rotations between steps so one burst
 // cannot slam the pool to a rail.
 // POST /admin/resize records a manual target that wins over the
 // autoscaler's next decision; both apply at the rotation, so a resize is

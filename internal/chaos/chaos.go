@@ -57,26 +57,63 @@ func (f Fault) Error() string {
 	return fmt.Sprintf("chaos: injected panic at op %d of set %d", f.N, f.Set)
 }
 
-// Injector counts operations per set and panics when its trigger decides
-// an operation should fault. Safe for concurrent use by every delegate.
-type Injector struct {
+// counter is the per-set trigger every injector shares: it counts each
+// set's operations and decides, by position, which of them fire. Safe for
+// concurrent use.
+type counter struct {
 	mu     sync.Mutex
 	counts map[uint64]uint64
 	fired  uint64
-	// trigger reports whether the nth (1-based) operation of set should
-	// fault. Called under mu.
+	// trigger reports whether the nth (1-based) operation of set fires.
+	// Called under mu.
 	trigger func(set, n uint64) bool
 }
+
+func newCounter(trigger func(set, n uint64) bool) counter {
+	return counter{counts: make(map[uint64]uint64), trigger: trigger}
+}
+
+// next counts one operation of set and returns its 1-based position and
+// whether the trigger fires on it.
+func (c *counter) next(set uint64) (n uint64, fire bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.counts[set]++
+	n = c.counts[set]
+	if fire = c.trigger(set, n); fire {
+		c.fired++
+	}
+	return n, fire
+}
+
+// Fired reports how many operations the trigger has fired on.
+func (c *counter) Fired() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fired
+}
+
+// seededTrigger fires on roughly fraction p of operations, chosen by mixing
+// seed with the operation's (set, position) coordinate.
+func seededTrigger(seed uint64, p float64) func(uint64, uint64) bool {
+	thr := probThreshold(p)
+	return func(s, k uint64) bool { return (mix(seed, s, k) >> 1) < thr }
+}
+
+// nthOf fires on exactly the nth (1-based) operation of one set.
+func nthOf(set, n uint64) func(uint64, uint64) bool {
+	return func(s, k uint64) bool { return s == set && k == n }
+}
+
+// Injector counts operations per set and panics when its trigger decides
+// an operation should fault. Safe for concurrent use by every delegate.
+// Fired reports how many panics it has raised.
+type Injector struct{ counter }
 
 // PanicAt returns an injector that panics at the nth (1-based) operation
 // delegated to set, once. Every other operation passes through untouched.
 func PanicAt(set, n uint64) *Injector {
-	return &Injector{
-		counts: make(map[uint64]uint64),
-		trigger: func(s, k uint64) bool {
-			return s == set && k == n
-		},
-	}
+	return &Injector{newCounter(nthOf(set, n))}
 }
 
 // Seeded returns an injector that panics on roughly fraction p of
@@ -84,38 +121,17 @@ func PanicAt(set, n uint64) *Injector {
 // coordinate. Deterministic for a fixed seed and workload; different seeds
 // scatter the faults differently.
 func Seeded(seed uint64, p float64) *Injector {
-	thr := probThreshold(p)
-	return &Injector{
-		counts: make(map[uint64]uint64),
-		trigger: func(s, k uint64) bool {
-			return (mix(seed, s, k) >> 1) < thr
-		},
-	}
+	return &Injector{newCounter(seededTrigger(seed, p))}
 }
 
 // Hook returns the function to install as Config.FaultInjector. The hook
 // panics with a Fault value when the trigger fires.
 func (in *Injector) Hook() func(ctx int, set uint64) {
 	return func(ctx int, set uint64) {
-		in.mu.Lock()
-		in.counts[set]++
-		n := in.counts[set]
-		fire := in.trigger(set, n)
-		if fire {
-			in.fired++
-		}
-		in.mu.Unlock()
-		if fire {
+		if n, fire := in.next(set); fire {
 			panic(Fault{Set: set, N: n})
 		}
 	}
-}
-
-// Fired reports how many panics the injector has raised.
-func (in *Injector) Fired() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fired
 }
 
 // Reset clears the per-set counters (the fired total is kept), so one
@@ -146,118 +162,63 @@ func (e Injected) Error() string {
 // trigger fires, zero otherwise. The caller performs the sleep (the
 // serving tier's chaos backend sleeps under the request's deadline
 // context, so a spike longer than the remaining budget resolves as a
-// timeout, not a wedge).
+// timeout, not a wedge). Fired reports how many delays it has issued.
 type Latency struct {
-	mu      sync.Mutex
-	counts  map[uint64]uint64
-	d       time.Duration
-	fired   uint64
-	trigger func(set, n uint64) bool
+	counter
+	d time.Duration
 }
 
 // SpikeEvery returns a latency injector that delays every kth operation of
 // each set by d — the "periodic latency spike" profile. k <= 1 delays every
 // operation.
 func SpikeEvery(k uint64, d time.Duration) *Latency {
-	if k < 1 {
-		k = 1
-	}
-	return &Latency{
-		counts:  make(map[uint64]uint64),
-		d:       d,
-		trigger: func(_, n uint64) bool { return n%k == 0 },
-	}
+	k = max(k, 1)
+	return &Latency{newCounter(func(_, n uint64) bool { return n%k == 0 }), d}
 }
 
 // SeededLatency returns a latency injector that delays roughly fraction p
 // of operations by d, chosen by the same seeded (set, position) mix the
 // panic injector uses — scattered but fully deterministic per seed.
 func SeededLatency(seed uint64, p float64, d time.Duration) *Latency {
-	thr := probThreshold(p)
-	return &Latency{
-		counts:  make(map[uint64]uint64),
-		d:       d,
-		trigger: func(s, k uint64) bool { return (mix(seed, s, k) >> 1) < thr },
-	}
+	return &Latency{newCounter(seededTrigger(seed, p)), d}
 }
 
 // Delay counts one operation of set and returns the delay to apply to it
 // (zero for untouched operations). Safe for concurrent use.
 func (l *Latency) Delay(set uint64) time.Duration {
-	l.mu.Lock()
-	l.counts[set]++
-	n := l.counts[set]
-	fire := l.trigger(set, n)
-	if fire {
-		l.fired++
-	}
-	l.mu.Unlock()
-	if fire {
+	if _, fire := l.next(set); fire {
 		return l.d
 	}
 	return 0
-}
-
-// Fired reports how many delays the injector has issued.
-func (l *Latency) Fired() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fired
 }
 
 // Errors injects deterministic backend failures: each Err call counts one
 // operation of its set and returns an Injected error when the trigger
 // fires, nil otherwise. This is the retry-path exercise — an injected
 // error is transient by construction (the next position rolls a fresh
-// coin), so a retried operation usually succeeds.
-type Errors struct {
-	mu      sync.Mutex
-	counts  map[uint64]uint64
-	fired   uint64
-	trigger func(set, n uint64) bool
-}
+// coin), so a retried operation usually succeeds. Fired reports how many
+// errors it has returned.
+type Errors struct{ counter }
 
 // SeededErrors returns an error injector that fails roughly fraction p of
 // operations, deterministic per (seed, set, position).
 func SeededErrors(seed uint64, p float64) *Errors {
-	thr := probThreshold(p)
-	return &Errors{
-		counts:  make(map[uint64]uint64),
-		trigger: func(s, k uint64) bool { return (mix(seed, s, k) >> 1) < thr },
-	}
+	return &Errors{newCounter(seededTrigger(seed, p))}
 }
 
 // ErrorAt returns an error injector that fails exactly the nth (1-based)
 // operation of one chosen set, once — the deterministic unit-test trigger.
 func ErrorAt(set, n uint64) *Errors {
-	return &Errors{
-		counts:  make(map[uint64]uint64),
-		trigger: func(s, k uint64) bool { return s == set && k == n },
-	}
+	return &Errors{newCounter(nthOf(set, n))}
 }
 
 // Err counts one operation of set and returns the failure to inject (nil
 // for untouched operations). Safe for concurrent use.
 func (e *Errors) Err(set uint64) error {
-	e.mu.Lock()
-	e.counts[set]++
-	n := e.counts[set]
-	fire := e.trigger(set, n)
-	if fire {
-		e.fired++
-	}
-	e.mu.Unlock()
-	if fire {
+	if n, fire := e.next(set); fire {
 		return Injected{Set: set, N: n}
 	}
 	return nil
-}
-
-// Fired reports how many errors the injector has returned.
-func (e *Errors) Fired() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fired
 }
 
 // Flap models one contiguous backend outage: operations [From, To) of the

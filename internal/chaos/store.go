@@ -105,8 +105,5 @@ func (ff *faultyFile) Close() error { return ff.inner.Close() }
 // bad" profile for snapshot-failure drills, where the interesting
 // property is that serving continues on the last good generation.
 func ErrorsAfter(n uint64) *Errors {
-	return &Errors{
-		counts:  make(map[uint64]uint64),
-		trigger: func(_, k uint64) bool { return k > n },
-	}
+	return &Errors{newCounter(func(_, k uint64) bool { return k > n })}
 }

@@ -185,14 +185,6 @@ func (rt *Runtime) recordPanic(ctx int, set uint64, v any) {
 			m[set] = f
 			fs.poisoned.Store(&m)
 			fs.poisonedSets.Add(1)
-			if tbl := rt.owners.Load(); tbl != nil {
-				// Mirror the poison into the owner-table entry so the
-				// rebalancer's no-steal check and the hot-set seeder's
-				// exclusion are one atomic load.
-				if e := tbl.lookup(set); e != nil {
-					e.poison.Store(f)
-				}
-			}
 		}
 	}
 	fs.mu.Unlock()

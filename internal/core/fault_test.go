@@ -9,7 +9,7 @@ import (
 )
 
 // faultCfg is the flat-engine containment fixture: LeastLoaded so the
-// owner-table poison cache is exercised alongside the global table.
+// owner table's placement runs alongside the poison table.
 func faultCfg() Config {
 	return Config{Delegates: 2, Policy: LeastLoaded}
 }

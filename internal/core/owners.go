@@ -110,10 +110,6 @@ type setEntry struct {
 	// delegations migrates — the outbound-coverage condition in maybeSteal
 	// guarantees the quiescence this check then observes.
 	producer atomic.Int32
-	// stamp counts whole-set handoffs this epoch. Nothing on the drain or
-	// delegation path depends on it — it is observability state: tests and
-	// debugging read it to tell that (and how often) a set moved.
-	stamp atomic.Uint64
 	// ops counts operations delegated to the set this epoch (single writer:
 	// the set's producer); BeginIsolation ranks the closing epoch's sets by
 	// it to pre-place the hottest ones.
@@ -129,13 +125,6 @@ type setEntry struct {
 	// producer at migration checks, zeroed at migration. Nil without
 	// Recursive: nothing nests.
 	outPos []atomic.Uint64
-	// poison mirrors the global poison table's entry for this set
-	// (fault.go) — nil unless one of the set's operations panicked this
-	// epoch. Written by the faulting delegate (recordPanic) before it
-	// publishes the faulted operation's exec, which is what makes the
-	// no-steal check deterministic: any producer that proves the set
-	// quiescent has observed that publish, and therefore this pointer.
-	poison atomic.Pointer[PanicFault]
 	// pos0 backs lastPos when the program context is the only producer, so
 	// a first touch allocates the entry and nothing else.
 	pos0 [1]atomic.Uint64
@@ -495,13 +484,13 @@ func (rt *Runtime) maybeSteal(producer int, set uint64, e *setEntry) {
 	if e.lastPos[producer].Load() > vd.exec[producer].Load() {
 		return
 	}
-	if e.poison.Load() != nil {
+	if fs := rt.faults.Load(); fs != nil && fs.lookup(set) != nil {
 		// Poisoned sets are never stolen — and never force-evacuated: every
 		// further delegation to the set is dropped at the producer, so the
 		// self-delegation hazard cannot arise. The fast path above proved
 		// this producer's newest operation covered, which happens-after the
-		// faulting operation's exec publish and therefore after the poison
-		// store: the check cannot race the fault.
+		// faulting operation's exec publish and therefore after recordPanic
+		// wrote the poison table: the check cannot race the fault.
 		return
 	}
 	forced := v == producer // self-owned: evacuate, don't wait for load
@@ -551,7 +540,6 @@ func (rt *Runtime) maybeSteal(producer int, set uint64, e *setEntry) {
 	}
 	e.lastPos[producer].Store(rt.delegates[thief-1].sent[producer].n.Load())
 	e.owner.Store(int32(thief))
-	e.stamp.Add(1)
 	bump(&stats.migrations)
 	if forced {
 		bump(&stats.forcedEvacs)
@@ -617,7 +605,7 @@ func (rt *Runtime) reseed(prev *ownerTable) int {
 	if rt.cfg.Stealing && rt.cfg.Delegates > 1 {
 		// With one delegate every set lands on it anyway: ranking the whole
 		// closing epoch to pre-place two of them there is wasted work.
-		hot = rankHotSets(prev, 2*rt.cfg.Delegates)
+		hot = rankHotSets(prev, rt.faults.Load(), 2*rt.cfg.Delegates)
 	}
 	slot, delegates := 0, rt.cfg.Delegates
 	for _, h := range hot {
@@ -650,12 +638,14 @@ func (h hotSeed) hotter(o hotSeed) bool { return h.ops > o.ops || h.ops == o.ops
 // placements. The input is every set the epoch touched (possibly very
 // many) and only the output is small, so this is one pass keeping the k
 // best in order: nearly every set costs one comparison with the coldest.
-func rankHotSets(owners *ownerTable, k int) []hotSeed {
+// Sets the closing epoch poisoned (in fs, nil when nothing ever faulted) are
+// never hot-seeded into the next one.
+func rankHotSets(owners *ownerTable, fs *faultState, k int) []hotSeed {
 	top := make([]hotSeed, 0, k+1)
 	owners.forEach(func(set uint64, e *setEntry) {
 		h := hotSeed{set, e.ops.Load(), e.producer.Load()}
-		if h.ops == 0 || e.poison.Load() != nil {
-			return // poisoned sets are never hot-seeded into the next epoch
+		if h.ops == 0 || fs != nil && fs.lookup(set) != nil {
+			return
 		}
 		i := len(top)
 		for i > 0 && h.hotter(top[i-1]) {

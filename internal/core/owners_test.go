@@ -195,10 +195,10 @@ func TestHotSetSeeding(t *testing.T) {
 
 // rankHotSetsBySort is the reference rankHotSets is checked against: rank
 // every eligible set, cut to k.
-func rankHotSetsBySort(owners *ownerTable, k int) []hotSeed {
+func rankHotSetsBySort(owners *ownerTable, poisoned map[uint64]*PanicFault, k int) []hotSeed {
 	var all []hotSeed
 	owners.forEach(func(set uint64, e *setEntry) {
-		if n := e.ops.Load(); n > 0 && e.poison.Load() == nil {
+		if n := e.ops.Load(); n > 0 && poisoned[set] == nil {
 			all = append(all, hotSeed{set, n, e.producer.Load()})
 		}
 	})
@@ -221,19 +221,27 @@ func TestRankHotSetsMatchesSort(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 300} {
 		for trial := 0; trial < 20; trial++ {
 			tbl := newOwnerTable(n)
+			poisoned := map[uint64]*PanicFault{}
 			for i := 0; i < n; i++ {
 				e := rt.newSetEntry(1 + i%2)
 				e.ops.Store(uint64(rng.Intn(4))) // 0 = untouched; few values, so mostly ties
 				e.producer.Store(int32(rng.Intn(3)))
+				set := rng.Uint64()
 				if rng.Intn(10) == 0 {
-					e.poison.Store(&PanicFault{})
+					poisoned[set] = &PanicFault{Set: set}
 				}
-				tbl.insert(rng.Uint64(), e)
+				tbl.insert(set, e)
 			}
+			fs := &faultState{}
+			fs.poisoned.Store(&poisoned)
 			for _, k := range []int{0, 1, 2, 8, n + 3} {
-				got, want := rankHotSets(tbl, k), rankHotSetsBySort(tbl, k)
+				got, want := rankHotSets(tbl, fs, k), rankHotSetsBySort(tbl, poisoned, k)
 				if !slices.Equal(got, want) {
 					t.Fatalf("n=%d k=%d:\n got %v\nwant %v", n, k, got, want)
+				}
+				// A runtime that never faulted has no fault table.
+				if got, want := rankHotSets(tbl, nil, k), rankHotSetsBySort(tbl, nil, k); !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d, no faults:\n got %v\nwant %v", n, k, got, want)
 				}
 			}
 		}

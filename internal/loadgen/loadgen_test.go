@@ -41,7 +41,6 @@ func TestChaosProfileAgainstLiveServer(t *testing.T) {
 		Backend:        pool,
 		RequestTimeout: 2 * time.Second,
 		RetryMax:       3,
-		RetryBase:      2 * time.Millisecond,
 		EpochInterval:  50 * time.Millisecond,
 		MaxInflight:    256,
 	})

@@ -97,19 +97,18 @@ func (hb *HandlerBackend) Serve(ctx context.Context, s *Session, r *http.Request
 // reader. A body over the cap is a definitive 413, not a backend failure:
 // retrying would re-send the same oversized payload.
 type HTTPBackend struct {
-	name   string
-	base   *url.URL
-	client *http.Client
+	name string
+	base *url.URL
 }
 
 // maxProxyBody bounds how much of an upstream response body is relayed,
 // so one misbehaving upstream cannot balloon the tier's memory.
 const maxProxyBody = 1 << 20
 
-// NewHTTPBackend builds an upstream proxy backend. client may be nil for
-// http.DefaultClient semantics with no client-side timeout (the request
-// context carries the deadline).
-func NewHTTPBackend(name, baseURL string, client *http.Client) (*HTTPBackend, error) {
+// NewHTTPBackend builds an upstream proxy backend. It sends through
+// http.DefaultClient, with no client-side timeout: the request context
+// carries the deadline.
+func NewHTTPBackend(name, baseURL string) (*HTTPBackend, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("serve: backend %q: %w", name, err)
@@ -117,10 +116,7 @@ func NewHTTPBackend(name, baseURL string, client *http.Client) (*HTTPBackend, er
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("serve: backend %q: base URL %q needs scheme and host", name, baseURL)
 	}
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &HTTPBackend{name: name, base: u, client: client}, nil
+	return &HTTPBackend{name: name, base: u}, nil
 }
 
 func (hb *HTTPBackend) Name() string { return hb.name }
@@ -148,7 +144,7 @@ func (hb *HTTPBackend) Serve(ctx context.Context, s *Session, r *http.Request) (
 		req.Header.Set("Content-Type", ct)
 	}
 	req.Header.Set("X-Session-Key", s.Key)
-	resp, err := hb.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, "", err
 	}
@@ -368,16 +364,4 @@ func (p *Pool) States() []BackendState {
 		}
 	}
 	return out
-}
-
-// GatedCount reports how many backends are currently out of full rotation
-// (breaker open or half-open) — the /healthz "degraded" signal.
-func (p *Pool) GatedCount() int {
-	n := 0
-	for _, e := range p.entries {
-		if st, _ := e.br.snapshot(); st != breakerClosed {
-			n++
-		}
-	}
-	return n
 }

@@ -141,8 +141,8 @@ func TestPoolGatesFailingBackendAndRecovers(t *testing.T) {
 	if badState.State != "open" || !badState.Gated {
 		t.Fatalf("bad backend state %+v, want open/gated", badState)
 	}
-	if p.GatedCount() != 1 {
-		t.Fatalf("GatedCount = %d, want 1", p.GatedCount())
+	if n := gatedCount(p); n != 1 {
+		t.Fatalf("gated backends = %d, want 1", n)
 	}
 
 	// While gated, every call lands on good: no more errors.
@@ -165,9 +165,21 @@ func TestPoolGatesFailingBackendAndRecovers(t *testing.T) {
 	if bad.calls == before {
 		t.Fatal("healed backend got no traffic after the cooldown")
 	}
-	if p.GatedCount() != 0 {
-		t.Fatalf("GatedCount = %d after recovery, want 0", p.GatedCount())
+	if n := gatedCount(p); n != 0 {
+		t.Fatalf("gated backends = %d after recovery, want 0", n)
 	}
+}
+
+// gatedCount counts the pool's backends out of full rotation, the way
+// /healthz does.
+func gatedCount(p *Pool) int {
+	n := 0
+	for _, bs := range p.States() {
+		if bs.Gated {
+			n++
+		}
+	}
+	return n
 }
 
 func TestPoolAllGated(t *testing.T) {
@@ -271,7 +283,7 @@ func TestHTTPBackendProxiesAndClassifies(t *testing.T) {
 	}))
 	defer upstream.Close()
 
-	hb, err := NewHTTPBackend("up", upstream.URL, nil)
+	hb, err := NewHTTPBackend("up", upstream.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +312,10 @@ func TestHTTPBackendProxiesAndClassifies(t *testing.T) {
 	}
 
 	// Construction-time validation.
-	if _, err := NewHTTPBackend("x", "not a url\x7f", nil); err == nil {
+	if _, err := NewHTTPBackend("x", "not a url\x7f"); err == nil {
 		t.Fatal("bad URL accepted")
 	}
-	if _, err := NewHTTPBackend("x", "/relative", nil); err == nil {
+	if _, err := NewHTTPBackend("x", "/relative"); err == nil {
 		t.Fatal("schemeless URL accepted")
 	}
 }
@@ -323,7 +335,7 @@ func TestHTTPBackendForwardsBody(t *testing.T) {
 	}))
 	defer upstream.Close()
 
-	hb, err := NewHTTPBackend("up", upstream.URL, nil)
+	hb, err := NewHTTPBackend("up", upstream.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +375,7 @@ func TestHTTPBackendBodyCapEnforced(t *testing.T) {
 	}))
 	defer upstream.Close()
 
-	hb, err := NewHTTPBackend("up", upstream.URL, nil)
+	hb, err := NewHTTPBackend("up", upstream.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,13 +423,13 @@ func (f *signalingFailBackend) Serve(ctx context.Context, s *Session, r *http.Re
 // ladder is exhausted: the request resolves (502) and only then does
 // Drain take the role for the final barrier and return nil. A drain that
 // stopped the server under an armed timer would drop the re-delivery and
-// report an unanswered request; this pins that it does not.
+// report an unanswered request; this pins that it does not. Six retries
+// back off 2+4+…+64 ms (±50%), so the ladder spans the drain.
 func TestDrainWithArmedRetry(t *testing.T) {
 	fb := &signalingFailBackend{attempts: make(chan struct{}, 16)}
 	s := newTestServer(t, Config{
 		Backend:       fb,
-		RetryMax:      3,
-		RetryBase:     40 * time.Millisecond,
+		RetryMax:      6,
 		EpochInterval: 20 * time.Millisecond,
 	})
 	h := s.Handler()
@@ -445,7 +457,7 @@ func TestDrainWithArmedRetry(t *testing.T) {
 	if r.code != http.StatusBadGateway {
 		t.Fatalf("retried request resolved %d %q, want 502", r.code, r.body)
 	}
-	if !strings.Contains(r.body, "4 attempt(s)") {
+	if !strings.Contains(r.body, "7 attempt(s)") {
 		t.Fatalf("body %q: the full retry ladder did not run across the drain", r.body)
 	}
 }

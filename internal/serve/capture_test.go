@@ -267,16 +267,13 @@ func captureEqualsLiveTable(t *testing.T, policy durable.FsyncPolicy) {
 		}
 	}
 	s1 := newTestServer(t, Config{
-		StateFS:           cfs,
-		Fsync:             policy,
-		EpochInterval:     time.Millisecond,
-		Delegates:         1,
-		MaxDelegates:      3,
-		Autoscale:         true,
-		AutoscaleCooldown: 1,
-		RetryMax:          20,
-		RetryBase:         100 * time.Microsecond,
-		RetryCap:          time.Millisecond,
+		StateFS:       cfs,
+		Fsync:         policy,
+		EpochInterval: time.Millisecond,
+		Delegates:     1,
+		MaxDelegates:  3,
+		Autoscale:     true,
+		RetryMax:      20,
 		Backend: &ChaosBackend{
 			Inner:  NewHandlerBackend("inner", testHandler),
 			Errors: chaos.SeededErrors(7, 0.1),

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	prometheus "repro"
 )
 
 // This file is the time side of the serving tier: per-request deadlines,
@@ -49,12 +51,20 @@ import (
 //
 // Deadlines protect requests; the watchdog protects sets. A key whose
 // requests are persistently slow (Config.SlowThreshold exceeded on
-// Config.SlowTrips consecutive services) is degraded: subsequent requests
+// slowTrips consecutive services) is degraded: subsequent requests
 // shed with 503 at delivery instead of queueing behind work that will
 // blow their budgets anyway. Degradation is epoch-scoped like poisoning —
 // the rotation that heals poisoned keys also gives degraded keys a fresh
 // chance — and the shed is counted and exposed so a persistently-degraded
 // key is visible to operators.
+
+// The retry ladder's backoff: retryBase doubles per attempt up to retryCap.
+// slowTrips is the consecutive-slow-service count that degrades a key.
+const (
+	retryBase = 2 * time.Millisecond
+	retryCap  = 250 * time.Millisecond
+	slowTrips = 3
+)
 
 // retryable reports whether a failed attempt should be delivered again:
 // the request must be idempotent, the attempt budget must remain, and the
@@ -64,7 +74,7 @@ func (s *Server) retryable(j *job, backoff time.Duration) bool {
 	if j.attempt >= s.cfg.RetryMax {
 		return false
 	}
-	if !s.cfg.IdempotentFunc(j.r) {
+	if !idempotent(j.r) {
 		return false
 	}
 	if !j.deadline.IsZero() && time.Now().Add(backoff).After(j.deadline) {
@@ -73,10 +83,10 @@ func (s *Server) retryable(j *job, backoff time.Duration) bool {
 	return true
 }
 
-// defaultIdempotent is the default Config.IdempotentFunc: bodyless-safe
-// methods are retryable, everything else only when the client marked the
-// request idempotent explicitly.
-func defaultIdempotent(r *http.Request) bool {
+// idempotent reports whether a request is safe to retry: bodyless-safe
+// methods are, everything else only when the client marked the request
+// idempotent explicitly with an Idempotency-Key header.
+func idempotent(r *http.Request) bool {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead, http.MethodOptions:
 		return true
@@ -86,29 +96,17 @@ func defaultIdempotent(r *http.Request) bool {
 
 // backoffFor computes the capped exponential backoff for the job's NEXT
 // attempt, with deterministic jitter in [0.5x, 1.5x) mixed from the
-// request's (set, seq, attempt) coordinate — no global RNG, so a replayed
+// request's (set, attempt) coordinate — no global RNG, so a replayed
 // chaos profile replays its retry schedule too.
 func (s *Server) backoffFor(j *job) time.Duration {
-	d := s.cfg.RetryBase << uint(j.attempt)
-	if d > s.cfg.RetryCap || d <= 0 { // d <= 0: shift overflow
-		d = s.cfg.RetryCap
+	d := retryBase << uint(j.attempt)
+	if d > retryCap || d <= 0 { // d <= 0: shift overflow
+		d = retryCap
 	}
-	h := jitterMix(j.set, uint64(j.attempt)+1)
+	h := prometheus.Mix64(j.set ^ prometheus.Mix64(uint64(j.attempt)))
 	// Map the top 10 bits onto [0.5, 1.5).
 	frac := 0.5 + float64(h>>54)/1024.0
 	return time.Duration(float64(d) * frac)
-}
-
-// jitterMix is splitmix64-style avalanching, the same shape the chaos
-// injectors use, over the (set, attempt) coordinate.
-func jitterMix(set, attempt uint64) uint64 {
-	x := set*0x9e3779b97f4a7c15 ^ attempt*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // slowTable tracks per-set service times for the watchdog. Delegates feed
@@ -135,9 +133,6 @@ type slowEntry struct {
 }
 
 func newSlowTable(threshold time.Duration, trips int) *slowTable {
-	if trips < 1 {
-		trips = 1
-	}
 	t := &slowTable{threshold: threshold, trips: trips}
 	for i := range t.shards {
 		t.shards[i].m = make(map[uint64]*slowEntry)

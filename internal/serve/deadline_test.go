@@ -121,8 +121,7 @@ func TestRetryRecoversInjectedFailure(t *testing.T) {
 			Inner:  NewHandlerBackend("inner", testHandler),
 			Errors: chaos.ErrorAt(set, 1),
 		},
-		RetryMax:  2,
-		RetryBase: time.Millisecond,
+		RetryMax: 2,
 	})
 	h := s.Handler()
 
@@ -151,8 +150,7 @@ func TestRetryNotForNonIdempotent(t *testing.T) {
 			Inner:  NewHandlerBackend("inner", testHandler),
 			Errors: chaos.ErrorAt(set, 1),
 		},
-		RetryMax:  2,
-		RetryBase: time.Millisecond,
+		RetryMax: 2,
 	})
 	defer s.Drain()
 	h := s.Handler()
@@ -173,14 +171,14 @@ func TestRetryNotForNonIdempotent(t *testing.T) {
 
 	// The second per-set op has no injected error; an Idempotency-Key on a
 	// later failing op would opt the POST back into retries — covered by
-	// defaultIdempotent unit checks below.
-	if !defaultIdempotent(newReq("POST", "/", key, map[string]string{"Idempotency-Key": "tx-9"})) {
+	// the idempotent unit checks below.
+	if !idempotent(newReq("POST", "/", key, map[string]string{"Idempotency-Key": "tx-9"})) {
 		t.Fatal("Idempotency-Key header did not mark the POST retryable")
 	}
-	if defaultIdempotent(newReq("POST", "/", key, nil)) {
+	if idempotent(newReq("POST", "/", key, nil)) {
 		t.Fatal("bare POST marked retryable")
 	}
-	if !defaultIdempotent(newReq("GET", "/", key, nil)) {
+	if !idempotent(newReq("GET", "/", key, nil)) {
 		t.Fatal("GET not marked retryable")
 	}
 }
@@ -198,8 +196,7 @@ func TestRetryPreservesPerKeyOrder(t *testing.T) {
 			// one or more retries, deterministically placed.
 			Errors: chaos.SeededErrors(42, 0.3),
 		},
-		RetryMax:  8,
-		RetryBase: time.Millisecond,
+		RetryMax: 8,
 	})
 	h := s.Handler()
 
@@ -247,19 +244,21 @@ func TestSlowKeyWatchdog(t *testing.T) {
 			return http.StatusOK, "ok"
 		},
 		SlowThreshold: 5 * time.Millisecond,
-		SlowTrips:     2,
 		EpochInterval: 400 * time.Millisecond,
 	})
 	defer s.Drain()
 	h := s.Handler()
 
 	slow := map[string]string{"X-Slow": "1"}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < slowTrips; i++ {
+		if s.slow.degradedCount() != 0 {
+			t.Fatalf("key degraded after %d slow services, want %d", i, slowTrips)
+		}
 		if code, _ := get(t, h, "/", "laggard", slow); code != http.StatusOK {
 			t.Fatalf("slow request %d not served", i)
 		}
 	}
-	// Two consecutive slow services tripped the watchdog: even a fast
+	// Three consecutive slow services tripped the watchdog: even a fast
 	// request for the key is now shed.
 	code, body := get(t, h, "/", "laggard", nil)
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "degraded") {
@@ -288,45 +287,28 @@ func TestSlowKeyWatchdog(t *testing.T) {
 	}
 }
 
-// TestExpiredAtDeliveryAfterBackoff: a retry whose backoff would land
-// past the deadline is not armed — the budget bounds total attempts, so
-// the client sees the rendered failure, not a late retry.
+// TestBackoffBoundedByDeadline: a retry whose backoff would land past the
+// deadline is not armed — the budget bounds total attempts, so the client
+// sees the rendered failure, not a late retry. The budget left is shorter
+// than the smallest first backoff (retryBase jittered down to half, 1ms).
 func TestBackoffBoundedByDeadline(t *testing.T) {
-	const key = "bounded"
-	set := prometheus.StringSet(key)
-	s := newTestServer(t, Config{
-		Backend: &ChaosBackend{
-			Inner:  NewHandlerBackend("inner", testHandler),
-			Errors: chaos.ErrorAt(set, 1),
-		},
-		RequestTimeout: 50 * time.Millisecond,
-		RetryMax:       3,
-		RetryBase:      time.Hour, // backoff can never fit the budget
-	})
+	s := newTestServer(t, Config{Handler: testHandler, RetryMax: 3})
 	defer s.Drain()
-	h := s.Handler()
 
-	start := time.Now()
-	code, body := get(t, h, "/", key, nil)
-	if code != http.StatusBadGateway {
-		t.Fatalf("status %d body %q, want immediate 502", code, body)
+	j := &job{set: prometheus.StringSet("bounded"), r: newReq("GET", "/", "bounded", nil)}
+	if !s.retryable(j, s.backoffFor(j)) {
+		t.Fatal("an idempotent first failure with no deadline is not retryable")
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("request waited %v: the hour-long backoff was armed", elapsed)
-	}
-	if s.metrics.retries.Load() != 0 {
-		t.Fatal("retry armed past the deadline")
+	j.deadline = time.Now().Add(retryBase/2 - time.Microsecond)
+	if backoff := s.backoffFor(j); s.retryable(j, backoff) {
+		t.Fatalf("a %v backoff was armed against a budget shorter than %v", backoff, retryBase/2)
 	}
 }
 
 // backoffFor must stay within [0.5x, 1.5x] of the capped exponential
 // schedule and never overflow.
 func TestBackoffSchedule(t *testing.T) {
-	s := newTestServer(t, Config{
-		Handler:   testHandler,
-		RetryBase: 2 * time.Millisecond,
-		RetryCap:  250 * time.Millisecond,
-	})
+	s := newTestServer(t, Config{Handler: testHandler})
 	defer s.Drain()
 	for attempt := 0; attempt < 70; attempt++ { // far past the shift-overflow point
 		j := &job{set: 7, attempt: attempt}

@@ -26,7 +26,7 @@ var latencyBounds = []int64{
 // under unbounded request keys while keeping skew visible: a hot key
 // concentrates in one shard's histogram.
 type metrics struct {
-	latency []*prometheus.Histogram // per set-shard, microseconds
+	latency [latencyShards]*prometheus.Histogram // per set-shard, microseconds
 
 	served           atomic.Uint64 // requests answered by their backend
 	droppedJobs      atomic.Uint64 // jobs resolved dropped (poison fast path or epoch sweep)
@@ -53,8 +53,13 @@ type metrics struct {
 	journalSyncs     atomic.Uint64 // explicit journal fsyncs (per append or per rotation)
 }
 
-func newMetrics(shards int) *metrics {
-	m := &metrics{latency: make([]*prometheus.Histogram, shards)}
+// latencyShards is the latency-metric shard count: a key's set is metered
+// under shard set%latencyShards, bounding metric cardinality under
+// unbounded keys.
+const latencyShards = 8
+
+func newMetrics() *metrics {
+	m := &metrics{}
 	for i := range m.latency {
 		m.latency[i] = prometheus.NewHistogram(latencyBounds...)
 	}
@@ -63,7 +68,7 @@ func newMetrics(shards int) *metrics {
 
 // observe records one answered request's latency under its set's shard.
 func (m *metrics) observe(set uint64, lat time.Duration) {
-	m.latency[set%uint64(len(m.latency))].Observe(lat.Microseconds())
+	m.latency[set%latencyShards].Observe(lat.Microseconds())
 }
 
 // handleMetrics renders the Prometheus text exposition format by hand

@@ -28,6 +28,10 @@ type limiter struct {
 
 const limiterShards = 16
 
+// rateBurst is the serving tier's bucket capacity: a key may spend this
+// many requests at once before Config.Rate paces it.
+const rateBurst = 10
+
 type limiterShard struct {
 	mu      sync.Mutex
 	buckets map[uint64]*bucket
@@ -39,9 +43,6 @@ type bucket struct {
 }
 
 func newLimiter(rate, burst float64) *limiter {
-	if burst < 1 {
-		burst = 1
-	}
 	l := &limiter{rate: rate, burst: burst}
 	for i := range l.shards {
 		l.shards[i].buckets = make(map[uint64]*bucket)

@@ -151,12 +151,10 @@ func TestAutoscaleStep(t *testing.T) {
 // intact.
 func TestAutoscaleUpAndDown(t *testing.T) {
 	s := newTestServer(t, Config{
-		EpochInterval:     5 * time.Millisecond,
-		Delegates:         1,
-		MinDelegates:      1,
-		MaxDelegates:      4,
-		Autoscale:         true,
-		AutoscaleCooldown: 1,
+		EpochInterval: 5 * time.Millisecond,
+		Delegates:     1,
+		MaxDelegates:  4,
+		Autoscale:     true,
 		Handler: func(sess *Session, r *http.Request) (int, string) {
 			time.Sleep(2 * time.Millisecond) // slow enough to queue under the burst
 			return http.StatusOK, fmt.Sprintf("%d", sess.Seq)

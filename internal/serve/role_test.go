@@ -121,14 +121,11 @@ func TestRoleManyCallersPerKeyOrder(t *testing.T) {
 func TestRoleUnderRotationResizeRetryChaos(t *testing.T) {
 	const interval = time.Millisecond
 	s := newTestServer(t, Config{
-		EpochInterval:     interval,
-		Delegates:         1,
-		MaxDelegates:      3,
-		Autoscale:         true,
-		AutoscaleCooldown: 1,
-		RetryMax:          20,
-		RetryBase:         100 * time.Microsecond,
-		RetryCap:          time.Millisecond,
+		EpochInterval: interval,
+		Delegates:     1,
+		MaxDelegates:  3,
+		Autoscale:     true,
+		RetryMax:      20,
 		Backend: &ChaosBackend{
 			Inner:   NewHandlerBackend("inner", chainHandler),
 			Errors:  chaos.SeededErrors(7, 0.2),

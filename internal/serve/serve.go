@@ -83,6 +83,15 @@
 // requests, re-delegated under the role so per-key order holds across
 // attempts; and a slow-key watchdog that degrades a persistently-slow key
 // to 503 sheds instead of letting it starve its set's epoch-mates.
+//
+// Config carries only what a caller chooses. The rest of the tier's shape
+// is constants: the per-key token bucket holds rateBurst (10) requests,
+// retry backoff doubles from retryBase (2ms) to retryCap (250ms) for the
+// requests idempotent accepts, the watchdog degrades a key after slowTrips
+// (3) slow services, latency is metered over latencyShards (8) set shards,
+// the autoscaler steps no lower than minDelegates (1) with
+// autoscaleCooldown (3) rotations between steps, and Drain reports
+// stragglers after DrainTimeout (5s).
 package serve
 
 import (
@@ -132,7 +141,8 @@ type Session struct {
 // caller's own request, r.Context() included.
 type Handler func(s *Session, r *http.Request) (status int, body string)
 
-// Config parameterizes a Server.
+// Config parameterizes a Server: only what a caller chooses. The rest of
+// the tier's shape is constants, named in the package comment.
 type Config struct {
 	// Delegates sets the runtime's INITIAL delegate-context pool size
 	// (default GOMAXPROCS-1, the runtime's own default).
@@ -141,24 +151,13 @@ type Config struct {
 	// (runtime structures are pre-allocated to it). 0 fixes the pool at
 	// Delegates: no autoscaling, /admin/resize rejected.
 	MaxDelegates int
-	// MinDelegates floors the autoscaler's scale-down (default 1). Manual
-	// /admin/resize may go below it — the floor bounds the feedback loop,
-	// not the operator.
-	MinDelegates int
 	// Autoscale enables the rotation-driven autoscaler: each epoch
 	// rotation folds mean delegate occupancy into an EWMA and
 	// steps the pool ±1 delegate when it leaves the target band, clamped
-	// to [MinDelegates, MaxDelegates], with AutoscaleCooldown rotations
-	// between steps. Requires MaxDelegates.
+	// to [minDelegates, MaxDelegates] (minDelegates is 1; a manual
+	// /admin/resize is not clamped by it), with autoscaleCooldown (3)
+	// rotations between steps. Requires MaxDelegates.
 	Autoscale bool
-	// AutoscaleCooldown is the number of epoch rotations between resize
-	// decisions (default 3) — resizes re-place owner state, so the band
-	// check must see post-resize occupancy settle before stepping again.
-	AutoscaleCooldown int
-	// Shards sets the latency-metric shard count: a key's set is metered
-	// under shard set%Shards, bounding metric cardinality under unbounded
-	// keys. Default 8.
-	Shards int
 	// MaxInflight is the admission budget: requests admitted and not yet
 	// answered. At it requests are rejected with 503 before touching the
 	// role or the runtime — with the bounded program lane a role holder
@@ -167,44 +166,30 @@ type Config struct {
 	// behind parks the role holder before admission refuses anyone.
 	// Default 1024.
 	MaxInflight int
-	// Rate and Burst configure the per-set token bucket, in
-	// requests/second and requests. Rate 0 disables rate limiting.
-	Rate  float64
-	Burst float64
+	// Rate configures the per-set token bucket, in requests/second; the
+	// bucket holds rateBurst (10) requests. Rate 0 disables rate limiting.
+	Rate float64
 	// EpochInterval is the rotation period — the poison-repair and
 	// dropped-job-sweep cadence. Default 100ms.
 	EpochInterval time.Duration
-	// DrainTimeout bounds Drain: how long to wait for inflight requests
-	// before logging a straggler report (with the scheduler dump) and
-	// terminating anyway. Default 5s.
-	DrainTimeout time.Duration
 	// RequestTimeout is the per-request budget, fixed at admission. A
 	// request whose budget expires before its backend can run resolves to a
 	// definitive 504 (at delivery, at the queue front, or at the epoch
 	// sweep — see deadline.go); a backend running when it expires sees the
 	// deadline on its context. 0 disables deadlines.
 	RequestTimeout time.Duration
-	// RetryMax caps retry attempts for idempotent requests after backend
-	// failures (0 = no retries). A retry's timer takes the role and
-	// re-delegates through the key's serialization set, preserving per-key
-	// order across attempts.
+	// RetryMax caps retry attempts for idempotent requests (see idempotent)
+	// after backend failures (0 = no retries). The backoff starts at
+	// retryBase (2ms), doubles per attempt, is jittered ±50% and capped at
+	// retryCap (250ms). A retry's timer takes the role and re-delegates
+	// through the key's serialization set, preserving per-key order across
+	// attempts.
 	RetryMax int
-	// RetryBase and RetryCap shape the capped exponential backoff between
-	// attempts (base doubles per attempt, jittered ±50%, capped). Defaults
-	// 2ms and 250ms.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// IdempotentFunc reports whether a request is safe to retry. Default:
-	// GET/HEAD/OPTIONS, or any method carrying an Idempotency-Key header.
-	IdempotentFunc func(r *http.Request) bool
 	// SlowThreshold arms the slow-key watchdog: a key whose backend
-	// services exceed it on SlowTrips consecutive requests is degraded —
+	// services exceed it on slowTrips (3) consecutive requests is degraded —
 	// shed with 503 at delivery — until an epoch rotation heals it. 0
 	// disables the watchdog.
 	SlowThreshold time.Duration
-	// SlowTrips is the consecutive-slow-service count that degrades a key.
-	// Default 3.
-	SlowTrips int
 	// Backend executes requests. Exactly one of Backend and Handler must
 	// be set (Handler is shorthand for an in-process HandlerBackend); use
 	// NewPool to gate several backends behind per-backend circuit
@@ -247,29 +232,11 @@ func (c *Config) withDefaults() error {
 	if c.Backend == nil {
 		c.Backend = NewHandlerBackend("inprocess", c.Handler)
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 2 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 250 * time.Millisecond
-	}
-	if c.IdempotentFunc == nil {
-		c.IdempotentFunc = defaultIdempotent
-	}
-	if c.SlowTrips <= 0 {
-		c.SlowTrips = 3
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 1024
 	}
 	if c.EpochInterval <= 0 {
 		c.EpochInterval = 100 * time.Millisecond
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
 	}
 	if c.KeyFunc == nil {
 		c.KeyFunc = defaultKey
@@ -279,16 +246,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.Autoscale && c.MaxDelegates <= 0 {
 		return fmt.Errorf("serve: Config.Autoscale requires Config.MaxDelegates")
-	}
-	if c.MinDelegates <= 0 {
-		c.MinDelegates = 1
-	}
-	if c.MaxDelegates > 0 && c.MinDelegates > c.MaxDelegates {
-		return fmt.Errorf("serve: Config.MinDelegates %d exceeds Config.MaxDelegates %d",
-			c.MinDelegates, c.MaxDelegates)
-	}
-	if c.AutoscaleCooldown <= 0 {
-		c.AutoscaleCooldown = 3
 	}
 	return nil
 }
@@ -472,6 +429,11 @@ type Server struct {
 // drainingBit is set in Server.inflight once admission has closed.
 const drainingBit = 1 << 62
 
+// DrainTimeout is how long Drain waits for inflight requests before it
+// logs a straggler report (with the scheduler dump) and keeps waiting. A
+// listener shutdown in front of Drain is sized from it.
+const DrainTimeout = 5 * time.Second
+
 // New validates cfg, rebuilds durable state, starts the runtime with an
 // isolation epoch open and the rotation timer armed, and returns a server
 // that is accepting work. It holds the role while it builds, so the first
@@ -482,16 +444,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		metrics:  newMetrics(cfg.Shards),
+		metrics:  newMetrics(),
 		sessions: make(map[uint64]*Session),
 		idle:     make(chan struct{}),
 	}
 	s.jobs.New = s.newJob
 	if cfg.Rate > 0 {
-		s.limiter = newLimiter(cfg.Rate, cfg.Burst)
+		s.limiter = newLimiter(cfg.Rate, rateBurst)
 	}
 	if cfg.SlowThreshold > 0 {
-		s.slow = newSlowTable(cfg.SlowThreshold, cfg.SlowTrips)
+		s.slow = newSlowTable(cfg.SlowThreshold, slowTrips)
 	}
 	if cfg.StateFS != nil {
 		// Recovery runs first: the session table must be rebuilt before the
@@ -766,6 +728,14 @@ const (
 	// pool, light enough that a sustained phase shift crosses the band
 	// within a few rotations.
 	autoscaleAlpha = 0.5
+	// minDelegates floors the autoscaler's scale-down. A manual
+	// /admin/resize is not held to it: the floor bounds the feedback loop,
+	// not the operator.
+	minDelegates = 1
+	// autoscaleCooldown is the number of rotations between resize
+	// decisions: a resize re-places owner state, so the band check must see
+	// post-resize occupancy settle before it steps again.
+	autoscaleCooldown = 3
 )
 
 // sampleOccupancy returns the closing epoch's mean per-delegate load:
@@ -809,7 +779,7 @@ func (s *Server) maybeResize(occ float64) {
 		if err := s.rt.Resize(int(tgt)); err != nil {
 			s.cfg.Logf("serve: manual resize to %d rejected: %v", tgt, err)
 		} else {
-			s.cooldown = s.cfg.AutoscaleCooldown
+			s.cooldown = autoscaleCooldown
 		}
 		return
 	}
@@ -818,7 +788,7 @@ func (s *Server) maybeResize(occ float64) {
 	}
 	active := s.rt.ActiveDelegates()
 	ewma, cooldown, target := autoscaleStep(s.occEWMA, occ, s.cooldown, active,
-		s.cfg.MinDelegates, s.cfg.MaxDelegates, s.cfg.AutoscaleCooldown)
+		minDelegates, s.cfg.MaxDelegates, autoscaleCooldown)
 	s.occEWMA = ewma
 	if target != active {
 		if err := s.rt.Resize(target); err != nil {
@@ -870,9 +840,9 @@ func (s *Server) sweepEpochJobs() {
 // then the final barrier, sweep and snapshot run under the role and the
 // runtime terminates. Closing admission and counting a request are moves
 // of one word (see admit), so no request slips in behind an observed zero
-// and a refused one is never counted. If stragglers outlast
-// Config.DrainTimeout their count and the scheduler-ledger dump are logged
-// and the wait CONTINUES: abandoning it would drop accepted requests, the
+// and a refused one is never counted. If stragglers outlast DrainTimeout
+// their count and the scheduler-ledger dump are logged and the wait
+// CONTINUES: abandoning it would drop accepted requests, the
 // one thing drain exists to prevent. A handler operation that never
 // returns therefore wedges the drain (as it would wedge the shutdown
 // barrier); the straggler report is the diagnosis, and the Watchdog option
@@ -880,7 +850,7 @@ func (s *Server) sweepEpochJobs() {
 // stopped accepting new connections; call once.
 func (s *Server) Drain() error {
 	if s.inflight.Add(drainingBit) != drainingBit {
-		late := time.NewTimer(s.cfg.DrainTimeout)
+		late := time.NewTimer(DrainTimeout)
 		defer late.Stop()
 		select {
 		case <-s.idle:

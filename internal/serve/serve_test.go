@@ -261,36 +261,28 @@ func TestPoisonedSessionIsolation(t *testing.T) {
 }
 
 // TestAdmissionAndRateLimiting checks the reject gates: the token bucket
-// 429s a hammered key without touching its siblings, and queue-full
-// backpressure 503s instead of buffering without bound.
+// serves a hammered key its rateBurst requests, then 429s it without
+// touching its siblings.
 func TestAdmissionAndRateLimiting(t *testing.T) {
 	s := newTestServer(t, Config{
 		EpochInterval: 5 * time.Millisecond,
-		Rate:          1, // one request/sec per key
-		Burst:         2,
+		Rate:          1, // one request/sec per key: no token refills within the burst
 	})
 	h := s.Handler()
 
-	var ok, limited int
-	for i := 0; i < 10; i++ {
-		code, _ := get(t, h, "/bump", "hammered", nil)
-		switch code {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			limited++
-		default:
-			t.Errorf("status %d", code)
+	for i := 0; i < rateBurst; i++ {
+		if code, _ := get(t, h, "/bump", "hammered", nil); code != http.StatusOK {
+			t.Fatalf("request %d of the burst: status %d, want 200", i+1, code)
 		}
 	}
-	if ok == 0 || limited == 0 {
-		t.Errorf("burst=2 rate=1: served %d limited %d, want both nonzero", ok, limited)
+	if code, _ := get(t, h, "/bump", "hammered", nil); code != http.StatusTooManyRequests {
+		t.Fatalf("request %d: status %d, want 429 once the bucket of %d is spent", rateBurst+1, code, rateBurst)
 	}
 	if code, _ := get(t, h, "/bump", "innocent", nil); code != http.StatusOK {
 		t.Errorf("sibling key rate-limited alongside the hammered one")
 	}
-	if s.metrics.rateRejects.Load() == 0 {
-		t.Error("rate rejects not counted")
+	if n := s.metrics.rateRejects.Load(); n != 1 {
+		t.Errorf("rate rejects counted %d, want 1", n)
 	}
 	if err := s.Drain(); err != nil {
 		t.Errorf("drain: %v", err)
@@ -306,7 +298,7 @@ func TestAdmissionAndRateLimiting(t *testing.T) {
 // per-shard latency histograms, backlog gauges, and counters all
 // render.
 func TestMetricsExposition(t *testing.T) {
-	s := newTestServer(t, Config{EpochInterval: 5 * time.Millisecond, Shards: 4})
+	s := newTestServer(t, Config{EpochInterval: 5 * time.Millisecond})
 	h := s.Handler()
 	for i := 0; i < 40; i++ {
 		get(t, h, "/bump", fmt.Sprintf("key-%d", i%7), nil)
@@ -323,7 +315,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"ss_requests_served_total",
 		"ss_request_latency_microseconds_bucket{shard=\"0\",le=\"50\"}",
-		"ss_request_latency_microseconds_quantile{shard=\"3\",q=\"0.99\"}",
+		"ss_request_latency_microseconds_quantile{shard=\"7\",q=\"0.99\"}",
 		"ss_delegate_backlog{delegate=\"1\"}",
 		"ss_runtime_panics_total 1",
 		"ss_runtime_epochs_total",
@@ -333,6 +325,9 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(body, `shard="8"`) {
+		t.Errorf("/metrics renders more than the %d latency shards", latencyShards)
 	}
 	if code, body := get(t, h, "/healthz", "probe", nil); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)

@@ -163,6 +163,10 @@ func (s *Slice[E]) Append(c *prometheus.Ctx, es ...E) {
 	*view = append(*view, es...)
 }
 
+// View exposes the executing context's raw slice, for callers that append
+// through a function of their own.
+func (s *Slice[E]) View(c *prometheus.Ctx) *[]E { return s.r.View(c) }
+
 // Result reduces (if needed) and returns the final slice.
 func (s *Slice[E]) Result() []E { return *s.r.Result() }
 

@@ -234,15 +234,19 @@
 // that still owes its marker. The delegate loads that word once per
 // operation and answers at its next operation boundary: its marker is
 // already behind everything the program sent, so it pops its lane empty,
-// holds the complete remainder of the epoch, keeps the head half and every
-// set that appears in it — never the chain its own next operation belongs
-// to — and hands the rest to the program context's inbox, one lane per
-// delegate: whole sets' remaining chains, in order (RunParallel tasks one
-// by one; a poisoned set never). The program context runs them as context
-// 0 through the very span the drain loop uses, asks again whenever the
-// inbox runs dry, and the barrier closes when every marker is served and
-// the inbox is empty. Order holds as it does under stealing: the unit is
-// the whole set, it moves at an operation boundary, and its only producer
+// holds the complete remainder of the epoch, and deals its chains — whole
+// sets' remaining operations, in order; RunParallel tasks one by one; a
+// poisoned set never moves — alternately between itself and the program
+// context's inbox, one lane per delegate, in order of first appearance:
+// the chain its own next operation belongs to stays, the next goes. Dealing
+// rather than cutting at the midpoint gives each side about half the work
+// of an epoch ordered by cost (freqmine's items, the costliest at one end),
+// where a cut would hand one side nearly all of it. The program context
+// runs what it is dealt as context 0 through the very span the drain loop
+// uses, asks again whenever the inbox runs dry, and the barrier closes
+// when every marker is served and the inbox is empty. Order holds as it
+// does under stealing: the unit is the whole set, it moves at an operation
+// boundary, and its only producer
 // — the program context — cannot route to it again before the barrier
 // closes. Only barriers help: a reclaim (Writable.Call, SyncSet) and the
 // wait for room on a full program lane only park — a set lent across a

@@ -41,7 +41,7 @@ func holdUntilAsked(rt *Runtime, c *Ctx) {
 }
 
 const (
-	helpSets = 32 // per epoch; several per delegate, so chains lie whole in a tail half
+	helpSets = 32 // per epoch; several per delegate, so a split has whole chains to deal
 	helpOps  = 6  // per set per epoch
 )
 
@@ -96,12 +96,12 @@ func helpingShapes() map[string][]Option {
 
 // TestHelpedBarrierMatchesSequential: on every shape that may help, the
 // per-set logs equal Sequential's, and — with a fault injected mid-chain
-// into a set of the tail half — the faulted set stops at exactly the
-// sequential prefix while its siblings are untouched.
+// into a set a split may deal to the program context — the faulted set
+// stops at exactly the sequential prefix while its siblings are untouched.
 func TestHelpedBarrierMatchesSequential(t *testing.T) {
 	want, _, _ := runHelped([]Option{Sequential()}, false)
-	// The last set delegated is in the tail half of whichever delegate owns
-	// it; its third operation of the first epoch faults.
+	// The last set delegated is among the last chains of whichever delegate
+	// owns it; its third operation of the first epoch faults.
 	const faultSet, faultPos = chaosHotSet + helpSets - 1, 3
 	for name, opts := range helpingShapes() {
 		t.Run(name, func(t *testing.T) {

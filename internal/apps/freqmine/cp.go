@@ -32,7 +32,7 @@ func RunCP(in *Input, workers int) *Output {
 				if i >= len(items) {
 					return
 				}
-				results[w] = append(results[w], tree.MineItem(items[i])...)
+				results[w] = tree.MineItem(results[w], items[i])
 			}
 		}()
 	}

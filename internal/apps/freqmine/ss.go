@@ -25,12 +25,14 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	results := coll.NewSlice[fpm.ItemSet](rt)
 	// One writable task object per frequent item; the item id is the
 	// serialization set (external serializer), so each item's mining is
-	// its own set and the runtime spreads sets across delegates.
+	// its own set and the runtime spreads sets across delegates. Each mines
+	// straight into the executing context's view.
 	rt.BeginIsolation()
 	for _, item := range items {
 		w := prometheus.NewWritableSer(rt, item, prometheus.NullSerializer[int]())
 		w.DelegateTo(uint64(item), func(c *prometheus.Ctx, it *int) {
-			results.Append(c, (*tree).MineItem(*it)...)
+			view := results.View(c)
+			*view = (*tree).MineItem(*view, *it)
 		})
 	}
 	rt.EndIsolation()

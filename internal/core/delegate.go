@@ -132,11 +132,11 @@ type delegate struct {
 	drainedOps   atomic.Uint64
 
 	// Shedding state, private to the drain goroutine and reused across
-	// barriers: the split buffer and the sets kept in one split; sheds
-	// counts hand-overs (Stats.Sheds).
-	held     []Invocation
-	headSets map[uint64]struct{}
-	sheds    atomic.Uint64
+	// barriers: the split buffer and, per set dealt in one split, whether
+	// it stays; sheds counts hand-overs (Stats.Sheds).
+	held  []Invocation
+	dealt map[uint64]bool
+	sheds atomic.Uint64
 
 	// Outbound-attribution state for the per-set handoff ledger
 	// (owners.go), touched only by this delegate's goroutine — plain
@@ -155,13 +155,13 @@ type delegate struct {
 // 0, the program context's, of progCap slots, every other lane of capacity.
 func newDelegate(id, producers, progCap, capacity int, pool *spsc.NodePool[Invocation]) *delegate {
 	d := &delegate{
-		id:       id,
-		pending:  make([]atomic.Uint64, (producers+63)/64),
-		wake:     make(chan struct{}, 1),
-		sent:     make([]counter, producers),
-		exec:     make([]atomic.Uint64, producers),
-		headSets: make(map[uint64]struct{}),
-		prodSet:  noSetID, // nothing executing yet: attribute to no set
+		id:      id,
+		pending: make([]atomic.Uint64, (producers+63)/64),
+		wake:    make(chan struct{}, 1),
+		sent:    make([]counter, producers),
+		exec:    make([]atomic.Uint64, producers),
+		dealt:   make(map[uint64]bool),
+		prodSet: noSetID, // nothing executing yet: attribute to no set
 	}
 	for p := 0; p < producers; p++ {
 		c := capacity
@@ -542,12 +542,16 @@ func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic
 // exec count before rest[0]. The request is only raised inside a barrier,
 // after this delegate's marker was pushed and with the program context —
 // the lane's only producer — blocked, so the delegate can pop its lane
-// empty and hold the complete remainder of the epoch, marker last. It keeps
-// the head half and every set that appears in it and hands over the rest
-// through its inbox lane: whole sets' remaining chains, in order (pool
-// tasks one by one; a poisoned set stays where its poison was written). It
-// returns what it kept and the new base, and wakes the program context: to
-// run what it got or, declined, to ask another delegate.
+// empty and hold the complete remainder of the epoch, marker last. It deals
+// the remaining chains — whole sets' operations, in order; pool tasks one
+// by one — alternately in order of first appearance: the chain of its own
+// next operation stays, the next goes to its inbox lane, the one after
+// stays. A poisoned set stays where its poison was written. Dealing rather
+// than cutting at the midpoint gives each side about half the work even
+// when the epoch is ordered by cost, as freqmine's items are: a cut hands
+// one side the costly end. It returns what it kept and the new base, and
+// wakes the program context: to run what it got or, declined, to ask
+// another delegate.
 //
 // Invariants. (1) Per-set order, exactly once: a chain moves whole at an
 // operation boundary, and its only producer cannot route to the set again
@@ -569,26 +573,25 @@ func (rt *Runtime) shed(d *delegate, lane *spsc.Lane[Invocation], le *atomic.Uin
 		d.drainBatches.Add(1)
 		d.drainedOps.Add(uint64(n))
 	}
-	head := len(h) / 2 // of what it holds, its marker included
-	clear(d.headSets)
+	clear(d.dealt)
 	fs := rt.faults.Load()
 	inbox := rt.prog
-	kept, seen := 0, 0
+	kept, chains := 0, 0
 	for i := range h {
 		inv := &h[i]
 		keep := true
 		if inv.kind == kindMethod {
-			seen++
-			switch {
-			case seen <= head:
-				if inv.set != noSetID {
-					d.headSets[inv.set] = struct{}{}
-				}
-			case inv.set == noSetID:
-				keep = false
+			switch dealt, ok := d.dealt[inv.set]; {
+			case inv.set == noSetID: // a pool task is a chain of its own
+				keep = chains%2 == 0
+				chains++
+			case ok:
+				keep = dealt
+			case fs != nil && fs.lookup(inv.set) != nil: // stays where its poison was written
 			default:
-				_, inHead := d.headSets[inv.set]
-				keep = inHead || fs != nil && fs.lookup(inv.set) != nil
+				keep = chains%2 == 0
+				chains++
+				d.dealt[inv.set] = keep
 			}
 		}
 		if keep {

@@ -31,6 +31,17 @@ func holdUntilAsked(rt *Runtime, ctx int) func(int) {
 	}
 }
 
+// holdFirst delegates to set 100 an operation that holds delegate 1 until
+// it is asked for work, and returns once the delegate is inside it: asked
+// any earlier, the delegate would split before it, and the chains after it
+// would be dealt the other way round.
+func holdFirst(rt *Runtime) {
+	started := make(chan struct{})
+	hold := holdUntilAsked(rt, 1)
+	rt.Delegate(100, func(ctx int) { close(started); hold(ctx) })
+	<-started
+}
+
 // setLogs records, per set, the operation indices in execution order and
 // the contexts they ran on. The slices are appended to without any
 // synchronization: per-set order is the only thing keeping two appends to
@@ -98,15 +109,15 @@ func (l *setLogs) ranOn(set uint64, ctx int) int {
 }
 
 // TestShedSplitsDoAllEpoch: with one delegate holding eight one-operation
-// sets at the split point, the tail four move (more, if the program context
-// runs dry and asks again), every operation runs once, and the program-side
-// counters do not change meaning.
+// sets at the split point, every other one moves — sets 2, 4, 6 and 8 (more,
+// if the program context runs dry and asks again) — every operation runs
+// once, and the program-side counters do not change meaning.
 func TestShedSplitsDoAllEpoch(t *testing.T) {
 	rt := newTestRuntime(t, Config{Delegates: 1})
 	sets := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	logs := newSetLogs(sets...)
 	rt.BeginIsolation()
-	rt.Delegate(100, holdUntilAsked(rt, 1))
+	holdFirst(rt)
 	for _, s := range sets {
 		rt.Delegate(s, logs.op(s, 0))
 	}
@@ -116,6 +127,11 @@ func TestShedSplitsDoAllEpoch(t *testing.T) {
 	}
 	if logs.ranOn(1, 1) != 1 {
 		t.Error("set 1 was the delegate's next operation at the split and must stay there")
+	}
+	for s := uint64(2); s <= 8; s += 2 {
+		if logs.ranOn(s, ProgramContext) != 1 {
+			t.Errorf("set %d was dealt to the program context at the split, but ran on the delegate", s)
+		}
 	}
 	st := rt.Stats()
 	if st.HelpedOps < 4 || st.Sheds < 1 {
@@ -145,14 +161,15 @@ func TestShedSplitsDoAllEpoch(t *testing.T) {
 
 // TestShedMovesWholeChains: chains longer than a drain run, and a chain
 // interleaved with others, stay whole. The delegate holds 70 operations of
-// set 1, 70 of set 2, then sets 3 and 4 alternating: the midpoint falls
-// inside set 2, which therefore stays; 3 and 4 move, every operation of
-// them.
+// set 1, 70 of set 2, then sets 3 and 4 alternating: dealt in order of
+// first appearance, 1 and 3 stay and 2 and 4 move, every operation of them.
+// Set 3 may move too, whole, if the program context asks again before the
+// delegate has started it.
 func TestShedMovesWholeChains(t *testing.T) {
 	rt := newTestRuntime(t, Config{Delegates: 1})
 	logs := newSetLogs(1, 2, 3, 4)
 	rt.BeginIsolation()
-	rt.Delegate(100, holdUntilAsked(rt, 1))
+	holdFirst(rt)
 	for s := uint64(1); s <= 2; s++ {
 		for i := 0; i < 70; i++ {
 			rt.Delegate(s, logs.op(s, i))
@@ -170,10 +187,43 @@ func TestShedMovesWholeChains(t *testing.T) {
 	if n := logs.ranOn(1, ProgramContext); n != 0 {
 		t.Errorf("%d operations of set 1 ran on the program context; its chain was the delegate's next operation", n)
 	}
-	for s := uint64(3); s <= 4; s++ {
-		if n := logs.ranOn(s, ProgramContext); n != 20 {
-			t.Errorf("set %d: %d of 20 operations ran on the program context, want the whole chain", s, n)
+	for s, n := range map[uint64]int{2: 70, 4: 20} {
+		if got := logs.ranOn(s, ProgramContext); got != n {
+			t.Errorf("set %d: %d of %d operations ran on the program context, want the whole chain", s, got, n)
 		}
+	}
+	if n := logs.ranOn(3, ProgramContext); n != 0 && n != 20 {
+		t.Errorf("set 3: %d of 20 operations ran on the program context, want none or all", n)
+	}
+}
+
+// TestShedDealsCostOrderedEpoch: an epoch ordered by cost — the shape of
+// freqmine's item list, whose costliest items sit together at one end —
+// splits about evenly by cost, not by count. Sixteen one-operation sets of
+// weights 16 down to 1: the first split deals the program context every
+// other one, 64 of the 136 units, where cutting at the midpoint handed it
+// the cheap end, 36. A later split only moves more to the program context.
+func TestShedDealsCostOrderedEpoch(t *testing.T) {
+	rt := newTestRuntime(t, Config{Delegates: 1})
+	const sets = 16
+	var onProgram [sets]bool
+	rt.BeginIsolation()
+	holdFirst(rt)
+	for s := 0; s < sets; s++ {
+		s := s
+		rt.Delegate(uint64(s), func(ctx int) { onProgram[s] = ctx == ProgramContext })
+	}
+	rt.EndIsolation()
+	helped, total := 0, 0
+	for s, on := range onProgram {
+		w := sets - s
+		total += w
+		if on {
+			helped += w
+		}
+	}
+	if helped < 64 {
+		t.Errorf("the program context ran %d of %d cost units, want at least 64: %v", helped, total, onProgram)
 	}
 }
 
@@ -194,15 +244,15 @@ func TestShedSingleSetShedsNothing(t *testing.T) {
 }
 
 // faultyProgram delegates four ten-operation sets in blocks behind a
-// holding operation; operation 4 of set 3 panics. On one delegate sets 3
-// and 4 are the tail half and run on the program context.
-func faultyProgram(rt *Runtime, logs *setLogs, hold func(int)) {
+// holding operation; operation 4 of set 2 panics. On one delegate sets 2
+// and 4 are dealt to the program context and run there.
+func faultyProgram(rt *Runtime, logs *setLogs) {
 	rt.BeginIsolation()
-	rt.Delegate(100, hold)
+	holdFirst(rt)
 	for s := uint64(1); s <= 4; s++ {
 		for i := 0; i < 10; i++ {
 			op := logs.op(s, i)
-			if s == 3 && i == 4 {
+			if s == 2 && i == 4 {
 				op = func(int) { panic("helped-boom") }
 			}
 			rt.Delegate(s, op)
@@ -217,14 +267,14 @@ func faultyProgram(rt *Runtime, logs *setLogs, hold func(int)) {
 func TestShedHelpedPanicContained(t *testing.T) {
 	rt := newTestRuntime(t, Config{Delegates: 1})
 	logs := newSetLogs(1, 2, 3, 4)
-	faultyProgram(rt, logs, holdUntilAsked(rt, 1))
+	faultyProgram(rt, logs)
 	logs.check(t, 1, 10)
-	logs.check(t, 2, 10)
-	logs.check(t, 3, 4) // operations 0..3, then the fault, then five dropped
+	logs.check(t, 2, 4) // operations 0..3, then the fault, then five dropped
+	logs.check(t, 3, 10)
 	logs.check(t, 4, 10)
 	faults := rt.Faults()
-	if len(faults) != 1 || faults[0].Set != 3 || faults[0].Ctx != ProgramContext || faults[0].Value != "helped-boom" {
-		t.Fatalf("faults = %+v, want one on set 3 contained on context 0", faults)
+	if len(faults) != 1 || faults[0].Set != 2 || faults[0].Ctx != ProgramContext || faults[0].Value != "helped-boom" {
+		t.Fatalf("faults = %+v, want one on set 2 contained on context 0", faults)
 	}
 	if !strings.Contains(string(faults[0].Stack), "faultyProgram") {
 		t.Error("fault stack does not reach the panicking operation")
@@ -287,7 +337,7 @@ func TestShedPoolTasksMoveOneByOne(t *testing.T) {
 		}
 	}
 	if st := rt.Stats(); st.HelpedOps < 4 || uint64(onProgram.Load()) != st.HelpedOps {
-		t.Errorf("HelpedOps = %d, %d tasks saw context 0; want at least the tail four", st.HelpedOps, onProgram.Load())
+		t.Errorf("HelpedOps = %d, %d tasks saw context 0; want at least every other one of the nine", st.HelpedOps, onProgram.Load())
 	}
 }
 
@@ -333,7 +383,7 @@ func TestShedAcrossResizeAndTerminate(t *testing.T) {
 	next := make(map[uint64]int)
 	burst := func(hold int) {
 		rt.Delegate(100, holdUntilAsked(rt, hold))
-		for _, s := range sets { // in blocks: a set that appears in the head half stays
+		for _, s := range sets { // in blocks: every other set moves, whole
 			for i := 0; i < 10; i++ {
 				rt.Delegate(s, logs.op(s, next[s]))
 				next[s]++
@@ -378,16 +428,12 @@ func TestShedWatchdog(t *testing.T) {
 		rt := newTestRuntime(t, Config{Delegates: 1, Watchdog: 20 * time.Millisecond})
 		long := func(int) { time.Sleep(90 * time.Millisecond) }
 		rt.BeginIsolation()
-		// The delegate is inside the holding operation before anything else is
-		// delegated: asked any earlier it would split before running it, hold
-		// with no request standing, and start its long operation only after
-		// the program context has finished its own — past the bound.
-		started := make(chan struct{})
-		hold := holdUntilAsked(rt, 1)
-		rt.Delegate(100, func(ctx int) { close(started); hold(ctx) })
-		<-started
+		// Asked before it is inside the holding operation, the delegate would
+		// also hold with no request standing, and start its long operation
+		// only after the program context has finished its own — past the bound.
+		holdFirst(rt)
 		rt.Delegate(1, long) // the delegate's next operation: stays
-		rt.Delegate(2, long) // the tail half: the program context runs it
+		rt.Delegate(2, long) // the next chain dealt: the program context runs it
 		rt.EndIsolation()
 		if st := rt.Stats(); st.HelpedOps != 1 {
 			t.Errorf("HelpedOps = %d, want 1", st.HelpedOps)

@@ -3,12 +3,21 @@
 // freqmine, so that the mining of each frequent item's conditional pattern
 // base is an independent task — the unit the parallel drivers distribute.
 //
+// Building trees is nearly all of the work, so a tree is a few flat slices
+// indexed by item rank and node index, filled from rows sorted so that no
+// insertion searches a node's children, and a miner reuses one tree per
+// recursion depth, one buffer for the pattern base's paths and one store
+// for the emitted itemsets' items: once its buffers have grown, mining
+// allocates only the list it returns.
+//
 // A brute-force Apriori-style counter is included for use as a test oracle
 // on small inputs.
 package fpm
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/workload"
 )
@@ -28,248 +37,333 @@ func (s ItemSet) Key() string {
 	return string(b)
 }
 
-// node is an FP-tree node. Children are kept in a slice sorted by item id:
-// binary search is as fast as a map for the small fan-outs FP-trees have,
-// and the slice allocates far less, which matters because conditional-tree
-// construction during mining is allocation-bound.
+// node is an FP-tree node, addressed by its index in the tree's arena.
+// Index 0 is the root, so a next of 0 ends a chain and a parent of 0 is the
+// root.
 type node struct {
-	item     int
-	count    int
-	parent   *node
-	children []*node // sorted by item
-	next     *node   // header-table chain
+	rank   int32 // the node's item, by its rank in the tree
+	count  int32
+	parent int32
+	next   int32 // next node of the same rank: the header-table chain
 }
 
-// child finds the child with the given item id, or nil.
-func (n *node) child(item int) *node {
-	lo, hi := 0, len(n.children)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.children[mid].item < item {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.children) && n.children[lo].item == item {
-		return n.children[lo]
-	}
-	return nil
-}
-
-// addChild inserts c preserving the sort order.
-func (n *node) addChild(c *node) {
-	lo, hi := 0, len(n.children)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.children[mid].item < c.item {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	n.children = append(n.children, nil)
-	copy(n.children[lo+1:], n.children[lo:])
-	n.children[lo] = c
-}
-
-// Tree is an FP-tree with its header table.
+// Tree is an FP-tree with its header table. Items are ranked by descending
+// support in the tree, ties by ascending rank in the tree they were mined
+// from (by item id in the base tree): rows are inserted in rank order so
+// frequent items share prefixes, and every per-item table is a slice
+// indexed by rank. Every ranked item is frequent.
 type Tree struct {
-	root   *node
-	heads  map[int]*node // item -> first node in chain
-	counts map[int]int   // item -> total support in this tree
+	items  []int   // rank -> item id
+	counts []int   // rank -> support in this tree
+	heads  []int32 // rank -> first node of the rank's chain
+	nodes  []node  // nodes[0] is the root
 	minSup int
-	// order ranks items by global frequency (descending); transactions are
-	// inserted in this order so frequent items share prefixes.
-	order map[int]int
+	ranks  itemTable // item id -> rank+1, 0 if not frequent; the base tree only, for MineItem
+}
+
+// itemTable maps item ids to int32s, zero when unset: a slice for the small
+// non-negative ids generated items have, a map for any other. Build looks
+// an id up for every item of every transaction, twice: on freqmine's M
+// database (2 vCPUs, go1.24) Build takes 43–49 ms with the slice and
+// 72–76 ms with every id in the map.
+type itemTable struct {
+	small []int32
+	other map[int]int32
+}
+
+// smallItems bounds the ids itemTable keeps in its slice.
+const smallItems = 1 << 16
+
+func (x *itemTable) get(it int) int32 {
+	if uint(it) < uint(len(x.small)) {
+		return x.small[it]
+	}
+	return x.other[it]
+}
+
+func (x *itemTable) set(it int, v int32) {
+	if uint(it) < uint(len(x.small)) {
+		x.small[it] = v
+	} else {
+		x.other[it] = v
+	}
+}
+
+// row is one path to insert: buf[start:end] of the buffer it was cut from,
+// ascending ranks, with its count.
+type row struct {
+	start, end int32
+	count      int
+}
+
+// resize returns s with length n, reusing its memory when it is large enough.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// reset empties t for n ranks, keeping its memory. The caller fills items.
+func (t *Tree) reset(n, minSup int) {
+	t.items = resize(t.items, n)
+	t.counts = resize(t.counts, n)
+	t.heads = resize(t.heads, n)
+	clear(t.counts)
+	clear(t.heads)
+	t.nodes = append(t.nodes[:0], node{})
+	t.minSup = minSup
 }
 
 // Build constructs the FP-tree over the database with the given absolute
 // minimum support.
 func Build(txns []workload.Transaction, minSup int) *Tree {
-	counts := map[int]int{}
+	// The table counts every item, then holds the frequent ones' ranks.
+	ids := itemTable{small: make([]int32, smallItems), other: map[int]int32{}}
 	for _, t := range txns {
 		for _, it := range t {
-			counts[it]++
+			ids.set(it, ids.get(it)+1)
 		}
 	}
-	frequent := make([]int, 0, len(counts))
-	for it, c := range counts {
-		if c >= minSup {
+	var frequent []int
+	for it, c := range ids.small {
+		if c > 0 && int(c) >= minSup {
+			frequent = append(frequent, it)
+		}
+	}
+	for it, c := range ids.other {
+		if int(c) >= minSup {
 			frequent = append(frequent, it)
 		}
 	}
 	// Rank by descending frequency, ties by item id for determinism.
 	sort.Slice(frequent, func(i, j int) bool {
-		a, b := frequent[i], frequent[j]
-		if counts[a] != counts[b] {
-			return counts[a] > counts[b]
+		a, b := ids.get(frequent[i]), ids.get(frequent[j])
+		if a != b {
+			return a > b
 		}
-		return a < b
+		return frequent[i] < frequent[j]
 	})
-	order := make(map[int]int, len(frequent))
-	for rank, it := range frequent {
-		order[it] = rank
+	clear(ids.small)
+	clear(ids.other)
+	for r, it := range frequent {
+		ids.set(it, int32(r)+1)
 	}
-	t := &Tree{
-		root:   &node{},
-		heads:  map[int]*node{},
-		counts: map[int]int{},
-		minSup: minSup,
-		order:  order,
-	}
-	// Insert rows as rank sequences: sorting small int ranks and mapping
-	// back through the byRank table is markedly cheaper than a comparator
-	// closure over the order map, and this loop is the sequential fraction
-	// every parallel driver pays (Amdahl).
-	byRank := frequent // frequent[rank] = item
-	ranks := make([]int, 0, 32)
-	row := make([]int, 0, 32)
+	t := &Tree{ranks: ids}
+	t.reset(len(frequent), minSup)
+	copy(t.items, frequent)
+	// Every transaction is a row of its frequent items' ranks. This is the
+	// sequential fraction every parallel driver pays (Amdahl).
+	m := miners.Get().(*miner)
+	buf, rows := m.path[:0], m.rows[:0]
 	for _, txn := range txns {
-		ranks = ranks[:0]
+		start := len(buf)
 		for _, it := range txn {
-			if r, ok := order[it]; ok {
-				ranks = append(ranks, r)
+			if r := ids.get(it); r > 0 {
+				buf = append(buf, r-1)
 			}
 		}
-		sort.Ints(ranks)
-		row = row[:0]
-		for _, r := range ranks {
-			row = append(row, byRank[r])
-		}
-		t.insert(row, 1)
+		slices.Sort(buf[start:])
+		rows = append(rows, row{int32(start), int32(len(buf)), 1})
 	}
+	t.nodes = slices.Grow(t.nodes, len(buf)) // each occurrence makes at most one node
+	m.fill(t, buf, rows)
+	m.path, m.rows = buf, rows
+	miners.Put(m)
 	return t
-}
-
-func (t *Tree) insert(items []int, count int) {
-	cur := t.root
-	for _, it := range items {
-		child := cur.child(it)
-		if child == nil {
-			child = &node{item: it, parent: cur, next: t.heads[it]}
-			t.heads[it] = child
-			cur.addChild(child)
-		}
-		child.count += count
-		cur = child
-	}
-	for _, it := range items {
-		t.counts[it] += count
-	}
 }
 
 // FrequentItems returns the frequent items of this tree in mining order
 // (least-frequent first, the order FP-growth peels items). This is the task
 // list the parallel drivers distribute.
 func (t *Tree) FrequentItems() []int {
-	items := make([]int, 0, len(t.counts))
-	for it, c := range t.counts {
-		if c >= t.minSup {
-			items = append(items, it)
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return t.order[items[i]] > t.order[items[j]] })
+	items := slices.Clone(t.items)
+	slices.Reverse(items)
 	return items
 }
 
-// MineItem mines every frequent itemset that ends (in frequency order) at
-// the given item: the item's conditional pattern base is extracted and mined
-// recursively. MineItem calls on distinct items touch disjoint conditional
-// trees and may run concurrently as long as the base tree is read-only.
-func (t *Tree) MineItem(item int) []ItemSet {
-	var out []ItemSet
-	t.mineItemInto(item, []int{}, &out)
-	return out
-}
-
-func (t *Tree) mineItemInto(item int, suffix []int, out *[]ItemSet) {
-	support := t.counts[item]
-	if support < t.minSup {
-		return
+// MineItem appends to dst every frequent itemset that ends (in frequency
+// order) at the given item, and returns the extended slice: the item's
+// conditional pattern base is extracted and mined recursively. MineItem
+// calls on distinct items touch disjoint conditional trees and may run
+// concurrently as long as the base tree is read-only.
+func (t *Tree) MineItem(dst []ItemSet, item int) []ItemSet {
+	r := t.ranks.get(item) - 1
+	if r < 0 {
+		return dst
 	}
-	itemset := append(append([]int{}, suffix...), item)
-	sort.Ints(itemset)
-	*out = append(*out, ItemSet{Items: itemset, Support: support})
-
-	// Conditional pattern base: prefix paths of every node of this item.
-	var paths []condPath
-	for n := t.heads[item]; n != nil; n = n.next {
-		var items []int
-		for p := n.parent; p != nil && p.parent != nil; p = p.parent {
-			items = append(items, p.item)
-		}
-		if len(items) > 0 {
-			paths = append(paths, condPath{items: items, count: n.count})
-		}
-	}
-	if len(paths) == 0 {
-		return
-	}
-	cond := buildConditional(paths, t.minSup)
-	for _, sub := range cond.FrequentItems() {
-		cond.mineItemInto(sub, itemset, out)
-	}
-}
-
-type condPath struct {
-	items []int
-	count int
-}
-
-// buildConditional constructs the conditional FP-tree of a pattern base.
-func buildConditional(paths []condPath, minSup int) *Tree {
-	counts := map[int]int{}
-	for _, p := range paths {
-		for _, it := range p.items {
-			counts[it] += p.count
-		}
-	}
-	frequent := make([]int, 0, len(counts))
-	for it, c := range counts {
-		if c >= minSup {
-			frequent = append(frequent, it)
-		}
-	}
-	sort.Slice(frequent, func(i, j int) bool {
-		a, b := frequent[i], frequent[j]
-		if counts[a] != counts[b] {
-			return counts[a] > counts[b]
-		}
-		return a < b
-	})
-	order := make(map[int]int, len(frequent))
-	for rank, it := range frequent {
-		order[it] = rank
-	}
-	t := &Tree{
-		root:   &node{},
-		heads:  map[int]*node{},
-		counts: map[int]int{},
-		minSup: minSup,
-		order:  order,
-	}
-	row := make([]int, 0, 16)
-	for _, p := range paths {
-		row = row[:0]
-		for _, it := range p.items {
-			if _, ok := order[it]; ok {
-				row = append(row, it)
-			}
-		}
-		sort.Slice(row, func(i, j int) bool { return order[row[i]] < order[row[j]] })
-		t.insert(row, p.count)
-	}
-	return t
+	m := miners.Get().(*miner)
+	m.out = dst
+	m.mine(t, r, nil, 0)
+	return m.done()
 }
 
 // MineAll mines the complete set of frequent itemsets sequentially.
 func (t *Tree) MineAll() []ItemSet {
-	var out []ItemSet
-	for _, it := range t.FrequentItems() {
-		out = append(out, t.MineItem(it)...)
+	m := miners.Get().(*miner)
+	for r := len(t.items) - 1; r >= 0; r-- {
+		m.mine(t, int32(r), nil, 0)
 	}
+	return m.done()
+}
+
+// miners recycles miners between mining tasks, so a task starts with the
+// buffers an earlier one grew.
+var miners = sync.Pool{New: func() any { return new(miner) }}
+
+// slabInts is how many items one block of the itemset store holds.
+const slabInts = 4096
+
+// miner is the state of one mining task: the buffers it reuses and the
+// itemsets it has found.
+type miner struct {
+	conds []*Tree  // the conditional tree built at each recursion depth
+	path  []int32  // the pattern base's prefix paths, end to end
+	rows  []row    // the paths in path
+	stack []int32  // fill: the nodes of the row before
+	cnt   []int    // rank in the mined tree -> support within the pattern base
+	remap []int32  // rank in the mined tree -> rank in the conditional tree, or -1
+	keys  []uint64 // the conditional tree's ranking: ^support<<32 | rank in the mined tree
+	slab  []int    // the store emitted itemsets' items are cut from
+	out   []ItemSet
+}
+
+// done returns the itemsets found and puts m back in the pool.
+func (m *miner) done() []ItemSet {
+	out := m.out
+	m.out = nil
+	miners.Put(m)
 	return out
+}
+
+// fill inserts rows, cut from buf, into the empty tree t. Sorted
+// lexicographically, a row shares with the tree exactly the prefix it
+// shares with the row before it, so every node past that prefix is new and
+// no insertion searches a node's children.
+func (m *miner) fill(t *Tree, buf []int32, rows []row) {
+	slices.SortFunc(rows, func(a, b row) int {
+		return slices.Compare(buf[a.start:a.end], buf[b.start:b.end])
+	})
+	var prev []int32
+	stack := m.stack[:0] // stack[i]: the node of prev[i]
+	for _, r := range rows {
+		path := buf[r.start:r.end]
+		k := 0
+		for k < len(path) && k < len(prev) && path[k] == prev[k] {
+			k++
+		}
+		stack = stack[:k]
+		for _, q := range path[k:] {
+			parent := int32(0)
+			if len(stack) > 0 {
+				parent = stack[len(stack)-1]
+			}
+			n := int32(len(t.nodes))
+			t.nodes = append(t.nodes, node{rank: q, parent: parent, next: t.heads[q]})
+			t.heads[q] = n
+			stack = append(stack, n)
+		}
+		for i, q := range path {
+			t.nodes[stack[i]].count += int32(r.count)
+			t.counts[q] += r.count
+		}
+		prev = path
+	}
+	m.stack = stack
+}
+
+// mine emits suffix ∪ {the item of rank r} with its support in t, then mines
+// r's conditional tree, built in m.conds[depth], one rank at a time.
+func (m *miner) mine(t *Tree, r int32, suffix []int, depth int) {
+	itemset := m.emit(suffix, t.items[r], t.counts[r])
+	if depth == len(m.conds) {
+		m.conds = append(m.conds, new(Tree))
+	}
+	cond := m.conds[depth]
+	if !m.conditional(t, r, cond) {
+		return
+	}
+	for q := len(cond.items) - 1; q >= 0; q-- {
+		m.mine(cond, int32(q), itemset, depth+1)
+	}
+}
+
+// emit records suffix ∪ {item} with its support and returns its items, cut
+// from the miner's store: sorted, and capped so that no append reaches a
+// neighbour. suffix is sorted and does not hold item.
+func (m *miner) emit(suffix []int, item, support int) []int {
+	n := len(suffix) + 1
+	if cap(m.slab)-len(m.slab) < n {
+		m.slab = make([]int, 0, max(slabInts, n))
+	}
+	at := len(m.slab)
+	m.slab = m.slab[:at+n]
+	s := m.slab[at : at+n : at+n]
+	i := 0
+	for ; i < len(suffix) && suffix[i] < item; i++ {
+		s[i] = suffix[i]
+	}
+	s[i] = item
+	copy(s[i+1:], suffix[i:])
+	m.out = append(m.out, ItemSet{Items: s, Support: support})
+	return s
+}
+
+// conditional builds in cond the conditional FP-tree of rank r's pattern
+// base — the prefix path of every node of rank r, weighted by that node's
+// count — and reports whether it has any frequent item. A prefix path
+// holds only ranks below r, so per-rank scratch is r long.
+func (m *miner) conditional(t *Tree, r int32, cond *Tree) bool {
+	cnt := resize(m.cnt, int(r))
+	clear(cnt)
+	path, rows := m.path[:0], m.rows[:0]
+	for n := t.heads[r]; n != 0; n = t.nodes[n].next {
+		c, start := int(t.nodes[n].count), len(path)
+		for p := t.nodes[n].parent; p != 0; p = t.nodes[p].parent {
+			q := t.nodes[p].rank
+			path = append(path, q)
+			cnt[q] += c
+		}
+		if len(path) > start {
+			rows = append(rows, row{int32(start), int32(len(path)), c})
+		}
+	}
+	m.cnt, m.path, m.rows = cnt, path, rows
+	keys := m.keys[:0]
+	for q, c := range cnt {
+		if c >= t.minSup {
+			keys = append(keys, uint64(^uint32(c))<<32|uint64(q))
+		}
+	}
+	m.keys = keys
+	if len(keys) == 0 {
+		return false
+	}
+	slices.Sort(keys)
+	cond.reset(len(keys), t.minSup)
+	remap := resize(m.remap, int(r))
+	for q := range remap {
+		remap[q] = -1
+	}
+	for i, k := range keys {
+		q := int32(uint32(k))
+		remap[q] = int32(i)
+		cond.items[i] = t.items[q]
+	}
+	m.remap = remap
+	// Rewrite each path in place as its frequent items' conditional ranks,
+	// ascending: the kept items are a subsequence, so no write overtakes
+	// the read.
+	for i := range rows {
+		w := rows[i].start
+		for _, q := range path[rows[i].start:rows[i].end] {
+			if x := remap[q]; x >= 0 {
+				path[w] = x
+				w++
+			}
+		}
+		rows[i].end = w
+		slices.Sort(path[rows[i].start:w])
+	}
+	m.fill(cond, path, rows)
+	return true
 }
 
 // BruteForce enumerates frequent itemsets by counting all subsets up to

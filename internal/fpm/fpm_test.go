@@ -1,6 +1,7 @@
 package fpm
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -60,6 +61,26 @@ func TestMineAllMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
+// TestMineAllSparseItemIDs: ids outside the item table's slice — negative,
+// or past smallItems — mine exactly like small ones.
+func TestMineAllSparseItemIDs(t *testing.T) {
+	ids := map[int]int{1: -7, 2: smallItems, 3: 3, 4: 1 << 20, 5: smallItems + 9}
+	var txns []workload.Transaction
+	for _, txn := range smallDB() {
+		var mapped workload.Transaction
+		for _, it := range txn {
+			mapped = append(mapped, ids[it])
+		}
+		txns = append(txns, mapped)
+	}
+	got, want := Build(txns, 2).MineAll(), BruteForce(txns, 2, 5)
+	SortItemSets(got)
+	SortItemSets(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FP-growth = %v\nbrute     = %v", got, want)
+	}
+}
+
 func TestPerItemMiningPartitionsResults(t *testing.T) {
 	// MineAll == union of MineItem over FrequentItems, disjointly: this is
 	// the independence property the parallel drivers rely on.
@@ -77,7 +98,7 @@ func TestPerItemMiningPartitionsResults(t *testing.T) {
 	}
 	var union []ItemSet
 	for _, it := range tree.FrequentItems() {
-		union = append(union, tree.MineItem(it)...)
+		union = tree.MineItem(union, it)
 	}
 	SortItemSets(union)
 	SortItemSets(all)
@@ -86,6 +107,9 @@ func TestPerItemMiningPartitionsResults(t *testing.T) {
 	}
 }
 
+// support is a frequent item's support in the tree.
+func (t *Tree) support(item int) int { return t.counts[t.ranks.get(item)-1] }
+
 func TestFrequentItemsOrderAndThreshold(t *testing.T) {
 	tree := Build(smallDB(), 2)
 	items := tree.FrequentItems()
@@ -93,14 +117,20 @@ func TestFrequentItemsOrderAndThreshold(t *testing.T) {
 		t.Fatal("no frequent items")
 	}
 	for _, it := range items {
-		if tree.counts[it] < 2 {
+		if tree.support(it) < 2 {
 			t.Fatalf("item %d below support", it)
 		}
 	}
-	// Mining order: least frequent first.
+	// Mining order: exact reverse rank order, so least frequent first and,
+	// among equal supports, the larger item id first (Build breaks ties by
+	// ascending id).
 	for i := 1; i < len(items); i++ {
-		if tree.order[items[i-1]] < tree.order[items[i]] {
-			t.Fatal("FrequentItems not in reverse frequency order")
+		if tree.ranks.get(items[i-1]) <= tree.ranks.get(items[i]) {
+			t.Fatal("FrequentItems not in reverse rank order")
+		}
+		a, b := tree.support(items[i-1]), tree.support(items[i])
+		if a > b || a == b && items[i-1] < items[i] {
+			t.Fatalf("items %d (support %d) and %d (support %d) ranked out of order", items[i-1], a, items[i], b)
 		}
 	}
 	// Item 6 never appears; item 4 appears twice; item 5 twice.
@@ -150,6 +180,44 @@ func TestGeneratedWorkloadMines(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Fatal("no multi-item frequent itemsets; embedded patterns not mined")
+	}
+}
+
+// TestMineItemAllocatesOnlyOutput: once a miner's buffers have grown,
+// mining an item allocates only what it returns — the itemset list as it
+// grows and the blocks its items are cut from — not per path, per
+// conditional tree or per sort.
+func TestMineItemAllocatesOnlyOutput(t *testing.T) {
+	cfg := workload.TxnSize(workload.Small)
+	cfg.Count = 3000
+	txns := workload.GenerateTransactions(cfg)
+	tree := Build(txns, int(0.01*float64(len(txns))))
+	// The item with the most itemsets recurses deepest.
+	var item int
+	var out []ItemSet
+	for _, it := range tree.FrequentItems() {
+		if sets := tree.MineItem(nil, it); len(sets) > len(out) {
+			item, out = it, sets
+		}
+	}
+	ints := 0
+	for _, s := range out {
+		ints += len(s.Items)
+	}
+	if len(out) < 1000 {
+		t.Fatalf("the richest item yields %d itemsets; the workload no longer recurses", len(out))
+	}
+	// A growing slice reallocates at most twice per doubling of its length.
+	// The miner is driven directly: under -race the pool drops Puts at random.
+	budget := float64(2*bits.Len(uint(len(out))) + ints/slabInts + 2)
+	m := new(miner)
+	mine := func() {
+		m.mine(tree, tree.ranks.get(item)-1, nil, 0)
+		m.out = nil
+	}
+	mine()
+	if got := testing.AllocsPerRun(20, mine); got > budget {
+		t.Errorf("mining item %d (%d itemsets) allocates %v times, want at most %v", item, len(out), got, budget)
 	}
 }
 

@@ -133,9 +133,11 @@ func TestOwnedFollowsMigratedSet(t *testing.T) {
 		}
 		rt.BeginIsolation()
 		x.Delegate(use) // runs on the delegate
-		others[0].Delegate(func(c *Ctx, _ *int) { holdUntilAsked(rt, c) })
+		started := make(chan struct{})
+		others[0].Delegate(func(c *Ctx, _ *int) { close(started); holdUntilAsked(rt, c) })
+		<-started // the split is the boundary after the holding operation
 		DoAll(others[1:], func(*Ctx, *int) {})
-		x.Delegate(use) // the last operation delegated: tail half, moves to context 0
+		x.Delegate(use) // the 40th chain at the split: dealt to context 0
 		rt.EndIsolation()
 		x.Call(func(ran *[]int) {
 			if !reflect.DeepEqual(*ran, []int{1, 0}) {

@@ -213,15 +213,8 @@
 // delegations from the operations of a single producing set (or from the
 // program context) per epoch — one producing SET, not merely one context —
 // so that a migration of the producing set moves all of the nested set's
-// delegations together.
-//
-// On top of the handoff sits one placement heuristic, hot-set seeding:
-// BeginIsolation ranks the closing epoch's sets by delegated-op count and
-// pre-places the top few round-robin across delegates, instead of letting
-// first touch pile them onto whichever delegate looked emptiest at the
-// epoch's first instant (a one-delegate pool has nothing to spread and
-// skips the ranking). Stats reports Steals, ForcedEvacs, OutboundVetoes,
-// OutboundTracked and HotSetsPlaced for all of it.
+// delegations together. Stats reports Steals, ForcedEvacs, OutboundVetoes
+// and OutboundTracked for all of it.
 //
 // The program context works while it waits. Every program delegates an
 // epoch far faster than the pool executes it, and a program lane deep
@@ -319,10 +312,9 @@
 // executes exactly its program-order prefix up to the faulting operation
 // and nothing after — the same prefix on every run, because per-set
 // program order is the model's invariant. Poisoned sets are never stolen,
-// force-evacuated, shed to the program context, or hot-seeded into the next
-// epoch; the poison is
-// written before the faulted operation's counters are published, so any
-// context that proves the set quiescent has already observed it. Dropped
+// force-evacuated, or shed to the program context; the poison is written
+// before the faulted operation's counters are published, so any context
+// that proves the set quiescent has already observed it. Dropped
 // operations never run at all — a fault mid-set also deterministically
 // truncates the nested delegations its dropped successors would have
 // issued. Poisoning clears at the next BeginIsolation; fault records
@@ -347,8 +339,9 @@
 // program context — a barrier, a reclaim, room on a full program lane —
 // and turns any such hang, or an engine liveness bug, into a panic with a
 // dump of what the program context waits for, per-delegate pending lanes
-// and ledger positions after a configurable no-progress bound. Delegates publish progress once per drain run, so the bound must
-// exceed the longest run, not merely the longest operation: up to 64
+// and ledger positions after a configurable no-progress bound. Delegates
+// publish progress once per drain run, so the bound must exceed the
+// longest run, not merely the longest operation: up to 64
 // back-to-back operations of one lane, and up to a full lane more on a
 // delegate a barrier asked for work. The chaos-injection harness
 // (internal/chaos) drives all of this under test: deterministic and
@@ -473,9 +466,9 @@
 // delegate in that state would either reorder a set's operations
 // (breaking the one invariant the model promises) or strand them. At the
 // boundary, the barrier has proven every lane drained and the delegation
-// ledger balanced, so set-to-delegate placement is pure data:
-// it can be rewritten wholesale, exactly as the epoch machinery already
-// rewrites it for hot-set seeding.
+// ledger balanced, so set-to-delegate placement is pure data: it can be
+// rewritten wholesale, exactly as every epoch already starts the owner
+// table empty for first touch.
 //
 // Mechanically, [Runtime.Resize] only validates and records a desired pool
 // size; the next BeginIsolation applies it. Capacity
@@ -484,8 +477,8 @@
 // resizing only moves the active prefix — so context numbering, reducible
 // views, and trace buffers stay valid across any resize, and the hot path
 // pays nothing (the active count is a single atomic load that exists
-// anyway). Scale-up spawns goroutines for the new prefix, rebuilds the
-// placement tables, and re-seeds hot sets. Scale-down
+// anyway). Scale-up spawns goroutines for the new prefix and rebuilds the
+// placement tables. Scale-down
 // must also evacuate: every set owned by a closing delegate is reassigned
 // into the surviving prefix before the delegate parks, because a set left
 // on a retired delegate would silently stop executing — its operations

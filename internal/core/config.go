@@ -13,11 +13,13 @@ import (
 // (or a CI timeout) into a state dump, not to police slow operations.
 const DefaultWatchdog = 30 * time.Second
 
-// DefaultFaultRecordBound is the default cap on retained contained-panic
-// records (Config.FaultRecordBound). 1024 full stack captures is roughly a
-// few tens of megabytes worst case — enough history to diagnose a fault
-// storm, small enough that a server containing panics for weeks holds
-// steady-state memory.
+// DefaultFaultRecordBound caps how many contained-panic records the runtime
+// retains (fault.go): the record store is a ring that evicts the oldest
+// fault once the bound is reached, counting evictions in
+// Stats.DroppedFaults. 1024 full stack captures is roughly a few tens of
+// megabytes worst case — enough history to diagnose a fault storm, small
+// enough that a server containing panics for weeks holds steady-state
+// memory. Poison state and the fault counters are unaffected by eviction.
 const DefaultFaultRecordBound = 1024
 
 // The steal trigger's two constants (maybeSteal): a set leaves its owner
@@ -190,16 +192,6 @@ type Config struct {
 	// check per run.
 	FaultInjector func(ctx int, set uint64)
 
-	// FaultRecordBound caps how many contained-panic records the runtime
-	// retains (internal/core/fault.go): the record store is a ring that
-	// evicts the oldest fault once the bound is reached, counting evictions
-	// in Stats.DroppedFaults. Unbounded retention is fatal for a
-	// long-running server — every contained panic pins its captured stack —
-	// while the error surface (Err/SetErr) only ever needs the recent
-	// window. Poison state and the fault counters are unaffected by
-	// eviction. Default DefaultFaultRecordBound.
-	FaultRecordBound int
-
 	// Watchdog bounds how long the program context will wait — for a
 	// reclaim (SyncContext), a barrier (EndIsolation, Terminate) or room on
 	// a full program lane — while no delegate publishes any progress before
@@ -252,9 +244,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StealThreshold <= 0 {
 		c.StealThreshold = stealThreshold
-	}
-	if c.FaultRecordBound <= 0 {
-		c.FaultRecordBound = DefaultFaultRecordBound
 	}
 	if c.Watchdog == 0 && c.Checked {
 		c.Watchdog = DefaultWatchdog

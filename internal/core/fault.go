@@ -68,11 +68,11 @@ type faultState struct {
 	// containment order (concurrent faults on different delegates append in
 	// arrival order). A long-lived runtime — the serving tier runs for
 	// weeks — must not let every contained panic pin a stack forever, so
-	// once len(records) reaches bound the oldest record is evicted and
-	// droppedRec counts it. head indexes the oldest live record.
+	// once len(records) reaches DefaultFaultRecordBound the oldest record
+	// is evicted and droppedRec counts it. head indexes the oldest live
+	// record.
 	records []*PanicFault
 	head    int
-	bound   int
 	// bySet indexes the live records by serialization set, so the serving
 	// tier's per-failed-request SetFaults/SetErr lookups walk only that
 	// set's faults instead of every fault the runtime ever contained.
@@ -90,10 +90,10 @@ type faultState struct {
 // addRecord appends f to the bounded record ring and the per-set index.
 // Caller holds fs.mu.
 func (fs *faultState) addRecord(f *PanicFault) {
-	if len(fs.records) >= fs.bound {
+	if len(fs.records) >= DefaultFaultRecordBound {
 		old := fs.records[fs.head]
 		fs.records[fs.head] = f
-		fs.head = (fs.head + 1) % fs.bound
+		fs.head = (fs.head + 1) % DefaultFaultRecordBound
 		fs.evictFromIndex(old)
 		fs.droppedRec.Add(1)
 	} else {
@@ -146,7 +146,7 @@ func (rt *Runtime) ensureFaults() *faultState {
 	if fs := rt.faults.Load(); fs != nil {
 		return fs
 	}
-	fs := &faultState{bound: rt.cfg.FaultRecordBound, bySet: make(map[uint64][]*PanicFault)}
+	fs := &faultState{bySet: make(map[uint64][]*PanicFault)}
 	if rt.faults.CompareAndSwap(nil, fs) {
 		return fs
 	}
@@ -214,7 +214,7 @@ func (rt *Runtime) maybeDrop(fs *faultState, set uint64) bool {
 }
 
 // Faults returns a snapshot of the retained contained panics (the most
-// recent Config.FaultRecordBound of them), in containment order; nil when
+// recent DefaultFaultRecordBound of them), in containment order; nil when
 // no delegated operation has faulted. Safe from any goroutine: the record
 // ring is mutex-protected, so the serving tier's handler goroutines may
 // query faults concurrently with the program context and with faulting

@@ -7,17 +7,18 @@ import (
 )
 
 // TestFaultRecordBoundRing drives 10k contained panics through a runtime
-// with a small retention bound and checks the long-runtime contract: fault
+// and checks the long-runtime contract against the retention bound: fault
 // MEMORY stays bounded (only the most recent records survive), the Panics
 // counter still counts everything, evictions surface in DroppedFaults, and
 // the per-set index agrees exactly with the retained ring.
 func TestFaultRecordBoundRing(t *testing.T) {
 	const (
-		bound       = 8
-		epochs      = 100
-		setsPerWave = 100 // one fault per set per epoch (poison drops repeats)
+		bound       = DefaultFaultRecordBound
+		setsPerWave = 128 // one fault per set per epoch (poison drops repeats)
+		kept        = bound / setsPerWave
+		epochs      = 80
 	)
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded, FaultRecordBound: bound})
+	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded})
 	for ep := 0; ep < epochs; ep++ {
 		rt.BeginIsolation()
 		for s := 0; s < setsPerWave; s++ {
@@ -40,13 +41,13 @@ func TestFaultRecordBoundRing(t *testing.T) {
 	if len(faults) != bound {
 		t.Fatalf("Faults() retained %d records, want %d", len(faults), bound)
 	}
-	// Epoch barriers order containment across epochs, so every survivor
-	// must come from the final epoch even though arrival order within an
-	// epoch is racy.
+	// Epoch barriers order containment across epochs, and the bound holds
+	// exactly the last kept epochs' waves, so every survivor must come from
+	// them even though arrival order within an epoch is racy.
 	perSet := map[uint64]int{}
 	for _, f := range faults {
-		if f.Epoch != epochs {
-			t.Errorf("retained fault from epoch %d, want only epoch %d", f.Epoch, epochs)
+		if f.Epoch <= epochs-kept {
+			t.Errorf("retained fault from epoch %d, want only epochs after %d", f.Epoch, epochs-kept)
 		}
 		perSet[f.Set]++
 	}
@@ -55,8 +56,8 @@ func TestFaultRecordBoundRing(t *testing.T) {
 	var indexed int
 	for set, n := range perSet {
 		got := rt.SetFaults(set)
-		if len(got) != n {
-			t.Errorf("SetFaults(%d) = %d records, ring holds %d", set, len(got), n)
+		if len(got) != n || n != kept {
+			t.Errorf("SetFaults(%d) = %d records, ring holds %d, want %d", set, len(got), n, kept)
 		}
 		indexed += len(got)
 	}
@@ -69,15 +70,15 @@ func TestFaultRecordBoundRing(t *testing.T) {
 // one set: faults accumulate across epochs, eviction pops the oldest, and
 // a fully-evicted set drops out of the index entirely.
 func TestSetFaultsIndexEviction(t *testing.T) {
-	const bound = 4
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded, FaultRecordBound: bound})
+	const bound = DefaultFaultRecordBound
+	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded})
 
-	// Epoch 1: one fault on the sibling set (will be evicted), then six
+	// Epoch 1: one fault on the sibling set (will be evicted), then bound+2
 	// epochs of one fault each on set 7.
 	rt.BeginIsolation()
 	rt.Delegate(3, func(int) { panic("sibling") })
 	rt.EndIsolation()
-	for ep := 0; ep < 6; ep++ {
+	for ep := 0; ep < bound+2; ep++ {
 		rt.BeginIsolation()
 		rt.Delegate(7, func(int) { panic("boom") })
 		rt.EndIsolation()
@@ -91,8 +92,8 @@ func TestSetFaultsIndexEviction(t *testing.T) {
 		t.Fatalf("SetFaults(7) = %d records, want %d", len(sf), bound)
 	}
 	for i, f := range sf {
-		// Sibling fault in epoch 1, set-7 faults in epochs 2..7; the
-		// retained four are epochs 4..7 in containment order.
+		// Sibling fault in epoch 1, set-7 faults in epochs 2..bound+3; the
+		// retained bound are epochs 4..bound+3 in containment order.
 		if want := uint64(4 + i); f.Epoch != want {
 			t.Errorf("SetFaults(7)[%d].Epoch = %d, want %d", i, f.Epoch, want)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,9 +95,9 @@ import (
 
 // setEntry is the owner table's record of one serialization set. All
 // fields are atomics: the set's single producer writes them, but the
-// program context (stats, reseeding) and — under a violated producer
-// discipline, which Checked mode turns into a panic — other contexts may
-// observe them.
+// program context (stats, resize accounting) and — under a violated
+// producer discipline, which Checked mode turns into a panic — other
+// contexts may observe them.
 type setEntry struct {
 	// owner is the context id of the delegate currently executing the set.
 	owner atomic.Int32
@@ -110,10 +109,6 @@ type setEntry struct {
 	// delegations migrates — the outbound-coverage condition in maybeSteal
 	// guarantees the quiescence this check then observes.
 	producer atomic.Int32
-	// ops counts operations delegated to the set this epoch (single writer:
-	// the set's producer); BeginIsolation ranks the closing epoch's sets by
-	// it to pre-place the hottest ones.
-	ops atomic.Uint64
 	// lastPos[p] is the lane position (delegate.sent[p] of the owner) of the
 	// set's newest operation from producer p — the value the owner's exec[p]
 	// must reach before the set may move.
@@ -335,10 +330,9 @@ func (rt *Runtime) route(producer int, set uint64) (int, *setEntry) {
 	}
 	e := tbl.lookup(set)
 	if e == nil {
-		// First touch this epoch (hot sets were pre-placed by reseed before
-		// it opened): the least-occupied delegate, never the producer's own
-		// — every operation routed there would be a self-delegation the
-		// producer may block waiting on.
+		// First touch this epoch: the least-occupied delegate, never the
+		// producer's own — every operation routed there would be a
+		// self-delegation the producer may block waiting on.
 		owner, _ := rt.leastOccupied(producer, 0)
 		if owner == 0 {
 			owner = producer // a one-delegate pool delegating to itself
@@ -386,19 +380,6 @@ func (rt *Runtime) claim(e *setEntry, set uint64, producer int) {
 		}
 		e.producer.Store(int32(producer))
 	}
-	if int(e.owner.Load()) == producer && e.ops.Load() == 0 {
-		// A pre-placed entry (hot-seeded from the previous epoch's producer)
-		// whose producer moved onto exactly that delegate: honoring it would
-		// make every operation of the set a self-delegation — a placement
-		// the engine must never introduce. Nothing has been delegated yet,
-		// so the empty entry can simply be re-homed next door. A set WITH
-		// history whose handover lands it on its own producer is evacuated
-		// by maybeSteal, under the full safety conditions a bare re-home
-		// here could not honor.
-		if nAct := int(rt.active.Load()); nAct > 1 {
-			e.owner.Store(int32(producer%nAct + 1))
-		}
-	}
 }
 
 // leastOccupied returns the active delegate with the smallest ledger
@@ -422,7 +403,6 @@ func (rt *Runtime) leastOccupied(a, b int) (best int, occ uint64) {
 // outbound ledger of the set whose operation that delegate is executing.
 func (rt *Runtime) notePosition(e *setEntry, producer, owner int, pos uint64) {
 	e.lastPos[producer].Store(pos)
-	bump(&e.ops)
 	if producer == ProgramContext {
 		return
 	}
@@ -582,78 +562,4 @@ func (rt *Runtime) waitOutboundCoverage(e *setEntry, v int) bool {
 		}
 	}
 	return true
-}
-
-// reseed installs a fresh owner table for a new isolation epoch. Under
-// stealing the closing epoch's hottest sets (ranked by per-set op counts,
-// ties broken by set id so the seeding itself is deterministic) are
-// pre-placed round-robin across the active delegates: first-touch placement
-// at epoch start, when every occupancy reads zero, piles them onto one
-// delegate and waits for the rebalancer to fix it. Seeded entries carry no
-// positions, so they are quiescent and free to migrate immediately if the
-// prediction was wrong. A set is never seeded onto its previous epoch's
-// producer (the same rule first touch and the thief scan apply). Returns
-// how many sets were pre-placed (none on a one-delegate pool). Program
-// context only, between epochs.
-func (rt *Runtime) reseed(prev *ownerTable) int {
-	n := prev.len()
-	if n == 0 {
-		return 0 // nothing to forget
-	}
-	next := newOwnerTable(n)
-	var hot []hotSeed
-	if rt.cfg.Stealing && rt.cfg.Delegates > 1 {
-		// With one delegate every set lands on it anyway: ranking the whole
-		// closing epoch to pre-place two of them there is wasted work.
-		hot = rankHotSets(prev, rt.faults.Load(), 2*rt.cfg.Delegates)
-	}
-	slot, delegates := 0, rt.cfg.Delegates
-	for _, h := range hot {
-		d := slot%delegates + 1
-		if delegates > 1 && d == int(h.producer) {
-			slot++
-			d = slot%delegates + 1
-		}
-		next.insert(h.set, rt.newSetEntry(d))
-		slot++
-	}
-	rt.owners.Store(next)
-	return len(hot)
-}
-
-// hotSeed is one ranked entry of the closing epoch: the set, how many
-// operations it received, and which context produced it.
-type hotSeed struct {
-	set      uint64
-	ops      uint64
-	producer int32
-}
-
-// hotter orders seeds hottest first, ties by ascending set id.
-func (h hotSeed) hotter(o hotSeed) bool { return h.ops > o.ops || h.ops == o.ops && h.set < o.set }
-
-// rankHotSets returns the top-k sets of the closing epoch by delegated-op
-// count, hottest first, ties by ascending set id: two per delegate spreads
-// the head of the distribution without pinning the long tail to stale
-// placements. The input is every set the epoch touched (possibly very
-// many) and only the output is small, so this is one pass keeping the k
-// best in order: nearly every set costs one comparison with the coldest.
-// Sets the closing epoch poisoned (in fs, nil when nothing ever faulted) are
-// never hot-seeded into the next one.
-func rankHotSets(owners *ownerTable, fs *faultState, k int) []hotSeed {
-	top := make([]hotSeed, 0, k+1)
-	owners.forEach(func(set uint64, e *setEntry) {
-		h := hotSeed{set, e.ops.Load(), e.producer.Load()}
-		if h.ops == 0 || fs != nil && fs.lookup(set) != nil {
-			return
-		}
-		i := len(top)
-		for i > 0 && h.hotter(top[i-1]) {
-			i--
-		}
-		if i < k {
-			top = slices.Insert(top, i, h)[:min(len(top)+1, k)]
-		}
-	})
-	return top
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math/rand"
-	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,10 +8,11 @@ import (
 
 // Unit tests for placement and the whole-set handoff protocol (owners.go):
 // the owner table, the multi-producer quiescence check against the
-// sent/exec ledger, the steal trigger, and hot-set seeded placement. The shapes are built by hand (gated operations pin a delegate
-// with an observable backlog, place() homes a set where first touch would
-// not) so every assertion is structural, not timing-dependent. The
-// single-producer shapes live in steal_test.go.
+// sent/exec ledger and the steal trigger. The shapes are built by hand
+// (gated operations pin a delegate with an observable backlog, place()
+// homes a set where first touch would not) so every assertion is
+// structural, not timing-dependent. The single-producer shapes live in
+// steal_test.go.
 
 // TestRecursiveNoStealWhileInFlight pins the safety half of the
 // multi-producer protocol: a set whose newest operation — issued by a
@@ -160,123 +158,6 @@ func TestExplicitThresholdNotAdaptive(t *testing.T) {
 	if got := (Config{Stealing: true, StealThreshold: 7}).withDefaults().StealThreshold; got != 7 {
 		t.Fatalf("explicit threshold = %d, want 7", got)
 	}
-}
-
-// TestHotSetSeeding: the closing epoch's hottest sets are pre-placed
-// round-robin (hottest first, ties by id) when the next epoch opens, with
-// no positions recorded, and the count is reported.
-func TestHotSetSeeding(t *testing.T) {
-	bothWidths(t, 2, noStealThreshold, func(t *testing.T, rt *Runtime) { // high threshold: no migrations
-		rt.BeginIsolation()
-		for i, n := range map[uint64]int{5: 10, 6: 4, 7: 1} {
-			for j := 0; j < n; j++ {
-				rt.Delegate(i, func(int) {})
-			}
-		}
-		rt.EndIsolation()
-		rt.BeginIsolation()
-		defer rt.EndIsolation()
-		if got := rt.owners.Load().len(); got != 3 {
-			t.Fatalf("seeded owner table has %d entries, want 3", got)
-		}
-		for set, want := range map[uint64]int{5: 1, 6: 2, 7: 1} {
-			if got := ownerOf(rt, set); got != want {
-				t.Fatalf("hot set %d seeded on %d, want delegate %d", set, got, want)
-			}
-			if pos := rt.owners.Load().lookup(set).lastPos[ProgramContext].Load(); pos != 0 {
-				t.Fatalf("seeded set %d carries lastPos %d, want 0 (quiescent)", set, pos)
-			}
-		}
-		if st := rt.Stats(); st.HotSetsPlaced != 3 {
-			t.Fatalf("HotSetsPlaced = %d, want 3", st.HotSetsPlaced)
-		}
-	})
-}
-
-// rankHotSetsBySort is the reference rankHotSets is checked against: rank
-// every eligible set, cut to k.
-func rankHotSetsBySort(owners *ownerTable, poisoned map[uint64]*PanicFault, k int) []hotSeed {
-	var all []hotSeed
-	owners.forEach(func(set uint64, e *setEntry) {
-		if n := e.ops.Load(); n > 0 && poisoned[set] == nil {
-			all = append(all, hotSeed{set, n, e.producer.Load()})
-		}
-	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].ops != all[j].ops {
-			return all[i].ops > all[j].ops
-		}
-		return all[i].set < all[j].set
-	})
-	return all[:max(0, min(k, len(all)))]
-}
-
-// TestRankHotSetsMatchesSort: the single-pass bounded top-k selects the
-// same seeds in the same order as ranking everything — placement
-// determinism depends on it — on random tables full of ties, with untouched
-// and poisoned sets mixed in, for k below, at and above the table size.
-func TestRankHotSetsMatchesSort(t *testing.T) {
-	rt := newTestRuntime(t, stealCfg(2, noStealThreshold))
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 5, 300} {
-		for trial := 0; trial < 20; trial++ {
-			tbl := newOwnerTable(n)
-			poisoned := map[uint64]*PanicFault{}
-			for i := 0; i < n; i++ {
-				e := rt.newSetEntry(1 + i%2)
-				e.ops.Store(uint64(rng.Intn(4))) // 0 = untouched; few values, so mostly ties
-				e.producer.Store(int32(rng.Intn(3)))
-				set := rng.Uint64()
-				if rng.Intn(10) == 0 {
-					poisoned[set] = &PanicFault{Set: set}
-				}
-				tbl.insert(set, e)
-			}
-			fs := &faultState{}
-			fs.poisoned.Store(&poisoned)
-			for _, k := range []int{0, 1, 2, 8, n + 3} {
-				got, want := rankHotSets(tbl, fs, k), rankHotSetsBySort(tbl, poisoned, k)
-				if !slices.Equal(got, want) {
-					t.Fatalf("n=%d k=%d:\n got %v\nwant %v", n, k, got, want)
-				}
-				// A runtime that never faulted has no fault table.
-				if got, want := rankHotSets(tbl, nil, k), rankHotSetsBySort(tbl, nil, k); !slices.Equal(got, want) {
-					t.Fatalf("n=%d k=%d, no faults:\n got %v\nwant %v", n, k, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestHotSetSeedingTopK: only the top 2*Delegates sets are pre-placed; the
-// rest enter the new epoch untracked and are placed at first touch.
-func TestHotSetSeedingTopK(t *testing.T) {
-	bothWidths(t, 2, noStealThreshold, func(t *testing.T, rt *Runtime) {
-		rt.BeginIsolation()
-		for s := uint64(0); s < 10; s++ {
-			for j := 0; j <= int(s); j++ {
-				rt.Delegate(s, func(int) {})
-			}
-		}
-		rt.EndIsolation()
-		rt.BeginIsolation()
-		defer rt.EndIsolation()
-		if got := rt.owners.Load().len(); got != 4 {
-			t.Fatalf("seeded %d sets, want top-4", got)
-		}
-		// Hottest-first round-robin: 9 -> d1, 8 -> d2, 7 -> d1, 6 -> d2.
-		for set, want := range map[uint64]int{9: 1, 8: 2, 7: 1, 6: 2} {
-			if got := ownerOf(rt, set); got != want {
-				t.Fatalf("set %d seeded on %d, want delegate %d", set, got, want)
-			}
-		}
-		if got := ownerOf(rt, 5); got != 0 {
-			t.Fatalf("cold set 5 pre-placed on %d, want untracked", got)
-		}
-		if st := rt.Stats(); st.HotSetsPlaced != 4 {
-			t.Fatalf("HotSetsPlaced = %d, want 4", st.HotSetsPlaced)
-		}
-	})
 }
 
 // TestOwnerTableGrowth: the uint64-specialized owner table keeps every

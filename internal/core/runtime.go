@@ -101,7 +101,7 @@ type Runtime struct {
 
 	// owners is the dynamic set->entry table of the current epoch (nil
 	// under StaticMod). An atomic pointer so BeginIsolation can swap in a
-	// freshly seeded table without racing late snapshot readers.
+	// fresh table without racing late snapshot readers.
 	owners atomic.Pointer[ownerTable]
 	// producers is the Checked-mode registry of one producer context per set
 	// under Recursive with static placement: an owner table whose entries are
@@ -257,14 +257,11 @@ func (rt *Runtime) BeginIsolation() {
 		rt.producers.Store(newOwnerTable(reg.len())) // one producer per set per epoch
 	}
 	if tbl := rt.owners.Load(); tbl != nil {
-		// New epoch, new partition (with the hottest sets pre-placed).
-		rt.stats.HotSetsPlaced += uint64(rt.reseed(tbl))
+		rt.owners.Store(newOwnerTable(tbl.len())) // new epoch, new partition: first touch re-places
 	}
 	if fs := rt.faults.Load(); fs != nil {
 		// Poisoning is epoch-scoped: the new epoch starts with a clean
-		// slate (fault records persist). Cleared AFTER the owner table was
-		// rebuilt above, so the hot-set seeder could still exclude the
-		// closing epoch's poisoned sets.
+		// slate (fault records persist).
 		fs.resetPoison()
 	}
 	rt.clock.switchTo(PhaseIsolation, &rt.stats)
@@ -287,10 +284,10 @@ func (rt *Runtime) EndIsolation() {
 // Resize requests the delegate pool be resized to n active delegates. The
 // request is validated immediately and recorded; the PROGRAM CONTEXT
 // applies it at the next BeginIsolation — the engine's quiescent point,
-// where the epoch barrier has proven no operation in flight, the owner
-// table is about to rebuild, and hot sets re-place across whatever pool
-// opens the epoch. Safe from any goroutine; concurrent requests follow
-// last-store-wins.
+// where the epoch barrier has proven no operation in flight and the owner
+// table is about to rebuild, so first touch places sets across whatever
+// pool opens the epoch. Safe from any goroutine; concurrent requests
+// follow last-store-wins.
 //
 // A target outside what the pre-allocated pool can honor comes back as a
 // descriptive error, never a deferred panic: the resize surface is driven
@@ -319,14 +316,13 @@ func (rt *Runtime) Resize(n int) error {
 
 // applyResize applies a pending Resize at the epoch boundary: barrier,
 // count evacuees, park or spawn, republish. Called by BeginIsolation on the
-// program context, before the owner table rebuilds and hot sets re-place
-// (so placement state is constructed for the NEW pool, never patched
-// afterwards).
+// program context, before the owner table rebuilds (so placement state is
+// constructed for the NEW pool, never patched afterwards).
 //
 // Scale-up activates pre-built delegates: spawn their drain goroutines,
-// widen the assignment table, and let this epoch's seeding spread hot sets
-// across the larger pool. Scale-down is the forced-evacuation argument in
-// pool form: the barrier below proves every set quiescent on every
+// widen the assignment table, and let this epoch's first touches spread
+// sets across the larger pool. Scale-down is the forced-evacuation argument
+// in pool form: the barrier below proves every set quiescent on every
 // delegate — the same whole-set handoff boundary the stealer uses, applied
 // to all sets at once — so the retiring delegates' sets are re-placed by
 // the very table rebuild this epoch performs anyway, and the retirees park
@@ -365,9 +361,9 @@ func (rt *Runtime) applyResize() {
 		}
 		rt.parkDelegates(n, old)
 	}
-	// The assignment table, owner table, and hot-set seeding all derive
-	// from cfg.Delegates: rewrite it, publish the atomic mirror, and
-	// rebuild the static table before any of them run for this epoch.
+	// The assignment table and first-touch placement both derive from
+	// cfg.Delegates: rewrite it, publish the atomic mirror, and rebuild the
+	// static table before either runs for this epoch.
 	rt.cfg.Delegates = n
 	rt.active.Store(int32(n))
 	rt.vmap = buildAssignment(rt.cfg)

@@ -22,9 +22,9 @@ func ownerOf(rt *Runtime, set uint64) int {
 	return 0
 }
 
-// place pre-places set on a delegate the way hot-set seeding does: an
-// entry with no history, so tests can build a placement first touch would
-// not. Like any seeded entry it may be stolen at its first delegation.
+// place pre-places set on a delegate: an entry with no history, so tests
+// can build a placement first touch would not. It may be stolen at its
+// first delegation.
 func place(rt *Runtime, set uint64, owner int) {
 	rt.owners.Load().insert(set, rt.newSetEntry(owner))
 }

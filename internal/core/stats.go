@@ -49,8 +49,6 @@ type Stats struct {
 	HelpedOps uint64 // operations the program context executed itself while it waited in a barrier
 	Sheds     uint64 // hand-overs of whole sets from a delegate that brought them (delegate.go, shed)
 
-	HotSetsPlaced uint64 // hot sets pre-placed round-robin at BeginIsolation from prior-epoch op counts
-
 	// Elastic-runtime counters (program context, written at the epoch
 	// boundary that applies a reconfiguration). Resizes counts applied
 	// pool-size changes; ResizeEvacuatedSets counts owner-table entries
@@ -74,7 +72,7 @@ type Stats struct {
 	// DroppedOps counts delegations dropped because their set was poisoned
 	// — the deterministic skip of everything after a faulting position.
 	// DroppedFaults counts fault RECORDS evicted by the bounded retention
-	// ring (Config.FaultRecordBound) — nonzero means Err/SetErr describe
+	// ring (DefaultFaultRecordBound) — nonzero means Err/SetErr describe
 	// only the most recent faults, while Panics still counts them all.
 	Panics        uint64
 	PoisonedSets  uint64

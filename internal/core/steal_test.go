@@ -16,7 +16,7 @@ func stealCfg(delegates, threshold int) Config {
 }
 
 // noStealThreshold suppresses occupancy steals in the shapes that isolate
-// forced evacuation or seeding: none of them backs a delegate up this far.
+// forced evacuation: none of them backs a delegate up this far.
 const noStealThreshold = 64
 
 func recStealCfg(delegates, threshold int) Config {
@@ -240,12 +240,18 @@ func TestStealStress(t *testing.T) {
 // are pure compute: on a multi-core host they show the same shape; on one
 // CPU total work is serialized regardless of placement, so expect them flat
 // there.
+//
+// The "epochs" variants run the blocking traffic for 8 epochs on one
+// runtime with placement left to first touch: every epoch opens on an
+// empty owner table, so they measure where first touch puts the sets
+// epoch after epoch and what stealing adds to it.
 func BenchmarkCoreDelegateSkewed(b *testing.B) {
 	const (
 		delegates = 4
 		hotSets   = 16
 		coldSets  = 48
 		nOps      = 2000
+		epochs    = 8
 	)
 	var sink atomic.Uint64
 	blockingOp := func(int) { time.Sleep(20 * time.Microsecond) }
@@ -255,6 +261,18 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 			x = x*1664525 + 1013904223
 		}
 		sink.Add(x)
+	}
+	delegateSkewed := func(rt *Runtime, op func(int)) {
+		hot, cold := 0, 0
+		for k := 0; k < nOps; k++ {
+			if k%10 != 9 {
+				rt.Delegate(uint64(hot%hotSets), op)
+				hot++
+			} else {
+				rt.Delegate(uint64(hotSets+cold%coldSets), op)
+				cold++
+			}
+		}
 	}
 	run := func(b *testing.B, stealing bool, op func(int)) {
 		steals := uint64(0)
@@ -271,16 +289,7 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 				place(rt, uint64(hotSets+s), 2+s%(delegates-1))
 			}
 			b.StartTimer()
-			hot, cold := 0, 0
-			for k := 0; k < nOps; k++ {
-				if k%10 != 9 {
-					rt.Delegate(uint64(hot%hotSets), op)
-					hot++
-				} else {
-					rt.Delegate(uint64(hotSets+cold%coldSets), op)
-					cold++
-				}
-			}
+			delegateSkewed(rt, op)
 			rt.EndIsolation() // barrier: include completing the backlog
 			b.StopTimer()
 			steals += rt.Stats().Steals
@@ -292,6 +301,25 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 	b.Run("blocking-steal", func(b *testing.B) { run(b, true, blockingOp) })
 	b.Run("cpu-nosteal", func(b *testing.B) { run(b, false, cpuOp) })
 	b.Run("cpu-steal", func(b *testing.B) { run(b, true, cpuOp) })
+	runEpochs := func(b *testing.B, stealing bool) {
+		steals := uint64(0)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rt := New(Config{Delegates: delegates, Policy: LeastLoaded, Stealing: stealing})
+			b.StartTimer()
+			for e := 0; e < epochs; e++ {
+				rt.BeginIsolation()
+				delegateSkewed(rt, blockingOp)
+				rt.EndIsolation()
+			}
+			b.StopTimer()
+			steals += rt.Stats().Steals
+			rt.Terminate()
+		}
+		b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
+	}
+	b.Run("epochs-nosteal", func(b *testing.B) { runEpochs(b, false) })
+	b.Run("epochs-steal", func(b *testing.B) { runEpochs(b, true) })
 }
 
 // TestDrainBatchesCount: a backlog released at once must be consumed through

@@ -25,10 +25,11 @@ import (
 type Owned[T any] struct {
 	rt  *Runtime
 	obj T
-	// claim packs the claiming access: epoch<<32 | a 24-bit hash of the
-	// executing set<<8 | ctx+1; 0 = never claimed. Context ids fit in 8
-	// bits (delegate pools are machine-sized); set hash 0 means no set's
-	// operation was executing, so only the context can match it.
+	// claim packs the claiming access: epoch<<32 | a 16-bit hash of the
+	// executing set<<16 | ctx+1; 0 = never claimed. Every context id below
+	// 65,535 packs (a pool that size would pre-allocate 16 GB of program
+	// lanes); set hash 0 means no set's operation was executing, so only
+	// the context can match it.
 	claim atomic.Uint64
 }
 
@@ -51,7 +52,7 @@ func (o *Owned[T]) Use(c *Ctx) *T {
 	epoch := rt.core.Epoch() << 32
 	tag := epoch | uint64(c.id) + 1
 	if set := rt.core.ExecutingSet(c.id); set != core.NoSet {
-		tag |= (Mix64(set)>>40 | 1) << 8
+		tag |= (Mix64(set)>>48 | 1) << claimCtxBits
 	}
 	for {
 		cur := o.claim.Load()
@@ -62,13 +63,12 @@ func (o *Owned[T]) Use(c *Ctx) *T {
 			}
 			continue
 		}
-		const ctxBits, setBits = 0xff, 0xffffff << 8
-		sameCtx := (cur^tag)&ctxBits == 0
-		sameSet := cur&setBits != 0 && (cur^tag)&setBits == 0
+		sameCtx := (cur^tag)&claimCtxMask == 0
+		sameSet := cur&claimSetMask != 0 && (cur^tag)&claimSetMask == 0
 		if !sameCtx && !sameSet {
 			raise(ErrPartitionViolation,
 				"owned pointer accessed by context %d after being owned by context %d this epoch (a different serialization set)",
-				c.id, int(cur&0xff)-1)
+				c.id, int(cur&claimCtxMask)-1)
 		}
 		return &o.obj
 	}
@@ -80,5 +80,12 @@ func (o *Owned[T]) Owner() int {
 	if cur == 0 || cur>>32 != o.rt.core.Epoch()&0xffffffff || !o.rt.core.InIsolation() {
 		return -1
 	}
-	return int(cur&0xff) - 1
+	return int(cur&claimCtxMask) - 1
 }
+
+// The claim word's two low fields: ctx+1 below claimCtxBits, the set hash above.
+const (
+	claimCtxBits = 16
+	claimCtxMask = 1<<claimCtxBits - 1
+	claimSetMask = claimCtxMask << claimCtxBits
+)

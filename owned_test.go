@@ -51,6 +51,42 @@ func TestOwnedCrossOwnerDetected(t *testing.T) {
 	}
 }
 
+// TestOwnedWideContextIDs: context ids of 255 and up pack into the claim
+// word without aliasing. A claim made on context 256 belongs to 256 — not,
+// with its high bits cut off, to the program context — so a later use from
+// the program context is a violation.
+func TestOwnedWideContextIDs(t *testing.T) {
+	rt := newRT(t, WithDelegates(256), WithQueueCapacity(16))
+	set := uint64(0)
+	for rt.core.ContextFor(set) != 256 {
+		set++
+	}
+	shared := NewOwned(rt, 0)
+	w := NewWritable(rt, 0)
+	rt.BeginIsolation()
+	ran := make(chan int, 1)
+	w.DelegateTo(set, func(c *Ctx, _ *int) {
+		shared.Use(c)
+		ran <- c.ID()
+	})
+	if id := <-ran; id != 256 {
+		t.Fatalf("the claim ran on context %d, want 256", id)
+	}
+	if got := shared.Owner(); got != 256 {
+		t.Fatalf("Owner = %d, want 256", got)
+	}
+	func() {
+		defer func() {
+			e, ok := recover().(*Error)
+			if !ok || e.Kind != ErrPartitionViolation {
+				t.Fatalf("program-context use after a claim on context 256: got %v, want a partition violation", e)
+			}
+		}()
+		shared.Use(rt.ProgramCtx())
+	}()
+	rt.EndIsolation()
+}
+
 func TestOwnedReleasedAtEpochEnd(t *testing.T) {
 	rt := newRT(t, WithDelegates(2))
 	shared := NewOwned(rt, 1)

@@ -117,8 +117,8 @@ func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy =
 // executed on the owner AND every nested delegation the set's own
 // operations issued has drained — tracked precisely per set by an outbound
 // ledger, so other sets' in-flight traffic never blocks a migration (the
-// quiescent handoff; see doc.go). The previous epoch's hottest sets are
-// pre-placed round-robin at BeginIsolation.
+// quiescent handoff; see doc.go). Each epoch places its sets afresh, on
+// first touch.
 func WithStealing() Option { return func(c *core.Config) { c.Stealing = true } }
 
 // Sequential builds the runtime in the paper's debug mode (§3.3): all
@@ -208,10 +208,10 @@ func (rt *Runtime) ActiveDelegates() int { return rt.core.ActiveDelegates() }
 
 // Resize requests the delegate pool be resized to n at the next epoch
 // boundary — BeginIsolation is the engine's quiescent point, where owner
-// tables rebuild and hot sets re-place, so a resize there preserves per-set
-// program order exactly (see doc.go, "Elastic runtime"). Validated
-// immediately; safe from any goroutine; last request before the boundary
-// wins.
+// tables rebuild and first touch re-places sets, so a resize there
+// preserves per-set program order exactly (see doc.go, "Elastic runtime").
+// Validated immediately; safe from any goroutine; last request before the
+// boundary wins.
 func (rt *Runtime) Resize(n int) error { return rt.core.Resize(n) }
 
 // ProgramCtx returns the program context handle, for use with reducibles

@@ -272,7 +272,7 @@ func TestRecursiveStealingSkewedDeterminism(t *testing.T) {
 	if st0.Steals == 0 {
 		t.Fatal("skewed stealing run performed no whole-set handoffs")
 	}
-	t.Logf("run 0: %d steals, %d hot sets pre-placed", st0.Steals, st0.HotSetsPlaced)
+	t.Logf("run 0: %d steals", st0.Steals)
 	for run2 := 1; run2 < 6; run2++ {
 		got, st := run()
 		if got != first {

@@ -21,9 +21,19 @@ import (
 // that break (applied by the BeginIsolation that follows it).
 type resizeSchedule map[int]int
 
-// runElasticBankWorkload replays the deterministic skewed-deposit log of
-// steal_determinism_test.go with a resize schedule layered on the epoch
-// breaks. A nil schedule is the fixed-size control run.
+// runElasticBankWorkload replays a deterministic transaction log against
+// per-account serialization sets (the examples/bank shape), with a resize
+// schedule layered on the epoch breaks, and returns the byte-encoded per-set
+// operation order: each deposit appends its global op number to its
+// account's log, and transfers are dependent operations that reclaim
+// ownership through Call. 90% of the deposits hit 4 "hot" accounts, in runs
+// of 8 on one of them, and each deposit spins for a few microseconds. The
+// spin keeps a delegate observably occupied, so first touch spreads every
+// epoch's sets over the whole pool and a scale-down has sets to evacuate.
+// First touch also spreads the hot sets, so it is the runs that back one
+// delegate up while the sets it holds beside the running one sit quiescent
+// — what a steal needs, and what a reclaim mid-epoch lets happen even on one
+// CPU. A nil schedule is the fixed-size control run.
 func runElasticBankWorkload(sched resizeSchedule, opts ...Option) ([]byte, Stats) {
 	rt := Init(opts...)
 	defer rt.Terminate()
@@ -31,21 +41,45 @@ func runElasticBankWorkload(sched resizeSchedule, opts ...Option) ([]byte, Stats
 	type account struct {
 		balance int64
 		oplog   []uint32
+		work    uint64 // the deposits' spin, stored so it is not optimized away
 	}
 	const nAccounts = 16
 	const nHot = 4
+	const runLen = 8
+	const spin = 10000
 	accounts := make([]*Writable[account], nAccounts)
 	for i := range accounts {
 		accounts[i] = NewWritable(rt, account{balance: 1000})
 	}
 
 	r := rand.New(rand.NewSource(41))
-	breaks := 0
+	breaks, hot := 0, 0
 	rt.BeginIsolation()
 	for op := 0; op < 6000; op++ {
 		opID := uint32(op)
+		if op%runLen == 0 {
+			hot = r.Intn(nHot)
+		}
 		switch {
-		case op%53 == 0 && op > 0:
+		case op%97 == 0:
+			// Transfer: reclaim both accounts in the program context.
+			from, to := r.Intn(nAccounts), r.Intn(nAccounts)
+			if from == to {
+				continue
+			}
+			amount := int64(r.Intn(40))
+			ok := Call(accounts[from], func(a *account) bool {
+				if a.balance < amount {
+					return false
+				}
+				a.balance -= amount
+				return true
+			})
+			if ok {
+				accounts[to].Call(func(a *account) { a.balance += amount })
+			}
+		case op%53 == 0:
+			// Epoch break: new partition, owner table rebuilt from scratch.
 			rt.EndIsolation()
 			if n, ok := sched[breaks]; ok {
 				if err := rt.Resize(n); err != nil {
@@ -55,7 +89,7 @@ func runElasticBankWorkload(sched resizeSchedule, opts ...Option) ([]byte, Stats
 			breaks++
 			rt.BeginIsolation()
 		default:
-			idx := r.Intn(nHot) // hot accounts: 90% of deposits
+			idx := hot // hot accounts: 90% of deposits
 			if r.Intn(10) == 9 {
 				idx = nHot + r.Intn(nAccounts-nHot)
 			}
@@ -63,6 +97,11 @@ func runElasticBankWorkload(sched resizeSchedule, opts ...Option) ([]byte, Stats
 			accounts[idx].Delegate(func(c *Ctx, a *account) {
 				a.balance += amount
 				a.oplog = append(a.oplog, opID)
+				x := a.work
+				for i := uint64(0); i < spin; i++ {
+					x += i
+				}
+				a.work = x
 			})
 		}
 	}

@@ -44,75 +44,10 @@ var laneWidths = []struct {
 	{"recursive", []Option{Recursive()}},
 }
 
-// runBankWorkload replays a deterministic transaction log against per-account
-// serialization sets (the examples/bank shape) and returns the byte-encoded
-// per-set operation order: each deposit appends its global op number to its
-// account's log, and transfers are dependent operations that reclaim
-// ownership through Call. 90% of the deposits hit 4 "hot" accounts, so under
-// stealing the hot sets migrate off whichever delegate they pile up on.
-func runBankWorkload(opts ...Option) ([]byte, Stats) {
-	rt := Init(opts...)
-	defer rt.Terminate()
-
-	type account struct {
-		balance int64
-		oplog   []uint32
-	}
-	const nAccounts = 16
-	const nHot = 4
-	accounts := make([]*Writable[account], nAccounts)
-	for i := range accounts {
-		accounts[i] = NewWritable(rt, account{balance: 1000})
-	}
-
-	r := rand.New(rand.NewSource(41))
-	rt.BeginIsolation()
-	for op := 0; op < 6000; op++ {
-		opID := uint32(op)
-		switch {
-		case op%97 == 0:
-			// Transfer: reclaim both accounts in the program context.
-			from, to := r.Intn(nAccounts), r.Intn(nAccounts)
-			if from == to {
-				continue
-			}
-			amount := int64(r.Intn(40))
-			ok := Call(accounts[from], func(a *account) bool {
-				if a.balance < amount {
-					return false
-				}
-				a.balance -= amount
-				return true
-			})
-			if ok {
-				accounts[to].Call(func(a *account) { a.balance += amount })
-			}
-		case op%53 == 0:
-			// Epoch break: new partition, owner table rebuilt from scratch.
-			rt.EndIsolation()
-			rt.BeginIsolation()
-		default:
-			idx := r.Intn(nHot) // hot accounts: 90% of deposits
-			if r.Intn(10) == 9 {
-				idx = nHot + r.Intn(nAccounts-nHot)
-			}
-			amount := int64(r.Intn(100))
-			accounts[idx].Delegate(func(c *Ctx, a *account) {
-				a.balance += amount
-				a.oplog = append(a.oplog, opID)
-			})
-		}
-	}
-	rt.EndIsolation()
-
-	var buf bytes.Buffer
-	for i, w := range accounts {
-		w.Call(func(a *account) {
-			fmt.Fprintf(&buf, "account %d balance %d oplog %v\n", i, a.balance, a.oplog)
-		})
-	}
-	return buf.Bytes(), rt.Stats()
-}
+// runBankWorkload is the bank workload (runElasticBankWorkload) on a pool
+// of fixed size: under stealing the hot sets migrate off whichever delegate
+// a run of deposits backs up.
+func runBankWorkload(opts ...Option) ([]byte, Stats) { return runElasticBankWorkload(nil, opts...) }
 
 // runReverseIndexWorkload builds a word->documents index sharded by word
 // hash (the examples/reverse_index shape): each posting is DelegateTo'd to

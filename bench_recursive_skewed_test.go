@@ -31,8 +31,8 @@ import (
 )
 
 func BenchmarkRecursiveSkewed(b *testing.B) {
-	// 4 delegates, VirtualDelegates 16. Under StaticMod (nosteal) set
-	// s < 16 lives on delegate s%4+1: root set 1 -> delegate 2 (the
+	// 4 delegates. Under StaticMod (nosteal) set s lives on delegate
+	// s%4+1: root set 1 -> delegate 2 (the
 	// producer); hot sets -> delegate 1; cold sets -> delegates 3 and 4.
 	// Under LeastLoaded the shape co-homes the hot sets itself. 10 waves of
 	// 36 operations (runs of 8 per hot set + 4 cold, 90/10 skew): see

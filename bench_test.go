@@ -141,9 +141,9 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation covers the design-choice studies: scheduling policy,
-// program share, queue capacity (on freqmine, the most skew-prone
-// benchmark) and the kmeans formulation comparison.
+// BenchmarkAblation covers the design-choice studies: scheduling policy and
+// queue capacity (on freqmine, the most skew-prone benchmark) and the
+// kmeans formulation comparison.
 func BenchmarkAblation(b *testing.B) {
 	fm, _ := harness.AppByName("freqmine")
 	b.Run("policy/static-mod", func(b *testing.B) {
@@ -160,16 +160,6 @@ func BenchmarkAblation(b *testing.B) {
 			inst.SS(15, prometheus.WithPolicy(prometheus.LeastLoaded))
 		}
 	})
-	for _, share := range []int{0, 1, 2} {
-		share := share
-		b.Run("program-share/"+strconv.Itoa(share), func(b *testing.B) {
-			inst := load(b, fm, workload.Small)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				inst.SS(15, prometheus.WithProgramShare(share))
-			}
-		})
-	}
 	for _, cap := range []int{8, 1024, 16384} {
 		cap := cap
 		b.Run("queue-capacity/"+strconv.Itoa(cap), func(b *testing.B) {

@@ -22,9 +22,6 @@ var chaosModes = []struct {
 	opts []Option
 }{
 	{"flat-static", []Option{WithDelegates(4)}},
-	// Ten virtual delegates put sets 100 and 101 — the faulting set among
-	// them — on the two ProgramShare slots: context 0 executes them inline.
-	{"flat-static-share", []Option{WithDelegates(4), WithProgramShare(2), WithVirtualDelegates(10)}},
 	{"flat-nosteal", []Option{WithDelegates(4), WithPolicy(LeastLoaded)}},
 	{"flat-steal", []Option{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), StealAt(2)}},
 	{"flat-steal-unpinned", []Option{WithDelegates(4), WithStealing()}}, // what internal/serve runs
@@ -168,14 +165,11 @@ func TestChaosErrorSurface(t *testing.T) {
 			if !errors.As(err, &pe) {
 				t.Fatalf("Err() chain has no *PanicError: %v", err)
 			}
-			// Context 0 contains faults too: a ProgramShare slot, or a set the
-			// program context took over in the barrier.
+			// Context 0 contains faults too: a set the program context took
+			// over in the barrier.
 			if pe.Set != chaosHotSet || pe.Ctx < 0 || pe.Ctx >= rt.NumContexts() || pe.Epoch != 1 {
 				t.Errorf("PanicError = {Set:%d Ctx:%d Epoch:%d}, want set %d on a context of this runtime in epoch 1",
 					pe.Set, pe.Ctx, pe.Epoch, chaosHotSet)
-			}
-			if mode.name == "flat-static-share" && pe.Ctx != 0 {
-				t.Errorf("the faulting set is a ProgramShare slot, yet the fault was contained on context %d", pe.Ctx)
 			}
 			if !strings.Contains(string(pe.Stack), "chaos") {
 				t.Error("PanicError.Stack does not reach the original failure site")
@@ -356,7 +350,7 @@ func TestChaosSeededSurvival(t *testing.T) {
 func chaosSkewed(opts []Option) Stats {
 	rt := Init(opts...)
 	defer rt.Terminate()
-	hot := []uint64{0, 4, 8, 12} // delegate 1 under StaticMod's vmap
+	hot := []uint64{0, 4, 8, 12} // delegate 1 under StaticMod: set mod 4 + 1
 	cold := []uint64{2, 6, 3, 7} // spread; produced only by the hot ops' delegate
 	w := NewWritable(rt, 0)
 	for epoch := 0; epoch < 2; epoch++ {

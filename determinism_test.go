@@ -100,8 +100,8 @@ var determinismShapes = [][]Option{
 	{WithDelegates(1)},
 	{WithDelegates(3)},
 	{WithDelegates(8)},
-	{WithDelegates(4), WithProgramShare(2)},
-	{WithDelegates(4), WithVirtualDelegates(5)},
+	{WithDelegates(5)},
+	{WithDelegates(2), WithMaxDelegates(6)},
 	{WithDelegates(4), WithPolicy(LeastLoaded)},
 	tinyQueues,
 }

@@ -131,9 +131,10 @@
 //
 // # Placement and load balancing
 //
-// Under StaticMod (the paper's policy) a set's id modulo the virtual
-// delegates picks a slot of a fixed assignment table; slots given to the
-// program context by WithProgramShare run inline, under either policy.
+// Under StaticMod (the paper's policy) set s runs on delegate s mod D + 1,
+// D the active pool size, so a Resize re-spreads every set. Under either
+// policy the program context runs operations only while it helps at a
+// barrier.
 //
 // The LeastLoaded policy places a serialization set at its first
 // delegation of the epoch on the delegate with the smallest occupancy —
@@ -262,9 +263,7 @@
 // second engine: it widens every delegate's lane set from one lane to one
 // per context (MaxDelegates x (MaxDelegates+1) rings), makes a reclaim the
 // quiescence barrier, and composes with either placement policy, with or
-// without stealing. WithProgramShare is rejected with it: every set must
-// be delegate-owned, so ordering never depends on which context produced
-// an operation.
+// without stealing.
 //
 // Per-set program order is preserved per producer — FIFO through ring and
 // spill alike — and determinism requires each set to have one producer
@@ -281,24 +280,24 @@
 //
 //   - Fig 4 and Fig 5a on this host: the traced apps-m rows
 //     apps.<app>.speedup, apps.hmean_speedup, apps.<app>.isolation_share.
-//   - Fig 5b, Fig 6 and the policy / program-share / queue-capacity /
-//     kmeans ablations: go test -run=NONE -bench 'Fig5b|Fig6|Ablation' .
+//   - Fig 5b, Fig 6 and the policy / queue-capacity / kmeans ablations:
+//     go test -run=NONE -bench 'Fig5b|Fig6|Ablation' .
 //   - Delegation cost: BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead,
 //     BenchmarkSPSC, BenchmarkLane.
 //   - Stealing under skew: BenchmarkRecursiveSkewed,
 //     BenchmarkCoreDelegateSkewed.
 //   - Per-context utilisation of one program: cmd/sstrace. WithTrace
 //     records every executed operation on whichever context runs it — a
-//     delegate, the program context helping at a barrier or running a
-//     WithProgramShare slot — and pool tasks as set NoSet, at the one place
-//     they all pass; delegation itself is the untraced path.
+//     delegate or the program context helping at a barrier — and pool
+//     tasks as set NoSet, at the one place they all pass; delegation
+//     itself is the untraced path.
 //
 // # Fault containment
 //
 // A panic in a delegated operation does not kill the process and does not
 // wedge a barrier, whichever context runs it: a delegate, or the program
-// context executing a set it took over in a barrier or a WithProgramShare
-// slot (only Sequential() lets a panic propagate, as a debugger wants).
+// context executing a set it took over in a barrier (only Sequential()
+// lets a panic propagate, as a debugger wants).
 // All run invocations inside the same recover()-protected execution span;
 // a recovered panic is recorded (value plus the stack of the original
 // failure site) and the faulted operation is counted as executed, so

@@ -99,18 +99,6 @@ func TestManyWritablesAcrossDelegates(t *testing.T) {
 	}
 }
 
-func TestSequentialWithProgramShare(t *testing.T) {
-	// Sequential mode must tolerate any option combination it subsumes.
-	rt := newRT(t, Sequential(), WithProgramShare(3))
-	w := NewWritable(rt, 0)
-	rt.BeginIsolation()
-	w.Delegate(func(c *Ctx, p *int) { *p = 9 })
-	rt.EndIsolation()
-	if got := Call(w, func(p *int) int { return *p }); got != 9 {
-		t.Fatalf("n = %d, want 9", got)
-	}
-}
-
 func TestReadOnlyCallRNoCopy(t *testing.T) {
 	rt := newRT(t, WithDelegates(1))
 	type big struct{ data [1024]int }

@@ -4,7 +4,7 @@
 //
 // One delegated operation acts as a producer: from its execution context
 // it streams delegations where 90% of the operations land on four "hot"
-// serialization sets that the static assignment table co-homes on ONE
+// serialization sets that the static policy (set mod 4 + 1) co-homes on ONE
 // delegate, while the rest spread across the others. Each operation blocks
 // briefly (a stand-in for I/O-bound work), so placement shows up directly
 // in wall clock: statically, one delegate serializes ~90% of the sleeps
@@ -38,10 +38,10 @@ const (
 	runLen    = 8 // consecutive operations per hot set, then one cold op
 )
 
-// Against the static table for 4 delegates (16 virtual delegates,
-// vmap[v] = v%4+1): sets 0,4,8,12 all seed on delegate 1 — the pile-up —
-// while the cold sets spread over delegates 3 and 4. Set 1 (the producer's
-// own operation) seeds on delegate 2, so neither list may contain it.
+// Under the static policy for 4 delegates (set s on delegate s%4+1): sets
+// 0,4,8,12 all land on delegate 1 — the pile-up — while the cold sets
+// spread over delegates 3 and 4. Set 1 (the producer's own operation)
+// lands on delegate 2, so neither list may contain it.
 var (
 	hotSets  = []uint64{0, 4, 8, 12}
 	coldSets = []uint64{2, 6, 3, 7}

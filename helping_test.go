@@ -24,7 +24,7 @@ import (
 // the program context, waiting in a barrier, has asked that delegate for
 // work — the request word shows in SchedDump — so that the operation
 // boundary after it is the split point whatever the machine's load. On
-// context 0 (Sequential, a ProgramShare slot) it returns at once.
+// context 0 (Sequential) it returns at once.
 func holdUntilAsked(rt *Runtime, c *Ctx) {
 	if c.ID() == 0 {
 		return
@@ -109,15 +109,12 @@ func TestHelpedBarrierMatchesSequential(t *testing.T) {
 			for _, o := range opts {
 				o(&cfg)
 			}
-			// Two kinds of shape reach the barrier with next to nothing
-			// outstanding, and are not held: a program lane shorter than an
-			// epoch's delegations can fill behind the held delegate and keep
-			// the program context in the delegation loop (a held delegate
-			// would stop it there), and an explicit table that puts the first
-			// and the last sets delegated on ProgramShare slots has it
-			// executing inline while the delegates drain.
-			late := !cfg.Sequential && programLane(opts...) < helpSets*helpOps ||
-				cfg.ProgramShare > 0 && cfg.VirtualDelegates > 0
+			// A program lane shorter than an epoch's delegations can fill
+			// behind the held delegate and keep the program context in the
+			// delegation loop (a held delegate would stop it there): such a
+			// shape reaches the barrier with next to nothing outstanding,
+			// and is not held.
+			late := !cfg.Sequential && programLane(opts...) < helpSets*helpOps
 			got, st, err := runHelped(opts, !late)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("per-set logs differ from Sequential")
@@ -128,8 +125,8 @@ func TestHelpedBarrierMatchesSequential(t *testing.T) {
 			if !cfg.Sequential && !late && st.HelpedOps == 0 {
 				t.Errorf("the program context executed nothing in two barriers over %d slow operations", 2*helpSets*helpOps)
 			}
-			if st.Barriers > 0 && (st.Delegations+st.InlineExecs != 2*helpSets*helpOps || st.Syncs != 0) {
-				t.Errorf("Delegations+InlineExecs/Syncs = %d/%d, want %d/0", st.Delegations+st.InlineExecs, st.Syncs, 2*helpSets*helpOps)
+			if st.Barriers > 0 && (st.Delegations != 2*helpSets*helpOps || st.Syncs != 0) {
+				t.Errorf("Delegations/Syncs = %d/%d, want %d/0", st.Delegations, st.Syncs, 2*helpSets*helpOps)
 			}
 
 			in := chaos.PanicAt(faultSet, faultPos)

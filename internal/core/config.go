@@ -70,9 +70,9 @@ const helpAfter = 50 * time.Microsecond
 type SchedPolicy int
 
 const (
-	// StaticMod is the paper's policy (§4): the serialization-set id modulo
-	// the number of virtual delegates picks a virtual delegate, and a fixed
-	// table maps virtual delegates to physical contexts.
+	// StaticMod is the paper's policy (§4): a set executes on delegate
+	// set mod D + 1, D the active pool size, so a Resize re-spreads every
+	// set at the epoch boundary that applies it.
 	StaticMod SchedPolicy = iota
 	// LeastLoaded is the dynamic-scheduling extension the paper names as
 	// future work: the first operation of a set in an epoch is assigned to
@@ -94,8 +94,7 @@ func (p SchedPolicy) String() string {
 }
 
 // Config parameterizes a Runtime. The zero value is usable: it selects
-// GOMAXPROCS-1 delegates, the paper's static modulus policy, and no program-
-// context share.
+// GOMAXPROCS-1 delegates and the paper's static modulus policy.
 type Config struct {
 	// Delegates is the number of delegate contexts (paper: delegate
 	// threads). Default: GOMAXPROCS-1, minimum 1. This is only the INITIAL
@@ -113,18 +112,6 @@ type Config struct {
 	// O(MaxDelegates^2) rings, so size the ceiling to the largest pool the
 	// process will actually use.
 	MaxDelegates int
-
-	// VirtualDelegates is the number of virtual delegates used by the
-	// static assignment table (paper §4). It must be >= Delegates. Default:
-	// 4 * (Delegates + program share), giving the modulus some slack to
-	// spread sets.
-	VirtualDelegates int
-
-	// ProgramShare is the number of virtual delegates assigned to the
-	// program context itself (the paper's assignment ratio): operations in
-	// those sets execute inline in the program thread, under either policy.
-	// Default 0. Incompatible with Recursive.
-	ProgramShare int
 
 	// QueueCapacity is the capacity of each communication lane's bounded
 	// ring (one lane per delegate, one per delegate and producer with
@@ -178,8 +165,8 @@ type Config struct {
 	// extension): delegated operations may delegate further operations
 	// through their execution context. It widens every delegate's lane set
 	// from one lane to one per context and makes SyncContext/SyncSet the
-	// quiescence barrier (a reclaim must also cover nested work). Requires
-	// a zero ProgramShare; see internal/core/delegate.go for the semantics.
+	// quiescence barrier (a reclaim must also cover nested work); see
+	// internal/core/delegate.go for the semantics.
 	Recursive bool
 
 	// FaultInjector, when non-nil, is invoked on the executing delegate
@@ -218,23 +205,8 @@ func (c Config) withDefaults() Config {
 			c.Delegates = 1
 		}
 	}
-	if c.ProgramShare < 0 {
-		c.ProgramShare = 0
-	}
 	if c.MaxDelegates < c.Delegates {
 		c.MaxDelegates = c.Delegates
-	}
-	if c.VirtualDelegates <= 0 {
-		// Size the default table for the capacity ceiling, not the initial
-		// pool: a Resize up to MaxDelegates must not find fewer virtual
-		// delegates than contexts. An EXPLICIT VirtualDelegates below the
-		// ceiling stays as given (clamped only to the initial pool) — it is
-		// a deliberate bound, and Resize targets above it are rejected
-		// with a descriptive error instead of being silently clamped.
-		c.VirtualDelegates = 4 * (c.MaxDelegates + c.ProgramShare)
-	}
-	if c.VirtualDelegates < c.Delegates+c.ProgramShare {
-		c.VirtualDelegates = c.Delegates + c.ProgramShare
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = spsc.DefaultCapacity
@@ -252,13 +224,4 @@ func (c Config) withDefaults() Config {
 		c.Watchdog = 0 // explicit off
 	}
 	return c
-}
-
-// validate rejects configuration combinations the engine cannot honor.
-// Sequential debug mode ignores scheduling options instead of rejecting
-// them, so a program can flip one switch to debug any configuration.
-func (c Config) validate() {
-	if !c.Sequential && c.Recursive && c.ProgramShare != 0 {
-		panic("prometheus: ProgramShare is incompatible with Recursive (sets must be delegate-owned)")
-	}
 }

@@ -49,14 +49,3 @@ func TestConfigValidationMatrix(t *testing.T) {
 		}
 	}
 }
-
-// TestRecursiveProgramShareStillRejected: the ProgramShare restriction is
-// orthogonal to the stealing relaxation.
-func TestRecursiveProgramShareStillRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Recursive+ProgramShare did not panic")
-		}
-	}()
-	New(Config{Delegates: 2, Recursive: true, ProgramShare: 1, VirtualDelegates: 4}).Terminate()
-}

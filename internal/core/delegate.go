@@ -229,8 +229,8 @@ func (d *delegate) anyPending() bool {
 }
 
 // Delegate assigns fn to the serialization set's context and returns that
-// context id. Operations mapped to the program context (or every operation
-// in Sequential mode) run inline, preserving per-set program order.
+// context id. In Sequential mode every operation runs inline on the program
+// context, preserving per-set program order.
 func (rt *Runtime) Delegate(set uint64, fn func(ctx int)) int {
 	if rt.terminated {
 		panic("prometheus: Delegate after Terminate")
@@ -301,21 +301,6 @@ func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
 		return rt.ContextFor(set)
 	}
 	owner, e := rt.route(producer, set)
-	if owner == ProgramContext {
-		// A ProgramShare slot. Only the program context can get here
-		// (ProgramShare is rejected with Recursive), so inline execution
-		// keeps the set's program order — under the drain loop's span, so a
-		// panic is contained and poisons the set instead of unwinding into
-		// the caller. Lane 0 of the program context (itself as producer) is
-		// never used as a lane; its exec word only absorbs the span's publish.
-		rt.stats.InlineExecs++
-		p := rt.prog
-		rt.inline[0] = inv
-		rt.execSpan(p, rt.inline[:], 0, &p.exec[ProgramContext], 0, rt.faults.Load())
-		rt.inline[0] = Invocation{}
-		p.prodSet = noSetID
-		return ProgramContext
-	}
 	if producer == ProgramContext {
 		rt.stats.Delegations++
 	}
@@ -485,8 +470,8 @@ func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, ter
 // the caller at each span entry — once per run on the fault-free path — so
 // a fault anywhere in the run poisons the remainder of its set's operations
 // in the SAME run. d is the executing context: a delegate, or Runtime.prog
-// running its inbox or a ProgramShare slot. The span also ends, before
-// run[next], when d is asked for work: the caller sheds and re-enters.
+// running its inbox. The span also ends, before run[next], when d is asked
+// for work: the caller sheds and re-enters.
 func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic.Uint64, base uint64, fs *faultState) (next int, terminated bool) {
 	i := start
 	defer func() {

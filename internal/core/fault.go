@@ -252,16 +252,6 @@ func (rt *Runtime) SetFaults(set uint64) []PanicFault {
 	return out
 }
 
-// DroppedFaults reports how many fault records the bounded ring has
-// evicted (Stats.DroppedFaults). Safe from any goroutine.
-func (rt *Runtime) DroppedFaults() uint64 {
-	fs := rt.faults.Load()
-	if fs == nil {
-		return 0
-	}
-	return fs.droppedRec.Load()
-}
-
 // Poisoned reports whether the set is poisoned in the current epoch
 // (poisoning clears at BeginIsolation; fault records do not). Lock-free —
 // one atomic load plus a read-only map lookup — and safe from any

@@ -28,13 +28,11 @@ func TestFaultRecordBoundRing(t *testing.T) {
 	}
 	const total = epochs * setsPerWave
 
-	if st := rt.Stats(); st.Panics != total {
+	st := rt.Stats()
+	if st.Panics != total {
 		t.Errorf("Panics = %d, want %d", st.Panics, total)
 	}
-	if d := rt.DroppedFaults(); d != total-bound {
-		t.Errorf("DroppedFaults = %d, want %d", d, total-bound)
-	}
-	if st := rt.Stats(); st.DroppedFaults != total-bound {
+	if st.DroppedFaults != total-bound {
 		t.Errorf("Stats.DroppedFaults = %d, want %d", st.DroppedFaults, total-bound)
 	}
 	faults := rt.Faults()
@@ -98,8 +96,8 @@ func TestSetFaultsIndexEviction(t *testing.T) {
 			t.Errorf("SetFaults(7)[%d].Epoch = %d, want %d", i, f.Epoch, want)
 		}
 	}
-	if rt.DroppedFaults() != 3 {
-		t.Errorf("DroppedFaults = %d, want 3", rt.DroppedFaults())
+	if d := rt.Stats().DroppedFaults; d != 3 {
+		t.Errorf("Stats.DroppedFaults = %d, want 3", d)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Placement: the owner table, the per-set half of the ledger, and the
 // occupancy-aware rebalancer.
 //
-// Under StaticMod a set's owner is its slot of the static assignment table
+// Under StaticMod a set's owner is its id modulo the active pool, plus one,
 // and nothing here runs except the Checked-mode producer registry (an owner
 // table used for its entries' producer field alone). Under
 // LeastLoaded a set is placed on first touch — on the least-occupied active
@@ -299,10 +299,9 @@ func (rt *Runtime) ContextFor(set uint64) int {
 	if rt.cfg.Sequential {
 		return ProgramContext
 	}
-	home := rt.vmap[set%uint64(len(rt.vmap))]
 	tbl := rt.owners.Load()
-	if tbl == nil || home == ProgramContext {
-		return home
+	if tbl == nil {
+		return int(set%uint64(rt.cfg.Delegates)) + 1
 	}
 	if e := tbl.lookup(set); e != nil {
 		return int(e.owner.Load())
@@ -318,15 +317,13 @@ func (rt *Runtime) ContextFor(set uint64) int {
 // operation's lane position against it (notePosition). Called only by the
 // set's producer.
 func (rt *Runtime) route(producer int, set uint64) (int, *setEntry) {
-	home := rt.vmap[set%uint64(len(rt.vmap))]
 	tbl := rt.owners.Load()
-	if tbl == nil || home == ProgramContext {
-		// Static placement, or a ProgramShare slot (inline in the program
-		// context under either policy).
+	if tbl == nil {
+		// StaticMod: the set id modulo the active pool (paper §4).
 		if reg := rt.producers.Load(); reg != nil {
 			rt.checkProducer(reg, set, producer)
 		}
-		return home, nil
+		return int(set%uint64(rt.cfg.Delegates)) + 1, nil
 	}
 	e := tbl.lookup(set)
 	if e == nil {

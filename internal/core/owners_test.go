@@ -376,12 +376,11 @@ func TestRecursiveFirstTouchOffOwnProducer(t *testing.T) {
 // nested delegations silently left out of the outbound ledger.
 func TestReservedSetIDChecked(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"static":               {Delegates: 2},
-		"least-loaded":         {Delegates: 2, Policy: LeastLoaded},
-		"stealing":             stealCfg(2, noStealThreshold),
-		"recursive":            {Delegates: 2, Recursive: true},
-		"recursive+stealing":   recStealCfg(2, noStealThreshold),
-		"static+program-share": {Delegates: 2, ProgramShare: 1},
+		"static":             {Delegates: 2},
+		"least-loaded":       {Delegates: 2, Policy: LeastLoaded},
+		"stealing":           stealCfg(2, noStealThreshold),
+		"recursive":          {Delegates: 2, Recursive: true},
+		"recursive+stealing": recStealCfg(2, noStealThreshold),
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg.Checked = true

@@ -122,21 +122,6 @@ func TestRecursiveTreeSum(t *testing.T) {
 	}
 }
 
-func TestRecursiveConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{Delegates: 2, Recursive: true, ProgramShare: 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v should panic", cfg)
-				}
-			}()
-			New(cfg).Terminate()
-		}()
-	}
-}
-
 func TestRecursiveSequentialMode(t *testing.T) {
 	rt := New(Config{Sequential: true, Recursive: true})
 	defer rt.Terminate()

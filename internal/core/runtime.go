@@ -1,8 +1,8 @@
 // Package core implements the Prometheus runtime for the serialization-sets
 // execution model (Allen, Sridharan & Sohi, PPoPP 2009): a program context
 // that delegates operations, a pool of delegate contexts each fed by
-// private FastForward-style SPSC lanes, virtual-delegate assignment, epoch
-// management, ownership synchronization, and per-phase instrumentation.
+// private FastForward-style SPSC lanes, set placement, epoch management,
+// ownership synchronization, and per-phase instrumentation.
 //
 // The delegation hot path is built to cost zero heap allocations and O(1)
 // work in steady state: invocation records travel by value through
@@ -61,10 +61,9 @@ type Runtime struct {
 	// prog is the program context as an executing context: context 0 built
 	// like a delegate, its lanes (indexed by producer context id) the inbox
 	// the delegates shed into (delegate.go); nil in Sequential mode. progBuf
-	// is its drain buffer, inline carries a ProgramShare slot's operation.
+	// is its drain buffer.
 	prog    *delegate
 	progBuf []Invocation
-	inline  [1]Invocation
 
 	// What the program context's one wait (watchdog.go) waits for, published
 	// for DumpSchedState: marks[i] is the program-lane position of a marker
@@ -85,9 +84,6 @@ type Runtime struct {
 	// any goroutine, swapped out and applied by the program context at the
 	// next BeginIsolation.
 	pendingSize atomic.Int32
-
-	// vmap maps virtual delegate -> context id (ProgramContext or 1..D).
-	vmap []int
 
 	epoch       uint64 // isolation epochs begun; wrappers version state on it
 	inIsolation bool
@@ -127,10 +123,8 @@ type Runtime struct {
 // goroutine holds the program-context role first.
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
-	cfg.validate()
 	rt := &Runtime{
 		cfg:    cfg,
-		vmap:   buildAssignment(cfg),
 		synced: make([]uint64, cfg.MaxDelegates),
 		clock:  newPhaseClock(),
 	}
@@ -186,21 +180,6 @@ func New(cfg Config) *Runtime {
 		go rt.delegateLoop(d)
 	}
 	return rt
-}
-
-// buildAssignment constructs the virtual-delegate table (paper §4): the
-// first ProgramShare virtual delegates map to the program context, the rest
-// round-robin across delegate contexts.
-func buildAssignment(cfg Config) []int {
-	vmap := make([]int, cfg.VirtualDelegates)
-	for v := range vmap {
-		if v < cfg.ProgramShare {
-			vmap[v] = ProgramContext
-		} else {
-			vmap[v] = (v-cfg.ProgramShare)%cfg.Delegates + 1
-		}
-	}
-	return vmap
 }
 
 // Config returns the effective configuration.
@@ -305,10 +284,6 @@ func (rt *Runtime) Resize(n int) error {
 		return fmt.Errorf(
 			"prometheus: Resize: %d delegates exceeds the pool capacity MaxDelegates=%d (pool structures are pre-allocated at New; raise WithMaxDelegates)",
 			n, c.MaxDelegates)
-	case n+c.ProgramShare > c.VirtualDelegates:
-		return fmt.Errorf(
-			"prometheus: Resize: %d delegates (+%d program share) exceeds VirtualDelegates=%d — the static assignment table cannot spread fewer virtual delegates than contexts; raise WithVirtualDelegates",
-			n, c.ProgramShare, c.VirtualDelegates)
 	}
 	rt.pendingSize.Store(int32(n))
 	return nil
@@ -319,14 +294,14 @@ func (rt *Runtime) Resize(n int) error {
 // program context, before the owner table rebuilds (so placement state is
 // constructed for the NEW pool, never patched afterwards).
 //
-// Scale-up activates pre-built delegates: spawn their drain goroutines,
-// widen the assignment table, and let this epoch's first touches spread
-// sets across the larger pool. Scale-down is the forced-evacuation argument
-// in pool form: the barrier below proves every set quiescent on every
+// Scale-up activates pre-built delegates: spawn their drain goroutines and
+// let this epoch's placement — the modulus, or first touch — spread sets
+// across the larger pool. Scale-down is the forced-evacuation argument in
+// pool form: the barrier below proves every set quiescent on every
 // delegate — the same whole-set handoff boundary the stealer uses, applied
 // to all sets at once — so the retiring delegates' sets are re-placed by
-// the very table rebuild this epoch performs anyway, and the retirees park
-// permanently with provably balanced lane ledgers.
+// the new modulus or the owner-table rebuild this epoch performs anyway,
+// and the retirees park permanently with provably balanced lane ledgers.
 func (rt *Runtime) applyResize() {
 	n, old := int(rt.pendingSize.Swap(0)), rt.cfg.Delegates
 	if n == 0 || n == old {
@@ -336,10 +311,11 @@ func (rt *Runtime) applyResize() {
 	// barrier on its own (aggregation-epoch delegations may still be in
 	// flight); the resize point must be one.
 	rt.barrier()
-	// Count the sets a scale-down evacuates off retiring delegates. The
-	// barrier proved them quiescent everywhere, so "evacuation" is exact
-	// re-placement by the epoch's table rebuild — nothing is copied or
-	// drained here; the count is the observability record of how much
+	// Count the owner-table entries a scale-down evacuates off retiring
+	// delegates (StaticMod keeps none: its sets follow the new modulus).
+	// The barrier proved them quiescent everywhere, so "evacuation" is
+	// exact re-placement by the epoch's table rebuild — nothing is copied
+	// or drained here; the count is the observability record of how much
 	// placement state the shrink displaced.
 	evacuated := 0
 	if n < old {
@@ -349,24 +325,14 @@ func (rt *Runtime) applyResize() {
 					evacuated++
 				}
 			})
-		} else {
-			// Static placement: count assignment-table slots that pointed
-			// at retiring delegates (the sets behind them are unbounded;
-			// the slots are the placement state being displaced).
-			for _, ctx := range rt.vmap {
-				if ctx > n {
-					evacuated++
-				}
-			}
 		}
 		rt.parkDelegates(n, old)
 	}
-	// The assignment table and first-touch placement both derive from
-	// cfg.Delegates: rewrite it, publish the atomic mirror, and rebuild the
-	// static table before either runs for this epoch.
+	// The modulus and first-touch placement both derive from
+	// cfg.Delegates: rewrite it and publish the atomic mirror before either
+	// runs for this epoch.
 	rt.cfg.Delegates = n
 	rt.active.Store(int32(n))
-	rt.vmap = buildAssignment(rt.cfg)
 	for i := old; i < n; i++ {
 		rt.wg.Add(1)
 		go rt.delegateLoop(rt.delegates[i])

@@ -49,25 +49,38 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Delegates < 1 {
 		t.Errorf("Delegates = %d, want >= 1", c.Delegates)
 	}
-	if c.VirtualDelegates < c.Delegates {
-		t.Errorf("VirtualDelegates = %d < Delegates = %d", c.VirtualDelegates, c.Delegates)
+	if c.MaxDelegates < c.Delegates {
+		t.Errorf("MaxDelegates = %d < Delegates = %d", c.MaxDelegates, c.Delegates)
 	}
 	if c.QueueCapacity <= 0 {
 		t.Errorf("QueueCapacity = %d, want > 0", c.QueueCapacity)
 	}
 }
 
+// TestAssignmentTable pins StaticMod's placement: set s runs on delegate
+// s mod D + 1, D the active pool, before and after each Resize.
 func TestAssignmentTable(t *testing.T) {
-	cfg := Config{Delegates: 3, ProgramShare: 2, VirtualDelegates: 8}.withDefaults()
-	vmap := buildAssignment(cfg)
-	want := []int{0, 0, 1, 2, 3, 1, 2, 3}
-	if len(vmap) != len(want) {
-		t.Fatalf("len(vmap) = %d, want %d", len(vmap), len(want))
-	}
-	for i := range want {
-		if vmap[i] != want[i] {
-			t.Errorf("vmap[%d] = %d, want %d", i, vmap[i], want[i])
+	rt := newTestRuntime(t, Config{Delegates: 3, MaxDelegates: 5})
+	check := func(active int) {
+		t.Helper()
+		rt.BeginIsolation()
+		defer rt.EndIsolation()
+		for set := uint64(0); set < 40; set++ {
+			want := int(set%uint64(active)) + 1
+			if got := rt.ContextFor(set); got != want {
+				t.Fatalf("%d delegates: ContextFor(%d) = %d, want %d", active, set, got, want)
+			}
+			if got := rt.Delegate(set, func(int) {}); got != want {
+				t.Fatalf("%d delegates: Delegate(%d) ran on %d, want %d", active, set, got, want)
+			}
 		}
+	}
+	check(3)
+	for _, n := range []int{5, 2} {
+		if err := rt.Resize(n); err != nil {
+			t.Fatal(err)
+		}
+		check(n)
 	}
 }
 
@@ -115,7 +128,7 @@ func TestPerSetOrdering(t *testing.T) {
 }
 
 func TestDifferentSetsRunConcurrently(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, VirtualDelegates: 2})
+	rt := newTestRuntime(t, Config{Delegates: 2})
 	rt.BeginIsolation()
 	// Set 0 blocks until set 1 has run: only possible if they execute on
 	// different contexts concurrently.
@@ -250,47 +263,6 @@ func TestSequentialModeInline(t *testing.T) {
 	st := rt.Stats()
 	if st.InlineExecs != 10 || st.Delegations != 0 {
 		t.Fatalf("stats = %+v, want 10 inline / 0 delegated", st)
-	}
-}
-
-// TestProgramShareRunsInline: a set whose static slot is the program
-// context runs inline when the program context delegates it, under either
-// policy, in program order, counted in InlineExecs and never in the owner
-// table; its neighbours are still delegated.
-func TestProgramShareRunsInline(t *testing.T) {
-	for _, policy := range []SchedPolicy{StaticMod, LeastLoaded} {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := newTestRuntime(t, Config{Delegates: 2, ProgramShare: 1, VirtualDelegates: 3, Policy: policy})
-			rt.BeginIsolation()
-			// Virtual delegate 0 is the program context; set 0 maps there.
-			var order []int
-			const ops = 50
-			for i := 0; i < ops; i++ {
-				ran := false
-				ctx := rt.Delegate(0, func(ctx int) {
-					ran = ctx == ProgramContext
-					order = append(order, i)
-				})
-				if ctx != ProgramContext || !ran {
-					t.Fatalf("op %d of set 0 went to ctx %d (ran inline: %v), want the program context", i, ctx, ran)
-				}
-				if ctx := rt.Delegate(1, func(int) {}); ctx == ProgramContext {
-					t.Fatal("set 1 ran inline: only set 0's slot is the program's share")
-				}
-			}
-			rt.EndIsolation()
-			for i, v := range order {
-				if v != i {
-					t.Fatalf("inline execution broke program order at %d: %v", i, order)
-				}
-			}
-			if st := rt.Stats(); st.InlineExecs != ops || st.Delegations != ops {
-				t.Fatalf("InlineExecs/Delegations = %d/%d, want %d/%d", st.InlineExecs, st.Delegations, ops, ops)
-			}
-			if policy == LeastLoaded && ownerOf(rt, 0) != 0 {
-				t.Fatal("a program-share set was given a delegate owner")
-			}
-		})
 	}
 }
 
@@ -432,18 +404,18 @@ func TestSleepBarriers(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, ProgramShare: 1, VirtualDelegates: 4})
+	rt := newTestRuntime(t, Config{Delegates: 2})
 	rt.BeginIsolation()
-	rt.Delegate(0, func(int) {}) // program share -> inline
+	rt.Delegate(0, func(int) {})
 	ctx := rt.Delegate(1, func(int) {})
 	rt.SyncContext(ctx)
 	rt.EndIsolation()
 	st := rt.Stats()
-	if st.InlineExecs != 1 {
-		t.Errorf("InlineExecs = %d, want 1", st.InlineExecs)
+	if st.InlineExecs != 0 {
+		t.Errorf("InlineExecs = %d, want 0 (only Sequential mode runs inline)", st.InlineExecs)
 	}
-	if st.Delegations != 1 {
-		t.Errorf("Delegations = %d, want 1", st.Delegations)
+	if st.Delegations != 2 {
+		t.Errorf("Delegations = %d, want 2", st.Delegations)
 	}
 	if st.Syncs != 1 {
 		t.Errorf("Syncs = %d, want 1", st.Syncs)
@@ -471,7 +443,7 @@ func TestSyncSkipsCleanDelegates(t *testing.T) {
 // paper's synchronization object — one message down one delegate's lane —
 // not a barrier: it returns while another delegate is still blocked.
 func TestSyncContextIsSingleTarget(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, VirtualDelegates: 2})
+	rt := newTestRuntime(t, Config{Delegates: 2})
 	rt.BeginIsolation()
 	release := startGated(rt, 1) // set 1 -> delegate 2, blocked
 	var ran atomic.Bool

@@ -288,32 +288,6 @@ func TestShedHelpedPanicContained(t *testing.T) {
 	}
 }
 
-// TestProgramSharePanicContained: an operation of a ProgramShare slot runs
-// inline under the same span: its panic poisons the set instead of
-// unwinding into the caller of Delegate.
-func TestProgramSharePanicContained(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, ProgramShare: 1, VirtualDelegates: 3})
-	ran := 0
-	rt.BeginIsolation()
-	rt.Delegate(0, func(int) { ran++ }) // virtual delegate 0: the program context
-	rt.Delegate(0, func(int) { panic("inline-boom") })
-	rt.Delegate(0, func(int) { ran++ }) // dropped: the set is poisoned
-	rt.EndIsolation()
-	if ran != 1 {
-		t.Errorf("%d healthy operations ran, want 1 (the prefix before the fault)", ran)
-	}
-	faults := rt.Faults()
-	if len(faults) != 1 || faults[0].Set != 0 || faults[0].Ctx != ProgramContext {
-		t.Fatalf("faults = %+v, want one on set 0, context 0", faults)
-	}
-	if st := rt.Stats(); st.Panics != 1 || st.DroppedOps != 1 || st.InlineExecs != 2 {
-		t.Errorf("Panics/DroppedOps/InlineExecs = %d/%d/%d, want 1/1/2", st.Panics, st.DroppedOps, st.InlineExecs)
-	}
-	if !rt.Poisoned(0) {
-		t.Error("set 0 not poisoned")
-	}
-}
-
 // TestShedPoolTasksMoveOneByOne: RunParallel's tasks belong to no set, so
 // each is its own unit.
 func TestShedPoolTasksMoveOneByOne(t *testing.T) {
@@ -591,7 +565,6 @@ func TestShedStress(t *testing.T) {
 		"static-2":     {Delegates: 2},
 		"static-4":     {Delegates: 4},
 		"tiny-ring":    {Delegates: 2, QueueCapacity: 4}, // a barrier finds a few operations, mostly of one chain
-		"share":        {Delegates: 3, ProgramShare: 2},
 		"least-loaded": {Delegates: 3, Policy: LeastLoaded},
 		"stealing":     stealCfg(3, 4),
 	}

@@ -33,7 +33,7 @@ func (p Phase) String() string {
 // taken, so a Stats() call may observe work mid-flight.
 type Stats struct {
 	Delegations  uint64 // operations sent to delegate contexts
-	InlineExecs  uint64 // operations executed inline in the program context
+	InlineExecs  uint64 // operations executed inline in Sequential mode
 	Syncs        uint64 // ownership reclaims (synchronization objects)
 	Barriers     uint64 // full-runtime barriers (EndIsolation, Sleep)
 	Epochs       uint64 // isolation epochs begun

@@ -3,9 +3,9 @@ package core
 import "time"
 
 // Execution tracing. With Config.Trace enabled, the runtime records one
-// event per executed operation — where every operation runs, execSpan, so
-// on delegates, the program context in a barrier and ProgramShare slots alike,
-// pool tasks included (Set == NoSet) — and one per epoch, steal, contained
+// event per executed operation — on delegates and on the program context in
+// a barrier (execSpan), or inline in Sequential mode, pool tasks included
+// (Set == NoSet) — and one per epoch, steal, contained
 // panic and resize, into per-context buffers (single writer each, so the
 // hot path takes no locks). A traced run delegates exactly as an untraced
 // one does. The trace package turns the merged event list into utilization

@@ -24,8 +24,8 @@ import (
 // accounting, the done-counter reset, and the placement of the hot sets
 // (they must pile onto one delegate; neither list may include the
 // producer's own set) decide whether handoffs can fire at all and whether
-// the wait can deadlock. Under StaticMod the caller picks set ids that
-// share a slot of the assignment table; under LeastLoaded, where a set is
+// the wait can deadlock. Under StaticMod the caller picks set ids that are
+// congruent modulo the pool size; under LeastLoaded, where a set is
 // homed at first touch on the least-occupied delegate, Run co-homes the hot
 // sets itself before the first wave (cohome).
 type SkewedRecursive struct {

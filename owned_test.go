@@ -9,7 +9,7 @@ import (
 )
 
 func TestOwnedSingleOwnerOK(t *testing.T) {
-	rt := newRT(t, WithDelegates(2), WithVirtualDelegates(2))
+	rt := newRT(t, WithDelegates(2))
 	shared := NewOwned(rt, []int{1, 2, 3})
 	w := NewWritable(rt, 0)
 	var sum atomic.Int64
@@ -187,7 +187,7 @@ func TestOwnedFollowsMigratedSet(t *testing.T) {
 	// The other half: a different set on a different context is still a
 	// violation, wherever the claiming set went.
 	t.Run("other-set-detected", func(t *testing.T) {
-		rt := newRT(t, WithDelegates(2), WithVirtualDelegates(2))
+		rt := newRT(t, WithDelegates(2))
 		shared := NewOwned(rt, 0)
 		a, b := NewWritable(rt, 0), NewWritable(rt, 0)
 		rt.BeginIsolation()

@@ -84,13 +84,6 @@ func WithDelegates(n int) Option { return func(c *core.Config) { c.Delegates = n
 // ceiling to plausible load, not to the machine.
 func WithMaxDelegates(n int) Option { return func(c *core.Config) { c.MaxDelegates = n } }
 
-// WithVirtualDelegates sets the size of the static assignment table (§4).
-func WithVirtualDelegates(n int) Option { return func(c *core.Config) { c.VirtualDelegates = n } }
-
-// WithProgramShare assigns n virtual delegates to the program context itself
-// (the paper's assignment ratio); their operations execute inline.
-func WithProgramShare(n int) Option { return func(c *core.Config) { c.ProgramShare = n } }
-
 // WithQueueCapacity sets the capacity of each communication lane's bounded
 // ring: one lane per delegate, one per delegate and producer context with
 // Recursive. Without WithStealing the lane the program context pushes into
@@ -138,12 +131,12 @@ func WithTrace() Option { return func(c *core.Config) { c.Trace = true } }
 // via Ctx.Delegate. A serialization set must receive delegations from only
 // one context per isolation epoch for the execution to stay deterministic
 // (under stealing, the engine may hand that producer role over at
-// quiescent points — the guarantee is unchanged). Incompatible with
-// WithProgramShare. Placement uses the paper's static policy by default;
-// it composes with WithPolicy(LeastLoaded), and with WithStealing for the
-// occupancy-aware whole-set rebalancer. Reclaiming a Writable during an
-// isolation epoch waits for the whole runtime to quiesce, because the
-// reclaim must also cover nested work.
+// quiescent points — the guarantee is unchanged). Placement uses the
+// paper's static policy by default; it composes with
+// WithPolicy(LeastLoaded), and with WithStealing for the occupancy-aware
+// whole-set rebalancer. Reclaiming a Writable during an isolation epoch
+// waits for the whole runtime to quiesce, because the reclaim must also
+// cover nested work.
 func Recursive() Option { return func(c *core.Config) { c.Recursive = true } }
 
 // Runtime is the serialization-sets runtime. Create one with Init. Methods
@@ -207,8 +200,9 @@ func (rt *Runtime) NumDelegates() int { return rt.core.NumContexts() - 1 }
 func (rt *Runtime) ActiveDelegates() int { return rt.core.ActiveDelegates() }
 
 // Resize requests the delegate pool be resized to n at the next epoch
-// boundary — BeginIsolation is the engine's quiescent point, where owner
-// tables rebuild and first touch re-places sets, so a resize there
+// boundary — BeginIsolation is the engine's quiescent point, where every
+// set is placed afresh over the new pool (the modulus, or first touch on a
+// rebuilt owner table), so a resize there
 // preserves per-set program order exactly (see doc.go, "Elastic runtime").
 // Validated immediately; safe from any goroutine; last request before the
 // boundary wins.

@@ -47,21 +47,6 @@ func TestRecursiveWithReducible(t *testing.T) {
 	}
 }
 
-func TestRecursiveIncompatibleOptionsPanic(t *testing.T) {
-	for _, opts := range [][]Option{
-		{Recursive(), WithProgramShare(1)},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("incompatible option combination should panic")
-				}
-			}()
-			Init(opts...).Terminate()
-		}()
-	}
-}
-
 func TestCtxDelegateWithoutRecursivePanics(t *testing.T) {
 	rt := newRT(t, WithDelegates(2))
 	caught := make(chan any, 1)

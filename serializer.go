@@ -12,7 +12,7 @@ type Serializer[T any] func(instance uint64, obj *T) uint64
 
 // SequenceSerializer serializes on the wrapper's instance number (the
 // paper's sequence serializer). Instance numbers are small and consecutive,
-// so sets spread evenly across virtual delegates under the modulus policy.
+// so sets spread evenly across delegates under the modulus policy.
 func SequenceSerializer[T any]() Serializer[T] {
 	return func(instance uint64, _ *T) uint64 { return instance }
 }

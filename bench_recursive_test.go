@@ -100,8 +100,8 @@ func BenchmarkRecursiveOverhead(b *testing.B) {
 	})
 	// Nested: delegate-context producers, the path Recursive exists to
 	// permit. One root operation issues b.N delegations over three child
-	// sets mapped to the other three delegates (StaticMod, 16 virtual
-	// delegates: the root wrapper's set 0 owns delegate 1; sets
+	// sets mapped to the other three delegates (StaticMod places set s on
+	// delegate s%4+1: the root wrapper's set 0 owns delegate 1; sets
 	// 1001/1002/1003 map to delegates 2/3/4).
 	b.Run("nested", func(b *testing.B) {
 		b.ReportAllocs()

@@ -363,96 +363,16 @@
 //
 // # Serving tier
 //
-// internal/serve and cmd/ssserve put the model in front of real traffic:
-// serialization sets as a session-affinity request router. Each request's
-// key (user id, session, tenant) hashes to a serialization set via
-// StringSet, and the request's handler is delegated to that set — so
-// requests for one key execute in arrival order on one delegate at a time
-// (per-key causal order, no per-session locks), requests for different
-// keys run concurrently across the pool, and the whole-set stealer
-// rebalances hot keys under skew. One bad request maps to one failed
-// session: a panicking handler poisons only its key's set for the epoch
-// (those requests fail fast, 500 with the fault attached via SetErr)
-// while every other key keeps serving.
-//
-// The architecture honors the model's central discipline — the program
-// context is the sole caller of Runtime methods — by making the program
-// context a role held under one mutex, not a goroutine: a handler
-// goroutine that passed admission takes the role, delegates its own job
-// to its key's set, releases the role and parks on the job's done channel
-// (two goroutine hand-offs per request); the rotation timer, a retry
-// timer's re-delivery and the final drain take the same role for their
-// steps. The mutex orders successive holders, so the engine sees one
-// producer and per-key order is role-acquisition order. Rotation is the
-// serving repair loop: the barrier proves the pool quiescent, jobs whose
-// delegations were dropped on a poison seam are swept to definitive 500s
-// (after the barrier the sweep is exact, not heuristic), the Stats
-// snapshot republishes for the metrics scrape, and BeginIsolation clears
-// the poison so faulted keys heal. The inflight budget and per-key token
-// buckets repel overload before the role is touched, and a role holder
-// blocks on the bounded program lane (one ring: the tier steals) when a
-// delegate falls behind; graceful drain closes admission, serves
-// everything accepted, and reports stragglers with Runtime.SchedDump.
-// Histogram (fixed-bucket, atomic, allocation-free Observe) carries the
-// per-set latency metrics; Runtime.QueueDepths exposes per-delegate
-// backlogs to the scrape. The stress tests assert per-key ordering under
-// skewed concurrent load, drain completeness, and poisoned-session
-// isolation at the HTTP surface.
-//
-// Between the role holder and the work it delegates sits the robustness
-// layer. A pluggable Backend abstraction executes requests — in-process
-// handlers, HTTP upstream proxies, or a rotation Pool of either in which
-// every member is health-gated by its own circuit breaker (consecutive
-// failures open it, a cooldown later exactly one half-open probe decides
-// reclose-or-reopen). Per-request deadlines are fixed once at admission
-// and enforced at every seam where the tier holds the request: on
-// delivery under the role, at the queue front when slower epoch-mates
-// consumed the budget, inside the backend via context deadline, and at
-// the epoch-rotation sweep — so an expired request always resolves to a
-// definitive 504 and never parks a connection, with the sweep as the
-// backstop that makes the guarantee unconditional. Idempotent requests
-// that hit a backend failure retry with capped, deterministically
-// jittered exponential backoff, re-delivered under the role so attempts
-// stay serialized with the key's other requests; and a slow-key watchdog
-// degrades a persistently slow key to 503 sheds for the remainder of the
-// epoch (healed at rotation, the same discipline as poison). The
-// adversarial load harness (internal/loadgen, cmd/ssload) closes the
-// loop by driving a live server with skewed deterministic traffic
-// against chaos-injected backends (internal/chaos latency spikes,
-// seeded errors, flap windows) and asserting the contract from the
-// client side: per-key order across the fleet, bounded healthy p99, an
-// error budget, breaker open-and-recover observed on /metrics, zero
-// hung requests, and drain with nothing accepted left unanswered.
-//
-// # Durable sessions
-//
-// The serving tier's persistence layer (internal/durable, wired in
-// internal/serve) leans on the same barrier that powers fault repair:
-// EndIsolation proves the delegate pool quiescent, which makes the
-// rotation instant a consistent cut of all session state — no request is
-// half-applied anywhere, and per-key causal order means the cut contains
-// every effect of each acknowledged request or none of its successors.
-// So the rotation captures, at the barrier, the sessions written since its
-// last hand-off — each execution context lists the sessions it wrote, so
-// the role-held work follows what changed, not the table — and hands that
-// delta to a write-behind snapshot writer, which folds it into its own
-// encoded copy of the table and commits the whole table (checksummed
-// records, write-temp-sync-rename commit, generational GC). A hand-off the
-// writer is too busy to take stays listed and rides the next rotation. The
-// next epoch's journal is swapped in at the same instant, so the closing
-// journal is provably a subset of the snapshot being written. Between rotations each executed request
-// appends its session's post-state to the journal before its response is
-// released; the fsync policy (per-request, per-rotation, or never)
-// buys the operator an explicit acked-loss bound under kill -9. Boot
-// recovery walks back to the newest valid snapshot, replays journal
-// generations on top (monotonic by sequence, so overlap is harmless),
-// truncates a torn tail at the first bad frame, and commits a fresh boot
-// snapshot before admission. Failures degrade rather than wedge: a
-// failed commit or append is counted and serving continues on the
-// previous recovery point. The crash-restart drill (ssload -recovery)
-// proves the bounds against real processes: SIGKILL mid-traffic,
-// restart on the same state dir, and per-key assertions that no
-// acknowledged sequence regressed past the policy's floor.
+// internal/serve puts the model in front of HTTP traffic: each request's
+// key hashes to a serialization set (StringSet) and its handler is
+// delegated to that set, so requests for one key run in arrival order on
+// one delegate at a time while different keys run across the pool. The
+// package comment there describes the design (the program context as a
+// role, a job's life, rotation as the repair loop, the robustness layer),
+// the note at the top of its durability.go the durable sessions, and
+// Config.Autoscale the autoscaler, which steps the pool through Resize at
+// rotations. cmd/ssserve/README.md covers running it and the load and
+// crash drills.
 //
 // # Elastic runtime
 //
@@ -492,17 +412,7 @@
 // balance) and are respawned on the next scale-up, seeding their
 // execution counters from the frozen values.
 //
-// The serving tier turns this into autoscaling: each rotation samples
-// occupancy (requests admitted and unanswered per active delegate) just
-// before its barrier (the closing epoch's backlog is the demand signal),
-// smooths it with a moving average, and steps the pool by one delegate
-// when occupancy leaves the [0.5, 2.0] ops-per-delegate band, clamped to
-// [1, MaxDelegates] with three rotations between steps so one burst
-// cannot slam the pool to a rail.
-// POST /admin/resize records a manual target that wins over the
-// autoscaler's next decision; both apply at the rotation, so a resize is
-// invisible to request ordering by construction. The resize determinism
-// tests pin the strongest form of that claim: a run whose pool is resized
-// up and down mid-stream produces byte-identical per-set operation logs
-// to a fixed-size run.
+// The resize determinism tests pin that a run whose pool is resized up
+// and down mid-stream produces byte-identical per-set operation logs to a
+// fixed-size run.
 package prometheus

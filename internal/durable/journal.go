@@ -18,14 +18,12 @@ const journalBufSize = 64 << 10
 // serialization sets journal concurrently — and the fsync policy decides
 // what an append means for durability before it returns.
 type Journal struct {
-	mu       sync.Mutex
-	f        File
-	buf      []byte
-	policy   FsyncPolicy
-	closed   bool
-	torn     bool   // a partial write left the file mid-frame; appends refused
-	appended uint64 // records accepted (metrics)
-	synced   uint64 // explicit sync operations performed (metrics)
+	mu     sync.Mutex
+	f      File
+	buf    []byte
+	policy FsyncPolicy
+	closed bool
+	torn   bool // a partial write left the file mid-frame; appends refused
 }
 
 // OpenJournal opens (creating or extending) generation gen's journal with
@@ -56,16 +54,11 @@ func (j *Journal) Append(payload []byte) error {
 		return errTorn
 	}
 	j.buf = appendRecord(j.buf, payload)
-	j.appended++
 	if j.policy == FsyncAlways {
 		if err := j.flushLocked(); err != nil {
 			return err
 		}
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
-		j.synced++
-		return nil
+		return j.f.Sync()
 	}
 	if len(j.buf) >= journalBufSize {
 		return j.flushLocked()
@@ -73,8 +66,10 @@ func (j *Journal) Append(payload []byte) error {
 	return nil
 }
 
-// Sync flushes the buffer and syncs the file — the rotation-policy hook,
-// called at every epoch rotation by the snapshot writer.
+// Sync flushes the buffer and syncs the file in place. Rotation normally
+// gets its per-epoch sync from closing the journal it swaps out; the
+// serving tier calls Sync only when, under FsyncRotation, the next
+// generation fails to open and the old journal has to stay.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -84,11 +79,7 @@ func (j *Journal) Sync() error {
 	if err := j.flushLocked(); err != nil {
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.synced++
-	return nil
+	return j.f.Sync()
 }
 
 // Close flushes and closes, syncing first unless the policy is FsyncOff
@@ -113,23 +104,8 @@ func (j *Journal) Close() error {
 			j.f.Close()
 			return err
 		}
-		j.synced++
 	}
 	return j.f.Close()
-}
-
-// Appended reports how many records this journal accepted.
-func (j *Journal) Appended() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appended
-}
-
-// Synced reports how many explicit syncs this journal performed.
-func (j *Journal) Synced() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.synced
 }
 
 func (j *Journal) flushLocked() error {

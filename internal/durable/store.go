@@ -124,11 +124,10 @@ func walName(gen uint64) string {
 	return fmt.Sprintf("%s%0*d%s", walPrefix, genNameWidth, gen, walSuffix)
 }
 
-// SnapshotName and JournalName expose the on-disk naming scheme for
-// tests and tooling that reach into a state directory from outside the
-// package (e.g. to corrupt a specific generation in a fault drill).
-func SnapshotName(gen uint64) string { return snapName(gen) }
-func JournalName(gen uint64) string  { return walName(gen) }
+// JournalName exposes the journal's on-disk name for tests and tooling
+// that reach into a state directory from outside the package (e.g. to
+// corrupt a specific generation in a fault drill).
+func JournalName(gen uint64) string { return walName(gen) }
 
 func parseGen(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {

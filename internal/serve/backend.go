@@ -326,6 +326,12 @@ func (p *Pool) Name() string { return "pool" }
 // Serve picks the next healthy backend in rotation and runs the request on
 // it, reporting the outcome to that backend's breaker.
 func (p *Pool) Serve(ctx context.Context, s *Session, r *http.Request) (int, string, error) {
+	var calling *breaker // a call in progress: a panicking probe frees its slot
+	defer func() {
+		if calling != nil {
+			calling.onPanic(time.Now())
+		}
+	}()
 	now := time.Now()
 	n := uint64(len(p.entries))
 	start := p.next.Add(1)
@@ -335,7 +341,9 @@ func (p *Pool) Serve(ctx context.Context, s *Session, r *http.Request) (int, str
 			continue
 		}
 		callStart := time.Now()
+		calling = e.br
 		status, body, err := e.b.Serve(ctx, s, r)
+		calling = nil
 		e.noteLatency(time.Since(callStart))
 		if err != nil {
 			e.br.onFailure(time.Now())

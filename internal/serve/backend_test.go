@@ -182,6 +182,68 @@ func gatedCount(p *Pool) int {
 	return n
 }
 
+// panickyBackend fails while broken, panics while panicky, and serves
+// otherwise.
+type panickyBackend struct {
+	failingBackend
+	panicky bool
+}
+
+func (p *panickyBackend) Serve(ctx context.Context, s *Session, r *http.Request) (int, string, error) {
+	if p.panicky {
+		panic("probe handler bug")
+	}
+	return p.failingBackend.Serve(ctx, s, r)
+}
+
+// TestPoolPanickingProbeReopens: a half-open probe that panics gives its
+// slot back as a failed probe — the breaker reopens and its cooldown
+// restarts — so once that cooldown passes, a healthy call is served. A
+// panic while closed counts nothing toward the threshold.
+func TestPoolPanickingProbeReopens(t *testing.T) {
+	const cooldown = 20 * time.Millisecond
+	b := &panickyBackend{failingBackend: failingBackend{name: "b"}}
+	p := NewPool(1, cooldown, b)
+	sess := &Session{Key: "k", Set: 1}
+	r := httptest.NewRequest("GET", "/", nil)
+	serve := func() (panicked bool, err error) {
+		defer func() { panicked = recover() != nil }()
+		_, _, err = p.Serve(context.Background(), sess, r)
+		return false, err
+	}
+
+	b.panicky = true
+	if panicked, _ := serve(); !panicked {
+		t.Fatal("a panicking backend did not panic")
+	}
+	if st := p.States()[0]; st.Gated || st.ConsecFails != 0 {
+		t.Fatalf("a panic while closed moved the breaker: %+v", st)
+	}
+	b.panicky, b.broken = false, true
+	if _, err := serve(); err == nil {
+		t.Fatal("a broken backend served")
+	}
+	time.Sleep(cooldown + 5*time.Millisecond)
+	b.panicky = true
+	if panicked, _ := serve(); !panicked {
+		t.Fatal("the half-open probe did not panic")
+	}
+	if st := p.States()[0]; st.State != "open" || st.Opens != 2 {
+		t.Fatalf("after a panicking probe: %+v, want open (2 opens)", st)
+	}
+	b.panicky, b.broken = false, false
+	if _, err := serve(); !errors.Is(err, ErrNoBackend) {
+		t.Fatalf("inside the restarted cooldown: err %v, want ErrNoBackend", err)
+	}
+	time.Sleep(cooldown + 5*time.Millisecond)
+	if _, err := serve(); err != nil {
+		t.Fatalf("after the cooldown a healthy probe was refused: %v", err)
+	}
+	if st := p.States()[0]; st.Gated {
+		t.Fatalf("a successful probe left the breaker gated: %+v", st)
+	}
+}
+
 func TestPoolAllGated(t *testing.T) {
 	bad := &failingBackend{name: "only", broken: true}
 	p := NewPool(1, time.Hour, bad)

@@ -71,7 +71,7 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 // allow reports whether a request may be sent to the gated backend. In the
 // open state the first call after the cooldown transitions to half-open
 // and claims the probe slot; the caller MUST report the outcome via
-// onSuccess or onFailure, or the breaker stays probing forever.
+// onSuccess, onFailure or onPanic, or the breaker stays probing forever.
 func (b *breaker) allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -118,18 +118,29 @@ func (b *breaker) onFailure(now time.Time) {
 	case breakerClosed:
 		b.consec++
 		if b.consec >= b.threshold {
-			b.state = breakerOpen
-			b.openedAt = now
-			b.opens.Add(1)
+			b.reopen(now)
 		}
 	case breakerHalfOpen:
-		b.state = breakerOpen
-		b.openedAt = now
-		b.probing = false
-		b.opens.Add(1)
+		b.reopen(now)
 	default: // already open: a straggling in-flight call resolved late
 	}
 	b.mu.Unlock()
+}
+
+// onPanic records a call that panicked: nothing while closed (a panic is a
+// handler bug, not backend health), a failed probe from half-open.
+func (b *breaker) onPanic(now time.Time) {
+	b.mu.Lock()
+	if b.state == breakerHalfOpen {
+		b.reopen(now)
+	}
+	b.mu.Unlock()
+}
+
+// reopen opens the breaker and restarts its cooldown. Holds b.mu.
+func (b *breaker) reopen(now time.Time) {
+	b.state, b.openedAt, b.probing = breakerOpen, now, false
+	b.opens.Add(1)
 }
 
 // snapshot returns the state and consecutive-failure count for metrics and

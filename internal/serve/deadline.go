@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sync"
 	"time"
 
 	prometheus "repro"
@@ -50,13 +49,13 @@ import (
 // # Slow-key watchdog
 //
 // Deadlines protect requests; the watchdog protects sets. A key whose
-// requests are persistently slow (Config.SlowThreshold exceeded on
-// slowTrips consecutive services) is degraded: subsequent requests
-// shed with 503 at delivery instead of queueing behind work that will
-// blow their budgets anyway. Degradation is epoch-scoped like poisoning —
-// the rotation that heals poisoned keys also gives degraded keys a fresh
-// chance — and the shed is counted and exposed so a persistently-degraded
-// key is visible to operators.
+// backend services exceed Config.SlowThreshold slowTrips times in a row is
+// degraded: its requests shed with 503 at delivery instead of queueing
+// behind work that will blow their budgets anyway. Degradation is
+// epoch-scoped like poisoning — the rotation that heals poisoned keys also
+// gives degraded keys a fresh chance — and counted and exposed for
+// operators. Its state lives on the key's Session, where per-set program
+// order is the mutual exclusion (see watch).
 
 // The retry ladder's backoff: retryBase doubles per attempt up to retryCap.
 // slowTrips is the consecutive-slow-service count that degrades a key.
@@ -109,98 +108,21 @@ func (s *Server) backoffFor(j *job) time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
-// slowTable tracks per-set service times for the watchdog. Delegates feed
-// it after every backend call (observe); the role holder consults it at
-// delivery (degraded) and clears it at every rotation (heal) — the same
-// epoch-scoped repair discipline as poisoning. Lock-sharded like the rate
-// limiter: delegates for different sets collide only on a shard mutex.
-type slowTable struct {
-	threshold time.Duration // a service slower than this is one strike
-	trips     int           // consecutive strikes that degrade the key
-	shards    [slowShards]slowShard
-}
-
-const slowShards = 16
-
-type slowShard struct {
-	mu sync.Mutex
-	m  map[uint64]*slowEntry
-}
-
-type slowEntry struct {
-	consec   int  // consecutive over-threshold services
-	degraded bool // shedding until the next heal
-}
-
-func newSlowTable(threshold time.Duration, trips int) *slowTable {
-	t := &slowTable{threshold: threshold, trips: trips}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]*slowEntry)
+// watch is the watchdog's step after a backend service of sess's key, on
+// the context running its set: per-set order makes it the key's one writer.
+// The slowTrips-th consecutive slow service in an epoch degrades the key.
+func (s *Server) watch(sess *Session, d time.Duration) {
+	if d < s.cfg.SlowThreshold {
+		sess.slowRun = 0
+		return
 	}
-	return t
-}
-
-// observe records one service time for set; called from delegate contexts.
-// Returns true when this observation degraded the key.
-func (t *slowTable) observe(set uint64, d time.Duration) bool {
-	sh := &t.shards[set%slowShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.m[set]
-	if d < t.threshold {
-		if e != nil {
-			e.consec = 0
-		}
-		return false
+	if sess.slowEpoch != s.epoch {
+		sess.slowEpoch, sess.slowRun = s.epoch, 0
 	}
-	if e == nil {
-		e = &slowEntry{}
-		sh.m[set] = e
+	sess.slowRun++
+	if sess.slowRun >= slowTrips && sess.degradedIn.Load() != s.epoch {
+		sess.degradedIn.Store(s.epoch)
+		s.degraded.Add(1)
+		s.metrics.degradedKeys.Add(1)
 	}
-	e.consec++
-	if !e.degraded && e.consec >= t.trips {
-		e.degraded = true
-		return true
-	}
-	return false
-}
-
-// degraded reports whether set is currently shed; called at delivery.
-func (t *slowTable) degraded(set uint64) bool {
-	sh := &t.shards[set%slowShards]
-	sh.mu.Lock()
-	e := sh.m[set]
-	d := e != nil && e.degraded
-	sh.mu.Unlock()
-	return d
-}
-
-// heal clears the table at an epoch rotation: degraded keys get a fresh
-// chance (a still-slow key re-trips within the new epoch), and dropping
-// the entries outright bounds the table under unbounded key cardinality —
-// the same reasoning as the rate limiter's idle-bucket sweep.
-func (t *slowTable) heal() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		clear(sh.m)
-		sh.mu.Unlock()
-	}
-}
-
-// degradedCount reports how many keys are currently shed, for /healthz and
-// the metrics gauge.
-func (t *slowTable) degradedCount() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.m {
-			if e.degraded {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }

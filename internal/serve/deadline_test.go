@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	prometheus "repro"
 	"repro/internal/chaos"
+	"repro/internal/durable"
 )
 
 // newReq builds a keyed request without routing it anywhere.
@@ -251,7 +253,7 @@ func TestSlowKeyWatchdog(t *testing.T) {
 
 	slow := map[string]string{"X-Slow": "1"}
 	for i := 0; i < slowTrips; i++ {
-		if s.slow.degradedCount() != 0 {
+		if s.degraded.Load() != 0 {
 			t.Fatalf("key degraded after %d slow services, want %d", i, slowTrips)
 		}
 		if code, _ := get(t, h, "/", "laggard", slow); code != http.StatusOK {
@@ -268,8 +270,8 @@ func TestSlowKeyWatchdog(t *testing.T) {
 	if code, _ := get(t, h, "/", "bystander", nil); code != http.StatusOK {
 		t.Fatal("watchdog degradation leaked to an unrelated key")
 	}
-	if s.slow.degradedCount() != 1 {
-		t.Fatalf("degradedCount = %d, want 1", s.slow.degradedCount())
+	if n := s.degraded.Load(); n != 1 {
+		t.Fatalf("degraded keys = %d, want 1", n)
 	}
 
 	// Rotation heals: the key serves again (and its consecutive-slow
@@ -284,6 +286,146 @@ func TestSlowKeyWatchdog(t *testing.T) {
 			t.Fatal("degraded key never healed across rotations")
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// slowHandler sleeps 40ms — twice watchdogServer's threshold — on a
+// request marked X-Slow, after waiting for gate when one is given.
+func slowHandler(gate chan struct{}) Handler {
+	return func(sess *Session, r *http.Request) (int, string) {
+		if r.Header.Get("X-Slow") == "1" {
+			if gate != nil {
+				<-gate
+			}
+			time.Sleep(40 * time.Millisecond)
+		}
+		return testHandler(sess, r)
+	}
+}
+
+// watchdogServer arms the watchdog at 20ms with no timed rotation: the
+// tests rotate by hand.
+func watchdogServer(t *testing.T, cfg Config) *Server {
+	cfg.SlowThreshold = 20 * time.Millisecond
+	cfg.EpochInterval = time.Hour
+	return newTestServer(t, cfg)
+}
+
+// TestSlowKeyWatchdogFastServiceResetsRun: the run counts consecutive slow
+// services, so slow, slow, fast, slow, slow leaves the key served; a third
+// slow one in a row then degrades it.
+func TestSlowKeyWatchdogFastServiceResetsRun(t *testing.T) {
+	s := watchdogServer(t, Config{Handler: slowHandler(nil)})
+	defer s.Drain()
+	h := s.Handler()
+	slow := map[string]string{"X-Slow": "1"}
+	for i, hdr := range []map[string]string{slow, slow, nil, slow, slow, slow} {
+		if s.degraded.Load() != 0 {
+			t.Fatalf("key degraded before request %d", i)
+		}
+		if code, body := get(t, h, "/", "k", hdr); code != http.StatusOK {
+			t.Fatalf("request %d: status %d body %q, want 200", i, code, body)
+		}
+	}
+	if code, _ := get(t, h, "/", "k", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("third consecutive slow service: next status %d, want 503", code)
+	}
+}
+
+// TestSlowKeyWatchdogCountsATripOnce: requests for the key delegated before
+// it trips still run, slowly, after it; they extend the run but count no
+// second degradation, on the counter or the gauge.
+func TestSlowKeyWatchdogCountsATripOnce(t *testing.T) {
+	gate := make(chan struct{})
+	s := watchdogServer(t, Config{Handler: slowHandler(gate)})
+	defer s.Drain()
+	h := s.Handler()
+	const n = 2 * slowTrips
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			code, _ := get(t, h, "/", "k", map[string]string{"X-Slow": "1"})
+			codes <- code
+		}()
+	}
+	// Every request is delegated (tracked for the epoch sweep) before the
+	// first one may finish.
+	for delegated := 0; delegated < n; {
+		time.Sleep(time.Millisecond)
+		s.role.Lock()
+		delegated = len(s.epochJobs)
+		s.role.Unlock()
+	}
+	close(gate)
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("a request delegated before the trip answered %d, want 200", code)
+		}
+	}
+	if code, _ := get(t, h, "/", "k", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("after the trip: status %d, want 503", code)
+	}
+	_, body := get(t, h, "/metrics", "scraper", nil)
+	for _, want := range []string{"\nss_degraded_keys_total 1\n", "\nss_degraded_keys 1\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// TestSlowKeyWatchdogRotationRestartsRun: rotation heals a degraded key and
+// restarts its run, so one slow service after it degrades nothing.
+func TestSlowKeyWatchdogRotationRestartsRun(t *testing.T) {
+	s := watchdogServer(t, Config{Handler: slowHandler(nil)})
+	defer s.Drain()
+	h := s.Handler()
+	slow := map[string]string{"X-Slow": "1"}
+	for i := 0; i < slowTrips; i++ {
+		get(t, h, "/", "k", slow)
+	}
+	if code, _ := get(t, h, "/", "k", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("tripped key: status %d, want 503", code)
+	}
+	rotateNow(s)
+	if s.degraded.Load() != 0 {
+		t.Fatalf("degraded keys = %d after rotation, want 0", s.degraded.Load())
+	}
+	for i, hdr := range []map[string]string{slow, nil} {
+		if code, _ := get(t, h, "/", "k", hdr); code != http.StatusOK {
+			t.Fatalf("request %d after rotation: status %d, want 200", i, code)
+		}
+	}
+	if n := s.metrics.degradedKeys.Load(); n != 1 {
+		t.Fatalf("ss_degraded_keys_total = %d, want 1", n)
+	}
+}
+
+// TestSlowKeyWatchdogRecoveredSessionUndegraded: the watchdog's state is
+// not durable, so a session rebuilt by recovery starts undegraded.
+func TestSlowKeyWatchdogRecoveredSessionUndegraded(t *testing.T) {
+	fs := durable.NewMemFS()
+	s1 := watchdogServer(t, Config{Handler: slowHandler(nil), StateFS: fs})
+	h := s1.Handler()
+	for i := 0; i < slowTrips; i++ {
+		get(t, h, "/", "k", map[string]string{"X-Slow": "1"})
+	}
+	if code, _ := get(t, h, "/", "k", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("tripped key: status %d, want 503", code)
+	}
+	if err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := watchdogServer(t, Config{Handler: slowHandler(nil), StateFS: fs})
+	defer s2.Drain()
+	if n, _ := s2.Recovered(); n != 1 {
+		t.Fatalf("recovered %d sessions, want 1", n)
+	}
+	code, body := get(t, s2.Handler(), "/", "k", nil)
+	if code != http.StatusOK || body != fmt.Sprint(slowTrips+1) {
+		t.Fatalf("recovered key: status %d body %q, want 200 %d", code, body, slowTrips+1)
+	}
+	if s2.degraded.Load() != 0 {
+		t.Fatalf("degraded keys = %d after recovery, want 0", s2.degraded.Load())
 	}
 }
 

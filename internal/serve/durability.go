@@ -117,11 +117,9 @@ const deltaHeader = 8 // slot u32 | len u32
 // returns and exposed on /healthz and /metrics.
 type recoveryInfo struct {
 	sessions         int // sessions in the rebuilt table
-	snapshotGen      uint64
 	snapshotsSkipped int // committed generations that failed validation
 	journalReplayed  int // journal records applied on top of the snapshot
 	truncatedRecords int // torn/corrupt journal frames dropped at tails
-	decodeFailures   int // records whose payload failed to decode
 }
 
 // initDurability runs recovery and opens the first generation. Called
@@ -136,19 +134,14 @@ func (s *Server) initDurability() error {
 	}
 	s.sessions = make(map[uint64]*Session, len(rec.SnapshotRecords))
 	for _, payload := range rec.SnapshotRecords {
-		if !applySessionRecord(s.sessions, payload) {
-			s.recovered.decodeFailures++
-		}
+		applySessionRecord(s.sessions, payload)
 	}
 	for _, payload := range rec.JournalRecords {
 		if applySessionRecord(s.sessions, payload) {
 			s.recovered.journalReplayed++
-		} else {
-			s.recovered.decodeFailures++
 		}
 	}
 	s.recovered.sessions = len(s.sessions)
-	s.recovered.snapshotGen = rec.SnapshotGen
 	s.recovered.snapshotsSkipped = rec.SnapshotsSkipped
 	s.recovered.truncatedRecords = rec.TruncatedRecords
 

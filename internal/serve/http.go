@@ -78,14 +78,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-	degraded := 0
-	if s.slow != nil {
-		degraded = s.slow.degradedCount()
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(status)
 	fmt.Fprintf(w, "%s\npoisoned_keys %d\ngated_backends %d\ndegraded_keys %d\n",
-		state, s.rt.PoisonedCount(), gated, degraded)
+		state, s.rt.PoisonedCount(), gated, s.degraded.Load())
 	if s.store != nil {
 		// Durability detail: what the last startup rebuilt (and had to
 		// discard), so an operator — or the crash-restart harness — can

@@ -187,9 +187,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Serialization sets poisoned in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.rt.PoisonedCount())
-	if s.slow != nil {
-		fmt.Fprintf(&b, "# HELP ss_degraded_keys Keys currently shed by the slow-key watchdog.\n# TYPE ss_degraded_keys gauge\nss_degraded_keys %d\n", s.slow.degradedCount())
-	}
+	fmt.Fprintf(&b, "# HELP ss_degraded_keys Keys currently shed by the slow-key watchdog.\n# TYPE ss_degraded_keys gauge\nss_degraded_keys %d\n", s.degraded.Load())
 	if s.limiter != nil {
 		fmt.Fprintf(&b, "# HELP ss_ratelimit_buckets Live per-key token buckets.\n# TYPE ss_ratelimit_buckets gauge\nss_ratelimit_buckets %d\n", s.limiter.size())
 	}

@@ -62,9 +62,9 @@
 // the barrier proves the pool quiescent, dropped and expired jobs are
 // swept to definitive answers, the stats snapshot is republished,
 // BeginIsolation clears the poison table so a faulted key starts serving
-// again (its fault records remain queryable), the slow-key watchdog
-// heals, and the rate limiter evicts idle buckets. A rotation holds the
-// role across its barrier, so callers wait on the mutex meanwhile; what
+// again (its fault records remain queryable), a new watchdog epoch heals
+// degraded keys, and the rate limiter evicts idle buckets. A rotation holds
+// the role across its barrier, so callers wait on the mutex meanwhile; what
 // bounds that blip, and overload generally, is the inflight budget
 // (requests past it are refused before they touch the role) and the
 // bounded program lane a role holder blocks on when a delegate falls
@@ -126,6 +126,11 @@ type Session struct {
 	// table, assigned under the role at its first capture (0 = none yet).
 	stamp uint32
 	slot  uint32
+
+	// Slow-key watchdog state for one epoch, so never encoded (deadline.go):
+	// the slow run, its epoch, and the epoch the key was degraded in.
+	slowRun, slowEpoch uint32
+	degradedIn         atomic.Uint32 // read by delivery; 0 = never
 }
 
 // Handler executes one request against its key's session, on a delegate
@@ -370,7 +375,6 @@ type Server struct {
 	cfg     Config
 	metrics *metrics
 	limiter *limiter
-	slow    *slowTable // nil unless Config.SlowThreshold set
 
 	// inflight is the admission word: the number of requests admitted and
 	// not yet answered, plus drainingBit once Drain has closed admission.
@@ -396,6 +400,8 @@ type Server struct {
 	occEWMA   float64      // autoscaler: smoothed occupancy
 	cooldown  int          // autoscaler: rotations until the next decision
 	snapGen   uint64       // durability: snapshot generation counter
+	epoch     uint32       // watchdog epoch, from 1; moves like stamp, in rotate
+	degraded  atomic.Int32 // keys the watchdog degraded this epoch
 
 	// statsSnap republishes the role holder's Stats() snapshot at each
 	// rotation so the any-goroutine metrics scrape never calls Stats
@@ -447,13 +453,11 @@ func New(cfg Config) (*Server, error) {
 		metrics:  newMetrics(),
 		sessions: make(map[uint64]*Session),
 		idle:     make(chan struct{}),
+		epoch:    1,
 	}
 	s.jobs.New = s.newJob
 	if cfg.Rate > 0 {
 		s.limiter = newLimiter(cfg.Rate, rateBurst)
-	}
-	if cfg.SlowThreshold > 0 {
-		s.slow = newSlowTable(cfg.SlowThreshold, slowTrips)
 	}
 	if cfg.StateFS != nil {
 		// Recovery runs first: the session table must be rebuilt before the
@@ -540,16 +544,9 @@ func (s *Server) deliver(j *job) {
 		}
 		return
 	}
-	if s.slow != nil && s.slow.degraded(j.set) {
-		// The watchdog degraded this key: shed instead of queueing behind
-		// work that would blow the budget anyway.
-		if j.finish(outcomeShed) {
-			s.metrics.shedDegraded.Add(1)
-		}
-		return
-	}
 	sess := s.sessions[j.set]
-	if sess == nil {
+	switch {
+	case sess == nil:
 		sess = &Session{Key: j.key, Set: j.set, Data: make(map[string]string)}
 		s.sessions[j.set] = sess
 		if s.store != nil {
@@ -557,6 +554,13 @@ func (s *Server) deliver(j *job) {
 			// or not: list it on the role holder's own context.
 			s.markWritten(s.rt.ProgramCtx().ID(), sess)
 		}
+	case sess.degradedIn.Load() == s.epoch:
+		// The watchdog degraded this key: shed instead of queueing behind
+		// work that would blow the budget anyway.
+		if j.finish(outcomeShed) {
+			s.metrics.shedDegraded.Add(1)
+		}
+		return
 	}
 	j.sess = sess
 	s.trackJob(j)
@@ -594,7 +598,7 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 	sess := j.sess
 	// The clock is read only for who needs it: the deadline, the watchdog.
 	var start time.Time
-	if !j.deadline.IsZero() || s.slow != nil {
+	if !j.deadline.IsZero() || s.cfg.SlowThreshold > 0 {
 		start = time.Now()
 	}
 	if !j.deadline.IsZero() && start.After(j.deadline) {
@@ -626,8 +630,8 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 		s.markWritten(c.ID(), sess)
 	}
 	status, body, err := s.cfg.Backend.Serve(ctx, sess, j.r)
-	if s.slow != nil && s.slow.observe(j.set, time.Since(start)) {
-		s.metrics.degradedKeys.Add(1)
+	if s.cfg.SlowThreshold > 0 {
+		s.watch(sess, time.Since(start))
 	}
 	if s.store != nil {
 		// Journal the session's post-state before the request can resolve:
@@ -684,16 +688,21 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 // poison seam (their done signals would otherwise never come), the
 // stats snapshot republishes, and BeginIsolation clears the poison table
 // so faulted keys resume serving. Rotation is also the tier's maintenance
-// cadence: the slow-key watchdog heals, and the rate limiter evicts idle
-// buckets. Holds the role.
+// cadence: a new watchdog epoch heals degraded keys and restarts slow runs,
+// and the rate limiter evicts idle buckets. Holds the role.
 func (s *Server) rotate() {
 	// Occupancy is sampled BEFORE the barrier: the closing epoch's backlog
 	// is the load signal, and the barrier is about to drain it to zero.
 	occ := s.sampleOccupancy()
 	s.rt.EndIsolation()
 	s.sweepEpochJobs()
-	if s.slow != nil {
-		s.slow.heal()
+	s.degraded.Store(0)
+	if s.epoch++; s.epoch == 0 { // wrapped: no stale watchdog epoch may match
+		for _, sess := range s.sessions {
+			sess.slowEpoch = 0
+			sess.degradedIn.Store(0)
+		}
+		s.epoch = 1
 	}
 	if s.limiter != nil {
 		s.metrics.bucketsEvicted.Add(uint64(s.limiter.sweep(time.Now())))

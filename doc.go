@@ -165,57 +165,38 @@
 // unchanged — only placement (which delegate runs a set), never order
 // (which operations run and in what sequence per set), responds to load.
 //
-// The quiescence check reads the ledger. The owner table records, per
-// producer, the lane position of the set's newest operation; the set may
-// move only when every recorded position is covered by the owner's
-// matching per-lane executed counter (with the program context as the only
-// producer that is one comparison). The handoff takes no lock and needs no
-// acknowledgment from the victim: its executed publishes ARE the
-// acknowledgment. Since only the set's single producer routes operations
-// to it, the migration is a single-writer update observed through atomics.
-// Recorded positions are relative to ONE owner's counters, so the
-// migration rebases them: every recorded position is zeroed (the proof at
-// the handoff boundary makes them moot — left stale they would be compared
-// against the new owner's unrelated counters) and the acting producer's is
-// fenced at the thief's current lane depth before the new owner is
-// published.
+// The quiescence check reads the ledger. Every set has one producer
+// context per isolation epoch, and the owner table records the lane
+// position of the set's newest operation; the set may move only when the
+// owner's executed counter for that producer's lane covers it — one
+// comparison. The handoff takes no lock and needs no acknowledgment from
+// the victim: its executed publishes ARE the acknowledgment. Since only the
+// set's single producer routes operations to it, the migration is a
+// single-writer update observed through atomics.
 //
-// Under Recursive, migrating a set also moves the PRODUCER ROLE of its
-// operations: nested sets they delegate to start receiving through the
-// thief's lanes, which is only safe once everything the set already fed
-// them through the victim's lanes has executed. That condition is carried
-// by a per-set outbound ledger: while one of a set's operations executes,
-// the drain loop stamps that set as the delegate's producing set, and
-// every nested delegation the operation issues records its lane position
-// into the set's entry. A set may migrate exactly when its OWN recorded
-// positions are covered by the targets' executed counters; other sets'
-// in-flight lanes never block it. The cost is one plain stamp per executed
-// operation and one atomic store per nested delegation against a one-slot
-// entry cache, zero allocations.
-//
-// Two placement rules keep the engine from manufacturing hazards the
-// program didn't write: a set is never handed to its own producer's
-// context, and when a producer handover nevertheless lands a set on its
-// own producer's delegate — the producing set migrated onto the delegate
-// where the nested set lives — the set is force-evacuated to the
-// least-occupied peer under the same quiescence and outbound-coverage
-// conditions an ordinary steal needs. The precision of the ledger is what
-// makes the evacuation live: a rule that waited for all of the victim's
-// outbound lanes would let an unrelated in-flight stream veto it forever
-// while the set's operations self-enqueued, and a program blocking
-// mid-operation on its own nested delegations would livelock. When only
-// the set's own coverage is missing, the producer waits for it on the spot
-// — a bounded poll of the ledger, never on traffic only the victim itself
-// could drain — because for a program about to block, that delegation is
-// the engine's last scheduling decision. Checked mode turns
-// a handover at a non-quiescent point into a panic, and re-asserts ledger
-// coverage immediately before every owner publish. The producer discipline
-// sharpens accordingly: under dynamic placement a set must receive its
-// delegations from the operations of a single producing set (or from the
-// program context) per epoch — one producing SET, not merely one context —
-// so that a migration of the producing set moves all of the nested set's
-// delegations together. Stats reports Steals, ForcedEvacs, OutboundVetoes
-// and OutboundTracked for all of it.
+// Under Recursive only leaf sets move. The context a set's operations run
+// on is the producer of the nested sets they delegate to, so moving a set
+// whose operations delegate would give those nested sets a second producer
+// mid-epoch, with no order between the two lanes. The first nested
+// delegation an operation of a set issues therefore marks the set's entry
+// (the drain loop stamps the executing set on its delegate), and a marked
+// set stays on its owner for the rest of the epoch — a leaf set stolen
+// earlier is pinned on the thief from its first nested delegation on. The
+// mark is written before the operation's executed publish, and the
+// rebalancer checks quiescence first, so the publish that proves a set
+// quiescent also shows its mark. The cost is one plain stamp per executed
+// operation and one table lookup per nested delegation under stealing,
+// zero allocations. A set never lands on its own producer's delegate, where
+// its operations would be self-delegations the producer may block on:
+// first touch and the choice of thief both exclude that delegate, and
+// producing sets do not move. The producer discipline under dynamic
+// placement is sharper than one context per set: a nested set must receive
+// its delegations from the operations of a single producing set (or from
+// the program context) per epoch — one producing SET, not merely one
+// context — or stealing one parent while it is still a leaf, after which
+// it delegates, hands the nested set a second producer. Checked mode panics
+// on any second producer context in an epoch, under every policy, however
+// quiescent the set. Stats reports Steals.
 //
 // The program context works while it waits. Every program delegates an
 // epoch far faster than the pool executes it, and a program lane deep
@@ -267,10 +248,12 @@
 //
 // Per-set program order is preserved per producer — FIFO through ring and
 // spill alike — and determinism requires each set to have one producer
-// context per isolation epoch (one producing set under LeastLoaded, see
-// above), which Checked() enforces. Stats reports RecursiveOps (messages
-// through the lanes, all producers) and Spills alongside the drain
-// counters.
+// context per isolation epoch, which Checked() enforces under every
+// policy. The engine keeps that rule itself: stealing moves only leaf sets,
+// so a nested set's producer is fixed for the epoch and nested order stays
+// a per-lane FIFO fact (under LeastLoaded, also one producing set per
+// nested set; see above). Stats reports RecursiveOps (messages through the
+// lanes, all producers) and Spills alongside the drain counters.
 //
 // Measuring. bash bench/run.sh is the ledger and the only performance
 // gate: five workloads end to end against the bounds in BENCHMARK.json,
@@ -310,9 +293,9 @@
 // every subsequent delegation to it is dropped-but-counted, so the set
 // executes exactly its program-order prefix up to the faulting operation
 // and nothing after — the same prefix on every run, because per-set
-// program order is the model's invariant. Poisoned sets are never stolen,
-// force-evacuated, or shed to the program context; the poison is written
-// before the faulted operation's counters are published, so any context
+// program order is the model's invariant. Poisoned sets are never stolen
+// or shed to the program context; the poison is written before the
+// faulted operation's counters are published, so any context
 // that proves the set quiescent has already observed it. Dropped
 // operations never run at all — a fault mid-set also deterministically
 // truncates the nested delegations its dropped successors would have

@@ -138,17 +138,12 @@ type delegate struct {
 	dealt map[uint64]bool
 	sheds atomic.Uint64
 
-	// Outbound-attribution state for the per-set handoff ledger
-	// (owners.go), touched only by this delegate's goroutine — plain
-	// fields. prodSet is the serialization set of the method invocation
-	// currently executing (noSetID for pool tasks): any nested delegation
-	// it issues is that set's own outbound traffic. prodCachedSet/
-	// prodEntry/prodTable are a one-slot entry cache keyed on (owner table,
-	// set), invalidated by an epoch's table swap through the pointer.
-	prodSet       uint64
-	prodCachedSet uint64
-	prodEntry     *setEntry
-	prodTable     *ownerTable
+	// prodSet is the serialization set of the method invocation currently
+	// executing (noSetID for pool tasks), written and read only by this
+	// delegate's goroutine: a nested delegation it issues marks that set as
+	// producing (owners.go, notePosition), and Owned checks read it as the
+	// executing set.
+	prodSet uint64
 }
 
 // newDelegate builds delegate id with one lane per producer context: lane
@@ -290,9 +285,9 @@ func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
 	if rt.cfg.Checked && set == noSetID {
 		// The engine reserves this one id as the pool-task sentinel: a user
 		// set named by it would never be poisoned or dropped after a fault
-		// and would have its nested delegations left out of the outbound
-		// ledger. Turn that into the diagnostic every other discipline
-		// violation gets.
+		// and would never be marked as producing, so it could be stolen
+		// while its nested sets have operations in flight. Turn that into
+		// the diagnostic every other discipline violation gets.
 		panic("prometheus: serialization set id ^uint64(0) is reserved by the engine (pool-task sentinel); use any other id")
 	}
 	if fs := rt.faults.Load(); fs != nil && rt.maybeDrop(fs, set) {
@@ -307,7 +302,7 @@ func (rt *Runtime) delegate(producer int, set uint64, inv Invocation) int {
 	d := rt.delegates[owner-1]
 	pos := d.sent[producer].inc()
 	if e != nil {
-		rt.notePosition(e, producer, owner, pos)
+		rt.notePosition(e, producer, pos)
 	}
 	if producer == ProgramContext {
 		rt.pushProgram(d, inv)
@@ -493,11 +488,10 @@ func (rt *Runtime) execSpan(d *delegate, run []Invocation, start int, le *atomic
 				fs.dropped.Add(1)
 				continue
 			}
-			// Stamp the producing set before running the operation: nested
-			// delegations it issues charge their lane positions to this
-			// set's outbound ledger (noteOutbound), and Owned checks read
-			// it as the executing set. One plain store; only this goroutine
-			// reads it back.
+			// Stamp the producing set before running the operation: a
+			// nested delegation it issues marks this set as producing
+			// (notePosition), and Owned checks read it as the executing
+			// set. One plain store; only this goroutine reads it back.
 			d.prodSet = inv.set
 			if inject != nil {
 				inject(d.id, inv.set)

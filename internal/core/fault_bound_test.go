@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestFaultRecordBoundRing drives 10k contained panics through a runtime
 // and checks the long-runtime contract against the retention bound: fault
@@ -99,56 +95,4 @@ func TestSetFaultsIndexEviction(t *testing.T) {
 	if d := rt.Stats().DroppedFaults; d != 3 {
 		t.Errorf("Stats.DroppedFaults = %d, want 3", d)
 	}
-}
-
-// TestEvacWaitDeadline pins the mutual-wait escape hatch: a forced
-// evacuation waiting on outbound coverage that never arrives must give up
-// within the evacWaitBudget deadline rather than block its delegate forever.
-func TestEvacWaitDeadline(t *testing.T) {
-	rt := newTestRuntime(t, Config{
-		Delegates: 2, Recursive: true, Policy: LeastLoaded, Stealing: true,
-	})
-	rt.BeginIsolation()
-	// A hand-built entry claiming uncovered outbound traffic into delegate
-	// 2's lane for victim 1; nothing will ever drain it.
-	e := &setEntry{outPos: make([]atomic.Uint64, 2)}
-	e.outPos[1].Store(5)
-	start := time.Now()
-	if rt.waitOutboundCoverage(e, 1) {
-		t.Error("coverage reported for traffic nothing executed")
-	}
-	if elapsed := time.Since(start); elapsed < evacWaitBudget/2 || elapsed > 10*evacWaitBudget {
-		t.Errorf("wait returned after %v, want roughly the %v budget", elapsed, evacWaitBudget)
-	}
-	rt.EndIsolation()
-}
-
-// TestEvacWaitCoverageArrives is the other half of the wait's contract:
-// coverage that shows up in the ledger mid-wait ends it, with true, without
-// waiting out the budget. The uncovered traffic is a real operation in
-// delegate 2's lane for producer 1 (the victim), parked on a gate released
-// after 2 ms.
-func TestEvacWaitCoverageArrives(t *testing.T) {
-	rt := newTestRuntime(t, Config{
-		Delegates: 2, Recursive: true, Policy: LeastLoaded, Stealing: true,
-	})
-	rt.BeginIsolation()
-	gate := make(chan struct{})
-	d2 := rt.delegates[1]
-	e := &setEntry{outPos: make([]atomic.Uint64, 2)}
-	e.outPos[1].Store(d2.sent[1].inc())
-	d2.lanes[1].Push(closureCall(noSetID, func(int) { <-gate }))
-	d2.notify(1)
-	const release = 2 * time.Millisecond
-	start := time.Now()
-	time.AfterFunc(release, func() { close(gate) })
-	if !rt.waitOutboundCoverage(e, 1) {
-		t.Fatal("coverage that arrived mid-wait was not seen")
-	}
-	// No tight upper bound: at GOMAXPROCS=1 under the race detector the
-	// poller's own wake-up can trail the release by tens of milliseconds.
-	if elapsed := time.Since(start); elapsed < release || elapsed > 10*evacWaitBudget {
-		t.Errorf("wait returned after %v, want it to end with the release at %v", elapsed, release)
-	}
-	rt.EndIsolation()
 }

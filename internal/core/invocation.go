@@ -17,13 +17,13 @@ const (
 // pool tasks handed out by RunParallel, which execute on delegate contexts
 // but were never routed through a set. A faulting pool task poisons
 // nothing, and because the drain loop stamps the executing invocation's
-// set as the producing set of any nested delegations it issues (the
-// outbound-attribution half of the per-set handoff ledger, owners.go),
-// noSetID is also what keeps a task's delegations from being charged to
-// whatever set the delegate ran last. The engine reserves this one id — a
-// user set named ^uint64(0) would never be poisoned and would have its
-// outbound traffic dropped from the ledger — and Checked mode rejects it
-// with a panic in every configuration (Runtime.delegate).
+// set as the producing set of any nested delegations it issues (the mark
+// that pins a producing set on its owner, owners.go), noSetID is also what
+// keeps a task's delegations from pinning whatever set the delegate ran
+// last. The engine reserves this one id — a user set named ^uint64(0)
+// would never be poisoned and never pinned by its nested delegations — and
+// Checked mode rejects it with a panic in every configuration
+// (Runtime.delegate).
 const noSetID = ^uint64(0)
 
 // Trampoline is the statically-dispatched form of a delegated operation:

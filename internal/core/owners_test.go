@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Unit tests for placement and the whole-set handoff protocol (owners.go):
@@ -163,11 +164,10 @@ func TestExplicitThresholdNotAdaptive(t *testing.T) {
 // TestOwnerTableGrowth: the uint64-specialized owner table keeps every
 // entry findable across bucket-array growth and publish races.
 func TestOwnerTableGrowth(t *testing.T) {
-	rt := &Runtime{cfg: Config{MaxDelegates: 4, Recursive: true}}
 	tbl := newOwnerTable(0)
 	const n = minOwnerBuckets * 4 // forces two grows
 	for i := uint64(0); i < n; i++ {
-		e := rt.newSetEntry(int(i%4) + 1)
+		e := newSetEntry(int(i%4) + 1)
 		if got := tbl.insert(i*0x10001, e); got != e {
 			t.Fatalf("insert %d adopted a foreign entry", i)
 		}
@@ -182,7 +182,7 @@ func TestOwnerTableGrowth(t *testing.T) {
 		t.Fatal("lookup of absent set returned an entry")
 	}
 	// Racing insert of an existing set adopts the published entry.
-	if got := tbl.insert(0x10001, rt.newSetEntry(9)); got.owner.Load() == 9 {
+	if got := tbl.insert(0x10001, newSetEntry(9)); got.owner.Load() == 9 {
 		t.Fatal("duplicate insert replaced the published entry")
 	}
 	seen := 0
@@ -194,10 +194,19 @@ func TestOwnerTableGrowth(t *testing.T) {
 	sized := newOwnerTable(n)
 	before := sized.buckets.Load()
 	for i := uint64(0); i < n; i++ {
-		sized.insert(i, rt.newSetEntry(1))
+		sized.insert(i, newSetEntry(1))
 	}
 	if sized.buckets.Load() != before {
 		t.Fatal("pre-sized table grew while holding the size it was built for")
+	}
+}
+
+// TestSetEntrySize: one producer per set per epoch keeps a set's entry to
+// an owner, a producer, one lane position and the producing mark — the
+// owner table allocates one per set per epoch, the serving tier's included.
+func TestSetEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(setEntry{}); got > 24 {
+		t.Fatalf("setEntry is %d bytes, want at most 24", got)
 	}
 }
 
@@ -247,99 +256,11 @@ func TestRecursiveStealingOrderStress(t *testing.T) {
 	}
 }
 
-// TestRecursivePreciseOutboundVeto pins the safety half of the per-set
-// outbound ledger: a set whose OWN operations delegated onward must not
-// migrate while that outbound traffic is uncovered — and must migrate as
-// soon as it is covered, regardless of the rest of the victim's lanes.
-// Delegates=3, pre-placed: set 1 (the producer ops) on delegate 2, sets 0
-// and 3 on delegate 1, sets 2 and 5 on delegate 3.
-func TestRecursivePreciseOutboundVeto(t *testing.T) {
-	rt := newTestRuntime(t, recStealCfg(3, 1))
-	rt.BeginIsolation()
-	for set, owner := range map[uint64]int{1: 2, 0: 1, 3: 1, 2: 3, 5: 3} {
-		place(rt, set, owner)
-	}
-
-	// Pin delegate 3 so set 0's nested delegation to set 5 stays queued.
-	release3 := startGated(rt, 2)
-
-	// Set 0's first op (produced from delegate 2) delegates to set 5 on
-	// the gated delegate 3 — set 0's own outbound traffic.
-	// The producer op stays in flight until that delegation has routed:
-	// delegate 2 must not look idle, or the empty pre-placed set 5 would be
-	// stolen onto it off the loaded delegate 3.
-	step1, routed5 := make(chan struct{}), make(chan struct{})
-	rt.Delegate(1, func(ctx int) {
-		rt.DelegateFrom(ctx, 0, func(inner int) {
-			rt.DelegateFrom(inner, 5, func(int) {})
-			close(routed5)
-		})
-		<-routed5
-		close(step1)
-	})
-	<-step1
-	waitExec(t, rt, 1, 2, 1) // set 0's op itself has executed
-
-	e := rt.owners.Load().lookup(0)
-	if got := e.outPos[2].Load(); got != 1 {
-		t.Fatalf("set 0 outbound ledger position for delegate 3 = %d, want 1", got)
-	}
-
-	// Loaded victim, quiescent set — but set 0's outbound is uncovered:
-	// the migration must be vetoed.
-	release1 := startGated(rt, 3)
-	step2 := make(chan struct{})
-	var routed atomic.Int64
-	rt.Delegate(1, func(ctx int) {
-		routed.Store(int64(rt.DelegateFrom(ctx, 0, func(int) {})))
-		close(step2)
-	})
-	<-step2
-	if got := routed.Load(); got != 1 {
-		t.Fatalf("set 0 with uncovered outbound routed to %d, want vetoed on owner 1", got)
-	}
-	release1()
-	st := rt.Stats()
-	if st.Steals != 0 {
-		t.Fatalf("Steals = %d, want 0 (outbound uncovered)", st.Steals)
-	}
-	if st.OutboundVetoes == 0 {
-		t.Fatal("OutboundVetoes = 0 after a vetoed migration")
-	}
-	if st.OutboundTracked == 0 {
-		t.Fatal("OutboundTracked = 0 after ledger stamps")
-	}
-
-	// Cover the outbound traffic (unpin delegate 3, let set 5's op run),
-	// re-load the victim, and the same delegation must now migrate.
-	release3()
-	waitExec(t, rt, 3, 1, 1) // set 5's op (lane: delegate 1 -> 3) executed
-	waitExec(t, rt, 1, 2, 2) // set 0's second op executed
-	release1 = startGated(rt, 3)
-	step3 := make(chan struct{})
-	rt.Delegate(1, func(ctx int) {
-		routed.Store(int64(rt.DelegateFrom(ctx, 0, func(int) {})))
-		close(step3)
-	})
-	<-step3
-	release1()
-	rt.EndIsolation()
-	if got := routed.Load(); got == 1 {
-		t.Fatal("set 0 still vetoed after its outbound traffic was covered")
-	}
-	if got := e.outPos[2].Load(); got != 0 {
-		t.Fatalf("outbound ledger not rebased at migration: outPos[2] = %d, want 0", got)
-	}
-	if st := rt.Stats(); st.Steals != 1 {
-		t.Fatalf("Steals = %d, want 1", st.Steals)
-	}
-}
-
 // TestRecursiveFirstTouchOffOwnProducer: a set whose FIRST delegation
 // comes from a delegate context must never be placed on that same delegate
 // — the rebalancer never runs on the first-touch path, so the operation
-// would self-enqueue and a producer blocking on it (as here) deadlocks with
-// no later delegation ever arriving to evacuate the set. Delegates=2, both
+// would self-enqueue and a producer blocking on it (as here) deadlocks:
+// nothing ever moves the set off again. Delegates=2, both
 // idle: by occupancy alone set 200 would tie onto delegate 1, where its
 // producer (set 100's operation) is running.
 func TestRecursiveFirstTouchOffOwnProducer(t *testing.T) {
@@ -372,8 +293,8 @@ func TestRecursiveFirstTouchOffOwnProducer(t *testing.T) {
 
 // TestReservedSetIDChecked: Checked mode rejects the engine's reserved
 // pool-task sentinel id in every configuration — a user set named
-// ^uint64(0) is never poisoned or dropped after a fault, and would have its
-// nested delegations silently left out of the outbound ledger.
+// ^uint64(0) is never poisoned or dropped after a fault, and its nested
+// delegations would never pin it on its owner.
 func TestReservedSetIDChecked(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"static":             {Delegates: 2},
@@ -397,111 +318,79 @@ func TestReservedSetIDChecked(t *testing.T) {
 	}
 }
 
-// TestRecursiveHandoverOffOwnProducer: a producer handover that lands on
-// the set's own delegate (e.g. the producing set migrated onto the delegate
-// where this nested set lives) must evacuate the set — even with history —
-// as soon as the safety conditions (quiescence + victim outbound lanes
-// drained) hold, here on the very first delegation. A self-delegation
-// placement the program didn't choose is hazardous: the producer's
-// operations may block waiting on the set's, and the owner would then
-// never drain its own lane.
-func TestRecursiveHandoverOffOwnProducer(t *testing.T) {
-	rt := newTestRuntime(t, recStealCfg(2, noStealThreshold)) // no occupancy steals
+// TestRecursiveProducingSetNotStolen pins the leaf-only rule: on one loaded
+// victim, a quiescent set whose operation delegated this epoch stays on its
+// owner — moving it would give its nested set a second producer — while a
+// quiescent leaf set beside it is stolen. Delegates=3, both sets produced
+// by the program context and pre-placed on delegate 1.
+func TestRecursiveProducingSetNotStolen(t *testing.T) {
+	rt := newTestRuntime(t, recStealCfg(3, 1))
 	rt.BeginIsolation()
+	place(rt, 100, 1) // producing set
+	place(rt, 200, 1) // leaf set
+	place(rt, 400, 1) // the gate
 
-	var order []int
-	// Set 200 (first touch, idle pool: delegate 1) gets history from the
-	// program.
-	rt.Delegate(200, func(int) { order = append(order, 1) })
+	// One operation each, the second sent once the first has run: with
+	// delegate 1 busy the empty set 200 would already be stolen.
+	rt.Delegate(100, func(ctx int) { rt.DelegateFrom(ctx, 300, func(int) {}) })
 	waitExec(t, rt, 1, ProgramContext, 1)
-
-	// Handover to delegate 1's own context: the producing op (set 100,
-	// idle pool again: delegate 1) delegates to set 200 from context 1.
-	var routed atomic.Int64
-	done := make(chan struct{})
-	rt.Delegate(100, func(ctx int) {
-		routed.Store(int64(rt.DelegateFrom(ctx, 200, func(int) { order = append(order, 2) })))
-		close(done)
-	})
-	<-done
-	rt.EndIsolation()
-
-	if got := routed.Load(); got != 2 {
-		t.Fatalf("handover onto own producer routed to %d, want re-homed to delegate 2", got)
+	rt.Delegate(200, func(int) {})
+	waitExec(t, rt, 1, ProgramContext, 2)
+	nested := ownerOf(rt, 300)
+	if nested == 1 || nested == 0 {
+		t.Fatalf("nested set 300 first-touched onto %d, want a peer of delegate 1", nested)
 	}
-	if got := ownerOf(rt, 200); got != 2 {
-		t.Fatalf("owner table has set 200 on %d, want 2", got)
+	waitExec(t, rt, nested, 1, 1) // the nested operation has executed too
+
+	release := startGated(rt, 400) // loaded victim: occupancy 1 >= threshold 1
+	defer rt.EndIsolation()
+	defer release()
+	if ctx := rt.Delegate(100, func(int) {}); ctx != 1 {
+		t.Fatalf("producing set 100 routed to %d, want pinned on its owner 1", ctx)
 	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("per-set order across forced re-home = %v, want [1 2]", order)
+	if ctx := rt.Delegate(200, func(int) {}); ctx == 1 {
+		t.Fatal("quiescent leaf set 200 stayed on the loaded victim, want stolen")
 	}
 	if st := rt.Stats(); st.Steals != 1 {
-		t.Fatalf("Steals = %d, want 1 (forced re-home is a migration)", st.Steals)
+		t.Fatalf("Steals = %d, want 1 (the leaf set only)", st.Steals)
 	}
 }
 
-// TestRecursiveStealResetsStaleProducerPositions regresses the
-// handover -> steal -> handover shape: lastPos values recorded by FORMER
-// producers are lane positions relative to the OLD owner's counters, so a
-// migration must zero them. Left stale, quiescentOn compares them against
-// the new owner's unrelated laneExec, the set looks non-quiescent forever
-// (no further handoff can ever fire), and the next legal producer handover
-// trips the Checked-mode serializer-violation panic on a correct program.
-func TestRecursiveStealResetsStaleProducerPositions(t *testing.T) {
-	cfg := recStealCfg(3, 1)
-	cfg.Checked = true
-	rt := newTestRuntime(t, cfg)
+// TestRecursiveStolenLeafPinnedOnceItDelegates: the mark follows the set,
+// not the owner. A leaf set stolen mid-epoch whose next operation delegates
+// on the thief is marked there, and stays on the thief however loaded it
+// later is.
+func TestRecursiveStolenLeafPinnedOnceItDelegates(t *testing.T) {
+	rt := newTestRuntime(t, recStealCfg(3, 1))
 	rt.BeginIsolation()
-	place(rt, 1, 2) // the producer ops' set
+	defer rt.EndIsolation()
+	place(rt, 200, 1) // the leaf set
+	place(rt, 400, 1) // gate on delegate 1
+	place(rt, 500, 2) // gate on delegate 2
 
-	var order []int
-	// The program produces set 0's first op (recording a position in
-	// delegate 1's program lane), then hands the producer role to delegate
-	// 2's context at the quiescent boundary.
-	rt.Delegate(0, func(int) { order = append(order, 1) })
+	rt.Delegate(200, func(int) {})
 	waitExec(t, rt, 1, ProgramContext, 1)
-	step1 := make(chan struct{})
-	rt.Delegate(1, func(ctx int) { // producer op runs on delegate 2
-		rt.DelegateFrom(ctx, 0, func(int) { order = append(order, 2) })
-		close(step1)
+	release1 := startGated(rt, 400)
+	ranOn := make(chan int, 1)
+	thief := rt.Delegate(200, func(ctx int) {
+		rt.DelegateFrom(ctx, 300, func(int) {})
+		ranOn <- ctx
 	})
-	<-step1
-	waitExec(t, rt, 1, 2, 1)
-
-	// Steal: pin delegate 1 (set 3, idle-pool first touch) so it is a loaded victim,
-	// then delegate to the quiescent set 0 from its current producer.
-	release := startGated(rt, 3)
-	var stolenTo atomic.Int64
-	step2 := make(chan struct{})
-	rt.Delegate(1, func(ctx int) {
-		stolenTo.Store(int64(rt.DelegateFrom(ctx, 0, func(int) { order = append(order, 3) })))
-		close(step2)
-	})
-	<-step2
-	release()
-	if got := stolenTo.Load(); got != 3 {
-		t.Fatalf("set 0 routed to %d, want stolen to idle delegate 3", got)
+	release1()
+	if thief != 2 {
+		t.Fatalf("quiescent leaf set 200 routed to %d, want stolen to idle delegate 2", thief)
 	}
-
-	// The migration must have zeroed the former producer's position — it
-	// described delegate 1's lanes, which the new owner knows nothing about.
-	e := rt.owners.Load().lookup(0)
-	if pos := e.lastPos[ProgramContext].Load(); pos != 0 {
-		t.Fatalf("former producer's lastPos = %d after migration, want 0", pos)
+	if ctx := <-ranOn; ctx != thief {
+		t.Fatalf("set 200's operation ran on %d, want the thief %d", ctx, thief)
 	}
+	waitExec(t, rt, thief, ProgramContext, 1)
 
-	// Hand the producer role back to the program context at the new owner's
-	// quiescent boundary: a legal handover Checked mode must accept (stale
-	// positions would read as in-flight work here and panic).
-	waitExec(t, rt, 3, 2, 1)
-	rt.Delegate(0, func(int) { order = append(order, 4) })
-	rt.EndIsolation()
-	for i, v := range order {
-		if v != i+1 {
-			t.Fatalf("per-set order = %v, want [1 2 3 4]", order)
-		}
+	release2 := startGated(rt, 500) // the thief is now a loaded victim
+	defer release2()
+	if ctx := rt.Delegate(200, func(int) {}); ctx != thief {
+		t.Fatalf("set 200 routed to %d after delegating on %d, want pinned there", ctx, thief)
 	}
-	if len(order) != 4 {
-		t.Fatalf("per-set order = %v, want [1 2 3 4]", order)
+	if st := rt.Stats(); st.Steals != 1 {
+		t.Fatalf("Steals = %d, want 1", st.Steals)
 	}
 }

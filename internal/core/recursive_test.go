@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -190,6 +191,41 @@ func TestRecursiveCheckedOneProducerPerSet(t *testing.T) {
 	rt.EndIsolation()
 	if r := <-caught; r == nil {
 		t.Fatal("cross-producer delegation to one set should panic in checked mode")
+	}
+}
+
+// TestRecursiveCheckedSecondProducerAtQuiescentPoint: one producer per set
+// per epoch holds under every policy. A set delegated from a second context
+// panics with a serializer violation in Checked mode even when every
+// operation the first context sent it has executed — the engine never
+// changes a set's producer, so only the program can have.
+func TestRecursiveCheckedSecondProducerAtQuiescentPoint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"static-mod", Config{Delegates: 2}},
+		{"least-loaded", Config{Delegates: 2, Policy: LeastLoaded}},
+		{"stealing", stealCfg(2, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Recursive, cfg.Checked = true, true
+			rt := newTestRuntime(t, cfg)
+			rt.BeginIsolation()
+			rt.Delegate(5, func(int) {}) // the program context produces set 5
+			rt.barrier()                 // set 5 is quiescent
+			caught := make(chan any, 1)
+			rt.Delegate(7, func(ctx int) {
+				defer func() { caught <- recover() }()
+				rt.DelegateFrom(ctx, 5, func(int) {})
+			})
+			rt.EndIsolation()
+			r := <-caught
+			if msg, _ := r.(string); !strings.Contains(msg, "serializer violation") {
+				t.Fatalf("second producer at a quiescent point: recovered %v, want a serializer violation", r)
+			}
+		})
 	}
 }
 

@@ -296,8 +296,8 @@ func (rt *Runtime) Resize(n int) error {
 //
 // Scale-up activates pre-built delegates: spawn their drain goroutines and
 // let this epoch's placement — the modulus, or first touch — spread sets
-// across the larger pool. Scale-down is the forced-evacuation argument in
-// pool form: the barrier below proves every set quiescent on every
+// across the larger pool. Scale-down is the stealer's argument in pool
+// form: the barrier below proves every set quiescent on every
 // delegate — the same whole-set handoff boundary the stealer uses, applied
 // to all sets at once — so the retiring delegates' sets are re-placed by
 // the new modulus or the owner-table rebuild this epoch performs anyway,
@@ -398,11 +398,7 @@ func (rt *Runtime) Stats() Stats {
 		}
 	}
 	for i := range rt.prod {
-		p := &rt.prod[i]
-		st.Steals += p.migrations.Load()
-		st.ForcedEvacs += p.forcedEvacs.Load()
-		st.OutboundVetoes += p.outVetoes.Load()
-		st.OutboundTracked += p.outStamps.Load()
+		st.Steals += rt.prod[i].migrations.Load()
 	}
 	if fs := rt.faults.Load(); fs != nil {
 		st.Panics = fs.panics.Load()

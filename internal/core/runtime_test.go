@@ -26,7 +26,7 @@ func ownerOf(rt *Runtime, set uint64) int {
 // can build a placement first touch would not. It may be stolen at its
 // first delegation.
 func place(rt *Runtime, set uint64, owner int) {
-	rt.owners.Load().insert(set, rt.newSetEntry(owner))
+	rt.owners.Load().insert(set, newSetEntry(owner))
 }
 
 // waitExec polls delegate ctx's published exec counter for producer's lane

@@ -40,7 +40,6 @@ type Stats struct {
 	BatchFlushes uint64 // always zero: the batch buffer is gone; declared only because the frozen bench/ reads it
 	BatchedOps   uint64 // always zero, kept for the same reason
 	Steals       uint64 // serialization sets handed off, whole, by the occupancy-aware rebalancer
-	ForcedEvacs  uint64 // handoffs forced off a set's own producer's delegate (self-delegation hazard; a subset of Steals)
 	DrainBatches uint64 // delegate-side batched drains (PopBatch runs executed)
 	DrainedOps   uint64 // invocations delivered through batched drains
 	RecursiveOps uint64 // messages pushed into delegate lanes by all producer contexts (operations, pool tasks, sync objects)
@@ -56,15 +55,6 @@ type Stats struct {
 	// them back to the surviving pool.
 	Resizes             uint64
 	ResizeEvacuatedSets uint64
-
-	// Per-set outbound-ledger counters (stealing with Recursive). OutboundVetoes
-	// counts migration attempts blocked because the candidate set's own
-	// recorded outbound traffic was not yet covered by the target lanes'
-	// executed counters; OutboundTracked counts ledger writes (one per
-	// nested delegation issued by an owner-tracked set's operation) — the
-	// ledger's write volume, for sizing its hot-path cost.
-	OutboundVetoes  uint64
-	OutboundTracked uint64
 
 	// Fault-containment counters (internal/core/fault.go). Panics counts
 	// contained delegated-operation panics; PoisonedSets counts sets ever

@@ -16,7 +16,7 @@ func stealCfg(delegates, threshold int) Config {
 }
 
 // noStealThreshold suppresses occupancy steals in the shapes that isolate
-// forced evacuation: none of them backs a delegate up this far.
+// placement from the rebalancer: none of them backs a delegate up this far.
 const noStealThreshold = 64
 
 func recStealCfg(delegates, threshold int) Config {

@@ -105,13 +105,10 @@ func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy =
 // so operations within a set still execute in program order and the model's
 // determinism guarantee is unchanged; only placement responds to load.
 //
-// With Recursive the same contract holds across many producer contexts: a
-// set migrates only when every producer's newest operation on it has
-// executed on the owner AND every nested delegation the set's own
-// operations issued has drained — tracked precisely per set by an outbound
-// ledger, so other sets' in-flight traffic never blocks a migration (the
-// quiescent handoff; see doc.go). Each epoch places its sets afresh, on
-// first touch.
+// With Recursive only leaf sets move: a set one of whose operations has
+// delegated a nested operation this epoch stays on its owner for the rest
+// of the epoch, so every set keeps one producer context per epoch (see
+// doc.go). Each epoch places its sets afresh, on first touch.
 func WithStealing() Option { return func(c *core.Config) { c.Stealing = true } }
 
 // Sequential builds the runtime in the paper's debug mode (§3.3): all
@@ -119,7 +116,10 @@ func WithStealing() Option { return func(c *core.Config) { c.Stealing = true } }
 func Sequential() Option { return func(c *core.Config) { c.Sequential = true } }
 
 // Checked enables dynamic error detection (§3.3). The paper disables these
-// checks for performance measurements; so do the benchmarks here.
+// checks for performance measurements; so do the benchmarks here. Under
+// Recursive it panics with a serializer violation when a set receives
+// delegations from a second context in one isolation epoch, under every
+// placement policy and however quiescent the set.
 func Checked() Option { return func(c *core.Config) { c.Checked = true } }
 
 // WithTrace enables execution tracing; retrieve events with
@@ -130,11 +130,10 @@ func WithTrace() Option { return func(c *core.Config) { c.Trace = true } }
 // future work (§4): delegated operations may delegate further operations
 // via Ctx.Delegate. A serialization set must receive delegations from only
 // one context per isolation epoch for the execution to stay deterministic
-// (under stealing, the engine may hand that producer role over at
-// quiescent points — the guarantee is unchanged). Placement uses the
-// paper's static policy by default; it composes with
-// WithPolicy(LeastLoaded), and with WithStealing for the occupancy-aware
-// whole-set rebalancer. Reclaiming a Writable during an isolation epoch
+// (the engine never changes it: stealing moves only sets whose operations
+// delegate nothing). Placement uses the paper's static policy by default;
+// it composes with WithPolicy(LeastLoaded), and with WithStealing for the
+// occupancy-aware whole-set rebalancer. Reclaiming a Writable during an isolation epoch
 // waits for the whole runtime to quiesce, because the reclaim must also
 // cover nested work.
 func Recursive() Option { return func(c *core.Config) { c.Recursive = true } }

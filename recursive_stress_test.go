@@ -192,10 +192,10 @@ func TestRecursiveStealingQuicksortDeterminism(t *testing.T) {
 
 // TestRecursiveStealingFPMDeterminism: the FPM shape under stealing with
 // tiny lanes (forced spills) — per-set logs must still replay program
-// order exactly whatever the rebalancer does. On this shape the victims
-// are themselves producers (group ops delegate second-level work), so the
-// outbound-drain condition usually vetoes migration — few or zero
-// handoffs here is the protocol being correctly conservative; the skewed
+// order exactly whatever the rebalancer does. On this shape the group sets
+// are themselves producers (group ops delegate second-level work), so once
+// one has delegated it is pinned on its owner and only leaf sets move —
+// few or zero handoffs here is the leaf-only rule at work; the skewed
 // stress below is the shape that asserts handoffs fire.
 func TestRecursiveStealingFPMDeterminism(t *testing.T) {
 	var want string

@@ -359,41 +359,20 @@
 //
 // # Elastic runtime
 //
-// The delegate pool can be resized while the runtime is live. The design
-// follows directly from the epoch discipline: an isolation-epoch boundary
-// is the only point in this model where resizing is safe, because it is
-// the only point where anything global is known. Between boundaries,
-// operations for a set may be in flight in a delegate's lanes and a
-// whole-set handoff may be mid-transfer — moving a set or retiring a
-// delegate in that state would either reorder a set's operations
-// (breaking the one invariant the model promises) or strand them. At the
-// boundary, the barrier has proven every lane drained and the delegation
-// ledger balanced, so set-to-delegate placement is pure data: it can be
-// rewritten wholesale, exactly as every epoch already starts the owner
-// table empty for first touch.
-//
-// Mechanically, [Runtime.Resize] only validates and records a desired pool
-// size; the next BeginIsolation applies it. Capacity
-// and occupancy are split: every delegate structure (lanes, ledger
-// counters) is pre-allocated for WithMaxDelegates at New, and
-// resizing only moves the active prefix — so context numbering, reducible
-// views, and trace buffers stay valid across any resize, and the hot path
-// pays nothing (the active count is a single atomic load that exists
-// anyway). Scale-up spawns goroutines for the new prefix and rebuilds the
-// placement tables. Scale-down
-// must also evacuate: every set owned by a closing delegate is reassigned
-// into the surviving prefix before the delegate parks, because a set left
-// on a retired delegate would silently stop executing — its operations
-// would queue forever on a goroutine that exited. The evacuation argument
-// is the same quiescence argument as the whole-set handoff's, but simpler:
-// at the boundary the closing delegate's lanes are provably empty and
-// their ledgers balanced, so reassignment is a table write with no
-// in-flight operations to race. Checked mode asserts exactly this — a
-// parked delegate with an unbalanced lane ledger panics ("traffic survived
-// a retired delegate"). Parked delegates keep their
-// structures (counters frozen, so all-capacity ledger sums still
-// balance) and are respawned on the next scale-up, seeding their
-// execution counters from the frozen values.
+// The delegate pool can be resized while the runtime is live, at an
+// isolation-epoch boundary only: [Runtime.Resize] validates and records a
+// target, and the next BeginIsolation applies it (applyResize in
+// internal/core/runtime.go). Every delegate structure is pre-allocated for
+// WithMaxDelegates at New and a resize moves only the active prefix, so
+// context numbering, reducible views and trace buffers stay valid and the
+// hot path pays nothing. applyResize runs a barrier, which proves every
+// lane drained; a scale-down then counts the owner-table entries on the
+// retiring delegates (Stats.ResizeEvacuatedSets) and parks them, keeping
+// their structures for the next scale-up. No set is moved: each epoch
+// places its sets afresh, by the new modulus or a fresh owner table's first
+// touch, so a set last run on a retired delegate lands on a survivor.
+// Checked mode panics if a parked delegate's lane ledger is unbalanced
+// ("traffic survived a retired delegate").
 //
 // The resize determinism tests pin that a run whose pool is resized up
 // and down mid-stream produces byte-identical per-set operation logs to a

@@ -36,10 +36,20 @@ func TestServeHTTPZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled zero-alloc gate not meaningful under -race")
 	}
-	for _, durableOn := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%v", durableOn), func(t *testing.T) {
-			cfg := Config{EpochInterval: time.Hour, Handler: constHandler}
-			if durableOn {
+	for _, tc := range []struct {
+		name      string
+		durableOn bool
+		rate      float64
+	}{
+		{"durable=false", false, 0},
+		{"durable=true", true, 0},
+		// A rate so high every request is admitted: the bucket on the
+		// Session is checked and spent on every request.
+		{"rate=1e9", false, 1e9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{EpochInterval: time.Hour, Handler: constHandler, Rate: tc.rate}
+			if tc.durableOn {
 				cfg.StateFS, cfg.Fsync = durable.NewMemFS(), durable.FsyncRotation
 			}
 			s := newTestServer(t, cfg)

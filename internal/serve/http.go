@@ -118,9 +118,12 @@ func (s *Server) release() {
 
 // ServeHTTP is the request path: admission gates (cheap rejects that
 // never touch the role), then the caller takes the role to delegate its
-// own job and waits for the answer. The gates run in rejection-cost
-// order — inflight budget, token bucket, poison check — so overload is
-// repelled before per-key state is consulted.
+// own job and waits for the answer. Off the role run only the two gates
+// that need no per-key state — the inflight budget, then the lock-free
+// poison query — so overload is repelled before anything else is paid.
+// Every per-key gate runs at delivery, under the role: expired budget,
+// poisoned, then the degraded mark and the token bucket on the key's
+// Session.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if refusal := s.admit(); refusal != "" {
 		s.metrics.admissionRejects.Add(1)
@@ -131,12 +134,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	key := s.cfg.KeyFunc(r)
 	set := prometheus.StringSet(key)
-
-	if s.limiter != nil && !s.limiter.allow(set) {
-		s.metrics.rateRejects.Add(1)
-		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-		return
-	}
 
 	if s.rt.Poisoned(set) {
 		// Fast path: the key faulted earlier this epoch. Fail with the
@@ -188,6 +185,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "key %q degraded: persistently slow; shed until the next epoch rotation\n", key)
+	case outcomeLimited:
+		s.metrics.rateRejects.Add(1)
+		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 	default: // outcomeDropped
 		// The key was poisoned before this request's operation could run;
 		// the operation was deterministically dropped (delivery fast path or

@@ -31,7 +31,7 @@ type metrics struct {
 	served           atomic.Uint64 // requests answered by their backend
 	droppedJobs      atomic.Uint64 // jobs resolved dropped (poison fast path or epoch sweep)
 	admissionRejects atomic.Uint64 // 503s: inflight budget, draining
-	rateRejects      atomic.Uint64 // 429s: per-set token bucket
+	rateRejects      atomic.Uint64 // 429s: the key's token bucket, at delivery
 	poisonRejects    atomic.Uint64 // fast-path 500s: key already poisoned at admission
 	faultResponses   atomic.Uint64 // 500s after delegation: faulted or dropped
 	expired          atomic.Uint64 // 504s: request budget exhausted (delivery, queue front, backend, sweep)
@@ -39,7 +39,6 @@ type metrics struct {
 	retries          atomic.Uint64 // retry attempts armed after backend failures
 	backendFailures  atomic.Uint64 // backend error returns (pre-retry; includes all-gated)
 	degradedKeys     atomic.Uint64 // keys degraded by the watchdog (cumulative trips)
-	bucketsEvicted   atomic.Uint64 // idle rate-limit buckets evicted at rotations
 
 	// Durability (zero unless Config.StateFS is set — see durability.go).
 	snapshots        atomic.Uint64 // snapshot generations committed
@@ -86,7 +85,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ss_requests_served_total", "Requests answered by their handler.", m.served.Load())
 	counter("ss_requests_dropped_total", "Requests resolved dropped on a poisoned set.", m.droppedJobs.Load())
 	counter("ss_admission_rejects_total", "Requests rejected 503 at admission (budget, draining).", m.admissionRejects.Load())
-	counter("ss_ratelimit_rejects_total", "Requests rejected 429 by the per-set token bucket.", m.rateRejects.Load())
+	counter("ss_ratelimit_rejects_total", "Requests rejected 429 by their key's token bucket.", m.rateRejects.Load())
 	counter("ss_poisoned_rejects_total", "Requests rejected 500 at admission on an already-poisoned key.", m.poisonRejects.Load())
 	counter("ss_fault_responses_total", "Requests answered 500 after delegation (faulted or dropped).", m.faultResponses.Load())
 	counter("ss_requests_expired_total", "Requests answered 504: budget exhausted before a backend answer.", m.expired.Load())
@@ -94,7 +93,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ss_retries_total", "Retry attempts armed after backend failures.", m.retries.Load())
 	counter("ss_backend_failures_total", "Backend error returns (before retry resolution).", m.backendFailures.Load())
 	counter("ss_degraded_keys_total", "Keys degraded by the slow-key watchdog.", m.degradedKeys.Load())
-	counter("ss_ratelimit_evicted_total", "Idle rate-limit buckets evicted at epoch rotations.", m.bucketsEvicted.Load())
 
 	if s.store != nil {
 		counter("ss_snapshots_total", "Session snapshot generations committed.", m.snapshots.Load())
@@ -188,9 +186,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Serialization sets poisoned in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.rt.PoisonedCount())
 	fmt.Fprintf(&b, "# HELP ss_degraded_keys Keys currently shed by the slow-key watchdog.\n# TYPE ss_degraded_keys gauge\nss_degraded_keys %d\n", s.degraded.Load())
-	if s.limiter != nil {
-		fmt.Fprintf(&b, "# HELP ss_ratelimit_buckets Live per-key token buckets.\n# TYPE ss_ratelimit_buckets gauge\nss_ratelimit_buckets %d\n", s.limiter.size())
-	}
 
 	st := s.Stats()
 	counter("ss_runtime_panics_total", "Delegated-operation panics contained by the engine.", st.Panics)

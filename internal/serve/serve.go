@@ -19,7 +19,7 @@
 // waits for the job's done signal — two goroutine hand-offs per request:
 //
 //	handler goroutine (holds the role to delegate)        delegate
-//	  admission / rate gates; job from the pool
+//	  inflight / poison gates; job from the pool
 //	  role.Lock → deliver → DelegateTo(set, job.run) ───▶ handler fn
 //	  role.Unlock; <-job.done ◀──────────────────────────  finish
 //	  read the answer; job back to the pool
@@ -62,15 +62,14 @@
 // the barrier proves the pool quiescent, dropped and expired jobs are
 // swept to definitive answers, the stats snapshot is republished,
 // BeginIsolation clears the poison table so a faulted key starts serving
-// again (its fault records remain queryable), a new watchdog epoch heals
-// degraded keys, and the rate limiter evicts idle buckets. A rotation holds
-// the role across its barrier, so callers wait on the mutex meanwhile; what
-// bounds that blip, and overload generally, is the inflight budget
-// (requests past it are refused before they touch the role) and the
-// bounded program lane a role holder blocks on when a delegate falls
-// behind: one 256-slot ring, since a stealing runtime keeps the one-ring
-// program lane. Everything delegated before the barrier is already in
-// delegate queues, which the barrier itself drains.
+// again (its fault records remain queryable), and a new watchdog epoch
+// heals degraded keys. A rotation holds the role across its barrier, so
+// callers wait on the mutex meanwhile; what bounds that blip, and overload
+// generally, is the inflight budget (requests past it are refused before
+// they touch the role) and the bounded program lane a role holder blocks
+// on when a delegate falls behind: one 256-slot ring, since a stealing
+// runtime keeps the one-ring program lane. Everything delegated before the
+// barrier is already in delegate queues, which the barrier itself drains.
 //
 // Between the role holder and the work it delegates sits the robustness
 // layer (backend.go, breaker.go, deadline.go): a pluggable Backend
@@ -85,11 +84,11 @@
 // to 503 sheds instead of letting it starve its set's epoch-mates.
 //
 // Config carries only what a caller chooses. The rest of the tier's shape
-// is constants: the per-key token bucket holds rateBurst (10) requests,
-// retry backoff doubles from retryBase (2ms) to retryCap (250ms) for the
-// requests idempotent accepts, the watchdog degrades a key after slowTrips
-// (3) slow services, latency is metered over latencyShards (8) set shards,
-// the autoscaler steps no lower than minDelegates (1) with
+// is constants: the token bucket on each key's Session holds rateBurst (10)
+// requests, retry backoff doubles from retryBase (2ms) to retryCap (250ms)
+// for the requests idempotent accepts, the watchdog degrades a key after
+// slowTrips (3) slow services, latency is metered over latencyShards (8)
+// set shards, the autoscaler steps no lower than minDelegates (1) with
 // autoscaleCooldown (3) rotations between steps, and Drain reports
 // stragglers after DrainTimeout (5s).
 package serve
@@ -131,6 +130,34 @@ type Session struct {
 	// the slow run, its epoch, and the epoch the key was degraded in.
 	slowRun, slowEpoch uint32
 	degradedIn         atomic.Uint32 // read by delivery; 0 = never
+
+	// Token bucket for Config.Rate, touched only by the role holder at
+	// delivery and never encoded (see takeToken). The zero value is a full
+	// bucket, so new and recovered sessions need no set-up.
+	spent   float64       // tokens taken and not yet refilled
+	spentAt time.Duration // when spent was last brought up to date, since rateClock
+}
+
+// rateBurst is the token bucket's capacity: a key may spend this many
+// requests at once before Config.Rate paces it.
+const rateBurst = 10
+
+// rateClock is the origin of Session.spentAt: one monotonic reading, so a
+// bucket's timestamp fits in a Duration.
+var rateClock = time.Now()
+
+// takeToken refills the session's bucket by rate tokens a second since
+// the last call, to at most rateBurst, and spends one if there is one.
+// now is read by the role holder, so refill never sees time run
+// backwards. Holds the role.
+func (sess *Session) takeToken(now time.Duration, rate float64) bool {
+	sess.spent = max(0, sess.spent-(now-sess.spentAt).Seconds()*rate)
+	sess.spentAt = now
+	if sess.spent > rateBurst-1 {
+		return false
+	}
+	sess.spent++
+	return true
 }
 
 // Handler executes one request against its key's session, on a delegate
@@ -171,8 +198,12 @@ type Config struct {
 	// behind parks the role holder before admission refuses anyone.
 	// Default 1024.
 	MaxInflight int
-	// Rate configures the per-set token bucket, in requests/second; the
-	// bucket holds rateBurst (10) requests. Rate 0 disables rate limiting.
+	// Rate configures each key's token bucket, in requests/second; the
+	// bucket holds rateBurst (10) requests. It lives on the key's Session
+	// and is checked at delivery, under the role: a request's first attempt
+	// spends one token (a retry spends none) or is answered 429. Buckets are
+	// not persisted, so a restart refills them. Rate 0 disables rate
+	// limiting.
 	Rate float64
 	// EpochInterval is the rotation period — the poison-repair and
 	// dropped-job-sweep cadence. Default 100ms.
@@ -266,7 +297,7 @@ func defaultKey(r *http.Request) string {
 }
 
 // Job outcomes, CAS-guarded: exactly one of the delegated operation,
-// delivery's fast-path finishes (poisoned, degraded, expired at delivery),
+// delivery's fast-path finishes (expired, poisoned, degraded, rate-limited),
 // and the epoch sweep wins, and the winner signals done.
 const (
 	outcomePending uint64 = iota
@@ -275,6 +306,7 @@ const (
 	outcomeDropped        // delegation dropped on a poisoned set (delivery fast path or engine seam + sweep)
 	outcomeExpired        // request budget expired before the backend could answer (504)
 	outcomeShed           // slow-key watchdog degraded the key (503)
+	outcomeLimited        // the key's token bucket was empty at delivery (429)
 
 	// A job's state word is incarnation<<outcomeBits | outcome.
 	outcomeBits = 3
@@ -374,7 +406,6 @@ func (s *Server) recycle(j *job) {
 type Server struct {
 	cfg     Config
 	metrics *metrics
-	limiter *limiter
 
 	// inflight is the admission word: the number of requests admitted and
 	// not yet answered, plus drainingBit once Drain has closed admission.
@@ -456,9 +487,6 @@ func New(cfg Config) (*Server, error) {
 		epoch:    1,
 	}
 	s.jobs.New = s.newJob
-	if cfg.Rate > 0 {
-		s.limiter = newLimiter(cfg.Rate, rateBurst)
-	}
 	if cfg.StateFS != nil {
 		// Recovery runs first: the session table must be rebuilt before the
 		// first request can be admitted, and a state store that cannot take
@@ -519,10 +547,11 @@ func (s *Server) enter(j *job) {
 	s.role.Unlock()
 }
 
-// deliver routes one job: deadline and degradation fast paths, poisoned
-// fast path, session lookup, delegation. Handles both fresh arrivals and
-// retry re-entries (retryArmed is cleared here — from this point the job
-// is in flight again). Holds the role.
+// deliver routes one job: the expired and poisoned fast paths, session
+// lookup, the per-key gates read from the Session (degraded, then rate),
+// delegation. Handles both fresh arrivals and retry re-entries (retryArmed
+// is cleared here — from this point the job is in flight again). Holds the
+// role.
 func (s *Server) deliver(j *job) {
 	if s.stopped {
 		return // only after kill: Drain stops once nothing is left to deliver
@@ -560,6 +589,12 @@ func (s *Server) deliver(j *job) {
 		if j.finish(outcomeShed) {
 			s.metrics.shedDegraded.Add(1)
 		}
+		return
+	}
+	if j.attempt == 0 && s.cfg.Rate > 0 && !sess.takeToken(time.Since(rateClock), s.cfg.Rate) {
+		// The key spent its bucket: 429 without paying a delegation. Only a
+		// first attempt spends a token; a retry already paid with it.
+		j.finish(outcomeLimited)
 		return
 	}
 	j.sess = sess
@@ -688,8 +723,8 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 // poison seam (their done signals would otherwise never come), the
 // stats snapshot republishes, and BeginIsolation clears the poison table
 // so faulted keys resume serving. Rotation is also the tier's maintenance
-// cadence: a new watchdog epoch heals degraded keys and restarts slow runs,
-// and the rate limiter evicts idle buckets. Holds the role.
+// cadence: a new watchdog epoch heals degraded keys and restarts slow runs.
+// Holds the role.
 func (s *Server) rotate() {
 	// Occupancy is sampled BEFORE the barrier: the closing epoch's backlog
 	// is the load signal, and the barrier is about to drain it to zero.
@@ -703,9 +738,6 @@ func (s *Server) rotate() {
 			sess.degradedIn.Store(0)
 		}
 		s.epoch = 1
-	}
-	if s.limiter != nil {
-		s.metrics.bucketsEvicted.Add(uint64(s.limiter.sweep(time.Now())))
 	}
 	// The barrier just proved the pool quiescent: no delegate is mutating
 	// any Session, so this window is a consistent cut across every key —

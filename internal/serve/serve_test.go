@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	prometheus "repro"
+	"repro/internal/chaos"
 )
 
 // testHandler is the ordering probe: it returns the session's sequence
@@ -260,33 +263,115 @@ func TestPoisonedSessionIsolation(t *testing.T) {
 	}
 }
 
-// TestAdmissionAndRateLimiting checks the reject gates: the token bucket
-// serves a hammered key its rateBurst requests, then 429s it without
-// touching its siblings.
+// TestAdmissionAndRateLimiting checks the token bucket at the HTTP
+// surface: each key's bucket lives on its Session and is checked at
+// delivery, so these drive whole requests through ServeHTTP.
 func TestAdmissionAndRateLimiting(t *testing.T) {
-	s := newTestServer(t, Config{
-		EpochInterval: 5 * time.Millisecond,
-		Rate:          1, // one request/sec per key: no token refills within the burst
-	})
-	h := s.Handler()
-
-	for i := 0; i < rateBurst; i++ {
-		if code, _ := get(t, h, "/bump", "hammered", nil); code != http.StatusOK {
-			t.Fatalf("request %d of the burst: status %d, want 200", i+1, code)
+	// spendBurst spends key's full bucket and checks the next request is
+	// refused.
+	spendBurst := func(t *testing.T, h http.Handler, key string) {
+		t.Helper()
+		for i := 0; i < rateBurst; i++ {
+			if code, _ := get(t, h, "/bump", key, nil); code != http.StatusOK {
+				t.Fatalf("request %d of the burst: status %d, want 200", i+1, code)
+			}
+		}
+		if code, body := get(t, h, "/bump", key, nil); code != http.StatusTooManyRequests || body != "rate limit exceeded\n" {
+			t.Fatalf("request %d: %d %q, want 429 once the bucket of %d is spent", rateBurst+1, code, body, rateBurst)
 		}
 	}
-	if code, _ := get(t, h, "/bump", "hammered", nil); code != http.StatusTooManyRequests {
-		t.Fatalf("request %d: status %d, want 429 once the bucket of %d is spent", rateBurst+1, code, rateBurst)
-	}
-	if code, _ := get(t, h, "/bump", "innocent", nil); code != http.StatusOK {
-		t.Errorf("sibling key rate-limited alongside the hammered one")
-	}
-	if n := s.metrics.rateRejects.Load(); n != 1 {
-		t.Errorf("rate rejects counted %d, want 1", n)
-	}
-	if err := s.Drain(); err != nil {
-		t.Errorf("drain: %v", err)
-	}
+
+	// A hammered key is served its rateBurst requests, then 429s without
+	// touching its siblings.
+	t.Run("burst", func(t *testing.T) {
+		s := newTestServer(t, Config{
+			EpochInterval: 5 * time.Millisecond,
+			Rate:          1, // one request/sec per key: no token refills within the burst
+		})
+		h := s.Handler()
+		spendBurst(t, h, "hammered")
+		if code, _ := get(t, h, "/bump", "innocent", nil); code != http.StatusOK {
+			t.Errorf("sibling key rate-limited alongside the hammered one")
+		}
+		if n := s.metrics.rateRejects.Load(); n != 1 {
+			t.Errorf("rate rejects counted %d, want 1", n)
+		}
+		if err := s.Drain(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+
+	// 1/Rate after the bucket ran dry it holds exactly one token again.
+	t.Run("refill", func(t *testing.T) {
+		const rate = 4 // a token every 250ms
+		s := newTestServer(t, Config{EpochInterval: 5 * time.Millisecond, Rate: rate})
+		defer s.Drain()
+		h := s.Handler()
+		spendBurst(t, h, "paced")
+		time.Sleep(time.Second / rate)
+		if code, _ := get(t, h, "/bump", "paced", nil); code != http.StatusOK {
+			t.Fatalf("after 1/Rate: status %d, want 200 on the refilled token", code)
+		}
+		if code, _ := get(t, h, "/bump", "paced", nil); code != http.StatusTooManyRequests {
+			t.Fatalf("second request after 1/Rate: status %d, want 429 (one token refilled, not two)", code)
+		}
+	})
+
+	// Concurrent callers on one key race for its bucket through the role:
+	// exactly rateBurst of them are admitted.
+	t.Run("concurrency", func(t *testing.T) {
+		s := newTestServer(t, Config{EpochInterval: 5 * time.Millisecond, Rate: 0.01})
+		defer s.Drain()
+		h := s.Handler()
+		const callers, each = 16, 4
+		var ok, limited atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					switch code, _ := get(t, h, "/bump", "contended", nil); code {
+					case http.StatusOK:
+						ok.Add(1)
+					case http.StatusTooManyRequests:
+						limited.Add(1)
+					default:
+						t.Errorf("status %d", code)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if ok.Load() != rateBurst || limited.Load() != callers*each-rateBurst {
+			t.Fatalf("%d callers x %d requests: %d admitted, %d limited; want %d admitted",
+				callers, each, ok.Load(), limited.Load(), rateBurst)
+		}
+		if n := s.metrics.rateRejects.Load(); n != callers*each-rateBurst {
+			t.Errorf("rate rejects counted %d, want %d", n, callers*each-rateBurst)
+		}
+	})
+
+	// A request whose first backend attempt fails and is served on retry
+	// spends one token, not two: the retry is delivered again but pays no
+	// token, so rateBurst-1 more requests fit in the bucket.
+	t.Run("retry-spends-one-token", func(t *testing.T) {
+		const key = "retried"
+		s := newTestServer(t, Config{
+			Backend: &ChaosBackend{
+				Inner:  NewHandlerBackend("inner", testHandler),
+				Errors: chaos.ErrorAt(prometheus.StringSet(key), 1),
+			},
+			RetryMax: 1,
+			Rate:     0.01,
+		})
+		defer s.Drain()
+		h := s.Handler()
+		spendBurst(t, h, key)
+		if n := s.metrics.retries.Load(); n != 1 {
+			t.Fatalf("retries %d, want 1: the first request's first attempt should have failed", n)
+		}
+	})
 
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted a config with no handler")

@@ -4,7 +4,13 @@
 // sequential and the force/integrate phase is data parallel over the
 // bodies with the tree read-only — the structure all three implementations
 // share, so their outputs are bit-identical (per-body force accumulation
-// order is the deterministic tree traversal order).
+// order is the order of the force loop's walk, the same in all three).
+//
+// The tree is one slice of cells and body occupants in depth-first
+// preorder, each node holding the end of its subtree's run, so Force is a
+// single loop. A run builds it into arenas kept across steps. That reuse
+// is §2.2's alternating partition: the tree is rewritten only between
+// isolation epochs, after the barrier retired every reader of the last one.
 package barneshut
 
 import (
@@ -50,7 +56,7 @@ func clone(in *Input) ([]Body, []*Body) {
 
 // forceRange computes accelerations for bodies [lo, hi) against the tree,
 // storing into accs.
-func forceRange(root *Node, ptrs []*Body, accs []Vec3, lo, hi int) {
+func forceRange(root *Tree, ptrs []*Body, accs []Vec3, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		accs[i] = root.Force(ptrs[i])
 	}

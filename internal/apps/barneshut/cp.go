@@ -11,9 +11,10 @@ func RunCP(in *Input, workers int) *Output {
 	}
 	bodies, ptrs := clone(in)
 	accs := make([]Vec3, len(ptrs))
+	var bd builder
 	n := len(ptrs)
 	for step := 0; step < in.Steps; step++ {
-		root := BuildTree(ptrs)
+		root := bd.build(ptrs)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo, hi := n*w/workers, n*(w+1)/workers

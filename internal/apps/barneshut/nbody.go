@@ -1,12 +1,16 @@
 package barneshut
 
-// The Barnes–Hut N-body kernel: octree construction, multipole-approximate
-// force evaluation and leapfrog integration. The structure follows the
-// Lonestar benchmark the paper ports: per step, a sequential tree build
-// followed by a parallel force/update phase over the bodies, with the tree
-// read-only during the parallel phase.
+// The Barnes–Hut N-body kernel, after the Lonestar benchmark the paper
+// ports: per step a sequential octree build, then a parallel force/update
+// phase with the tree read-only. The build inserts body indices into an
+// index-linked cell arena and writes it out as a flat preorder slice; the
+// force walk is one loop over that slice. A run's builder keeps both
+// arenas across its steps (the package doc says why that is safe).
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Vec3 is a 3-component vector.
 type Vec3 struct{ X, Y, Z float64 }
@@ -37,32 +41,45 @@ const (
 	G       = 1.0  // gravitational constant (natural units)
 )
 
-// leafEntry is a leaf occupant: a snapshot of the body's position and mass
-// taken at build time, plus the body's identity for self-exclusion. Storing
-// copies makes the finished tree fully immutable, so force evaluation can
-// overlap with integration of other bodies without reading updated state.
-type leafEntry struct {
-	Pos  Vec3
+// node is an entry of a Tree's preorder slice: a cell, or an occupant (a
+// snapshot of one body taken at build time, so the tree never reads a body
+// being integrated). Node i's subtree is the run [i, Skip), and a cell's
+// children follow it in octant order.
+type node struct {
+	COM  Vec3 // an occupant's position
 	Mass float64
-	Ref  *Body
+	Open float64 // (2·Half)² of a cell, 0 for an occupant
+	Skip int32
 }
 
-// Node is an octree cell: either a leaf holding one body (or several
-// coincident ones) or an internal node with up to eight children, carrying
-// total mass and center of mass.
-type Node struct {
-	Center   Vec3    // geometric center of the cell
-	Half     float64 // half the cell edge length
-	Mass     float64
-	COM      Vec3        // center of mass (valid after finalize)
-	Entries  []leafEntry // leaf occupants; len > 1 only for coincident positions
-	Children [8]*Node
-	leaf     bool
+// Tree is a finished octree, read-only in parallel phases.
+type Tree struct {
+	Mass  float64
+	COM   Vec3
+	nodes []node // nodes[0] is the root cell
 }
 
-// BuildTree constructs the octree over the bodies. The tree is immutable
-// after construction (read-only in parallel phases).
-func BuildTree(bodies []*Body) *Node {
+// cell is a cell of the build arena. A child slot is 0 (empty), a child
+// cell's index (> 0), or ^j for the chain of occupants headed by body j.
+type cell struct {
+	center Vec3
+	half   float64
+	kids   [8]int32
+}
+
+// builder owns the arenas a run rebuilds its tree in at every step. The
+// Tree it returns aliases them until the next build.
+type builder struct {
+	cells []cell
+	next  []int32 // chain links by body index; -1 ends a chain
+	stack []int32 // emit's work list
+	tree  Tree
+}
+
+// BuildTree constructs the octree over the bodies, on a builder of its own.
+func BuildTree(bodies []*Body) *Tree { return new(builder).build(bodies) }
+
+func (bd *builder) build(bodies []*Body) *Tree {
 	if len(bodies) == 0 {
 		return nil
 	}
@@ -78,141 +95,133 @@ func BuildTree(bodies []*Body) *Node {
 	}
 	center := min.Add(max).Scale(0.5)
 	half := math.Max(max.X-min.X, math.Max(max.Y-min.Y, max.Z-min.Z))/2 + 1e-9
-	root := &Node{Center: center, Half: half, leaf: true}
-	for _, b := range bodies {
-		root.insert(leafEntry{Pos: b.Pos, Mass: b.Mass, Ref: b})
+	bd.cells = append(bd.cells[:0], cell{center: center, half: half})
+	bd.next = slices.Grow(bd.next[:0], len(bodies))[:len(bodies)]
+	for i := range bodies {
+		bd.insert(bodies, int32(i))
 	}
-	root.finalize()
-	return root
+	bd.emit(bodies)
+	bd.tree.Mass, bd.tree.COM = bd.tree.nodes[0].Mass, bd.tree.nodes[0].COM
+	return &bd.tree
 }
 
-// octant returns the child index for a position within the cell.
-func (n *Node) octant(p Vec3) int {
+// octant returns the child slot for a position within the cell.
+func (c *cell) octant(p Vec3) int {
 	i := 0
-	if p.X >= n.Center.X {
+	if p.X >= c.center.X {
 		i |= 1
 	}
-	if p.Y >= n.Center.Y {
+	if p.Y >= c.center.Y {
 		i |= 2
 	}
-	if p.Z >= n.Center.Z {
+	if p.Z >= c.center.Z {
 		i |= 4
 	}
 	return i
 }
 
-func (n *Node) childCell(i int) *Node {
-	h := n.Half / 2
-	c := n.Center
-	if i&1 != 0 {
-		c.X += h
-	} else {
-		c.X -= h
-	}
-	if i&2 != 0 {
-		c.Y += h
-	} else {
-		c.Y -= h
-	}
-	if i&4 != 0 {
-		c.Z += h
-	} else {
-		c.Z -= h
-	}
-	return &Node{Center: c, Half: h, leaf: true}
-}
-
-func (n *Node) insert(e leafEntry) {
-	if n.leaf {
-		if len(n.Entries) == 0 {
-			n.Entries = append(n.Entries, e)
-			return
-		}
-		// Coincident positions (or a vanishing cell) would split forever;
-		// keep them together in the leaf.
-		if n.Entries[0].Pos == e.Pos || n.Half < 1e-12 {
-			n.Entries = append(n.Entries, e)
-			return
-		}
-		// Split: push the resident entries down, then fall through to
-		// insert e.
-		old := n.Entries
-		n.Entries = nil
-		n.leaf = false
-		for _, oe := range old {
-			oi := n.octant(oe.Pos)
-			if n.Children[oi] == nil {
-				n.Children[oi] = n.childCell(oi)
-			}
-			n.Children[oi].insert(oe)
-		}
-	}
-	i := n.octant(e.Pos)
-	if n.Children[i] == nil {
-		n.Children[i] = n.childCell(i)
-	}
-	n.Children[i].insert(e)
-}
-
-// finalize computes mass and center of mass bottom-up.
-func (n *Node) finalize() {
-	if n.leaf {
-		for _, e := range n.Entries {
-			n.Mass += e.Mass
-		}
-		if len(n.Entries) > 0 {
-			n.COM = n.Entries[0].Pos
-		}
-		return
-	}
-	var com Vec3
-	for _, c := range n.Children {
-		if c == nil {
+// insert descends from the root to the slot body i falls in. An empty slot
+// starts a chain. A coincident body, or any in a cell too small to split,
+// joins the resident chain: either would split forever. Otherwise a new
+// cell takes the resident chain and the descent goes on into it.
+func (bd *builder) insert(bodies []*Body, i int32) {
+	p := bodies[i].Pos
+	for c := int32(0); ; {
+		o := bd.cells[c].octant(p)
+		k := bd.cells[c].kids[o]
+		switch {
+		case k > 0:
+			c = k
 			continue
+		case k == 0 || bodies[^k].Pos == p || bd.cells[c].half/2 < 1e-12:
+			bd.next[i] = ^k // -1 for an empty slot
+			bd.cells[c].kids[o] = ^i
+			return
 		}
-		c.finalize()
-		n.Mass += c.Mass
-		com = com.Add(c.COM.Scale(c.Mass))
+		// Split: the new cell's center is c's, moved ±h along each axis by o's bits.
+		h, sign := bd.cells[c].half/2, func(bit int) float64 { return float64(o>>bit&1)*2 - 1 }
+		sub := cell{center: bd.cells[c].center.Add(Vec3{sign(0), sign(1), sign(2)}.Scale(h)), half: h}
+		sub.kids[sub.octant(bodies[^k].Pos)] = k
+		n := int32(len(bd.cells))
+		bd.cells = append(bd.cells, sub)
+		bd.cells[c].kids[o] = n
+		c = n
 	}
-	if n.Mass > 0 {
-		n.COM = com.Scale(1 / n.Mass)
+}
+
+// closing marks a work-list entry that finishes the cell node at its low
+// bits; other entries are a cell index (≥ 0) or an occupant chain (< 0).
+const closing = 1 << 30
+
+// emit writes the arena out as the preorder slice, in one depth-first walk:
+// a cell's node is appended when the walk reaches it and finished (Skip,
+// Mass, COM) when its run closes, after every node in the run, from its
+// children in octant order.
+func (bd *builder) emit(bodies []*Body) {
+	nodes := bd.tree.nodes[:0]
+	stack := append(bd.stack[:0], 0)
+	for len(stack) > 0 {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		switch {
+		case k < 0:
+			for j := ^k; j >= 0; j = bd.next[j] {
+				nodes = append(nodes, node{COM: bodies[j].Pos, Mass: bodies[j].Mass, Skip: int32(len(nodes)) + 1})
+			}
+		case k >= closing:
+			n := &nodes[k-closing]
+			n.Skip = int32(len(nodes))
+			var com Vec3
+			for j := k - closing + 1; j < n.Skip; j = nodes[j].Skip {
+				n.Mass += nodes[j].Mass
+				com = com.Add(nodes[j].COM.Scale(nodes[j].Mass))
+			}
+			if n.Mass > 0 {
+				n.COM = com.Scale(1 / n.Mass)
+			}
+		default:
+			c := &bd.cells[k]
+			size := 2 * c.half
+			stack = append(stack, int32(len(nodes))|closing)
+			nodes = append(nodes, node{Open: size * size})
+			for o := 7; o >= 0; o-- {
+				if c.kids[o] != 0 {
+					stack = append(stack, c.kids[o])
+				}
+			}
+		}
 	}
+	bd.tree.nodes, bd.stack = nodes, stack
 }
 
 // Force computes the Barnes-Hut approximate gravitational acceleration on a
-// body. The tree is only read; Force on different bodies may run
-// concurrently.
-func (n *Node) Force(b *Body) Vec3 {
-	if n == nil || n.Mass == 0 {
-		return Vec3{}
-	}
-	if n.leaf {
-		var sum Vec3
-		for _, e := range n.Entries {
-			if e.Ref != b {
-				sum = sum.Add(accel(b.Pos, e.Pos, e.Mass))
-			}
-		}
+// body in one loop: a node far enough away (every occupant is) counts as a
+// point mass and the walk skips its run; a near cell is stepped into. b's
+// own occupant adds exactly +0 (d is zero), so it needs no test. Force on
+// different bodies may run concurrently.
+func (t *Tree) Force(b *Body) Vec3 {
+	var sum Vec3
+	if t == nil {
 		return sum
 	}
-	d := n.COM.Sub(b.Pos)
-	dist2 := d.Norm2() + Soften2
-	size := 2 * n.Half
-	if size*size < Theta*Theta*dist2 {
-		return accel(b.Pos, n.COM, n.Mass) // cell is far: use its multipole
-	}
-	var sum Vec3
-	for _, c := range n.Children {
-		if c != nil {
-			sum = sum.Add(c.Force(b))
+	p, nodes := b.Pos, t.nodes
+	for i := int32(0); int(i) < len(nodes); {
+		n := &nodes[i]
+		d := n.COM.Sub(p)
+		dist2 := d.Norm2() + Soften2
+		if n.Open < Theta*Theta*dist2 {
+			sum = sum.Add(accel(d, dist2, n.Mass))
+			i = n.Skip
+		} else {
+			i++
 		}
 	}
 	return sum
 }
 
-func accel(at, from Vec3, mass float64) Vec3 {
-	d := from.Sub(at)
-	dist2 := d.Norm2() + Soften2
+// accel is the acceleration toward a point mass at offset d, at the
+// softened squared distance dist2 = |d|² + Soften2.
+func accel(d Vec3, dist2, mass float64) Vec3 {
 	inv := 1 / math.Sqrt(dist2)
 	return d.Scale(G * mass * inv * inv * inv)
 }
@@ -232,22 +241,22 @@ func BruteForce(bodies []*Body, i int) Vec3 {
 		if j == i {
 			continue
 		}
-		sum = sum.Add(accel(bodies[i].Pos, o.Pos, o.Mass))
+		d := o.Pos.Sub(bodies[i].Pos)
+		sum = sum.Add(accel(d, d.Norm2()+Soften2, o.Mass))
 	}
 	return sum
 }
 
-// Count returns the number of bodies in the subtree (test helper).
-func (n *Node) Count() int {
-	if n == nil {
+// Count returns the number of bodies in the tree (test helper).
+func (t *Tree) Count() int {
+	if t == nil {
 		return 0
 	}
-	if n.leaf {
-		return len(n.Entries)
+	n := 0
+	for i := range t.nodes {
+		if t.nodes[i].Open == 0 {
+			n++
+		}
 	}
-	total := 0
-	for _, c := range n.Children {
-		total += c.Count()
-	}
-	return total
+	return n
 }

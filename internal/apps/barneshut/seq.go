@@ -4,8 +4,9 @@ package barneshut
 func RunSeq(in *Input) *Output {
 	bodies, ptrs := clone(in)
 	accs := make([]Vec3, len(ptrs))
+	var bd builder
 	for step := 0; step < in.Steps; step++ {
-		root := BuildTree(ptrs)
+		root := bd.build(ptrs)
 		forceRange(root, ptrs, accs, 0, len(ptrs))
 		integrateRange(ptrs, accs, 0, len(ptrs))
 	}

@@ -16,6 +16,7 @@ func RunSS(in *Input, delegates int) (*Output, prometheus.Stats) {
 func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	bodies, ptrs := clone(in)
 	accs := make([]Vec3, len(ptrs))
+	var bd builder
 	n := len(ptrs)
 	type rng struct{ lo, hi int }
 	// +1: the program context executes chunks too, at each EndIsolation.
@@ -30,11 +31,12 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 			ws = append(ws, prometheus.NewWritable(rt, rng{lo, hi}))
 		}
 	}
-	treeRO := prometheus.NewReadOnly[*Node](rt, nil)
+	treeRO := prometheus.NewReadOnly[*Tree](rt, nil)
 	for step := 0; step < in.Steps; step++ {
 		// Aggregation: rebuild the tree (the read-only domain mutates only
-		// between isolation epochs).
-		*treeRO.Mut() = BuildTree(ptrs)
+		// between isolation epochs) over the arenas of the last step's,
+		// which EndIsolation left with no reader.
+		*treeRO.Mut() = bd.build(ptrs)
 		rt.BeginIsolation()
 		root := *treeRO.Get()
 		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {

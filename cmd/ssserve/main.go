@@ -115,7 +115,7 @@ func main() {
 
 	// Drain order: stop accepting and wait for inflight HTTP handlers
 	// first (they need the serving tier alive to answer), then drain the
-	// tier itself — final barrier, sweep, terminate.
+	// tier itself — final barrier, snapshot, terminate.
 	ctx, cancel := context.WithTimeout(context.Background(), serve.DrainTimeout+time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

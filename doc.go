@@ -341,20 +341,24 @@
 // let every contained panic pin its captured stack forever. Evicted records are
 // counted in Stats.DroppedFaults; the Panics counter and the poisoning
 // discipline are unaffected, and Err/SetErr describe the most recent
-// faults. SetErr is indexed per set — O(faults on that set) — because the
-// serving tier calls it on every failed request.
+// faults. SetErr scans the ring, so it reads at most 1024 records.
 //
 // # Serving tier
 //
 // internal/serve puts the model in front of HTTP traffic: each request's
 // key hashes to a serialization set (StringSet) and its handler is
 // delegated to that set, so requests for one key run in arrival order on
-// one delegate at a time while different keys run across the pool. The
+// one delegate at a time while different keys run across the pool. It
+// contains its handlers' panics itself rather than through the engine:
+// drop-but-count suits a batch program, but a request tier must answer the
+// requests queued behind a fault, so the delegated operation recovers,
+// poisons the key on its session for the epoch, and every later request
+// for the key answers 500 with the fault instead of being dropped. The
 // package comment there describes the design (the program context as a
-// role, a job's life, rotation as the repair loop, the robustness layer),
-// the note at the top of its durability.go the durable sessions, and
-// Config.Autoscale the autoscaler, which steps the pool through Resize at
-// rotations. cmd/ssserve/README.md covers running it and the load and
+// role, a job's life, faults, rotation as the repair loop, the robustness
+// layer), the note at the top of its durability.go the durable sessions,
+// and Config.Autoscale the autoscaler, which steps the pool through Resize
+// at rotations. cmd/ssserve/README.md covers running it and the load and
 // crash drills.
 //
 // # Elastic runtime

@@ -126,6 +126,6 @@ func main() {
 		return
 	}
 	st := srv.Stats()
-	fmt.Printf("drained cleanly: epochs=%d delegations=%d steals=%d panics=%d dropped=%d\n",
-		st.Epochs, st.Delegations, st.Steals, st.Panics, st.DroppedOps)
+	fmt.Printf("drained cleanly: epochs=%d delegations=%d steals=%d\n",
+		st.Epochs, st.Delegations, st.Steals)
 }

@@ -79,14 +79,14 @@ func TestDelegateCallTraced(t *testing.T) {
 	if got := sum.Load(); got != n*epochs {
 		t.Fatalf("sum = %d, want %d", got, n*epochs)
 	}
-	bySet := map[uint64]int{}
+	perSet := map[uint64]int{}
 	for _, ev := range rt.TraceEvents() {
 		if ev.Kind == TraceExec {
-			bySet[ev.Set]++
+			perSet[ev.Set]++
 		}
 	}
-	if bySet[1] != n*epochs || bySet[2] != n*epochs || len(bySet) != 2 {
-		t.Fatalf("exec events by set = %v, want %d each for sets 1 and 2", bySet, n*epochs)
+	if perSet[1] != n*epochs || perSet[2] != n*epochs || len(perSet) != 2 {
+		t.Fatalf("exec events by set = %v, want %d each for sets 1 and 2", perSet, n*epochs)
 	}
 	if perOp := perEpoch / (2 * n); perOp >= 0.5 {
 		t.Fatalf("traced delegation allocates %.2f objects per operation, want none per operation", perOp)

@@ -73,13 +73,6 @@ type faultState struct {
 	// record.
 	records []*PanicFault
 	head    int
-	// bySet indexes the live records by serialization set, so the serving
-	// tier's per-failed-request SetFaults/SetErr lookups walk only that
-	// set's faults instead of every fault the runtime ever contained.
-	// Slices hold records in containment order; ring eviction pops the
-	// global oldest record, which is by construction the head of its set's
-	// slice.
-	bySet map[uint64][]*PanicFault
 
 	panics       atomic.Uint64 // contained panics (Stats.Panics)
 	poisonedSets atomic.Uint64 // sets ever poisoned (Stats.PoisonedSets)
@@ -87,30 +80,15 @@ type faultState struct {
 	droppedRec   atomic.Uint64 // fault records evicted by the ring bound (Stats.DroppedFaults)
 }
 
-// addRecord appends f to the bounded record ring and the per-set index.
-// Caller holds fs.mu.
+// addRecord appends f to the bounded record ring. Caller holds fs.mu.
 func (fs *faultState) addRecord(f *PanicFault) {
 	if len(fs.records) >= DefaultFaultRecordBound {
-		old := fs.records[fs.head]
 		fs.records[fs.head] = f
 		fs.head = (fs.head + 1) % DefaultFaultRecordBound
-		fs.evictFromIndex(old)
 		fs.droppedRec.Add(1)
 	} else {
 		fs.records = append(fs.records, f)
 	}
-	fs.bySet[f.Set] = append(fs.bySet[f.Set], f)
-}
-
-// evictFromIndex removes the globally-oldest record — the head of its set's
-// slice — from the per-set index. Caller holds fs.mu.
-func (fs *faultState) evictFromIndex(old *PanicFault) {
-	s := fs.bySet[old.Set]
-	if len(s) <= 1 {
-		delete(fs.bySet, old.Set)
-		return
-	}
-	fs.bySet[old.Set] = s[1:]
 }
 
 // snapshotRecords returns the live records oldest-first. Caller holds fs.mu.
@@ -146,7 +124,7 @@ func (rt *Runtime) ensureFaults() *faultState {
 	if fs := rt.faults.Load(); fs != nil {
 		return fs
 	}
-	fs := &faultState{bySet: make(map[uint64][]*PanicFault)}
+	fs := &faultState{}
 	if rt.faults.CompareAndSwap(nil, fs) {
 		return fs
 	}
@@ -231,10 +209,10 @@ func (rt *Runtime) Faults() []PanicFault {
 }
 
 // SetFaults returns the retained contained panics recorded against one
-// serialization set (across all epochs); nil when the set never faulted —
-// O(faults on that set) via the per-set index, not O(all faults), because
-// the serving tier calls this on every failed request. Safe from any
-// goroutine, like Faults.
+// serialization set (across all epochs), in containment order; nil when
+// the set never faulted. It scans the bounded ring, so it costs
+// O(DefaultFaultRecordBound) at most. Safe from any goroutine, like
+// Faults.
 func (rt *Runtime) SetFaults(set uint64) []PanicFault {
 	fs := rt.faults.Load()
 	if fs == nil {
@@ -242,10 +220,9 @@ func (rt *Runtime) SetFaults(set uint64) []PanicFault {
 	}
 	var out []PanicFault
 	fs.mu.Lock()
-	if recs := fs.bySet[set]; len(recs) > 0 {
-		out = make([]PanicFault, len(recs))
-		for i, f := range recs {
-			out[i] = *f
+	for i := range fs.records {
+		if f := fs.records[(fs.head+i)%len(fs.records)]; f.Set == set {
+			out = append(out, *f)
 		}
 	}
 	fs.mu.Unlock()
@@ -259,21 +236,4 @@ func (rt *Runtime) SetFaults(set uint64) []PanicFault {
 func (rt *Runtime) Poisoned(set uint64) bool {
 	fs := rt.faults.Load()
 	return fs != nil && fs.lookup(set) != nil
-}
-
-// PoisonedCount reports how many sets are poisoned in the current epoch —
-// the live "how degraded is this runtime right now" gauge the serving
-// tier's health endpoint exposes (Stats.PoisonedSets is the cumulative
-// ever-poisoned counter). Lock-free and safe from any goroutine: the
-// poison table is copy-on-write.
-func (rt *Runtime) PoisonedCount() int {
-	fs := rt.faults.Load()
-	if fs == nil {
-		return 0
-	}
-	m := fs.poisoned.Load()
-	if m == nil {
-		return 0
-	}
-	return len(*m)
 }

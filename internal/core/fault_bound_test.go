@@ -6,7 +6,7 @@ import "testing"
 // and checks the long-runtime contract against the retention bound: fault
 // MEMORY stays bounded (only the most recent records survive), the Panics
 // counter still counts everything, evictions surface in DroppedFaults, and
-// the per-set index agrees exactly with the retained ring.
+// SetFaults agrees exactly with the retained ring.
 func TestFaultRecordBoundRing(t *testing.T) {
 	const (
 		bound       = DefaultFaultRecordBound
@@ -45,8 +45,8 @@ func TestFaultRecordBoundRing(t *testing.T) {
 		}
 		perSet[f.Set]++
 	}
-	// The per-set index must describe exactly the retained ring: same
-	// multiset of records, and nothing for evicted sets.
+	// SetFaults must describe exactly the retained ring: same multiset of
+	// records, and nothing for evicted sets.
 	var indexed int
 	for set, n := range perSet {
 		got := rt.SetFaults(set)
@@ -60,9 +60,9 @@ func TestFaultRecordBoundRing(t *testing.T) {
 	}
 }
 
-// TestSetFaultsIndexEviction checks the ring/index agreement precisely on
-// one set: faults accumulate across epochs, eviction pops the oldest, and
-// a fully-evicted set drops out of the index entirely.
+// TestSetFaultsIndexEviction checks SetFaults against the ring precisely
+// on one set: faults accumulate across epochs, eviction pops the oldest,
+// and a fully-evicted set reports nothing.
 func TestSetFaultsIndexEviction(t *testing.T) {
 	const bound = DefaultFaultRecordBound
 	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded})

@@ -159,72 +159,3 @@ func TestRotationAllocsFollowWhatWasWritten(t *testing.T) {
 		}
 	}
 }
-
-// TestRecycledJobIgnoresStaleEntry drives one job through finish, recycle
-// and reuse with its first incarnation's entry still in epochJobs: neither
-// the sweep nor trackJob's compaction may take the entry for the request
-// that now owns the job.
-func TestRecycledJobIgnoresStaleEntry(t *testing.T) {
-	s := newTestServer(t, Config{EpochInterval: time.Hour})
-	defer s.Drain()
-	j := s.jobs.Get().(*job)
-	first := j.state.Load() >> outcomeBits
-
-	s.role.Lock()
-	s.trackJob(j)
-	s.role.Unlock()
-	if !j.finish(outcomeServed) {
-		t.Fatal("first incarnation did not finish")
-	}
-	if j.finish(outcomeDropped) {
-		t.Fatal("first incarnation finished twice")
-	}
-	<-j.done
-	s.recycle(j)
-
-	// The job is another request's now; the epoch has not rotated, so the
-	// first incarnation's entry is still there.
-	if got := j.state.Load(); got != (first+1)<<outcomeBits {
-		t.Fatalf("state after recycle %#x, want incarnation %d pending", got, first+1)
-	}
-	s.role.Lock()
-	stale := s.epochJobs[0]
-	s.sweepEpochJobs()
-	s.role.Unlock()
-	if stale.j != j || stale.inc != first || stale.pending() {
-		t.Fatalf("stale entry %+v, want the first incarnation, not pending", stale)
-	}
-	if got := j.state.Load(); got != (first+1)<<outcomeBits {
-		t.Errorf("the sweep resolved a recycled job through a stale entry: state %#x", got)
-	}
-	if len(j.done) != 0 {
-		t.Error("the sweep signalled a recycled job through a stale entry")
-	}
-	if j.finishAt(first, outcomeDropped) {
-		t.Error("finishAt resolved an incarnation that had already been answered")
-	}
-
-	// Compaction drops stale entries and keeps live ones.
-	s.role.Lock()
-	s.epochJobs = append(s.epochJobs[:0], trackedJob{j, first}, trackedJob{j, first + 1})
-	s.epochJobs = s.epochJobs[:2:2]
-	s.trackJob(j)
-	n := len(s.epochJobs)
-	s.role.Unlock()
-	if n != 2 {
-		t.Errorf("compaction left %d entries, want the live one and the new one", n)
-	}
-
-	// The sweep still resolves the incarnation it tracked, once.
-	s.role.Lock()
-	s.sweepEpochJobs()
-	s.role.Unlock()
-	if got := j.state.Load(); got != (first+1)<<outcomeBits|outcomeDropped {
-		t.Errorf("state after sweeping the live entry %#x, want incarnation %d dropped", got, first+1)
-	}
-	if len(j.done) != 1 {
-		t.Errorf("%d signals after the sweep, want exactly 1", len(j.done))
-	}
-	<-j.done
-	s.recycle(j)
-}

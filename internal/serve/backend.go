@@ -26,7 +26,8 @@ import (
 // healthy backend answering), a non-nil error means the backend itself
 // failed (connect error, 5xx, timeout, injected chaos). Errors feed the
 // pool's circuit breaker and the tier's retry ladder; panics remain the
-// handler-bug seam and are contained by the engine as before.
+// handler-bug seam, contained by the tier (a 500 that poisons the key for
+// the epoch).
 type Backend interface {
 	// Name identifies the backend in metrics and health reports.
 	Name() string

@@ -372,14 +372,15 @@ func captureEqualsLiveTable(t *testing.T, policy durable.FsyncPolicy) {
 	}
 	st := s1.rt.Stats() // the runtime is abandoned and quiet: nobody else is its program context
 	deferred := s1.metrics.snapshotSkipped.Load()
+	panics := s1.metrics.panics.Load()
 	t.Logf("%d hand-offs, %d checked, %d deferred, %d resizes, %d retries, %d steals, %d panics",
-		cuts, checked, deferred, st.Resizes, s1.metrics.retries.Load(), st.Steals, st.Panics)
+		cuts, checked, deferred, st.Resizes, s1.metrics.retries.Load(), st.Steals, panics)
 	if checked != cuts || checked < 3 {
 		t.Errorf("%d of %d hand-offs checked, want all of at least 3", checked, cuts)
 	}
-	if deferred == 0 || st.Resizes == 0 || s1.metrics.retries.Load() == 0 || st.Panics == 0 {
+	if deferred == 0 || st.Resizes == 0 || s1.metrics.retries.Load() == 0 || panics == 0 {
 		t.Errorf("deferred %d, resizes %d, retries %d, panics %d: the drill missed one of them",
-			deferred, st.Resizes, s1.metrics.retries.Load(), st.Panics)
+			deferred, st.Resizes, s1.metrics.retries.Load(), panics)
 	}
 	live := map[string]uint64{}
 	s1.role.Lock()

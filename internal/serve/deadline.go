@@ -23,10 +23,7 @@ import (
 //     budget: resolve 504 without running the backend),
 //   - inside the backend (ctx carries the deadline; an I/O-bound backend
 //     returns a timeout error, which resolves 504 when the budget is gone
-//     instead of feeding the retry ladder),
-//   - at the epoch sweep (the delegation was dropped on a poison seam and
-//     the budget has expired: the post-barrier sweep resolves 504, the
-//     "definitive answer, never a parked caller" guarantee).
+//     instead of feeding the retry ladder).
 //
 // What the deadline cannot do is preempt a non-cooperative in-process
 // handler mid-run — Go has no goroutine cancellation — so a handler that

@@ -112,6 +112,50 @@ func TestDeadlineQueueFrontShed(t *testing.T) {
 	}
 }
 
+// TestExpiredBeatsPoisoned: a request whose budget is gone answers 504
+// even when its key is poisoned, at the queue front (queued behind the
+// request that panics) and at delivery (waiting for the role).
+func TestExpiredBeatsPoisoned(t *testing.T) {
+	s := newTestServer(t, Config{
+		Handler: func(sess *Session, r *http.Request) (int, string) {
+			if r.Header.Get("X-Slow") == "1" {
+				time.Sleep(80 * time.Millisecond) // past the budget of the request queued behind
+			}
+			return testHandler(sess, r)
+		},
+		RequestTimeout: 40 * time.Millisecond,
+		EpochInterval:  time.Hour,
+	})
+	defer s.Drain()
+	h := s.Handler()
+	codes := make(chan int, 1)
+	go func() {
+		code, _ := get(t, h, "/", "k", map[string]string{"X-Slow": "1", "X-Boom": "1"})
+		codes <- code
+	}()
+	waitQueued(t, s, 1)
+	if code, _ := get(t, h, "/", "k", nil); code != http.StatusGatewayTimeout {
+		t.Errorf("expired at the queue front behind the panic: status %d, want 504", code)
+	}
+	if code := <-codes; code != http.StatusInternalServerError {
+		t.Fatalf("panicking request: status %d, want 500", code)
+	}
+
+	s.role.Lock()
+	go func() {
+		code, _ := get(t, h, "/", "k", nil)
+		codes <- code
+	}()
+	for s.inflight.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	s.role.Unlock()
+	if code := <-codes; code != http.StatusGatewayTimeout {
+		t.Errorf("expired at delivery on the poisoned key: status %d, want 504", code)
+	}
+}
+
 // TestRetryRecoversInjectedFailure: a deterministic chaos error on the
 // key's first backend attempt is healed by one retry — the client sees a
 // plain 200 and the retry counter moves.
@@ -348,14 +392,8 @@ func TestSlowKeyWatchdogCountsATripOnce(t *testing.T) {
 			codes <- code
 		}()
 	}
-	// Every request is delegated (tracked for the epoch sweep) before the
-	// first one may finish.
-	for delegated := 0; delegated < n; {
-		time.Sleep(time.Millisecond)
-		s.role.Lock()
-		delegated = len(s.epochJobs)
-		s.role.Unlock()
-	}
+	// Every request is delegated before the first one may finish.
+	waitQueued(t, s, n)
 	close(gate)
 	for i := 0; i < n; i++ {
 		if code := <-codes; code != http.StatusOK {

@@ -81,7 +81,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(status)
 	fmt.Fprintf(w, "%s\npoisoned_keys %d\ngated_backends %d\ndegraded_keys %d\n",
-		state, s.rt.PoisonedCount(), gated, s.degraded.Load())
+		state, s.poisonedKeys(), gated, s.degraded.Load())
 	if s.store != nil {
 		// Durability detail: what the last startup rebuilt (and had to
 		// discard), so an operator — or the crash-restart harness — can
@@ -116,14 +116,13 @@ func (s *Server) release() {
 	}
 }
 
-// ServeHTTP is the request path: admission gates (cheap rejects that
-// never touch the role), then the caller takes the role to delegate its
-// own job and waits for the answer. Off the role run only the two gates
-// that need no per-key state — the inflight budget, then the lock-free
-// poison query — so overload is repelled before anything else is paid.
-// Every per-key gate runs at delivery, under the role: expired budget,
-// poisoned, then the degraded mark and the token bucket on the key's
-// Session.
+// ServeHTTP is the request path: the admission gate (a cheap reject that
+// never touches the role), then the caller takes the role to delegate its
+// own job and waits for the answer. Off the role runs only the inflight
+// budget, which needs no per-key state, so overload is repelled before
+// anything else is paid. Every per-key gate runs at delivery, under the
+// role: expired budget, then the poisoned and degraded marks and the token
+// bucket on the key's Session.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if refusal := s.admit(); refusal != "" {
 		s.metrics.admissionRejects.Add(1)
@@ -134,15 +133,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	key := s.cfg.KeyFunc(r)
 	set := prometheus.StringSet(key)
-
-	if s.rt.Poisoned(set) {
-		// Fast path: the key faulted earlier this epoch. Fail with the
-		// fault attached, without taking the role.
-		s.metrics.poisonRejects.Add(1)
-		s.failPoisoned(w, key, set)
-		return
-	}
-
 	j := s.jobs.Get().(*job)
 	j.key, j.set, j.r, j.start = key, set, r, time.Now()
 	if s.cfg.RequestTimeout > 0 {
@@ -157,25 +147,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// The signal is consumed: the answer is read out and the job goes back
 	// to the pool before the response is written.
 	s.metrics.observe(set, time.Since(j.start))
-	outcome, status, body := j.state.Load()&outcomeMask, j.status, j.body
+	outcome, status, body, fault := j.outcome, j.status, j.body, j.fault
 	s.recycle(j)
 	switch outcome {
 	case outcomeServed:
 		s.metrics.served.Add(1)
 		w.WriteHeader(status)
 		io.WriteString(w, body)
-	case outcomeFaulted:
-		// This request's own operation panicked. The engine records the
-		// fault just after our deferred finish ran, so give the record a
-		// moment to land before attaching it.
+	case outcomeFaulted, outcomePoisoned:
+		// This request's own handler panicked, or an earlier request's did
+		// this epoch: either way the 500 carries that fault.
 		s.metrics.faultResponses.Add(1)
-		s.failFaulted(w, key, set)
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.WriteHeader(http.StatusInternalServerError)
+		if outcome == outcomeFaulted {
+			fmt.Fprintf(w, "request for key %q panicked; key poisoned for the current epoch\n", key)
+		} else {
+			fmt.Fprintf(w, "key %q is poisoned for the current epoch; request dropped\n", key)
+		}
+		fmt.Fprintf(w, "fault: %v\n", fault)
 	case outcomeExpired:
 		// The request's budget ran out before a backend could answer — at
-		// delivery, at the queue front behind slower epoch-mates, inside a
-		// deadline-honoring backend, or at the epoch sweep. Definitive by
-		// construction: the winner of the outcome CAS proved no backend
-		// answer is coming.
+		// delivery, at the queue front behind slower epoch-mates, or inside
+		// a deadline-honoring backend.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusGatewayTimeout)
 		fmt.Fprintf(w, "request for key %q exceeded its %v budget\n", key, s.cfg.RequestTimeout)
@@ -185,46 +179,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "key %q degraded: persistently slow; shed until the next epoch rotation\n", key)
-	case outcomeLimited:
+	default: // outcomeLimited
 		s.metrics.rateRejects.Add(1)
 		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-	default: // outcomeDropped
-		// The key was poisoned before this request's operation could run;
-		// the operation was deterministically dropped (delivery fast path or
-		// engine seam + epoch sweep).
-		s.metrics.faultResponses.Add(1)
-		s.failPoisoned(w, key, set)
 	}
 }
 
-// failPoisoned writes the 500 for a request rejected or dropped because
-// its key's set is poisoned, attaching the fault that poisoned it.
-func (s *Server) failPoisoned(w http.ResponseWriter, key string, set uint64) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusInternalServerError)
-	fmt.Fprintf(w, "key %q is poisoned for the current epoch; request dropped\n", key)
-	if err := s.rt.SetErr(set); err != nil {
-		fmt.Fprintf(w, "fault: %v\n", err)
-	}
-}
-
-// failFaulted writes the 500 for the request whose own operation
-// panicked. The fault record is written by the engine's containment
-// handler, which runs AFTER the job's deferred finish woke this
-// goroutine — a bounded wait bridges that gap so the response carries the
-// fault detail instead of racing it.
-func (s *Server) failFaulted(w http.ResponseWriter, key string, set uint64) {
-	var err error
-	for i := 0; i < 100; i++ {
-		if err = s.rt.SetErr(set); err != nil {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusInternalServerError)
-	fmt.Fprintf(w, "request for key %q panicked; key poisoned for the current epoch\n", key)
-	if err != nil {
-		fmt.Fprintf(w, "fault: %v\n", err)
-	}
+// poisonedKeys reports how many keys a handler panic poisoned this epoch.
+func (s *Server) poisonedKeys() int {
+	s.faultMu.Lock()
+	defer s.faultMu.Unlock()
+	return len(s.faults)
 }

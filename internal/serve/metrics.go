@@ -29,12 +29,12 @@ type metrics struct {
 	latency [latencyShards]*prometheus.Histogram // per set-shard, microseconds
 
 	served           atomic.Uint64 // requests answered by their backend
-	droppedJobs      atomic.Uint64 // jobs resolved dropped (poison fast path or epoch sweep)
+	panics           atomic.Uint64 // handler panics contained (each poisons its key)
+	droppedJobs      atomic.Uint64 // 500s unrun on a poisoned key (delivery or queue front)
 	admissionRejects atomic.Uint64 // 503s: inflight budget, draining
 	rateRejects      atomic.Uint64 // 429s: the key's token bucket, at delivery
-	poisonRejects    atomic.Uint64 // fast-path 500s: key already poisoned at admission
-	faultResponses   atomic.Uint64 // 500s after delegation: faulted or dropped
-	expired          atomic.Uint64 // 504s: request budget exhausted (delivery, queue front, backend, sweep)
+	faultResponses   atomic.Uint64 // 500s carrying a fault: faulted or dropped
+	expired          atomic.Uint64 // 504s: request budget exhausted (delivery, queue front, backend)
 	shedDegraded     atomic.Uint64 // 503s: slow-key watchdog shed at delivery
 	retries          atomic.Uint64 // retry attempts armed after backend failures
 	backendFailures  atomic.Uint64 // backend error returns (pre-retry; includes all-gated)
@@ -83,11 +83,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	counter("ss_requests_served_total", "Requests answered by their handler.", m.served.Load())
-	counter("ss_requests_dropped_total", "Requests resolved dropped on a poisoned set.", m.droppedJobs.Load())
+	counter("ss_panics_total", "Handler panics contained by the tier, each poisoning its key for the epoch.", m.panics.Load())
+	counter("ss_requests_dropped_total", "Requests answered 500 unrun because their key was poisoned this epoch.", m.droppedJobs.Load())
 	counter("ss_admission_rejects_total", "Requests rejected 503 at admission (budget, draining).", m.admissionRejects.Load())
 	counter("ss_ratelimit_rejects_total", "Requests rejected 429 by their key's token bucket.", m.rateRejects.Load())
-	counter("ss_poisoned_rejects_total", "Requests rejected 500 at admission on an already-poisoned key.", m.poisonRejects.Load())
-	counter("ss_fault_responses_total", "Requests answered 500 after delegation (faulted or dropped).", m.faultResponses.Load())
+	counter("ss_fault_responses_total", "Requests answered 500 with a fault (faulted or dropped).", m.faultResponses.Load())
 	counter("ss_requests_expired_total", "Requests answered 504: budget exhausted before a backend answer.", m.expired.Load())
 	counter("ss_requests_shed_total", "Requests answered 503 by the slow-key watchdog.", m.shedDegraded.Load())
 	counter("ss_retries_total", "Retry attempts armed after backend failures.", m.retries.Load())
@@ -184,14 +184,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Serialization sets poisoned in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.rt.PoisonedCount())
+	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Keys poisoned by a handler panic in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.poisonedKeys())
 	fmt.Fprintf(&b, "# HELP ss_degraded_keys Keys currently shed by the slow-key watchdog.\n# TYPE ss_degraded_keys gauge\nss_degraded_keys %d\n", s.degraded.Load())
 
 	st := s.Stats()
-	counter("ss_runtime_panics_total", "Delegated-operation panics contained by the engine.", st.Panics)
-	counter("ss_runtime_poisoned_sets_total", "Serialization sets ever poisoned by a contained panic.", st.PoisonedSets)
-	counter("ss_runtime_dropped_ops_total", "Delegations dropped on poisoned sets by the engine.", st.DroppedOps)
-	counter("ss_runtime_dropped_faults_total", "Fault records evicted by the bounded retention ring.", st.DroppedFaults)
 	counter("ss_runtime_steals_total", "Whole-set handoffs by the occupancy-aware rebalancer.", st.Steals)
 	counter("ss_runtime_helped_ops_total", "Delegated operations the program context executed itself while it waited in a barrier.", st.HelpedOps)
 	counter("ss_runtime_sheds_total", "Hand-overs of whole sets from a busy delegate to the waiting program context.", st.Sheds)

@@ -374,41 +374,3 @@ func TestOccupancyCountsCallersWaitingForTheRole(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
-
-// TestEpochJobsStayBounded: the epoch's job list holds what is in flight,
-// not every request the epoch answered — 50 000 requests inside one epoch
-// leave it a few entries long.
-func TestEpochJobsStayBounded(t *testing.T) {
-	s := newTestServer(t, Config{EpochInterval: time.Hour})
-	h := s.Handler()
-	const callers, perCaller = 4, 12_500
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := httptest.NewRequest("GET", "/bump", nil)
-			r.Header.Set("X-Session-Key", fmt.Sprintf("key-%d", c))
-			for i := 0; i < perCaller; i++ {
-				w := httptest.NewRecorder()
-				if h.ServeHTTP(w, r); w.Code != http.StatusOK {
-					t.Errorf("caller %d request %d: status %d", c, i, w.Code)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	s.role.Lock()
-	n, c := len(s.epochJobs), cap(s.epochJobs) // cap never shrinks: it bounds every length the epoch saw
-	s.role.Unlock()
-	if st := s.Stats(); st.Epochs != 1 {
-		t.Fatalf("%d epochs, want the whole run inside one", st.Epochs)
-	}
-	if c > 8*callers {
-		t.Errorf("epochJobs grew to cap %d (len %d) with %d requests in flight at most", c, n, callers)
-	}
-	if err := s.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-}

@@ -6,20 +6,19 @@
 // delegate at a time — per-key causal order with no per-session locks —
 // while requests for different keys run concurrently across the delegate
 // pool, rebalanced by the occupancy-aware whole-set stealer when the key
-// distribution skews. A request that panics is contained by the engine:
-// its key's set is poisoned for the rest of the isolation epoch (those
-// requests fail fast with the fault attached) and every other key keeps
-// serving.
+// distribution skews. A request that panics is contained by the tier: its
+// key is poisoned for the rest of the epoch (its requests fail fast with
+// the fault attached) and every other key keeps serving.
 //
 // The program context is a role, not a goroutine: whoever holds
 // Server.role is the runtime's one producer and the only caller of Runtime
-// methods outside the any-goroutine query surface (Poisoned, SetErr,
-// backlogs, Stats snapshots). A request's own goroutine takes the role
-// after the admission gates, delegates its job, releases the role and
-// waits for the job's done signal — two goroutine hand-offs per request:
+// methods outside the any-goroutine query surface (backlogs, pool size,
+// Stats snapshots). A request's own goroutine takes the role after the
+// admission gate, delegates its job, releases the role and waits for the
+// job's done signal — two goroutine hand-offs per request:
 //
 //	handler goroutine (holds the role to delegate)        delegate
-//	  inflight / poison gates; job from the pool
+//	  inflight gate; job from the pool
 //	  role.Lock → deliver → DelegateTo(set, job.run) ───▶ handler fn
 //	  role.Unlock; <-job.done ◀──────────────────────────  finish
 //	  read the answer; job back to the pool
@@ -32,38 +31,34 @@
 //
 // A job's life. The tier's own request path allocates nothing in steady
 // state: a job comes from a sync.Pool carrying its done signal (a
-// capacity-1 channel) and its delegation callback, both built once. One
-// request is one incarnation of the job, and the incarnation number shares
-// an atomic word with the incarnation's outcome. Whoever resolves the
-// request CASes that word from (incarnation, pending) to (incarnation,
-// outcome) — delivery's fast paths, the delegated operation, or the epoch
-// sweep; exactly one wins — and the winner sends the one signal. From
-// delivery until that send the job belongs to whichever of the role holder,
-// the delegate running it, or its retry timer has it (an armed retry is
-// unfinished, so it is never in the pool); after the send nothing but the
-// waiting handler goroutine may touch it. That goroutine consumes the
-// signal, reads the answer out, advances the incarnation and puts the job
-// back. The epoch's bookkeeping (epochJobs) holds (job, incarnation) pairs,
-// so a pair left behind by an answered request names nothing once the job
-// has moved on: the sweep and the compaction compare the whole word and
-// never resolve, or keep alive, some later request's job.
+// capacity-1 channel) and its delegation callback, both built once. Every
+// request has exactly one resolver: a delivery fast path under the role
+// (expired, poisoned, degraded, rate-limited), or its own delegated
+// operation, which answers it or arms a retry timer that delivers it
+// again. The resolver writes the outcome and the answer and sends the one
+// signal, and the send publishes them. From delivery until that send the
+// job belongs to whichever of the role holder, the delegate running it, or
+// its retry timer has it; after the send nothing but the waiting handler
+// goroutine may touch it. That goroutine consumes the signal, reads the
+// answer out and puts the job back.
 //
-// Request lifecycle around faults. The delegated operation finishes the job
-// from a deferred call, so a panicking handler still completes its own
-// request (defers run during unwinding, before the engine's containment
-// recover). A delegation raced by a poison landing between the role
-// holder's check and the drain seam is dropped-but-counted by the engine
-// and its done signal would never come; those are swept at the next
-// epoch rotation — after the EndIsolation barrier, every job the epoch
-// delegated has either finished or was deterministically dropped, so the
-// sweep is exact, not heuristic.
+// Request lifecycle around faults. The delegated operation contains its
+// handler's panic itself: its deferred recover records the fault in the
+// server's fault table, stamps the key's Session as poisoned in this
+// epoch, and answers its own request with a 500 that carries the fault.
+// Later requests for the key get the same 500 without running: at
+// delivery, under the role, or at the queue front for those already
+// delegated behind the faulting one, which per-set program order runs
+// after it. No operation of the tier panics into the engine, so the engine
+// never drops one of its delegations and no request waits for a rotation
+// to be answered.
 //
 // Epochs rotate on a timer. Rotation is the serving tier's repair loop:
-// the barrier proves the pool quiescent, dropped and expired jobs are
-// swept to definitive answers, the stats snapshot is republished,
-// BeginIsolation clears the poison table so a faulted key starts serving
-// again (its fault records remain queryable), and a new watchdog epoch
-// heals degraded keys. A rotation holds the role across its barrier, so
+// the barrier proves the pool quiescent, the fault table is cleared and
+// the epoch advances, so keys poisoned or degraded in the closing epoch
+// serve again (a new watchdog epoch also restarts slow runs), and the
+// stats snapshot is republished. Nothing is swept: every request already
+// has its resolver. A rotation holds the role across its barrier, so
 // callers wait on the mutex meanwhile; what bounds that blip, and overload
 // generally, is the inflight budget (requests past it are refused before
 // they touch the role) and the bounded program lane a role holder blocks
@@ -76,12 +71,12 @@
 // interface (in-process handlers, HTTP upstream proxies, chaos wrappers)
 // optionally gated per backend by a circuit breaker behind a rotation Pool;
 // per-request deadlines fixed at admission and enforced wherever the tier
-// holds the request (delivery, queue front, backend context, epoch
-// sweep — an expired request resolves to a definitive 504, never a parked
-// caller); retry with capped jittered backoff for idempotent
-// requests, re-delegated under the role so per-key order holds across
-// attempts; and a slow-key watchdog that degrades a persistently-slow key
-// to 503 sheds instead of letting it starve its set's epoch-mates.
+// holds the request (delivery, queue front, backend context — an expired
+// request resolves to a definitive 504, never a parked caller); retry with
+// capped jittered backoff for idempotent requests, re-delegated under the
+// role so per-key order holds across attempts; and a slow-key watchdog
+// that degrades a persistently-slow key to 503 sheds instead of letting it
+// starve its set's epoch-mates.
 //
 // Config carries only what a caller chooses. The rest of the tier's shape
 // is constants: the token bucket on each key's Session holds rateBurst (10)
@@ -98,7 +93,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,10 +121,13 @@ type Session struct {
 	stamp uint32
 	slot  uint32
 
-	// Slow-key watchdog state for one epoch, so never encoded (deadline.go):
-	// the slow run, its epoch, and the epoch the key was degraded in.
+	// Per-epoch state, so never encoded: the slow-key watchdog's slow run,
+	// its epoch, and the epoch the key was degraded in (deadline.go); and
+	// the epoch a handler panic poisoned the key in (see contain). The
+	// stamps are read by delivery, hence atomic; 0 = never.
 	slowRun, slowEpoch uint32
-	degradedIn         atomic.Uint32 // read by delivery; 0 = never
+	degradedIn         atomic.Uint32
+	poisonedIn         atomic.Uint32
 
 	// Token bucket for Config.Rate, touched only by the role holder at
 	// delivery and never encoded (see takeToken). The zero value is a full
@@ -162,7 +160,7 @@ func (sess *Session) takeToken(now time.Duration, rate float64) bool {
 
 // Handler executes one request against its key's session, on a delegate
 // context. It must not retain s or r beyond the call, must not call
-// Runtime methods, and may panic: a panic is contained by the engine,
+// Runtime methods, and may panic: a panic is contained by the tier,
 // fails this request with the fault attached, and poisons the key for the
 // rest of the epoch while every other key keeps serving. When
 // Config.RequestTimeout is set, r is a copy of the request whose
@@ -205,14 +203,14 @@ type Config struct {
 	// not persisted, so a restart refills them. Rate 0 disables rate
 	// limiting.
 	Rate float64
-	// EpochInterval is the rotation period — the poison-repair and
-	// dropped-job-sweep cadence. Default 100ms.
+	// EpochInterval is the rotation period — the cadence at which poisoned
+	// and degraded keys heal. Default 100ms.
 	EpochInterval time.Duration
 	// RequestTimeout is the per-request budget, fixed at admission. A
 	// request whose budget expires before its backend can run resolves to a
-	// definitive 504 (at delivery, at the queue front, or at the epoch
-	// sweep — see deadline.go); a backend running when it expires sees the
-	// deadline on its context. 0 disables deadlines.
+	// definitive 504 (at delivery or at the queue front — see deadline.go);
+	// a backend running when it expires sees the deadline on its context.
+	// 0 disables deadlines.
 	RequestTimeout time.Duration
 	// RetryMax caps retry attempts for idempotent requests (see idempotent)
 	// after backend failures (0 = no retries). The backoff starts at
@@ -296,21 +294,17 @@ func defaultKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// Job outcomes, CAS-guarded: exactly one of the delegated operation,
-// delivery's fast-path finishes (expired, poisoned, degraded, rate-limited),
-// and the epoch sweep wins, and the winner signals done.
-const (
-	outcomePending uint64 = iota
-	outcomeServed         // backend produced a definitive answer (status/body are valid, including 502 on a non-retryable backend failure)
-	outcomeFaulted        // handler panicked; fault contained, set poisoned
-	outcomeDropped        // delegation dropped on a poisoned set (delivery fast path or engine seam + sweep)
-	outcomeExpired        // request budget expired before the backend could answer (504)
-	outcomeShed           // slow-key watchdog degraded the key (503)
-	outcomeLimited        // the key's token bucket was empty at delivery (429)
+// outcome is how a request was resolved; its resolver writes it before
+// the done send (see job).
+type outcome uint8
 
-	// A job's state word is incarnation<<outcomeBits | outcome.
-	outcomeBits = 3
-	outcomeMask = 1<<outcomeBits - 1
+const (
+	outcomeServed   outcome = iota // backend produced a definitive answer (status/body are valid, including 502 on a non-retryable backend failure)
+	outcomeFaulted                 // the handler panicked; fault contained, key poisoned
+	outcomePoisoned                // the key was poisoned earlier this epoch: answered unrun (delivery or queue front)
+	outcomeExpired                 // request budget expired before the backend could answer (504)
+	outcomeShed                    // slow-key watchdog degraded the key (503)
+	outcomeLimited                 // the key's token bucket was empty at delivery (429)
 )
 
 // job is one request's passage through the tier. Jobs are pooled
@@ -324,17 +318,13 @@ type job struct {
 	sess     *Session // the key's session, set by delivery before delegating
 	status   int
 	body     string
+	fault    *prometheus.PanicError // the fault a 500 carries (outcomeFaulted, outcomePoisoned)
+	outcome  outcome
 	start    time.Time
 	deadline time.Time // zero = no budget (Config.RequestTimeout off)
 
-	// state holds the job's incarnation and this incarnation's outcome in
-	// one word, so resolving a job and checking that it is still the request
-	// the resolver tracked are one CAS: a stale (job, incarnation) left in
-	// Server.epochJobs can neither finish nor be mistaken for the request
-	// that reused the job. recycle advances the incarnation.
-	state atomic.Uint64
-	// done carries one signal per incarnation: the finish CAS has one
-	// winner, the winner sends once, and the waiter consumes the signal
+	// done carries the one signal of a request: its one resolver sends it
+	// after writing the outcome and the answer, and the waiter consumes it
 	// before it recycles the job — capacity 1, never closed, empty in the
 	// pool.
 	done chan struct{}
@@ -346,42 +336,15 @@ type job struct {
 	// delegate arming a retry, read at redelivery; starting the retry timer
 	// carries the happens-before edge.
 	attempt int
-	// retryArmed marks a job owned by its retry timer: not finished, not
-	// in flight, waiting for the timer to re-deliver it. The epoch sweep
-	// skips armed jobs (their delegation completed — the barrier proved
-	// it — and the timer will re-deliver them); delivery clears the flag.
-	// An armed job is unfinished, so it is never in the pool.
-	retryArmed atomic.Bool
 }
 
-// finish resolves the job's current incarnation to outcome o exactly once;
-// the winning caller signals done and wakes the handler goroutine, which
-// may recycle the job at once — the caller must not touch j afterwards.
-// For the paths that own the job: delivery, and the delegated operation.
-func (j *job) finish(o uint64) bool {
-	return j.finishAt(j.state.Load()>>outcomeBits, o)
+// finish resolves the job to outcome o and wakes the handler goroutine,
+// which may recycle the job at once — the caller must not touch j
+// afterwards. Only the request's one resolver calls it.
+func (j *job) finish(o outcome) {
+	j.outcome = o
+	j.done <- struct{}{}
 }
-
-// finishAt is finish for a holder of a possibly stale reference (the epoch
-// sweep): it resolves the job only if it is still pending in incarnation
-// inc.
-func (j *job) finishAt(inc, o uint64) bool {
-	if j.state.CompareAndSwap(inc<<outcomeBits, inc<<outcomeBits|o) {
-		j.done <- struct{}{}
-		return true
-	}
-	return false
-}
-
-// trackedJob is an epochJobs entry: a job and the incarnation that was
-// delegated. The entry is live while the job's state word equals
-// inc<<outcomeBits (that incarnation, still pending).
-type trackedJob struct {
-	j   *job
-	inc uint64
-}
-
-func (t trackedJob) pending() bool { return t.j.state.Load() == t.inc<<outcomeBits }
 
 // newJob is the job pool's constructor.
 func (s *Server) newJob() any {
@@ -390,12 +353,10 @@ func (s *Server) newJob() any {
 	return j
 }
 
-// recycle returns an answered job to the pool. Advancing the incarnation
-// first is what retires every reference the epoch's bookkeeping still
-// holds; the request fields are dropped so the pool pins no request.
+// recycle returns an answered job to the pool, with the request fields
+// dropped so the pool pins no request and no fault.
 func (s *Server) recycle(j *job) {
-	j.state.Store((j.state.Load()>>outcomeBits + 1) << outcomeBits)
-	j.key, j.r, j.sess, j.body = "", nil, nil, ""
+	j.key, j.r, j.sess, j.body, j.fault = "", nil, nil, "", nil
 	j.status, j.attempt = 0, 0
 	j.deadline = time.Time{}
 	s.jobs.Put(j)
@@ -421,18 +382,23 @@ type Server struct {
 	// role is the program context: its holder is the runtime's one
 	// producer. This group is touched only while holding it (rt and w are
 	// set once in New; the any-goroutine queries of rt need no role).
-	role      sync.Mutex
-	rt        *prometheus.Runtime
-	w         *prometheus.Writable[struct{}] // stateless: it only addresses the delegation API
-	sessions  map[uint64]*Session
-	epochJobs []trackedJob // delegated this epoch and still pending (see trackJob)
-	rotTimer  *time.Timer  // fires tick every Config.EpochInterval
-	stopped   bool         // Drain or kill ran: no more rotations or deliveries
-	occEWMA   float64      // autoscaler: smoothed occupancy
-	cooldown  int          // autoscaler: rotations until the next decision
-	snapGen   uint64       // durability: snapshot generation counter
-	epoch     uint32       // watchdog epoch, from 1; moves like stamp, in rotate
-	degraded  atomic.Int32 // keys the watchdog degraded this epoch
+	role     sync.Mutex
+	rt       *prometheus.Runtime
+	w        *prometheus.Writable[struct{}] // stateless: it only addresses the delegation API
+	sessions map[uint64]*Session
+	rotTimer *time.Timer  // fires tick every Config.EpochInterval
+	stopped  bool         // Drain or kill ran: no more rotations or deliveries
+	occEWMA  float64      // autoscaler: smoothed occupancy
+	cooldown int          // autoscaler: rotations until the next decision
+	snapGen  uint64       // durability: snapshot generation counter
+	epoch    uint32       // serve epoch, from 1; moves like stamp, in rotate
+	degraded atomic.Int32 // keys the watchdog degraded this epoch
+
+	// faults holds the epoch's contained handler panics by set: written by
+	// the faulting context (contain), read when a later request for the set
+	// is answered and by /metrics and /healthz, cleared by rotate.
+	faultMu sync.Mutex
+	faults  map[uint64]*prometheus.PanicError
 
 	// statsSnap republishes the role holder's Stats() snapshot at each
 	// rotation so the any-goroutine metrics scrape never calls Stats
@@ -483,6 +449,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		metrics:  newMetrics(),
 		sessions: make(map[uint64]*Session),
+		faults:   make(map[uint64]*prometheus.PanicError),
 		idle:     make(chan struct{}),
 		epoch:    1,
 	}
@@ -547,30 +514,19 @@ func (s *Server) enter(j *job) {
 	s.role.Unlock()
 }
 
-// deliver routes one job: the expired and poisoned fast paths, session
-// lookup, the per-key gates read from the Session (degraded, then rate),
-// delegation. Handles both fresh arrivals and retry re-entries (retryArmed
-// is cleared here — from this point the job is in flight again). Holds the
+// deliver routes one job: the expired fast path, session lookup, the
+// per-key gates read from the Session (poisoned, degraded, then rate),
+// delegation. Handles both fresh arrivals and retry re-entries. Holds the
 // role.
 func (s *Server) deliver(j *job) {
 	if s.stopped {
 		return // only after kill: Drain stops once nothing is left to deliver
 	}
-	j.retryArmed.Store(false)
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		// The budget expired while the caller waited for the role (or while
 		// a retry backoff ran): resolve the 504 without paying a delegation.
-		if j.finish(outcomeExpired) {
-			s.metrics.expired.Add(1)
-		}
-		return
-	}
-	if s.rt.Poisoned(j.set) {
-		// The epoch's poison landed before this job was delegated: fail it
-		// now instead of paying the delegation just to drop it at a seam.
-		if j.finish(outcomeDropped) {
-			s.metrics.droppedJobs.Add(1)
-		}
+		s.metrics.expired.Add(1)
+		j.finish(outcomeExpired)
 		return
 	}
 	sess := s.sessions[j.set]
@@ -583,12 +539,16 @@ func (s *Server) deliver(j *job) {
 			// or not: list it on the role holder's own context.
 			s.markWritten(s.rt.ProgramCtx().ID(), sess)
 		}
+	case sess.poisonedIn.Load() == s.epoch:
+		// A handler panicked on this key earlier in the epoch: fail with
+		// its fault instead of paying a delegation.
+		s.drop(j)
+		return
 	case sess.degradedIn.Load() == s.epoch:
 		// The watchdog degraded this key: shed instead of queueing behind
 		// work that would blow the budget anyway.
-		if j.finish(outcomeShed) {
-			s.metrics.shedDegraded.Add(1)
-		}
+		s.metrics.shedDegraded.Add(1)
+		j.finish(outcomeShed)
 		return
 	}
 	if j.attempt == 0 && s.cfg.Rate > 0 && !sess.takeToken(time.Since(rateClock), s.cfg.Rate) {
@@ -598,38 +558,33 @@ func (s *Server) deliver(j *job) {
 		return
 	}
 	j.sess = sess
-	s.trackJob(j)
 	s.w.DelegateTo(j.set, j.run)
 }
 
-// trackJob records a job about to be delegated, for the epoch sweep. The
-// sweep only ever acts on jobs still pending, so when the slice is about
-// to grow the resolved ones are compacted out first: it holds what is in
-// flight, not a whole epoch of answered requests. An entry whose job was
-// answered and recycled into another request is resolved too — the
-// incarnation in the entry no longer matches. The slice doubles only while
-// more than half of it is pending, which keeps the compaction amortized
-// O(1) per job. Holds the role.
-func (s *Server) trackJob(j *job) {
-	if len(s.epochJobs) == cap(s.epochJobs) {
-		live := slices.DeleteFunc(s.epochJobs, func(t trackedJob) bool { return !t.pending() })
-		if len(live) >= cap(live)/2 {
-			live = slices.Grow(live, cap(live)+1)
-		}
-		s.epochJobs = live
-	}
-	s.epochJobs = append(s.epochJobs, trackedJob{j, j.state.Load() >> outcomeBits})
+// drop answers a request for a key poisoned earlier this epoch, unrun,
+// with the fault that poisoned it: at delivery under the role, or at the
+// queue front on the context running the key's set.
+func (s *Server) drop(j *job) {
+	s.faultMu.Lock()
+	j.fault = s.faults[j.set]
+	s.faultMu.Unlock()
+	s.metrics.droppedJobs.Add(1)
+	j.finish(outcomePoisoned)
 }
 
 // execute runs one job's backend attempt on a delegate context. It owns
 // the job's resolution for this attempt: served (any definitive status,
 // including a 502/503 rendered from a non-retryable backend failure),
-// expired (queue-front shed or budget exhausted mid-backend), faulted
-// (handler panic — the deferred check fires during unwinding, before the
-// engine's containment recover, so the request completes AND the panic
-// still poisons the set), or none of these because a retry timer was
-// armed and the job will be delivered again.
+// expired (queue-front shed or budget exhausted mid-backend), poisoned
+// (an earlier request of the key panicked this epoch), faulted (the
+// handler panicked: see contain), or none of these because a retry timer
+// was armed and the job will be delivered again.
 func (s *Server) execute(c *prometheus.Ctx, j *job) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.contain(c, j, v)
+		}
+	}()
 	sess := j.sess
 	// The clock is read only for who needs it: the deadline, the watchdog.
 	var start time.Time
@@ -641,17 +596,15 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 		// epoch-mate) consumed this request's budget before its turn came.
 		// Resolving 504 here — without running the backend — is what keeps
 		// one slow request from cascading into a wedged key.
-		if j.finish(outcomeExpired) {
-			s.metrics.expired.Add(1)
-		}
+		s.metrics.expired.Add(1)
+		j.finish(outcomeExpired)
 		return
 	}
-	resolved := false
-	defer func() {
-		if !resolved {
-			j.finish(outcomeFaulted)
-		}
-	}()
+	if sess.poisonedIn.Load() == s.epoch {
+		// Delegated before an earlier request of the key panicked.
+		s.drop(j)
+		return
+	}
 	ctx := context.Background()
 	if !j.deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -672,25 +625,21 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 		// Journal the session's post-state before the request can resolve:
 		// under FsyncAlways the record is durable before the ack goes out.
 		// A panicking handler unwinds past this point, journaling nothing —
-		// a faulted operation contributes no durable state, matching the
-		// engine's "no partial side effects" containment contract.
+		// a faulted operation contributes no durable state.
 		s.journalSession(c.ID(), sess)
 	}
 	if err == nil {
 		j.status, j.body = status, body
-		resolved = true
 		j.finish(outcomeServed)
 		return
 	}
 	s.metrics.backendFailures.Add(1)
-	resolved = true // the failure paths below all resolve or arm a retry; only a panic above leaves !resolved
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 		// The budget died inside the backend (deadline-context timeout or a
 		// failure that arrived at the boundary): this is a 504, not a 502,
 		// and retrying is pointless.
-		if j.finish(outcomeExpired) {
-			s.metrics.expired.Add(1)
-		}
+		s.metrics.expired.Add(1)
+		j.finish(outcomeExpired)
 		return
 	}
 	backoff := s.backoffFor(j)
@@ -698,11 +647,8 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 		// Arm the retry OFF the delegate: backing off inline would hold the
 		// set hostage. The timer takes the role and re-delegates through
 		// the same set, and per-key order holds across attempts by
-		// construction. retryArmed must be set before the timer
-		// exists so the epoch sweep (which runs after the barrier proved
-		// this operation finished) observes it.
+		// construction.
 		j.attempt++
-		j.retryArmed.Store(true)
 		s.metrics.retries.Add(1)
 		time.AfterFunc(backoff, func() { s.enter(j) })
 		return
@@ -718,24 +664,42 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 	j.finish(outcomeServed)
 }
 
+// contain is execute's panic handler, still on the unwinding stack so the
+// captured stack reaches the failure site. It records the fault for the
+// epoch, poisons the key — stamps its Session, which later requests read
+// at delivery and at the queue front — and answers the faulting request
+// with a 500 that carries the fault. Recovering here, not in the engine,
+// is what keeps the engine from dropping the key's queued requests
+// unanswered.
+func (s *Server) contain(c *prometheus.Ctx, j *job, v any) {
+	f := &prometheus.PanicError{Set: j.set, Ctx: c.ID(), Epoch: uint64(s.epoch), Value: v, Stack: debug.Stack()}
+	s.faultMu.Lock()
+	s.faults[j.set] = f
+	s.faultMu.Unlock()
+	j.sess.poisonedIn.Store(s.epoch)
+	s.metrics.panics.Add(1)
+	j.fault = f
+	j.finish(outcomeFaulted)
+}
+
 // rotate closes the epoch and opens the next: the barrier proves the pool
-// quiescent, the sweep resolves jobs whose delegations were dropped on a
-// poison seam (their done signals would otherwise never come), the
-// stats snapshot republishes, and BeginIsolation clears the poison table
-// so faulted keys resume serving. Rotation is also the tier's maintenance
-// cadence: a new watchdog epoch heals degraded keys and restarts slow runs.
-// Holds the role.
+// quiescent, the fault table is cleared and the epoch advances, which
+// heals poisoned and degraded keys and restarts slow runs, and the stats
+// snapshot republishes. Holds the role.
 func (s *Server) rotate() {
 	// Occupancy is sampled BEFORE the barrier: the closing epoch's backlog
 	// is the load signal, and the barrier is about to drain it to zero.
 	occ := s.sampleOccupancy()
 	s.rt.EndIsolation()
-	s.sweepEpochJobs()
+	s.faultMu.Lock()
+	clear(s.faults)
+	s.faultMu.Unlock()
 	s.degraded.Store(0)
-	if s.epoch++; s.epoch == 0 { // wrapped: no stale watchdog epoch may match
+	if s.epoch++; s.epoch == 0 { // wrapped: no stale epoch stamp may match
 		for _, sess := range s.sessions {
 			sess.slowEpoch = 0
 			sess.degradedIn.Store(0)
+			sess.poisonedIn.Store(0)
 		}
 		s.epoch = 1
 	}
@@ -840,55 +804,18 @@ func (s *Server) maybeResize(occ float64) {
 	s.cooldown = cooldown
 }
 
-// sweepEpochJobs resolves every job the closed epoch left pending and
-// forgets the epoch's jobs. Runs
-// after the EndIsolation barrier, which proves each delegated operation
-// either executed or was deterministically dropped on a poison seam — so
-// a still-pending job here is either (a) dropped (500), or (b) armed for
-// retry (skipped: its operation DID execute, the arming is why it has no
-// outcome, and its timer owns re-delivery). A dropped job whose budget
-// has also expired resolves 504, not 500: the deadline is the promise the
-// tier made first, and "definitive 504 at the epoch sweep, never a parked
-// caller" is the deadline contract's backstop. Holds the role.
-func (s *Server) sweepEpochJobs() {
-	now := time.Now()
-	for _, t := range s.epochJobs {
-		// Only a still-pending entry names a request: after the barrier
-		// nothing but this sweep can resolve it (a retry timer needs the
-		// role), so its fields are stable to read. Anything else — answered,
-		// or answered and recycled into a later request — is not ours.
-		j := t.j
-		if !t.pending() || j.retryArmed.Load() {
-			continue
-		}
-		if !j.deadline.IsZero() && now.After(j.deadline) {
-			if j.finishAt(t.inc, outcomeExpired) {
-				s.metrics.expired.Add(1)
-			}
-			continue
-		}
-		if j.finishAt(t.inc, outcomeDropped) {
-			s.metrics.droppedJobs.Add(1)
-		}
-	}
-	clear(s.epochJobs)
-	s.epochJobs = s.epochJobs[:0]
-}
-
 // Drain gracefully stops the server: admission closes (new requests get
-// 503), every admitted request is served to completion — rotations keep
-// sweeping poison-dropped jobs and retry timers keep firing meanwhile —
-// then the final barrier, sweep and snapshot run under the role and the
-// runtime terminates. Closing admission and counting a request are moves
-// of one word (see admit), so no request slips in behind an observed zero
-// and a refused one is never counted. If stragglers outlast DrainTimeout
-// their count and the scheduler-ledger dump are logged and the wait
-// CONTINUES: abandoning it would drop accepted requests, the
-// one thing drain exists to prevent. A handler operation that never
-// returns therefore wedges the drain (as it would wedge the shutdown
-// barrier); the straggler report is the diagnosis, and the Watchdog option
-// turns the wedge itself into one. Call after the HTTP listener has
-// stopped accepting new connections; call once.
+// 503), every admitted request is answered — rotations and retry timers
+// keep running meanwhile — then the final barrier and snapshot run under
+// the role and the runtime terminates. Closing admission and counting a
+// request are moves of one word (see admit), so no request slips in
+// behind an observed zero and a refused one is never counted. If
+// stragglers outlast DrainTimeout their count and the scheduler-ledger
+// dump are logged and the wait CONTINUES: abandoning it would drop
+// accepted requests, the one thing drain exists to prevent. A handler
+// that never returns therefore wedges the drain (as it would wedge the
+// shutdown barrier), and the straggler report is the diagnosis. Call after
+// the HTTP listener has stopped accepting new connections; call once.
 func (s *Server) Drain() error {
 	if s.inflight.Add(drainingBit) != drainingBit {
 		late := time.NewTimer(DrainTimeout)
@@ -906,7 +833,6 @@ func (s *Server) Drain() error {
 	s.rotTimer.Stop()
 	s.stopped = true
 	s.rt.EndIsolation()
-	s.sweepEpochJobs()
 	s.publishStats()
 	// Final barrier passed: the table is quiescent forever. Persist it
 	// synchronously — a clean drain is lossless under every fsync policy.

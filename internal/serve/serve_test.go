@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	prometheus "repro"
 	"repro/internal/chaos"
@@ -230,9 +231,8 @@ func TestPoisonedSessionIsolation(t *testing.T) {
 	wg.Wait()
 
 	// Metrics must show the contained panic.
-	if st := s.Stats(); st.Panics == 0 && s.metrics.poisonRejects.Load() == 0 {
-		// Stats snapshot refreshes at rotation; the reject counter is live.
-		t.Error("no trace of the contained panic in metrics")
+	if n := s.metrics.panics.Load(); n != 1 {
+		t.Errorf("contained panics counted %d, want 1", n)
 	}
 
 	// Drain performs the final rotation; before it the victim stays
@@ -389,9 +389,6 @@ func TestMetricsExposition(t *testing.T) {
 		get(t, h, "/bump", fmt.Sprintf("key-%d", i%7), nil)
 	}
 	get(t, h, "/bump", "chaos", map[string]string{"X-Boom": "1"})
-	for i := 0; i < 200 && s.Stats().Panics == 0; i++ {
-		time.Sleep(5 * time.Millisecond) // wait for a rotation to republish stats
-	}
 
 	code, body := get(t, h, "/metrics", "scraper", nil)
 	if code != http.StatusOK {
@@ -402,7 +399,7 @@ func TestMetricsExposition(t *testing.T) {
 		"ss_request_latency_microseconds_bucket{shard=\"0\",le=\"50\"}",
 		"ss_request_latency_microseconds_quantile{shard=\"7\",q=\"0.99\"}",
 		"ss_delegate_backlog{delegate=\"1\"}",
-		"ss_runtime_panics_total 1",
+		"ss_panics_total 1",
 		"ss_runtime_epochs_total",
 		"ss_runtime_helped_ops_total",
 		"ss_runtime_sheds_total",
@@ -422,5 +419,82 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if code, _ := get(t, h, "/healthz", "probe", nil); code != http.StatusServiceUnavailable {
 		t.Error("healthz not 503 after drain")
+	}
+}
+
+// waitQueued waits until at least n requests are delegated and not yet
+// finished: the sum of the delegate backlogs.
+func waitQueued(t *testing.T, s *Server, n uint64) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var queued uint64
+		for _, d := range s.rt.QueueDepths(nil) {
+			queued += d
+		}
+		if queued >= n {
+			return
+		}
+		if time.Now().After(end) {
+			t.Fatalf("%d requests queued after 10s, want %d", queued, n)
+		}
+	}
+}
+
+// TestQueuedBehindPanicAnswersWithoutRotation: requests queued on a key
+// behind one whose handler panics answer 500 with its fault in the same
+// epoch, at the queue front; none waits for a rotation to be answered.
+func TestQueuedBehindPanicAnswersWithoutRotation(t *testing.T) {
+	gate := make(chan struct{})
+	s := newTestServer(t, Config{
+		EpochInterval: time.Hour,
+		Handler: func(sess *Session, r *http.Request) (int, string) {
+			if r.Header.Get("X-Gate") == "1" {
+				<-gate
+			}
+			return testHandler(sess, r)
+		},
+	})
+	defer s.Drain()
+	h := s.Handler()
+	type answer struct {
+		code int
+		body string
+	}
+	answers := make(chan answer, 4)
+	send := func(hdr map[string]string) {
+		go func() {
+			code, body := get(t, h, "/bump", "victim", hdr)
+			answers <- answer{code, body}
+		}()
+	}
+	send(map[string]string{"X-Gate": "1", "X-Boom": "1"})
+	waitQueued(t, s, 1)
+	for i := 0; i < 3; i++ {
+		send(nil)
+	}
+	waitQueued(t, s, 4)
+	close(gate)
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < 4; i++ {
+		select {
+		case a := <-answers:
+			if a.code != http.StatusInternalServerError || !strings.Contains(a.body, `chaos for key "victim"`) {
+				t.Errorf("answer %d: %d %q, want a 500 with the panic value", i, a.code, a.body)
+			}
+		case <-timeout:
+			t.Errorf("%d of 4 requests answered within 5s of the panic", i)
+			s.role.Lock()
+			s.rotate() // answer the rest, so Drain can finish
+			s.role.Unlock()
+			return
+		}
+	}
+}
+
+// TestSessionSize: a Session stays in the 80-byte size class; a bigger one
+// moves every session of a large table up a class.
+func TestSessionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Session{}); got > 80 {
+		t.Fatalf("Session is %d bytes, want at most 80", got)
 	}
 }

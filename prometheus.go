@@ -262,13 +262,6 @@ func (rt *Runtime) SetErr(set uint64) error { return joinFaults(rt.core.SetFault
 // Lock-free and safe from any goroutine.
 func (rt *Runtime) Poisoned(set uint64) bool { return rt.core.Poisoned(set) }
 
-// PoisonedCount reports how many sets are poisoned in the current
-// isolation epoch — the live degradation gauge (Stats.PoisonedSets is the
-// cumulative ever-poisoned counter). The serving tier reports it on
-// /healthz so orchestrators can tell "draining" from "degraded". Lock-free
-// and safe from any goroutine.
-func (rt *Runtime) PoisonedCount() int { return rt.core.PoisonedCount() }
-
 // QueueDepths appends each delegate context's current backlog (operations
 // routed to it that have not finished executing) to dst and returns the
 // extended slice, one entry per delegate. Safe from any goroutine and

@@ -14,15 +14,15 @@ import (
 // one.
 
 // execEvents counts a finished run's TraceExec events by set and by context.
-func execEvents(rt *Runtime) (bySet map[uint64]int, byCtx map[int]int) {
-	bySet, byCtx = map[uint64]int{}, map[int]int{}
+func execEvents(rt *Runtime) (perSet map[uint64]int, byCtx map[int]int) {
+	perSet, byCtx = map[uint64]int{}, map[int]int{}
 	for _, ev := range rt.TraceEvents() {
 		if ev.Kind == TraceExec {
-			bySet[ev.Set]++
+			perSet[ev.Set]++
 			byCtx[ev.Ctx]++
 		}
 	}
-	return bySet, byCtx
+	return perSet, byCtx
 }
 
 // TestTraceShowsReductionTasks: a reduction's combine steps run as pool
@@ -40,12 +40,12 @@ func TestTraceShowsReductionTasks(t *testing.T) {
 	if got, want := *sum.Result(), 8*7/2; got != want {
 		t.Fatalf("reduced sum = %d, want %d", got, want)
 	}
-	bySet, _ := execEvents(rt)
+	perSet, _ := execEvents(rt)
 	// A pairwise tree over one view per context combines NumContexts-1 pairs.
-	if got, want := bySet[NoSet], rt.NumContexts()-1; got != want {
+	if got, want := perSet[NoSet], rt.NumContexts()-1; got != want {
 		t.Errorf("trace shows %d pool tasks, want the reduction's %d combines", got, want)
 	}
-	if got := len(bySet) - 1; got != len(ws) {
+	if got := len(perSet) - 1; got != len(ws) {
 		t.Errorf("trace shows %d serialization sets, want %d", got, len(ws))
 	}
 }
@@ -89,9 +89,9 @@ func TestTraceSequentialInline(t *testing.T) {
 		DoAll(ws, func(_ *Ctx, v *int) { *v++ })
 	}
 	rt.EndIsolation()
-	bySet, byCtx := execEvents(rt)
-	if byCtx[0] != 15 || len(byCtx) != 1 || len(bySet) != len(ws) {
-		t.Errorf("exec events by context %v over %d sets, want 15 on context 0 over %d sets", byCtx, len(bySet), len(ws))
+	perSet, byCtx := execEvents(rt)
+	if byCtx[0] != 15 || len(byCtx) != 1 || len(perSet) != len(ws) {
+		t.Errorf("exec events by context %v over %d sets, want 15 on context 0 over %d sets", byCtx, len(perSet), len(ws))
 	}
 }
 

@@ -135,9 +135,9 @@ func TestChaosDeterministicPoisoning(t *testing.T) {
 	}
 }
 
-// TestChaosErrorSurface: the contained fault is reported through Err,
-// SetErr, and the wrappers, wrapping the injected value with its original
-// stack, and the fault counters surface through Stats.
+// TestChaosErrorSurface: the contained fault is reported through Err as one
+// *PanicError record wrapping the injected value with its original stack,
+// and the fault counters surface through Stats.
 func TestChaosErrorSurface(t *testing.T) {
 	for _, mode := range chaosModes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -174,24 +174,17 @@ func TestChaosErrorSurface(t *testing.T) {
 			if !strings.Contains(string(pe.Stack), "chaos") {
 				t.Error("PanicError.Stack does not reach the original failure site")
 			}
-			var e *Error
-			if !errors.As(err, &e) || e.Kind != ErrPanic {
-				t.Errorf("Err() chain has no ErrPanic-kind *Error: %v", err)
+			perSet := map[uint64]int{}
+			for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+				var rec *PanicError
+				if !errors.As(e, &rec) {
+					t.Fatalf("Err() joins a %T, want only *PanicError records", e)
+				}
+				perSet[rec.Set]++
 			}
-			if rt.SetErr(chaosHotSet) == nil {
-				t.Error("SetErr(faulted set) = nil")
-			}
-			if rt.SetErr(chaosHotSet+1) != nil {
-				t.Error("SetErr(healthy set) != nil")
-			}
-			if w.Err() == nil {
-				t.Error("faulted wrapper Err() = nil")
-			}
-			if healthy.Err() != nil {
-				t.Error("healthy wrapper Err() != nil")
-			}
-			if !rt.Poisoned(chaosHotSet) {
-				t.Error("faulted set not reported poisoned after the epoch")
+			if perSet[chaosHotSet] != 1 || perSet[chaosHotSet+1] != 0 {
+				t.Errorf("Err() records per set = %v, want exactly one for set %d and none for set %d",
+					perSet, chaosHotSet, chaosHotSet+1)
 			}
 			st := rt.Stats()
 			wantDropped := uint64(chaosOps - chaosFaultPos)

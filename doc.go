@@ -302,13 +302,12 @@
 // issued. Poisoning clears at the next BeginIsolation; fault records
 // persist for the runtime's lifetime.
 //
-// Faults surface as values, not crashes: Runtime.Err aggregates every
-// contained panic into one error (ErrPanic-kind *Error values wrapping
-// *PanicError, which carries the set, context, epoch, recovered value,
-// and original stack), Runtime.SetErr and the wrappers' Err methods
-// scope the report to one set, and Runtime.Poisoned answers for the
-// current epoch. Checked mode fails fast instead: a delegation to a
-// poisoned set panics at the delegation site with the original stack.
+// Faults surface as values, not crashes: Runtime.Err is the report, the
+// errors.Join of one *PanicError per retained fault (set, context, epoch,
+// recovered value and original stack), through which errors.Is and
+// errors.As reach a panic value that was an error. Checked mode fails fast
+// instead: a delegation to a poisoned set panics at the delegation site
+// with the original stack.
 // Stats reports Panics, PoisonedSets, and DroppedOps; tracing emits a
 // TracePanic event per contained fault.
 //
@@ -337,11 +336,10 @@
 // allocs/op.
 //
 // Fault records are retained in a bounded ring (the most recent 1024,
-// core.DefaultFaultRecordBound): a runtime that serves for weeks must not
-// let every contained panic pin its captured stack forever. Evicted records are
-// counted in Stats.DroppedFaults; the Panics counter and the poisoning
-// discipline are unaffected, and Err/SetErr describe the most recent
-// faults. SetErr scans the ring, so it reads at most 1024 records.
+// core.DefaultFaultRecordBound), so contained panics cannot pin their
+// captured stacks forever. Evicted records are counted in
+// Stats.DroppedFaults; the Panics counter and the poisoning discipline are
+// unaffected, and Err describes the most recent faults.
 //
 // # Serving tier
 //

@@ -1,6 +1,10 @@
 package prometheus
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // ErrorKind classifies the dynamic errors the runtime detects (paper §3.3).
 type ErrorKind int
@@ -17,12 +21,6 @@ const (
 	// ErrAPIMisuse: a structural misuse of the API, e.g. Delegate outside
 	// an isolation epoch or a nil serializer with no external set.
 	ErrAPIMisuse
-	// ErrPanic: a delegated operation panicked and was contained by the
-	// runtime (its serialization set was poisoned for the rest of the
-	// epoch). Unlike the kinds above, this one is not raised as a panic —
-	// it is returned from Runtime.Err / the wrappers' Err methods, wrapping
-	// a *PanicError that carries the recovered value and original stack.
-	ErrPanic
 )
 
 func (k ErrorKind) String() string {
@@ -33,8 +31,6 @@ func (k ErrorKind) String() string {
 		return "partition violation"
 	case ErrAPIMisuse:
 		return "api misuse"
-	case ErrPanic:
-		return "panic"
 	default:
 		return "unknown"
 	}
@@ -43,21 +39,15 @@ func (k ErrorKind) String() string {
 // Error is the panic value raised on detected model violations. The paper's
 // Prometheus "generates an error" on these conditions; in Go they are
 // programming errors, so the library panics with a value callers can inspect
-// in tests via recover. ErrPanic-kind values are the exception: they are
-// returned (from Err/SetErr), not raised, and carry the underlying
-// *PanicError in Err.
+// in tests via recover. One raised inside a delegated operation is contained
+// like any other panic: Runtime.Err reports it as the cause of a
+// *PanicError, where errors.As finds it with its Kind.
 type Error struct {
 	Kind ErrorKind
 	Msg  string
-	// Err is the wrapped cause, non-nil only for ErrPanic-kind errors,
-	// where it holds the *PanicError describing the contained fault.
-	Err error
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("prometheus: %s: %s", e.Kind, e.Msg) }
-
-// Unwrap exposes the wrapped cause to errors.Is / errors.As chains.
-func (e *Error) Unwrap() error { return e.Err }
 
 func raise(kind ErrorKind, format string, args ...any) {
 	panic(&Error{Kind: kind, Msg: fmt.Sprintf(format, args...)})
@@ -67,28 +57,7 @@ func raise(kind ErrorKind, format string, args ...any) {
 // serialization set faulted (NoSet for RunParallel pool tasks), on which
 // context, in which isolation epoch, the recovered value, and the stack
 // captured during unwinding — it includes the panicking frames, so the
-// original failure site survives into the error report.
-type PanicError struct {
-	Set   uint64
-	Ctx   int
-	Epoch uint64
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	if e.Set == NoSet {
-		return fmt.Sprintf("pool task panicked on context %d in epoch %d: %v", e.Ctx, e.Epoch, e.Value)
-	}
-	return fmt.Sprintf("operation of set %d panicked on context %d in epoch %d: %v", e.Set, e.Ctx, e.Epoch, e.Value)
-}
-
-// Unwrap returns the recovered panic value when it was itself an error
-// (the common case for injected faults and panic(err) code), so
-// errors.Is/errors.As reach through to the original cause.
-func (e *PanicError) Unwrap() error {
-	if err, ok := e.Value.(error); ok {
-		return err
-	}
-	return nil
-}
+// original failure site survives into the error report. Runtime.Err joins
+// one per retained fault; Unwrap returns the recovered value when it was
+// itself an error, so errors.Is/errors.As reach through to the cause.
+type PanicError = core.PanicError

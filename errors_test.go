@@ -17,7 +17,6 @@ func TestErrorKindString(t *testing.T) {
 		{ErrSerializerViolation, "serializer violation"},
 		{ErrPartitionViolation, "partition violation"},
 		{ErrAPIMisuse, "api misuse"},
-		{ErrPanic, "panic"},
 		{ErrorKind(99), "unknown"},
 		{ErrorKind(-1), "unknown"},
 	} {
@@ -36,8 +35,6 @@ func TestErrorFormatting(t *testing.T) {
 			"prometheus: api misuse: Delegate outside an isolation epoch"},
 		{&Error{Kind: ErrSerializerViolation, Msg: "writable #3 mapped to set 2, previously set 1, in one epoch"},
 			"prometheus: serializer violation: writable #3 mapped to set 2, previously set 1, in one epoch"},
-		{&Error{Kind: ErrPanic, Msg: "operation of set 7 panicked"},
-			"prometheus: panic: operation of set 7 panicked"},
 	} {
 		if got := tc.err.Error(); got != tc.want {
 			t.Errorf("Error() = %q, want %q", got, tc.want)
@@ -58,9 +55,6 @@ func TestRaisePanicsWithError(t *testing.T) {
 		if e.Msg != "object #42 misused" {
 			t.Errorf("Msg = %q, want formatted message", e.Msg)
 		}
-		if e.Err != nil {
-			t.Errorf("raise produced a wrapped cause %v, want nil", e.Err)
-		}
 	}()
 	raise(ErrPartitionViolation, "object #%d misused", 42)
 }
@@ -78,39 +72,37 @@ func TestPanicErrorFormatting(t *testing.T) {
 }
 
 func TestPanicErrorUnwrapping(t *testing.T) {
-	// Panic value that is an error: the chain reaches the original cause.
+	// The report Runtime.Err builds: errors.Join of *PanicError records.
+	// A panic value that is an error stays reachable as the cause.
 	cause := chaos.Fault{Set: 5, N: 3}
 	pe := &PanicError{Set: 5, Ctx: 1, Epoch: 1, Value: cause}
-	wrapped := &Error{Kind: ErrPanic, Msg: pe.Error(), Err: pe}
+	other := &PanicError{Set: 6, Ctx: 1, Epoch: 1, Value: fmt.Errorf("other")}
+	joined := errors.Join(pe, other)
 
-	if !errors.Is(wrapped, chaos.Fault{Set: 5, N: 3}) {
-		t.Error("errors.Is did not reach the injected Fault through Error -> PanicError")
+	if !errors.Is(joined, chaos.Fault{Set: 5, N: 3}) {
+		t.Error("errors.Is did not reach the injected Fault through Join -> PanicError")
 	}
 	var gotPE *PanicError
-	if !errors.As(wrapped, &gotPE) || gotPE.Set != 5 {
-		t.Error("errors.As did not extract the *PanicError")
-	}
-	var gotErr *Error
-	if !errors.As(wrapped, &gotErr) || gotErr.Kind != ErrPanic {
-		t.Error("errors.As did not extract the *Error")
+	if !errors.As(joined, &gotPE) || gotPE.Set != 5 {
+		t.Error("errors.As did not extract the first *PanicError")
 	}
 	var gotFault chaos.Fault
-	if !errors.As(wrapped, &gotFault) || gotFault.N != 3 {
+	if !errors.As(joined, &gotFault) || gotFault.N != 3 {
 		t.Error("errors.As did not extract the chaos.Fault cause")
+	}
+	if !strings.Contains(joined.Error(), "set 6") {
+		t.Error("joined error lost the second fault's message")
+	}
+
+	// An *Error raised inside an operation is reached with its own Kind.
+	violation := &PanicError{Set: 7, Ctx: 1, Epoch: 1, Value: &Error{Kind: ErrPartitionViolation, Msg: "misuse"}}
+	var gotErr *Error
+	if !errors.As(errors.Join(pe, violation), &gotErr) || gotErr.Kind != ErrPartitionViolation {
+		t.Error("errors.As did not extract the contained *Error with its Kind")
 	}
 
 	// Panic value that is not an error: the chain ends at the PanicError.
 	if (&PanicError{Value: "just a string"}).Unwrap() != nil {
 		t.Error("Unwrap of a non-error panic value should be nil")
-	}
-
-	// A joined multi-error keeps every member reachable.
-	other := &PanicError{Set: 6, Ctx: 1, Epoch: 1, Value: fmt.Errorf("other")}
-	joined := errors.Join(wrapped, &Error{Kind: ErrPanic, Msg: other.Error(), Err: other})
-	if !errors.Is(joined, cause) {
-		t.Error("joined error lost the first fault's cause")
-	}
-	if !strings.Contains(joined.Error(), "set 6") {
-		t.Error("joined error lost the second fault's message")
 	}
 }

@@ -18,7 +18,7 @@ const DefaultWatchdog = 30 * time.Second
 // fault once the bound is reached, counting evictions in
 // Stats.DroppedFaults. 1024 full stack captures is roughly a few tens of
 // megabytes worst case — enough history to diagnose a fault storm, small
-// enough that a server containing panics for weeks holds steady-state
+// enough that a runtime that keeps containing panics holds steady-state
 // memory. Poison state and the fault counters are unaffected by eviction.
 const DefaultFaultRecordBound = 1024
 

@@ -8,14 +8,14 @@ import (
 )
 
 // Fault containment. A panicking delegated operation must not kill the
-// process (the serving-tier north star: one bad request cannot take the
-// runtime down) and must not wedge a barrier (quiescence is proved by
-// executed counters only the faulting delegate publishes). The drain loop
-// therefore runs invocations inside recover()-protected execution spans
-// (execSpan): a recovered panic is recorded here, the faulted operation is
-// COUNTED AS EXECUTED so everything the scheduling protocols read off the
-// ledger — occupancy, handoff coverage, barrier sums — keeps advancing,
-// and the delegate goroutine stays alive.
+// process (one faulty operation cannot take the runtime down) and must not
+// wedge a barrier (quiescence is proved by executed counters only the
+// faulting delegate publishes). The drain loop therefore runs invocations
+// inside recover()-protected execution spans (execSpan): a recovered panic
+// is recorded here, the faulted operation is COUNTED AS EXECUTED so
+// everything the scheduling protocols read off the ledger — occupancy,
+// handoff coverage, barrier sums — keeps advancing, and the delegate
+// goroutine stays alive.
 //
 // Determinism is preserved by set poisoning: the faulting operation's
 // serialization set is poisoned for the remainder of the isolation epoch,
@@ -37,19 +37,36 @@ import (
 // NoSet is the serialization-set id reported for faults in operations that
 // belong to no set — RunParallel pool tasks. It aliases the engine's
 // reserved pool-task sentinel; user delegations may not use it (Checked
-// mode rejects it), so a PanicFault carrying it is unambiguous.
+// mode rejects it), so a PanicError carrying it is unambiguous.
 const NoSet = noSetID
 
-// PanicFault describes one contained panic: which set's operation faulted
+// PanicError describes one contained panic: which set's operation faulted
 // (NoSet for pool tasks), on which delegate context, in which isolation
 // epoch, with the recovered value and the stack captured during unwinding
 // (it includes the panicking frames — the original failure site).
-type PanicFault struct {
+type PanicError struct {
 	Set   uint64
 	Ctx   int
 	Epoch uint64
 	Value any
 	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	if e.Set == NoSet {
+		return fmt.Sprintf("pool task panicked on context %d in epoch %d: %v", e.Ctx, e.Epoch, e.Value)
+	}
+	return fmt.Sprintf("operation of set %d panicked on context %d in epoch %d: %v", e.Set, e.Ctx, e.Epoch, e.Value)
+}
+
+// Unwrap returns the recovered panic value when it was itself an error
+// (the common case for injected faults and panic(err) code), so
+// errors.Is/errors.As reach through to the original cause.
+func (e *PanicError) Unwrap() error {
+	if err, ok := e.Value.(error); ok {
+		return err
+	}
+	return nil
 }
 
 // faultState is the runtime's containment record, allocated on the first
@@ -63,15 +80,14 @@ type faultState struct {
 	// behind an atomic pointer so producers and drain loops read it with one
 	// load and no lock. Values point at the fault that poisoned the set.
 	// BeginIsolation clears it — poisoning is epoch-scoped; records are not.
-	poisoned atomic.Pointer[map[uint64]*PanicFault]
+	poisoned atomic.Pointer[map[uint64]*PanicError]
 	// records is a bounded ring of the most recent contained panics, in
 	// containment order (concurrent faults on different delegates append in
-	// arrival order). A long-lived runtime — the serving tier runs for
-	// weeks — must not let every contained panic pin a stack forever, so
-	// once len(records) reaches DefaultFaultRecordBound the oldest record
-	// is evicted and droppedRec counts it. head indexes the oldest live
-	// record.
-	records []*PanicFault
+	// arrival order). A long-lived runtime must not let every contained
+	// panic pin a stack forever, so once len(records) reaches
+	// DefaultFaultRecordBound the oldest record is evicted and droppedRec
+	// counts it. head indexes the oldest live record.
+	records []*PanicError
 	head    int
 
 	panics       atomic.Uint64 // contained panics (Stats.Panics)
@@ -81,7 +97,7 @@ type faultState struct {
 }
 
 // addRecord appends f to the bounded record ring. Caller holds fs.mu.
-func (fs *faultState) addRecord(f *PanicFault) {
+func (fs *faultState) addRecord(f *PanicError) {
 	if len(fs.records) >= DefaultFaultRecordBound {
 		fs.records[fs.head] = f
 		fs.head = (fs.head + 1) % DefaultFaultRecordBound
@@ -92,8 +108,8 @@ func (fs *faultState) addRecord(f *PanicFault) {
 }
 
 // snapshotRecords returns the live records oldest-first. Caller holds fs.mu.
-func (fs *faultState) snapshotRecords() []PanicFault {
-	out := make([]PanicFault, len(fs.records))
+func (fs *faultState) snapshotRecords() []PanicError {
+	out := make([]PanicError, len(fs.records))
 	for i := range fs.records {
 		out[i] = *fs.records[(fs.head+i)%len(fs.records)]
 	}
@@ -103,7 +119,7 @@ func (fs *faultState) snapshotRecords() []PanicFault {
 // lookup returns the fault that poisoned set this epoch, or nil. Lock-free;
 // the delegation and drain hot paths call it only after observing a non-nil
 // faultState.
-func (fs *faultState) lookup(set uint64) *PanicFault {
+func (fs *faultState) lookup(set uint64) *PanicError {
 	m := fs.poisoned.Load()
 	if m == nil {
 		return nil
@@ -148,13 +164,13 @@ func (rt *Runtime) ensureFaults() *faultState {
 func (rt *Runtime) recordPanic(ctx int, set uint64, v any) {
 	stack := debug.Stack()
 	fs := rt.ensureFaults()
-	f := &PanicFault{Set: set, Ctx: ctx, Epoch: rt.epoch, Value: v, Stack: stack}
+	f := &PanicError{Set: set, Ctx: ctx, Epoch: rt.epoch, Value: v, Stack: stack}
 	fs.mu.Lock()
 	fs.addRecord(f)
 	if set != noSetID {
 		old := fs.poisoned.Load()
 		if old == nil || (*old)[set] == nil {
-			m := make(map[uint64]*PanicFault, 1)
+			m := make(map[uint64]*PanicError, 1)
 			if old != nil {
 				for s, pf := range *old {
 					m[s] = pf
@@ -194,10 +210,8 @@ func (rt *Runtime) maybeDrop(fs *faultState, set uint64) bool {
 // Faults returns a snapshot of the retained contained panics (the most
 // recent DefaultFaultRecordBound of them), in containment order; nil when
 // no delegated operation has faulted. Safe from any goroutine: the record
-// ring is mutex-protected, so the serving tier's handler goroutines may
-// query faults concurrently with the program context and with faulting
-// delegates.
-func (rt *Runtime) Faults() []PanicFault {
+// ring is mutex-protected.
+func (rt *Runtime) Faults() []PanicError {
 	fs := rt.faults.Load()
 	if fs == nil {
 		return nil
@@ -206,34 +220,4 @@ func (rt *Runtime) Faults() []PanicFault {
 	out := fs.snapshotRecords()
 	fs.mu.Unlock()
 	return out
-}
-
-// SetFaults returns the retained contained panics recorded against one
-// serialization set (across all epochs), in containment order; nil when
-// the set never faulted. It scans the bounded ring, so it costs
-// O(DefaultFaultRecordBound) at most. Safe from any goroutine, like
-// Faults.
-func (rt *Runtime) SetFaults(set uint64) []PanicFault {
-	fs := rt.faults.Load()
-	if fs == nil {
-		return nil
-	}
-	var out []PanicFault
-	fs.mu.Lock()
-	for i := range fs.records {
-		if f := fs.records[(fs.head+i)%len(fs.records)]; f.Set == set {
-			out = append(out, *f)
-		}
-	}
-	fs.mu.Unlock()
-	return out
-}
-
-// Poisoned reports whether the set is poisoned in the current epoch
-// (poisoning clears at BeginIsolation; fault records do not). Lock-free —
-// one atomic load plus a read-only map lookup — and safe from any
-// goroutine: the poison table is copy-on-write.
-func (rt *Runtime) Poisoned(set uint64) bool {
-	fs := rt.faults.Load()
-	return fs != nil && fs.lookup(set) != nil
 }

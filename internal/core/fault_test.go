@@ -14,10 +14,16 @@ func faultCfg() Config {
 	return Config{Delegates: 2, Policy: LeastLoaded}
 }
 
+// poisoned reports whether set is in the current epoch's poison table.
+func poisoned(rt *Runtime, set uint64) bool {
+	fs := rt.faults.Load()
+	return fs != nil && fs.lookup(set) != nil
+}
+
 // TestFlatPanicContainment drives the whole flat containment story: a
 // panicking operation does not kill the delegate, poisons its set, later
 // delegations to the set are dropped-but-counted, sibling sets are
-// untouched, and the fault surfaces through Faults/SetFaults/Poisoned and
+// untouched, and the fault surfaces through the poison table, Faults and
 // the Stats counters.
 func TestFlatPanicContainment(t *testing.T) {
 	rt := newTestRuntime(t, faultCfg())
@@ -45,10 +51,10 @@ func TestFlatPanicContainment(t *testing.T) {
 	if sibling.Load() != 4 {
 		t.Errorf("sibling set ran %d ops, want 4", sibling.Load())
 	}
-	if !rt.Poisoned(10) {
+	if !poisoned(rt, 10) {
 		t.Error("faulted set not reported poisoned")
 	}
-	if rt.Poisoned(20) {
+	if poisoned(rt, 20) {
 		t.Error("sibling set reported poisoned")
 	}
 	faults := rt.Faults()
@@ -64,12 +70,6 @@ func TestFlatPanicContainment(t *testing.T) {
 	}
 	if !strings.Contains(string(f.Stack), "panic") {
 		t.Error("fault stack does not include the panicking frames")
-	}
-	if sf := rt.SetFaults(10); len(sf) != 1 || sf[0].Value != "boom" {
-		t.Errorf("SetFaults(10) = %v, want the one boom record", sf)
-	}
-	if sf := rt.SetFaults(20); sf != nil {
-		t.Errorf("SetFaults(20) = %v, want nil", sf)
 	}
 	st := rt.Stats()
 	if st.Panics != 1 || st.PoisonedSets != 1 || st.DroppedOps != dropped {
@@ -99,8 +99,8 @@ func TestRecursivePanicContainment(t *testing.T) {
 	if pre.Load() != 1 || post.Load() != 0 || sibling.Load() != 4 {
 		t.Errorf("pre/post/sibling = %d/%d/%d, want 1/0/4", pre.Load(), post.Load(), sibling.Load())
 	}
-	if !rt.Poisoned(10) || rt.Poisoned(11) {
-		t.Errorf("Poisoned(10)=%v Poisoned(11)=%v, want true/false", rt.Poisoned(10), rt.Poisoned(11))
+	if !poisoned(rt, 10) || poisoned(rt, 11) {
+		t.Errorf("poisoned(10)=%v poisoned(11)=%v, want true/false", poisoned(rt, 10), poisoned(rt, 11))
 	}
 	st := rt.Stats()
 	if st.Panics != 1 || st.PoisonedSets != 1 || st.DroppedOps != 3 {
@@ -123,12 +123,12 @@ func TestPoisonClearsAtEpochBoundary(t *testing.T) {
 	rt.BeginIsolation()
 	rt.Delegate(7, func(int) { panic("epoch1") })
 	rt.EndIsolation()
-	if !rt.Poisoned(7) {
+	if !poisoned(rt, 7) {
 		t.Fatal("set not poisoned after fault")
 	}
 
 	rt.BeginIsolation()
-	if rt.Poisoned(7) {
+	if poisoned(rt, 7) {
 		t.Error("poison survived the epoch boundary")
 	}
 	var ran atomic.Bool
@@ -137,8 +137,8 @@ func TestPoisonClearsAtEpochBoundary(t *testing.T) {
 	if !ran.Load() {
 		t.Error("op on previously poisoned set did not run in the new epoch")
 	}
-	if len(rt.SetFaults(7)) != 1 {
-		t.Error("fault record did not persist across the epoch boundary")
+	if faults := rt.Faults(); len(faults) != 1 || faults[0].Set != 7 {
+		t.Errorf("Faults() = %+v, want the epoch-1 record of set 7 to persist", faults)
 	}
 }
 
@@ -235,9 +235,9 @@ func TestFaultInjectorSeam(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("injector called %d times, want 2", calls.Load())
 	}
-	faults := rt.SetFaults(5)
-	if len(faults) != 1 || faults[0].Value != "injected" {
-		t.Fatalf("SetFaults(5) = %+v, want one injected record", faults)
+	faults := rt.Faults()
+	if len(faults) != 1 || faults[0].Set != 5 || faults[0].Value != "injected" {
+		t.Fatalf("Faults() = %+v, want one injected record of set 5", faults)
 	}
 }
 

@@ -62,7 +62,7 @@ type Stats struct {
 	// DroppedOps counts delegations dropped because their set was poisoned
 	// — the deterministic skip of everything after a faulting position.
 	// DroppedFaults counts fault RECORDS evicted by the bounded retention
-	// ring (DefaultFaultRecordBound) — nonzero means Err/SetErr describe
+	// ring (DefaultFaultRecordBound) — nonzero means Runtime.Err describes
 	// only the most recent faults, while Panics still counts them all.
 	Panics        uint64
 	PoisonedSets  uint64

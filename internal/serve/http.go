@@ -157,7 +157,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case outcomeFaulted, outcomePoisoned:
 		// This request's own handler panicked, or an earlier request's did
 		// this epoch: either way the 500 carries that fault.
-		s.metrics.faultResponses.Add(1)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusInternalServerError)
 		if outcome == outcomeFaulted {

@@ -33,7 +33,6 @@ type metrics struct {
 	droppedJobs      atomic.Uint64 // 500s unrun on a poisoned key (delivery or queue front)
 	admissionRejects atomic.Uint64 // 503s: inflight budget, draining
 	rateRejects      atomic.Uint64 // 429s: the key's token bucket, at delivery
-	faultResponses   atomic.Uint64 // 500s carrying a fault: faulted or dropped
 	expired          atomic.Uint64 // 504s: request budget exhausted (delivery, queue front, backend)
 	shedDegraded     atomic.Uint64 // 503s: slow-key watchdog shed at delivery
 	retries          atomic.Uint64 // retry attempts armed after backend failures
@@ -87,7 +86,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ss_requests_dropped_total", "Requests answered 500 unrun because their key was poisoned this epoch.", m.droppedJobs.Load())
 	counter("ss_admission_rejects_total", "Requests rejected 503 at admission (budget, draining).", m.admissionRejects.Load())
 	counter("ss_ratelimit_rejects_total", "Requests rejected 429 by their key's token bucket.", m.rateRejects.Load())
-	counter("ss_fault_responses_total", "Requests answered 500 with a fault (faulted or dropped).", m.faultResponses.Load())
 	counter("ss_requests_expired_total", "Requests answered 504: budget exhausted before a backend answer.", m.expired.Load())
 	counter("ss_requests_shed_total", "Requests answered 503 by the slow-key watchdog.", m.shedDegraded.Load())
 	counter("ss_retries_total", "Retry attempts armed after backend failures.", m.retries.Load())

@@ -230,9 +230,11 @@ func TestPoisonedSessionIsolation(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Metrics must show the contained panic.
-	if n := s.metrics.panics.Load(); n != 1 {
-		t.Errorf("contained panics counted %d, want 1", n)
+	// Metrics must show the contained panic and the five follow-ups
+	// answered unrun behind it: with an hour-long epoch nothing heals.
+	if code, body := get(t, h, "/metrics", "scraper", nil); code != http.StatusOK ||
+		!strings.Contains(body, "\nss_panics_total 1\n") || !strings.Contains(body, "\nss_requests_dropped_total 5\n") {
+		t.Errorf("/metrics = %d, want ss_panics_total 1 and ss_requests_dropped_total 5:\n%s", code, body)
 	}
 
 	// Drain performs the final rotation; before it the victim stays

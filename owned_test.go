@@ -195,9 +195,12 @@ func TestOwnedFollowsMigratedSet(t *testing.T) {
 		a.Sync()
 		b.DelegateTo(1, func(c *Ctx, _ *int) { shared.Use(c) })
 		rt.EndIsolation()
+		err := rt.Err()
+		var pe *PanicError
 		var e *Error
-		if err := rt.SetErr(1); !errors.As(err, &e) || !strings.Contains(err.Error(), "owned pointer accessed by context") {
-			t.Fatalf("SetErr(second set) = %v, want a contained partition violation", err)
+		if !errors.As(err, &pe) || pe.Set != 1 || !errors.As(err, &e) || e.Kind != ErrPartitionViolation ||
+			!strings.Contains(e.Msg, "owned pointer accessed by context") {
+			t.Fatalf("Err() = %v, want the second set's contained partition violation", err)
 		}
 	})
 }

@@ -238,29 +238,35 @@ func (rt *Runtime) Checked() bool { return rt.checked }
 // reserved: user delegations may not use it.
 const NoSet = core.NoSet
 
-// Err reports every panic the runtime has contained so far, aggregated
-// into one error (errors.Join of ErrPanic-kind *Error values, each
-// wrapping a *PanicError with the recovered value and original stack), in
-// (epoch, set) order. Nil when no delegated operation has faulted. A
-// contained panic poisons the faulting operation's serialization set for
-// the rest of its isolation epoch — the set executed exactly its prefix up
-// to the fault, everything after was deterministically dropped — so Err is
-// how a program that survived an epoch finds out it did not finish it. Only
-// the most recent core.DefaultFaultRecordBound faults are retained;
-// Stats.DroppedFaults counts evictions. Safe from any goroutine.
-func (rt *Runtime) Err() error { return joinFaults(rt.core.Faults()) }
-
-// SetErr reports the contained panics recorded against one serialization
-// set, aggregated like Err. Nil when the set never faulted. O(faults on
-// that set), and safe from any goroutine — the serving tier calls it from
-// handler goroutines to attach fault detail to 500 responses.
-func (rt *Runtime) SetErr(set uint64) error { return joinFaults(rt.core.SetFaults(set)) }
-
-// Poisoned reports whether the set is poisoned in the current isolation
-// epoch (delegations to it are being dropped). Poisoning clears at the
-// next BeginIsolation; fault records — and therefore Err/SetErr — do not.
-// Lock-free and safe from any goroutine.
-func (rt *Runtime) Poisoned(set uint64) bool { return rt.core.Poisoned(set) }
+// Err reports every panic the runtime has contained so far: errors.Join of
+// one *PanicError per retained fault, each carrying the recovered value and
+// original stack, in (epoch, set) order. Nil when no delegated operation
+// has faulted. A contained panic poisons the faulting operation's
+// serialization set for the rest of its isolation epoch — the set executed
+// exactly its prefix up to the fault, everything after was
+// deterministically dropped — so Err is how a program that survived an
+// epoch finds out it did not finish it. errors.Is and errors.As reach
+// through each record to a panic value that was itself an error, such as
+// an *Error raised inside an operation. Only the most recent
+// core.DefaultFaultRecordBound faults are retained; Stats.DroppedFaults
+// counts evictions. Safe from any goroutine.
+func (rt *Runtime) Err() error {
+	// The records arrive in containment order, which concurrent faults on
+	// different delegates make nondeterministic; sorting by (epoch, set)
+	// gives the report a stable shape.
+	faults := rt.core.Faults()
+	sort.Slice(faults, func(i, j int) bool {
+		if faults[i].Epoch != faults[j].Epoch {
+			return faults[i].Epoch < faults[j].Epoch
+		}
+		return faults[i].Set < faults[j].Set
+	})
+	errs := make([]error, len(faults))
+	for i := range faults {
+		errs[i] = &faults[i]
+	}
+	return errors.Join(errs...)
+}
 
 // QueueDepths appends each delegate context's current backlog (operations
 // routed to it that have not finished executing) to dst and returns the
@@ -275,28 +281,6 @@ func (rt *Runtime) QueueDepths(dst []uint64) []uint64 { return rt.core.QueueDept
 // wedge panic. A draining server logs it when its drain deadline expires to
 // identify stragglers. Safe from any goroutine.
 func (rt *Runtime) SchedDump() string { return rt.core.DumpSchedState() }
-
-// joinFaults renders engine fault records as the public error surface.
-// The records arrive in containment order, which concurrent faults on
-// different delegates make nondeterministic; sorting by (epoch, set) gives
-// the report a stable shape.
-func joinFaults(faults []core.PanicFault) error {
-	if len(faults) == 0 {
-		return nil
-	}
-	sort.Slice(faults, func(i, j int) bool {
-		if faults[i].Epoch != faults[j].Epoch {
-			return faults[i].Epoch < faults[j].Epoch
-		}
-		return faults[i].Set < faults[j].Set
-	})
-	errs := make([]error, len(faults))
-	for i, f := range faults {
-		pe := &PanicError{Set: f.Set, Ctx: f.Ctx, Epoch: f.Epoch, Value: f.Value, Stack: f.Stack}
-		errs[i] = &Error{Kind: ErrPanic, Msg: pe.Error(), Err: pe}
-	}
-	return errors.Join(errs...)
-}
 
 // nextInstance issues wrapper instance numbers (the sequence serializer's
 // identity source).

@@ -24,10 +24,6 @@ type ReadOnly[T any] struct {
 	// tramp is the wrapper type's static delegation trampoline, bound once
 	// at construction so Delegate builds no closure per call.
 	tramp core.Trampoline
-	// lastSet remembers the most recent Delegate target so Err can consult
-	// the runtime's fault records for it.
-	lastSet uint64
-	hasSet  bool
 }
 
 // readOnlyTramp is the ReadOnly delegation trampoline: p1 is the wrapper,
@@ -53,20 +49,7 @@ func (r *ReadOnly[T]) Delegate(set uint64, fn func(c *Ctx, obj *T)) {
 	if !r.rt.core.InIsolation() {
 		raise(ErrAPIMisuse, "Delegate outside an isolation epoch")
 	}
-	r.lastSet, r.hasSet = set, true
 	r.rt.core.DelegateCall(set, r.tramp, unsafe.Pointer(r), funcPtr(fn))
-}
-
-// Err reports the contained panics recorded against the serialization set
-// this wrapper most recently delegated through (see Runtime.Err for the
-// containment semantics). Nil when the wrapper never delegated or the set
-// never faulted; wrappers delegating through many sets should query
-// Runtime.SetErr per set. Program context.
-func (r *ReadOnly[T]) Err() error {
-	if !r.hasSet {
-		return nil
-	}
-	return r.rt.SetErr(r.lastSet)
 }
 
 // Get returns the shared read view. The pointer may be captured by delegated

@@ -27,10 +27,6 @@ type Reducible[T any] struct {
 	// not share cache lines.
 	views []*T
 	dirty atomic.Bool
-	// lastSet remembers the most recent Delegate target so Err can consult
-	// the runtime's fault records for it.
-	lastSet uint64
-	hasSet  bool
 }
 
 // reducibleTramp is the Reducible delegation trampoline: p1 is the wrapper,
@@ -81,27 +77,15 @@ func (r *Reducible[T]) Update(c *Ctx, fn func(view *T)) {
 // are associative and commutative, any set is sound — pick one that spreads
 // updates across the delegate pool (or ride along with the set of the
 // writable the update is derived from, so it shares that set's context and
-// cache state). Marks the reduction pending.
+// cache state). Marks the reduction pending. An update that panics poisons
+// its set like any operation (see Runtime.Err), so the reduced result holds
+// exactly the updates that ran before the fault.
 func (r *Reducible[T]) Delegate(set uint64, fn func(view *T)) {
 	if !r.rt.core.InIsolation() {
 		raise(ErrAPIMisuse, "Reducible.Delegate outside an isolation epoch")
 	}
 	r.dirty.Store(true)
-	r.lastSet, r.hasSet = set, true
 	r.rt.core.DelegateCall(set, r.tramp, unsafe.Pointer(r), funcPtr(fn))
-}
-
-// Err reports the contained panics recorded against the serialization set
-// this reducible most recently delegated through (see Runtime.Err for the
-// containment semantics). A faulted update poisons that set like any
-// other: later delegated updates through it are dropped, so the reduced
-// result reflects exactly the updates that ran before the fault. Nil when
-// the reducible never delegated or the set never faulted. Program context.
-func (r *Reducible[T]) Err() error {
-	if !r.hasSet {
-		return nil
-	}
-	return r.rt.SetErr(r.lastSet)
 }
 
 // Result reduces (if needed) and returns the final view. It must be called

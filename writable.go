@@ -189,28 +189,6 @@ func (w *Writable[T]) RO() *T {
 // returns ownership to the program context, without performing a call.
 func (w *Writable[T]) Sync() { w.reclaim() }
 
-// Err reports the contained panics recorded against this wrapper's
-// serialization set — delegated operations that faulted. When an operation
-// panics, the runtime keeps the process alive, poisons the set for the
-// rest of the epoch (later delegations are dropped), and surfaces the
-// fault here: the set executed exactly its prefix up to the faulting
-// operation. Nil when nothing faulted. The set consulted is the one this
-// wrapper last delegated through (its per-epoch serializer tag, which
-// survives past EndIsolation until the wrapper's next use), falling back
-// to the serializer's current mapping; wrappers that only ever delegated
-// through DelegateTo with varying sets should query Runtime.SetErr
-// directly. Program context.
-func (w *Writable[T]) Err() error {
-	set := w.set
-	if !w.hasSet {
-		if w.ser == nil {
-			return nil
-		}
-		set = w.ser(w.instance, &w.obj)
-	}
-	return w.rt.SetErr(set)
-}
-
 // Call invokes fn on the wrapped object in the program context and returns
 // its result; the free-function form exists because Go methods cannot add
 // type parameters (paper: call returning R).

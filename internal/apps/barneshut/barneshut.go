@@ -11,6 +11,11 @@
 // single loop. A run builds it into arenas kept across steps. That reuse
 // is §2.2's alternating partition: the tree is rewritten only between
 // isolation epochs, after the barrier retired every reader of the last one.
+//
+// The force phase visits the bodies in that preorder too, not by index:
+// bodies close in preorder are close in space, so consecutive walks open
+// the same cells. A body's own sum does not depend on when it is visited,
+// so the outputs are those of an index-order visit, bit for bit.
 package barneshut
 
 import (
@@ -54,17 +59,18 @@ func clone(in *Input) ([]Body, []*Body) {
 	return bodies, ptrs
 }
 
-// forceRange computes accelerations for bodies [lo, hi) against the tree,
-// storing into accs.
+// forceRange computes accelerations for the bodies at positions [lo, hi)
+// of the tree's preorder, storing into accs by body index.
 func forceRange(root *Tree, ptrs []*Body, accs []Vec3, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for _, i := range root.span(lo, hi) {
 		accs[i] = root.Force(ptrs[i])
 	}
 }
 
-// integrateRange advances bodies [lo, hi).
-func integrateRange(ptrs []*Body, accs []Vec3, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// integrateRange advances the bodies at positions [lo, hi) of the tree's
+// preorder.
+func integrateRange(root *Tree, ptrs []*Body, accs []Vec3, lo, hi int) {
+	for _, i := range root.span(lo, hi) {
 		Integrate(ptrs[i], accs[i])
 	}
 }

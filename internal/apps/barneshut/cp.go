@@ -25,7 +25,7 @@ func RunCP(in *Input, workers int) *Output {
 			go func() {
 				defer wg.Done()
 				forceRange(root, ptrs, accs, lo, hi)
-				integrateRange(ptrs, accs, lo, hi)
+				integrateRange(root, ptrs, accs, lo, hi)
 			}()
 		}
 		wg.Wait()

@@ -56,7 +56,8 @@ type node struct {
 type Tree struct {
 	Mass  float64
 	COM   Vec3
-	nodes []node // nodes[0] is the root cell
+	nodes []node  // nodes[0] is the root cell
+	order []int32 // the occupants' body indices, in preorder
 }
 
 // cell is a cell of the build arena. A child slot is 0 (empty), a child
@@ -156,9 +157,9 @@ const closing = 1 << 30
 // emit writes the arena out as the preorder slice, in one depth-first walk:
 // a cell's node is appended when the walk reaches it and finished (Skip,
 // Mass, COM) when its run closes, after every node in the run, from its
-// children in octant order.
+// children in octant order. Each occupant's body index goes to order.
 func (bd *builder) emit(bodies []*Body) {
-	nodes := bd.tree.nodes[:0]
+	nodes, order := bd.tree.nodes[:0], bd.tree.order[:0]
 	stack := append(bd.stack[:0], 0)
 	for len(stack) > 0 {
 		k := stack[len(stack)-1]
@@ -167,6 +168,7 @@ func (bd *builder) emit(bodies []*Body) {
 		case k < 0:
 			for j := ^k; j >= 0; j = bd.next[j] {
 				nodes = append(nodes, node{COM: bodies[j].Pos, Mass: bodies[j].Mass, Skip: int32(len(nodes)) + 1})
+				order = append(order, j)
 			}
 		case k >= closing:
 			n := &nodes[k-closing]
@@ -191,7 +193,7 @@ func (bd *builder) emit(bodies []*Body) {
 			}
 		}
 	}
-	bd.tree.nodes, bd.stack = nodes, stack
+	bd.tree.nodes, bd.tree.order, bd.stack = nodes, order, stack
 }
 
 // Force computes the Barnes-Hut approximate gravitational acceleration on a
@@ -217,6 +219,15 @@ func (t *Tree) Force(b *Body) Vec3 {
 		}
 	}
 	return sum
+}
+
+// span returns the body indices at positions [lo, hi) of the preorder; a
+// nil tree holds none.
+func (t *Tree) span(lo, hi int) []int32 {
+	if t == nil {
+		return nil
+	}
+	return t.order[lo:hi]
 }
 
 // accel is the acceleration toward a point mass at offset d, at the

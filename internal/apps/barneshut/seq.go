@@ -8,7 +8,7 @@ func RunSeq(in *Input) *Output {
 	for step := 0; step < in.Steps; step++ {
 		root := bd.build(ptrs)
 		forceRange(root, ptrs, accs, 0, len(ptrs))
-		integrateRange(ptrs, accs, 0, len(ptrs))
+		integrateRange(root, ptrs, accs, 0, len(ptrs))
 	}
 	return &Output{Bodies: bodies}
 }

@@ -41,7 +41,7 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 		root := *treeRO.Get()
 		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {
 			forceRange(root, ptrs, accs, r.lo, r.hi)
-			integrateRange(ptrs, accs, r.lo, r.hi)
+			integrateRange(root, ptrs, accs, r.lo, r.hi)
 		})
 		rt.EndIsolation()
 	}

@@ -145,6 +145,43 @@ func TestCoincidentForceExact(t *testing.T) {
 	}
 }
 
+// TestOrderIsPermutation: at every step of a run the preorder lists every
+// body exactly once, coincident bodies included, and its k-th entry is the
+// body the k-th occupant was taken from.
+func TestOrderIsPermutation(t *testing.T) {
+	bodies := makeBodies(6, 500)
+	for i := 0; i < 30; i++ { // coincident pairs, and triples from i < 10
+		b := *bodies[i%20]
+		bodies = append(bodies, &b)
+	}
+	var bd builder
+	accs := make([]Vec3, len(bodies))
+	for step := 0; step < 5; step++ {
+		tr := bd.build(bodies)
+		if len(tr.order) != len(bodies) {
+			t.Fatalf("step %d: order lists %d bodies, want %d", step, len(tr.order), len(bodies))
+		}
+		seen := make([]bool, len(bodies))
+		k := 0
+		for i := range tr.nodes {
+			if tr.nodes[i].Open != 0 {
+				continue
+			}
+			j := tr.order[k]
+			if seen[j] {
+				t.Fatalf("step %d: body %d listed twice", step, j)
+			}
+			seen[j] = true
+			if n := &tr.nodes[i]; n.COM != bodies[j].Pos || n.Mass != bodies[j].Mass {
+				t.Fatalf("step %d: occupant %d is not body %d", step, k, j)
+			}
+			k++
+		}
+		forceRange(tr, bodies, accs, 0, len(bodies))
+		integrateRange(tr, bodies, accs, 0, len(bodies))
+	}
+}
+
 // forceSink keeps BenchmarkForceM's calls from being optimized away.
 var forceSink Vec3
 
@@ -155,6 +192,18 @@ func BenchmarkForceM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		forceSink = tr.Force(bodies[i%len(bodies)])
+	}
+}
+
+// BenchmarkForceRangeM: one step's whole force phase at M against the
+// first step's tree, in the order a run visits the bodies.
+func BenchmarkForceRangeM(b *testing.B) {
+	_, bodies := clone(Load(workload.Medium))
+	tr := BuildTree(bodies)
+	accs := make([]Vec3, len(bodies))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forceRange(tr, bodies, accs, 0, len(bodies))
 	}
 }
 

@@ -14,7 +14,9 @@ func RunCP(in *Input, workers int) *Output {
 	cents := initialCentroids(in)
 	assign := make([]int, n)
 	parts := make([]partial, workers)
+	var sp space
 	for it := 0; it < in.Iters; it++ {
+		sp.build(cents, in.Dims)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo, hi := n*w/workers, n*(w+1)/workers
@@ -26,7 +28,7 @@ func RunCP(in *Input, workers int) *Output {
 			go func(p *partial) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					c := nearest(in.Points[i], cents)
+					c := sp.nearest(in.Points[i], assign[i])
 					assign[i] = c
 					p.add(c, in.Points[i])
 				}

@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/workload"
@@ -39,11 +40,105 @@ func assignEqual(t *testing.T, got, want []int, label string) {
 	}
 }
 
+// dist2 is squared Euclidean distance, summed in dimension order.
+func dist2(a, b workload.Point) float64 {
+	var s float64
+	for d := range a {
+		diff := a[d] - b[d]
+		s += float64(diff * diff)
+	}
+	return s
+}
+
+// nearest is the brute-force oracle for space.nearest: every centroid's
+// full distance, ties broken by lowest index.
+func nearest(p workload.Point, cents []workload.Point) int {
+	best, bestD := 0, math.MaxFloat64
+	for c, cent := range cents {
+		if d := dist2(p, cent); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
 func TestNearestTieBreak(t *testing.T) {
 	p := workload.Point{0, 0}
 	cents := []workload.Point{{1, 0}, {-1, 0}, {0, 1}}
 	if got := nearest(p, cents); got != 0 {
 		t.Fatalf("tie should break to lowest index, got %d", got)
+	}
+	var sp space
+	sp.build(cents, 2)
+	for hint := range cents {
+		if got := sp.nearest(p, hint); got != 0 {
+			t.Fatalf("hint %d: tie should break to lowest index, got %d", hint, got)
+		}
+	}
+}
+
+// TestNearestMatchesOracle: on integer grids, where distances are exact and
+// ties and pruning boundaries (|h−c| = 2|p−h|) are common, the pruned
+// search returns the oracle's index from every hint. D runs past a
+// multiple of four so the search's tail is exercised; centroids repeat,
+// and points sit on centroids and on the midpoints between them.
+func TestNearestMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	grid := func(dims int) workload.Point {
+		p := make(workload.Point, dims)
+		for d := range p {
+			p[d] = float64(r.Intn(7) - 3)
+		}
+		return p
+	}
+	var sp space
+	for trial := 0; trial < 3000; trial++ {
+		dims, k := 1+trial%7, 1+r.Intn(9)
+		cents := make([]workload.Point, k)
+		for c := range cents {
+			if c > 0 && r.Intn(4) == 0 {
+				cents[c] = cents[r.Intn(c)]
+			} else {
+				cents[c] = grid(dims)
+			}
+		}
+		pts := []workload.Point{}
+		for i := 0; i < 8; i++ {
+			pts = append(pts, grid(dims))
+		}
+		for c := range cents {
+			pts = append(pts, cents[c])
+			h := cents[r.Intn(k)]
+			mid := make(workload.Point, dims)
+			for d := range mid {
+				mid[d] = (h[d] + cents[c][d]) / 2
+			}
+			pts = append(pts, mid)
+		}
+		sp.build(cents, dims)
+		for _, p := range pts {
+			want := nearest(p, cents)
+			for hint := range cents {
+				if got := sp.nearest(p, hint); got != want {
+					t.Fatalf("dims=%d cents=%v p=%v hint=%d: got %d, want %d", dims, cents, p, hint, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNearestMatchesOracleGaussian: the same on the workload's own
+// clustered points, whose distances round.
+func TestNearestMatchesOracleGaussian(t *testing.T) {
+	in := smallInput()
+	var sp space
+	sp.build(in.Points[:in.Clusters], in.Dims)
+	r := rand.New(rand.NewSource(2))
+	for _, p := range in.Points {
+		want := nearest(p, in.Points[:in.Clusters])
+		if got := sp.nearest(p, r.Intn(in.Clusters)); got != want {
+			t.Fatalf("p=%v: got %d, want %d", p, got, want)
+		}
 	}
 }
 
@@ -116,4 +211,23 @@ func TestZeroIters(t *testing.T) {
 	in.Iters = 0
 	out := RunSeq(in)
 	centroidsClose(t, out.Centroids, initialCentroids(in), "zero-iters")
+}
+
+// nearestSink keeps BenchmarkNearestM's calls from being optimized away.
+var nearestSink int
+
+// BenchmarkNearestM: one point's assignment at M, in the middle of a run:
+// against the centroids after five iterations, hinted with the point's
+// assignment in the fifth.
+func BenchmarkNearestM(b *testing.B) {
+	in := Load(workload.Medium)
+	in.Iters = 5
+	out := RunSeq(in)
+	var sp space
+	sp.build(out.Centroids, in.Dims)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(in.Points)
+		nearestSink = sp.nearest(in.Points[j], out.Assign[j])
+	}
 }

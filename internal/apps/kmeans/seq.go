@@ -5,10 +5,12 @@ package kmeans
 func RunSeq(in *Input) *Output {
 	cents := initialCentroids(in)
 	assign := make([]int, len(in.Points))
+	var sp space
 	for it := 0; it < in.Iters; it++ {
+		sp.build(cents, in.Dims)
 		acc := newPartial(in.Clusters, in.Dims)
 		for i, p := range in.Points {
-			c := nearest(p, cents)
+			c := sp.nearest(p, assign[i])
 			assign[i] = c
 			acc.add(c, p)
 		}

@@ -36,16 +36,17 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	red := prometheus.NewReducible(rt,
 		func() partial { return newPartial(in.Clusters, in.Dims) },
 		func(dst, src *partial) { dst.merge(src) })
+	var sp space
 	for it := 0; it < in.Iters; it++ {
 		if it > 0 {
 			red.Clear()
 		}
-		snapshot := cents // read-only during the epoch
+		sp.build(cents, in.Dims) // read-only during the epoch
 		rt.BeginIsolation()
 		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {
 			view := red.View(c)
 			for i := r.lo; i < r.hi; i++ {
-				cl := nearest(in.Points[i], snapshot)
+				cl := sp.nearest(in.Points[i], assign[i])
 				assign[i] = cl
 				view.add(cl, in.Points[i])
 			}
@@ -80,13 +81,14 @@ func RunSSNaive(in *Input, delegates int) (*Output, prometheus.Stats) {
 			ws = append(ws, prometheus.NewWritable(rt, rng{lo, hi}))
 		}
 	}
+	var sp space
 	for it := 0; it < in.Iters; it++ {
-		snapshot := cents
+		sp.build(cents, in.Dims)
 		// Pass 1 (parallel): assignment only.
 		rt.BeginIsolation()
 		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {
 			for i := r.lo; i < r.hi; i++ {
-				assign[i] = nearest(in.Points[i], snapshot)
+				assign[i] = sp.nearest(in.Points[i], assign[i])
 			}
 		})
 		rt.EndIsolation()

@@ -11,6 +11,7 @@
 package reverseindex
 
 import (
+	"bytes"
 	"sort"
 
 	"repro/internal/workload"
@@ -36,16 +37,16 @@ func Load(size workload.SizeClass) *Input {
 // character-level parser: it recognizes <a> and <A> tags with any attribute
 // order, optional whitespace around '=', and single-, double- or un-quoted
 // href values — so the per-file work is a real parse, not a substring
-// search.
+// search. Between tags it jumps from one '<' to the next.
 func extractLinks(content []byte, emit func(url string)) {
 	i := 0
 	n := len(content)
 	for i < n {
-		if content[i] != '<' {
-			i++
-			continue
+		j := bytes.IndexByte(content[i:], '<')
+		if j < 0 {
+			return
 		}
-		i++
+		i += j + 1
 		// Tag name must be "a" or "A" followed by a separator.
 		if i >= n || (content[i] != 'a' && content[i] != 'A') {
 			continue

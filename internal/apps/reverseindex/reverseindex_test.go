@@ -96,3 +96,107 @@ func TestMergeFileSets(t *testing.T) {
 		t.Fatalf("sorted = %v", setToSorted(got))
 	}
 }
+
+// extractLinksBytewise is the scanner extractLinks replaced, which steps
+// byte by byte from one tag to the next: FuzzExtractLinks' oracle.
+func extractLinksBytewise(content []byte, emit func(url string)) {
+	i := 0
+	n := len(content)
+	for i < n {
+		if content[i] != '<' {
+			i++
+			continue
+		}
+		i++
+		if i >= n || (content[i] != 'a' && content[i] != 'A') {
+			continue
+		}
+		i++
+		if i >= n || !isSpace(content[i]) {
+			continue
+		}
+		for i < n && content[i] != '>' {
+			for i < n && isSpace(content[i]) {
+				i++
+			}
+			attrStart := i
+			for i < n && content[i] != '=' && content[i] != '>' && !isSpace(content[i]) {
+				i++
+			}
+			attr := content[attrStart:i]
+			for i < n && isSpace(content[i]) {
+				i++
+			}
+			if i >= n || content[i] != '=' {
+				continue
+			}
+			i++
+			for i < n && isSpace(content[i]) {
+				i++
+			}
+			var val []byte
+			if i < n && (content[i] == '"' || content[i] == '\'') {
+				q := content[i]
+				i++
+				valStart := i
+				for i < n && content[i] != q {
+					i++
+				}
+				if i >= n {
+					return
+				}
+				val = content[valStart:i]
+				i++
+			} else {
+				valStart := i
+				for i < n && !isSpace(content[i]) && content[i] != '>' {
+					i++
+				}
+				val = content[valStart:i]
+			}
+			if isHref(attr) && len(val) > 0 {
+				emit(string(val))
+			}
+		}
+	}
+}
+
+// FuzzExtractLinks: extractLinks emits exactly what the byte-at-a-time
+// scanner does. The seeds run in every plain go test.
+func FuzzExtractLinks(f *testing.F) {
+	for _, seed := range []string{
+		"no tags at all, just text",
+		"text then a trailing <",
+		"ends in <a",
+		`<a href="http://x.example/unterminated`,
+		`<A HREF='http://upper.example/'>x</A>`,
+		"<a href=http://bare.example/y title=t>z</a>",
+		`<a title="1 < 2" href="http://lt.example/">q</a> <a href='<a href=inner>'>`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, content []byte) {
+		var got, want []string
+		extractLinks(content, func(u string) { got = append(got, u) })
+		extractLinksBytewise(content, func(u string) { want = append(want, u) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: links %q, want %q", content, got, want)
+		}
+	})
+}
+
+// linkSink keeps BenchmarkExtractLinksM's calls from being optimized away.
+var linkSink int
+
+// BenchmarkExtractLinksM: one pass of the link scanner over every file of
+// the M tree.
+func BenchmarkExtractLinksM(b *testing.B) {
+	var files [][]byte
+	Load(workload.Medium).FS.Walk(func(f *File) { files = append(files, f.Content) })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range files {
+			extractLinks(c, func(string) { linkSink++ })
+		}
+	}
+}

@@ -14,7 +14,6 @@
 //	any  + header X-Chaos-Panic: 1   the handler panics (chaos injection)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /healthz               200, or 503 while draining
-//	POST /admin/resize?n=N      resize the delegate pool (requires -max-delegates)
 //
 // The session key comes from the X-Session-Key header or the key query
 // parameter. On SIGTERM/SIGINT the server drains: the listener stops
@@ -46,14 +45,10 @@ func main() {
 	cfg := serve.Config{Fsync: durable.FsyncRotation, Logf: log.Printf}
 	var bo buildOpts
 	addr := flag.String("addr", ":8080", "listen address")
-	flag.IntVar(&cfg.Delegates, "delegates", 0, "delegate contexts (0 = GOMAXPROCS-1)")
+	flag.IntVar(&cfg.Delegates, "delegates", 0, "delegate contexts, fixed for the server's life (0 = GOMAXPROCS-1)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 1024, "admission budget (503 above it)")
 	flag.Float64Var(&cfg.Rate, "rate", 0, "per-key token-bucket rate, requests/sec, bucket depth 10 (0 = off)")
 	flag.DurationVar(&cfg.EpochInterval, "epoch-interval", 100*time.Millisecond, "isolation-epoch rotation period")
-
-	// Elastic pool.
-	flag.IntVar(&cfg.MaxDelegates, "max-delegates", 0, "delegate pool capacity; enables /admin/resize and live resizing (0 = fixed pool)")
-	flag.BoolVar(&cfg.Autoscale, "autoscale", false, "scale the pool at epoch rotations from queue occupancy (requires -max-delegates)")
 
 	// Durable sessions.
 	stateDir := flag.String("state-dir", "", "session state directory: snapshots + journal, recovered at boot (empty = sessions die with the process)")

@@ -101,7 +101,7 @@ var determinismShapes = [][]Option{
 	{WithDelegates(3)},
 	{WithDelegates(8)},
 	{WithDelegates(5)},
-	{WithDelegates(2), WithMaxDelegates(6)},
+	{WithDelegates(2)},
 	{WithDelegates(4), WithPolicy(LeastLoaded)},
 	tinyQueues,
 }

@@ -132,7 +132,7 @@
 // # Placement and load balancing
 //
 // Under StaticMod (the paper's policy) set s runs on delegate s mod D + 1,
-// D the active pool size, so a Resize re-spreads every set. Under either
+// D the pool size, which is fixed for the runtime's life. Under either
 // policy the program context runs operations only while it helps at a
 // barrier.
 //
@@ -201,39 +201,38 @@
 // The program context works while it waits. Every program delegates an
 // epoch far faster than the pool executes it, and a program lane deep
 // enough for the whole epoch lets it get to the barrier (EndIsolation,
-// Sleep, RunParallel, the resize barrier, Terminate) with the epoch still
-// queued, where it would sit parked on the delegates' markers — on a small
-// machine, one of the CPUs. Instead, once a barrier has been open for 50µs
-// (an epoch of tiny operations ends inside that, on the plain park it
-// always was), it raises a one-word request on the most occupied delegate
-// that still owes its marker. The delegate loads that word once per
-// operation and answers at its next operation boundary: its marker is
-// already behind everything the program sent, so it pops its lane empty,
-// holds the complete remainder of the epoch, and deals its chains — whole
-// sets' remaining operations, in order; RunParallel tasks one by one; a
-// poisoned set never moves — alternately between itself and the program
-// context's inbox, one lane per delegate, in order of first appearance:
-// the chain its own next operation belongs to stays, the next goes. Dealing
-// rather than cutting at the midpoint gives each side about half the work
-// of an epoch ordered by cost (freqmine's items, the costliest at one end),
-// where a cut would hand one side nearly all of it. The program context
-// runs what it is dealt as context 0 through the very span the drain loop
-// uses, asks again whenever the inbox runs dry, and the barrier closes
-// when every marker is served and the inbox is empty. Order holds as it
-// does under stealing: the unit is the whole set, it moves at an operation
-// boundary, and its only producer
-// — the program context — cannot route to it again before the barrier
-// closes. Only barriers help: a reclaim (Writable.Call, SyncSet) and the
-// wait for room on a full program lane only park — a set lent across a
-// reclaim would outlive the wait — and never under Recursive, where other
-// contexts may still produce into a lent set. An epoch longer than the
-// program lane (4,096 operations per delegate at the default; 256 under
-// WithStealing) still has the program context wait for room until its last
-// lane's worth is queued; only that reaches the barrier to be split. The
-// inbox lanes are as deep as the program lanes, so a hand-over does not
-// spill. ContextFor and Delegate still name the set's owner: an operation
-// ran there or, during a barrier, on context 0. Stats reports HelpedOps
-// and Sheds.
+// Sleep, RunParallel, Terminate) with the epoch still queued, where it
+// would sit parked on the delegates' markers — on a small machine, one of
+// the CPUs. Instead, once a barrier has been open for 50µs (an epoch of
+// tiny operations ends inside that, on the plain park it always was), it
+// raises a one-word request on the most occupied delegate that still owes
+// its marker. The delegate loads that word once per operation and answers
+// at its next operation boundary: its marker is already behind everything
+// the program sent, so it pops its lane empty, holds the complete
+// remainder of the epoch, and deals its chains — whole sets' remaining
+// operations, in order; RunParallel tasks one by one; a poisoned set never
+// moves — alternately between itself and the program context's inbox, one
+// lane per delegate, in order of first appearance: the chain its own next
+// operation belongs to stays, the next goes. Dealing rather than cutting
+// at the midpoint gives each side about half the work of an epoch ordered
+// by cost (freqmine's items, the costliest at one end), where a cut would
+// hand one side nearly all of it. The program context runs what it is
+// dealt as context 0 through the very span the drain loop uses, asks again
+// whenever the inbox runs dry, and the barrier closes when every marker is
+// served and the inbox is empty. Order holds as it does under stealing:
+// the unit is the whole set, it moves at an operation boundary, and its
+// only producer — the program context — cannot route to it again before
+// the barrier closes. Only barriers help: a reclaim (Writable.Call,
+// SyncSet) and the wait for room on a full program lane only park — a set
+// lent across a reclaim would outlive the wait — and never under
+// Recursive, where other contexts may still produce into a lent set. An
+// epoch longer than the program lane (4,096 operations per delegate at the
+// default; 256 under WithStealing) still has the program context wait for
+// room until its last lane's worth is queued; only that reaches the
+// barrier to be split. The inbox lanes are as deep as the program lanes,
+// so a hand-over does not spill. ContextFor and Delegate still name the
+// set's owner: an operation ran there or, during a barrier, on context 0.
+// Stats reports HelpedOps and Sheds.
 //
 // # Recursive delegation
 //
@@ -242,9 +241,8 @@
 // which is how divide-and-conquer programs (quicksort, FPM, Barnes-Hut)
 // are expressed without fork/join scaffolding. It is a permission, not a
 // second engine: it widens every delegate's lane set from one lane to one
-// per context (MaxDelegates x (MaxDelegates+1) rings), makes a reclaim the
-// quiescence barrier, and composes with either placement policy, with or
-// without stealing.
+// per context (D x (D+1) rings), makes a reclaim the quiescence barrier,
+// and composes with either placement policy, with or without stealing.
 //
 // Per-set program order is preserved per producer — FIFO through ring and
 // spill alike — and determinism requires each set to have one producer
@@ -354,29 +352,8 @@
 // for the key answers 500 with the fault instead of being dropped. The
 // package comment there describes the design (the program context as a
 // role, a job's life, faults, rotation as the repair loop, the robustness
-// layer), the note at the top of its durability.go the durable sessions,
-// and Config.Autoscale the autoscaler, which steps the pool through Resize
-// at rotations. cmd/ssserve/README.md covers running it and the load and
-// crash drills.
-//
-// # Elastic runtime
-//
-// The delegate pool can be resized while the runtime is live, at an
-// isolation-epoch boundary only: [Runtime.Resize] validates and records a
-// target, and the next BeginIsolation applies it (applyResize in
-// internal/core/runtime.go). Every delegate structure is pre-allocated for
-// WithMaxDelegates at New and a resize moves only the active prefix, so
-// context numbering, reducible views and trace buffers stay valid and the
-// hot path pays nothing. applyResize runs a barrier, which proves every
-// lane drained; a scale-down then counts the owner-table entries on the
-// retiring delegates (Stats.ResizeEvacuatedSets) and parks them, keeping
-// their structures for the next scale-up. No set is moved: each epoch
-// places its sets afresh, by the new modulus or a fresh owner table's first
-// touch, so a set last run on a retired delegate lands on a survivor.
-// Checked mode panics if a parked delegate's lane ledger is unbalanced
-// ("traffic survived a retired delegate").
-//
-// The resize determinism tests pin that a run whose pool is resized up
-// and down mid-stream produces byte-identical per-set operation logs to a
-// fixed-size run.
+// layer), and the note at the top of its durability.go the durable
+// sessions. Its delegate pool is Config.Delegates, fixed for the server's
+// life, like the paper's pool of delegate threads. cmd/ssserve/README.md
+// covers running it and the load and crash drills.
 package prometheus

@@ -3,7 +3,7 @@ package serve
 // Tests for the O(dirty) snapshot capture: a hand-off the writer could not
 // take is retried by the next rotation whether or not requests keep coming,
 // and what each hand-off commits is the live table at its cut, exactly,
-// however the rotations, resizes, steals, faults, retries and a slow disk
+// however the rotations, steals, faults, retries and a slow disk
 // interleave.
 
 import (
@@ -231,8 +231,8 @@ func canonRecords(t *testing.T, records [][]byte) []string {
 // hook takes the reference capture (encodeSessions over the whole table, as
 // every rotation used to), and the generation the writer then commits must
 // decode to exactly that set of records. The run makes the capture's life
-// hard — 1 ms epochs, an autoscaled pool with a resize stream, a 6-hot /
-// many-cold mix for the stealer, a key that panics, retries, and commits
+// hard — 1 ms epochs, a 3-delegate pool, a 6-hot / many-cold mix for the
+// stealer, a key that panics, retries, and commits
 // slow enough that hand-offs coalesce — and ends in a kill, after which the
 // fsync policy's acked-loss bound must hold as it always has.
 func TestCaptureEqualsLiveTable(t *testing.T) {
@@ -270,9 +270,7 @@ func captureEqualsLiveTable(t *testing.T, policy durable.FsyncPolicy) {
 		StateFS:       cfs,
 		Fsync:         policy,
 		EpochInterval: time.Millisecond,
-		Delegates:     1,
-		MaxDelegates:  3,
-		Autoscale:     true,
+		Delegates:     3,
 		RetryMax:      20,
 		Backend: &ChaosBackend{
 			Inner:  NewHandlerBackend("inner", testHandler),
@@ -290,17 +288,6 @@ func captureEqualsLiveTable(t *testing.T, policy durable.FsyncPolicy) {
 	s1.role.Unlock()
 	h1 := s1.Handler()
 
-	stop := make(chan struct{})
-	go func() { // the resize stream; outlives nothing: stop is closed below
-		for n := 1; ; n = n%3 + 1 {
-			select {
-			case <-stop:
-				return
-			case <-time.After(3 * time.Millisecond):
-				postResize(h1, strconv.Itoa(n))
-			}
-		}
-	}()
 	var (
 		ackMu   sync.Mutex
 		acked   = map[string]uint64{}
@@ -351,7 +338,6 @@ func captureEqualsLiveTable(t *testing.T, policy durable.FsyncPolicy) {
 	}
 	s1.kill()
 	stopped.Store(true)
-	close(stop)
 
 	// The abandoned delegates finish what was already delegated, the writer
 	// what was already handed off; after that nothing reaches storage.
@@ -373,14 +359,14 @@ func captureEqualsLiveTable(t *testing.T, policy durable.FsyncPolicy) {
 	st := s1.rt.Stats() // the runtime is abandoned and quiet: nobody else is its program context
 	deferred := s1.metrics.snapshotSkipped.Load()
 	panics := s1.metrics.panics.Load()
-	t.Logf("%d hand-offs, %d checked, %d deferred, %d resizes, %d retries, %d steals, %d panics",
-		cuts, checked, deferred, st.Resizes, s1.metrics.retries.Load(), st.Steals, panics)
+	t.Logf("%d hand-offs, %d checked, %d deferred, %d retries, %d steals, %d panics",
+		cuts, checked, deferred, s1.metrics.retries.Load(), st.Steals, panics)
 	if checked != cuts || checked < 3 {
 		t.Errorf("%d of %d hand-offs checked, want all of at least 3", checked, cuts)
 	}
-	if deferred == 0 || st.Resizes == 0 || s1.metrics.retries.Load() == 0 || panics == 0 {
-		t.Errorf("deferred %d, resizes %d, retries %d, panics %d: the drill missed one of them",
-			deferred, st.Resizes, s1.metrics.retries.Load(), panics)
+	if deferred == 0 || s1.metrics.retries.Load() == 0 || panics == 0 {
+		t.Errorf("deferred %d, retries %d, panics %d: the drill missed one of them",
+			deferred, s1.metrics.retries.Load(), panics)
 	}
 	live := map[string]uint64{}
 	s1.role.Lock()

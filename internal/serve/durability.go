@@ -20,8 +20,8 @@ package serve
 //     list when a request moves its Seq, once per capture interval — the
 //     session carries the interval it was last listed in (Session.stamp),
 //     so a hot key is listed once, and a set stolen mid-interval is on
-//     exactly one context's list. There is one list per context the
-//     runtime can ever have (NumContexts), so a resize moves none of them.
+//     exactly one context's list. There is one list per execution
+//     context (NumContexts), and the pool is fixed for the server's life.
 //     At the cut the role holder encodes the listed sessions, and only
 //     those, into one arena, empties the lists, opens the next interval and
 //     hands the arena to the writer. Everything not listed is byte for

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	prometheus "repro"
@@ -12,49 +11,13 @@ import (
 
 // Handler returns the server's HTTP surface: every path serves requests
 // through the session-affinity request path except /metrics (Prometheus text
-// exposition), /healthz (503 while draining, 200 otherwise), and
-// /admin/resize (manual pool resize).
+// exposition) and /healthz (503 while draining, 200 otherwise).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/admin/resize", s.handleResize)
 	mux.Handle("/", s)
 	return mux
-}
-
-// handleResize accepts POST /admin/resize?n=<target>: the target is
-// validated against the pool capacity, recorded, and applied under the
-// role at the next epoch rotation — 202, not 200, because the resize is
-// deferred to the runtime's quiescent point by design. A manual target
-// wins over the autoscaler's next decision and resets its cooldown;
-// repeated posts before a rotation follow last-write-wins, matching the
-// engine's own Resize semantics.
-func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.cfg.MaxDelegates <= 0 {
-		http.Error(w, "pool is fixed-size: start with Config.MaxDelegates to enable resizing",
-			http.StatusConflict)
-		return
-	}
-	n, err := strconv.Atoi(r.FormValue("n"))
-	if err != nil {
-		http.Error(w, "query parameter n must be an integer", http.StatusBadRequest)
-		return
-	}
-	if n < 1 || n > s.cfg.MaxDelegates {
-		http.Error(w, fmt.Sprintf("target %d outside pool bounds [1, %d]", n, s.cfg.MaxDelegates),
-			http.StatusUnprocessableEntity)
-		return
-	}
-	s.resizeTarget.Store(int64(n))
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusAccepted)
-	fmt.Fprintf(w, "resize to %d delegates accepted; applies at the next epoch rotation (active %d)\n",
-		n, s.rt.ActiveDelegates())
 }
 
 // handleHealthz reports readiness plus the degradation detail an

@@ -144,8 +144,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for i, d := range s.rt.QueueDepths(make([]uint64, 0, 16)) {
 		fmt.Fprintf(&b, "ss_delegate_backlog{delegate=\"%d\"} %d\n", i+1, d)
 	}
-	fmt.Fprintf(&b, "# HELP ss_delegates Delegates currently active in the pool.\n# TYPE ss_delegates gauge\nss_delegates %d\n",
-		s.rt.ActiveDelegates())
+	fmt.Fprintf(&b, "# HELP ss_delegates Delegates in the pool, fixed for the server's life.\n# TYPE ss_delegates gauge\nss_delegates %d\n",
+		s.rt.NumDelegates())
 
 	// Per-backend health, when the backend exposes it (a Pool does):
 	// breaker state as an enum gauge plus failure/open/denial counters, so
@@ -191,8 +191,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ss_runtime_sheds_total", "Hand-overs of whole sets from a busy delegate to the waiting program context.", st.Sheds)
 	counter("ss_runtime_epochs_total", "Isolation epochs begun (the rotation cadence).", st.Epochs)
 	counter("ss_runtime_delegations_total", "Operations delegated to the pool.", st.Delegations)
-	counter("ss_resize_total", "Delegate-pool resizes applied at epoch boundaries.", st.Resizes)
-	counter("ss_resize_evacuated_sets", "Sets evacuated off retiring delegates by scale-downs.", st.ResizeEvacuatedSets)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())

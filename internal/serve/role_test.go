@@ -110,21 +110,19 @@ func TestRoleManyCallersPerKeyOrder(t *testing.T) {
 	}
 }
 
-// TestRoleUnderRotationResizeRetryChaos saturates the role from every
-// direction at once: 32 callers, a 1 ms rotation timer, retry timers from a
-// backend that fails a fifth of its attempts and spikes now and then, the
-// autoscaler and a stream of manual resizes. The rotation timer must keep
+// TestRoleUnderRotationRetryChaos saturates the role from every direction
+// at once: 32 callers on a 3-delegate pool, a 1 ms rotation timer, and retry
+// timers from a backend that fails a fifth of its attempts and spikes now
+// and then. The rotation timer must keep
 // getting the role — a sync.Mutex waiter that has waited 1 ms is handed the
 // lock ahead of new arrivals, so callers cannot starve it — and each key's
 // answers must be byte-identical to replaying its requests one at a time, in
 // counter order, on a fresh server.
-func TestRoleUnderRotationResizeRetryChaos(t *testing.T) {
+func TestRoleUnderRotationRetryChaos(t *testing.T) {
 	const interval = time.Millisecond
 	s := newTestServer(t, Config{
 		EpochInterval: interval,
-		Delegates:     1,
-		MaxDelegates:  3,
-		Autoscale:     true,
+		Delegates:     3,
 		RetryMax:      20,
 		Backend: &ChaosBackend{
 			Inner:   NewHandlerBackend("inner", chainHandler),
@@ -133,26 +131,10 @@ func TestRoleUnderRotationResizeRetryChaos(t *testing.T) {
 		},
 	})
 	h := s.Handler()
-	stopResizes := make(chan struct{})
-	resizesDone := make(chan struct{})
-	go func() {
-		defer close(resizesDone)
-		for n := 1; ; n = n%3 + 1 {
-			select {
-			case <-stopResizes:
-				return
-			case <-time.After(3 * time.Millisecond):
-				postResize(h, strconv.Itoa(n))
-			}
-		}
-	}()
-
 	keys := []string{"k0", "k1", "k2"}
 	epochs0, start := s.Stats().Epochs, time.Now()
 	acks := hammer(t, h, 32, 60, keys)
 	elapsed := time.Since(start)
-	close(stopResizes)
-	<-resizesDone
 	if err := s.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -160,8 +142,8 @@ func TestRoleUnderRotationResizeRetryChaos(t *testing.T) {
 	if got, floor := st.Epochs-epochs0, uint64(elapsed/(20*interval)); got < 3 || got < floor {
 		t.Errorf("%d rotations in %v of saturation, want at least %d: the timer is being starved of the role", got, elapsed, max(3, floor))
 	}
-	if st.Resizes == 0 || s.metrics.retries.Load() == 0 {
-		t.Errorf("resizes %d, retries %d: the drill exercised neither", st.Resizes, s.metrics.retries.Load())
+	if s.metrics.retries.Load() == 0 {
+		t.Error("no retries: the drill did not exercise the retry timers")
 	}
 
 	sort.Slice(acks, func(i, j int) bool { return acks[i].n < acks[j].n })
@@ -338,39 +320,5 @@ func TestKillMidDeliverKeepsAckedBound(t *testing.T) {
 		if next, _ := strconv.Atoi(bump(t, s2.Handler(), key)); next <= seq {
 			t.Errorf("key %s: successor issued %d, but %d was acknowledged before the kill", key, next, seq)
 		}
-	}
-}
-
-// TestOccupancyCountsCallersWaitingForTheRole: the autoscaler's load signal
-// sees requests that are admitted but not yet delegated — callers queued on
-// the role — through the admission count, with no counter of its own.
-func TestOccupancyCountsCallersWaitingForTheRole(t *testing.T) {
-	s := newTestServer(t, Config{Delegates: 1, EpochInterval: time.Hour})
-	h := s.Handler()
-	s.role.Lock()
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if code, body := get(t, h, "/bump", fmt.Sprintf("key-%d", i), nil); code != http.StatusOK {
-				t.Errorf("status %d body %q", code, body)
-			}
-		}(i)
-	}
-	for end := time.Now().Add(10 * time.Second); s.inflight.Load() != 6; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			s.role.Unlock()
-			t.Fatalf("%d of 6 callers admitted", s.inflight.Load())
-		}
-	}
-	occ := s.sampleOccupancy()
-	s.role.Unlock()
-	if occ != 6 {
-		t.Errorf("occupancy %v with 6 callers waiting for the role on 1 idle delegate, want 6", occ)
-	}
-	wg.Wait()
-	if err := s.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
 	}
 }

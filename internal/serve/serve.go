@@ -83,9 +83,7 @@
 // requests, retry backoff doubles from retryBase (2ms) to retryCap (250ms)
 // for the requests idempotent accepts, the watchdog degrades a key after
 // slowTrips (3) slow services, latency is metered over latencyShards (8)
-// set shards, the autoscaler steps no lower than minDelegates (1) with
-// autoscaleCooldown (3) rotations between steps, and Drain reports
-// stragglers after DrainTimeout (5s).
+// set shards, and Drain reports stragglers after DrainTimeout (5s).
 package serve
 
 import (
@@ -174,20 +172,9 @@ type Handler func(s *Session, r *http.Request) (status int, body string)
 // Config parameterizes a Server: only what a caller chooses. The rest of
 // the tier's shape is constants, named in the package comment.
 type Config struct {
-	// Delegates sets the runtime's INITIAL delegate-context pool size
-	// (default GOMAXPROCS-1, the runtime's own default).
+	// Delegates sets the runtime's delegate-context pool size, fixed for
+	// the server's life (default GOMAXPROCS-1, the runtime's own default).
 	Delegates int
-	// MaxDelegates sets the pool capacity ceiling for live resizes
-	// (runtime structures are pre-allocated to it). 0 fixes the pool at
-	// Delegates: no autoscaling, /admin/resize rejected.
-	MaxDelegates int
-	// Autoscale enables the rotation-driven autoscaler: each epoch
-	// rotation folds mean delegate occupancy into an EWMA and
-	// steps the pool ±1 delegate when it leaves the target band, clamped
-	// to [minDelegates, MaxDelegates] (minDelegates is 1; a manual
-	// /admin/resize is not clamped by it), with autoscaleCooldown (3)
-	// rotations between steps. Requires MaxDelegates.
-	Autoscale bool
 	// MaxInflight is the admission budget: requests admitted and not yet
 	// answered. At it requests are rejected with 503 before touching the
 	// role or the runtime — with the bounded program lane a role holder
@@ -277,9 +264,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.Autoscale && c.MaxDelegates <= 0 {
-		return fmt.Errorf("serve: Config.Autoscale requires Config.MaxDelegates")
 	}
 	return nil
 }
@@ -388,8 +372,6 @@ type Server struct {
 	sessions map[uint64]*Session
 	rotTimer *time.Timer  // fires tick every Config.EpochInterval
 	stopped  bool         // Drain or kill ran: no more rotations or deliveries
-	occEWMA  float64      // autoscaler: smoothed occupancy
-	cooldown int          // autoscaler: rotations until the next decision
 	snapGen  uint64       // durability: snapshot generation counter
 	epoch    uint32       // serve epoch, from 1; moves like stamp, in rotate
 	degraded atomic.Int32 // keys the watchdog degraded this epoch
@@ -404,12 +386,6 @@ type Server struct {
 	// rotation so the any-goroutine metrics scrape never calls Stats
 	// itself (Stats reads program-private counters).
 	statsSnap atomic.Pointer[prometheus.Stats]
-
-	// resizeTarget carries a manual /admin/resize target (0 = none) from
-	// the handler to the next rotation, which applies it — engine
-	// reconfiguration stays on the program context's schedule even when
-	// the request arrives on an arbitrary goroutine.
-	resizeTarget atomic.Int64
 
 	// Durability (see durability.go; all nil/zero without Config.StateFS).
 	// ctxs, stamp and slots follow the capture discipline described there:
@@ -465,9 +441,6 @@ func New(cfg Config) (*Server, error) {
 	opts := []prometheus.Option{prometheus.WithStealing()}
 	if cfg.Delegates > 0 {
 		opts = append(opts, prometheus.WithDelegates(cfg.Delegates))
-	}
-	if cfg.MaxDelegates > 0 {
-		opts = append(opts, prometheus.WithMaxDelegates(cfg.MaxDelegates))
 	}
 	s.role.Lock()
 	defer s.role.Unlock()
@@ -687,9 +660,6 @@ func (s *Server) contain(c *prometheus.Ctx, j *job, v any) {
 // heals poisoned and degraded keys and restarts slow runs, and the stats
 // snapshot republishes. Holds the role.
 func (s *Server) rotate() {
-	// Occupancy is sampled BEFORE the barrier: the closing epoch's backlog
-	// is the load signal, and the barrier is about to drain it to zero.
-	occ := s.sampleOccupancy()
 	s.rt.EndIsolation()
 	s.faultMu.Lock()
 	clear(s.faults)
@@ -707,9 +677,6 @@ func (s *Server) rotate() {
 	// any Session, so this window is a consistent cut across every key —
 	// where the durable-session capture rides (see durability.go).
 	s.rotateDurable()
-	// Record any resize intent now; the BeginIsolation below is the epoch
-	// boundary that applies it, so `ss_delegates` moves on this rotation.
-	s.maybeResize(occ)
 	s.rt.BeginIsolation()
 	s.publishStats()
 }
@@ -718,90 +685,6 @@ func (s *Server) rotate() {
 func (s *Server) publishStats() {
 	st := s.rt.Stats()
 	s.statsSnap.Store(&st)
-}
-
-// Autoscaler band: mean outstanding operations per active delegate. Above
-// the high mark the pool is queueing (scale up); below the low mark with
-// more than the floor active, delegates are idling (scale down). The gap
-// between the marks is the hysteresis that keeps a steady load from
-// oscillating the pool.
-const (
-	autoscaleHighOcc = 2.0
-	autoscaleLowOcc  = 0.5
-	// autoscaleAlpha is the occupancy EWMA's smoothing weight per
-	// rotation: heavy enough that a one-rotation burst does not resize the
-	// pool, light enough that a sustained phase shift crosses the band
-	// within a few rotations.
-	autoscaleAlpha = 0.5
-	// minDelegates floors the autoscaler's scale-down. A manual
-	// /admin/resize is not held to it: the floor bounds the feedback loop,
-	// not the operator.
-	minDelegates = 1
-	// autoscaleCooldown is the number of rotations between resize
-	// decisions: a resize re-places owner state, so the band check must see
-	// post-resize occupancy settle before it steps again.
-	autoscaleCooldown = 3
-)
-
-// sampleOccupancy returns the closing epoch's mean per-delegate load:
-// requests admitted and not yet answered — queued on or running on a
-// delegate, waiting for the role this rotation holds (the admitted but not
-// yet delegated), or backing off before a retry — over the active pool.
-// The admission count already holds all of them. Pre-barrier.
-func (s *Server) sampleOccupancy() float64 {
-	n := s.rt.ActiveDelegates()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.inflight.Load()&^drainingBit) / float64(n)
-}
-
-// autoscaleStep is the autoscaler's decision, a pure function of its state
-// and one occupancy sample: step the occupancy EWMA; inside a cooldown only
-// count it down; otherwise move one delegate toward the band — up above
-// autoscaleHighOcc, down below autoscaleLowOcc, within [min, max] — and start
-// a cooldown of cooldownLen rotations when that changes the pool. Resizes
-// are single steps — the engine applies them at epoch boundaries, so each
-// step's effect is observable before the next decision.
-func autoscaleStep(ewma, occ float64, cooldown, active, min, max, cooldownLen int) (ewma2 float64, cooldown2, target int) {
-	ewma += autoscaleAlpha * (occ - ewma)
-	switch {
-	case cooldown > 0:
-		return ewma, cooldown - 1, active
-	case ewma > autoscaleHighOcc && active < max:
-		return ewma, cooldownLen, active + 1
-	case ewma < autoscaleLowOcc && active > min:
-		return ewma, cooldownLen, active - 1
-	}
-	return ewma, 0, active
-}
-
-// maybeResize applies the rotation's scaling decision: a manual
-// /admin/resize target always wins and resets the cooldown; otherwise,
-// with Autoscale on, autoscaleStep decides. Holds the role.
-func (s *Server) maybeResize(occ float64) {
-	if tgt := s.resizeTarget.Swap(0); tgt > 0 {
-		if err := s.rt.Resize(int(tgt)); err != nil {
-			s.cfg.Logf("serve: manual resize to %d rejected: %v", tgt, err)
-		} else {
-			s.cooldown = autoscaleCooldown
-		}
-		return
-	}
-	if !s.cfg.Autoscale {
-		return
-	}
-	active := s.rt.ActiveDelegates()
-	ewma, cooldown, target := autoscaleStep(s.occEWMA, occ, s.cooldown, active,
-		minDelegates, s.cfg.MaxDelegates, autoscaleCooldown)
-	s.occEWMA = ewma
-	if target != active {
-		if err := s.rt.Resize(target); err != nil {
-			s.cfg.Logf("serve: autoscale to %d rejected: %v", target, err)
-			return // no cooldown: decide again at the next rotation
-		}
-	}
-	s.cooldown = cooldown
 }
 
 // Drain gracefully stops the server: admission closes (new requests get
@@ -847,7 +730,3 @@ func (s *Server) Drain() error {
 // Stats returns the most recent epoch-rotation snapshot of the runtime
 // counters. Safe from any goroutine.
 func (s *Server) Stats() prometheus.Stats { return *s.statsSnap.Load() }
-
-// ActiveDelegates reports the live delegate-pool size. Safe from any
-// goroutine; moves only at epoch rotations.
-func (s *Server) ActiveDelegates() int { return s.rt.ActiveDelegates() }

@@ -88,7 +88,7 @@ func (s SkewedRecursive) cohome(c *prometheus.Ctx) {
 	}
 	tick := func(*prometheus.Ctx) { done.Add(1) }
 	sent := int64(0)
-	for _, cold := range s.Cold[:min(len(s.Cold), max(0, c.Runtime().ActiveDelegates()-2))] {
+	for _, cold := range s.Cold[:min(len(s.Cold), max(0, c.Runtime().NumDelegates()-2))] {
 		c.Delegate(cold, hold)
 		for range s.Hot {
 			c.Delegate(cold, tick)

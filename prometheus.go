@@ -76,14 +76,6 @@ type Option func(*core.Config)
 // threads; default GOMAXPROCS-1).
 func WithDelegates(n int) Option { return func(c *core.Config) { c.Delegates = n } }
 
-// WithMaxDelegates sets the pool capacity ceiling for Resize
-// (default: the initial delegate count, i.e. a fixed pool). All pool
-// structures are pre-allocated to this capacity at Init so a live resize
-// never reallocates anything a running delegate indexes into; with
-// Recursive the lane matrix costs O(MaxDelegates²) rings, so size the
-// ceiling to plausible load, not to the machine.
-func WithMaxDelegates(n int) Option { return func(c *core.Config) { c.MaxDelegates = n } }
-
 // WithQueueCapacity sets the capacity of each communication lane's bounded
 // ring: one lane per delegate, one per delegate and producer context with
 // Recursive. Without WithStealing the lane the program context pushes into
@@ -183,29 +175,14 @@ func (rt *Runtime) EndIsolation() { rt.core.EndIsolation() }
 // InIsolation reports whether an isolation epoch is open.
 func (rt *Runtime) InIsolation() bool { return rt.core.InIsolation() }
 
-// NumContexts returns the number of execution contexts (1 program +
-// MaxDelegates). It is the pool CAPACITY plus one — immutable for the
-// runtime's lifetime, so per-context state (reducible views, trace
-// buffers) sized from it stays valid across resizes; use ActiveDelegates
-// for the live pool size.
+// NumContexts returns the number of execution contexts: the program
+// context plus the delegate pool, which is fixed for the runtime's life.
+// Safe from any goroutine.
 func (rt *Runtime) NumContexts() int { return rt.core.NumContexts() }
 
-// NumDelegates returns the delegate pool CAPACITY (MaxDelegates); see
-// ActiveDelegates for the current live count.
+// NumDelegates returns the size of the delegate pool, fixed at Init.
+// Safe from any goroutine.
 func (rt *Runtime) NumDelegates() int { return rt.core.NumContexts() - 1 }
-
-// ActiveDelegates returns the number of delegates currently serving the
-// pool. Safe from any goroutine.
-func (rt *Runtime) ActiveDelegates() int { return rt.core.ActiveDelegates() }
-
-// Resize requests the delegate pool be resized to n at the next epoch
-// boundary — BeginIsolation is the engine's quiescent point, where every
-// set is placed afresh over the new pool (the modulus, or first touch on a
-// rebuilt owner table), so a resize there
-// preserves per-set program order exactly (see doc.go, "Elastic runtime").
-// Validated immediately; safe from any goroutine; last request before the
-// boundary wins.
-func (rt *Runtime) Resize(n int) error { return rt.core.Resize(n) }
 
 // ProgramCtx returns the program context handle, for use with reducibles
 // from the program context.
@@ -219,11 +196,10 @@ type TraceEvent = core.TraceEvent
 
 // Trace-event kinds, re-exported.
 const (
-	TraceExec   = core.TraceExec
-	TraceEpoch  = core.TraceEpoch
-	TraceSteal  = core.TraceSteal
-	TracePanic  = core.TracePanic
-	TraceResize = core.TraceResize
+	TraceExec  = core.TraceExec
+	TraceEpoch = core.TraceEpoch
+	TraceSteal = core.TraceSteal
+	TracePanic = core.TracePanic
 )
 
 // TraceEvents returns the merged trace (nil unless WithTrace was given).

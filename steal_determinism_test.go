@@ -44,10 +44,92 @@ var laneWidths = []struct {
 	{"recursive", []Option{Recursive()}},
 }
 
-// runBankWorkload is the bank workload (runElasticBankWorkload) on a pool
-// of fixed size: under stealing the hot sets migrate off whichever delegate
-// a run of deposits backs up.
-func runBankWorkload(opts ...Option) ([]byte, Stats) { return runElasticBankWorkload(nil, opts...) }
+// runBankWorkload replays a deterministic transaction log against
+// per-account serialization sets (the examples/bank shape) and returns the
+// byte-encoded per-set operation order: each deposit appends its global op
+// number to its account's log, and transfers are dependent operations that
+// reclaim ownership through Call. 90% of the deposits hit 4 "hot" accounts,
+// in runs of 8 on one of them, and each deposit spins for a few
+// microseconds. The spin keeps a delegate observably occupied, so first
+// touch spreads every epoch's sets over the whole pool, the hot sets
+// included: it is the runs that back one delegate up while the sets it
+// holds beside the running one sit quiescent — what a steal needs, and
+// what a reclaim mid-epoch lets happen even on one CPU.
+func runBankWorkload(opts ...Option) ([]byte, Stats) {
+	rt := Init(opts...)
+	defer rt.Terminate()
+
+	type account struct {
+		balance int64
+		oplog   []uint32
+		work    uint64 // the deposits' spin, stored so it is not optimized away
+	}
+	const nAccounts = 16
+	const nHot = 4
+	const runLen = 8
+	const spin = 10000
+	accounts := make([]*Writable[account], nAccounts)
+	for i := range accounts {
+		accounts[i] = NewWritable(rt, account{balance: 1000})
+	}
+
+	r := rand.New(rand.NewSource(41))
+	hot := 0
+	rt.BeginIsolation()
+	for op := 0; op < 6000; op++ {
+		opID := uint32(op)
+		if op%runLen == 0 {
+			hot = r.Intn(nHot)
+		}
+		switch {
+		case op%97 == 0:
+			// Transfer: reclaim both accounts in the program context.
+			from, to := r.Intn(nAccounts), r.Intn(nAccounts)
+			if from == to {
+				continue
+			}
+			amount := int64(r.Intn(40))
+			ok := Call(accounts[from], func(a *account) bool {
+				if a.balance < amount {
+					return false
+				}
+				a.balance -= amount
+				return true
+			})
+			if ok {
+				accounts[to].Call(func(a *account) { a.balance += amount })
+			}
+		case op%53 == 0:
+			// Epoch break: new partition, owner table rebuilt from scratch.
+			rt.EndIsolation()
+			rt.BeginIsolation()
+		default:
+			idx := hot // hot accounts: 90% of deposits
+			if r.Intn(10) == 9 {
+				idx = nHot + r.Intn(nAccounts-nHot)
+			}
+			amount := int64(r.Intn(100))
+			accounts[idx].Delegate(func(c *Ctx, a *account) {
+				a.balance += amount
+				a.oplog = append(a.oplog, opID)
+				x := a.work
+				for i := uint64(0); i < spin; i++ {
+					x += i
+				}
+				a.work = x
+			})
+		}
+	}
+	rt.EndIsolation()
+
+	var buf bytes.Buffer
+	for i, w := range accounts {
+		w.Call(func(a *account) {
+			fmt.Fprintf(&buf, "account %d balance %d oplog %v\n", i, a.balance, a.oplog)
+		})
+	}
+	return buf.Bytes(), rt.Stats()
+}
 
 // runReverseIndexWorkload builds a word->documents index sharded by word
 // hash (the examples/reverse_index shape): each posting is DelegateTo'd to

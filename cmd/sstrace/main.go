@@ -45,6 +45,6 @@ func main() {
 	fmt.Printf("phases: aggregation=%v isolation=%v reduction=%v  reduction: tasks=%d  helped: ops=%d of %d sheds=%d\n\n",
 		st.Aggregation, st.Isolation, st.Reduction, report.Tasks, st.HelpedOps, st.Delegations, st.Sheds)
 	report.WriteReport(os.Stdout)
-	fmt.Println()
+	fmt.Printf("util_min: %.1f%%\n\n", 100*report.UtilMin(*delegates+1))
 	trace.Timeline(os.Stdout, events, *width)
 }

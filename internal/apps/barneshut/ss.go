@@ -1,6 +1,9 @@
 package barneshut
 
-import prometheus "repro"
+import (
+	prometheus "repro"
+	"repro/internal/workload"
+)
 
 // RunSS is the serialization-sets implementation: body chunks are writable
 // domains delegated each step while the freshly built octree is a read-only
@@ -18,18 +21,10 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	accs := make([]Vec3, len(ptrs))
 	var bd builder
 	n := len(ptrs)
-	type rng struct{ lo, hi int }
-	// +1: the program context executes chunks too, at each EndIsolation.
-	nChunks := 8 * (rt.NumDelegates() + 1)
-	if nChunks > n && n > 0 {
-		nChunks = n
-	}
-	ws := make([]*prometheus.Writable[rng], 0, nChunks)
-	for c := 0; c < nChunks; c++ {
-		lo, hi := n*c/nChunks, n*(c+1)/nChunks
-		if lo != hi {
-			ws = append(ws, prometheus.NewWritable(rt, rng{lo, hi}))
-		}
+	rs := workload.Chunks(n, rt.NumContexts())
+	ws := make([]*prometheus.Writable[workload.Range], len(rs))
+	for i, r := range rs {
+		ws[i] = prometheus.NewWritable(rt, r)
 	}
 	treeRO := prometheus.NewReadOnly[*Tree](rt, nil)
 	for step := 0; step < in.Steps; step++ {
@@ -39,9 +34,9 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 		*treeRO.Mut() = bd.build(ptrs)
 		rt.BeginIsolation()
 		root := *treeRO.Get()
-		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {
-			forceRange(root, ptrs, accs, r.lo, r.hi)
-			integrateRange(root, ptrs, accs, r.lo, r.hi)
+		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *workload.Range) {
+			forceRange(root, ptrs, accs, r.Lo, r.Hi)
+			integrateRange(root, ptrs, accs, r.Lo, r.Hi)
 		})
 		rt.EndIsolation()
 	}

@@ -82,6 +82,58 @@ func boundary(data []byte) int {
 	return limit
 }
 
+// The window's hash cancels exactly: at position c it is the hash of
+// data[c-WindowSize:c] alone, whatever came before. So whether a chunk may
+// end at c depends only on those bytes, and any part of the stream can list
+// its candidate positions independently; cut then picks the boundaries
+// from the list by boundary's rule, which is how RunSS splits the stream.
+
+// candidates appends to dst, ascending, every position c in [lo, hi) at
+// which a chunk may end: c ≥ WindowSize and the window before c hashes to
+// magic. hi must not exceed len(data).
+func candidates(dst []int, data []byte, lo, hi int) []int {
+	lo = max(lo, WindowSize)
+	if lo >= hi {
+		return dst
+	}
+	var h uint64
+	for _, b := range data[lo-WindowSize : lo] {
+		h = rotl(h, 1) ^ table[b]
+	}
+	in := data[lo:hi]
+	out := data[lo-WindowSize : hi-WindowSize] // out[i] leaves the window as in[i] enters
+	for i, b := range in {
+		if h&(divisor-1) == magic {
+			dst = append(dst, lo+i)
+		}
+		h = rotl(h, 1) ^ rotl(table[out[i]], WindowSize) ^ table[b]
+	}
+	return dst
+}
+
+// cut returns Split(data), given every candidate position of data in
+// ascending order: from each start, the chunk ends at the first candidate
+// in [start+MinChunk, start+min(rest, MaxChunk)), or at that limit if there
+// is none, and a rest of at most MinChunk is the last chunk.
+func cut(data []byte, cands []int) []Chunk {
+	var chunks []Chunk
+	for start := 0; start < len(data); {
+		end := len(data)
+		if rest := end - start; rest > MinChunk {
+			for len(cands) > 0 && cands[0] < start+MinChunk {
+				cands = cands[1:]
+			}
+			end = start + min(rest, MaxChunk)
+			if len(cands) > 0 && cands[0] < end {
+				end = cands[0]
+			}
+		}
+		chunks = append(chunks, Chunk{Seq: len(chunks), Data: data[start:end]})
+		start = end
+	}
+	return chunks
+}
+
 // Fingerprint64 is an FNV-1a hash used for quick chunk identity in tests and
 // load metrics (the dedup app itself uses SHA-1 for collision resistance).
 func Fingerprint64(data []byte) uint64 {

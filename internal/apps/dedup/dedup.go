@@ -86,6 +86,9 @@ const (
 	tagDup    = byte('D') // followed by uint32 index of referenced unique chunk
 )
 
+// recordHeader is a record's size less its compressed bytes: tag + uint32.
+const recordHeader = 5
+
 // appendUnique encodes a unique-chunk record.
 func appendUnique(archive []byte, compressed []byte) []byte {
 	archive = append(archive, tagUnique)

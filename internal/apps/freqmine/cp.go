@@ -11,15 +11,14 @@ import (
 // the PARSEC original: after the sequential FP-tree build, worker threads
 // pull frequent items from a shared dynamic queue (an atomic cursor, the
 // equivalent of omp dynamic scheduling — task sizes are highly skewed) and
-// mine their conditional trees; per-worker result lists are concatenated
-// and sorted.
+// mine their conditional trees; per-worker result lists are concatenated.
 func RunCP(in *Input, workers int) *Output {
 	if workers < 1 {
 		workers = 1
 	}
 	tree := fpm.Build(in.Txns, in.MinSup)
 	items := tree.FrequentItems()
-	results := make([][]fpm.ItemSet, workers)
+	results := make([]fpm.Sets, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -32,14 +31,13 @@ func RunCP(in *Input, workers int) *Output {
 				if i >= len(items) {
 					return
 				}
-				results[w] = tree.MineItem(results[w], items[i])
+				tree.MineItem(&results[w], items[i])
 			}
 		}()
 	}
 	wg.Wait()
-	var sets []fpm.ItemSet
-	for _, r := range results {
-		sets = append(sets, r...)
+	for w := 1; w < workers; w++ {
+		results[0].Join(&results[w])
 	}
-	return &Output{Sets: sets}
+	return &Output{Sets: results[0].Slice()}
 }

@@ -1,8 +1,10 @@
 // Package freqmine reproduces the PARSEC freqmine benchmark (Table 2):
-// FP-growth frequent-itemset mining over a transaction database. The
-// parallel structure in all variants matches the original OpenMP program:
-// the FP-tree build is sequential, and the mining of each frequent item's
-// conditional pattern base is an independent task. The paper notes its
+// FP-growth frequent-itemset mining over a transaction database. In every
+// variant the mining of each frequent item's conditional pattern base is an
+// independent task, as in the original OpenMP program. RunSeq and RunCP
+// build the FP-tree sequentially, as the original does; RunSS builds it
+// under the model too (counting, ranked rows and one subtree per first
+// item, each over independent parts), into the same tree. The paper notes its
 // object-oriented port could not match the hand-optimized original
 // (freqmine is the benchmark where SS loses the most ground in Figure 4)
 // and that neither version scales past ~8 contexts (Figure 6) — an

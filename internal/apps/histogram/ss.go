@@ -2,14 +2,15 @@ package histogram
 
 import (
 	prometheus "repro"
+	"repro/internal/workload"
 )
 
-// RunSS is the serialization-sets implementation: pixel chunks are wrapped
-// in Writables and delegated with DoAll; the histograms are a reducible
-// (paper §2.2 technique 2), so each context accumulates privately and the
-// final bins appear on first use after EndIsolation. The reduction is tiny
-// relative to the scan, matching the paper's Figure 5a (histogram's
-// reduction time is negligible).
+// RunSS is the serialization-sets implementation: the pixels are cut into
+// workload.Chunks ranges, wrapped in Writables and delegated with DoAll;
+// the histograms are a reducible (paper §2.2 technique 2), so each context
+// accumulates privately and the final bins appear on first use after
+// EndIsolation. The reduction is tiny relative to the scan, matching the
+// paper's Figure 5a (histogram's reduction time is negligible).
 func RunSS(in *Input, delegates int) (*Output, prometheus.Stats) {
 	rt := prometheus.Init(prometheus.WithDelegates(delegates))
 	defer rt.Terminate()
@@ -27,23 +28,16 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 			addBins(&dst.b, &src.b)
 		})
 	n := len(in.Pixels) / 3
-	nChunks := 8 * (rt.NumDelegates() + 1)
-	if nChunks > n && n > 0 {
-		nChunks = n
-	}
-	type rng struct{ lo, hi int }
-	ws := make([]*prometheus.Writable[rng], 0, nChunks)
-	for c := 0; c < nChunks; c++ {
-		lo, hi := n*c/nChunks, n*(c+1)/nChunks
-		if lo != hi {
-			ws = append(ws, prometheus.NewWritable(rt, rng{lo, hi}))
-		}
+	rs := workload.Chunks(n, rt.NumContexts())
+	ws := make([]*prometheus.Writable[workload.Range], len(rs))
+	for i, r := range rs {
+		ws[i] = prometheus.NewWritable(rt, r)
 	}
 	pixels := in.Pixels
 	rt.BeginIsolation()
-	prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {
+	prometheus.DoAll(ws, func(c *prometheus.Ctx, r *workload.Range) {
 		view := red.View(c)
-		accumulate(pixels, &view.r, &view.g, &view.b, r.lo, r.hi)
+		accumulate(pixels, &view.r, &view.g, &view.b, r.Lo, r.Hi)
 	})
 	rt.EndIsolation()
 	final := red.Result()

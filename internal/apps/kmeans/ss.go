@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	prometheus "repro"
+	"repro/internal/workload"
 )
 
 // RunSS is the serialization-sets implementation using the reduction
@@ -21,18 +22,7 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	n := len(in.Points)
 	cents := initialCentroids(in)
 	assign := make([]int, n)
-	type rng struct{ lo, hi int }
-	nChunks := 8 * (rt.NumDelegates() + 1)
-	if nChunks > n && n > 0 {
-		nChunks = n
-	}
-	ws := make([]*prometheus.Writable[rng], 0, nChunks)
-	for c := 0; c < nChunks; c++ {
-		lo, hi := n*c/nChunks, n*(c+1)/nChunks
-		if lo != hi {
-			ws = append(ws, prometheus.NewWritable(rt, rng{lo, hi}))
-		}
-	}
+	ws := chunks(rt, n)
 	red := prometheus.NewReducible(rt,
 		func() partial { return newPartial(in.Clusters, in.Dims) },
 		func(dst, src *partial) { dst.merge(src) })
@@ -43,9 +33,9 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 		}
 		sp.build(cents, in.Dims) // read-only during the epoch
 		rt.BeginIsolation()
-		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {
+		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *workload.Range) {
 			view := red.View(c)
-			for i := r.lo; i < r.hi; i++ {
+			for i := r.Lo; i < r.Hi; i++ {
 				cl := sp.nearest(in.Points[i], assign[i])
 				assign[i] = cl
 				view.add(cl, in.Points[i])
@@ -69,25 +59,14 @@ func RunSSNaive(in *Input, delegates int) (*Output, prometheus.Stats) {
 	n := len(in.Points)
 	cents := initialCentroids(in)
 	assign := make([]int, n)
-	type rng struct{ lo, hi int }
-	nChunks := 8 * (rt.NumDelegates() + 1)
-	if nChunks > n && n > 0 {
-		nChunks = n
-	}
-	ws := make([]*prometheus.Writable[rng], 0, nChunks)
-	for c := 0; c < nChunks; c++ {
-		lo, hi := n*c/nChunks, n*(c+1)/nChunks
-		if lo != hi {
-			ws = append(ws, prometheus.NewWritable(rt, rng{lo, hi}))
-		}
-	}
+	ws := chunks(rt, n)
 	var sp space
 	for it := 0; it < in.Iters; it++ {
 		sp.build(cents, in.Dims)
 		// Pass 1 (parallel): assignment only.
 		rt.BeginIsolation()
-		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *rng) {
-			for i := r.lo; i < r.hi; i++ {
+		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *workload.Range) {
+			for i := r.Lo; i < r.Hi; i++ {
 				assign[i] = sp.nearest(in.Points[i], assign[i])
 			}
 		})
@@ -100,4 +79,15 @@ func RunSSNaive(in *Input, delegates int) (*Output, prometheus.Stats) {
 		cents = centroidsFrom(&acc, cents)
 	}
 	return &Output{Centroids: cents, Assign: assign}, rt.Stats()
+}
+
+// chunks wraps the points' workload.Chunks ranges in Writables, one set
+// each; both formulations reuse them in every iteration's epoch.
+func chunks(rt *prometheus.Runtime, n int) []*prometheus.Writable[workload.Range] {
+	rs := workload.Chunks(n, rt.NumContexts())
+	ws := make([]*prometheus.Writable[workload.Range], len(rs))
+	for i, r := range rs {
+		ws[i] = prometheus.NewWritable(rt, r)
+	}
+	return ws
 }

@@ -3,6 +3,8 @@ package wordcount
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/workload"
 )
 
 // listDict is the Phoenix-baseline dictionary: a sorted array the original
@@ -119,7 +121,7 @@ func RunCP(in *Input, workers int) *Output {
 	if workers < 1 {
 		workers = 1
 	}
-	chunks := splitWords(in.Text, workers)
+	chunks := splitWords(in.Text, workload.Split(len(in.Text), workers))
 	parts := make([]*listDict, len(chunks))
 	var wg sync.WaitGroup
 	for i, c := range chunks {

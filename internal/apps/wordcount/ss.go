@@ -2,12 +2,13 @@ package wordcount
 
 import (
 	prometheus "repro"
+	"repro/internal/workload"
 )
 
-// RunSS is the serialization-sets implementation: word-aligned text chunks
-// are wrapped in Writables (sequence serializer) and delegated; counts
-// accumulate in a reducible dictionary (the paper's reducible map over the
-// STL map). The final reduction is the ~30% reduction share the paper
+// RunSS is the serialization-sets implementation: the text is cut into
+// workload.Chunks ranges, moved to word boundaries, wrapped in Writables
+// (sequence serializer) and delegated; counts accumulate in a reducible
+// dictionary (the paper's reducible map over the STL map). The final reduction is the ~30% reduction share the paper
 // reports for word_count in Figure 5a.
 func RunSS(in *Input, delegates int) (*Output, prometheus.Stats) {
 	rt := prometheus.Init(prometheus.WithDelegates(delegates))
@@ -20,9 +21,7 @@ func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	red := prometheus.NewReducible(rt,
 		func() dict { return newDict() },
 		func(dst, src *dict) { dst.merge(*src) })
-	// Chunk at the same granularity as CP workers to keep the comparison
-	// honest; a few chunks per context smooths load imbalance.
-	chunks := splitWords(in.Text, 4*(rt.NumDelegates()+1))
+	chunks := splitWords(in.Text, workload.Chunks(len(in.Text), rt.NumContexts()))
 	ws := make([]*prometheus.Writable[[]byte], len(chunks))
 	for i, c := range chunks {
 		ws[i] = prometheus.NewWritable(rt, c)

@@ -95,28 +95,19 @@ func countInto(data []byte, d dict) {
 	}
 }
 
-// splitWords cuts data into n nearly equal chunks without splitting words
-// (boundaries land just past whitespace). CP workers and SS chunks use the
-// same splitter so the comparison is granularity-fair.
-func splitWords(data []byte, n int) [][]byte {
-	if n < 1 {
-		n = 1
-	}
+// splitWords moves each end of cut, a tiling of [0, len(data)), just past
+// the next whitespace, so that no word is split, and returns the non-empty
+// chunks. CP cuts one range per worker and SS workload.Chunks.
+func splitWords(data []byte, cut []workload.Range) [][]byte {
 	var chunks [][]byte
 	start := 0
-	for i := 1; i <= n && start < len(data); i++ {
-		end := len(data) * i / n
-		if end < start {
-			end = start
-		}
+	for _, r := range cut {
+		end := max(r.Hi, start)
 		for end < len(data) && data[end] != ' ' && data[end] != '\n' {
 			end++
 		}
 		if end < len(data) {
 			end++
-		}
-		if i == n {
-			end = len(data)
 		}
 		if end > start {
 			chunks = append(chunks, data[start:end])

@@ -95,7 +95,7 @@ func TestSplitWordsReassembles(t *testing.T) {
 	data := []byte("alpha beta gamma delta epsilon")
 	for n := 1; n < 6; n++ {
 		var joined []byte
-		for _, c := range splitWords(data, n) {
+		for _, c := range splitWords(data, workload.Split(len(data), n)) {
 			joined = append(joined, c...)
 		}
 		if string(joined) != string(data) {

@@ -113,15 +113,57 @@ func (t *Tree) reset(n, minSup int) {
 }
 
 // Build constructs the FP-tree over the database with the given absolute
-// minimum support.
+// minimum support: it counts the items, ranks them and fills one tree with
+// every transaction's row, in one pass each.
 func Build(txns []workload.Transaction, minSup int) *Tree {
-	// The table counts every item, then holds the frequent ones' ranks.
-	ids := itemTable{small: make([]int32, smallItems), other: map[int]int32{}}
+	sup := NewSupports()
+	sup.Count(txns)
+	b := NewBuilder(txns, &sup, minSup)
+	b.Rows(0, len(txns))
+	t, occurrences := b.t, 0
+	for _, r := range b.rows {
+		occurrences += int(r.end - r.start)
+	}
+	t.nodes = slices.Grow(t.nodes, occurrences) // each occurrence makes at most one node
+	m := miners.Get().(*miner)
+	m.fill(t, b.buf, b.rows)
+	miners.Put(m)
+	return t
+}
+
+// Supports counts items' supports, the first pass of a build. The counts
+// of disjoint parts of a database merge into the whole's.
+type Supports struct{ ids itemTable }
+
+// NewSupports returns an empty count.
+func NewSupports() Supports {
+	return Supports{itemTable{small: make([]int32, smallItems), other: map[int]int32{}}}
+}
+
+// Count adds the items of txns.
+func (s *Supports) Count(txns []workload.Transaction) {
 	for _, t := range txns {
 		for _, it := range t {
-			ids.set(it, ids.get(it)+1)
+			s.ids.set(it, s.ids.get(it)+1)
 		}
 	}
+}
+
+// Merge adds o's counts to s's.
+func (s *Supports) Merge(o *Supports) {
+	for it, c := range o.ids.small {
+		s.ids.small[it] += c
+	}
+	for it, c := range o.ids.other {
+		s.ids.other[it] += c
+	}
+}
+
+// rank returns the empty tree over s's frequent items, ranked by
+// descending support, ties by ascending id for determinism. s's table
+// becomes the tree's rank table.
+func (s *Supports) rank(minSup int) *Tree {
+	ids := s.ids
 	var frequent []int
 	for it, c := range ids.small {
 		if c > 0 && int(c) >= minSup {
@@ -133,7 +175,6 @@ func Build(txns []workload.Transaction, minSup int) *Tree {
 			frequent = append(frequent, it)
 		}
 	}
-	// Rank by descending frequency, ties by item id for determinism.
 	sort.Slice(frequent, func(i, j int) bool {
 		a, b := ids.get(frequent[i]), ids.get(frequent[j])
 		if a != b {
@@ -149,24 +190,135 @@ func Build(txns []workload.Transaction, minSup int) *Tree {
 	t := &Tree{ranks: ids}
 	t.reset(len(frequent), minSup)
 	copy(t.items, frequent)
-	// Every transaction is a row of its frequent items' ranks. This is the
-	// sequential fraction every parallel driver pays (Amdahl).
-	m := miners.Get().(*miner)
-	buf, rows := m.path[:0], m.rows[:0]
-	for _, txn := range txns {
-		start := len(buf)
-		for _, it := range txn {
-			if r := ids.get(it); r > 0 {
-				buf = append(buf, r-1)
+	return t
+}
+
+// Builder makes the tree Build makes in stages whose parts are
+// independent, for a parallel driver: Rows over shards of the
+// transactions, then Fill over the groups of rows that share a first rank,
+// then Tree. Rows are inserted in lexicographic order, so a group's rows
+// share no node with any other group's: each group is a subtree of the
+// root, and the groups follow each other in rank order. Tree joins the
+// subtrees in that order, renumbering their nodes and chaining each rank's
+// header list from one subtree to the next, which gives Build's tree node
+// for node.
+type Builder struct {
+	txns   []workload.Transaction
+	t      *Tree
+	buf    []int32 // the rows' ranks: transaction i's from rows[i].start on
+	rows   []row   // by transaction; by first rank once grouped
+	groups []int32 // group g is rows[groups[g]:groups[g+1]]
+	subs   []*Tree // by group
+}
+
+// NewBuilder ranks the items sup counted over txns, as Build does, and
+// places each transaction's row. It takes sup's table over.
+func NewBuilder(txns []workload.Transaction, sup *Supports, minSup int) *Builder {
+	b := &Builder{txns: txns, t: sup.rank(minSup), rows: make([]row, len(txns))}
+	at := 0
+	for i, txn := range txns {
+		b.rows[i].start = int32(at)
+		at += len(txn)
+	}
+	b.buf = make([]int32, at)
+	return b
+}
+
+// Rows writes the rows of transactions [lo, hi): the ranks of each one's
+// frequent items, ascending.
+func (b *Builder) Rows(lo, hi int) {
+	ranks := &b.t.ranks
+	for i := lo; i < hi; i++ {
+		r := &b.rows[i]
+		end := r.start
+		for _, it := range b.txns[i] {
+			if q := ranks.get(it); q > 0 {
+				b.buf[end] = q - 1
+				end++
 			}
 		}
-		slices.Sort(buf[start:])
-		rows = append(rows, row{int32(start), int32(len(buf)), 1})
+		slices.Sort(b.buf[r.start:end])
+		r.end, r.count = end, 1
 	}
-	t.nodes = slices.Grow(t.nodes, len(buf)) // each occurrence makes at most one node
-	m.fill(t, buf, rows)
-	m.path, m.rows = buf, rows
+}
+
+// Groups orders the rows by first rank, drops the empty ones, and returns
+// how many groups Fill takes.
+func (b *Builder) Groups() int {
+	at := make([]int32, len(b.t.items)+1) // at[q+1]: rows whose first rank is q
+	for _, r := range b.rows {
+		if r.end > r.start {
+			at[b.buf[r.start]+1]++
+		}
+	}
+	b.groups = b.groups[:0]
+	for q := range len(b.t.items) {
+		if at[q+1] > 0 {
+			b.groups = append(b.groups, at[q])
+		}
+		at[q+1] += at[q]
+	}
+	b.groups = append(b.groups, at[len(at)-1])
+	grouped := make([]row, at[len(at)-1])
+	for _, r := range b.rows {
+		if r.end > r.start {
+			q := b.buf[r.start]
+			grouped[at[q]] = r
+			at[q]++
+		}
+	}
+	b.rows = grouped
+	b.subs = make([]*Tree, len(b.groups)-1)
+	return len(b.subs)
+}
+
+// Fill inserts group g's rows into a subtree of their own.
+func (b *Builder) Fill(g int) {
+	rows := b.rows[b.groups[g]:b.groups[g+1]]
+	occurrences := 0
+	for _, r := range rows {
+		occurrences += int(r.end - r.start)
+	}
+	sub := new(Tree)
+	sub.reset(len(b.t.items), b.t.minSup)
+	sub.nodes = slices.Grow(sub.nodes, occurrences)
+	m := miners.Get().(*miner)
+	m.fill(sub, b.buf, rows)
 	miners.Put(m)
+	b.subs[g] = sub
+}
+
+// Tree joins the filled subtrees, in rank order, into the builder's tree.
+// Subtree node i > 0 becomes node base+i, base being the nodes before it
+// less its root; a chain's end in a subtree links to the rank's head so
+// far, since fill prepends each new node to its rank's chain.
+func (b *Builder) Tree() *Tree {
+	t, n := b.t, 1
+	for _, sub := range b.subs {
+		n += len(sub.nodes) - 1
+	}
+	t.nodes = slices.Grow(t.nodes, n-1)
+	for _, sub := range b.subs {
+		base := int32(len(t.nodes)) - 1
+		for _, x := range sub.nodes[1:] {
+			if x.parent != 0 {
+				x.parent += base
+			}
+			if x.next != 0 {
+				x.next += base
+			} else {
+				x.next = t.heads[x.rank]
+			}
+			t.nodes = append(t.nodes, x)
+		}
+		for q, h := range sub.heads {
+			if h != 0 {
+				t.heads[q] = h + base
+				t.counts[q] += sub.counts[q]
+			}
+		}
+	}
+	b.subs = nil
 	return t
 }
 
@@ -179,20 +331,20 @@ func (t *Tree) FrequentItems() []int {
 	return items
 }
 
-// MineItem appends to dst every frequent itemset that ends (in frequency
-// order) at the given item, and returns the extended slice: the item's
-// conditional pattern base is extracted and mined recursively. MineItem
-// calls on distinct items touch disjoint conditional trees and may run
-// concurrently as long as the base tree is read-only.
-func (t *Tree) MineItem(dst []ItemSet, item int) []ItemSet {
+// MineItem adds to dst every frequent itemset that ends (in frequency
+// order) at the given item: the item's conditional pattern base is
+// extracted and mined recursively. MineItem calls on distinct items touch
+// disjoint conditional trees and may run concurrently as long as the base
+// tree is read-only and each has its own dst.
+func (t *Tree) MineItem(dst *Sets, item int) {
 	r := t.ranks.get(item) - 1
 	if r < 0 {
-		return dst
+		return
 	}
 	m := miners.Get().(*miner)
-	m.out = dst
+	m.out = *dst
 	m.mine(t, r, nil, 0)
-	return m.done()
+	*dst = m.done()
 }
 
 // MineAll mines the complete set of frequent itemsets sequentially.
@@ -201,7 +353,44 @@ func (t *Tree) MineAll() []ItemSet {
 	for r := len(t.items) - 1; r >= 0; r-- {
 		m.mine(t, int32(r), nil, 0)
 	}
-	return m.done()
+	out := m.done()
+	return out.Slice()
+}
+
+// Sets collects itemsets in blocks of setBlock, so that adding one never
+// copies those before it, and collections join by their block lists.
+type Sets struct {
+	blocks [][]ItemSet
+	n      int
+}
+
+// setBlock is how many itemsets one block of a Sets holds.
+const setBlock = 4096
+
+func (s *Sets) add(x ItemSet) {
+	if k := len(s.blocks); k == 0 || len(s.blocks[k-1]) == setBlock {
+		s.blocks = append(s.blocks, make([]ItemSet, 0, setBlock))
+	}
+	b := &s.blocks[len(s.blocks)-1]
+	*b = append(*b, x)
+	s.n++
+}
+
+// Join moves o's itemsets to the end of s.
+func (s *Sets) Join(o *Sets) {
+	s.blocks = append(s.blocks, o.blocks...)
+	s.n += o.n
+	*o = Sets{}
+}
+
+// Slice copies s's itemsets, in order, into a slice of exactly their
+// number.
+func (s *Sets) Slice() []ItemSet {
+	out := make([]ItemSet, 0, s.n)
+	for _, b := range s.blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // miners recycles miners between mining tasks, so a task starts with the
@@ -222,13 +411,13 @@ type miner struct {
 	remap []int32  // rank in the mined tree -> rank in the conditional tree, or -1
 	keys  []uint64 // the conditional tree's ranking: ^support<<32 | rank in the mined tree
 	slab  []int    // the store emitted itemsets' items are cut from
-	out   []ItemSet
+	out   Sets
 }
 
 // done returns the itemsets found and puts m back in the pool.
-func (m *miner) done() []ItemSet {
+func (m *miner) done() Sets {
 	out := m.out
-	m.out = nil
+	m.out = Sets{}
 	miners.Put(m)
 	return out
 }
@@ -302,7 +491,7 @@ func (m *miner) emit(suffix []int, item, support int) []int {
 	}
 	s[i] = item
 	copy(s[i+1:], suffix[i:])
-	m.out = append(m.out, ItemSet{Items: s, Support: support})
+	m.out.add(ItemSet{Items: s, Support: support})
 	return s
 }
 

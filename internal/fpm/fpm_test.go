@@ -96,10 +96,11 @@ func TestPerItemMiningPartitionsResults(t *testing.T) {
 			t.Fatalf("itemset %x produced by %d items", k, n)
 		}
 	}
-	var union []ItemSet
+	var sets Sets
 	for _, it := range tree.FrequentItems() {
-		union = tree.MineItem(union, it)
+		tree.MineItem(&sets, it)
 	}
+	union := sets.Slice()
 	SortItemSets(union)
 	SortItemSets(all)
 	if !reflect.DeepEqual(union, all) {
@@ -184,8 +185,8 @@ func TestGeneratedWorkloadMines(t *testing.T) {
 }
 
 // TestMineItemAllocatesOnlyOutput: once a miner's buffers have grown,
-// mining an item allocates only what it returns — the itemset list as it
-// grows and the blocks its items are cut from — not per path, per
+// mining an item allocates only what it returns — the blocks its itemsets
+// fill and the blocks their items are cut from — not per path, per
 // conditional tree or per sort.
 func TestMineItemAllocatesOnlyOutput(t *testing.T) {
 	cfg := workload.TxnSize(workload.Small)
@@ -196,8 +197,9 @@ func TestMineItemAllocatesOnlyOutput(t *testing.T) {
 	var item int
 	var out []ItemSet
 	for _, it := range tree.FrequentItems() {
-		if sets := tree.MineItem(nil, it); len(sets) > len(out) {
-			item, out = it, sets
+		var sets Sets
+		if tree.MineItem(&sets, it); sets.n > len(out) {
+			item, out = it, sets.Slice()
 		}
 	}
 	ints := 0
@@ -207,13 +209,14 @@ func TestMineItemAllocatesOnlyOutput(t *testing.T) {
 	if len(out) < 1000 {
 		t.Fatalf("the richest item yields %d itemsets; the workload no longer recurses", len(out))
 	}
-	// A growing slice reallocates at most twice per doubling of its length.
+	// The itemsets fill blocks of setBlock, whose list grows by doubling.
 	// The miner is driven directly: under -race the pool drops Puts at random.
-	budget := float64(2*bits.Len(uint(len(out))) + ints/slabInts + 2)
+	blocks := len(out)/setBlock + 1
+	budget := float64(blocks + bits.Len(uint(blocks)) + ints/slabInts + 2)
 	m := new(miner)
 	mine := func() {
 		m.mine(tree, tree.ranks.get(item)-1, nil, 0)
-		m.out = nil
+		m.out = Sets{}
 	}
 	mine()
 	if got := testing.AllocsPerRun(20, mine); got > budget {
@@ -227,5 +230,33 @@ func TestItemSetKeyCanonical(t *testing.T) {
 	c := ItemSet{Items: []int{1, 2, 4}}
 	if a.Key() != b.Key() || a.Key() == c.Key() {
 		t.Fatal("Key not canonical")
+	}
+}
+
+// TestBuilderMatchesBuild: the staged build gives Build's tree whatever
+// the order its independent parts run in — shards counted and rowed last
+// first, groups filled last first.
+func TestBuilderMatchesBuild(t *testing.T) {
+	cfg := workload.TxnSize(workload.Small)
+	cfg.Count = 3000
+	for _, txns := range [][]workload.Transaction{smallDB(), workload.GenerateTransactions(cfg)} {
+		minSup := max(2, len(txns)/300)
+		cuts := []int{len(txns), len(txns) * 2 / 3, len(txns) / 3, 1, 0}
+		sup := NewSupports()
+		for i := 1; i < len(cuts); i++ {
+			part := NewSupports()
+			part.Count(txns[cuts[i]:cuts[i-1]])
+			sup.Merge(&part)
+		}
+		b := NewBuilder(txns, &sup, minSup)
+		for i := 1; i < len(cuts); i++ {
+			b.Rows(cuts[i], cuts[i-1])
+		}
+		for g := b.Groups() - 1; g >= 0; g-- {
+			b.Fill(g)
+		}
+		if got, want := b.Tree(), Build(txns, minSup); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d transactions: the staged tree differs from Build's", len(txns))
+		}
 	}
 }

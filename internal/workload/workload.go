@@ -48,6 +48,31 @@ func ParseSize(s string) (SizeClass, bool) {
 	return Small, false
 }
 
+// Range is the half-open index range [Lo, Hi).
+type Range struct{ Lo, Hi int }
+
+// Split cuts [0, n) into min(parts, n) contiguous, nearly equal, non-empty
+// ranges, in order: n < parts gives n singletons, and n = 0 none.
+func Split(n, parts int) []Range {
+	parts = min(parts, n)
+	rs := make([]Range, parts)
+	for c := range rs {
+		rs[c] = Range{n * c / parts, n * (c + 1) / parts}
+	}
+	return rs
+}
+
+// ChunksPerContext is how many ranges Chunks cuts per executing context.
+// At size M an operation then takes about 0.05–1.2 ms: short enough that a
+// delegate answers the barrier's request for work within a fraction of the
+// epoch, and each context still runs dozens of operations per epoch.
+const ChunksPerContext = 64
+
+// Chunks is the one cut of the data-parallel programs: it splits [0, n)
+// into ChunksPerContext ranges per executing context (the delegates and
+// the program context, which takes work over at a barrier).
+func Chunks(n, contexts int) []Range { return Split(n, ChunksPerContext*contexts) }
+
 // newRand returns the deterministic source all generators draw from.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 

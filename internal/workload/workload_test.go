@@ -276,3 +276,33 @@ func TestSizeMonotonicity(t *testing.T) {
 		t.Error("text sizes not increasing")
 	}
 }
+
+// TestSplitCoversInOrder: the ranges tile [0, n) in order, with no gap,
+// overlap or empty range; n < parts gives n singletons, n = 0 none.
+func TestSplitCoversInOrder(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 63, 64, 65, 127, 128, 1000, 4096, 100003} {
+		for contexts := 1; contexts <= 16; contexts++ {
+			rs := Chunks(n, contexts)
+			want := min(n, ChunksPerContext*contexts)
+			if len(rs) != want {
+				t.Fatalf("Chunks(%d, %d): %d ranges, want %d", n, contexts, len(rs), want)
+			}
+			at := 0
+			for i, r := range rs {
+				if r.Lo != at || r.Hi <= r.Lo {
+					t.Fatalf("Chunks(%d, %d): range %d is [%d, %d), want a non-empty range from %d", n, contexts, i, r.Lo, r.Hi, at)
+				}
+				if n < ChunksPerContext*contexts && r.Hi != r.Lo+1 {
+					t.Fatalf("Chunks(%d, %d): range %d is [%d, %d), want a singleton", n, contexts, i, r.Lo, r.Hi)
+				}
+				at = r.Hi
+			}
+			if at != n {
+				t.Fatalf("Chunks(%d, %d): ranges end at %d, want %d", n, contexts, at, n)
+			}
+		}
+	}
+	if rs := Split(5, 2); len(rs) != 2 || rs[0] != (Range{0, 2}) || rs[1] != (Range{2, 5}) {
+		t.Fatalf("Split(5, 2) = %v", rs)
+	}
+}

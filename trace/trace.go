@@ -112,6 +112,22 @@ func (r *Report) Skew() float64 {
 	return float64(max) / mean
 }
 
+// UtilMin returns the lowest busy share of the given number of contexts,
+// 0…contexts-1: how idle the least busy one was over the span. A context
+// that ran nothing counts as 0.
+func (r *Report) UtilMin(contexts int) float64 {
+	lo, seen := 1.0, 0
+	for _, c := range r.Contexts {
+		if c.Ctx < contexts {
+			lo, seen = min(lo, c.Util), seen+1
+		}
+	}
+	if seen < contexts {
+		return 0
+	}
+	return lo
+}
+
 // WriteReport renders the analysis as a table.
 func (r *Report) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "trace: span=%v epochs=%d ops=%d sets=%d skew=%.2f\n",

@@ -141,3 +141,27 @@ func TestAnalyzePoolTasks(t *testing.T) {
 		t.Fatalf("context 2 = %+v, want 2 ops, 40µs busy, 1 set", c)
 	}
 }
+
+// TestUtilMin: the lowest busy share over contexts 0…n-1, with a context
+// that ran nothing at 0.
+func TestUtilMin(t *testing.T) {
+	ev := func(ctx int, start, end time.Duration) prometheus.TraceEvent {
+		return prometheus.TraceEvent{Ctx: ctx, Kind: prometheus.TraceExec, Set: 1, Start: start, End: end}
+	}
+	const us = time.Microsecond
+	r := Analyze([]prometheus.TraceEvent{ev(0, 0, 50*us), ev(1, 0, 100*us), ev(2, 0, 25*us)})
+	for _, tc := range []struct {
+		contexts int
+		want     float64
+	}{{1, 0.5}, {2, 0.5}, {3, 0.25}, {4, 0}} {
+		if got := r.UtilMin(tc.contexts); got != tc.want {
+			t.Errorf("UtilMin(%d) = %v, want %v", tc.contexts, got, tc.want)
+		}
+	}
+	if got := Analyze([]prometheus.TraceEvent{ev(1, 0, 100*us)}).UtilMin(2); got != 0 {
+		t.Errorf("UtilMin(2) with an idle context 0 = %v, want 0", got)
+	}
+	if got := Analyze(nil).UtilMin(1); got != 0 {
+		t.Errorf("UtilMin(1) of an empty trace = %v, want 0", got)
+	}
+}

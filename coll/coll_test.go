@@ -1,8 +1,8 @@
 package coll
 
 import (
+	"maps"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -54,53 +54,6 @@ func TestMapUpdateAndGet(t *testing.T) {
 	}
 }
 
-func TestSetDedup(t *testing.T) {
-	rt := newRT(t)
-	s := NewSet[int](rt)
-	vals := make([]int, 500)
-	for i := range vals {
-		vals[i] = i % 50
-	}
-	scatter(rt, vals, func(c *prometheus.Ctx, v int) { s.Insert(c, v) })
-	if s.Len() != 50 {
-		t.Fatalf("set size = %d, want 50", s.Len())
-	}
-	if !s.Contains(rt.ProgramCtx(), 49) || s.Contains(rt.ProgramCtx(), 50) {
-		t.Fatal("membership wrong")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	rt := newRT(t)
-	c := NewCounter[string](rt)
-	words := []string{"a", "b", "a", "a", "c", "b"}
-	scatter(rt, words, func(ctx *prometheus.Ctx, w string) { c.Add(ctx, w, 1) })
-	got := c.Result()
-	if got["a"] != 3 || got["b"] != 2 || got["c"] != 1 {
-		t.Fatalf("counts = %v", got)
-	}
-}
-
-func TestSliceCollectsAll(t *testing.T) {
-	rt := newRT(t)
-	s := NewSlice[int](rt)
-	vals := make([]int, 300)
-	for i := range vals {
-		vals[i] = i
-	}
-	scatter(rt, vals, func(c *prometheus.Ctx, v int) { s.Append(c, v) })
-	got := s.Result()
-	if len(got) != 300 {
-		t.Fatalf("len = %d, want 300", len(got))
-	}
-	sort.Ints(got)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("missing element %d (got %d)", i, v)
-		}
-	}
-}
-
 func TestSumIntAndFloat(t *testing.T) {
 	rt := newRT(t)
 	si := NewSum[int64](rt)
@@ -123,11 +76,11 @@ func TestSumIntAndFloat(t *testing.T) {
 
 func TestMultipleEpochsAccumulate(t *testing.T) {
 	rt := newRT(t)
-	cnt := NewCounter[int](rt)
+	cnt := NewMap[int, int64](rt, addInt64)
 	w := prometheus.NewWritable(rt, 0)
 	for e := 0; e < 4; e++ {
 		rt.BeginIsolation()
-		w.Delegate(func(c *prometheus.Ctx, _ *int) { cnt.Add(c, 7, 1) })
+		w.Delegate(func(c *prometheus.Ctx, _ *int) { cnt.Insert(c, 7, 1) })
 		rt.EndIsolation()
 	}
 	if got := cnt.Result()[7]; got != 4 {
@@ -135,10 +88,20 @@ func TestMultipleEpochsAccumulate(t *testing.T) {
 	}
 }
 
-// TestQuickCounterMatchesSequential: parallel counting over random word
-// streams equals a plain map count.
+func addInt64(a, b int64) int64 { return a + b }
+
+// TestQuickCounterMatchesSequential: counting random word streams into a
+// reducible map gives a plain map's counts, on the parallel runtime and in
+// Sequential mode alike.
 func TestQuickCounterMatchesSequential(t *testing.T) {
 	rt := newRT(t)
+	seq := prometheus.Init(prometheus.Sequential())
+	t.Cleanup(seq.Terminate)
+	count := func(rt *prometheus.Runtime, words []string) map[string]int64 {
+		c := NewMap[string, int64](rt, addInt64)
+		scatter(rt, words, func(ctx *prometheus.Ctx, w string) { c.Insert(ctx, w, 1) })
+		return c.Result()
+	}
 	f := func(seed int64, n uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		words := make([]string, int(n%512))
@@ -149,18 +112,7 @@ func TestQuickCounterMatchesSequential(t *testing.T) {
 		for _, w := range words {
 			want[w]++
 		}
-		c := NewCounter[string](rt)
-		scatter(rt, words, func(ctx *prometheus.Ctx, w string) { c.Add(ctx, w, 1) })
-		got := c.Result()
-		if len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
+		return maps.Equal(count(rt, words), want) && maps.Equal(count(seq, words), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -71,8 +71,7 @@ type SchedPolicy int
 
 const (
 	// StaticMod is the paper's policy (§4): a set executes on delegate
-	// set mod D + 1, D the active pool size, so a Resize re-spreads every
-	// set at the epoch boundary that applies it.
+	// set mod D + 1, D the pool size.
 	StaticMod SchedPolicy = iota
 	// LeastLoaded is the dynamic-scheduling extension the paper names as
 	// future work: the first operation of a set in an epoch is assigned to
@@ -97,21 +96,10 @@ func (p SchedPolicy) String() string {
 // GOMAXPROCS-1 delegates and the paper's static modulus policy.
 type Config struct {
 	// Delegates is the number of delegate contexts (paper: delegate
-	// threads). Default: GOMAXPROCS-1, minimum 1. This is only the INITIAL
-	// pool size: Resize may move the active count anywhere in
-	// [1, MaxDelegates] at epoch boundaries.
+	// threads). Default: GOMAXPROCS-1, minimum 1. The pool is built at New
+	// and fixed for the runtime's life; with Recursive its lane matrix costs
+	// O(Delegates^2) rings.
 	Delegates int
-
-	// MaxDelegates is the pool capacity ceiling for Resize: every
-	// per-delegate structure (lanes, ledgers, trace buffers, per-context
-	// views) is pre-allocated for MaxDelegates at New, and Resize may
-	// activate any pool size up to it without reallocating — which is what
-	// keeps NumContexts immutable and the per-context arrays the wrappers
-	// sized at construction valid for the runtime's whole life. Defaults to Delegates (a fixed pool, no
-	// reconfiguration headroom). With Recursive the lane matrix costs
-	// O(MaxDelegates^2) rings, so size the ceiling to the largest pool the
-	// process will actually use.
-	MaxDelegates int
 
 	// QueueCapacity is the capacity of each communication lane's bounded
 	// ring (one lane per delegate, one per delegate and producer with
@@ -156,8 +144,8 @@ type Config struct {
 	StealThreshold int
 
 	// Trace enables execution tracing: every executed operation (pool tasks
-	// included), epoch, whole-set steal, contained panic and resize is
-	// recorded with timestamps into per-context buffers, retrievable via
+	// included), epoch, whole-set steal and contained panic is recorded
+	// with timestamps into per-context buffers, retrievable via
 	// Runtime.TraceEvents.
 	Trace bool
 
@@ -204,9 +192,6 @@ func (c Config) withDefaults() Config {
 		if c.Delegates < 1 {
 			c.Delegates = 1
 		}
-	}
-	if c.MaxDelegates < c.Delegates {
-		c.MaxDelegates = c.Delegates
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = spsc.DefaultCapacity

@@ -18,8 +18,8 @@ import (
 // inbound lane per producer context. Without Config.Recursive the program
 // context is the only producer and a delegate has exactly one lane — the
 // paper's private communication queue; with it every delegate may delegate
-// too and the pool carries a (MaxDelegates+1)-wide lane matrix. Lanes are
-// bounded lap-stamped value rings (spsc.Lane) backed by an unbounded spill
+// too and carries Delegates+1 lanes, one per context. Lanes are bounded
+// lap-stamped value rings (spsc.Lane) backed by an unbounded spill
 // list that engages only on overflow: a purely bounded lane would
 // self-deadlock when a delegate delegates to a set it itself owns (or
 // around a delegation cycle), because only blocked contexts could drain
@@ -115,8 +115,7 @@ type delegate struct {
 	// sent[p] counts every message (method, sync, terminate) producer p has
 	// pushed into lane p — bumped BEFORE the push. exec[p] publishes how
 	// many of them this delegate has finished executing, stored at drain-run
-	// boundaries and before every sync/terminate signal. A delegate parked
-	// by a scale-down keeps its counters; the respawned loop resumes them.
+	// boundaries and before every sync/terminate signal.
 	sent []counter
 	exec []atomic.Uint64
 
@@ -414,8 +413,7 @@ func (rt *Runtime) delegateLoop(d *delegate) {
 // fresh fault state, or after a shed request, over what the delegate kept.
 func (rt *Runtime) drainLane(d *delegate, p int, buf []Invocation) (drained, terminate bool) {
 	lane, le := d.lanes[p], &d.exec[p]
-	// Single writer: this delegate. Re-read per call, so a loop respawned
-	// by a scale-up resumes the count its parked predecessor published.
+	// Single writer: this delegate.
 	base := le.Load()
 	for {
 		n := lane.PopBatch(buf)
@@ -610,13 +608,13 @@ func (rt *Runtime) runInbox() {
 	p.prodSet = noSetID // nothing executing: Owned checks see no set
 }
 
-// askForWork raises the request on the most occupied active delegate that
+// askForWork raises the request on the most occupied delegate that
 // has not declined in this barrier; a marker plus one operation is nothing
 // to spare.
 func (rt *Runtime) askForWork() {
 	var best *delegate
 	most := uint64(2)
-	for _, d := range rt.delegates[:rt.cfg.Delegates] {
+	for _, d := range rt.delegates {
 		if occ := d.occupancy(); occ > most && d.shedReq.Load() != shedDeclined {
 			best, most = d, occ
 		}
@@ -626,9 +624,7 @@ func (rt *Runtime) askForWork() {
 	}
 }
 
-// sentSum and execSum aggregate the two sides of the ledger over the whole
-// pool CAPACITY: a delegate parked by a scale-down keeps frozen counters
-// that balanced at park time and stay balanced.
+// sentSum and execSum aggregate the two sides of the ledger over the pool.
 func (rt *Runtime) sentSum() (sum uint64) {
 	for _, d := range rt.delegates {
 		for p := range d.sent {
@@ -655,20 +651,17 @@ func (rt *Runtime) clean(i int) bool {
 
 // quiesce waits until every delegate has drained every lane and no
 // operation remains in flight. A round sends a synchronization object down
-// the program lane of each active delegate and waits for all of them; the
+// the program lane of each delegate and waits for all of them; the
 // rounds repeat until the two sides of the ledger agree across a full
 // quiet round, because under Recursive executing an operation may enqueue
 // more work anywhere. Without Recursive the program context is the only
 // producer: a sync object sits behind everything a delegate was ever sent,
 // clean delegates are skipped, and the first round always balances.
 func (rt *Runtime) quiesce() {
-	active := rt.delegates[:rt.cfg.Delegates]
 	// Not under Recursive: other contexts may still produce into a lent set.
 	help := !rt.cfg.Recursive
 	for {
-		// Only the ACTIVE prefix is synced: a delegate parked by a
-		// scale-down has no drain loop to serve the object.
-		for i := range active {
+		for i := range rt.delegates {
 			if rt.cfg.Recursive || !rt.clean(i) {
 				rt.mark(i, kindSync)
 			}
@@ -679,13 +672,13 @@ func (rt *Runtime) quiesce() {
 			// A delegate pushes what it sheds before it serves its marker: run
 			// what is left; no request may be seen raised outside a barrier.
 			rt.runInbox()
-			for _, d := range active {
+			for _, d := range rt.delegates {
 				if d.shedReq.Load() != shedIdle {
 					d.shedReq.Store(shedIdle)
 				}
 			}
 		}
-		for i, d := range active {
+		for i, d := range rt.delegates {
 			rt.synced[i] = d.sent[ProgramContext].n.Load()
 		}
 		if rt.execSum() == before && rt.sentSum() == before {

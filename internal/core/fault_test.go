@@ -304,7 +304,7 @@ func TestWatchdogFires(t *testing.T) {
 				// The dump names the wedged lane — the operation and the sync
 				// object behind it sent, nothing executed — and the marker the
 				// program context waits for on it.
-				for _, want := range []string{"watchdog", "no delegate progress", "2/2 delegates active", " 0:2/0", fmt.Sprintf("waiting=markers %d@2\n", ctx)} {
+				for _, want := range []string{"watchdog", "no delegate progress", "engine: 2 delegates,", " 0:2/0", fmt.Sprintf("waiting=markers %d@2\n", ctx)} {
 					if !strings.Contains(msg, want) {
 						t.Errorf("watchdog message missing %q:\n%s", want, msg)
 					}

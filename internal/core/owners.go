@@ -9,10 +9,10 @@ import (
 // Placement: the owner table, the per-set half of the ledger, and the
 // occupancy-aware rebalancer.
 //
-// Under StaticMod a set's owner is its id modulo the active pool, plus one,
+// Under StaticMod a set's owner is its id modulo the pool size, plus one,
 // and nothing here runs except the Checked-mode producer registry (an owner
 // table used for its entries' producer field alone). Under
-// LeastLoaded a set is placed on first touch — on the least-occupied active
+// LeastLoaded a set is placed on first touch — on the least-occupied
 // delegate other than its producer's own — stays sticky for the epoch, and
 // with Stealing may be handed off, whole, at a quiescent boundary. The
 // paper's scalability argument rests on sets being free to move between
@@ -58,13 +58,13 @@ import (
 // would be a self-delegation the producer may block on: first touch and
 // the thief choice both exclude that delegate, and producing sets do not
 // move. Only a program that breaks the one-producer rule can put a set
-// there, and nothing evacuates it.
+// there, and nothing moves it.
 
 // setEntry is the owner table's record of one serialization set. All
 // fields are atomics: the set's single producer writes owner and lastPos,
-// the owner's drain loop writes nests, and the program context (stats,
-// resize accounting) and — under a violated producer discipline, which
-// Checked mode turns into a panic — other contexts may observe them.
+// the owner's drain loop writes nests, and — under a violated producer
+// discipline, which Checked mode turns into a panic — other contexts may
+// observe them.
 type setEntry struct {
 	// owner is the context id of the delegate currently executing the set.
 	owner atomic.Int32
@@ -193,16 +193,6 @@ func (t *ownerTable) len() int {
 	return t.count
 }
 
-// forEach visits every (set, entry) pair. Program context, between epochs.
-func (t *ownerTable) forEach(fn func(set uint64, e *setEntry)) {
-	b := *t.buckets.Load()
-	for i := range b {
-		for n := b[i].Load(); n != nil; n = n.next {
-			fn(n.set, n.entry)
-		}
-	}
-}
-
 // producerStats holds one producer context's rebalancer counter, padded so
 // concurrent producers never share a line; aggregated into Stats. Single
 // writer: the goroutine running that context.
@@ -250,7 +240,7 @@ func (rt *Runtime) ContextFor(set uint64) int {
 func (rt *Runtime) route(producer int, set uint64) (int, *setEntry) {
 	tbl := rt.owners.Load()
 	if tbl == nil {
-		// StaticMod: the set id modulo the active pool (paper §4).
+		// StaticMod: the set id modulo the pool size (paper §4).
 		if reg := rt.producers.Load(); reg != nil {
 			rt.checkProducer(reg, set, producer)
 		}
@@ -295,12 +285,12 @@ func (rt *Runtime) claim(e *setEntry, set uint64, producer int) {
 	}
 }
 
-// leastOccupied returns the active delegate with the smallest ledger
+// leastOccupied returns the delegate with the smallest ledger
 // occupancy and that occupancy, skipping contexts a and b (0 skips
 // nothing); 0 when no delegate qualifies. Ties go to the lowest id.
 func (rt *Runtime) leastOccupied(a, b int) (best int, occ uint64) {
 	occ = ^uint64(0)
-	for _, d := range rt.delegates[:int(rt.active.Load())] {
+	for _, d := range rt.delegates {
 		if d.id == a || d.id == b {
 			continue
 		}

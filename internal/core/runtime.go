@@ -10,10 +10,10 @@
 // delegate through static trampolines (no per-call closure), and scheduling
 // queries read single-writer ledger counters.
 //
-// There is one engine. This file holds the runtime object, the epoch
-// protocol and live reconfiguration; delegate.go the delegation path, the
-// drain loop and the barrier; owners.go placement, the owner table and the
-// whole-set rebalancer. Config.Recursive is a permission, not a mode: it
+// There is one engine. This file holds the runtime object and the epoch
+// protocol; delegate.go the delegation path, the drain loop and the
+// barrier; owners.go placement, the owner table and the whole-set
+// rebalancer. Config.Recursive is a permission, not a mode: it
 // widens each delegate's lane set from one (the program context's) to one
 // per context, and strengthens a reclaim from a single-lane sync to the
 // quiescence barrier.
@@ -41,20 +41,12 @@ const ProgramContext = 0
 // happens-before edge: the program lane needs one producer at a time, not one
 // goroutine. Delegated closures see only the context id they are handed.
 type Runtime struct {
-	// cfg is the effective configuration. All fields are immutable after
-	// New EXCEPT Delegates, which the program context rewrites at the
-	// epoch boundary that applies a Resize (applyResize). Plain
-	// reads of cfg.Delegates are sound only on the program context or
-	// inside delegated operations (the lane push-pop atomics carry the
-	// happens-before edge from the post-barrier write to any op delegated
-	// after it); any other reader — a metrics scrape — must use the atomic
-	// active counter instead.
+	// cfg is the effective configuration, immutable after New, so Config
+	// and every read of it are safe from any goroutine.
 	cfg Config
 
-	// delegates holds the FULL pre-allocated pool: MaxDelegates structs
-	// with their lanes built at New, goroutines spawned only for the active
-	// prefix [0, cfg.Delegates). The slice itself is never reallocated or
-	// resliced, which is what lets any goroutine range a prefix of it.
+	// delegates is the pool (paper §4): cfg.Delegates delegates with their
+	// lanes, built at New and never changed until Terminate parks them all.
 	delegates []*delegate
 	wg        sync.WaitGroup
 
@@ -73,17 +65,6 @@ type Runtime struct {
 	marks  []atomic.Uint64
 	roomOn atomic.Int32
 	timer  *time.Timer
-
-	// active mirrors cfg.Delegates behind an atomic, for readers with no
-	// happens-before edge to the program context's epoch-boundary write
-	// (QueueDepths on metrics scrapes, placement scans on delegate
-	// producers). 0 in Sequential mode.
-	active atomic.Int32
-
-	// pendingSize is the pool size a Resize asked for (0: none): stored from
-	// any goroutine, swapped out and applied by the program context at the
-	// next BeginIsolation.
-	pendingSize atomic.Int32
 
 	epoch       uint64 // isolation epochs begun; wrappers version state on it
 	inIsolation bool
@@ -125,27 +106,20 @@ func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
 		cfg:    cfg,
-		synced: make([]uint64, cfg.MaxDelegates),
+		synced: make([]uint64, cfg.Delegates),
 		clock:  newPhaseClock(),
 	}
 	if cfg.Trace {
-		rt.traceSt = newTraceState(cfg.MaxDelegates + 1)
+		rt.traceSt = newTraceState(cfg.Delegates + 1)
 	}
 	if cfg.Sequential {
 		return rt // no delegate goroutines at all in debug mode
 	}
-	rt.active.Store(int32(cfg.Delegates))
-	// Build the FULL pool up front — structs, lanes and ledgers for
-	// MaxDelegates — but spawn drain goroutines only for the initial active
-	// prefix. A later Resize activates pre-built delegates (or parks active
-	// ones) without reallocating any structure a running drain loop or
-	// producer indexes into, so NumContexts and every per-context array
-	// sized from it stay valid for the runtime's whole life. With Recursive
-	// every context is a producer and the lanes form a
-	// MaxDelegates x (MaxDelegates+1) matrix (documented on MaxDelegates).
+	// With Recursive every context is a producer and the lanes form a
+	// Delegates x (Delegates+1) matrix.
 	producers := 1
 	if cfg.Recursive {
-		producers = cfg.MaxDelegates + 1
+		producers = cfg.Delegates + 1
 	}
 	rt.prod = make([]producerStats, producers)
 	if cfg.Policy == LeastLoaded {
@@ -167,15 +141,15 @@ func New(cfg Config) *Runtime {
 			inboxCap = progCap
 		}
 	}
-	for i := 0; i < cfg.MaxDelegates; i++ {
+	for i := 0; i < cfg.Delegates; i++ {
 		rt.delegates = append(rt.delegates, newDelegate(i+1, producers, progCap, cfg.QueueCapacity, pool))
 	}
-	rt.prog = newDelegate(ProgramContext, cfg.MaxDelegates+1, cfg.QueueCapacity, inboxCap, pool)
+	rt.prog = newDelegate(ProgramContext, cfg.Delegates+1, cfg.QueueCapacity, inboxCap, pool)
 	rt.progBuf = make([]Invocation, drainBatchSize)
-	rt.marks = make([]atomic.Uint64, cfg.MaxDelegates)
+	rt.marks = make([]atomic.Uint64, cfg.Delegates)
 	rt.timer = time.NewTimer(helpAfter)
 	rt.timer.Stop()
-	for _, d := range rt.delegates[:cfg.Delegates] {
+	for _, d := range rt.delegates {
 		rt.wg.Add(1)
 		go rt.delegateLoop(d)
 	}
@@ -185,13 +159,11 @@ func New(cfg Config) *Runtime {
 // Config returns the effective configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// NumContexts returns the number of execution contexts (program + delegate
-// CAPACITY); context ids are in [0, NumContexts). It reports MaxDelegates+1
-// — the pre-allocated pool ceiling, not the live size — and is immutable
-// for the runtime's whole life, so per-context arrays sized from it at
-// construction (reducible views, Ctx tables) stay valid across every
-// Resize. Use ActiveDelegates for the live pool size.
-func (rt *Runtime) NumContexts() int { return rt.cfg.MaxDelegates + 1 }
+// NumContexts returns the number of execution contexts, the program
+// context and Delegates delegates; context ids are in [0, NumContexts). The
+// pool is fixed, so per-context arrays sized from it at construction
+// (reducible views, Ctx tables) stay valid for the runtime's whole life.
+func (rt *Runtime) NumContexts() int { return rt.cfg.Delegates + 1 }
 
 // ExecutingSet returns the serialization set of the operation context ctx
 // is executing (the drain loop's stamp), or NoSet for a pool task or nothing
@@ -205,10 +177,6 @@ func (rt *Runtime) ExecutingSet(ctx int) uint64 {
 	}
 	return rt.delegates[ctx-1].prodSet
 }
-
-// ActiveDelegates returns the number of currently-active delegate contexts
-// (0 in Sequential mode). Safe from any goroutine.
-func (rt *Runtime) ActiveDelegates() int { return int(rt.active.Load()) }
 
 // Epoch returns the current isolation-epoch number. It is 0 before the first
 // BeginIsolation; wrappers use it to lazily version their state machines.
@@ -231,7 +199,6 @@ func (rt *Runtime) BeginIsolation() {
 	if rt.traceSt != nil {
 		rt.epochStart = time.Now()
 	}
-	rt.applyResize()
 	if reg := rt.producers.Load(); reg != nil {
 		rt.producers.Store(newOwnerTable(reg.len())) // one producer per set per epoch
 	}
@@ -260,109 +227,23 @@ func (rt *Runtime) EndIsolation() {
 	rt.clock.switchTo(PhaseAggregation, &rt.stats)
 }
 
-// Resize requests the delegate pool be resized to n active delegates. The
-// request is validated immediately and recorded; the PROGRAM CONTEXT
-// applies it at the next BeginIsolation — the engine's quiescent point,
-// where the epoch barrier has proven no operation in flight and the owner
-// table is about to rebuild, so first touch places sets across whatever
-// pool opens the epoch. Safe from any goroutine; concurrent requests
-// follow last-store-wins.
-//
-// A target outside what the pre-allocated pool can honor comes back as a
-// descriptive error, never a deferred panic: the resize surface is driven
-// by operators (admin endpoints, autoscalers), so a bad target must fail at
-// the call site, not deep in placement at the next epoch. Only fields that
-// stay immutable after New are read, so any goroutine may call it.
-func (rt *Runtime) Resize(n int) error {
-	c := &rt.cfg
-	switch {
-	case c.Sequential:
-		return fmt.Errorf("prometheus: Resize: Sequential mode has no delegate pool to resize")
-	case n < 1:
-		return fmt.Errorf("prometheus: Resize: %d delegates is not a valid pool size", n)
-	case n > c.MaxDelegates:
-		return fmt.Errorf(
-			"prometheus: Resize: %d delegates exceeds the pool capacity MaxDelegates=%d (pool structures are pre-allocated at New; raise WithMaxDelegates)",
-			n, c.MaxDelegates)
-	}
-	rt.pendingSize.Store(int32(n))
-	return nil
-}
-
-// applyResize applies a pending Resize at the epoch boundary: barrier,
-// count evacuees, park or spawn, republish. Called by BeginIsolation on the
-// program context, before the owner table rebuilds (so placement state is
-// constructed for the NEW pool, never patched afterwards).
-//
-// Scale-up activates pre-built delegates: spawn their drain goroutines and
-// let this epoch's placement — the modulus, or first touch — spread sets
-// across the larger pool. Scale-down is the stealer's argument in pool
-// form: the barrier below proves every set quiescent on every
-// delegate — the same whole-set handoff boundary the stealer uses, applied
-// to all sets at once — so the retiring delegates' sets are re-placed by
-// the new modulus or the owner-table rebuild this epoch performs anyway,
-// and the retirees park permanently with provably balanced lane ledgers.
-func (rt *Runtime) applyResize() {
-	n, old := int(rt.pendingSize.Swap(0)), rt.cfg.Delegates
-	if n == 0 || n == old {
-		return
-	}
-	// Prove the OLD pool quiescent first. BeginIsolation does not imply a
-	// barrier on its own (aggregation-epoch delegations may still be in
-	// flight); the resize point must be one.
-	rt.barrier()
-	// Count the owner-table entries a scale-down evacuates off retiring
-	// delegates (StaticMod keeps none: its sets follow the new modulus).
-	// The barrier proved them quiescent everywhere, so "evacuation" is
-	// exact re-placement by the epoch's table rebuild — nothing is copied
-	// or drained here; the count is the observability record of how much
-	// placement state the shrink displaced.
-	evacuated := 0
-	if n < old {
-		if tbl := rt.owners.Load(); tbl != nil {
-			tbl.forEach(func(_ uint64, e *setEntry) {
-				if int(e.owner.Load()) > n {
-					evacuated++
-				}
-			})
-		}
-		rt.parkDelegates(n, old)
-	}
-	// The modulus and first-touch placement both derive from
-	// cfg.Delegates: rewrite it and publish the atomic mirror before either
-	// runs for this epoch.
-	rt.cfg.Delegates = n
-	rt.active.Store(int32(n))
-	for i := old; i < n; i++ {
-		rt.wg.Add(1)
-		go rt.delegateLoop(rt.delegates[i])
-	}
-	rt.stats.Resizes++
-	rt.stats.ResizeEvacuatedSets += uint64(evacuated)
-	if ts := rt.traceSt; ts != nil {
-		ts.instant(ProgramContext, TraceResize, uint64(n), rt.epoch)
-	}
-}
-
-// parkDelegates retires delegates n..old-1: each is sent a termination
-// object and its goroutine exits once served. Lanes and ledgers are NOT
-// torn down — a later scale-up respawns the loop over the same structures,
-// resuming the published counters where they stopped. The caller has
-// proven the pool quiescent; Checked mode re-asserts it per retiree — no
-// lane traffic survives a retired delegate.
-func (rt *Runtime) parkDelegates(n, old int) {
-	for i := n; i < old; i++ {
+// parkDelegates sends every delegate a termination object and waits until
+// each has served it; its goroutine then exits. The caller has proven the
+// pool quiescent; Checked mode re-asserts it per delegate — no lane traffic
+// survives a parked delegate.
+func (rt *Runtime) parkDelegates() {
+	for i := range rt.delegates {
 		rt.synced[i] = rt.mark(i, kindTerminate)
 	}
 	rt.wait(nil, false)
 	if !rt.cfg.Checked {
 		return
 	}
-	for _, d := range rt.delegates[n:old] {
+	for _, d := range rt.delegates {
 		for p := range d.exec {
 			if sent, exec := d.sent[p].n.Load(), d.exec[p].Load(); sent != exec {
 				panic(fmt.Sprintf(
-					"prometheus: retiring delegate %d parked with lane %d unbalanced (sent=%d exec=%d) — traffic survived a retired delegate",
+					"prometheus: delegate %d parked with lane %d unbalanced (sent=%d exec=%d) — traffic survived a parked delegate",
 					d.id, p, sent, exec))
 			}
 		}
@@ -424,7 +305,7 @@ func (rt *Runtime) Terminate() {
 	rt.terminated = true
 	if !rt.cfg.Sequential {
 		rt.quiesce()
-		rt.parkDelegates(0, rt.cfg.Delegates)
+		rt.parkDelegates()
 		rt.wg.Wait()
 	}
 	rt.clock.switchTo(PhaseAggregation, &rt.stats)

@@ -49,38 +49,27 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Delegates < 1 {
 		t.Errorf("Delegates = %d, want >= 1", c.Delegates)
 	}
-	if c.MaxDelegates < c.Delegates {
-		t.Errorf("MaxDelegates = %d < Delegates = %d", c.MaxDelegates, c.Delegates)
-	}
 	if c.QueueCapacity <= 0 {
 		t.Errorf("QueueCapacity = %d, want > 0", c.QueueCapacity)
 	}
 }
 
 // TestAssignmentTable pins StaticMod's placement: set s runs on delegate
-// s mod D + 1, D the active pool, before and after each Resize.
+// s mod D + 1, D the pool size, at several pool sizes.
 func TestAssignmentTable(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 3, MaxDelegates: 5})
-	check := func(active int) {
-		t.Helper()
+	for _, d := range []int{2, 3, 5} {
+		rt := newTestRuntime(t, Config{Delegates: d})
 		rt.BeginIsolation()
-		defer rt.EndIsolation()
 		for set := uint64(0); set < 40; set++ {
-			want := int(set%uint64(active)) + 1
+			want := int(set%uint64(d)) + 1
 			if got := rt.ContextFor(set); got != want {
-				t.Fatalf("%d delegates: ContextFor(%d) = %d, want %d", active, set, got, want)
+				t.Fatalf("%d delegates: ContextFor(%d) = %d, want %d", d, set, got, want)
 			}
 			if got := rt.Delegate(set, func(int) {}); got != want {
-				t.Fatalf("%d delegates: Delegate(%d) ran on %d, want %d", active, set, got, want)
+				t.Fatalf("%d delegates: Delegate(%d) ran on %d, want %d", d, set, got, want)
 			}
 		}
-	}
-	check(3)
-	for _, n := range []int{5, 2} {
-		if err := rt.Resize(n); err != nil {
-			t.Fatal(err)
-		}
-		check(n)
+		rt.EndIsolation()
 	}
 }
 

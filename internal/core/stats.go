@@ -48,14 +48,6 @@ type Stats struct {
 	HelpedOps uint64 // operations the program context executed itself while it waited in a barrier
 	Sheds     uint64 // hand-overs of whole sets from a delegate that brought them (delegate.go, shed)
 
-	// Elastic-runtime counters (program context, written at the epoch
-	// boundary that applies a reconfiguration). Resizes counts applied
-	// pool-size changes; ResizeEvacuatedSets counts owner-table entries
-	// that were living on a retiring delegate when a scale-down evacuated
-	// them back to the surviving pool.
-	Resizes             uint64
-	ResizeEvacuatedSets uint64
-
 	// Fault-containment counters (internal/core/fault.go). Panics counts
 	// contained delegated-operation panics; PoisonedSets counts sets ever
 	// poisoned by one (poisoning is epoch-scoped, the counter cumulative);

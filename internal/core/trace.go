@@ -5,8 +5,8 @@ import "time"
 // Execution tracing. With Config.Trace enabled, the runtime records one
 // event per executed operation — on delegates and on the program context in
 // a barrier (execSpan), or inline in Sequential mode, pool tasks included
-// (Set == NoSet) — and one per epoch, steal, contained
-// panic and resize, into per-context buffers (single writer each, so the
+// (Set == NoSet) — and one per epoch, steal and contained
+// panic, into per-context buffers (single writer each, so the
 // hot path takes no locks). A traced run delegates exactly as an untraced
 // one does. The trace package turns the merged event list into utilization
 // reports and timelines; it is the profiling story behind the paper's §5
@@ -16,11 +16,10 @@ import "time"
 type TraceKind uint8
 
 const (
-	TraceExec   TraceKind = iota // a delegated operation ran on Ctx
-	TraceEpoch                   // isolation epoch [Start, End) on the program context
-	TraceSteal                   // Set was handed off by the rebalancer; Ctx is the producer that migrated it
-	TracePanic                   // a delegated operation of Set panicked on Ctx and was contained (Epoch carries the isolation epoch)
-	TraceResize                  // the delegate pool was resized at an epoch boundary; Set carries the new active size, Epoch the epoch it opens
+	TraceExec  TraceKind = iota // a delegated operation ran on Ctx
+	TraceEpoch                  // isolation epoch [Start, End) on the program context
+	TraceSteal                  // Set was handed off by the rebalancer; Ctx is the producer that migrated it
+	TracePanic                  // a delegated operation of Set panicked on Ctx and was contained (Epoch carries the isolation epoch)
 )
 
 func (k TraceKind) String() string {
@@ -33,8 +32,6 @@ func (k TraceKind) String() string {
 		return "steal"
 	case TracePanic:
 		return "panic"
-	case TraceResize:
-		return "resize"
 	default:
 		return "?"
 	}
@@ -82,8 +79,8 @@ func (ts *traceState) invoke(inv *Invocation, ctx int) {
 	ts.record(ctx, TraceExec, inv.set, start, time.Now())
 }
 
-// instant appends a zero-length event — a steal, a contained panic, a
-// resize: decisions, not spans — to ctx's buffer, stamped now. Only the
+// instant appends a zero-length event — a steal or a contained panic:
+// decisions, not spans — to ctx's buffer, stamped now. Only the
 // goroutine running ctx may call it.
 func (ts *traceState) instant(ctx int, kind TraceKind, set, epoch uint64) {
 	off := time.Since(ts.origin)

@@ -8,8 +8,8 @@ import (
 
 // The program context's one wait, and the watchdog on it. Everything the
 // program context waits for — a reclaim (SyncContext), a barrier
-// (EndIsolation, Sleep, RunParallel, the resize barrier, Terminate), a
-// retiring delegate, room on a full program lane — is a predicate over the
+// (EndIsolation, Sleep, RunParallel, Terminate), a parking delegate, room
+// on a full program lane — is a predicate over the
 // ledger or a lane (settled), and one function waits for all of them:
 // re-check the predicate, run the inbox when the wait helps, arm context
 // 0's sleep flag, re-check, park on its wake channel. A delegate wakes it
@@ -148,18 +148,14 @@ func (rt *Runtime) progressSum() uint64 {
 	return sum
 }
 
-// QueueDepths appends each active delegate context's current backlog —
+// QueueDepths appends each delegate context's current backlog —
 // messages routed to it that have not finished executing, queued and
 // in-flight alike — to dst and returns the extended slice, one entry per
 // delegate in context order. Reads only the ledger's atomic counters, so it
 // is safe from any goroutine and allocation-free when dst has capacity: the
 // serving tier samples it on every metrics scrape.
 func (rt *Runtime) QueueDepths(dst []uint64) []uint64 {
-	// Bound by the atomic active count, not capacity: reporting retired
-	// delegates would skew the serving tier's occupancy averages, and the
-	// atomic is the only pool-size read with a happens-before story for
-	// arbitrary goroutines.
-	for _, d := range rt.delegates[:int(rt.active.Load())] {
+	for _, d := range rt.delegates {
 		dst = append(dst, d.occupancy())
 	}
 	return dst
@@ -185,8 +181,8 @@ func (rt *Runtime) ProgramLaneCap() int {
 // Reads only atomics; safe from any goroutine.
 func (rt *Runtime) DumpSchedState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine: %d/%d delegates active, sent=%d executed=%d\n",
-		rt.active.Load(), len(rt.delegates), rt.sentSum(), rt.execSum())
+	fmt.Fprintf(&b, "engine: %d delegates, sent=%d executed=%d\n",
+		len(rt.delegates), rt.sentSum(), rt.execSum())
 	if p := rt.prog; p != nil {
 		fmt.Fprintf(&b, "  program context: helped=%d inbox=%d waiting=", p.drainedOps.Load(), p.occupancy())
 		if id := rt.roomOn.Load(); id != 0 {

@@ -88,36 +88,3 @@ func GenerateText(cfg TextConfig) []byte {
 	}
 	return []byte(b.String())
 }
-
-// SplitChunks cuts data into n nearly equal chunks, never splitting inside a
-// word (chunk boundaries land after whitespace). Used by the parallel
-// word-count and histogram drivers.
-func SplitChunks(data []byte, n int) [][]byte {
-	if n < 1 {
-		n = 1
-	}
-	var chunks [][]byte
-	start := 0
-	for i := 1; i <= n && start < len(data); i++ {
-		end := len(data) * i / n
-		if end < start {
-			end = start
-		}
-		// advance past the next whitespace so words stay intact and the
-		// separator stays with the left chunk
-		for end < len(data) && data[end] != ' ' && data[end] != '\n' {
-			end++
-		}
-		if end < len(data) {
-			end++ // include the separator
-		}
-		if i == n {
-			end = len(data)
-		}
-		if end > start {
-			chunks = append(chunks, data[start:end])
-		}
-		start = end
-	}
-	return chunks
-}

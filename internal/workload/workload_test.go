@@ -54,36 +54,6 @@ func TestTextZipfSkew(t *testing.T) {
 	}
 }
 
-func TestSplitChunksPreservesWords(t *testing.T) {
-	data := []byte("alpha beta gamma delta epsilon zeta eta theta iota kappa")
-	for n := 1; n <= 8; n++ {
-		chunks := SplitChunks(data, n)
-		var rejoined []byte
-		for _, c := range chunks {
-			rejoined = append(rejoined, c...)
-		}
-		if !bytes.Equal(rejoined, data) {
-			t.Fatalf("n=%d: chunks do not reassemble", n)
-		}
-		for i, c := range chunks[:len(chunks)-1] {
-			last := c[len(c)-1]
-			if last != ' ' && last != '\n' {
-				t.Fatalf("n=%d chunk %d ends mid-word (%q)", n, i, last)
-			}
-		}
-	}
-}
-
-func TestSplitChunksDegenerate(t *testing.T) {
-	if got := SplitChunks(nil, 4); len(got) != 0 {
-		t.Errorf("SplitChunks(nil) = %v", got)
-	}
-	one := SplitChunks([]byte("abc"), 0)
-	if len(one) != 1 || string(one[0]) != "abc" {
-		t.Errorf("SplitChunks(n=0) = %v", one)
-	}
-}
-
 func TestHTMLTreeShape(t *testing.T) {
 	cfg := HTMLSize(Small)
 	tr := GenerateHTMLTree(cfg)

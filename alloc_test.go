@@ -10,7 +10,7 @@ package prometheus_test
 // parameter escaping to the heap, or a pointer-carrying queue.
 //
 // Warmup loops run first so one-time costs (queue fill, goroutine park/wake
-// machinery, LeastLoaded-free default map state) are paid before measuring.
+// machinery, owner-table growth) are paid before measuring.
 
 import (
 	"runtime"
@@ -110,14 +110,13 @@ func TestReadOnlyDelegateZeroAlloc(t *testing.T) {
 }
 
 func TestStealingDelegateZeroAlloc(t *testing.T) {
-	// The stealing-enabled LeastLoaded hot path — owner-table read, occupancy
-	// check against the executed counter, position bump through the entry
-	// pointer, ring write — must stay allocation-free. AllocsPerRun reads the
-	// process-wide malloc counters, so this also pins the delegate-side
-	// batched drain loop (running concurrently on the consumer) at zero
-	// steady-state allocations.
+	// The stealing hot path — owner-table read, occupancy check against the
+	// executed counter, position bump through the entry pointer, ring write —
+	// must stay allocation-free. AllocsPerRun reads the process-wide malloc
+	// counters, so this also pins the delegate-side batched drain loop
+	// (running concurrently on the consumer) at zero steady-state
+	// allocations.
 	rt := prometheus.Init(prometheus.WithDelegates(2),
-		prometheus.WithPolicy(prometheus.LeastLoaded),
 		prometheus.WithStealing(), prometheus.StealAt(1))
 	defer rt.Terminate()
 	w := prometheus.NewWritable(rt, 0)
@@ -136,7 +135,6 @@ func TestStealRebalanceZeroAlloc(t *testing.T) {
 	// fire during the measured window: a steal is a pointer-field update on
 	// an existing owner-table entry, never a map insert or heap allocation.
 	rt := prometheus.Init(prometheus.WithDelegates(2),
-		prometheus.WithPolicy(prometheus.LeastLoaded),
 		prometheus.WithStealing(), prometheus.StealAt(2))
 	defer rt.Terminate()
 	objs := make([]*prometheus.Writable[int], 8)
@@ -220,7 +218,6 @@ func TestRecursiveStealingDelegateZeroAlloc(t *testing.T) {
 	// lane-position stores. All of it must stay allocation-free; the set
 	// ids are >= 256 on purpose so any interface boxing would show up.
 	rt := prometheus.Init(prometheus.WithDelegates(2), prometheus.Recursive(),
-		prometheus.WithPolicy(prometheus.LeastLoaded),
 		prometheus.WithStealing(), prometheus.StealAt(1))
 	defer rt.Terminate()
 	ws := make([]*prometheus.Writable[int], 4)

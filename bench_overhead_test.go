@@ -10,6 +10,7 @@ package prometheus_test
 // alloc_test.go enforces exactly.
 
 import (
+	"fmt"
 	"testing"
 
 	prometheus "repro"
@@ -75,4 +76,36 @@ func BenchmarkDelegateOverhead(b *testing.B) {
 		b.StopTimer()
 		rt.EndIsolation()
 	})
+}
+
+// BenchmarkEpochTiny times the barrier's idle path: an isolation epoch of 8
+// or 64 no-op Writable.Delegate calls, round-robin over one wrapper per
+// delegate, closed by EndIsolation, on one runtime per sub-benchmark. The
+// epoch ends well inside the barrier's patient start, so what it measures
+// is the delegates' wake-up, spin and park and the program context's wait
+// on their markers — at 4 delegates with more delegates than CPUs on a
+// small host. A probe for changes to that path, read over alternating runs.
+func BenchmarkEpochTiny(b *testing.B) {
+	noop := func(*prometheus.Ctx, *int) {}
+	for _, delegates := range []int{1, 4} {
+		for _, ops := range []int{8, 64} {
+			b.Run(fmt.Sprintf("delegates=%d/ops=%d", delegates, ops), func(b *testing.B) {
+				rt := prometheus.Init(prometheus.WithDelegates(delegates))
+				defer rt.Terminate()
+				ws := make([]*prometheus.Writable[int], delegates)
+				for i := range ws {
+					ws[i] = prometheus.NewWritable(rt, 0)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rt.BeginIsolation()
+					for k := 0; k < ops; k++ {
+						ws[k%delegates].Delegate(noop)
+					}
+					rt.EndIsolation()
+				}
+			})
+		}
+	}
 }

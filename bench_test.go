@@ -141,23 +141,24 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation covers the design-choice studies: scheduling policy and
-// queue capacity (on freqmine, the most skew-prone benchmark) and the
-// kmeans formulation comparison.
+// BenchmarkAblation covers the design-choice studies: placement (the
+// paper's modulus against first touch with stealing) and queue capacity (on
+// freqmine, the most skew-prone benchmark) and the kmeans formulation
+// comparison.
 func BenchmarkAblation(b *testing.B) {
 	fm, _ := harness.AppByName("freqmine")
 	b.Run("policy/static-mod", func(b *testing.B) {
 		inst := load(b, fm, workload.Small)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			inst.SS(15, prometheus.WithPolicy(prometheus.StaticMod))
+			inst.SS(15)
 		}
 	})
-	b.Run("policy/least-loaded", func(b *testing.B) {
+	b.Run("policy/stealing", func(b *testing.B) {
 		inst := load(b, fm, workload.Small)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			inst.SS(15, prometheus.WithPolicy(prometheus.LeastLoaded))
+			inst.SS(15, prometheus.WithStealing())
 		}
 	})
 	for _, cap := range []int{8, 1024, 16384} {

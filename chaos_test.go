@@ -22,12 +22,12 @@ var chaosModes = []struct {
 	opts []Option
 }{
 	{"flat-static", []Option{WithDelegates(4)}},
-	{"flat-nosteal", []Option{WithDelegates(4), WithPolicy(LeastLoaded)}},
-	{"flat-steal", []Option{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), StealAt(2)}},
+	{"flat-nosteal", []Option{WithDelegates(4), WithStealing(), StealAt(NoSteal)}},
+	{"flat-steal", []Option{WithDelegates(4), WithStealing(), StealAt(2)}},
 	{"flat-steal-unpinned", []Option{WithDelegates(4), WithStealing()}}, // what internal/serve runs
 	{"rec-static", []Option{WithDelegates(4), Recursive()}},
-	{"rec-nosteal", []Option{WithDelegates(4), Recursive(), WithPolicy(LeastLoaded)}},
-	{"rec-steal", []Option{WithDelegates(4), Recursive(), WithPolicy(LeastLoaded), WithStealing(), StealAt(2)}},
+	{"rec-nosteal", []Option{WithDelegates(4), Recursive(), WithStealing(), StealAt(NoSteal)}},
+	{"rec-steal", []Option{WithDelegates(4), Recursive(), WithStealing(), StealAt(2)}},
 }
 
 // withInjector installs a chaos hook through the internal Config knob.

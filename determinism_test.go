@@ -102,7 +102,7 @@ var determinismShapes = [][]Option{
 	{WithDelegates(8)},
 	{WithDelegates(5)},
 	{WithDelegates(2)},
-	{WithDelegates(4), WithPolicy(LeastLoaded)},
+	{WithDelegates(4), WithStealing(), StealAt(NoSteal)}, // first touch, no steal
 	tinyQueues,
 }
 

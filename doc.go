@@ -131,23 +131,18 @@
 //
 // # Placement and load balancing
 //
-// Under StaticMod (the paper's policy) set s runs on delegate s mod D + 1,
-// D the pool size, which is fixed for the runtime's life. Under either
-// policy the program context runs operations only while it helps at a
-// barrier.
+// Placement follows WithStealing alone. By default set s runs on delegate
+// s mod D + 1, D the pool size, which is fixed for the runtime's life: the
+// paper's own assignment (§4). Under either placement the program context
+// runs operations only while it helps at a barrier.
 //
-// The LeastLoaded policy places a serialization set at its first
-// delegation of the epoch on the delegate with the smallest occupancy —
-// never the delegating delegate's own, which would turn the set's
-// operations into self-delegations their producer may be blocked waiting
-// on — and the set then stays sticky to that delegate: per-set program
-// order depends on it. When dependence chains have very uneven lengths,
-// that one-shot choice can strand most of an epoch's work on one delegate
-// while the others idle. WithStealing selects LeastLoaded and adds an
-// occupancy-aware rebalancer (internal/core/owners.go) with one trigger
-// rule and two constants: when a set's owner has four or more outstanding
-// operations and the set itself is quiescent (every operation previously
-// delegated to it has finished executing — a safe handoff boundary), the
+// WithStealing places a set at its first delegation of each epoch on the
+// delegate with the smallest occupancy — never the delegating delegate's
+// own, which would turn the set's operations into self-delegations their
+// producer may be blocked waiting on — and adds an occupancy-aware
+// rebalancer with one trigger rule and two constants: when a set's owner
+// has four or more outstanding operations and the set itself is quiescent
+// (every operation previously delegated to it has finished executing), the
 // next delegation hands the whole set to the least-occupied delegate,
 // provided that delegate is idle or at most a quarter as loaded as the
 // victim. Four is above transient two-or-three-deep pipelining and early
@@ -156,47 +151,20 @@
 // tunable (BenchmarkRecursiveSkewed is the evidence for them), and a
 // one-delegate pool never steals: there is no peer.
 //
-// Whole sets — never individual invocations — are the steal unit. Moving a
-// single queued invocation would let two contexts interleave one set's
-// operations and break the model's ordering guarantee; moving a whole set
-// at a quiescent boundary preserves it by construction: everything
-// delegated to the set before the handoff has completed on the old owner
-// before anything after it is enqueued on the new one. Determinism is
-// unchanged — only placement (which delegate runs a set), never order
+// Whole sets — never individual invocations — are the steal unit, moved at
+// a quiescent boundary: everything delegated to the set before the handoff
+// has completed on the old owner before anything after it is enqueued on
+// the new one. Only placement (which delegate runs a set), never order
 // (which operations run and in what sequence per set), responds to load.
-//
-// The quiescence check reads the ledger. Every set has one producer
-// context per isolation epoch, and the owner table records the lane
-// position of the set's newest operation; the set may move only when the
-// owner's executed counter for that producer's lane covers it — one
-// comparison. The handoff takes no lock and needs no acknowledgment from
-// the victim: its executed publishes ARE the acknowledgment. Since only the
-// set's single producer routes operations to it, the migration is a
-// single-writer update observed through atomics.
-//
-// Under Recursive only leaf sets move. The context a set's operations run
-// on is the producer of the nested sets they delegate to, so moving a set
-// whose operations delegate would give those nested sets a second producer
-// mid-epoch, with no order between the two lanes. The first nested
-// delegation an operation of a set issues therefore marks the set's entry
-// (the drain loop stamps the executing set on its delegate), and a marked
-// set stays on its owner for the rest of the epoch — a leaf set stolen
-// earlier is pinned on the thief from its first nested delegation on. The
-// mark is written before the operation's executed publish, and the
-// rebalancer checks quiescence first, so the publish that proves a set
-// quiescent also shows its mark. The cost is one plain stamp per executed
-// operation and one table lookup per nested delegation under stealing,
-// zero allocations. A set never lands on its own producer's delegate, where
-// its operations would be self-delegations the producer may block on:
-// first touch and the choice of thief both exclude that delegate, and
-// producing sets do not move. The producer discipline under dynamic
-// placement is sharper than one context per set: a nested set must receive
-// its delegations from the operations of a single producing set (or from
-// the program context) per epoch — one producing SET, not merely one
-// context — or stealing one parent while it is still a leaf, after which
-// it delegates, hands the nested set a second producer. Checked mode panics
-// on any second producer context in an epoch, under every policy, however
-// quiescent the set. Stats reports Steals.
+// The quiescence check is one comparison against the owner's executed
+// counter, with no lock and no acknowledgment from the victim. Under
+// Recursive only leaf sets move: a set whose operations delegated this
+// epoch stays on its owner. internal/core/owners.go has the protocol — one
+// producer per set per epoch, the quiescent handoff, the leaf-only mark,
+// and why a nested set must receive its delegations from one producing set
+// (not merely one context) per epoch. Checked mode panics on any second
+// producer context in an epoch, under either placement, however quiescent
+// the set. Stats reports Steals.
 //
 // The program context works while it waits. Every program delegates an
 // epoch far faster than the pool executes it, and a program lane deep
@@ -242,14 +210,14 @@
 // are expressed without fork/join scaffolding. It is a permission, not a
 // second engine: it widens every delegate's lane set from one lane to one
 // per context (D x (D+1) rings), makes a reclaim the quiescence barrier,
-// and composes with either placement policy, with or without stealing.
+// and composes with either placement.
 //
 // Per-set program order is preserved per producer — FIFO through ring and
 // spill alike — and determinism requires each set to have one producer
-// context per isolation epoch, which Checked() enforces under every
-// policy. The engine keeps that rule itself: stealing moves only leaf sets,
+// context per isolation epoch, which Checked() enforces under either
+// placement. The engine keeps that rule itself: stealing moves only leaf sets,
 // so a nested set's producer is fixed for the epoch and nested order stays
-// a per-lane FIFO fact (under LeastLoaded, also one producing set per
+// a per-lane FIFO fact (under WithStealing, also one producing set per
 // nested set; see above). Stats reports RecursiveOps (messages through the
 // lanes, all producers) and Spills alongside the drain counters.
 //
@@ -261,7 +229,7 @@
 //
 //   - Fig 4 and Fig 5a on this host: the traced apps-m rows
 //     apps.<app>.speedup, apps.hmean_speedup, apps.<app>.isolation_share.
-//   - Fig 5b, Fig 6 and the policy / queue-capacity / kmeans ablations:
+//   - Fig 5b, Fig 6 and the placement / queue-capacity / kmeans ablations:
 //     go test -run=NONE -bench 'Fig5b|Fig6|Ablation' .
 //   - Delegation cost: BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead,
 //     BenchmarkSPSC, BenchmarkLane.

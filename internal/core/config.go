@@ -65,35 +65,23 @@ const spinBeforePark = 256
 // operation.
 const helpAfter = 50 * time.Microsecond
 
-// SchedPolicy selects how serialization sets are assigned to delegate
-// contexts.
+// SchedPolicy names a placement. It is derived, not chosen: Config.Policy
+// reads LeastLoaded exactly when Stealing is on, and both stay declared only
+// because bench/ (which this repository's benchmark rules freeze) still
+// names them.
 type SchedPolicy int
 
 const (
-	// StaticMod is the paper's policy (§4): a set executes on delegate
-	// set mod D + 1, D the pool size.
+	// StaticMod is the paper's placement (§4): set s executes on delegate
+	// s mod D + 1, D the pool size.
 	StaticMod SchedPolicy = iota
-	// LeastLoaded is the dynamic-scheduling extension the paper names as
-	// future work: the first operation of a set in an epoch is assigned to
-	// the delegate with the smallest backlog (queued plus in-flight
-	// operations), and the set stays sticky to that delegate for the rest
-	// of the epoch (preserving per-set ordering).
+	// LeastLoaded is first-touch placement plus whole-set stealing
+	// (owners.go), the dynamic scheduling the paper names as future work.
 	LeastLoaded
 )
 
-func (p SchedPolicy) String() string {
-	switch p {
-	case StaticMod:
-		return "static-mod"
-	case LeastLoaded:
-		return "least-loaded"
-	default:
-		return "unknown"
-	}
-}
-
 // Config parameterizes a Runtime. The zero value is usable: it selects
-// GOMAXPROCS-1 delegates and the paper's static modulus policy.
+// GOMAXPROCS-1 delegates and the paper's static modulus placement.
 type Config struct {
 	// Delegates is the number of delegate contexts (paper: delegate
 	// threads). Default: GOMAXPROCS-1, minimum 1. The pool is built at New
@@ -126,21 +114,26 @@ type Config struct {
 	// as the paper does for its performance measurements.
 	Checked bool
 
-	// Policy selects the delegate-assignment policy.
+	// Policy is inert on input: New derives it from Stealing (LeastLoaded
+	// exactly when Stealing is on) whatever was requested, and Config
+	// reports the result. The field stays declared only because bench/
+	// (which this repository's benchmark rules freeze) still names it.
 	Policy SchedPolicy
 
-	// Stealing enables the occupancy-aware work-stealing extension to the
-	// LeastLoaded policy (which it selects): a quiescent set whose owner is
-	// backed up is handed, whole, to a much less occupied delegate at its
+	// Stealing selects dynamic placement: each epoch places a set on first
+	// touch, on the least-occupied delegate, and a quiescent set whose owner
+	// is backed up is handed, whole, to a much less occupied delegate at its
 	// next delegation (maybeSteal has the rule, owners.go the protocol).
 	// Whole sets — never individual invocations — are the steal unit, so
-	// per-set program order is preserved by construction.
+	// per-set program order is preserved by construction. Off, set s runs
+	// on delegate s mod D + 1 (paper §4).
 	Stealing bool
 
 	// StealThreshold overrides the victim occupancy at which stealing
 	// engages; zero selects the constant. Internal testing knob like
 	// FaultInjector, not exposed as a public Option: the determinism suites
-	// set 1 or 2 to force steals on tiny programs and 64 to suppress them.
+	// set 1 or 2 to force steals on tiny programs, and a value no backlog
+	// reaches for first-touch placement without steals.
 	StealThreshold int
 
 	// Trace enables execution tracing: every executed operation (pool tasks
@@ -196,8 +189,9 @@ func (c Config) withDefaults() Config {
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = spsc.DefaultCapacity
 	}
+	c.Policy = StaticMod
 	if c.Stealing {
-		c.Policy = LeastLoaded // whole-set handoff needs the owner table
+		c.Policy = LeastLoaded
 	}
 	if c.StealThreshold <= 0 {
 		c.StealThreshold = stealThreshold

@@ -3,10 +3,10 @@ package core
 import "testing"
 
 // TestConfigValidationMatrix covers every policy/permission combination
-// against the validation rules: none of them is a pairing rule — Stealing
-// selects the LeastLoaded policy it needs, and Recursive composes with
-// either policy, with or without stealing. Sequential debug mode runs the
-// same configurations inline.
+// against the validation rules: none of them is a pairing rule — the
+// requested Policy is ignored, placement is LeastLoaded exactly when
+// Stealing is on, and Recursive composes with either placement. Sequential
+// debug mode runs the same configurations inline.
 func TestConfigValidationMatrix(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -38,6 +38,9 @@ func TestConfigValidationMatrix(t *testing.T) {
 					Sequential: sequential,
 				}
 				rt := New(cfg)
+				if got := rt.Config().Policy; (got == LeastLoaded) != tc.stealing {
+					t.Errorf("Stealing=%v runs policy %d", tc.stealing, got)
+				}
 				// Every configuration must actually execute work.
 				rt.BeginIsolation()
 				ran := make(chan struct{})

@@ -95,8 +95,8 @@ func TestDelegateCallTraced(t *testing.T) {
 
 func TestContextForDoesNotAssign(t *testing.T) {
 	// ContextFor is a pure query: probing a set's placement (e.g. from a
-	// stats path) must not burn the LeastLoaded assignment for the epoch.
-	rt := newTestRuntime(t, Config{Delegates: 4, Policy: LeastLoaded})
+	// stats path) must not burn the first-touch assignment for the epoch.
+	rt := newTestRuntime(t, stealCfg(4, noStealThreshold))
 	rt.BeginIsolation()
 	predicted := rt.ContextFor(11)
 	if rt.owners.Load().len() != 0 {

@@ -14,7 +14,7 @@ func TestFaultRecordBoundRing(t *testing.T) {
 		kept        = bound / setsPerWave
 		epochs      = 80
 	)
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded})
+	rt := newTestRuntime(t, stealCfg(2, neverStealThreshold))
 	for ep := 0; ep < epochs; ep++ {
 		rt.BeginIsolation()
 		for s := 0; s < setsPerWave; s++ {

@@ -8,10 +8,11 @@ import (
 	"time"
 )
 
-// faultCfg is the flat-engine containment fixture: LeastLoaded so the
-// owner table's placement runs alongside the poison table.
+// faultCfg is the flat-engine containment fixture: first-touch placement,
+// so the owner table runs alongside the poison table, with no steal moving
+// a set.
 func faultCfg() Config {
-	return Config{Delegates: 2, Policy: LeastLoaded}
+	return stealCfg(2, neverStealThreshold)
 }
 
 // poisoned reports whether set is in the current epoch's poison table.

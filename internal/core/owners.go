@@ -9,20 +9,21 @@ import (
 // Placement: the owner table, the per-set half of the ledger, and the
 // occupancy-aware rebalancer.
 //
-// Under StaticMod a set's owner is its id modulo the pool size, plus one,
-// and nothing here runs except the Checked-mode producer registry (an owner
-// table used for its entries' producer field alone). Under
-// LeastLoaded a set is placed on first touch — on the least-occupied
-// delegate other than its producer's own — stays sticky for the epoch, and
-// with Stealing may be handed off, whole, at a quiescent boundary. The
-// paper's scalability argument rests on sets being free to move between
+// Placement follows Config.Stealing alone. Off, a set's owner is its id
+// modulo the pool size, plus one (paper §4), and nothing here runs except
+// the Checked-mode producer registry (an owner table used for its entries'
+// producer field alone). On, each epoch places a set on first touch — on the
+// least-occupied delegate other than its producer's own — and the set stays
+// there until the rebalancer hands it off, whole, at a quiescent boundary.
+// The paper's scalability argument rests on sets being free to move between
 // delegates: per-set program order is the only invariant.
 //
 // One producer per set per epoch. Every set receives its delegations from
-// one context per isolation epoch, under every policy: claim records it at
-// first touch, and a second context is a serializer violation Checked mode
-// panics on (unchecked runs keep last-writer-wins; the program is already
-// outside the model). The engine never changes a set's producer itself.
+// one context per isolation epoch, under either placement: claim records it
+// at first touch, and a second context is a serializer violation Checked
+// mode panics on (unchecked runs keep last-writer-wins; the program is
+// already outside the model). The engine never changes a set's producer
+// itself.
 //
 // The quiescent handoff. With one producer the set's entry records one lane
 // position — delegate.sent[producer] of the owner at the set's newest
@@ -75,9 +76,8 @@ type setEntry struct {
 	// of the set's newest operation — the value the owner's exec[producer]
 	// must reach before the set may move.
 	lastPos atomic.Uint64
-	// nests is set, under Stealing, by the first nested delegation one of
-	// the set's operations issues: the set produces this epoch and stays
-	// put.
+	// nests is set by the first nested delegation one of the set's
+	// operations issues: the set produces this epoch and stays put.
 	nests atomic.Bool
 }
 
@@ -134,18 +134,20 @@ func newOwnerTable(sets int) *ownerTable {
 	return t
 }
 
-// mixSet scrambles a set id into a bucket hash (SplitMix64 finalizer).
-func mixSet(set uint64) uint64 {
-	set += 0x9e3779b97f4a7c15
-	set = (set ^ (set >> 30)) * 0xbf58476d1ce4e5b9
-	set = (set ^ (set >> 27)) * 0x94d049bb133111eb
-	return set ^ (set >> 31)
+// Mix64 is the SplitMix64 finalizer, a cheap bijection: the owner table
+// hashes set ids with it, and the root package re-exports it for hashing
+// user keys into sets.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // lookup returns the set's entry, or nil. Lock- and allocation-free.
 func (t *ownerTable) lookup(set uint64) *setEntry {
 	b := *t.buckets.Load()
-	for n := b[mixSet(set)&uint64(len(b)-1)].Load(); n != nil; n = n.next {
+	for n := b[Mix64(set)&uint64(len(b)-1)].Load(); n != nil; n = n.next {
 		if n.set == set {
 			return n.entry
 		}
@@ -165,7 +167,7 @@ func (t *ownerTable) insert(set uint64, entry *setEntry) *setEntry {
 	if t.count >= 2*len(b) {
 		b = t.grow(b)
 	}
-	slot := &b[mixSet(set)&uint64(len(b)-1)]
+	slot := &b[Mix64(set)&uint64(len(b)-1)]
 	slot.Store(&setNode{set: set, entry: entry, next: slot.Load()})
 	t.count++
 	return entry
@@ -178,7 +180,7 @@ func (t *ownerTable) grow(old []atomic.Pointer[setNode]) []atomic.Pointer[setNod
 	nb := make([]atomic.Pointer[setNode], 2*len(old))
 	for i := range old {
 		for n := old[i].Load(); n != nil; n = n.next {
-			slot := &nb[mixSet(n.set)&uint64(len(nb)-1)]
+			slot := &nb[Mix64(n.set)&uint64(len(nb)-1)]
 			slot.Store(&setNode{set: n.set, entry: n.entry, next: slot.Load()})
 		}
 	}
@@ -213,9 +215,9 @@ func (rt *Runtime) checkProducer(reg *ownerTable, set uint64, producer int) {
 }
 
 // ContextFor returns the context id that operations in the given
-// serialization set execute on (or would execute on), under the configured
-// policy. It is a pure query: under LeastLoaded an unowned set is not
-// assigned an owner — only a delegation does that.
+// serialization set execute on (or would execute on). It is a pure query:
+// under Stealing an unowned set is not assigned an owner — only a delegation
+// does that.
 func (rt *Runtime) ContextFor(set uint64) int {
 	if rt.cfg.Sequential {
 		return ProgramContext
@@ -233,14 +235,13 @@ func (rt *Runtime) ContextFor(set uint64) int {
 
 // route resolves the context that executes a delegation to set issued by
 // producer, placing the set on first touch and running the rebalancer for
-// already-owned sets under dynamic placement. The returned entry is
-// non-nil exactly when the set is owner-tracked; the caller records the
-// operation's lane position against it (notePosition). Called only by the
-// set's producer.
+// already-owned sets under Stealing. The returned entry is non-nil exactly
+// when the set is owner-tracked; the caller records the operation's lane
+// position against it (notePosition). Called only by the set's producer.
 func (rt *Runtime) route(producer int, set uint64) (int, *setEntry) {
 	tbl := rt.owners.Load()
 	if tbl == nil {
-		// StaticMod: the set id modulo the pool size (paper §4).
+		// No stealing: the set id modulo the pool size (paper §4).
 		if reg := rt.producers.Load(); reg != nil {
 			rt.checkProducer(reg, set, producer)
 		}
@@ -260,9 +261,7 @@ func (rt *Runtime) route(producer int, set uint64) (int, *setEntry) {
 		return int(e.owner.Load()), e
 	}
 	rt.claim(e, set, producer)
-	if rt.cfg.Stealing {
-		rt.maybeSteal(producer, set, e)
-	}
+	rt.maybeSteal(producer, set, e)
 	return int(e.owner.Load()), e
 }
 
@@ -302,13 +301,13 @@ func (rt *Runtime) leastOccupied(a, b int) (best int, occ uint64) {
 }
 
 // notePosition records a just-counted operation's lane position against
-// its set's entry and, when a delegate context issued it under Stealing,
-// marks the set whose operation that delegate is executing as producing:
-// it stays on its owner for the rest of the epoch. Pool tasks (noSetID)
-// and sets absent from the table mark nothing: no migration moves them.
+// its set's entry and, when a delegate context issued it, marks the set
+// whose operation that delegate is executing as producing: it stays on its
+// owner for the rest of the epoch. Pool tasks (noSetID) and sets absent
+// from the table mark nothing: no migration moves them.
 func (rt *Runtime) notePosition(e *setEntry, producer int, pos uint64) {
 	e.lastPos.Store(pos)
-	if producer == ProgramContext || !rt.cfg.Stealing {
+	if producer == ProgramContext {
 		return
 	}
 	if ps := rt.delegates[producer-1].prodSet; ps != noSetID {
@@ -319,14 +318,14 @@ func (rt *Runtime) notePosition(e *setEntry, producer int, pos uint64) {
 }
 
 // maybeSteal is the occupancy-aware rebalancer, run by a set's producer on
-// every delegation to an already-owned set when Stealing is on. If the set
-// is quiescent on its owner, produces nothing this epoch and is not
-// poisoned, and the owner has a backlog of at least the steal threshold,
-// the set — the whole set, never an individual invocation — is handed off
-// to the least-occupied delegate other than its producer's, provided that
-// thief is idle or at most 1/stealRatio as loaded as the victim. The common
-// case (the set's newest operation still queued or running) costs two
-// loads; nothing on this path takes a lock.
+// every delegation to an already-owned set. If the set is quiescent on its
+// owner, produces nothing this epoch and is not poisoned, and the owner has
+// a backlog of at least the steal threshold, the set — the whole set, never
+// an individual invocation — is handed off to the least-occupied delegate
+// other than its producer's, provided that thief is idle or at most
+// 1/stealRatio as loaded as the victim. The common case (the set's newest
+// operation still queued or running) costs two loads; nothing on this path
+// takes a lock.
 func (rt *Runtime) maybeSteal(producer int, set uint64, e *setEntry) {
 	v := int(e.owner.Load())
 	vd := rt.delegates[v-1]

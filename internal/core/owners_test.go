@@ -296,8 +296,8 @@ func TestRecursiveFirstTouchOffOwnProducer(t *testing.T) {
 func TestReservedSetIDChecked(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"static":             {Delegates: 2},
-		"least-loaded":       {Delegates: 2, Policy: LeastLoaded},
-		"stealing":           stealCfg(2, noStealThreshold),
+		"least-loaded":       stealCfg(2, noStealThreshold),
+		"stealing":           stealCfg(2, 1),
 		"recursive":          {Delegates: 2, Recursive: true},
 		"recursive+stealing": recStealCfg(2, noStealThreshold),
 	} {

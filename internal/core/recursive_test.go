@@ -195,17 +195,18 @@ func TestRecursiveCheckedOneProducerPerSet(t *testing.T) {
 }
 
 // TestRecursiveCheckedSecondProducerAtQuiescentPoint: one producer per set
-// per epoch holds under every policy. A set delegated from a second context
-// panics with a serializer violation in Checked mode even when every
-// operation the first context sent it has executed — the engine never
-// changes a set's producer, so only the program can have.
+// per epoch holds under either placement, with or without steals. A set
+// delegated from a second context panics with a serializer violation in
+// Checked mode even when every operation the first context sent it has
+// executed — the engine never changes a set's producer, so only the program
+// can have.
 func TestRecursiveCheckedSecondProducerAtQuiescentPoint(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"static-mod", Config{Delegates: 2}},
-		{"least-loaded", Config{Delegates: 2, Policy: LeastLoaded}},
+		{"least-loaded", stealCfg(2, noStealThreshold)},
 		{"stealing", stealCfg(2, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -76,9 +76,9 @@ type Runtime struct {
 	// counter still equals it. Program-context private.
 	synced []uint64
 
-	// owners is the dynamic set->entry table of the current epoch (nil
-	// under StaticMod). An atomic pointer so BeginIsolation can swap in a
-	// fresh table without racing late snapshot readers.
+	// owners is the dynamic set->entry table of the current epoch, present
+	// exactly under Stealing. An atomic pointer so BeginIsolation can swap
+	// in a fresh table without racing late snapshot readers.
 	owners atomic.Pointer[ownerTable]
 	// producers is the Checked-mode registry of one producer context per set
 	// under Recursive with static placement: an owner table whose entries are
@@ -122,7 +122,7 @@ func New(cfg Config) *Runtime {
 		producers = cfg.Delegates + 1
 	}
 	rt.prod = make([]producerStats, producers)
-	if cfg.Policy == LeastLoaded {
+	if cfg.Stealing {
 		rt.owners.Store(newOwnerTable(0))
 	} else if cfg.Checked && cfg.Recursive {
 		rt.producers.Store(newOwnerTable(0))

@@ -154,7 +154,7 @@ func TestSyncContextWaitsForOutstandingWork(t *testing.T) {
 }
 
 func TestSyncSetLeastLoadedUnknownSetNoop(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded})
+	rt := newTestRuntime(t, stealCfg(2, noStealThreshold))
 	rt.BeginIsolation()
 	rt.SyncSet(999) // never delegated: must not deadlock or assign
 	if ownerOf(rt, 999) != 0 {
@@ -163,10 +163,9 @@ func TestSyncSetLeastLoadedUnknownSetNoop(t *testing.T) {
 	rt.EndIsolation()
 }
 
-// TestLeastLoadedSticky: first touch places a set, and without Stealing it
-// stays put for the epoch however the load moves — with Recursive too
-// (LeastLoaded without Stealing is a legal pairing there), for sets
-// first-touched by the program context and by a delegate alike.
+// TestLeastLoadedSticky: first touch places a set, and with no steal firing
+// it stays put for the epoch however the load moves — with Recursive too,
+// for sets first-touched by the program context and by a delegate alike.
 func TestLeastLoadedSticky(t *testing.T) {
 	for _, recursive := range []bool{false, true} {
 		name := "one-lane"
@@ -174,13 +173,15 @@ func TestLeastLoadedSticky(t *testing.T) {
 			name = "recursive"
 		}
 		t.Run(name, func(t *testing.T) {
-			rt := newTestRuntime(t, Config{Delegates: 4, Policy: LeastLoaded, Recursive: recursive})
+			cfg := stealCfg(4, noStealThreshold)
+			cfg.Recursive = recursive
+			rt := newTestRuntime(t, cfg)
 			rt.BeginIsolation()
 			first := rt.ContextFor(5)
 			for i := 0; i < 10; i++ {
 				rt.Delegate(5, func(int) { time.Sleep(time.Millisecond) })
 				if got := rt.ContextFor(5); got != first {
-					t.Fatalf("LeastLoaded moved set mid-epoch: %d -> %d", first, got)
+					t.Fatalf("first-touch set moved mid-epoch: %d -> %d", first, got)
 				}
 			}
 			if recursive {

@@ -551,7 +551,7 @@ func TestShedStress(t *testing.T) {
 		"static-2":     {Delegates: 2},
 		"static-4":     {Delegates: 4},
 		"tiny-ring":    {Delegates: 2, QueueCapacity: 4}, // a barrier finds a few operations, mostly of one chain
-		"least-loaded": {Delegates: 3, Policy: LeastLoaded},
+		"least-loaded": stealCfg(3, neverStealThreshold),
 		"stealing":     stealCfg(3, 4),
 	}
 	trials := 4

@@ -9,7 +9,6 @@ import (
 func stealCfg(delegates, threshold int) Config {
 	return Config{
 		Delegates:      delegates,
-		Policy:         LeastLoaded,
 		Stealing:       true,
 		StealThreshold: threshold,
 	}
@@ -18,6 +17,11 @@ func stealCfg(delegates, threshold int) Config {
 // noStealThreshold suppresses occupancy steals in the shapes that isolate
 // placement from the rebalancer: none of them backs a delegate up this far.
 const noStealThreshold = 64
+
+// neverStealThreshold suppresses them where a backlog may pass 64 (a
+// stealing runtime's program lane holds 256, and a delegate producer spills
+// without bound): first-touch placement with the rebalancer idle.
+const neverStealThreshold = 1 << 30
 
 func recStealCfg(delegates, threshold int) Config {
 	cfg := stealCfg(delegates, threshold)
@@ -160,16 +164,39 @@ func TestNoStealWithoutUnderloadedThief(t *testing.T) {
 	release2()
 }
 
-// TestStealingConfigValidation: the rebalancer needs the LeastLoaded owner
-// table, so Stealing selects that policy, with or without Recursive.
+// TestStealingConfigValidation: placement follows Stealing alone. Stealing
+// runs first touch on an owner table, with or without Recursive, whatever
+// Policy asked for; a LeastLoaded request without Stealing runs the modulus
+// and builds no owner table.
 func TestStealingConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Delegates: 2, Stealing: true},
 		{Delegates: 2, Stealing: true, Recursive: true, Policy: StaticMod},
 	} {
-		if got := newTestRuntime(t, cfg).Config().Policy; got != LeastLoaded {
-			t.Errorf("New(%+v) runs policy %v, want %v", cfg, got, LeastLoaded)
+		rt := newTestRuntime(t, cfg)
+		if got := rt.Config().Policy; got != LeastLoaded {
+			t.Errorf("New(%+v) runs policy %d, want LeastLoaded", cfg, got)
 		}
+		if rt.owners.Load() == nil {
+			t.Errorf("New(%+v) built no owner table", cfg)
+		}
+	}
+	for _, cfg := range []Config{
+		{Delegates: 2, Policy: LeastLoaded},
+		{Delegates: 2, Policy: LeastLoaded, Recursive: true},
+	} {
+		rt := newTestRuntime(t, cfg)
+		if got := rt.Config().Policy; got != StaticMod {
+			t.Errorf("New(%+v) runs policy %d, want StaticMod", cfg, got)
+		}
+		if rt.owners.Load() != nil {
+			t.Errorf("New(%+v) built an owner table without Stealing", cfg)
+		}
+		rt.BeginIsolation()
+		if got := rt.Delegate(3, func(int) {}); got != 2 {
+			t.Errorf("New(%+v) placed set 3 on %d, want 3 mod 2 + 1 = 2", cfg, got)
+		}
+		rt.EndIsolation()
 	}
 	// Sequential debug mode ignores stealing rather than rejecting it.
 	rt := New(Config{Sequential: true, Stealing: true})
@@ -274,11 +301,19 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 			}
 		}
 	}
+	// Both sides run first touch on an owner table (place needs one); the
+	// nosteal side at a threshold the hot sets' backlog never reaches.
+	skewCfg := func(stealing bool) Config {
+		if stealing {
+			return stealCfg(delegates, 0)
+		}
+		return stealCfg(delegates, neverStealThreshold)
+	}
 	run := func(b *testing.B, stealing bool, op func(int)) {
 		steals := uint64(0)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			rt := New(Config{Delegates: delegates, Policy: LeastLoaded, Stealing: stealing})
+			rt := New(skewCfg(stealing))
 			rt.BeginIsolation()
 			// Install the skewed sticky ownership the uneven earlier chains
 			// would have left behind (no positions: those chains completed).
@@ -305,7 +340,7 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 		steals := uint64(0)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			rt := New(Config{Delegates: delegates, Policy: LeastLoaded, Stealing: stealing})
+			rt := New(skewCfg(stealing))
 			b.StartTimer()
 			for e := 0; e < epochs; e++ {
 				rt.BeginIsolation()

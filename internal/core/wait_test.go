@@ -96,7 +96,7 @@ func TestWaitStress(t *testing.T) {
 	cfgs := map[string]Config{
 		"one-delegate":  {Delegates: 1, QueueCapacity: 2},
 		"two-delegates": {Delegates: 2, QueueCapacity: 2},
-		"stealing":      {Delegates: 3, QueueCapacity: 2, Policy: LeastLoaded, Stealing: true, StealThreshold: 2},
+		"stealing":      {Delegates: 3, QueueCapacity: 2, Stealing: true, StealThreshold: 2},
 	}
 	trials := 3
 	if testing.Short() {

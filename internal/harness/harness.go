@@ -22,7 +22,7 @@ type Instance struct {
 	// number of worker threads.
 	CP func(workers int)
 	// SS runs the serialization-sets implementation with the given number
-	// of delegate contexts and any extra runtime options (the policy and
+	// of delegate contexts and any extra runtime options (the placement and
 	// queue-capacity ablations), and returns the runtime stats.
 	SS func(delegates int, opts ...prometheus.Option) prometheus.Stats
 	// Variants holds named alternative SS formulations used by the

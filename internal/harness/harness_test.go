@@ -47,7 +47,7 @@ func TestInstanceRunnersWork(t *testing.T) {
 	if st := inst.SS(2); st.Epochs == 0 {
 		t.Error("SS run recorded no epochs")
 	}
-	if st := inst.SS(2, prometheus.WithPolicy(prometheus.LeastLoaded)); st.Epochs == 0 {
+	if st := inst.SS(2, prometheus.WithStealing()); st.Epochs == 0 {
 		t.Error("SS run with options recorded no epochs")
 	}
 	events, st := inst.SSTraced(2)

@@ -24,10 +24,10 @@ import (
 // accounting, the done-counter reset, and the placement of the hot sets
 // (they must pile onto one delegate; neither list may include the
 // producer's own set) decide whether handoffs can fire at all and whether
-// the wait can deadlock. Under StaticMod the caller picks set ids that are
-// congruent modulo the pool size; under LeastLoaded, where a set is
-// homed at first touch on the least-occupied delegate, Run co-homes the hot
-// sets itself before the first wave (cohome).
+// the wait can deadlock. Without stealing the caller picks set ids that are
+// congruent modulo the pool size; with it, where a set is homed at first
+// touch on the least-occupied delegate, Run co-homes the hot sets itself
+// before the first wave (cohome).
 type SkewedRecursive struct {
 	Hot    []uint64 // hot sets (90% of operations), co-homed on one delegate
 	Cold   []uint64 // cold sets, spread over the others
@@ -76,7 +76,7 @@ func (s SkewedRecursive) Run(c *prometheus.Ctx, makeOp func(set uint64, seq int3
 // released — then touches every hot set, so all of them are homed on the
 // one delegate left idle, and drains the lot before the first wave. With
 // fewer cold sets than Delegates-2 some hot sets land on the delegates left
-// over. Under StaticMod the operations simply run where the table says.
+// over. Without stealing the operations simply run where the modulus says.
 func (s SkewedRecursive) cohome(c *prometheus.Ctx) {
 	var release atomic.Bool
 	var done atomic.Int64

@@ -128,7 +128,7 @@ func TestOwnedAggregationUnrestricted(t *testing.T) {
 // helped barrier (the program context takes the set over).
 func TestOwnedFollowsMigratedSet(t *testing.T) {
 	t.Run("stealing", func(t *testing.T) {
-		rt := newRT(t, WithDelegates(2), WithPolicy(LeastLoaded), WithStealing(), StealAt(1))
+		rt := newRT(t, WithDelegates(2), WithStealing(), StealAt(1))
 		shared := NewOwned(rt, 0)
 		x, pin := NewWritable(rt, []int{}), NewWritable(rt, 0)
 		use := func(c *Ctx, ran *[]int) {

@@ -23,16 +23,6 @@ const (
 	PhaseReduction   = core.PhaseReduction
 )
 
-// SchedPolicy selects the delegate-assignment policy.
-type SchedPolicy = core.SchedPolicy
-
-// Assignment policies: StaticMod is the paper's (§4); LeastLoaded is the
-// dynamic-scheduling extension the paper names as future work.
-const (
-	StaticMod   = core.StaticMod
-	LeastLoaded = core.LeastLoaded
-)
-
 // Ctx identifies the execution context running a delegated operation. The
 // program context has ID 0; delegate contexts are numbered from 1. Reducible
 // views are addressed by Ctx. A Ctx must not be retained beyond the
@@ -84,23 +74,22 @@ func WithDelegates(n int) Option { return func(c *core.Config) { c.Delegates = n
 // deadlock-free.
 func WithQueueCapacity(n int) Option { return func(c *core.Config) { c.QueueCapacity = n } }
 
-// WithPolicy selects the delegate-assignment policy.
-func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy = p } }
-
-// WithStealing enables the occupancy-aware work-stealing extension, on
-// LeastLoaded placement (which it selects). When a set's sticky owner has at
-// least four outstanding operations and every operation previously delegated
-// to that set has finished executing (the set is quiescent — a safe handoff
-// boundary), the next delegation hands the whole set to the delegate with
-// the smallest occupancy, provided it is idle or at most a quarter as loaded
-// as the victim. Sets — never individual invocations — are the steal unit,
-// so operations within a set still execute in program order and the model's
-// determinism guarantee is unchanged; only placement responds to load.
+// WithStealing replaces the paper's placement (set s on delegate s mod D +
+// 1) with dynamic placement: each epoch places a set at its first delegation
+// on the least-occupied delegate, and an occupancy-aware rebalancer moves
+// it. When a set's owner has at least four outstanding operations and every
+// operation previously delegated to that set has finished executing (the
+// set is quiescent — a safe handoff boundary), the next delegation hands the
+// whole set to the delegate with the smallest occupancy, provided it is idle
+// or at most a quarter as loaded as the victim. Sets — never individual
+// invocations — are the steal unit, so operations within a set still
+// execute in program order and the model's determinism guarantee is
+// unchanged; only placement responds to load.
 //
 // With Recursive only leaf sets move: a set one of whose operations has
 // delegated a nested operation this epoch stays on its owner for the rest
 // of the epoch, so every set keeps one producer context per epoch (see
-// doc.go). Each epoch places its sets afresh, on first touch.
+// doc.go).
 func WithStealing() Option { return func(c *core.Config) { c.Stealing = true } }
 
 // Sequential builds the runtime in the paper's debug mode (§3.3): all
@@ -110,8 +99,8 @@ func Sequential() Option { return func(c *core.Config) { c.Sequential = true } }
 // Checked enables dynamic error detection (§3.3). The paper disables these
 // checks for performance measurements; so do the benchmarks here. Under
 // Recursive it panics with a serializer violation when a set receives
-// delegations from a second context in one isolation epoch, under every
-// placement policy and however quiescent the set.
+// delegations from a second context in one isolation epoch, under either
+// placement and however quiescent the set.
 func Checked() Option { return func(c *core.Config) { c.Checked = true } }
 
 // WithTrace enables execution tracing; retrieve events with
@@ -123,11 +112,10 @@ func WithTrace() Option { return func(c *core.Config) { c.Trace = true } }
 // via Ctx.Delegate. A serialization set must receive delegations from only
 // one context per isolation epoch for the execution to stay deterministic
 // (the engine never changes it: stealing moves only sets whose operations
-// delegate nothing). Placement uses the paper's static policy by default;
-// it composes with WithPolicy(LeastLoaded), and with WithStealing for the
-// occupancy-aware whole-set rebalancer. Reclaiming a Writable during an isolation epoch
-// waits for the whole runtime to quiesce, because the reclaim must also
-// cover nested work.
+// delegate nothing). It composes with either placement: the paper's by
+// default, WithStealing's on request. Reclaiming a Writable during an
+// isolation epoch waits for the whole runtime to quiesce, because the
+// reclaim must also cover nested work.
 func Recursive() Option { return func(c *core.Config) { c.Recursive = true } }
 
 // Runtime is the serialization-sets runtime. Create one with Init. Methods

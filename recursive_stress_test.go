@@ -73,7 +73,6 @@ func qsNode(c *prometheus.Ctx, rec *prometheus.Reducible[map[uint64]string],
 // threshold, the shape the stealing stress variants run under.
 func stealingOpts() []prometheus.Option {
 	return []prometheus.Option{
-		prometheus.WithPolicy(prometheus.LeastLoaded),
 		prometheus.WithStealing(),
 		prometheus.StealAt(1),
 	}

@@ -1,5 +1,7 @@
 package prometheus
 
+import "repro/internal/core"
+
 // Serializer computes the serialization set for an operation on a wrapped
 // object (paper §2.1). It receives the wrapper's instance number and the
 // object, and returns the set id. Serializers run in the program context at
@@ -12,7 +14,7 @@ type Serializer[T any] func(instance uint64, obj *T) uint64
 
 // SequenceSerializer serializes on the wrapper's instance number (the
 // paper's sequence serializer). Instance numbers are small and consecutive,
-// so sets spread evenly across delegates under the modulus policy.
+// so sets spread evenly across delegates under the paper's modulus.
 func SequenceSerializer[T any]() Serializer[T] {
 	return func(instance uint64, _ *T) uint64 { return instance }
 }
@@ -43,12 +45,7 @@ func NullSerializer[T any]() Serializer[T] { return nil }
 // Mix64 is a SplitMix64 finalizer: a cheap bijective scrambler used to turn
 // consecutive ids into address-like identities, and generally useful for
 // hashing user keys into serialization sets.
-func Mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func Mix64(x uint64) uint64 { return core.Mix64(x) }
 
 // StringSet hashes a string to a serialization set id (FNV-1a). Useful for
 // external serializers keyed by names.

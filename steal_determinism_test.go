@@ -26,7 +26,6 @@ import (
 func stealStressOpts(extra ...Option) []Option {
 	return append([]Option{
 		WithDelegates(4),
-		WithPolicy(LeastLoaded),
 		WithStealing(),
 		StealAt(2),
 	}, extra...)
@@ -254,11 +253,10 @@ func TestReverseIndexDeterministicUnderStealing(t *testing.T) {
 // op/epoch interleavings, not just the two curated workloads.
 func TestDeterminismMatrixUnderStealing(t *testing.T) {
 	shapes := [][]Option{
-		{WithDelegates(2), WithPolicy(LeastLoaded), WithStealing(), StealAt(1)},
-		{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing()},
-		{WithDelegates(4), WithStealing()}, // the policy follows from stealing
-		{WithDelegates(4), WithPolicy(LeastLoaded), WithStealing(), WithQueueCapacity(16)},
-		{WithDelegates(8), WithPolicy(LeastLoaded), WithStealing(), StealAt(2), WithQueueCapacity(4)},
+		{WithDelegates(2), WithStealing(), StealAt(1)},
+		{WithDelegates(4), WithStealing()},
+		{WithDelegates(4), WithStealing(), WithQueueCapacity(16)},
+		{WithDelegates(8), WithStealing(), StealAt(2), WithQueueCapacity(4)},
 	}
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 6; trial++ {

@@ -167,7 +167,7 @@ func BenchmarkAblation(b *testing.B) {
 			inst := load(b, fm, workload.Small)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst.SS(15, prometheus.WithQueueCapacity(cap))
+				inst.SS(15, prometheus.QueueCap(cap))
 			}
 		})
 	}

@@ -83,7 +83,7 @@ func runProgram(ops []progOp, nObjs int, opts ...Option) ([]int64, []int64) {
 // tinyQueues is the shape with the smallest lanes: a 32-slot program lane.
 // TestDeterminismThroughFullProgramLane drives it through the program
 // context's park on a full lane.
-var tinyQueues = []Option{WithDelegates(4), WithQueueCapacity(2)}
+var tinyQueues = []Option{WithDelegates(4), QueueCap(2)}
 
 // programLane is how many delegations a delegate's program lane holds in a
 // runtime built from opts (0 for Sequential).

@@ -10,3 +10,8 @@ func StealAt(n int) Option { return func(c *core.Config) { c.StealThreshold = n 
 // NoSteal is a StealAt threshold no backlog reaches: WithStealing(),
 // StealAt(NoSteal) runs first-touch placement with the rebalancer idle.
 const NoSteal = 1 << 30
+
+// QueueCap sets each lane's ring capacity through core.Config.QueueCapacity
+// — the seam the determinism and stress suites use to make full program
+// lanes and spills common on tiny programs. Not a public Option.
+func QueueCap(n int) Option { return func(c *core.Config) { c.QueueCapacity = n } }

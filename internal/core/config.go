@@ -24,8 +24,11 @@ const DefaultFaultRecordBound = 1024
 
 // The steal trigger's two constants (maybeSteal): a set leaves its owner
 // when the owner's occupancy is at least stealThreshold and the
-// least-occupied peer's times stealRatio is at most the owner's. doc.go,
-// "Placement and load balancing", has why four and four.
+// least-occupied peer's times stealRatio is at most the owner's. Four is
+// above transient two-or-three-deep pipelining and early enough to matter
+// inside the one 256-slot ring a stealing runtime's program lane is; a
+// quarter keeps a balanced pool sticky. BenchmarkRecursiveSkewed is the
+// evidence for both.
 const (
 	stealThreshold = 4
 	stealRatio     = 4
@@ -95,7 +98,9 @@ type Config struct {
 	// program context pushes into, is progLaneRings (16) rings instead. The
 	// program context blocks on a full program lane; a delegate producer
 	// overflows into the lane's unbounded spill list. Default
-	// spsc.DefaultCapacity.
+	// spsc.DefaultCapacity. Internal testing knob like StealThreshold, not
+	// exposed as a public Option: the determinism and stress suites shrink
+	// the rings to force full program lanes and spills on tiny programs.
 	QueueCapacity int
 
 	// DelegateBatch is inert: the program-context batch buffer it sized is

@@ -63,6 +63,15 @@ import (
 // Its sleep flag and wake channel are where it parks in every wait
 // (watchdog.go): delegates rouse it when they serve a marker, free slots on
 // the program lane it waits on, or shed into its inbox.
+//
+// Helping. The program context reaches a barrier with the epoch still
+// queued, where it would sit parked on the delegates' markers. Instead it
+// asks the most occupied delegate for work once the barrier has been open
+// for helpAfter (wait, askForWork), and that delegate answers at its next
+// operation boundary by dealing whole chains to its inbox lane (shed),
+// which the program context runs as context 0 through the drain loop's
+// own span. Only barriers help, never under Recursive; the inbox lanes are
+// as deep as the program lanes, so a hand-over never spills.
 
 // Wake-state values for the delegate parking protocol.
 const (

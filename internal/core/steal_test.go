@@ -261,9 +261,13 @@ func TestStealStress(t *testing.T) {
 // 1 serializes ~90% of the work while its peers idle; with stealing, hot
 // sets are handed to underloaded delegates at their first quiescent moment.
 //
-// The "blocking" variants give each operation a short sleep (a stand-in for
-// I/O-bound delegate work), so rebalancing shows up in wall clock even on a
-// single-CPU host — delegates overlap their blocked time. The "cpu" variants
+// The "blocking" variants give each operation a time.Sleep of a nominal
+// 20 µs (a stand-in for I/O-bound delegate work), so rebalancing shows up
+// in wall clock even on a single-CPU host — delegates overlap their blocked
+// time. The runtime's timer granularity decides how long that sleep really
+// lasts (0.5–0.75 ms on a 2-vCPU Linux VM), so these rows time the timer as
+// much as placement; they report the measured mean of one sleep as
+// sleep_us/op, to read beside the nominal 20. The "cpu" variants
 // are pure compute: on a multi-core host they show the same shape; on one
 // CPU total work is serialized regardless of placement, so expect them flat
 // there.
@@ -281,7 +285,18 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 		epochs    = 8
 	)
 	var sink atomic.Uint64
-	blockingOp := func(int) { time.Sleep(20 * time.Microsecond) }
+	var slept, sleeps atomic.Int64 // measured sleep of the blocking operations, ns, and their count
+	blockingOp := func(int) {
+		t0 := time.Now()
+		time.Sleep(20 * time.Microsecond)
+		slept.Add(int64(time.Since(t0)))
+		sleeps.Add(1)
+	}
+	reportSleep := func(b *testing.B) {
+		if n := sleeps.Swap(0); n > 0 {
+			b.ReportMetric(float64(slept.Swap(0))/float64(n)/1e3, "sleep_us/op")
+		}
+	}
 	cpuOp := func(int) {
 		x := uint64(1)
 		for j := 0; j < 300; j++ {
@@ -331,6 +346,7 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 			rt.Terminate()
 		}
 		b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
+		reportSleep(b)
 	}
 	b.Run("blocking-nosteal", func(b *testing.B) { run(b, false, blockingOp) })
 	b.Run("blocking-steal", func(b *testing.B) { run(b, true, blockingOp) })
@@ -352,6 +368,7 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 			rt.Terminate()
 		}
 		b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
+		reportSleep(b)
 	}
 	b.Run("epochs-nosteal", func(b *testing.B) { runEpochs(b, false) })
 	b.Run("epochs-steal", func(b *testing.B) { runEpochs(b, true) })

@@ -30,13 +30,12 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	prometheus "repro"
 )
 
 // Profile parameterizes one load run. Zero values take the documented
@@ -115,9 +114,9 @@ func (p *Profile) withDefaults() error {
 	return nil
 }
 
-// Result is what one Run observed. Latency quantiles cover healthy
-// (2xx) responses only: an injected-error 502 or a shed 503 answers
-// fast by design and would flatter the histogram.
+// Result is what one Run observed. Latency order statistics cover
+// healthy (2xx) responses only: an injected-error 502 or a shed 503
+// answers fast by design and would flatter them.
 type Result struct {
 	Requests int         // requests issued
 	ByStatus map[int]int // responses by HTTP status
@@ -127,8 +126,10 @@ type Result struct {
 	DupSeqs         int      // (key, seq) pairs seen more than once across the fleet
 	OrderViolations []string // first few per-worker monotonicity breaks, human-readable
 
-	P50, P99, Max time.Duration // over healthy responses
-	Healthy       int           // 2xx count feeding the quantiles
+	// P50, P99 and Max are nearest-rank order statistics of the healthy
+	// responses' exact latencies (see setLatencies); 0 with none.
+	P50, P99, Max time.Duration
+	Healthy       int // 2xx count feeding them
 
 	// Acks collects acknowledged sequences per key, in receive order per
 	// worker (interleaved across workers). Nil unless Profile.TrackAcks.
@@ -166,12 +167,6 @@ func (w *worker) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// latency buckets, microseconds: 100µs .. 10s.
-var latencyBounds = []int64{
-	100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000,
-	100000, 200000, 500000, 1000000, 2000000, 5000000, 10000000,
-}
-
 // Run executes the profile against the live server and returns what it
 // observed. The error return covers harness misuse (bad profile), not
 // server misbehavior — that lands in the Result for Check to judge.
@@ -190,14 +185,14 @@ func Run(p Profile) (*Result, error) {
 	}
 	defer client.CloseIdleConnections()
 
-	hist := prometheus.NewHistogram(latencyBounds...)
 	res := &Result{ByStatus: map[int]int{}}
 	if p.TrackAcks {
 		res.Acks = map[string][]AckPoint{}
 	}
 	var (
-		mu   sync.Mutex // guards res and seen
+		mu   sync.Mutex // guards res, seen and lats
 		seen = map[string]map[uint64]bool{}
+		lats []time.Duration // one per healthy response
 		wg   sync.WaitGroup
 	)
 
@@ -240,7 +235,7 @@ func Run(p Profile) (*Result, error) {
 				res.ByStatus[status]++
 				if status >= 200 && status < 300 {
 					res.Healthy++
-					hist.Observe(lat.Microseconds())
+					lats = append(lats, lat)
 					if seq, ok := parseSeq(body); ok {
 						if prev, dup := w.last[key]; dup && seq <= prev {
 							if len(res.OrderViolations) < 8 {
@@ -269,10 +264,20 @@ func Run(p Profile) (*Result, error) {
 	}
 	wg.Wait()
 
-	res.P50 = time.Duration(hist.Quantile(0.50)) * time.Microsecond
-	res.P99 = time.Duration(hist.Quantile(0.99)) * time.Microsecond
-	res.Max = time.Duration(hist.Quantile(1.0)) * time.Microsecond
+	res.setLatencies(lats)
 	return res, nil
+}
+
+// setLatencies sorts lats in place and sets P50, P99 and Max from them by
+// the nearest-rank method: the p-th percentile is element ⌈p·n/100⌉−1 of
+// the sorted slice, a latency some request actually saw.
+func (r *Result) setLatencies(lats []time.Duration) {
+	if len(lats) == 0 {
+		return
+	}
+	slices.Sort(lats)
+	rank := func(p int) time.Duration { return lats[(p*len(lats)+99)/100-1] }
+	r.P50, r.P99, r.Max = rank(50), rank(99), rank(100)
 }
 
 func pickKey(w *worker, p *Profile) string {

@@ -220,3 +220,31 @@ func TestParseSeq(t *testing.T) {
 		}
 	}
 }
+
+// TestLatenciesAreExactOrderStatistics: P50, P99 and Max are latencies a
+// request saw, by nearest rank, not the bounds of buckets holding them.
+// Over 1…999 µs plus one 1,300 µs outlier (n = 1,000, shuffled), the ranks
+// are 500, 990 and 1,000, and Max is the outlier itself.
+func TestLatenciesAreExactOrderStatistics(t *testing.T) {
+	lats := make([]time.Duration, 0, 1000)
+	for i := 1; i <= 999; i++ {
+		lats = append(lats, time.Duration((i*389)%999+1)*time.Microsecond)
+	}
+	lats = append(lats[:500], append([]time.Duration{1300 * time.Microsecond}, lats[500:]...)...)
+	var r Result
+	r.setLatencies(lats)
+	if r.P50 != 500*time.Microsecond || r.P99 != 990*time.Microsecond || r.Max != 1300*time.Microsecond {
+		t.Fatalf("p50 %v p99 %v max %v, want 500µs 990µs 1.3ms", r.P50, r.P99, r.Max)
+	}
+
+	one := Result{}
+	one.setLatencies([]time.Duration{7 * time.Millisecond})
+	if one.P50 != 7*time.Millisecond || one.P99 != 7*time.Millisecond || one.Max != 7*time.Millisecond {
+		t.Fatalf("one sample: p50 %v p99 %v max %v, want 7ms each", one.P50, one.P99, one.Max)
+	}
+	var none Result
+	none.setLatencies(nil)
+	if none.P50 != 0 || none.P99 != 0 || none.Max != 0 {
+		t.Fatalf("no samples: p50 %v p99 %v max %v, want 0", none.P50, none.P99, none.Max)
+	}
+}

@@ -632,4 +632,22 @@ func TestHealthzDegradationReport(t *testing.T) {
 	if !strings.Contains(body, "poisoned_keys 1") {
 		t.Fatalf("healthz body %q does not report the poisoned key", body)
 	}
+
+	// A rotation heals the key: the gauge reads 0, the key serves again,
+	// and running it clears the stale fault its Session held.
+	rotateNow(s)
+	_, body = get(t, h, "/healthz", "k", nil)
+	if !strings.Contains(body, "poisoned_keys 0") {
+		t.Fatalf("healthz body %q still reports a poisoned key after rotation", body)
+	}
+	if code, body := get(t, h, "/", "victim", nil); code != http.StatusOK {
+		t.Fatalf("healed key: %d %q, want 200", code, body)
+	}
+	s.role.Lock()
+	defer s.role.Unlock()
+	for _, sess := range s.sessions {
+		if sess.Key == "victim" && sess.fault != nil {
+			t.Fatalf("healed key's Session still holds its fault %v", sess.fault)
+		}
+	}
 }

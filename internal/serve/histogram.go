@@ -1,46 +1,45 @@
-package prometheus
+package serve
 
 import "sync/atomic"
 
-// Histogram is a fixed-bucket histogram over int64 samples with lock-free
-// atomic counters — the serving tier's latency metric primitive.
-// Observe is safe from any goroutine, zero-allocation, and O(
-// buckets) with no locks or compare-and-swap loops, so it sits on the
-// request hot path; readers (Quantile, Buckets, Count) take a per-bucket
-// snapshot that may be slightly torn against concurrent writers — fine for
-// monitoring, which is the only intended reader. The sample unit is the
-// caller's choice (the serving tier records microseconds); bucket bounds
-// are fixed at construction, which is what keeps the write path free of
-// resizing coordination.
-type Histogram struct {
+// histogram is a fixed-bucket histogram over int64 samples with lock-free
+// atomic counters — the serving tier's latency metric primitive. Observe
+// is safe from any goroutine, zero-allocation, and O(buckets) with no
+// locks or compare-and-swap loops, so it sits on the request hot path;
+// readers (Quantile, Buckets, Sum) take a per-bucket snapshot that may be
+// slightly torn against concurrent writers — fine for monitoring, the
+// only reader. The tier records microseconds (see metrics.observe);
+// bucket bounds are fixed at construction, which is what keeps the write
+// path free of resizing coordination.
+type histogram struct {
 	bounds []int64         // ascending upper bounds, one per counted bucket
 	counts []atomic.Uint64 // len(bounds)+1: bounds buckets plus overflow
 	sum    atomic.Int64
 }
 
-// NewHistogram builds a histogram with the given strictly-ascending bucket
+// newHistogram builds a histogram with the given strictly-ascending bucket
 // upper bounds (a sample v lands in the first bucket with v <= bound, or in
 // the implicit overflow bucket). Panics on unsorted or empty bounds — the
 // construction-time check that keeps Observe check-free.
-func NewHistogram(bounds ...int64) *Histogram {
+func newHistogram(bounds ...int64) *histogram {
 	if len(bounds) == 0 {
-		panic("prometheus: NewHistogram: no bucket bounds")
+		panic("serve: newHistogram: no bucket bounds")
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			panic("prometheus: NewHistogram: bucket bounds must be strictly ascending")
+			panic("serve: newHistogram: bucket bounds must be strictly ascending")
 		}
 	}
 	b := make([]int64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+	return &histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // Observe records one sample. Zero allocations, no locks; safe from any
 // goroutine. The linear bucket scan beats binary search at monitoring
 // bucket counts (~10–20): latencies cluster in the low buckets, so the
 // scan usually ends within a cache line.
-func (h *Histogram) Observe(v int64) {
+func (h *histogram) Observe(v int64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -49,27 +48,18 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of samples observed.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
+func (h *histogram) Sum() int64 { return h.sum.Load() }
 
 // Bounds returns the bucket upper bounds. Read-only: the slice is the
 // histogram's own, shared to keep the metrics exposition path
 // allocation-free.
-func (h *Histogram) Bounds() []int64 { return h.bounds }
+func (h *histogram) Bounds() []int64 { return h.bounds }
 
 // Buckets appends the per-bucket sample counts (len(Bounds())+1 entries,
 // the last being the overflow bucket) to dst and returns the extended
 // slice. Allocation-free when dst has capacity.
-func (h *Histogram) Buckets(dst []uint64) []uint64 {
+func (h *histogram) Buckets(dst []uint64) []uint64 {
 	for i := range h.counts {
 		dst = append(dst, h.counts[i].Load())
 	}
@@ -81,7 +71,7 @@ func (h *Histogram) Buckets(dst []uint64) []uint64 {
 // estimate. Samples in the overflow bucket are attributed to the highest
 // bound — the estimate saturates there rather than extrapolating. Returns
 // 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *histogram) Quantile(q float64) float64 {
 	if q < 0 {
 		q = 0
 	} else if q > 1 {

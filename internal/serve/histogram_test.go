@@ -1,12 +1,11 @@
-package prometheus
+package serve
 
 import "testing"
 
 // TestHistogramQuantileEdges pins the fixed-bucket estimator's edge
 // behavior: empty histograms, single-bucket mass, overflow saturation,
 // and out-of-range q values must all return well-defined answers — the
-// serving tier's latency quantiles and the load harness's assertions
-// both sit on these.
+// quantiles /metrics exposes sit on these.
 func TestHistogramQuantileEdges(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -47,7 +46,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := NewHistogram(c.bounds...)
+			h := newHistogram(c.bounds...)
 			for _, s := range c.samples {
 				h.Observe(s)
 			}
@@ -76,7 +75,7 @@ func TestHistogramConstructionPanics(t *testing.T) {
 					t.Fatal("no panic")
 				}
 			}()
-			NewHistogram(c.bounds...)
+			newHistogram(c.bounds...)
 		})
 	}
 }

@@ -44,7 +44,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(status)
 	fmt.Fprintf(w, "%s\npoisoned_keys %d\ngated_backends %d\ndegraded_keys %d\n",
-		state, s.poisonedKeys(), gated, s.degraded.Load())
+		state, s.poisoned.Load(), gated, s.degraded.Load())
 	if s.store != nil {
 		// Durability detail: what the last startup rebuilt (and had to
 		// discard), so an operator — or the crash-restart harness — can
@@ -145,11 +145,4 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.metrics.rateRejects.Add(1)
 		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 	}
-}
-
-// poisonedKeys reports how many keys a handler panic poisoned this epoch.
-func (s *Server) poisonedKeys() int {
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	return len(s.faults)
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	prometheus "repro"
 )
 
 // latencyBounds are the request-latency bucket upper bounds in
@@ -26,7 +24,7 @@ var latencyBounds = []int64{
 // under unbounded request keys while keeping skew visible: a hot key
 // concentrates in one shard's histogram.
 type metrics struct {
-	latency [latencyShards]*prometheus.Histogram // per set-shard, microseconds
+	latency [latencyShards]*histogram // per set-shard, microseconds
 
 	served           atomic.Uint64 // requests answered by their backend
 	panics           atomic.Uint64 // handler panics contained (each poisons its key)
@@ -59,7 +57,7 @@ const latencyShards = 8
 func newMetrics() *metrics {
 	m := &metrics{}
 	for i := range m.latency {
-		m.latency[i] = prometheus.NewHistogram(latencyBounds...)
+		m.latency[i] = newHistogram(latencyBounds...)
 	}
 	return m
 }
@@ -111,7 +109,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauge("ss_recovery_snapshots_skipped", "Invalid snapshot generations skipped at the last recovery.", uint64(s.recovered.snapshotsSkipped))
 	}
 
-	histogram := func(name, help, labels string, h *prometheus.Histogram) {
+	writeHistogram := func(name, help, labels string, h *histogram) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 		brace := func(extra string) string {
 			if extra == "" {
@@ -135,7 +133,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	for i, h := range m.latency {
-		histogram("ss_request_latency_microseconds",
+		writeHistogram("ss_request_latency_microseconds",
 			"Request latency from admission to response decision, by set shard.",
 			fmt.Sprintf("shard=\"%d\"", i), h)
 	}
@@ -182,7 +180,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Keys poisoned by a handler panic in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.poisonedKeys())
+	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Keys poisoned by a handler panic in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.poisoned.Load())
 	fmt.Fprintf(&b, "# HELP ss_degraded_keys Keys currently shed by the slow-key watchdog.\n# TYPE ss_degraded_keys gauge\nss_degraded_keys %d\n", s.degraded.Load())
 
 	st := s.Stats()

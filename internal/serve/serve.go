@@ -43,9 +43,9 @@
 // answer out and puts the job back.
 //
 // Request lifecycle around faults. The delegated operation contains its
-// handler's panic itself: its deferred recover records the fault in the
-// server's fault table, stamps the key's Session as poisoned in this
-// epoch, and answers its own request with a 500 that carries the fault.
+// handler's panic itself: its deferred recover stores the fault on the
+// key's Session, stamps the Session as poisoned in this epoch, and
+// answers its own request with a 500 that carries the fault.
 // Later requests for the key get the same 500 without running: at
 // delivery, under the role, or at the queue front for those already
 // delegated behind the faulting one, which per-set program order runs
@@ -54,17 +54,17 @@
 // to be answered.
 //
 // Epochs rotate on a timer. Rotation is the serving tier's repair loop:
-// the barrier proves the pool quiescent, the fault table is cleared and
-// the epoch advances, so keys poisoned or degraded in the closing epoch
-// serve again (a new watchdog epoch also restarts slow runs), and the
-// stats snapshot is republished. Nothing is swept: every request already
-// has its resolver. A rotation holds the role across its barrier, so
-// callers wait on the mutex meanwhile; what bounds that blip, and overload
-// generally, is the inflight budget (requests past it are refused before
-// they touch the role) and the bounded program lane a role holder blocks
-// on when a delegate falls behind: one 256-slot ring, since a stealing
-// runtime keeps the one-ring program lane. Everything delegated before the
-// barrier is already in delegate queues, which the barrier itself drains.
+// the barrier proves the pool quiescent and the epoch advances, so keys
+// poisoned or degraded in the closing epoch serve again (a new watchdog
+// epoch also restarts slow runs), and the stats snapshot is republished.
+// Nothing is swept: every request already has its resolver. A rotation
+// holds the role across its barrier, so callers wait on the mutex
+// meanwhile; what bounds that blip, and overload generally, is the
+// inflight budget (requests past it are refused before they touch the
+// role) and the bounded program lane a role holder blocks on when a
+// delegate falls behind: one 256-slot ring, since a stealing runtime keeps
+// the one-ring program lane. Everything delegated before the barrier is
+// already in delegate queues, which the barrier itself drains.
 //
 // Between the role holder and the work it delegates sits the robustness
 // layer (backend.go, breaker.go, deadline.go): a pluggable Backend
@@ -121,38 +121,42 @@ type Session struct {
 
 	// Per-epoch state, so never encoded: the slow-key watchdog's slow run,
 	// its epoch, and the epoch the key was degraded in (deadline.go); and
-	// the epoch a handler panic poisoned the key in (see contain). The
-	// stamps are read by delivery, hence atomic; 0 = never.
+	// the epoch a handler panic poisoned the key in, with that panic's
+	// fault (see contain). The stamps are read by delivery, hence atomic;
+	// 0 = never. fault is written before poisonedIn and read only after
+	// observing poisonedIn == the current epoch, so the stamp publishes it;
+	// execute clears a stale one when the key next runs.
 	slowRun, slowEpoch uint32
 	degradedIn         atomic.Uint32
 	poisonedIn         atomic.Uint32
+	fault              *prometheus.PanicError
 
 	// Token bucket for Config.Rate, touched only by the role holder at
-	// delivery and never encoded (see takeToken). The zero value is a full
-	// bucket, so new and recovered sessions need no set-up.
-	spent   float64       // tokens taken and not yet refilled
-	spentAt time.Duration // when spent was last brought up to date, since rateClock
+	// delivery and never encoded (see takeToken): the time, since
+	// rateClock, at which the bucket is full again. The zero value is a
+	// full bucket, so new and recovered sessions need no set-up.
+	fullAt time.Duration
 }
 
 // rateBurst is the token bucket's capacity: a key may spend this many
 // requests at once before Config.Rate paces it.
 const rateBurst = 10
 
-// rateClock is the origin of Session.spentAt: one monotonic reading, so a
+// rateClock is the origin of Session.fullAt: one monotonic reading, so a
 // bucket's timestamp fits in a Duration.
 var rateClock = time.Now()
 
-// takeToken refills the session's bucket by rate tokens a second since
-// the last call, to at most rateBurst, and spends one if there is one.
-// now is read by the role holder, so refill never sees time run
-// backwards. Holds the role.
+// takeToken spends one of the session's tokens if it has one. The bucket
+// refills at rate tokens a second up to rateBurst, so at now it holds
+// rateBurst minus (fullAt-now)·rate tokens; spending one moves fullAt a
+// token's worth of time, 1/rate, later. now is read by the role holder, so
+// refill never sees time run backwards. Holds the role.
 func (sess *Session) takeToken(now time.Duration, rate float64) bool {
-	sess.spent = max(0, sess.spent-(now-sess.spentAt).Seconds()*rate)
-	sess.spentAt = now
-	if sess.spent > rateBurst-1 {
+	fullAt := max(sess.fullAt, now)
+	if (fullAt-now).Seconds()*rate > rateBurst-1 {
 		return false
 	}
-	sess.spent++
+	sess.fullAt = fullAt + time.Duration(float64(time.Second)/rate)
 	return true
 }
 
@@ -375,12 +379,7 @@ type Server struct {
 	snapGen  uint64       // durability: snapshot generation counter
 	epoch    uint32       // serve epoch, from 1; moves like stamp, in rotate
 	degraded atomic.Int32 // keys the watchdog degraded this epoch
-
-	// faults holds the epoch's contained handler panics by set: written by
-	// the faulting context (contain), read when a later request for the set
-	// is answered and by /metrics and /healthz, cleared by rotate.
-	faultMu sync.Mutex
-	faults  map[uint64]*prometheus.PanicError
+	poisoned atomic.Int32 // keys a handler panic poisoned this epoch
 
 	// statsSnap republishes the role holder's Stats() snapshot at each
 	// rotation so the any-goroutine metrics scrape never calls Stats
@@ -425,7 +424,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		metrics:  newMetrics(),
 		sessions: make(map[uint64]*Session),
-		faults:   make(map[uint64]*prometheus.PanicError),
 		idle:     make(chan struct{}),
 		epoch:    1,
 	}
@@ -515,7 +513,7 @@ func (s *Server) deliver(j *job) {
 	case sess.poisonedIn.Load() == s.epoch:
 		// A handler panicked on this key earlier in the epoch: fail with
 		// its fault instead of paying a delegation.
-		s.drop(j)
+		s.drop(j, sess)
 		return
 	case sess.degradedIn.Load() == s.epoch:
 		// The watchdog degraded this key: shed instead of queueing behind
@@ -536,11 +534,10 @@ func (s *Server) deliver(j *job) {
 
 // drop answers a request for a key poisoned earlier this epoch, unrun,
 // with the fault that poisoned it: at delivery under the role, or at the
-// queue front on the context running the key's set.
-func (s *Server) drop(j *job) {
-	s.faultMu.Lock()
-	j.fault = s.faults[j.set]
-	s.faultMu.Unlock()
+// queue front on the context running the key's set. The caller has seen
+// sess.poisonedIn == s.epoch, which publishes sess.fault.
+func (s *Server) drop(j *job, sess *Session) {
+	j.fault = sess.fault
 	s.metrics.droppedJobs.Add(1)
 	j.finish(outcomePoisoned)
 }
@@ -575,9 +572,10 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 	}
 	if sess.poisonedIn.Load() == s.epoch {
 		// Delegated before an earlier request of the key panicked.
-		s.drop(j)
+		s.drop(j, sess)
 		return
 	}
+	sess.fault = nil // poisoned in an earlier epoch, if at all: healed
 	ctx := context.Background()
 	if !j.deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -638,33 +636,30 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 }
 
 // contain is execute's panic handler, still on the unwinding stack so the
-// captured stack reaches the failure site. It records the fault for the
-// epoch, poisons the key — stamps its Session, which later requests read
+// captured stack reaches the failure site. It poisons the key — stores the
+// fault on its Session, then stamps the Session, which later requests read
 // at delivery and at the queue front — and answers the faulting request
 // with a 500 that carries the fault. Recovering here, not in the engine,
 // is what keeps the engine from dropping the key's queued requests
 // unanswered.
 func (s *Server) contain(c *prometheus.Ctx, j *job, v any) {
 	f := &prometheus.PanicError{Set: j.set, Ctx: c.ID(), Epoch: uint64(s.epoch), Value: v, Stack: debug.Stack()}
-	s.faultMu.Lock()
-	s.faults[j.set] = f
-	s.faultMu.Unlock()
+	j.sess.fault = f
 	j.sess.poisonedIn.Store(s.epoch)
+	s.poisoned.Add(1)
 	s.metrics.panics.Add(1)
 	j.fault = f
 	j.finish(outcomeFaulted)
 }
 
 // rotate closes the epoch and opens the next: the barrier proves the pool
-// quiescent, the fault table is cleared and the epoch advances, which
-// heals poisoned and degraded keys and restarts slow runs, and the stats
-// snapshot republishes. Holds the role.
+// quiescent and the epoch advances, which heals poisoned and degraded keys
+// and restarts slow runs, and the stats snapshot republishes. Holds the
+// role.
 func (s *Server) rotate() {
 	s.rt.EndIsolation()
-	s.faultMu.Lock()
-	clear(s.faults)
-	s.faultMu.Unlock()
 	s.degraded.Store(0)
+	s.poisoned.Store(0)
 	if s.epoch++; s.epoch == 0 { // wrapped: no stale epoch stamp may match
 		for _, sess := range s.sessions {
 			sess.slowEpoch = 0

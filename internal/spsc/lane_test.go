@@ -270,3 +270,91 @@ func TestLaneFIFOAcrossRespill(t *testing.T) {
 		t.Errorf("lane delivered %d where %d was next", b[1], b[0])
 	}
 }
+
+// FuzzLaneHandover drives one lane through the ring → spill → ring
+// hand-over on a single goroutine, against a model of where each value
+// sits. data[0] picks the ring capacity (1…16, low four bits) and whether a
+// shared NodePool backs the freelist (bit 4); every later byte is one step:
+// with the top bit set, a burst of 1…128 pushes, else one PopBatch of 1…70.
+// Each step checks FIFO order (values are pushed as 0, 1, 2, …), that a
+// push spills exactly when the model says it must (ring full, or spill mode
+// with spill values outstanding), Spills() and Full(); a final TryPop drain
+// checks exactly-once delivery and Empty(). The model is the invariant the
+// type comment states: ring values are all older than spill values, the
+// consumer drains the ring first, and the producer leaves spill mode only
+// once the spill list is empty.
+func FuzzLaneHandover(f *testing.F) {
+	f.Add([]byte{0, 0x81, 0x00, 0x80, 0x45, 0x80})                   // capacity 1: spill, pop the ring, spill again, drain, resume on the ring
+	f.Add([]byte{3, 0x85, 0x01, 0x82, 0x02, 0x80, 0x45, 0x83, 0x45}) // capacity 4: pop partway, spill more, drain, resume
+	f.Add([]byte{0x17, 0xff, 0x45, 0x10, 0xff, 0x03, 0x45, 0x45})    // capacity 8, pooled: bursts deeper than the freelist
+	f.Add([]byte{15, 0x8f, 0x80, 0x0f, 0x80, 0x45, 0x8f})            // capacity 16: fill exactly, overflow by one, resume
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 512 {
+			return
+		}
+		var pool *NodePool[uint32]
+		if data[0]&16 != 0 {
+			pool = NewNodePool[uint32]()
+		}
+		l := NewLanePooled[uint32](int(data[0]&15)+1, pool)
+		capacity := l.Cap()
+		var (
+			next, want      uint32 // next value to push, next expected pop
+			inRing, inSpill int    // where the unpopped values sit: ring first
+			spilling        bool
+			spills          uint64
+			buf             = make([]uint32, 70)
+		)
+		for step, b := range data[1:] {
+			if b&0x80 != 0 {
+				for i := 0; i <= int(b&0x7f); i++ {
+					wantSpill := spilling && inSpill > 0 || inRing == capacity
+					if got := l.Full(); got != (inRing == capacity) {
+						t.Fatalf("step %d: Full() = %v with %d of %d ring slots used", step, got, inRing, capacity)
+					}
+					if got := l.Push(next); got != wantSpill {
+						t.Fatalf("step %d: Push(%d) spilled = %v, want %v (ring %d/%d, spill %d, spilling %v)",
+							step, next, got, wantSpill, inRing, capacity, inSpill, spilling)
+					}
+					next++
+					if wantSpill {
+						spilling = true
+						inSpill++
+						spills++
+					} else {
+						spilling = false
+						inRing++
+					}
+				}
+			} else {
+				n := int(b)%70 + 1
+				k := l.PopBatch(buf[:n])
+				if held := inRing + inSpill; k != min(n, held) {
+					t.Fatalf("step %d: PopBatch(%d) = %d with %d values held", step, n, k, held)
+				}
+				for _, v := range buf[:k] {
+					if v != want {
+						t.Fatalf("step %d: popped %d, want %d", step, v, want)
+					}
+					want++
+				}
+				fromRing := min(k, inRing)
+				inRing -= fromRing
+				inSpill -= k - fromRing
+			}
+			if got := l.Spills(); got != spills {
+				t.Fatalf("step %d: Spills() = %d, want %d", step, got, spills)
+			}
+		}
+		for want < next {
+			v, ok := l.TryPop()
+			if !ok || v != want {
+				t.Fatalf("drain: TryPop = %d, %v, want %d", v, ok, want)
+			}
+			want++
+		}
+		if _, ok := l.TryPop(); ok || !l.Empty() {
+			t.Fatalf("lane not empty after delivering all %d values", next)
+		}
+	})
+}

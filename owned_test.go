@@ -56,7 +56,7 @@ func TestOwnedCrossOwnerDetected(t *testing.T) {
 // with its high bits cut off, to the program context — so a later use from
 // the program context is a violation.
 func TestOwnedWideContextIDs(t *testing.T) {
-	rt := newRT(t, WithDelegates(256), WithQueueCapacity(16))
+	rt := newRT(t, WithDelegates(256), QueueCap(16))
 	set := uint64(0)
 	for rt.core.ContextFor(set) != 256 {
 		set++

@@ -66,14 +66,6 @@ type Option func(*core.Config)
 // threads; default GOMAXPROCS-1).
 func WithDelegates(n int) Option { return func(c *core.Config) { c.Delegates = n } }
 
-// WithQueueCapacity sets the capacity of each communication lane's bounded
-// ring: one lane per delegate, one per delegate and producer context with
-// Recursive. Without WithStealing the lane the program context pushes into
-// is 16 rings deep. The program context blocks when its lane is full; a
-// delegating delegate spills to an unbounded list, so small rings stay
-// deadlock-free.
-func WithQueueCapacity(n int) Option { return func(c *core.Config) { c.QueueCapacity = n } }
-
 // WithStealing replaces the paper's placement (set s on delegate s mod D +
 // 1) with dynamic placement: each epoch places a set at its first delegation
 // on the least-occupied delegate, and an occupancy-aware rebalancer moves

@@ -83,7 +83,7 @@ func stealingOpts() []prometheus.Option {
 func quicksortRun(t *testing.T, queueCap int, extra ...prometheus.Option) string {
 	t.Helper()
 	opts := append([]prometheus.Option{prometheus.WithDelegates(4), prometheus.Recursive(),
-		prometheus.Checked(), prometheus.WithQueueCapacity(queueCap)}, extra...)
+		prometheus.Checked(), prometheus.QueueCap(queueCap)}, extra...)
 	rt := prometheus.Init(opts...)
 	defer rt.Terminate()
 	const n = 4096
@@ -141,7 +141,7 @@ func TestRecursiveQuicksortDeterminism(t *testing.T) {
 func fpmRun(t *testing.T, queueCap int, extra ...prometheus.Option) (string, prometheus.Stats) {
 	t.Helper()
 	opts := append([]prometheus.Option{prometheus.WithDelegates(3), prometheus.Recursive(),
-		prometheus.Checked(), prometheus.WithQueueCapacity(queueCap)}, extra...)
+		prometheus.Checked(), prometheus.QueueCap(queueCap)}, extra...)
 	rt := prometheus.Init(opts...)
 	defer rt.Terminate()
 	const (
@@ -243,7 +243,7 @@ func TestRecursiveStealingSkewedDeterminism(t *testing.T) {
 	}
 	run := func() (string, prometheus.Stats) {
 		opts := append([]prometheus.Option{prometheus.WithDelegates(4), prometheus.Recursive(),
-			prometheus.Checked(), prometheus.WithQueueCapacity(64)}, stealingOpts()...)
+			prometheus.Checked(), prometheus.QueueCap(64)}, stealingOpts()...)
 		rt := prometheus.Init(opts...)
 		defer rt.Terminate()
 		// Indexed by set id: concurrent operations of different sets touch

@@ -125,8 +125,8 @@ func (r *Reducible[T]) maybeReduce() {
 	rt.core.ExitReduction()
 }
 
-// Reduced reports whether there is no pending reduction (for tests).
-func (r *Reducible[T]) Reduced() bool { return !r.dirty.Load() }
+// reduced reports whether there is no pending reduction.
+func (r *Reducible[T]) reduced() bool { return !r.dirty.Load() }
 
 // Clear re-initializes every view from the factory, discarding accumulated
 // state. Useful for iterative algorithms that reuse one reducible across

@@ -58,14 +58,14 @@ func TestReducibleReducesOnFirstAggregationAccess(t *testing.T) {
 		w.Delegate(func(c *Ctx, _ *int) { r.Update(c, func(v *int) { *v++ }) })
 	}
 	rt.EndIsolation()
-	if r.Reduced() {
+	if r.reduced() {
 		t.Fatal("reduction should be pending after isolation with updates")
 	}
 	// First program-context access in the aggregation epoch reduces.
 	if got := *r.View(rt.ProgramCtx()); got != 10 {
 		t.Fatalf("view = %d, want 10", got)
 	}
-	if !r.Reduced() {
+	if !r.reduced() {
 		t.Fatal("reduction should have executed")
 	}
 }

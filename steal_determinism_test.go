@@ -255,8 +255,8 @@ func TestDeterminismMatrixUnderStealing(t *testing.T) {
 	shapes := [][]Option{
 		{WithDelegates(2), WithStealing(), StealAt(1)},
 		{WithDelegates(4), WithStealing()},
-		{WithDelegates(4), WithStealing(), WithQueueCapacity(16)},
-		{WithDelegates(8), WithStealing(), StealAt(2), WithQueueCapacity(4)},
+		{WithDelegates(4), WithStealing(), QueueCap(16)},
+		{WithDelegates(8), WithStealing(), StealAt(2), QueueCap(4)},
 	}
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 6; trial++ {

@@ -27,31 +27,27 @@ type Map[K comparable, V any] struct {
 // same key (it must be associative and commutative up to the equivalence the
 // program cares about).
 func NewMap[K comparable, V any](rt *prometheus.Runtime, merge func(into, add V) V) *Map[K, V] {
-	return &Map[K, V]{
-		r: prometheus.NewReducible(rt,
-			func() map[K]V { return make(map[K]V) },
-			func(dst, src *map[K]V) {
-				for k, v := range *src {
-					if old, ok := (*dst)[k]; ok {
-						(*dst)[k] = merge(old, v)
-					} else {
-						(*dst)[k] = v
-					}
-				}
-			}),
-		merge: merge,
+	m := &Map[K, V]{merge: merge}
+	m.r = prometheus.NewReducible(rt,
+		func() map[K]V { return make(map[K]V) },
+		func(dst, src *map[K]V) {
+			for k, v := range *src {
+				m.insert(*dst, k, v)
+			}
+		})
+	return m
+}
+
+// insert merges v into the entry for k in view, or sets it if k is absent.
+func (m *Map[K, V]) insert(view map[K]V, k K, v V) {
+	if old, ok := view[k]; ok {
+		v = m.merge(old, v)
 	}
+	view[k] = v
 }
 
 // Insert merges v into the entry for k in the executing context's view.
-func (m *Map[K, V]) Insert(c *prometheus.Ctx, k K, v V) {
-	view := m.r.View(c)
-	if old, ok := (*view)[k]; ok {
-		(*view)[k] = m.merge(old, v)
-	} else {
-		(*view)[k] = v
-	}
-}
+func (m *Map[K, V]) Insert(c *prometheus.Ctx, k K, v V) { m.insert(*m.r.View(c), k, v) }
 
 // Set replaces the entry for k in the executing context's view.
 func (m *Map[K, V]) Set(c *prometheus.Ctx, k K, v V) { (*m.r.View(c))[k] = v }

@@ -13,8 +13,9 @@
 //   - read-only data (ReadOnly[T]) may be read by any operation;
 //   - privately-writable data (Writable[T]) may be read and written only by
 //     its current owner;
-//   - reducible data (Reducible[T]) accumulates into per-context views that
-//     are folded together on first use in the following aggregation epoch.
+//   - reducible data (Reducible[T]) accumulates into per-context views, each
+//     made when its context first uses it, that are folded together and
+//     dropped on first use in the following aggregation epoch.
 //
 // Potentially independent operations on writable data are delegated
 // (Writable.Delegate). A serializer — a small piece of code run at the

@@ -18,19 +18,17 @@ func RunSS(in *Input, delegates int) (*Output, prometheus.Stats) {
 }
 
 // RunSSOn runs the reduction formulation with a caller-supplied runtime.
+// Each iteration sums into its own reducible, so no partial carries over.
 func RunSSOn(rt *prometheus.Runtime, in *Input) (*Output, prometheus.Stats) {
 	n := len(in.Points)
 	cents := initialCentroids(in)
 	assign := make([]int, n)
 	ws := chunks(rt, n)
-	red := prometheus.NewReducible(rt,
-		func() partial { return newPartial(in.Clusters, in.Dims) },
-		func(dst, src *partial) { dst.merge(src) })
 	var sp space
 	for it := 0; it < in.Iters; it++ {
-		if it > 0 {
-			red.Clear()
-		}
+		red := prometheus.NewReducible(rt,
+			func() partial { return newPartial(in.Clusters, in.Dims) },
+			func(dst, src *partial) { dst.merge(src) })
 		sp.build(cents, in.Dims) // read-only during the epoch
 		rt.BeginIsolation()
 		prometheus.DoAll(ws, func(c *prometheus.Ctx, r *workload.Range) {

@@ -172,6 +172,31 @@ malformed line without value
 	}
 }
 
+// TestScrapeTimesOut: a server that never answers fails the scrape after
+// the client's timeout instead of hanging the caller.
+func TestScrapeTimesOut(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		<-release
+	}))
+	defer ts.Close()
+	defer close(release) // runs first: ts.Close waits for the handler
+	done := make(chan error, 1)
+	go func() {
+		_, err := Scrape(ts.URL + "/metrics")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Scrape of a wedged server returned no error")
+		}
+	case <-time.After(2 * scrapeClient.Timeout):
+		t.Fatalf("Scrape still blocked after %v", 2*scrapeClient.Timeout)
+	}
+}
+
 func TestCheckFlagsViolations(t *testing.T) {
 	p := Profile{BaseURL: "http://unused", MaxP99: 100 * time.Millisecond, MaxErrorRate: 0.01}
 	r := &Result{

@@ -13,7 +13,7 @@ package loadgen
 //     acknowledged more than a rotation margin before the kill survives
 //     (at most ~one epoch of acked tail may be lost); fsync=off promises
 //     nothing for a kill (and the harness asserts nothing).
-//   - The restarted server reports its recovery on /healthz and then
+//   - The restarted server reports its recovery on /metrics and then
 //     sustains a full second load phase with the ordinary Check bounds,
 //     finishing with a clean SIGTERM drain (exit status 0).
 //
@@ -27,8 +27,6 @@ import (
 	"net"
 	"net/http"
 	"os/exec"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 )
@@ -54,7 +52,7 @@ type RecoveryProfile struct {
 // RecoveryResult is what the drill observed.
 type RecoveryResult struct {
 	Phase1, Phase2    *Result
-	RecoveredSessions int // from the restarted server's /healthz
+	RecoveredSessions int // from the restarted server's /metrics
 	TruncatedRecords  int // torn journal frames the restart truncated
 	ProbedKeys        int // keys floor-checked across the boundary
 	Violations        []string
@@ -147,10 +145,16 @@ func RunRecovery(p RecoveryProfile) (*RecoveryResult, error) {
 	if err := waitReady(base, 10*time.Second); err != nil {
 		return nil, fmt.Errorf("boot 2 (recovery): %w\n%s", err, srv2.output())
 	}
-	res.RecoveredSessions, res.TruncatedRecords, err = scrapeRecovery(base)
+	m, err := Scrape(base + "/metrics")
 	if err != nil {
-		return nil, fmt.Errorf("boot 2 healthz: %w", err)
+		return nil, fmt.Errorf("boot 2 metrics: %w", err)
 	}
+	sessions, ok := m.Value("ss_recovered_sessions")
+	if !ok {
+		return nil, fmt.Errorf("boot 2 metrics carry no ss_recovered_sessions (durability not enabled?)")
+	}
+	truncated, _ := m.Value("ss_journal_truncated_records")
+	res.RecoveredSessions, res.TruncatedRecords = int(sessions), int(truncated)
 	p.Logf("recovery: boot 2 recovered %d sessions, truncated %d journal records",
 		res.RecoveredSessions, res.TruncatedRecords)
 	if res.RecoveredSessions == 0 && p.Fsync != "off" {
@@ -315,41 +319,4 @@ func waitReady(base string, timeout time.Duration) error {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-}
-
-// scrapeRecovery reads recovered_sessions and journal_truncated_records
-// off /healthz — the lines the durable serving tier adds when a state
-// store is configured.
-func scrapeRecovery(base string) (sessions, truncated int, err error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(base + "/healthz")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		return 0, 0, err
-	}
-	found := false
-	for _, line := range strings.Split(body.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		n, perr := strconv.Atoi(fields[1])
-		if perr != nil {
-			continue
-		}
-		switch fields[0] {
-		case "recovered_sessions":
-			sessions, found = n, true
-		case "journal_truncated_records":
-			truncated = n
-		}
-	}
-	if !found {
-		return 0, 0, fmt.Errorf("healthz carries no recovered_sessions line (durability not enabled?):\n%s", body.String())
-	}
-	return sessions, truncated, nil
 }

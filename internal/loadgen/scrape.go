@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Metrics is one scrape of a Prometheus text exposition, keyed by the
@@ -16,9 +17,13 @@ import (
 // it is not a general OpenMetrics parser.
 type Metrics map[string]float64
 
+// scrapeClient bounds a scrape, so a wedged server fails it instead of
+// hanging the caller past its own deadline.
+var scrapeClient = &http.Client{Timeout: 5 * time.Second}
+
 // Scrape fetches and parses url (normally http://host/metrics).
 func Scrape(url string) (Metrics, error) {
-	resp, err := http.Get(url)
+	resp, err := scrapeClient.Get(url)
 	if err != nil {
 		return nil, err
 	}

@@ -92,26 +92,6 @@ func TestRecursiveDeterministicRepeats(t *testing.T) {
 	}
 }
 
-func TestReducibleClear(t *testing.T) {
-	rt := newRT(t, WithDelegates(2))
-	r := NewReducible(rt, func() int { return 0 }, func(dst, src *int) { *dst += *src })
-	w := NewWritable(rt, 0)
-	rt.BeginIsolation()
-	w.Delegate(func(c *Ctx, _ *int) { r.Update(c, func(v *int) { *v = 5 }) })
-	rt.EndIsolation()
-	if got := *r.Result(); got != 5 {
-		t.Fatalf("result = %d, want 5", got)
-	}
-	r.Clear()
-	if got := *r.Result(); got != 0 {
-		t.Fatalf("after Clear, result = %d, want 0", got)
-	}
-	rt.BeginIsolation()
-	defer rt.EndIsolation()
-	defer expectError(t, ErrAPIMisuse)
-	r.Clear()
-}
-
 func TestWritableSyncMethod(t *testing.T) {
 	rt := newRT(t, WithDelegates(2))
 	w := NewWritable(rt, 0)

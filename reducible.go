@@ -1,7 +1,6 @@
 package prometheus
 
 import (
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/core"
@@ -9,10 +8,10 @@ import (
 
 // Reducible wraps data whose updates are associative and commutative
 // (paper §2.2, technique 2). Each execution context accumulates into a
-// private view during isolation epochs; the first access from the program
-// context in the following aggregation epoch folds the views into the final
-// value with a parallel tree reduction (N/2 combine operations per step,
-// executed on the delegate pool).
+// private view, made when that context first uses the reducible; the first
+// access from the program context in the following aggregation epoch folds
+// the views into view 0 with a parallel tree reduction (N/2 combine
+// operations per step, executed on the delegate pool) and drops them.
 //
 // Reduction combines views in fixed index order, so the reduced value is
 // deterministic given the per-view contents.
@@ -24,9 +23,10 @@ type Reducible[T any] struct {
 	// at construction so Delegate builds no closure per call.
 	tramp core.Trampoline
 	// views are separately heap-allocated so per-context accumulators do
-	// not share cache lines.
+	// not share cache lines. Slot i stays nil until context i uses the
+	// reducible; in isolation only context i writes it, and the barrier
+	// orders that write before the reduction's reads.
 	views []*T
-	dirty atomic.Bool
 }
 
 // reducibleTramp is the Reducible delegation trampoline: p1 is the wrapper,
@@ -35,19 +35,26 @@ type Reducible[T any] struct {
 func reducibleTramp[T any](ctx int, p1, p2 unsafe.Pointer) {
 	r := (*Reducible[T])(p1)
 	fn := ptrFunc[func(*T)](p2)
-	fn(r.views[ctx])
+	fn(r.view(ctx))
 }
 
-// NewReducible creates a reducible. factory produces an identity view;
-// combine folds src into dst and may destroy src.
+// NewReducible creates a reducible. factory produces an identity view and
+// may run on any context, concurrently; combine folds src into dst and may
+// destroy src. No view is made until a context uses the reducible.
 func NewReducible[T any](rt *Runtime, factory func() T, combine func(dst, src *T)) *Reducible[T] {
-	r := &Reducible[T]{rt: rt, factory: factory, combine: combine, tramp: reducibleTramp[T]}
-	r.views = make([]*T, rt.NumContexts())
-	for i := range r.views {
-		v := factory()
-		r.views[i] = &v
+	return &Reducible[T]{rt: rt, factory: factory, combine: combine, tramp: reducibleTramp[T],
+		views: make([]*T, rt.NumContexts())}
+}
+
+// view returns context ctx's view, making it from the factory on first use.
+func (r *Reducible[T]) view(ctx int) *T {
+	v := r.views[ctx]
+	if v == nil {
+		x := r.factory()
+		v = &x
+		r.views[ctx] = v
 	}
-	return r
+	return v
 }
 
 // View returns the executing context's private view. Delegated closures use
@@ -58,13 +65,8 @@ func NewReducible[T any](rt *Runtime, factory func() T, combine func(dst, src *T
 func (r *Reducible[T]) View(c *Ctx) *T {
 	if c.id == 0 && !r.rt.core.InIsolation() {
 		r.maybeReduce()
-	} else {
-		// Any view access during isolation may mutate; mark the reduction
-		// pending. The flag write is ordered before the program context's
-		// read by the EndIsolation barrier.
-		r.dirty.Store(true)
 	}
-	return r.views[c.id]
+	return r.view(c.id)
 }
 
 // Update applies fn to the executing context's view.
@@ -77,14 +79,13 @@ func (r *Reducible[T]) Update(c *Ctx, fn func(view *T)) {
 // are associative and commutative, any set is sound — pick one that spreads
 // updates across the delegate pool (or ride along with the set of the
 // writable the update is derived from, so it shares that set's context and
-// cache state). Marks the reduction pending. An update that panics poisons
-// its set like any operation (see Runtime.Err), so the reduced result holds
-// exactly the updates that ran before the fault.
+// cache state). An update that panics poisons its set like any operation
+// (see Runtime.Err), so the reduced result holds exactly the updates that
+// ran before the fault.
 func (r *Reducible[T]) Delegate(set uint64, fn func(view *T)) {
 	if !r.rt.core.InIsolation() {
 		raise(ErrAPIMisuse, "Reducible.Delegate outside an isolation epoch")
 	}
-	r.dirty.Store(true)
 	r.rt.core.DelegateCall(set, r.tramp, unsafe.Pointer(r), funcPtr(fn))
 }
 
@@ -95,13 +96,12 @@ func (r *Reducible[T]) Result() *T {
 		raise(ErrAPIMisuse, "Reducible.Result during an isolation epoch")
 	}
 	r.maybeReduce()
-	return r.views[0]
+	return r.view(0)
 }
 
-// maybeReduce folds all views into views[0] if any updates are pending.
-// Views other than 0 are re-initialized from the factory.
+// maybeReduce folds every view into view 0 and drops the folded views.
 func (r *Reducible[T]) maybeReduce() {
-	if !r.dirty.Swap(false) {
+	if r.reduced() {
 		return
 	}
 	rt := r.rt
@@ -110,35 +110,33 @@ func (r *Reducible[T]) maybeReduce() {
 	// Pairwise tree: at each step, combine view[i+stride] into view[i] for
 	// every i that is a multiple of 2*stride. Steps are barriers; combines
 	// within a step touch disjoint view pairs and run on the delegate pool.
+	// A missing source is an identity, so its pair is skipped. A source is
+	// dropped before its combine runs, so a combine that panics is not
+	// retried by the next access.
 	for stride := 1; stride < n; stride *= 2 {
 		var tasks []func(int)
 		for i := 0; i+stride < n; i += 2 * stride {
-			dst, src := r.views[i], r.views[i+stride]
-			tasks = append(tasks, func(int) { r.combine(dst, src) })
+			src := r.views[i+stride]
+			if src == nil {
+				continue
+			}
+			r.views[i+stride] = nil
+			dst := i
+			tasks = append(tasks, func(int) { r.combine(r.view(dst), src) })
 		}
-		rt.core.RunParallel(tasks)
-	}
-	for i := 1; i < n; i++ {
-		v := r.factory()
-		r.views[i] = &v
+		if len(tasks) > 0 {
+			rt.core.RunParallel(tasks)
+		}
 	}
 	rt.core.ExitReduction()
 }
 
-// reduced reports whether there is no pending reduction.
-func (r *Reducible[T]) reduced() bool { return !r.dirty.Load() }
-
-// Clear re-initializes every view from the factory, discarding accumulated
-// state. Useful for iterative algorithms that reuse one reducible across
-// epochs (allocating a fresh reducible per iteration wastes the views).
-// Program context, aggregation epoch only.
-func (r *Reducible[T]) Clear() {
-	if r.rt.core.InIsolation() {
-		raise(ErrAPIMisuse, "Reducible.Clear during an isolation epoch")
+// reduced reports whether no reduction is pending: no view but view 0.
+func (r *Reducible[T]) reduced() bool {
+	for _, v := range r.views[1:] {
+		if v != nil {
+			return false
+		}
 	}
-	for i := range r.views {
-		v := r.factory()
-		r.views[i] = &v
-	}
-	r.dirty.Store(false)
+	return true
 }

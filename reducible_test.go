@@ -1,6 +1,8 @@
 package prometheus
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +59,9 @@ func TestReducibleReducesOnFirstAggregationAccess(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Delegate(func(c *Ctx, _ *int) { r.Update(c, func(v *int) { *v++ }) })
 	}
+	// A reclaim waits without helping: all ten updates run on the delegate,
+	// so its view exists when the epoch ends.
+	w.Sync()
 	rt.EndIsolation()
 	if r.reduced() {
 		t.Fatal("reduction should be pending after isolation with updates")
@@ -67,6 +72,112 @@ func TestReducibleReducesOnFirstAggregationAccess(t *testing.T) {
 	}
 	if !r.reduced() {
 		t.Fatal("reduction should have executed")
+	}
+}
+
+// TestReducibleMakesViewsOnFirstUse counts factory calls: a context makes
+// its view the first time it uses the reducible, Result makes view 0 when
+// no update reached it, and a reduction rebuilds nothing.
+func TestReducibleMakesViewsOnFirstUse(t *testing.T) {
+	rt := newRT(t, WithDelegates(3))
+	var made atomic.Int64
+	newSum := func() *Reducible[int] {
+		return NewReducible(rt,
+			func() int { made.Add(1); return 0 },
+			func(dst, src *int) { *dst += *src })
+	}
+	r := newSum()
+	if n := made.Load(); n != 0 {
+		t.Fatalf("NewReducible made %d views, want 0", n)
+	}
+	ws := make([]*Writable[int], 6)
+	for i := range ws {
+		ws[i] = NewWritable(rt, 0)
+	}
+	// epoch delegates one update per writable and returns how many
+	// contexts ran one. Syncing every writable before the barrier keeps
+	// context 0 from helping, so the updates land on the delegates.
+	epoch := func() int64 {
+		used := make([]bool, rt.NumContexts())
+		rt.BeginIsolation()
+		for _, w := range ws {
+			w.Delegate(func(c *Ctx, _ *int) {
+				used[c.ID()] = true
+				r.Update(c, func(v *int) { *v++ })
+			})
+		}
+		for _, w := range ws {
+			w.Sync()
+		}
+		rt.EndIsolation()
+		if used[0] {
+			t.Fatal("an update ran on the program context")
+		}
+		var n int64
+		for _, u := range used {
+			if u {
+				n++
+			}
+		}
+		return n
+	}
+	touched := epoch()
+	if n := made.Load(); n != touched {
+		t.Fatalf("%d contexts used the reducible, factory ran %d times", touched, n)
+	}
+	if got := *r.Result(); got != len(ws) {
+		t.Fatalf("result = %d, want %d", got, len(ws))
+	}
+	if n := made.Load(); n != touched+1 {
+		t.Fatalf("after Result the factory ran %d times, want %d (view 0 made once)", n, touched+1)
+	}
+	rt.BeginIsolation()
+	rt.EndIsolation()
+	if got := *r.Result(); got != len(ws) {
+		t.Fatalf("result after an idle epoch = %d, want %d", got, len(ws))
+	}
+	if n := made.Load(); n != touched+1 {
+		t.Fatalf("a reduction and an idle epoch ran the factory: %d calls, want %d", n, touched+1)
+	}
+	again := epoch()
+	if got := *r.Result(); got != 2*len(ws) {
+		t.Fatalf("result after a second epoch = %d, want %d", got, 2*len(ws))
+	}
+	if n := made.Load(); n != touched+1+again {
+		t.Fatalf("second epoch: factory ran %d times in all, want %d", n, touched+1+again)
+	}
+
+	made.Store(0)
+	if got := *newSum().Result(); got != 0 {
+		t.Fatalf("untouched result = %d, want 0", got)
+	}
+	if n := made.Load(); n != 1 {
+		t.Fatalf("Result on an untouched reducible ran the factory %d times, want 1", n)
+	}
+}
+
+// TestReducibleCombineFaultNotRetried: a combine that panics is contained
+// like any pool task, and the next access does not run it again.
+func TestReducibleCombineFaultNotRetried(t *testing.T) {
+	rt := newRT(t, WithDelegates(1))
+	combines := 0
+	r := NewReducible(rt, func() int { return 0 }, func(dst, src *int) {
+		combines++ // one pool task at a time; the barrier orders the read
+		panic("combine")
+	})
+	w := NewWritable(rt, 0)
+	rt.BeginIsolation()
+	w.Delegate(func(c *Ctx, _ *int) { r.Update(c, func(v *int) { *v = 1 }) })
+	w.Sync()
+	rt.EndIsolation()
+	r.Result()
+	r.Result()
+	if combines != 1 {
+		t.Fatalf("combine ran %d times, want 1", combines)
+	}
+	var pe *PanicError
+	if err := rt.Err(); !errors.As(err, &pe) || pe.Set != NoSet {
+		t.Fatalf("Err() = %v, want a pool-task fault", err)
 	}
 }
 
@@ -113,9 +224,9 @@ func TestReducibleTreeOrderDeterministic(t *testing.T) {
 		r := NewReducible(rt, func() string { return "" }, func(dst, src *string) { *dst += *src })
 		// Deterministically seed every context view.
 		for i := 0; i < rt.NumContexts(); i++ {
-			*r.views[i] = string(rune('a' + i))
+			v := string(rune('a' + i))
+			r.views[i] = &v
 		}
-		r.dirty.Store(true)
 		return *r.Result()
 	}
 	if got := build(3); got != "abcd" {

@@ -2,19 +2,17 @@
 // deterministic skewed client fleet (internal/loadgen) that hammers a
 // live server's /bump counter API and then asserts on the answers —
 // per-key causal order across the whole fleet, zero hung requests,
-// a healthy-latency p99 bound, and an error budget. With
-// -expect-breaker-cycle it additionally scrapes /metrics and requires
-// that at least one backend circuit breaker opened AND returned to
-// closed during the run — the assertion the CI smoke job uses to prove
-// the health-gating path actually exercised, not just compiled.
+// a healthy-latency p99 bound, and an error budget. With -recovery it
+// runs the crash-restart drill instead: it spawns its own ssserve on a
+// state directory, SIGKILLs it mid-traffic, restarts it and asserts the
+// fsync policy's acked-loss bound.
 //
 // Exit status: 0 when every enabled assertion held, 1 otherwise (with
 // one line per violation on stderr). The run report always prints to
 // stdout, pass or fail.
 //
 //	ssload -url http://127.0.0.1:8080 -n 5000 -workers 16 \
-//	       -hot-fraction 0.9 -max-p99 500ms -max-error-rate 0.02 \
-//	       -expect-breaker-cycle
+//	       -hot-fraction 0.9 -max-p99 500ms -max-error-rate 0.02
 package main
 
 import (
@@ -29,18 +27,16 @@ import (
 
 func main() {
 	var (
-		url          = flag.String("url", "http://127.0.0.1:8080", "target ssserve base URL")
-		n            = flag.Int("n", 1000, "total requests")
-		workers      = flag.Int("workers", 8, "concurrent client workers")
-		hotKeys      = flag.Int("hot-keys", 2, "hot key count")
-		coldKeys     = flag.Int("cold-keys", 64, "cold key count")
-		hotFraction  = flag.Float64("hot-fraction", 0.9, "fraction of requests on hot keys")
-		seed         = flag.Uint64("seed", 1, "deterministic request-stream seed")
-		timeout      = flag.Duration("timeout", 5*time.Second, "per-request client budget (hang detector)")
-		maxP99       = flag.Duration("max-p99", 0, "healthy-response p99 bound (0 = don't assert)")
-		maxErrRate   = flag.Float64("max-error-rate", 0, "max non-shed 5xx fraction (0 = don't assert)")
-		breakerCycle = flag.Bool("expect-breaker-cycle", false, "require a breaker to have opened and re-closed (scrapes /metrics)")
-		scrapeWait   = flag.Duration("breaker-wait", 10*time.Second, "how long to wait for the breaker to recover")
+		url         = flag.String("url", "http://127.0.0.1:8080", "target ssserve base URL")
+		n           = flag.Int("n", 1000, "total requests")
+		workers     = flag.Int("workers", 8, "concurrent client workers")
+		hotKeys     = flag.Int("hot-keys", 2, "hot key count")
+		coldKeys    = flag.Int("cold-keys", 64, "cold key count")
+		hotFraction = flag.Float64("hot-fraction", 0.9, "fraction of requests on hot keys")
+		seed        = flag.Uint64("seed", 1, "deterministic request-stream seed")
+		timeout     = flag.Duration("timeout", 5*time.Second, "per-request client budget (hang detector)")
+		maxP99      = flag.Duration("max-p99", 0, "healthy-response p99 bound (0 = don't assert)")
+		maxErrRate  = flag.Float64("max-error-rate", 0, "max non-shed 5xx fraction (0 = don't assert)")
 
 		// Crash-recovery drill (-recovery spawns its own ssserve; -url is ignored).
 		recovery  = flag.Bool("recovery", false, "run the crash-restart recovery drill instead of a plain load run")
@@ -82,11 +78,6 @@ func main() {
 	fmt.Print(res)
 
 	violations := res.Check(p)
-	if *breakerCycle {
-		if msg := waitBreakerCycle(*url, *scrapeWait); msg != "" {
-			violations = append(violations, msg)
-		}
-	}
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "ssload: VIOLATION: %s\n", v)
@@ -146,31 +137,4 @@ func runRecovery(o recoveryOpts) {
 		os.Exit(1)
 	}
 	fmt.Printf("ssload: recovery drill passed (fsync=%s)\n", o.fsync)
-}
-
-// waitBreakerCycle polls /metrics until some breaker has opened at
-// least once and every backend is back in the closed state, issuing a
-// trickle of probe traffic so half-open transitions can happen. Returns
-// "" on success, a violation message on timeout.
-func waitBreakerCycle(base string, wait time.Duration) string {
-	deadline := time.Now().Add(wait)
-	probe := loadgen.Profile{BaseURL: base, Workers: 1, Requests: 4, HotKeys: 1, ColdKeys: 1}
-	for {
-		m, err := loadgen.Scrape(base + "/metrics")
-		if err != nil {
-			return fmt.Sprintf("metrics scrape failed: %v", err)
-		}
-		opens := m.Sum("ss_breaker_opens_total")
-		if opens >= 1 && m.Sum("ss_backend_state") == 0 {
-			return ""
-		}
-		if time.Now().After(deadline) {
-			return fmt.Sprintf("breaker never cycled within %v: opens=%v, open-state sum=%v",
-				wait, opens, m.Sum("ss_backend_state"))
-		}
-		if _, err := loadgen.Run(probe); err != nil {
-			return fmt.Sprintf("probe traffic failed: %v", err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 }

@@ -30,11 +30,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/durable"
 	"repro/internal/serve"
 )
@@ -42,8 +40,7 @@ import (
 func main() {
 	// Flags bind into the configuration they fill. What has no flag keeps
 	// serve's default.
-	cfg := serve.Config{Fsync: durable.FsyncRotation, Logf: log.Printf}
-	var bo buildOpts
+	cfg := serve.Config{Handler: handle, Fsync: durable.FsyncRotation, Logf: log.Printf}
 	addr := flag.String("addr", ":8080", "listen address")
 	flag.IntVar(&cfg.Delegates, "delegates", 0, "delegate contexts, fixed for the server's life (0 = GOMAXPROCS-1)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 1024, "admission budget (503 above it)")
@@ -56,26 +53,11 @@ func main() {
 		func(s string) (err error) { cfg.Fsync, err = durable.ParseFsync(s); return err })
 	journal := flag.Bool("journal", true, "intra-epoch journal (false = snapshot-only durability, <=1 epoch loss regardless of -fsync)")
 
-	// Robustness layer.
+	// Deadlines and the slow-key watchdog.
 	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request budget, fixed at admission (0 = no deadlines)")
-	flag.IntVar(&cfg.RetryMax, "retries", 0, "max retry attempts for idempotent requests")
 	flag.DurationVar(&cfg.SlowThreshold, "slow-threshold", 0, "slow-key watchdog service-time threshold (0 = off)")
-	flag.StringVar(&bo.upstreams, "backends", "", "comma-separated upstream base URLs; requests proxy to a breaker-gated pool instead of the in-process handler")
-	flag.IntVar(&bo.breakerThresh, "breaker-threshold", 5, "consecutive failures that open a backend's breaker")
-	flag.DurationVar(&bo.breakerCool, "breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
-
-	// Chaos injection (deterministic; for harness runs, not production).
-	flag.BoolVar(&bo.flaky, "flaky-backend", false, "serve from a 2-backend in-process pool whose second member is chaos-injected: 5% seeded errors, a 200ms spike every 40th op per key, down over ops [60, 80)")
 	flag.Parse()
 
-	backend, err := buildBackend(bo)
-	if err != nil {
-		log.Fatalf("ssserve: %v", err)
-	}
-	cfg.Backend = backend
-	if backend == nil {
-		cfg.Handler = handle
-	}
 	if *stateDir != "" {
 		fs, err := durable.NewDirFS(*stateDir)
 		if err != nil {
@@ -121,57 +103,6 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("ssserve: drained cleanly")
-}
-
-type buildOpts struct {
-	upstreams     string
-	flaky         bool
-	breakerThresh int
-	breakerCool   time.Duration
-}
-
-// buildBackend translates the backend flags into a serve.Backend: nil
-// (plain in-process handler), a breaker-gated pool of HTTP upstreams, or
-// the two-member in-process pool whose second backend carries the one
-// chaos profile — the shape the loadgen smoke job boots. The profile is
-// seeded, so a run replays: 5% errors, a 200ms latency spike on every 40th
-// operation of each key, and a hard-down flap over the backend's own
-// operations [60, 80), long enough to open a breaker at
-// -breaker-threshold 3.
-func buildBackend(o buildOpts) (serve.Backend, error) {
-	if o.upstreams != "" && o.flaky {
-		return nil, fmt.Errorf("-backends and -flaky-backend are mutually exclusive")
-	}
-	switch {
-	case o.upstreams != "":
-		var members []serve.Backend
-		for i, u := range strings.Split(o.upstreams, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			hb, err := serve.NewHTTPBackend(fmt.Sprintf("upstream-%d", i), u)
-			if err != nil {
-				return nil, err
-			}
-			members = append(members, hb)
-		}
-		if len(members) == 0 {
-			return nil, fmt.Errorf("-backends given but no usable URLs")
-		}
-		return serve.NewPool(o.breakerThresh, o.breakerCool, members...), nil
-	case o.flaky:
-		flaky := &serve.ChaosBackend{
-			Inner:   serve.NewHandlerBackend("flaky", handle),
-			Errors:  chaos.SeededErrors(1, 0.05),
-			Latency: chaos.SpikeEvery(40, 200*time.Millisecond),
-			Flap:    chaos.FlapBetween(60, 80),
-		}
-		return serve.NewPool(o.breakerThresh, o.breakerCool,
-			serve.NewHandlerBackend("steady", handle), flaky), nil
-	default:
-		return nil, nil
-	}
 }
 
 // handle is the per-session request handler, executed on a delegate

@@ -6,15 +6,14 @@
 // recover/poison/report machinery exactly where a user operation would have
 // faulted.
 //
-// Beyond panics, the package provides the degraded-downstream injectors the
-// serving tier's backend seam consumes: Latency (deterministic delay
-// spikes), Errors (deterministic backend failures, the retry/breaker
-// exercise), and Flap (a contiguous outage window over a backend's own
-// operation sequence, the circuit-breaker open/half-open/recover exercise).
-// All of them share the panic injectors' determinism discipline: triggers
-// are pure functions of (seed, set, per-set position) or of the injector's
-// own operation count, never of wall-clock time or a global RNG, so a chaos
-// profile replays identically run over run.
+// Beyond panics, the package provides two injectors that serving-tier
+// tests put behind a handler or a fake backend, and that FaultyFS
+// (store.go) applies to storage writes: Latency (deterministic delay
+// spikes, the deadline and slow-key watchdog exercise) and Errors
+// (deterministic failures, the retry and failed-commit exercise). Both
+// share the panic injectors' determinism discipline: triggers are pure
+// functions of (seed, set, per-set position), never of wall-clock time or
+// a global RNG, so a chaos profile replays identically run over run.
 //
 // Two triggers are provided. PanicAt fires at the Nth operation of one
 // chosen set and is fully deterministic: because the serialization-set
@@ -38,7 +37,6 @@ package chaos
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -142,9 +140,9 @@ func (in *Injector) Reset() {
 	in.mu.Unlock()
 }
 
-// Injected is the error value the Errors injector returns (and the value a
-// chaos-wrapped backend surfaces). It is comparable, so tests can assert
-// errors.Is against an exact (set, position) coordinate.
+// Injected is the error value the Errors injector returns. It is
+// comparable, so tests can assert errors.Is against an exact (set,
+// position) coordinate.
 type Injected struct {
 	// Set is the serialization set whose operation was failed.
 	Set uint64
@@ -159,10 +157,8 @@ func (e Injected) Error() string {
 
 // Latency injects deterministic delays: each Delay call counts one
 // operation of its set and returns the configured duration when the
-// trigger fires, zero otherwise. The caller performs the sleep (the
-// serving tier's chaos backend sleeps under the request's deadline
-// context, so a spike longer than the remaining budget resolves as a
-// timeout, not a wedge). Fired reports how many delays it has issued.
+// trigger fires, zero otherwise. The caller performs the sleep. Fired
+// reports how many delays it has issued.
 type Latency struct {
 	counter
 	d time.Duration
@@ -192,12 +188,11 @@ func (l *Latency) Delay(set uint64) time.Duration {
 	return 0
 }
 
-// Errors injects deterministic backend failures: each Err call counts one
+// Errors injects deterministic failures: each Err call counts one
 // operation of its set and returns an Injected error when the trigger
-// fires, nil otherwise. This is the retry-path exercise — an injected
-// error is transient by construction (the next position rolls a fresh
-// coin), so a retried operation usually succeeds. Fired reports how many
-// errors it has returned.
+// fires, nil otherwise. An injected error is transient by construction
+// (the next position rolls a fresh coin), so a retried operation usually
+// succeeds. Fired reports how many errors it has returned.
 type Errors struct{ counter }
 
 // SeededErrors returns an error injector that fails roughly fraction p of
@@ -220,38 +215,6 @@ func (e *Errors) Err(set uint64) error {
 	}
 	return nil
 }
-
-// Flap models one contiguous backend outage: operations [From, To) of the
-// flapped backend's own sequence fail, everything before and after
-// succeeds. Counting the backend's operations — not wall time — keeps the
-// flap deterministic under any scheduling: the breaker sees exactly
-// To-From consecutive-failure opportunities, opens partway through, and
-// its half-open probe lands after the window closed, which is the
-// open→probe→recover cycle the serving stress asserts.
-type Flap struct {
-	n    atomic.Uint64
-	from uint64 // first failing operation, 1-based
-	to   uint64 // first succeeding operation after the window
-}
-
-// FlapBetween returns a flap failing operations [from, to) (1-based) of
-// whatever consumes it.
-func FlapBetween(from, to uint64) *Flap {
-	if to < from {
-		to = from
-	}
-	return &Flap{from: from, to: to}
-}
-
-// Down counts one operation and reports whether it falls inside the outage
-// window. Safe for concurrent use.
-func (f *Flap) Down() bool {
-	n := f.n.Add(1)
-	return n >= f.from && n < f.to
-}
-
-// Ops reports how many operations the flap has observed.
-func (f *Flap) Ops() uint64 { return f.n.Load() }
 
 // probThreshold converts probability p into the 63-bit comparison
 // threshold the seeded triggers share. uint64(p * 2^64) overflows for p

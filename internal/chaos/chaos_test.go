@@ -187,30 +187,6 @@ func TestErrorsInjector(t *testing.T) {
 	}
 }
 
-func TestFlapWindow(t *testing.T) {
-	f := FlapBetween(3, 6)
-	var down []bool
-	for i := 0; i < 8; i++ {
-		down = append(down, f.Down())
-	}
-	want := []bool{false, false, true, true, true, false, false, false}
-	for i := range want {
-		if down[i] != want[i] {
-			t.Fatalf("op %d: down=%v, want %v (window [3,6))", i+1, down[i], want[i])
-		}
-	}
-	if f.Ops() != 8 {
-		t.Fatalf("Ops() = %d, want 8", f.Ops())
-	}
-	// Inverted bounds clamp to an empty window.
-	g := FlapBetween(5, 2)
-	for i := 0; i < 10; i++ {
-		if g.Down() {
-			t.Fatal("empty-window flap reported down")
-		}
-	}
-}
-
 func TestResetClearsPositions(t *testing.T) {
 	in := PanicAt(1, 2)
 	hook := in.Hook()

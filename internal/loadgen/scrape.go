@@ -10,8 +10,8 @@ import (
 )
 
 // Metrics is one scrape of a Prometheus text exposition, keyed by the
-// full series name including its label block ("ss_backend_state" or
-// `ss_backend_state{backend="flaky"}`). Just enough parser for the
+// full series name including its label block ("ss_delegates" or
+// `ss_delegate_backlog{delegate="1"}`). Just enough parser for the
 // harness's assertions — it reads the `name value` and
 // `name{labels} value` line shapes ssserve emits and skips comments;
 // it is not a general OpenMetrics parser.
@@ -53,21 +53,8 @@ func Scrape(url string) (Metrics, error) {
 	return m, sc.Err()
 }
 
-// Value returns the exact series, e.g. `ss_requests_total`.
+// Value returns the exact series, e.g. `ss_degraded_keys_total`.
 func (m Metrics) Value(series string) (float64, bool) {
 	v, ok := m[series]
 	return v, ok
-}
-
-// Sum adds every series whose name (before any label block) equals
-// name — the way to total a labeled family like ss_breaker_opens_total
-// across backends.
-func (m Metrics) Sum(name string) float64 {
-	var total float64
-	for k, v := range m {
-		if k == name || strings.HasPrefix(k, name+"{") {
-			total += v
-		}
-	}
-	return total
 }

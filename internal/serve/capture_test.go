@@ -272,9 +272,9 @@ func captureEqualsLiveTable(t *testing.T, policy durable.FsyncPolicy) {
 		EpochInterval: time.Millisecond,
 		Delegates:     3,
 		RetryMax:      20,
-		Backend: &ChaosBackend{
-			Inner:  NewHandlerBackend("inner", testHandler),
-			Errors: chaos.SeededErrors(7, 0.1),
+		Backend: &chaosBackend{
+			h:      testHandler,
+			errors: chaos.SeededErrors(7, 0.1),
 		},
 	})
 	s1.role.Lock()

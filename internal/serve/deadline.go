@@ -19,7 +19,7 @@ import (
 //   - at delivery (the budget expired while the caller waited for the
 //     role: resolve 504 without delegating),
 //   - at the queue front (the delegate reached it after its set's earlier
-//     work — a latency spike upstream, a slow epoch-mate — consumed the
+//     work — a latency spike, a slow epoch-mate — consumed the
 //     budget: resolve 504 without running the backend),
 //   - inside the backend (ctx carries the deadline; an I/O-bound backend
 //     returns a timeout error, which resolves 504 when the budget is gone

@@ -29,7 +29,6 @@ func newReq(method, path, key string, hdr map[string]string) *http.Request {
 // the context error — a well-behaved upstream that honors cancellation.
 type blockingBackend struct{}
 
-func (blockingBackend) Name() string { return "blocking" }
 func (blockingBackend) Serve(ctx context.Context, s *Session, r *http.Request) (int, string, error) {
 	<-ctx.Done()
 	return 0, "", ctx.Err()
@@ -162,11 +161,9 @@ func TestExpiredBeatsPoisoned(t *testing.T) {
 func TestRetryRecoversInjectedFailure(t *testing.T) {
 	const key = "retry-key"
 	set := prometheus.StringSet(key)
+	errs := chaos.ErrorAt(set, 1)
 	s := newTestServer(t, Config{
-		Backend: &ChaosBackend{
-			Inner:  NewHandlerBackend("inner", testHandler),
-			Errors: chaos.ErrorAt(set, 1),
-		},
+		Backend:  &chaosBackend{h: testHandler, errors: errs},
 		RetryMax: 2,
 	})
 	h := s.Handler()
@@ -178,8 +175,8 @@ func TestRetryRecoversInjectedFailure(t *testing.T) {
 	if s.metrics.retries.Load() == 0 {
 		t.Fatal("no retry recorded")
 	}
-	if s.metrics.backendFailures.Load() == 0 {
-		t.Fatal("injected failure not counted")
+	if errs.Fired() != 1 {
+		t.Fatalf("%d injected failures, want 1", errs.Fired())
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -192,9 +189,9 @@ func TestRetryNotForNonIdempotent(t *testing.T) {
 	const key = "post-key"
 	set := prometheus.StringSet(key)
 	s := newTestServer(t, Config{
-		Backend: &ChaosBackend{
-			Inner:  NewHandlerBackend("inner", testHandler),
-			Errors: chaos.ErrorAt(set, 1),
+		Backend: &chaosBackend{
+			h:      testHandler,
+			errors: chaos.ErrorAt(set, 1),
 		},
 		RetryMax: 2,
 	})
@@ -236,11 +233,11 @@ func TestRetryNotForNonIdempotent(t *testing.T) {
 func TestRetryPreservesPerKeyOrder(t *testing.T) {
 	const key = "flaky-key"
 	s := newTestServer(t, Config{
-		Backend: &ChaosBackend{
-			Inner: NewHandlerBackend("inner", testHandler),
+		Backend: &chaosBackend{
+			h: testHandler,
 			// Seeded 30% failure rate on this set's ops: many requests need
 			// one or more retries, deterministically placed.
-			Errors: chaos.SeededErrors(42, 0.3),
+			errors: chaos.SeededErrors(42, 0.3),
 		},
 		RetryMax: 8,
 	})

@@ -22,10 +22,9 @@ func (s *Server) Handler() http.Handler {
 
 // handleHealthz reports readiness plus the degradation detail an
 // orchestrator needs to distinguish "draining" (remove from rotation,
-// instance is going away) from "degraded" (keep routing, but some keys or
-// backends are impaired): the currently-poisoned key count, the
-// gated-backend count, and the watchdog-degraded key count, all in the
-// body of both the 200 and the 503.
+// instance is going away) from "degraded" (keep routing, but some keys are
+// impaired): the currently-poisoned key count and the watchdog-degraded
+// key count, both in the body of both the 200 and the 503.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := http.StatusOK
 	state := "ok"
@@ -33,18 +32,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "draining"
 	}
-	gated := 0
-	if sp, ok := s.cfg.Backend.(statesProvider); ok {
-		for _, bs := range sp.States() {
-			if bs.Gated {
-				gated++
-			}
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(status)
-	fmt.Fprintf(w, "%s\npoisoned_keys %d\ngated_backends %d\ndegraded_keys %d\n",
-		state, s.poisoned.Load(), gated, s.degraded.Load())
+	fmt.Fprintf(w, "%s\npoisoned_keys %d\ndegraded_keys %d\n",
+		state, s.poisoned.Load(), s.degraded.Load())
 	if s.store != nil {
 		// Durability detail: what the last startup rebuilt (and had to
 		// discard), so an operator — or the crash-restart harness — can

@@ -34,7 +34,6 @@ type metrics struct {
 	expired          atomic.Uint64 // 504s: request budget exhausted (delivery, queue front, backend)
 	shedDegraded     atomic.Uint64 // 503s: slow-key watchdog shed at delivery
 	retries          atomic.Uint64 // retry attempts armed after backend failures
-	backendFailures  atomic.Uint64 // backend error returns (pre-retry; includes all-gated)
 	degradedKeys     atomic.Uint64 // keys degraded by the watchdog (cumulative trips)
 
 	// Durability (zero unless Config.StateFS is set — see durability.go).
@@ -87,7 +86,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ss_requests_expired_total", "Requests answered 504: budget exhausted before a backend answer.", m.expired.Load())
 	counter("ss_requests_shed_total", "Requests answered 503 by the slow-key watchdog.", m.shedDegraded.Load())
 	counter("ss_retries_total", "Retry attempts armed after backend failures.", m.retries.Load())
-	counter("ss_backend_failures_total", "Backend error returns (before retry resolution).", m.backendFailures.Load())
 	counter("ss_degraded_keys_total", "Keys degraded by the slow-key watchdog.", m.degradedKeys.Load())
 
 	if s.store != nil {
@@ -144,41 +142,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	fmt.Fprintf(&b, "# HELP ss_delegates Delegates in the pool, fixed for the server's life.\n# TYPE ss_delegates gauge\nss_delegates %d\n",
 		s.rt.NumDelegates())
-
-	// Per-backend health, when the backend exposes it (a Pool does):
-	// breaker state as an enum gauge plus failure/open/denial counters, so
-	// a dashboard (and ssload's assertions) can watch a backend leave and
-	// re-enter rotation.
-	if sp, ok := s.cfg.Backend.(statesProvider); ok {
-		states := sp.States()
-		fmt.Fprintf(&b, "# HELP ss_backend_state Circuit-breaker state per backend (0=closed, 1=open, 2=half-open).\n# TYPE ss_backend_state gauge\n")
-		for _, bs := range states {
-			v := 0
-			switch bs.State {
-			case "open":
-				v = 1
-			case "half-open":
-				v = 2
-			}
-			fmt.Fprintf(&b, "ss_backend_state{backend=%q} %d\n", bs.Name, v)
-		}
-		fmt.Fprintf(&b, "# HELP ss_backend_consecutive_failures Consecutive failures while closed, per backend.\n# TYPE ss_backend_consecutive_failures gauge\n")
-		for _, bs := range states {
-			fmt.Fprintf(&b, "ss_backend_consecutive_failures{backend=%q} %d\n", bs.Name, bs.ConsecFails)
-		}
-		fmt.Fprintf(&b, "# HELP ss_breaker_opens_total Times each backend's circuit breaker opened.\n# TYPE ss_breaker_opens_total counter\n")
-		for _, bs := range states {
-			fmt.Fprintf(&b, "ss_breaker_opens_total{backend=%q} %d\n", bs.Name, bs.Opens)
-		}
-		fmt.Fprintf(&b, "# HELP ss_breaker_denied_total Requests short-circuited by each backend's gate.\n# TYPE ss_breaker_denied_total counter\n")
-		for _, bs := range states {
-			fmt.Fprintf(&b, "ss_breaker_denied_total{backend=%q} %d\n", bs.Name, bs.Denied)
-		}
-		fmt.Fprintf(&b, "# HELP ss_backend_latency_ewma_ms Smoothed service time per backend, milliseconds.\n# TYPE ss_backend_latency_ewma_ms gauge\n")
-		for _, bs := range states {
-			fmt.Fprintf(&b, "ss_backend_latency_ewma_ms{backend=%q} %.3f\n", bs.Name, bs.LatencyEWMA)
-		}
-	}
 
 	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Keys poisoned by a handler panic in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.poisoned.Load())
 	fmt.Fprintf(&b, "# HELP ss_degraded_keys Keys currently shed by the slow-key watchdog.\n# TYPE ss_degraded_keys gauge\nss_degraded_keys %d\n", s.degraded.Load())

@@ -124,10 +124,10 @@ func TestRoleUnderRotationRetryChaos(t *testing.T) {
 		EpochInterval: interval,
 		Delegates:     3,
 		RetryMax:      20,
-		Backend: &ChaosBackend{
-			Inner:   NewHandlerBackend("inner", chainHandler),
-			Errors:  chaos.SeededErrors(7, 0.2),
-			Latency: chaos.SeededLatency(9, 0.02, 300*time.Microsecond),
+		Backend: &chaosBackend{
+			h:       chainHandler,
+			errors:  chaos.SeededErrors(7, 0.2),
+			latency: chaos.SeededLatency(9, 0.02, 300*time.Microsecond),
 		},
 	})
 	h := s.Handler()

@@ -67,15 +67,15 @@
 // already in delegate queues, which the barrier itself drains.
 //
 // Between the role holder and the work it delegates sits the robustness
-// layer (backend.go, breaker.go, deadline.go): a pluggable Backend
-// interface (in-process handlers, HTTP upstream proxies, chaos wrappers)
-// optionally gated per backend by a circuit breaker behind a rotation Pool;
-// per-request deadlines fixed at admission and enforced wherever the tier
-// holds the request (delivery, queue front, backend context — an expired
-// request resolves to a definitive 504, never a parked caller); retry with
-// capped jittered backoff for idempotent requests, re-delegated under the
-// role so per-key order holds across attempts; and a slow-key watchdog
-// that degrades a persistently-slow key to 503 sheds instead of letting it
+// layer (backend.go, deadline.go): the Backend seam the delegated
+// operation calls (the in-process Handler, or a failing fake a test
+// substitutes); per-request deadlines fixed at admission and enforced
+// wherever the tier holds the request (delivery, queue front, backend
+// context — an expired request resolves to a definitive 504, never a
+// parked caller); retry with capped jittered backoff for idempotent
+// requests whose backend attempt failed, re-delegated under the role so
+// per-key order holds across attempts; and a slow-key watchdog that
+// degrades a persistently-slow key to 503 sheds instead of letting it
 // starve its set's epoch-mates.
 //
 // Config carries only what a caller chooses. The rest of the tier's shape
@@ -88,7 +88,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -216,12 +215,11 @@ type Config struct {
 	// disables the watchdog.
 	SlowThreshold time.Duration
 	// Backend executes requests. Exactly one of Backend and Handler must
-	// be set (Handler is shorthand for an in-process HandlerBackend); use
-	// NewPool to gate several backends behind per-backend circuit
-	// breakers.
+	// be set. It is the seam through which tests substitute a backend
+	// whose attempts fail; a server built from Handler never sees an
+	// error.
 	Backend Backend
-	// Handler executes requests in-process; shorthand for
-	// Backend: NewHandlerBackend("inprocess", Handler).
+	// Handler executes requests in-process.
 	Handler Handler
 	// StateFS, when set, enables durable sessions: the session table is
 	// snapshotted at every epoch rotation (write-behind, riding the
@@ -255,7 +253,7 @@ func (c *Config) withDefaults() error {
 		return fmt.Errorf("serve: Config.Handler and Config.Backend are mutually exclusive")
 	}
 	if c.Backend == nil {
-		c.Backend = NewHandlerBackend("inprocess", c.Handler)
+		c.Backend = handlerBackend{c.Handler}
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 1024
@@ -544,7 +542,7 @@ func (s *Server) drop(j *job, sess *Session) {
 
 // execute runs one job's backend attempt on a delegate context. It owns
 // the job's resolution for this attempt: served (any definitive status,
-// including a 502/503 rendered from a non-retryable backend failure),
+// including a 502 rendered from a non-retryable backend failure),
 // expired (queue-front shed or budget exhausted mid-backend), poisoned
 // (an earlier request of the key panicked this epoch), faulted (the
 // handler panicked: see contain), or none of these because a retry timer
@@ -604,7 +602,6 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 		j.finish(outcomeServed)
 		return
 	}
-	s.metrics.backendFailures.Add(1)
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 		// The budget died inside the backend (deadline-context timeout or a
 		// failure that arrived at the boundary): this is a 504, not a 502,
@@ -625,13 +622,8 @@ func (s *Server) execute(c *prometheus.Ctx, j *job) {
 		return
 	}
 	// Out of budget, attempts, or idempotency: render the failure.
-	if errors.Is(err, ErrNoBackend) {
-		j.status = http.StatusServiceUnavailable
-		j.body = "no backend available\n"
-	} else {
-		j.status = http.StatusBadGateway
-		j.body = fmt.Sprintf("backend failure after %d attempt(s): %v\n", j.attempt+1, err)
-	}
+	j.status = http.StatusBadGateway
+	j.body = fmt.Sprintf("backend failure after %d attempt(s): %v\n", j.attempt+1, err)
 	j.finish(outcomeServed)
 }
 

@@ -360,9 +360,9 @@ func TestAdmissionAndRateLimiting(t *testing.T) {
 	t.Run("retry-spends-one-token", func(t *testing.T) {
 		const key = "retried"
 		s := newTestServer(t, Config{
-			Backend: &ChaosBackend{
-				Inner:  NewHandlerBackend("inner", testHandler),
-				Errors: chaos.ErrorAt(prometheus.StringSet(key), 1),
+			Backend: &chaosBackend{
+				h:      testHandler,
+				errors: chaos.ErrorAt(prometheus.StringSet(key), 1),
 			},
 			RetryMax: 1,
 			Rate:     0.01,

@@ -236,7 +236,8 @@ func TestRecursiveStealingDelegateZeroAlloc(t *testing.T) {
 
 // waitShapes are the two runtimes whose waits differ: one program lane per
 // delegate, where a reclaim is one marker, and Recursive, where a reclaim
-// and a barrier are quiescence rounds over every delegate.
+// and a barrier are marker rounds over every delegate until the ledger
+// balances (one round when no nested work is left).
 var waitShapes = []struct {
 	name string
 	opts []prometheus.Option

@@ -21,6 +21,7 @@ package prometheus_test
 // wave markers cost one closure per ~200 operations, amortized to ~0.
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -62,6 +63,46 @@ func nestedWaves(c *prometheus.Ctx, n, fan int, sets []uint64) {
 		}
 		done.Store(0)
 	}
+}
+
+// recCell is a wrapper's object in the reclaim rows: its operation counts
+// itself and delegates one leaf to the wrapper's own child set, so each
+// child set has one producer context however the wrappers are placed.
+type recCell struct {
+	n        int
+	childSet uint64
+}
+
+func recRoot(c *prometheus.Ctx, x *recCell) {
+	x.n++
+	c.Delegate(x.childSet, nestedLeaf)
+}
+
+func recRead(*recCell) {}
+
+// benchRecursiveReclaim runs delegate-rec's cycle on the given number of
+// delegates: a burst of 8 root operations over 4 wrappers, each delegating
+// one leaf, then a Call that reclaims one wrapper. Under Recursive the
+// reclaim is the quiescence barrier, so one op is one cycle with every
+// marker round its reclaim pays.
+func benchRecursiveReclaim(b *testing.B, delegates int) {
+	b.ReportAllocs()
+	rt := prometheus.Init(prometheus.WithDelegates(delegates), prometheus.Recursive())
+	defer rt.Terminate()
+	ws := make([]*prometheus.Writable[recCell], 4)
+	for i := range ws {
+		ws[i] = prometheus.NewWritable(rt, recCell{childSet: uint64(1000 + i)})
+	}
+	rt.BeginIsolation()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 8; k++ {
+			ws[k%4].Delegate(recRoot)
+		}
+		ws[i%4].Call(recRead)
+	}
+	b.StopTimer()
+	rt.EndIsolation()
 }
 
 func BenchmarkRecursiveOverhead(b *testing.B) {
@@ -117,6 +158,11 @@ func BenchmarkRecursiveOverhead(b *testing.B) {
 		rt.EndIsolation()
 		b.StopTimer()
 	})
+	// Reclaim: the cycle bench/'s delegate-rec workload times, at one
+	// delegate (its shape) and at four.
+	for _, d := range []int{1, 4} {
+		b.Run(fmt.Sprintf("reclaim-d%d", d), func(b *testing.B) { benchRecursiveReclaim(b, d) })
+	}
 	// Nested, single child set: every delegation lands in one lane, the
 	// deepest per-lane streaming case.
 	b.Run("nested-1set", func(b *testing.B) {

@@ -112,17 +112,19 @@ func handle(s *serve.Session, r *http.Request) (int, string) {
 	if r.Header.Get("X-Chaos-Panic") == "1" {
 		panic(fmt.Sprintf("chaos: injected panic for key %q (seq %d)", s.Key, s.Seq))
 	}
-	q := r.URL.Query()
+	// Only /get and /set read the query: /bump, the load generator's
+	// default, parses none.
 	switch r.URL.Path {
 	case "/bump", "/":
 		return http.StatusOK, fmt.Sprintf("key=%s seq=%d\n", s.Key, s.Seq)
 	case "/get":
-		v, ok := s.Data[q.Get("k")]
+		v, ok := s.Data[r.URL.Query().Get("k")]
 		if !ok {
 			return http.StatusNotFound, "not found\n"
 		}
 		return http.StatusOK, v + "\n"
 	case "/set":
+		q := r.URL.Query()
 		s.Data[q.Get("k")] = q.Get("v")
 		return http.StatusOK, "ok\n"
 	default:

@@ -48,7 +48,10 @@ import (
 // The one ledger answers every scheduling question: occupancy (sent minus
 // exec: queued plus in-flight work) for placement, stealing and QueueDepths;
 // per-set quiescence for whole-set handoff (owners.go); and the barrier's
-// termination test.
+// termination test (quiesce), which ends on the first balanced ledger:
+// Σexec, read first, equal to Σsent, read after. A Recursive reclaim so
+// pays one marker round unless nested work is still queued or running when
+// the round ends.
 //
 // Ordering. Per-set program order is preserved per producer: operations a
 // producer sends to one set stay in order (one lane, FIFO across ring and
@@ -660,12 +663,28 @@ func (rt *Runtime) clean(i int) bool {
 
 // quiesce waits until every delegate has drained every lane and no
 // operation remains in flight. A round sends a synchronization object down
-// the program lane of each delegate and waits for all of them; the
-// rounds repeat until the two sides of the ledger agree across a full
-// quiet round, because under Recursive executing an operation may enqueue
-// more work anywhere. Without Recursive the program context is the only
-// producer: a sync object sits behind everything a delegate was ever sent,
-// clean delegates are skipped, and the first round always balances.
+// the program lane of each delegate and waits for all of them; rounds
+// repeat until the ledger balances, because under Recursive executing an
+// operation may enqueue more work anywhere.
+//
+// The exit test is a counting argument (Mattern's termination detection,
+// on one shared ledger): Σexec, read first, equals Σsent, read after. A
+// lane's sent is bumped before its push, its exec is published only after
+// the run that executed, contained or dropped the message, and both are
+// monotone. So per lane exec at its read <= sent then <= sent at its read,
+// and equal sums force equality on every lane: each lane had finished
+// everything it was sent at its exec read and was sent nothing more until
+// its sent read. At the last exec read nothing was queued or running, and
+// under Recursive only running operations send, so nothing more can be
+// sent. Read sent first instead, and an operation running between the two
+// reads can push after its destination's sent was read and publish its own
+// exec before the exec read: the sums agree with its message still queued
+// (TestRecursiveReclaimSeesNestedWork).
+//
+// Without Recursive the program context is the only producer: sentSum
+// cannot move during a round, a sync object sits behind everything a
+// delegate was ever sent, clean delegates are skipped, and the first round
+// always balances.
 func (rt *Runtime) quiesce() {
 	// Not under Recursive: other contexts may still produce into a lent set.
 	help := !rt.cfg.Recursive
@@ -675,7 +694,6 @@ func (rt *Runtime) quiesce() {
 				rt.mark(i, kindSync)
 			}
 		}
-		before := rt.sentSum()
 		rt.wait(nil, help)
 		if help {
 			// A delegate pushes what it sheds before it serves its marker: run
@@ -690,7 +708,7 @@ func (rt *Runtime) quiesce() {
 		for i, d := range rt.delegates {
 			rt.synced[i] = d.sent[ProgramContext].n.Load()
 		}
-		if rt.execSum() == before && rt.sentSum() == before {
+		if e := rt.execSum(); e == rt.sentSum() { // exec first: see above
 			return
 		}
 	}
@@ -713,7 +731,9 @@ func (rt *Runtime) barrier() {
 //
 // Under Recursive a single-lane sync cannot witness work other contexts
 // produced — a reclaim must also cover the nested operations of what it
-// reclaims — so the call is the quiescence barrier.
+// reclaims — so the call is the quiescence barrier: a marker round over
+// every delegate, repeated only while the ledger is unbalanced at the
+// round's end (nested work still queued or running).
 func (rt *Runtime) SyncContext(ctx int) {
 	if ctx == ProgramContext || rt.cfg.Sequential {
 		return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,6 +80,67 @@ func TestRecursiveDeepChain(t *testing.T) {
 	rt.EndIsolation()
 	if got := hops.Load(); got != depth {
 		t.Fatalf("hops = %d, want %d", got, depth)
+	}
+}
+
+// TestRecursiveReclaimSeesNestedWork pins quiesce's exit test on
+// delegate-rec's cycle: a burst of 8 root operations over 4 root sets, each
+// delegating one child to its root set's own child set, then a reclaim of
+// one root set. A reclaim under Recursive is the quiescence barrier, so
+// when it returns every child of the burst has run, whichever root set it
+// names. Lanes of 16 slots keep the nested work crossing the ring → spill
+// boundary.
+//
+// The burst's last child does not stop there: it starts a chain, one set
+// per hop, that ends in its leaf 64 delegations after the root. After the
+// first marker round the chain is the only work left, and it sends while
+// the round's two sums are read — the case a sent-first read gets wrong
+// (see quiesce). A test whose nested operations never delegate cannot tell
+// the read order apart: once the markers are served, nothing left sends.
+func TestRecursiveReclaimSeesNestedWork(t *testing.T) {
+	const (
+		burst  = 8
+		roots  = 4
+		chain  = 64
+		cycles = 2000
+	)
+	for _, delegates := range []int{1, 3} {
+		t.Run(fmt.Sprintf("d%d", delegates), func(t *testing.T) {
+			rt := New(Config{Delegates: delegates, Recursive: true, QueueCapacity: 16})
+			defer rt.Terminate()
+			var ran [roots]atomic.Int64 // leaves run, per root set
+			var root [burst]func(int)
+			for k := range burst {
+				i := k % roots
+				hops := 1
+				if k == burst-1 {
+					hops = chain
+				}
+				// hop h delegates hop h+1 to set 1000·(h+1)+i, so each set
+				// of a chain has one producer context.
+				hop := make([]func(int), hops+1)
+				hop[hops] = func(int) { ran[i].Add(1) }
+				for h := hops - 1; h >= 0; h-- {
+					next, set := hop[h+1], uint64(1000*(h+1)+i)
+					hop[h] = func(ctx int) { rt.DelegateFrom(ctx, set, next) }
+				}
+				root[k] = hop[0]
+			}
+			rt.BeginIsolation()
+			for c := range cycles {
+				for k := range burst {
+					rt.Delegate(uint64(k%roots), root[k])
+				}
+				rt.SyncSet(uint64(c % roots))
+				for i := range roots {
+					if got, want := ran[i].Load(), int64((c+1)*burst/roots); got != want {
+						t.Fatalf("cycle %d: reclaim of set %d returned with %d of %d leaves of root set %d run",
+							c, c%roots, got, want, i)
+					}
+				}
+			}
+			rt.EndIsolation()
+		})
 	}
 }
 
